@@ -3,10 +3,10 @@
 Each peer issues one content request when it arrives. Requests first try
 the server; a peer cut off by a regional failure falls back to its relay
 candidate list and works through it one attempt at a time. Relay uplink
-capacity is tracked in a ledger: transfer rates are fixed when an attempt
-starts and released when it completes or aborts. Event ordering at equal
-timestamps is fixed (failure transitions, completions, aborts, departures,
-arrivals, request issues) so runs are bit-reproducible for a given seed.
+capacity is tracked in a per-run ledger: transfer rates are fixed when an
+attempt starts and released when it completes or aborts. Event ordering
+at equal timestamps is fixed (completions, aborts, departures, arrivals,
+request issues) so runs are bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -19,36 +19,24 @@ import numpy as np
 
 from relaysim import churn
 from relaysim.churn import SessionModel, TimeToStayModel
-from relaysim.model import ContentItem, Peer, SimConfig, validate_config
+from relaysim.model import (RATE_EPS, ContentItem, Peer, RelayLedger, SimConfig,
+                            validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, available_throughput, can_connect,
                              inject_failure, latency_ms)
 from relaysim.selection import (RelayCandidateList, generate_relay_list,
                                 no_relay_list, random_relay_list)
 
+# Heap entries are (time, priority, seq, kind, payload) tuples; the
+# priority orders events at equal timestamps and seq keeps insertion order.
 EVENT_PRIORITY = {
-    "failure-end": 0,
-    "failure-start": 1,
-    "attempt-complete": 2,
-    "transfer-complete": 2,
-    "attempt-abort": 3,
-    "peer-departure": 4,
-    "peer-arrival": 5,
-    "request-issue": 6,
+    "attempt-complete": 0,
+    "transfer-complete": 0,
+    "attempt-abort": 1,
+    "peer-departure": 2,
+    "peer-arrival": 3,
+    "request-issue": 4,
 }
-
-_RATE_EPS = 1e-9
-
-
-class CapacityError(RuntimeError):
-    """Capacity ledger invariant broken; indicates an engine bug."""
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str
-    payload: int | None = None
 
 
 @dataclass
@@ -163,24 +151,6 @@ def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
     return peers
 
 
-def commit_relay_capacity(relay: Peer, kbps: float) -> None:
-    """Reserve uplink for a transfer; over-commit means an engine bug."""
-    if kbps <= 0:
-        raise ValueError("committed rate must be positive")
-    if relay.relayed_kbps_in_use + kbps > relay.uplink_kbps + _RATE_EPS:
-        raise CapacityError(
-            f"peer {relay.id}: commit of {kbps} kbps exceeds uplink "
-            f"{relay.uplink_kbps} (in use {relay.relayed_kbps_in_use})")
-    relay.relayed_kbps_in_use += kbps
-
-
-def release_relay_capacity(relay: Peer, kbps: float) -> None:
-    remaining = relay.relayed_kbps_in_use - kbps
-    if remaining < -1e-6:
-        raise CapacityError(f"peer {relay.id}: released more than committed")
-    relay.relayed_kbps_in_use = 0.0 if abs(remaining) < _RATE_EPS else remaining
-
-
 @dataclass(frozen=True)
 class AttemptPlan:
     """Resolution of one relay attempt started at a fixed time.
@@ -198,14 +168,15 @@ class AttemptPlan:
 
 
 def _plan_attempt(relay: Peer, requester: Peer, content: ContentItem, t: float,
-                  scenario: FailureScenario | None, cities: CityTable,
-                  base_ms: float, per_km_ms: float) -> AttemptPlan:
+                  scenario: FailureScenario | None, ledger: RelayLedger,
+                  cities: CityTable, base_ms: float, per_km_ms: float) -> AttemptPlan:
     """Decide how a single relay attempt plays out, without side effects.
 
     The transfer rate is fixed at start: the smaller of the relay's free
     uplink, the requester's downlink, and the relay's fair downlink share
-    across its current workload plus this transfer. Every attempt pays a
-    two-way handshake at the city-to-city latency.
+    across its current workload plus this transfer, both read from the
+    run's ledger. Every attempt pays a two-way handshake at the
+    city-to-city latency.
     """
     dist = cities.distance_km(requester.city, relay.city)
     handshake = 2.0 * latency_ms(dist, base_ms, per_km_ms) / 1000.0
@@ -214,10 +185,10 @@ def _plan_attempt(relay: Peer, requester: Peer, content: ContentItem, t: float,
                  and can_connect(relay.id, requester.id, t, scenario))
     if not reachable:
         return AttemptPlan("reject", t + handshake)
-    avail = available_throughput(relay, requester, t, scenario)
-    if avail <= _RATE_EPS:
+    avail = available_throughput(relay, requester, t, scenario, ledger)
+    if avail <= RATE_EPS:
         return AttemptPlan("reject", t + handshake)
-    share = relay.downlink_kbps / (relay.workload + 1)
+    share = relay.downlink_kbps / (ledger.workload.get(relay.id, 0) + 1)
     rate = min(avail, share)
     t_end = t + handshake + content.size_kbits / rate
     if t_end <= relay.departure_time and t_end <= requester.departure_time:
@@ -240,15 +211,19 @@ def attempt_download(requester: Peer, content: ContentItem,
                      scenario: FailureScenario | None = None,
                      city_table: CityTable | None = None,
                      latency_base_ms: float = 5.0,
-                     latency_per_km_ms: float = 0.02) -> RequestOutcome:
+                     latency_per_km_ms: float = 0.02,
+                     ledger: RelayLedger | None = None) -> RequestOutcome:
     """Drive one request through the server-then-relay protocol in isolation.
 
     Walks the candidate list sequentially from time t, accruing handshake
     and transfer delays, until the content is delivered, the requester
-    departs, or the list runs out. Peer capacity ledgers are read but not
-    held across attempts, so contention between concurrent requests is only
-    modeled by the event engine.
+    departs, or the list runs out. The ledger (empty when not given) is
+    read for relay load but not held across attempts, so contention
+    between concurrent requests is only modeled by the event engine; a
+    server failure is recorded in it as the requester's fetch failure.
     """
+    if ledger is None:
+        ledger = RelayLedger()
     if city_table is None:
         # Geography-free default: every city at the same point, latency = base.
         names = {requester.city} | {p.city for p in peers.values()}
@@ -262,7 +237,7 @@ def attempt_download(requester: Peer, content: ContentItem,
         else:
             out.end_time = requester.departure_time
         return out
-    requester.fetch_failure_history = True
+    ledger.fetch_failed.add(requester.id)
     out.entered_relay_phase = True
     now = t
     for rid in candidates:
@@ -271,8 +246,8 @@ def attempt_download(requester: Peer, content: ContentItem,
             return out
         relay = peers[rid]
         out.attempts += 1
-        plan = _plan_attempt(relay, requester, content, now, scenario, city_table,
-                             latency_base_ms, latency_per_km_ms)
+        plan = _plan_attempt(relay, requester, content, now, scenario, ledger,
+                             city_table, latency_base_ms, latency_per_km_ms)
         if plan.verdict == "success":
             out.served_by = rid
             out.end_time = plan.resolve_time
@@ -308,12 +283,29 @@ def _stream(seed: int, label: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, label) + key))
 
 
+def draw_population(cfg: SimConfig) -> tuple[list[Peer], FailureScenario]:
+    """The population and resolved failure scenario a valid cfg describes.
+
+    Only the population and failure fields and rng_seed enter the draw, so
+    configs that differ in content size or strategy alone share it.
+    """
+    peers = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
+    scenario = inject_failure(
+        FailureScenario(cfg.failure_region, cfg.failure_ratio,
+                        cfg.failure_start, cfg.failure_end),
+        peers, _stream(cfg.rng_seed, _STREAM_FAILURE))
+    return peers, scenario
+
+
 class Simulation:
     """One seeded simulation run; single-shot.
 
     All randomness derives from cfg.rng_seed through labeled sub-streams,
     so two runs with the same config are bit-identical and two strategies
     under the same seed see the identical population and failure draw.
+    A caller may pass that draw as peers and a resolved scenario, together,
+    to run several cells on one population; peers are immutable and the
+    run's own state lives in self.ledger.
     """
 
     def __init__(self, cfg: SimConfig, strategy: str | None = None,
@@ -324,21 +316,19 @@ class Simulation:
         self.strategy = strategy if strategy is not None else cfg.strategy
         if self.strategy not in ("no-relay", "random", "path-aware"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if (peers is None) != (scenario is None):
+            raise ValueError("peers and scenario are supplied together or not at all")
         if peers is None:
-            peers = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
-        self.peers: dict[int, Peer] = {p.id: p for p in peers}
-        self.city_table = CityTable(cfg.city_table)
-        if scenario is None:
-            scenario = inject_failure(
-                FailureScenario(cfg.failure_region, cfg.failure_ratio,
-                                cfg.failure_start, cfg.failure_end),
-                peers, _stream(cfg.rng_seed, _STREAM_FAILURE))
+            peers, scenario = draw_population(cfg)
         elif not scenario.resolved:
             raise ValueError("externally supplied scenario must be resolved")
+        self.peers: dict[int, Peer] = {p.id: p for p in peers}
+        self.city_table = CityTable(cfg.city_table)
         self.scenario = scenario
         self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
         self.content = ContentItem(cfg.content_size_kb)
         self.outcomes: list[RequestOutcome] = []
+        self.ledger = RelayLedger()
         self._online: dict[int, Peer] = {}
         self._requests: dict[int, _Request] = {}
         self._heap: list = []
@@ -348,8 +338,7 @@ class Simulation:
 
     def _schedule(self, time: float, kind: str, payload: int | None = None) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, EVENT_PRIORITY[kind], self._seq,
-                                    Event(time, kind, payload)))
+        heapq.heappush(self._heap, (time, EVENT_PRIORITY[kind], self._seq, kind, payload))
 
     def run(self) -> MetricsReport:
         """Process events until the horizon, then aggregate metrics."""
@@ -361,13 +350,7 @@ class Simulation:
             if math.isfinite(p.departure_time):
                 self._schedule(p.departure_time, "peer-departure", p.id)
             self._schedule(p.join_time, "request-issue", p.id)
-        if self.scenario.affected:
-            self._schedule(self.scenario.start_time, "failure-start")
-            if math.isfinite(self.scenario.end_time):
-                self._schedule(self.scenario.end_time, "failure-end")
         handlers = {
-            "failure-start": self._on_failure_start,
-            "failure-end": self._on_failure_end,
             "attempt-complete": self._on_attempt_complete,
             "transfer-complete": self._on_transfer_complete,
             "attempt-abort": self._on_attempt_abort,
@@ -377,11 +360,11 @@ class Simulation:
         }
         horizon = self.cfg.sim_duration
         while self._heap:
-            t, _, _, ev = heapq.heappop(self._heap)
+            t, _, _, kind, payload = heapq.heappop(self._heap)
             if t > horizon:
                 break
             self._now = t
-            handlers[ev.kind](ev)
+            handlers[kind](payload)
         for req in self._requests.values():
             if req.outcome.end_time is None:
                 req.outcome.end_time = horizon
@@ -393,22 +376,14 @@ class Simulation:
         return collect_metrics(self.outcomes, self.scenario.affected or frozenset(),
                                region_ids)
 
-    def _on_arrival(self, ev: Event) -> None:
-        self._online[ev.payload] = self.peers[ev.payload]
+    def _on_arrival(self, pid: int) -> None:
+        self._online[pid] = self.peers[pid]
 
-    def _on_departure(self, ev: Event) -> None:
-        self._online.pop(ev.payload, None)
+    def _on_departure(self, pid: int) -> None:
+        self._online.pop(pid, None)
 
-    def _on_failure_start(self, ev: Event) -> None:
-        for pid in self.scenario.affected:
-            self.peers[pid].in_failed_set = True
-
-    def _on_failure_end(self, ev: Event) -> None:
-        for pid in self.scenario.affected:
-            self.peers[pid].in_failed_set = False
-
-    def _on_request_issue(self, ev: Event) -> None:
-        peer = self.peers[ev.payload]
+    def _on_request_issue(self, pid: int) -> None:
+        peer = self.peers[pid]
         t = self._now
         out = RequestOutcome(peer.id, self.content.size_kb, t)
         req = _Request(out)
@@ -424,7 +399,7 @@ class Simulation:
                 req.pending = ("requester-lost", None, 0.0)
                 self._schedule(peer.departure_time, "attempt-abort", peer.id)
             return
-        peer.fetch_failure_history = True
+        self.ledger.fetch_failed.add(peer.id)
         out.entered_relay_phase = True
         req.candidates = self._make_candidates(peer, t)
         self._start_next_attempt(req, t)
@@ -439,7 +414,7 @@ class Simulation:
         return generate_relay_list(
             peer, online, alpha=self.cfg.alpha, gamma=self.cfg.gamma,
             zeta=self.cfg.zeta, rng=rng, t=t, tts=self.tts,
-            workload_mode=self.cfg.workload_mode)
+            workload_mode=self.cfg.workload_mode, ledger=self.ledger)
 
     def _start_next_attempt(self, req: _Request, t: float) -> None:
         requester = self.peers[req.outcome.requester_id]
@@ -453,14 +428,13 @@ class Simulation:
         req.next_index += 1
         req.outcome.attempts += 1
         plan = _plan_attempt(relay, requester, self.content, t, self.scenario,
-                             self.city_table, self.cfg.latency_base_ms,
+                             self.ledger, self.city_table, self.cfg.latency_base_ms,
                              self.cfg.latency_per_km_ms)
         if plan.verdict == "reject":
             req.pending = ("retry", None, 0.0)
             self._schedule(plan.resolve_time, "attempt-abort", requester.id)
             return
-        commit_relay_capacity(relay, plan.rate_kbps)
-        relay.workload += 1
+        self.ledger.commit(relay, plan.rate_kbps)
         if plan.verdict == "success":
             req.pending = ("deliver", relay.id, plan.rate_kbps)
             self._schedule(plan.resolve_time, "attempt-complete", requester.id)
@@ -474,22 +448,20 @@ class Simulation:
     def _release_pending(self, req: _Request) -> None:
         _, relay_id, rate = req.pending
         if relay_id is not None:
-            relay = self.peers[relay_id]
-            release_relay_capacity(relay, rate)
-            relay.workload -= 1
+            self.ledger.release(self.peers[relay_id], rate)
 
-    def _on_attempt_complete(self, ev: Event) -> None:
-        req = self._requests[ev.payload]
+    def _on_attempt_complete(self, pid: int) -> None:
+        req = self._requests[pid]
         _, relay_id, _ = req.pending
         self._release_pending(req)
         self._finalize(req, relay_id, self._now)
 
-    def _on_transfer_complete(self, ev: Event) -> None:
-        req = self._requests[ev.payload]
+    def _on_transfer_complete(self, pid: int) -> None:
+        req = self._requests[pid]
         self._finalize(req, SERVER, self._now)
 
-    def _on_attempt_abort(self, ev: Event) -> None:
-        req = self._requests[ev.payload]
+    def _on_attempt_abort(self, pid: int) -> None:
+        req = self._requests[pid]
         kind, _, _ = req.pending
         self._release_pending(req)
         if kind == "requester-lost":

@@ -23,8 +23,8 @@ import numpy as np
 from relaysim import churn, engine, selection
 from relaysim.churn import SessionModel, calibrate_pareto
 from relaysim.engine import MetricsReport, RequestOutcome, Simulation
-from relaysim.model import (STRATEGIES, ConfigError, Peer, SimConfig, TraceRecord,
-                            config_field_names, validate_config)
+from relaysim.model import (STRATEGIES, CapacityError, ConfigError, Peer, SimConfig,
+                            TraceRecord, config_field_names, validate_config)
 from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth, assign_isp
 
 SWEEP_COLUMNS = ("strategy", "size_kb", "failure_ratio", "seed", "success_ratio",
@@ -280,9 +280,19 @@ def run_trace(records, cfg: SimConfig,
 
     Rows flagged fetch_failure form the affected set of a failure window
     spanning the whole run, so those users exercise the relay path exactly
-    where the log says the server path failed.
+    where the log says the server path failed. A finite sim_duration
+    that ends before the first request would leave nothing to replay
+    (epoch timestamps under a one-hour horizon, say) and raises
+    ValueError.
     """
     validate_config(cfg)
+    if records and math.isfinite(cfg.sim_duration):
+        first = min(rec.request_ts for rec in records)
+        if first > cfg.sim_duration:
+            raise ValueError(
+                f"sim_duration {cfg.sim_duration!r} s ends before the first trace "
+                f"request at {first!r} s; set sim_duration = inf or rebase the "
+                f"trace timestamps to start near 0")
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
     peers = build_trace_peers(records, cfg, rng)
     affected = frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)
@@ -330,29 +340,50 @@ class SweepResult:
 
 
 def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult:
-    """Run every sweep cell; a failing cell is recorded, not fatal.
+    """Run every sweep cell; a cell that fails is recorded, not fatal.
 
-    Each cell reseeds with its own seed value, so all strategies at a
-    given (size, ratio, seed) share one population and failure draw.
+    Each cell reseeds with its own seed value, and the population and
+    failure draw depend only on the ratio and the seed, so they are drawn
+    once per (ratio, seed) and shared by every size and strategy there;
+    one draw is alive at a time. If the draw fails, every cell of its
+    group is recorded with that error. CapacityError propagates: it means
+    an engine invariant broke, not that a cell is bad. Rows and failures
+    come out in the spec's size -> ratio -> strategy -> seed order.
     """
     if base_cfg is None:
         base_cfg = SimConfig()
-    rows = []
-    failures = []
-    for size in spec.content_sizes_kb:
-        for ratio in spec.failure_ratios:
-            for strategy in spec.strategies:
-                for seed in spec.seeds:
-                    cfg = replace(base_cfg, content_size_kb=size, failure_ratio=ratio,
-                                  strategy=strategy, rng_seed=seed)
+    sizes, strategies = spec.content_sizes_kb, spec.strategies
+    cells: dict[tuple[int, int, int, int], dict] = {}
+
+    def failure(size, ratio, strategy, seed, exc: Exception) -> dict:
+        return {"strategy": strategy, "size_kb": size, "failure_ratio": ratio,
+                "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+
+    for ri, ratio in enumerate(spec.failure_ratios):
+        for si, seed in enumerate(spec.seeds):
+            group_cfg = replace(base_cfg, content_size_kb=sizes[0], failure_ratio=ratio,
+                                strategy=strategies[0], rng_seed=seed)
+            try:
+                validate_config(group_cfg)
+                peers, scenario = engine.draw_population(group_cfg)
+            except CapacityError:
+                raise
+            except Exception as exc:  # record for the whole group and continue
+                for zi, size in enumerate(sizes):
+                    for ti, strategy in enumerate(strategies):
+                        cells[zi, ri, ti, si] = failure(size, ratio, strategy, seed, exc)
+                continue
+            for zi, size in enumerate(sizes):
+                for ti, strategy in enumerate(strategies):
+                    cfg = replace(group_cfg, content_size_kb=size, strategy=strategy)
                     try:
-                        report = engine.run(cfg)
+                        report = Simulation(cfg, peers=peers, scenario=scenario).run()
+                    except CapacityError:
+                        raise
                     except Exception as exc:  # record and continue
-                        failures.append({"strategy": strategy, "size_kb": size,
-                                         "failure_ratio": ratio, "seed": seed,
-                                         "error": f"{type(exc).__name__}: {exc}"})
+                        cells[zi, ri, ti, si] = failure(size, ratio, strategy, seed, exc)
                         continue
-                    rows.append({
+                    cells[zi, ri, ti, si] = {
                         "strategy": strategy,
                         "size_kb": float(size),
                         "failure_ratio": float(ratio),
@@ -362,8 +393,10 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                         "avg_attempts": report.avg_repeated_requests,
                         "affected_success_ratio": report.affected_success_ratio,
                         "region_success_ratio": report.region_success_ratio,
-                    })
-    return SweepResult(rows, failures)
+                    }
+    ordered = [cells[key] for key in sorted(cells)]
+    return SweepResult([c for c in ordered if "error" not in c],
+                       [c for c in ordered if "error" in c])
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -31,6 +31,9 @@ DEFAULT_UPLINK_PROFILE: dict[float, float] = {
 STRATEGIES = ("no-relay", "random", "path-aware")
 WORKLOAD_MODES = ("utilization", "count")
 
+# Rates within this many kbps of each other are equal in the capacity ledger.
+RATE_EPS = 1e-9
+
 
 class ConfigError(ValueError):
     """Raised when a configuration fails validation; carries all violations."""
@@ -40,13 +43,15 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Peer:
     """A browser peer with one bounded session.
 
-    Times are simulation seconds. The capacity ledger (relayed_kbps_in_use)
-    and workload counter are mutated by the engine while the peer serves
-    relay transfers.
+    Times are simulation seconds. Peers are immutable: they hold only what
+    the population draw sampled, so one population can be shared by many
+    runs. What a run changes (relay workload, committed uplink, fetch
+    failure history) lives in that run's RelayLedger inside the
+    Simulation.
     """
 
     id: int
@@ -56,10 +61,6 @@ class Peer:
     downlink_kbps: float
     join_time: float
     session_duration: float
-    workload: int = 0
-    relayed_kbps_in_use: float = 0.0
-    fetch_failure_history: bool = False
-    in_failed_set: bool = False
 
     @property
     def departure_time(self) -> float:
@@ -73,13 +74,57 @@ class Peer:
         """Seconds spent online at time t (negative before join)."""
         return t - self.join_time
 
-    @property
-    def uplink_free_kbps(self) -> float:
-        return max(0.0, self.uplink_kbps - self.relayed_kbps_in_use)
 
-    @property
-    def uplink_utilization(self) -> float:
-        return self.relayed_kbps_in_use / self.uplink_kbps
+class CapacityError(RuntimeError):
+    """Capacity ledger invariant broken; indicates an engine bug."""
+
+
+@dataclass
+class RelayLedger:
+    """Per-run relay state, keyed by peer id and kept sparse.
+
+    A peer without an entry serves no transfer, has no uplink committed
+    and has no fetch failure on record. commit() and release() drop an
+    entry once it returns to zero, so a ledger with nothing in flight holds
+    no workload or capacity entries.
+    """
+
+    workload: dict[int, int] = field(default_factory=dict)
+    in_use_kbps: dict[int, float] = field(default_factory=dict)
+    fetch_failed: set[int] = field(default_factory=set)
+
+    def uplink_free_kbps(self, peer: Peer) -> float:
+        return max(0.0, peer.uplink_kbps - self.in_use_kbps.get(peer.id, 0.0))
+
+    def uplink_utilization(self, peer: Peer) -> float:
+        return self.in_use_kbps.get(peer.id, 0.0) / peer.uplink_kbps
+
+    def commit(self, relay: Peer, kbps: float) -> None:
+        """Start a transfer on relay at kbps; over-commit means an engine bug."""
+        if kbps <= 0:
+            raise ValueError("committed rate must be positive")
+        in_use = self.in_use_kbps.get(relay.id, 0.0)
+        if in_use + kbps > relay.uplink_kbps + RATE_EPS:
+            raise CapacityError(
+                f"peer {relay.id}: commit of {kbps} kbps exceeds uplink "
+                f"{relay.uplink_kbps} (in use {in_use})")
+        self.in_use_kbps[relay.id] = in_use + kbps
+        self.workload[relay.id] = self.workload.get(relay.id, 0) + 1
+
+    def release(self, relay: Peer, kbps: float) -> None:
+        """End a transfer committed at kbps on relay."""
+        remaining = self.in_use_kbps.get(relay.id, 0.0) - kbps
+        if remaining < -1e-6:
+            raise CapacityError(f"peer {relay.id}: released more than committed")
+        if abs(remaining) < RATE_EPS:
+            self.in_use_kbps.pop(relay.id, None)
+        else:
+            self.in_use_kbps[relay.id] = remaining
+        count = self.workload.get(relay.id, 0) - 1
+        if count > 0:
+            self.workload[relay.id] = count
+        else:
+            self.workload.pop(relay.id, None)
 
 
 @dataclass(frozen=True)

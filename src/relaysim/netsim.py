@@ -8,13 +8,15 @@ asymmetry is what makes relay delivery through unaffected peers work.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from relaysim.model import DEFAULT_UPLINK_PROFILE, Peer
+from relaysim.model import DEFAULT_UPLINK_PROFILE, Peer, RelayLedger
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -102,19 +104,36 @@ def latency_ms(distance_km: float, base_ms: float = 5.0, per_km_ms: float = 0.02
     return base_ms + per_km_ms * distance_km
 
 
-def assign_bandwidth(rng: np.random.Generator,
-                     profile: dict[float, float] | None = None,
-                     downlink_factor: float = 4.0) -> tuple[float, float]:
-    """Draw (uplink, downlink) kbps from the bucketed capacity profile."""
-    if profile is None:
-        profile = DEFAULT_UPLINK_PROFILE
+@functools.lru_cache(maxsize=16)
+def _capacity_cdf(profile_items: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Validate a capacity profile once and return its sorted buckets with
+    the CDF that Generator.choice(buckets, p=probs) builds: cumsum, then
+    divided by its last entry."""
+    profile = dict(profile_items)
     buckets = sorted(profile)
     probs = np.array([profile[b] for b in buckets], dtype=float)
     if buckets[0] <= 0:
         raise ValueError("capacity buckets must be positive")
-    if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
+    if not abs(probs.sum() - 1.0) <= 1e-9 or (probs < 0).any():
         raise ValueError("profile probabilities must be non-negative and sum to 1")
-    up = float(rng.choice(np.array(buckets, dtype=float), p=probs))
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return tuple(float(b) for b in buckets), tuple(cdf.tolist())
+
+
+def assign_bandwidth(rng: np.random.Generator,
+                     profile: dict[float, float] | None = None,
+                     downlink_factor: float = 4.0) -> tuple[float, float]:
+    """Draw (uplink, downlink) kbps from the bucketed capacity profile.
+
+    One rng.random() draw located in the profile's CDF by bisect_right:
+    the same draw, from the same stream position, as
+    rng.choice(sorted buckets, p=probs), without rebuilding the CDF.
+    """
+    if profile is None:
+        profile = DEFAULT_UPLINK_PROFILE
+    buckets, cdf = _capacity_cdf(tuple(profile.items()))
+    up = buckets[bisect.bisect_right(cdf, rng.random())]
     return up, up * downlink_factor
 
 
@@ -193,8 +212,12 @@ def can_connect(x, y, t: float, scenario: FailureScenario | None) -> bool:
 
 
 def available_throughput(relay: Peer, requester: Peer, t: float,
-                         scenario: FailureScenario | None) -> float:
-    """Usable kbps on the relay->requester path at t; 0 when unreachable."""
+                         scenario: FailureScenario | None,
+                         ledger: RelayLedger) -> float:
+    """Usable kbps on the relay->requester path at t; 0 when unreachable.
+
+    The relay's free uplink is read from the run's ledger.
+    """
     if not can_connect(relay.id, requester.id, t, scenario):
         return 0.0
-    return max(0.0, min(relay.uplink_free_kbps, requester.downlink_kbps))
+    return max(0.0, min(ledger.uplink_free_kbps(relay), requester.downlink_kbps))

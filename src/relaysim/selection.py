@@ -19,7 +19,7 @@ import numpy as np
 
 from relaysim import kernels
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
-from relaysim.model import Peer
+from relaysim.model import Peer, RelayLedger
 
 MAX_EXACT_DIM = 8
 
@@ -90,29 +90,33 @@ def random_relay_list(requester: Peer, online_peers: list[Peer], zeta: int,
     return RelayCandidateList(tuple(p.id for p in picked), 0)
 
 
-def _workload_ok(peer: Peer, gamma: float, mode: str) -> bool:
+def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bool:
     if mode == "count":
-        return peer.workload <= gamma
-    return peer.uplink_utilization <= gamma
+        return ledger.workload.get(peer.id, 0) <= gamma
+    return ledger.uplink_utilization(peer) <= gamma
 
 
 def generate_relay_list(requester: Peer, online_peers: list[Peer], *,
                         alpha: float, gamma: float, zeta: int,
                         rng: np.random.Generator, t: float,
                         tts: TimeToStayModel | None = None,
-                        workload_mode: str = "utilization") -> RelayCandidateList:
+                        workload_mode: str = "utilization",
+                        ledger: RelayLedger | None = None) -> RelayCandidateList:
     """Path-aware candidate list for one requester.
 
     ceil(zeta * alpha) slots go to the careful partition (same city and
     same ISP as the requester); the remaining slots are drawn from all
     other online peers. A shortfall in the careful partition is not
     backfilled. Both partitions drop peers with a fetch-failure history
-    or workload above gamma, then sort by descending estimated
-    time-to-stay (ties on ascending peer id). The careful partition comes
-    first, so its most durable member is the primary relay.
+    or workload above gamma, as recorded in the run's ledger (none without
+    one), then sort by descending estimated time-to-stay (ties on
+    ascending peer id). The careful partition comes first, so its most
+    durable member is the primary relay.
     """
     if tts is None:
         tts = TimeToStayModel()
+    if ledger is None:
+        ledger = RelayLedger()
     pool = [p for p in online_peers if p.id != requester.id]
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = [p for p in pool if p.city == requester.city and p.isp == requester.isp]
@@ -122,7 +126,8 @@ def generate_relay_list(requester: Peer, online_peers: list[Peer], *,
     randoms = _draw(rng, rest, zeta - careful_slots)
 
     def keep(p: Peer) -> bool:
-        return not p.fetch_failure_history and _workload_ok(p, gamma, workload_mode)
+        return (p.id not in ledger.fetch_failed
+                and _workload_ok(p, ledger, gamma, workload_mode))
 
     def durability(p: Peer):
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)

@@ -25,7 +25,7 @@ from relaysim.churn import (
 )
 from relaysim.engine import build_population, run, _stream, _STREAM_FAILURE
 from relaysim.io import SweepSpec, run_sweep
-from relaysim.model import Peer, SimConfig
+from relaysim.model import Peer, RelayLedger, SimConfig
 from relaysim.netsim import FailureScenario, inject_failure, latency_ms
 from relaysim.selection import (
     Infeasible,
@@ -247,16 +247,18 @@ def _random_table(rng: np.random.Generator):
     n = int(rng.integers(2, 28))
     cities = ("A", "B", "C")
     peers = []
+    ledger = RelayLedger()
     for pid in range(n):
         up = float(rng.choice((256.0, 512.0, 1024.0, 3072.0)))
         p = Peer(pid, cities[int(rng.integers(0, 3))], int(rng.integers(1, 4)),
                  up, up * 4.0, float(rng.uniform(0.0, 50.0)),
                  float(rng.uniform(5.0, 4000.0)))
-        p.workload = int(rng.integers(0, 5))
-        p.relayed_kbps_in_use = float(rng.uniform(0.0, up * 1.2))
-        p.fetch_failure_history = bool(rng.random() < 0.25)
+        ledger.workload[pid] = int(rng.integers(0, 5))
+        ledger.in_use_kbps[pid] = float(rng.uniform(0.0, up * 1.2))
+        if rng.random() < 0.25:
+            ledger.fetch_failed.add(pid)
         peers.append(p)
-    return peers
+    return peers, ledger
 
 
 def test_criterion_7_candidate_list_invariants():
@@ -264,7 +266,7 @@ def test_criterion_7_candidate_list_invariants():
     tts = TimeToStayModel()
     checked = 0
     for _ in range(10 ** 4):
-        peers = _random_table(rng)
+        peers, ledger = _random_table(rng)
         requester = peers[int(rng.integers(0, len(peers)))]
         alpha = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.2, 1.0))
@@ -272,7 +274,7 @@ def test_criterion_7_candidate_list_invariants():
         t = float(rng.uniform(50.0, 120.0))
         online = [p for p in peers if p.online(t)]
         lst = generate_relay_list(requester, online, alpha=alpha, gamma=gamma,
-                                  zeta=zeta, rng=rng, t=t, tts=tts)
+                                  zeta=zeta, rng=rng, t=t, tts=tts, ledger=ledger)
         by_id = {p.id: p for p in online}
         assert len(lst) <= zeta
         assert len(set(lst.peer_ids)) == len(lst)
@@ -284,8 +286,8 @@ def test_criterion_7_candidate_list_invariants():
             assert by_id[pid].city == requester.city
             assert by_id[pid].isp == requester.isp
         for pid in lst.peer_ids:
-            assert not by_id[pid].fetch_failure_history
-            assert _workload_ok(by_id[pid], gamma, "utilization")
+            assert pid not in ledger.fetch_failed
+            assert _workload_ok(by_id[pid], ledger, gamma, "utilization")
         for part in (lst.careful, lst.random_part):
             taus = [estimate_time_to_stay(tts, by_id[pid].elapse(t) / 60.0)
                     for pid in part]

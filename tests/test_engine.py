@@ -1,25 +1,24 @@
 """Event engine tests: protocol arithmetic, ledger, determinism, metrics."""
 
+import copy
 import math
 
 import pytest
 
 from relaysim.engine import (
     EVENT_PRIORITY,
-    CapacityError,
     MetricsReport,
     RequestOutcome,
     Simulation,
     attempt_download,
     build_population,
     collect_metrics,
-    commit_relay_capacity,
-    release_relay_capacity,
+    draw_population,
     run,
     _stream,
     _STREAM_POPULATION,
 )
-from relaysim.model import ContentItem, Peer, SimConfig
+from relaysim.model import CapacityError, ContentItem, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, CityTable, FailureScenario
 from relaysim.selection import RelayCandidateList
 
@@ -46,8 +45,6 @@ class TestEventOrdering:
         # deliveries before aborts before departures at the same instant
         assert p["attempt-complete"] < p["attempt-abort"] < p["peer-departure"]
         assert p["transfer-complete"] == p["attempt-complete"]
-        # failure transitions first, end before start
-        assert p["failure-end"] < p["failure-start"] < p["attempt-complete"]
 
 
 class TestCollectMetrics:
@@ -124,26 +121,31 @@ class TestPopulation:
 class TestCapacityLedger:
     def test_commit_release_roundtrip(self):
         relay = make_peer(1, up=1024.0)
-        commit_relay_capacity(relay, 500.0)
-        assert relay.relayed_kbps_in_use == 500.0
-        release_relay_capacity(relay, 500.0)
-        assert relay.relayed_kbps_in_use == 0.0
+        ledger = RelayLedger()
+        ledger.commit(relay, 500.0)
+        assert ledger.in_use_kbps[1] == 500.0
+        assert ledger.workload[1] == 1
+        ledger.release(relay, 500.0)
+        assert ledger.in_use_kbps.get(1, 0.0) == 0.0
+        assert ledger.in_use_kbps == {} and ledger.workload == {}
 
     def test_overcommit_is_a_bug_trap(self):
         relay = make_peer(1, up=1024.0)
-        commit_relay_capacity(relay, 600.0)
+        ledger = RelayLedger()
+        ledger.commit(relay, 600.0)
         with pytest.raises(CapacityError):
-            commit_relay_capacity(relay, 600.0)
+            ledger.commit(relay, 600.0)
 
     def test_over_release_is_a_bug_trap(self):
         relay = make_peer(1, up=1024.0)
-        commit_relay_capacity(relay, 100.0)
+        ledger = RelayLedger()
+        ledger.commit(relay, 100.0)
         with pytest.raises(CapacityError):
-            release_relay_capacity(relay, 200.0)
+            ledger.release(relay, 200.0)
 
     def test_nonpositive_commit_rejected(self):
         with pytest.raises(ValueError):
-            commit_relay_capacity(make_peer(1), 0.0)
+            RelayLedger().commit(make_peer(1), 0.0)
 
 
 class TestAttemptDownload:
@@ -164,14 +166,16 @@ class TestAttemptDownload:
     def test_primary_success(self):
         req = make_peer(0)
         relay = make_peer(1)
+        ledger = RelayLedger()
         out = attempt_download(req, ContentItem(512.0),
                                RelayCandidateList((1,), 0), 0.0,
-                               peers={1: relay}, scenario=self.scenario({0}))
+                               peers={1: relay}, scenario=self.scenario({0}),
+                               ledger=ledger)
         assert out.served_by == 1
         assert out.attempts == 1
         assert out.primary_success
         assert out.entered_relay_phase
-        assert req.fetch_failure_history
+        assert req.id in ledger.fetch_failed
         # handshake + 4096 kbit / min(1024 uplink, 4096 down, 4096 share)
         assert out.end_time == pytest.approx(0.01 + 4.0)
 
@@ -232,10 +236,12 @@ class TestAttemptDownload:
 
     def test_workload_share_binds_rate(self):
         req = make_peer(0, down=40960.0)
-        relay = make_peer(1, up=10240.0, down=4096.0, workload=1)
+        relay = make_peer(1, up=10240.0, down=4096.0)
+        ledger = RelayLedger(workload={1: 1})
         out = attempt_download(req, ContentItem(512.0),
                                RelayCandidateList((1,), 0), 0.0,
-                               peers={1: relay}, scenario=self.scenario({0}))
+                               peers={1: relay}, scenario=self.scenario({0}),
+                               ledger=ledger)
         # share = 4096 / (1+1) = 2048 kbps beats uplink and downlink
         assert out.end_time == pytest.approx(0.01 + 4096.0 / 2048.0)
 
@@ -276,8 +282,36 @@ class TestSimulation:
         sim = Simulation(small_cfg(sim_duration=math.inf))
         sim.run()
         for p in sim.peers.values():
-            assert p.relayed_kbps_in_use == 0.0
-            assert p.workload == 0
+            assert sim.ledger.in_use_kbps.get(p.id, 0.0) == 0.0
+            assert sim.ledger.workload.get(p.id, 0) == 0
+        assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+        assert sim.ledger.fetch_failed   # the failure did send requests to relays
+
+    def test_supplied_population_left_unchanged(self):
+        cfg = small_cfg(sim_duration=math.inf)
+        peers, scenario = draw_population(cfg)
+        before = copy.deepcopy(peers)
+        for strategy in ("random", "path-aware"):
+            sim = Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
+            sim.run()
+            assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+            assert sim.ledger.fetch_failed
+        assert peers == before
+
+    def test_shared_draw_matches_own_draw(self):
+        cfg = small_cfg(rng_seed=4)
+        peers, scenario = draw_population(cfg)
+        for strategy in ("no-relay", "random", "path-aware"):
+            shared = Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
+            own = Simulation(cfg, strategy=strategy)
+            assert shared.run() == own.run()
+            assert shared.outcomes == own.outcomes
+
+    def test_peers_are_immutable(self):
+        peer = make_peer(1)
+        with pytest.raises(AttributeError):
+            peer.uplink_kbps = 1.0
+        assert not hasattr(peer, "workload")
 
     def test_outcomes_have_terminal_state(self):
         sim = Simulation(small_cfg())
@@ -317,11 +351,6 @@ class TestSimulation:
         with pytest.raises(ValueError):
             Simulation(small_cfg(), strategy="psychic")
 
-    def test_failure_flags_cleared_after_window(self):
-        sim = Simulation(small_cfg(failure_end=300.0))
-        sim.run()
-        assert all(not p.in_failed_set for p in sim.peers.values())
-
     def test_relay_strategies_beat_no_relay_here(self):
         cfg = small_cfg(peer_count=200, sim_duration=1800.0)
         no_relay = run(cfg, strategy="no-relay")
@@ -335,6 +364,17 @@ class TestSimulation:
         with pytest.raises(ValueError):
             Simulation(small_cfg(),
                        scenario=FailureScenario(region="Beijing", ratio=0.5))
+        peers, _ = draw_population(small_cfg())
+        with pytest.raises(ValueError):
+            Simulation(small_cfg(), peers=peers,
+                       scenario=FailureScenario(region="Beijing", ratio=0.5))
+
+    def test_population_and_scenario_supplied_together(self):
+        peers, scenario = draw_population(small_cfg())
+        with pytest.raises(ValueError):
+            Simulation(small_cfg(), peers=peers)
+        with pytest.raises(ValueError):
+            Simulation(small_cfg(), scenario=scenario)
 
     def test_run_returns_report(self):
         rep = run(small_cfg())

@@ -4,10 +4,13 @@ import argparse
 import csv
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from relaysim.engine import RequestOutcome
+from relaysim import engine
+from relaysim.engine import RequestOutcome, Simulation
 from relaysim.io import (
     OUTCOME_COLUMNS,
     SWEEP_COLUMNS,
@@ -30,7 +33,7 @@ from relaysim.io import (
     write_sweep_csv,
     write_trace_csv,
 )
-from relaysim.model import ConfigError, SimConfig, TraceRecord
+from relaysim.model import CapacityError, ConfigError, SimConfig, TraceRecord
 from relaysim.netsim import SERVER
 
 
@@ -252,6 +255,13 @@ class TestSynthesisAndReplay:
         path, _ = run_trace(records, cfg, strategy="path-aware")
         assert path.success_ratio > no_relay.success_ratio
 
+    def test_run_trace_horizon_before_first_request(self):
+        records = synthesize_trace(20, seed=1, start=1.7e9)   # epoch seconds
+        with pytest.raises(ValueError, match="sim_duration"):
+            run_trace(records, SimConfig(sim_duration=3600.0))
+        report, _ = run_trace(records, SimConfig())   # unbounded horizon
+        assert report.total_requests == 20
+
 
 class TestSweep:
     def small_cfg(self):
@@ -298,6 +308,81 @@ class TestSweep:
         assert result.rows == []
         assert len(result.failures) == 1
         assert "pareto_shape" in result.failures[0]["error"]
+
+    def test_rows_match_independent_runs(self):
+        spec = SweepSpec(content_sizes_kb=(500.0, 16000.0), failure_ratios=(0.3, 1.0),
+                         strategies=("no-relay", "random", "path-aware"), seeds=(2, 5))
+        base = self.small_cfg()
+        result = run_sweep(spec, base)
+        assert result.failures == []
+        expected = []
+        for size in spec.content_sizes_kb:
+            for ratio in spec.failure_ratios:
+                for strategy in spec.strategies:
+                    for seed in spec.seeds:
+                        rep = engine.run(replace(base, content_size_kb=size,
+                                                 failure_ratio=ratio, strategy=strategy,
+                                                 rng_seed=seed))
+                        expected.append((strategy, size, ratio, seed, rep.success_ratio,
+                                         rep.primary_success_ratio,
+                                         rep.avg_repeated_requests,
+                                         rep.affected_success_ratio,
+                                         rep.region_success_ratio))
+        assert [tuple(r[c] for c in SWEEP_COLUMNS) for r in result.rows] == expected
+
+    def test_one_draw_per_ratio_and_seed(self, monkeypatch):
+        draws = []
+        real_build = engine.build_population
+
+        def counting(cfg, rng):
+            draws.append((cfg.failure_ratio, cfg.rng_seed))
+            return real_build(cfg, rng)
+        monkeypatch.setattr(engine, "build_population", counting)
+        spec = SweepSpec(content_sizes_kb=(500.0, 1000.0, 2000.0), failure_ratios=(0.2, 0.6),
+                         strategies=("no-relay", "random", "path-aware"), seeds=(0, 1))
+        result = run_sweep(spec, self.small_cfg())
+        assert len(result.rows) == spec.cell_count
+        assert draws == [(0.2, 0), (0.2, 1), (0.6, 0), (0.6, 1)]
+
+    def test_capacity_error_propagates(self, monkeypatch):
+        def broken(self):
+            raise CapacityError("peer 3: released more than committed")
+        monkeypatch.setattr(Simulation, "run", broken)
+        spec = SweepSpec(content_sizes_kb=(500.0,), failure_ratios=(0.6,),
+                         strategies=("no-relay",), seeds=(0,))
+        with pytest.raises(CapacityError):
+            run_sweep(spec, self.small_cfg())
+
+    def test_failing_cells_recorded_once_each(self, monkeypatch):
+        real_run = Simulation.run
+
+        def flaky(self):
+            if self.strategy == "random":
+                raise RuntimeError("random cell broke")
+            return real_run(self)
+        monkeypatch.setattr(Simulation, "run", flaky)
+        spec = SweepSpec(content_sizes_kb=(500.0, 1000.0), failure_ratios=(0.6,),
+                         strategies=("no-relay", "random"), seeds=(0, 1))
+        result = run_sweep(spec, self.small_cfg())
+        assert [(f["size_kb"], f["seed"]) for f in result.failures] == [
+            (500.0, 0), (500.0, 1), (1000.0, 0), (1000.0, 1)]
+        assert all(f["strategy"] == "random" for f in result.failures)
+        assert all(f["error"] == "RuntimeError: random cell broke"
+                   for f in result.failures)
+        assert [r["strategy"] for r in result.rows] == ["no-relay"] * 4
+
+    def test_failed_draw_fails_its_group(self):
+        spec = SweepSpec(content_sizes_kb=(500.0, 1000.0), failure_ratios=(0.6,),
+                         strategies=("no-relay", "path-aware"), seeds=(0, -1))
+        result = run_sweep(spec, self.small_cfg())
+        assert [(r["size_kb"], r["strategy"]) for r in result.rows] == [
+            (500.0, "no-relay"), (500.0, "path-aware"),
+            (1000.0, "no-relay"), (1000.0, "path-aware")]
+        assert all(r["seed"] == 0 for r in result.rows)
+        assert [(f["size_kb"], f["strategy"], f["seed"]) for f in result.failures] == [
+            (500.0, "no-relay", -1), (500.0, "path-aware", -1),
+            (1000.0, "no-relay", -1), (1000.0, "path-aware", -1)]
+        assert all(f["error"].startswith("ValueError:") for f in result.failures)
 
     def test_csv_strict_rfc4180(self, tmp_path):
         spec = SweepSpec(content_sizes_kb=(500.0,), failure_ratios=(0.6,),
@@ -421,6 +506,15 @@ class TestCli:
                      "--seed", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_requests"] == 60
+
+    def test_trace_past_horizon_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "epoch.csv"
+        write_trace_csv(synthesize_trace(30, seed=2, start=1.7e9), trace)
+        default_cfg = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+        assert main(["trace", "--file", str(trace), "--config", str(default_cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sim_duration" in captured.err
 
     def test_trace_missing_file_exit_1(self, capsys):
         assert main(["trace", "--file", "/nonexistent/trace.csv"]) == 1

@@ -10,6 +10,7 @@ from relaysim.model import (
     ConfigError,
     ContentItem,
     Peer,
+    RelayLedger,
     SimConfig,
     TraceRecord,
     config_errors,
@@ -48,13 +49,14 @@ class TestPeer:
 
     def test_capacity_ledger_views(self):
         p = make_peer(uplink_kbps=1000.0)
-        assert p.uplink_free_kbps == 1000.0
-        assert p.uplink_utilization == 0.0
-        p.relayed_kbps_in_use = 250.0
-        assert p.uplink_free_kbps == 750.0
-        assert p.uplink_utilization == 0.25
-        p.relayed_kbps_in_use = 1200.0  # over-commit is clamped in the view
-        assert p.uplink_free_kbps == 0.0
+        ledger = RelayLedger()
+        assert ledger.uplink_free_kbps(p) == 1000.0
+        assert ledger.uplink_utilization(p) == 0.0
+        ledger.in_use_kbps[p.id] = 250.0
+        assert ledger.uplink_free_kbps(p) == 750.0
+        assert ledger.uplink_utilization(p) == 0.25
+        ledger.in_use_kbps[p.id] = 1200.0  # over-commit is clamped in the view
+        assert ledger.uplink_free_kbps(p) == 0.0
 
 
 class TestContentAndTrace:

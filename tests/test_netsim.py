@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysim.model import DEFAULT_CITIES, Peer
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, RelayLedger
 from relaysim.netsim import (
     SERVER,
     CityTable,
@@ -137,6 +137,28 @@ class TestBandwidth:
             assign_bandwidth(rng, {512.0: 0.5, 1024.0: 0.6})
         with pytest.raises(ValueError):
             assign_bandwidth(rng, {-512.0: 1.0})
+        with pytest.raises(ValueError):
+            assign_bandwidth(rng, {512.0: float("nan"), 1024.0: 1.0})
+
+    @pytest.mark.parametrize("profile", [
+        None,
+        {10240.0: 0.15, 512.0: 0.20, 3072.0: 0.25, 1024.0: 0.40},   # unsorted order
+        {2048.0: 1.0},
+        {300.0: 0.0, 100.0: 0.5, 200.0: 0.5},                        # empty bucket
+        {1.0: 0.1, 2.0: 0.2, 3.0: 0.3, 4.0: 0.4, 5.0: 0.0},
+    ])
+    def test_same_draws_as_generator_choice(self, profile):
+        # The reference is the draw assign_bandwidth used to make directly.
+        ref_profile = dict(DEFAULT_UPLINK_PROFILE) if profile is None else profile
+        buckets = sorted(ref_profile)
+        probs = np.array([ref_profile[b] for b in buckets], dtype=float)
+        for seed in (0, 1, 7, 12345):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2000):
+                up, down = assign_bandwidth(rng, profile, 3.0)
+                expected = float(ref.choice(np.array(buckets, dtype=float), p=probs))
+                assert (up, down) == (expected, expected * 3.0)
+            assert rng.random() == ref.random()   # streams stay aligned
 
 
 class TestIsp:
@@ -251,38 +273,38 @@ class TestThroughput:
     def test_min_of_legs(self):
         relay = make_peer(1, uplink_kbps=1024.0)
         req = make_peer(2, downlink_kbps=4096.0)
-        assert available_throughput(relay, req, 0.0, None) == 1024.0
+        assert available_throughput(relay, req, 0.0, None, RelayLedger()) == 1024.0
 
     def test_requester_downlink_binds(self):
         relay = make_peer(1, uplink_kbps=10240.0)
         req = make_peer(2, downlink_kbps=2048.0)
-        assert available_throughput(relay, req, 0.0, None) == 2048.0
+        assert available_throughput(relay, req, 0.0, None, RelayLedger()) == 2048.0
 
     def test_saturated_relay(self):
         relay = make_peer(1, uplink_kbps=1024.0)
-        relay.relayed_kbps_in_use = 1024.0
+        ledger = RelayLedger(in_use_kbps={1: 1024.0})
         req = make_peer(2)
-        assert available_throughput(relay, req, 0.0, None) == 0.0
+        assert available_throughput(relay, req, 0.0, None, ledger) == 0.0
 
     def test_partial_commitment(self):
         relay = make_peer(1, uplink_kbps=1024.0)
-        relay.relayed_kbps_in_use = 600.0
+        ledger = RelayLedger(in_use_kbps={1: 600.0})
         req = make_peer(2, downlink_kbps=4096.0)
-        assert available_throughput(relay, req, 0.0, None) == pytest.approx(424.0)
+        assert available_throughput(relay, req, 0.0, None, ledger) == pytest.approx(424.0)
 
     def test_disconnected_pair(self):
         scen = FailureScenario(region="Beijing", ratio=0.6,
                                affected=frozenset({1, 2}))
         relay = make_peer(1)
         req = make_peer(2)
-        assert available_throughput(relay, req, 0.0, scen) == 0.0
+        assert available_throughput(relay, req, 0.0, scen, RelayLedger()) == 0.0
 
     def test_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             relay = make_peer(1, uplink_kbps=float(rng.integers(1, 10000)))
-            relay.relayed_kbps_in_use = float(rng.uniform(0, relay.uplink_kbps))
+            ledger = RelayLedger(in_use_kbps={1: float(rng.uniform(0, relay.uplink_kbps))})
             req = make_peer(2, downlink_kbps=float(rng.integers(1, 10000)))
-            tp = available_throughput(relay, req, 0.0, None)
+            tp = available_throughput(relay, req, 0.0, None, ledger)
             assert 0.0 <= tp <= relay.uplink_kbps
             assert tp <= req.downlink_kbps

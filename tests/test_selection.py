@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relaysim.churn import TimeToStayModel
-from relaysim.model import Peer
+from relaysim.model import Peer, RelayLedger
 from relaysim.selection import (
     Infeasible,
     RelayCandidateList,
@@ -141,29 +141,31 @@ class TestPathAwareList:
 
     def test_failure_history_filtered(self):
         me = make_peer(0)
-        bad = [make_peer(i, fetch_failure_history=True) for i in range(1, 6)]
+        bad = [make_peer(i) for i in range(1, 6)]
         good = [make_peer(i) for i in range(6, 11)]
-        lst = self.gen(me, [me] + bad + good)
+        ledger = RelayLedger(fetch_failed={p.id for p in bad})
+        lst = self.gen(me, [me] + bad + good, ledger=ledger)
         assert all(pid >= 6 for pid in lst.peer_ids)
 
     def test_workload_filter_utilization(self):
         me = make_peer(0)
         busy = make_peer(1)
-        busy.relayed_kbps_in_use = 0.81 * busy.uplink_kbps
         exact = make_peer(2)
-        exact.relayed_kbps_in_use = 0.80 * exact.uplink_kbps
+        ledger = RelayLedger(in_use_kbps={1: 0.81 * busy.uplink_kbps,
+                                          2: 0.80 * exact.uplink_kbps})
         idle = make_peer(3)
-        lst = self.gen(me, [me, busy, exact, idle])
+        lst = self.gen(me, [me, busy, exact, idle], ledger=ledger)
         assert 1 not in lst.peer_ids      # above gamma
         assert 2 in lst.peer_ids          # exactly gamma stays
         assert 3 in lst.peer_ids
 
     def test_workload_filter_count_mode(self):
         me = make_peer(0)
-        loaded = make_peer(1, workload=3)
-        light = make_peer(2, workload=2)
+        loaded = make_peer(1)
+        light = make_peer(2)
+        ledger = RelayLedger(workload={1: 3, 2: 2})
         lst = self.gen(me, [me, loaded, light], gamma=2.0,
-                       workload_mode="count")
+                       workload_mode="count", ledger=ledger)
         assert 1 not in lst.peer_ids
         assert 2 in lst.peer_ids
 
