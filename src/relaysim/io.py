@@ -280,13 +280,15 @@ def run_trace(records, cfg: SimConfig,
 
     Rows flagged fetch_failure form the affected set of a failure window
     spanning the whole run, so those users exercise the relay path exactly
-    where the log says the server path failed. A finite sim_duration
-    that ends before the first request would leave nothing to replay
-    (epoch timestamps under a one-hour horizon, say) and raises
-    ValueError.
+    where the log says the server path failed. A trace without records,
+    or a finite sim_duration that ends before the first request (epoch
+    timestamps under a one-hour horizon, say), would leave nothing to
+    replay and raises ValueError.
     """
     validate_config(cfg)
-    if records and math.isfinite(cfg.sim_duration):
+    if not records:
+        raise ValueError("the trace has no requests to replay")
+    if math.isfinite(cfg.sim_duration):
         first = min(rec.request_ts for rec in records)
         if first > cfg.sim_duration:
             raise ValueError(
@@ -632,7 +634,7 @@ def cli(argv=None) -> int:
     p_solve.add_argument("--matrix", required=True, metavar="CSV",
                          help="caps row followed by benefit rows")
     group = p_solve.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="exact enumeration (default)")
+    group.add_argument("--exact", action="store_true", help="exact branch-and-bound (default)")
     group.add_argument("--greedy", action="store_true", help="greedy assignment")
 
     args = parser.parse_args(argv)

@@ -237,11 +237,12 @@ def config_errors(cfg: SimConfig) -> list[str]:
     if not cfg.uplink_profile:
         errs.append("uplink_profile: must not be empty")
     else:
-        if any(k <= 0 for k in cfg.uplink_profile):
-            errs.append("uplink_profile: capacity buckets must be positive")
-        if any(p < 0 for p in cfg.uplink_profile.values()):
-            errs.append("uplink_profile: probabilities must be non-negative")
-        if abs(sum(cfg.uplink_profile.values()) - 1.0) > 1e-9:
+        if any(not (0 < k < math.inf) for k in cfg.uplink_profile):
+            errs.append("uplink_profile: capacity buckets must be positive and finite")
+        probs = list(cfg.uplink_profile.values())
+        if any(not (0 <= p < math.inf) for p in probs):
+            errs.append("uplink_profile: probabilities must be finite and non-negative")
+        elif abs(sum(probs) - 1.0) > 1e-9:
             errs.append("uplink_profile: probabilities must sum to 1")
     if cfg.downlink_factor <= 0:
         errs.append("downlink_factor: must be positive")

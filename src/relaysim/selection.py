@@ -195,10 +195,11 @@ def _check_instance(b, caps) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_exact(b, caps) -> tuple[SelectionMatrix, float]:
-    """Optimal one-relay-per-requester assignment by full enumeration.
+    """Optimal one-relay-per-requester assignment by branch-and-bound.
 
     Every requester must be matched; raises Infeasible when no complete
-    assignment fits the caps. Instance sides are limited to MAX_EXACT_DIM.
+    assignment fits the caps. Among equal optima the smallest assignment
+    code wins (see `kernels`). Instance sides are limited to MAX_EXACT_DIM.
     """
     b, caps = _check_instance(b, caps)
     n, m = b.shape
@@ -219,8 +220,10 @@ def solve_greedy(b, caps) -> tuple[SelectionMatrix, float]:
     """Greedy assignment: scan benefits in descending order, take what fits.
 
     Requesters that fit nowhere stay unmatched rather than making the
-    instance infeasible. Runs in O(nm log nm) and handles sizes far beyond
-    the exact solver's enumeration limit.
+    instance infeasible. Equal benefits are taken in requester-major order.
+    The sweep sorts one value band at a time and stops once every
+    requester is matched, so it handles sizes far beyond the exact
+    solver's limit.
     """
     b, caps = _check_instance(b, caps)
     assign, obj = kernels.greedy_assign(b, caps)

@@ -301,7 +301,7 @@ def test_criterion_7_candidate_list_invariants():
 
 
 def test_criterion_8_sweep_determinism(tmp_path):
-    args = [sys.executable, "-m", "relaysim.io", "sweep",
+    args = [sys.executable, "-m", "relaysim", "sweep",
             "--peers", "200", "--seed", "11",
             "--set", "sim_duration=1800",
             "--sizes", "1000,8000", "--ratios", "0.6", "--seeds", "11"]
@@ -309,7 +309,8 @@ def test_criterion_8_sweep_determinism(tmp_path):
     r1 = subprocess.run([*args, "--out", str(out1)], capture_output=True)
     r2 = subprocess.run([*args, "--out", str(out2)], capture_output=True)
     ok = (r1.returncode == 0 and r2.returncode == 0
-          and out1.read_bytes() == out2.read_bytes())
+          and out1.read_bytes() == out2.read_bytes()
+          and b"RuntimeWarning" not in r1.stderr + r2.stderr)
     assert verdict(8, "byte-identical sweep reruns", ok), (
         f"rc=({r1.returncode},{r2.returncode}), "
         f"stderr={r1.stderr.decode()[:200]!r}")

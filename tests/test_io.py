@@ -255,6 +255,10 @@ class TestSynthesisAndReplay:
         path, _ = run_trace(records, cfg, strategy="path-aware")
         assert path.success_ratio > no_relay.success_ratio
 
+    def test_run_trace_without_records_raises(self):
+        with pytest.raises(ValueError, match="no requests"):
+            run_trace((), SimConfig())
+
     def test_run_trace_horizon_before_first_request(self):
         records = synthesize_trace(20, seed=1, start=1.7e9)   # epoch seconds
         with pytest.raises(ValueError, match="sim_duration"):
@@ -515,6 +519,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sim_duration" in captured.err
+
+    def test_trace_header_only_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text(",".join(TRACE_COLUMNS) + "\n")
+        assert main(["trace", "--file", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no requests" in captured.err
 
     def test_trace_missing_file_exit_1(self, capsys):
         assert main(["trace", "--file", "/nonexistent/trace.csv"]) == 1

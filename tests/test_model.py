@@ -125,6 +125,17 @@ class TestConfigValidation:
         errs = config_errors(SimConfig(uplink_profile={512.0: 0.5, 1024.0: 0.4}))
         assert errs and "uplink_profile" in errs[0]
 
+    @pytest.mark.parametrize("profile", [
+        {512.0: math.nan, 1024.0: 1.0},
+        {512.0: math.inf, 1024.0: 1.0},
+        {512.0: -0.5, 1024.0: 1.5},
+        {math.nan: 0.5, 1024.0: 0.5},
+        {math.inf: 0.5, 1024.0: 0.5},
+    ])
+    def test_uplink_profile_rejects_non_finite_or_negative(self, profile):
+        errs = config_errors(SimConfig(uplink_profile=profile))
+        assert errs and all("uplink_profile" in e for e in errs)
+
     def test_failure_window_ordering(self):
         errs = config_errors(SimConfig(failure_start=10.0, failure_end=10.0))
         assert errs and "failure_start" in errs[0]
