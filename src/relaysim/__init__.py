@@ -10,8 +10,8 @@ time-to-stay.
 
 from relaysim.churn import (SessionModel, TimeToStayModel, calibrate_pareto,
                             estimate_time_to_stay)
-from relaysim.engine import (MetricsReport, RequestOutcome, Simulation,
-                             attempt_download, collect_metrics, run)
+from relaysim.engine import (MetricsReport, RequestOutcome, Simulation, collect_metrics,
+                             run)
 from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
 from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceRecord,
                             validate_config)
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
     "Peer", "RelayCandidateList", "RequestOutcome", "SessionModel", "SimConfig",
-    "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord", "attempt_download",
-    "calibrate_pareto", "can_connect", "collect_metrics", "estimate_time_to_stay",
-    "generate_relay_list", "inject_failure", "parse_trace", "run", "run_sweep",
-    "run_trace", "solve_exact", "solve_greedy", "validate_config",
+    "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord", "calibrate_pareto",
+    "can_connect", "collect_metrics", "estimate_time_to_stay", "generate_relay_list",
+    "inject_failure", "parse_trace", "run", "run_sweep", "run_trace", "solve_exact",
+    "solve_greedy", "validate_config",
 ]

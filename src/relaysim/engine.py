@@ -2,10 +2,12 @@
 
 Each peer issues one content request when it arrives. Requests first try
 the server; a peer cut off by a regional failure falls back to its relay
-candidate list and works through it one attempt at a time. Relay uplink
+candidate list and works through it one attempt at a time. Every attempt,
+server fetch or relay transfer, is planned in full when it starts as an
+AttemptPlan, and one handler resolves it when its time comes. Relay uplink
 capacity is tracked in a per-run ledger: transfer rates are fixed when an
-attempt starts and released when it completes or aborts. Event ordering
-at equal timestamps is fixed (completions, aborts, departures, arrivals,
+attempt starts and released when it resolves. Event ordering at equal
+timestamps is fixed (deliveries, other resolutions, departures, arrivals,
 request issues) so runs are bit-reproducible for a given seed.
 """
 
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +32,10 @@ from relaysim.selection import (RelayCandidateList, generate_relay_list,
 
 # Heap entries are (time, priority, seq, kind, payload) tuples; the
 # priority orders events at equal timestamps and seq keeps insertion order.
+# An attempt resolves as "attempt-complete" when its plan delivers and as
+# "attempt-abort" otherwise; both go to the same handler.
 EVENT_PRIORITY = {
     "attempt-complete": 0,
-    "transfer-complete": 0,
     "attempt-abort": 1,
     "peer-departure": 2,
     "peer-arrival": 3,
@@ -39,7 +43,7 @@ EVENT_PRIORITY = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """Terminal record of one request."""
 
@@ -48,13 +52,17 @@ class RequestOutcome:
     start_time: float
     served_by: int | str | None = None   # relay id, SERVER, or None
     attempts: int = 0
-    primary_success: bool = False
     entered_relay_phase: bool = False
     end_time: float | None = None
 
     @property
     def served(self) -> bool:
         return self.served_by is not None
+
+    @property
+    def primary_success(self) -> bool:
+        """Served by the first relay tried."""
+        return isinstance(self.served_by, int) and self.attempts == 1
 
 
 @dataclass
@@ -79,20 +87,7 @@ class MetricsReport:
         return self.total_requests == 0
 
     def to_dict(self) -> dict:
-        return {
-            "total_requests": self.total_requests,
-            "served_by_server": self.served_by_server,
-            "served_by_relay": self.served_by_relay,
-            "unserved": self.unserved,
-            "success_ratio": self.success_ratio,
-            "relay_phase_requests": self.relay_phase_requests,
-            "primary_success_ratio": self.primary_success_ratio,
-            "avg_repeated_requests": self.avg_repeated_requests,
-            "affected_requests": self.affected_requests,
-            "affected_success_ratio": self.affected_success_ratio,
-            "region_requests": self.region_requests,
-            "region_success_ratio": self.region_success_ratio,
-        }
+        return asdict(self)
 
 
 def collect_metrics(outcomes: list[RequestOutcome],
@@ -151,15 +146,17 @@ def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
     return peers
 
 
-@dataclass(frozen=True)
-class AttemptPlan:
-    """Resolution of one relay attempt started at a fixed time.
+class AttemptPlan(NamedTuple):
+    """Resolution of one attempt, a server fetch or a relay transfer,
+    started at a fixed time.
 
     verdict: 'reject' (preconditions failed; resolve_time is the end of
     the wasted handshake), 'success' (resolve_time is delivery),
     'relay-lost' or 'requester-lost' (resolve_time is the departure that
-    kills the transfer). Completion landing exactly on a departure instant
-    counts as delivered.
+    kills the transfer). A server fetch only ends in 'success' or
+    'requester-lost'. Completion landing exactly on a departure instant
+    counts as delivered. rate_kbps is the relay capacity the attempt holds
+    until it resolves; 0 when it holds none.
     """
 
     verdict: str
@@ -198,76 +195,13 @@ def _plan_attempt(relay: Peer, requester: Peer, content: ContentItem, t: float,
     return AttemptPlan("relay-lost", relay.departure_time, rate)
 
 
-def _plan_server(requester: Peer, content: ContentItem, t: float,
-                 base_ms: float, per_km_ms: float) -> float:
-    """Completion time of a server fetch from the in-city edge."""
-    handshake = 2.0 * latency_ms(0.0, base_ms, per_km_ms) / 1000.0
-    return t + handshake + content.size_kbits / requester.downlink_kbps
-
-
-def attempt_download(requester: Peer, content: ContentItem,
-                     candidates: RelayCandidateList, t: float, *,
-                     peers: dict[int, Peer],
-                     scenario: FailureScenario | None = None,
-                     city_table: CityTable | None = None,
-                     latency_base_ms: float = 5.0,
-                     latency_per_km_ms: float = 0.02,
-                     ledger: RelayLedger | None = None) -> RequestOutcome:
-    """Drive one request through the server-then-relay protocol in isolation.
-
-    Walks the candidate list sequentially from time t, accruing handshake
-    and transfer delays, until the content is delivered, the requester
-    departs, or the list runs out. The ledger (empty when not given) is
-    read for relay load but not held across attempts, so contention
-    between concurrent requests is only modeled by the event engine; a
-    server failure is recorded in it as the requester's fetch failure.
-    """
-    if ledger is None:
-        ledger = RelayLedger()
-    if city_table is None:
-        # Geography-free default: every city at the same point, latency = base.
-        names = {requester.city} | {p.city for p in peers.values()}
-        city_table = CityTable({n: (0.0, 0.0) for n in names})
-    out = RequestOutcome(requester.id, content.size_kb, t)
-    if can_connect(requester.id, SERVER, t, scenario):
-        t_end = _plan_server(requester, content, t, latency_base_ms, latency_per_km_ms)
-        if t_end <= requester.departure_time:
-            out.served_by = SERVER
-            out.end_time = t_end
-        else:
-            out.end_time = requester.departure_time
-        return out
-    ledger.fetch_failed.add(requester.id)
-    out.entered_relay_phase = True
-    now = t
-    for rid in candidates:
-        if now >= requester.departure_time:
-            out.end_time = requester.departure_time
-            return out
-        relay = peers[rid]
-        out.attempts += 1
-        plan = _plan_attempt(relay, requester, content, now, scenario, ledger,
-                             city_table, latency_base_ms, latency_per_km_ms)
-        if plan.verdict == "success":
-            out.served_by = rid
-            out.end_time = plan.resolve_time
-            out.primary_success = out.attempts == 1
-            return out
-        if plan.verdict == "requester-lost":
-            out.end_time = requester.departure_time
-            return out
-        now = plan.resolve_time
-    out.end_time = min(now, requester.departure_time)
-    return out
-
-
 @dataclass
 class _Request:
     outcome: RequestOutcome
-    candidates: RelayCandidateList = field(default_factory=no_relay_list)
+    candidates: RelayCandidateList = no_relay_list()   # immutable, so shared
     next_index: int = 0
-    # (kind, relay_id or None, committed rate) for the scheduled resolution
-    pending: tuple | None = None
+    # (plan, relay Peer or None for the server) of the scheduled resolution
+    pending: tuple[AttemptPlan, Peer | None] | None = None
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
@@ -323,10 +257,15 @@ class Simulation:
         elif not scenario.resolved:
             raise ValueError("externally supplied scenario must be resolved")
         self.peers: dict[int, Peer] = {p.id: p for p in peers}
+        if len(self.peers) != len(peers):
+            raise ValueError("peer ids must be unique")
         self.city_table = CityTable(cfg.city_table)
         self.scenario = scenario
         self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
         self.content = ContentItem(cfg.content_size_kb)
+        # The server fetch goes to the in-city edge.
+        self._server_handshake = 2.0 * latency_ms(0.0, cfg.latency_base_ms,
+                                                  cfg.latency_per_km_ms) / 1000.0
         self.outcomes: list[RequestOutcome] = []
         self.ledger = RelayLedger()
         self._online: dict[int, Peer] = {}
@@ -351,9 +290,8 @@ class Simulation:
                 self._schedule(p.departure_time, "peer-departure", p.id)
             self._schedule(p.join_time, "request-issue", p.id)
         handlers = {
-            "attempt-complete": self._on_attempt_complete,
-            "transfer-complete": self._on_transfer_complete,
-            "attempt-abort": self._on_attempt_abort,
+            "attempt-complete": self._on_resolve,
+            "attempt-abort": self._on_resolve,
             "peer-departure": self._on_departure,
             "peer-arrival": self._on_arrival,
             "request-issue": self._on_request_issue,
@@ -390,14 +328,11 @@ class Simulation:
         self.outcomes.append(out)
         self._requests[peer.id] = req
         if can_connect(peer.id, SERVER, t, self.scenario):
-            t_end = _plan_server(peer, self.content, t,
-                                 self.cfg.latency_base_ms, self.cfg.latency_per_km_ms)
+            t_end = t + self._server_handshake + self.content.size_kbits / peer.downlink_kbps
             if t_end <= peer.departure_time:
-                req.pending = ("deliver", None, 0.0)
-                self._schedule(t_end, "transfer-complete", peer.id)
+                self._pend(req, AttemptPlan("success", t_end))
             else:
-                req.pending = ("requester-lost", None, 0.0)
-                self._schedule(peer.departure_time, "attempt-abort", peer.id)
+                self._pend(req, AttemptPlan("requester-lost", peer.departure_time))
             return
         self.ledger.fetch_failed.add(peer.id)
         out.entered_relay_phase = True
@@ -430,41 +365,23 @@ class Simulation:
         plan = _plan_attempt(relay, requester, self.content, t, self.scenario,
                              self.ledger, self.city_table, self.cfg.latency_base_ms,
                              self.cfg.latency_per_km_ms)
-        if plan.verdict == "reject":
-            req.pending = ("retry", None, 0.0)
-            self._schedule(plan.resolve_time, "attempt-abort", requester.id)
-            return
-        self.ledger.commit(relay, plan.rate_kbps)
+        if plan.rate_kbps > 0:
+            self.ledger.commit(relay, plan.rate_kbps)
+        self._pend(req, plan, relay)
+
+    def _pend(self, req: _Request, plan: AttemptPlan, relay: Peer | None = None) -> None:
+        req.pending = (plan, relay)
+        kind = "attempt-complete" if plan.verdict == "success" else "attempt-abort"
+        self._schedule(plan.resolve_time, kind, req.outcome.requester_id)
+
+    def _on_resolve(self, pid: int) -> None:
+        req = self._requests[pid]
+        plan, relay = req.pending
+        if plan.rate_kbps > 0:
+            self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            req.pending = ("deliver", relay.id, plan.rate_kbps)
-            self._schedule(plan.resolve_time, "attempt-complete", requester.id)
-        elif plan.verdict == "relay-lost":
-            req.pending = ("relay-lost", relay.id, plan.rate_kbps)
-            self._schedule(plan.resolve_time, "attempt-abort", requester.id)
-        else:
-            req.pending = ("requester-lost", relay.id, plan.rate_kbps)
-            self._schedule(plan.resolve_time, "attempt-abort", requester.id)
-
-    def _release_pending(self, req: _Request) -> None:
-        _, relay_id, rate = req.pending
-        if relay_id is not None:
-            self.ledger.release(self.peers[relay_id], rate)
-
-    def _on_attempt_complete(self, pid: int) -> None:
-        req = self._requests[pid]
-        _, relay_id, _ = req.pending
-        self._release_pending(req)
-        self._finalize(req, relay_id, self._now)
-
-    def _on_transfer_complete(self, pid: int) -> None:
-        req = self._requests[pid]
-        self._finalize(req, SERVER, self._now)
-
-    def _on_attempt_abort(self, pid: int) -> None:
-        req = self._requests[pid]
-        kind, _, _ = req.pending
-        self._release_pending(req)
-        if kind == "requester-lost":
+            self._finalize(req, SERVER if relay is None else relay.id, self._now)
+        elif plan.verdict == "requester-lost":
             self._finalize(req, None, self._now)
         else:
             self._start_next_attempt(req, self._now)
@@ -473,8 +390,6 @@ class Simulation:
         out = req.outcome
         out.served_by = served_by
         out.end_time = end_time
-        out.primary_success = isinstance(served_by, int) and out.attempts == 1
-        req.pending = None
         del self._requests[out.requester_id]
 
 

@@ -148,11 +148,15 @@ def apply_overrides(cfg: SimConfig, raw: dict[str, str]) -> SimConfig:
 # traces
 
 def _parse_timestamp(raw: str) -> float:
-    """Accept epoch seconds or ISO-8601; naive datetimes are taken as UTC."""
+    """Accept finite epoch seconds or ISO-8601; naive datetimes are taken as UTC."""
     try:
-        return float(raw)
+        ts = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(ts):
+            raise ValueError(f"non-finite timestamp {raw!r}")
+        return ts
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -244,20 +248,6 @@ def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1,
         fail = bool(rng.random() < fail_fraction)
         records.append(TraceRecord(f"u{i}", t, t + duration, fail))
     return tuple(records)
-
-
-def replay_sessions(records) -> list[tuple[float, str, str]]:
-    """Expand trace rows into a (time, 'leave'|'join', user_id) schedule.
-
-    Ordered by time with departures before arrivals at equal instants,
-    matching the engine's event ordering.
-    """
-    events = []
-    for r in records:
-        events.append((r.leave_ts, 0, r.user_id))
-        events.append((r.request_ts, 1, r.user_id))
-    events.sort()
-    return [(t, "leave" if k == 0 else "join", uid) for t, k, uid in events]
 
 
 def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:

@@ -132,7 +132,6 @@ class ContentItem:
     """A fetchable object; size in KB, 8 bits per byte on the wire."""
 
     size_kb: float
-    origin_server: str = "cdn"
 
     @property
     def size_kbits(self) -> float:

@@ -4,13 +4,14 @@ import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysim.engine import (
     EVENT_PRIORITY,
     MetricsReport,
     RequestOutcome,
     Simulation,
-    attempt_download,
     build_population,
     collect_metrics,
     draw_population,
@@ -18,8 +19,8 @@ from relaysim.engine import (
     _stream,
     _STREAM_POPULATION,
 )
-from relaysim.model import CapacityError, ContentItem, Peer, RelayLedger, SimConfig
-from relaysim.netsim import SERVER, CityTable, FailureScenario
+from relaysim.model import CapacityError, Peer, RelayLedger, SimConfig
+from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import RelayCandidateList
 
 
@@ -44,7 +45,6 @@ class TestEventOrdering:
         assert p["peer-departure"] < p["peer-arrival"] < p["request-issue"]
         # deliveries before aborts before departures at the same instant
         assert p["attempt-complete"] < p["attempt-abort"] < p["peer-departure"]
-        assert p["transfer-complete"] == p["attempt-complete"]
 
 
 class TestCollectMetrics:
@@ -60,10 +60,8 @@ class TestCollectMetrics:
     def test_avg_attempts_over_relay_served(self):
         outs = []
         for i, k in enumerate((1, 2, 3)):
-            o = RequestOutcome(i, 100.0, 0.0, served_by=50 + i, attempts=k,
-                               entered_relay_phase=True)
-            o.primary_success = k == 1
-            outs.append(o)
+            outs.append(RequestOutcome(i, 100.0, 0.0, served_by=50 + i, attempts=k,
+                                       entered_relay_phase=True))
         rep = collect_metrics(outs)
         assert rep.avg_repeated_requests == 2.0
         assert rep.primary_success_ratio == pytest.approx(1.0 / 3.0)
@@ -92,6 +90,15 @@ class TestCollectMetrics:
         d = rep.to_dict()
         assert d["total_requests"] == 1
         assert d["success_ratio"] == 1.0
+        assert MetricsReport(**d) == rep
+
+    def test_primary_success_is_derived(self):
+        assert RequestOutcome(0, 1.0, 0.0, served_by=7, attempts=1).primary_success
+        assert not RequestOutcome(0, 1.0, 0.0, served_by=7, attempts=2).primary_success
+        assert not RequestOutcome(0, 1.0, 0.0, served_by=SERVER).primary_success
+        assert not RequestOutcome(0, 1.0, 0.0, attempts=1).primary_success
+        with pytest.raises(AttributeError):
+            RequestOutcome(0, 1.0, 0.0).primary_success = True
 
 
 class TestPopulation:
@@ -148,122 +155,149 @@ class TestCapacityLedger:
             RelayLedger().commit(make_peer(1), 0.0)
 
 
+class FixedListSimulation(Simulation):
+    """Simulation whose requesters walk given relay lists; every other
+    peer gets an empty list."""
+
+    def __init__(self, cfg, peers, scenario, lists):
+        super().__init__(cfg, peers=peers, scenario=scenario)
+        self.lists = lists
+
+    def _make_candidates(self, peer, t):
+        return self.lists.get(peer.id, RelayCandidateList((), 0))
+
+
 class TestAttemptDownload:
-    def scenario(self, affected):
-        return FailureScenario(region="Beijing", ratio=0.5,
-                               affected=frozenset(affected))
+    """One request through the server-then-relay protocol.
+
+    Every peer also requests the content itself when it joins, so relays
+    join no later than the requester (t = 0) unless a test needs them
+    offline; a relay's own server fetch holds no relay capacity.
+    """
+
+    def download(self, requester, relays=(), affected=(), candidates=(), workload=None):
+        cfg = SimConfig(peer_count=1 + len(relays), content_size_kb=512.0,
+                        sim_duration=math.inf)
+        scenario = FailureScenario(region="Beijing", ratio=0.5,
+                                   affected=frozenset(affected))
+        sim = FixedListSimulation(cfg, [requester, *relays], scenario,
+                                  {requester.id: RelayCandidateList(tuple(candidates), 0)})
+        if workload is not None:
+            sim.ledger.workload.update(workload)
+        sim.run()
+        (out,) = [o for o in sim.outcomes if o.requester_id == requester.id]
+        return out, sim
 
     def test_unaffected_served_by_server(self):
-        req = make_peer(0, down=4096.0)
-        out = attempt_download(req, ContentItem(512.0), RelayCandidateList((), 0),
-                               0.0, peers={})
+        out, _ = self.download(make_peer(0, down=4096.0))
         assert out.served_by == SERVER
         assert out.attempts == 0
         assert not out.entered_relay_phase
         # 10 ms handshake + 4096 kbit / 4096 kbps
         assert out.end_time == pytest.approx(1.01)
 
+    def test_session_too_short_for_server(self):
+        out, _ = self.download(make_peer(0, dur=0.5))
+        assert out.served_by is None
+        assert out.attempts == 0
+        assert out.end_time == 0.5
+
     def test_primary_success(self):
-        req = make_peer(0)
-        relay = make_peer(1)
-        ledger = RelayLedger()
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1,), 0), 0.0,
-                               peers={1: relay}, scenario=self.scenario({0}),
-                               ledger=ledger)
+        out, sim = self.download(make_peer(0), [make_peer(1)], affected={0},
+                                 candidates=(1,))
         assert out.served_by == 1
         assert out.attempts == 1
         assert out.primary_success
         assert out.entered_relay_phase
-        assert req.id in ledger.fetch_failed
+        assert sim.ledger.fetch_failed == {0}
+        assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
         # handshake + 4096 kbit / min(1024 uplink, 4096 down, 4096 share)
         assert out.end_time == pytest.approx(0.01 + 4.0)
 
     def test_affected_candidate_then_unaffected(self):
-        req = make_peer(0)
-        bad = make_peer(1)
-        good = make_peer(2)
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1, 2), 0), 0.0,
-                               peers={1: bad, 2: good},
-                               scenario=self.scenario({0, 1}))
+        out, _ = self.download(make_peer(0), [make_peer(1), make_peer(2)],
+                               affected={0, 1}, candidates=(1, 2))
         assert out.attempts == 2
         assert out.served_by == 2
         assert not out.primary_success
 
     def test_exhausted_list_unserved(self):
-        req = make_peer(0)
-        bad = make_peer(1)
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1,), 0), 0.0,
-                               peers={1: bad}, scenario=self.scenario({0, 1}))
+        out, _ = self.download(make_peer(0), [make_peer(1)], affected={0, 1},
+                               candidates=(1,))
         assert out.served_by is None
         assert out.attempts == 1
 
     def test_requester_death_terminal(self):
-        req = make_peer(0, dur=2.0)  # dies before the 4 s transfer ends
-        relay = make_peer(1)
-        backup = make_peer(2)
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1, 2), 0), 0.0,
-                               peers={1: relay, 2: backup},
-                               scenario=self.scenario({0}))
+        # dies before the 4 s transfer ends
+        out, _ = self.download(make_peer(0, dur=2.0), [make_peer(1), make_peer(2)],
+                               affected={0}, candidates=(1, 2))
         assert out.served_by is None
         assert out.attempts == 1
         assert out.end_time == 2.0
 
     def test_relay_death_tries_next(self):
-        req = make_peer(0)
-        dying = make_peer(1, dur=2.0)
-        backup = make_peer(2)
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1, 2), 0), 0.0,
-                               peers={1: dying, 2: backup},
-                               scenario=self.scenario({0}))
+        out, _ = self.download(make_peer(0), [make_peer(1, dur=2.0), make_peer(2)],
+                               affected={0}, candidates=(1, 2))
         assert out.served_by == 2
         assert out.attempts == 2
         # dying relay holds the request until its departure at t=2
         assert out.end_time == pytest.approx(2.0 + 0.01 + 4.0)
 
     def test_offline_relay_rejected_cheaply(self):
-        req = make_peer(0)
-        late = make_peer(1, join=500.0)
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1,), 0), 0.0,
-                               peers={1: late}, scenario=self.scenario({0}))
+        out, _ = self.download(make_peer(0), [make_peer(1, join=500.0)], affected={0},
+                               candidates=(1,))
         assert out.served_by is None
         assert out.end_time == pytest.approx(0.01)
 
+    def test_requester_gone_after_rejected_handshake(self):
+        out, _ = self.download(make_peer(0, dur=0.005),
+                               [make_peer(1, join=500.0), make_peer(2, join=500.0)],
+                               affected={0}, candidates=(1, 2))
+        assert out.served_by is None
+        assert out.attempts == 1
+        assert out.end_time == 0.005
+
     def test_workload_share_binds_rate(self):
-        req = make_peer(0, down=40960.0)
-        relay = make_peer(1, up=10240.0, down=4096.0)
-        ledger = RelayLedger(workload={1: 1})
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1,), 0), 0.0,
-                               peers={1: relay}, scenario=self.scenario({0}),
-                               ledger=ledger)
+        out, _ = self.download(make_peer(0, down=40960.0),
+                               [make_peer(1, up=10240.0, down=4096.0)], affected={0},
+                               candidates=(1,), workload={1: 1})
         # share = 4096 / (1+1) = 2048 kbps beats uplink and downlink
         assert out.end_time == pytest.approx(0.01 + 4096.0 / 2048.0)
 
     def test_cross_city_handshake(self):
-        table = CityTable({"Beijing": (39.90, 116.40), "Shanghai": (31.23, 121.47)})
-        req = make_peer(0, city="Beijing")
-        relay = make_peer(1, city="Shanghai")
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList((1,), 0), 0.0,
-                               peers={1: relay}, scenario=self.scenario({0}),
-                               city_table=table)
+        out, sim = self.download(make_peer(0, city="Beijing"),
+                                 [make_peer(1, city="Shanghai")], affected={0},
+                                 candidates=(1,))
+        table = sim.city_table
         handshake = 2.0 * (5.0 + 0.02 * table.distance_km("Beijing", "Shanghai")) / 1000.0
         assert out.end_time == pytest.approx(handshake + 4.0, abs=1e-9)
 
     def test_attempts_bounded_by_list(self):
-        req = make_peer(0)
-        relays = {i: make_peer(i) for i in range(1, 6)}
-        out = attempt_download(req, ContentItem(512.0),
-                               RelayCandidateList(tuple(relays), 0), 0.0,
-                               peers=relays,
-                               scenario=self.scenario({0, *relays}))
+        relays = [make_peer(i) for i in range(1, 6)]
+        out, _ = self.download(make_peer(0), relays, affected={0, 1, 2, 3, 4, 5},
+                               candidates=(1, 2, 3, 4, 5))
         assert out.attempts <= 5
+        assert out.served_by is None
+
+
+    def test_delivery_frees_capacity_before_a_retry_at_the_same_instant(self):
+        # Requester 0 loses its slow relay 3 at t = 4.01, the instant requester
+        # 2's transfer from relay 1 completes; the completion is handled first,
+        # so relay 1's uplink is free when requester 0 turns to it.
+        peers = [make_peer(0), make_peer(1), make_peer(2),
+                 make_peer(3, up=512.0, dur=4.01)]
+        cfg = SimConfig(peer_count=4, content_size_kb=512.0, sim_duration=math.inf)
+        scenario = FailureScenario(region="Beijing", ratio=0.5,
+                                   affected=frozenset({0, 2}))
+        sim = FixedListSimulation(cfg, peers, scenario,
+                                  {0: RelayCandidateList((3, 1), 0),
+                                   2: RelayCandidateList((1,), 0)})
+        sim.run()
+        first, _, second, _ = sim.outcomes
+        assert (second.served_by, second.end_time) == (1, 4.01)
+        assert first.served_by == 1
+        assert first.attempts == 2
+        assert first.end_time == pytest.approx(4.01 + 0.01 + 4.0)
 
 
 class TestSimulation:
@@ -376,7 +410,83 @@ class TestSimulation:
         with pytest.raises(ValueError):
             Simulation(small_cfg(), scenario=scenario)
 
+    def test_duplicate_peer_ids_rejected(self):
+        cfg = small_cfg(peer_count=50)
+        peers, scenario = draw_population(cfg)
+        with pytest.raises(ValueError, match="unique"):
+            Simulation(cfg, peers=[*peers, peers[7]], scenario=scenario)
+
     def test_run_returns_report(self):
         rep = run(small_cfg())
         assert isinstance(rep, MetricsReport)
         assert not rep.is_empty
+
+
+class RecordingSimulation(Simulation):
+    """Simulation that keeps every candidate list it generates."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lists = {}
+
+    def _make_candidates(self, peer, t):
+        self.lists[peer.id] = super()._make_candidates(peer, t)
+        return self.lists[peer.id]
+
+
+@st.composite
+def small_runs(draw):
+    """A hand-built population with ties in time, a failure draw and a strategy."""
+    n = draw(st.integers(1, 16))
+    peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
+                  isp=draw(st.integers(1, 2)),
+                  uplink_kbps=draw(st.sampled_from((256.0, 1024.0))),
+                  downlink_kbps=draw(st.sampled_from((1024.0, 4096.0))),
+                  join_time=draw(st.sampled_from((0.0, 0.0, 1.0, 2.0, 5.0))),
+                  session_duration=draw(st.sampled_from((1.0, 3.0, 4.01, 60.0, 1e9, 1e9))))
+             for i in range(n)]
+    start = draw(st.sampled_from((0.0, 1.0, 3.0)))
+    scenario = FailureScenario(
+        region="Beijing", ratio=0.5, start_time=start,
+        end_time=start + draw(st.sampled_from((1.0, 8.0, math.inf))),
+        affected=frozenset(draw(st.sets(st.integers(0, n - 1)))))
+    cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
+                    zeta=draw(st.integers(1, 4)),
+                    content_size_kb=draw(st.sampled_from((100.0, 512.0, 2000.0))),
+                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
+                    sim_duration=math.inf)
+    strategy = draw(st.sampled_from(("no-relay", "random", "path-aware")))
+    return cfg, strategy, peers, scenario
+
+
+class TestProtocolProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(small_runs())
+    def test_every_request_ends_once_and_consistently(self, run_args):
+        cfg, strategy, peers, scenario = run_args
+        sim = RecordingSimulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
+        sim.run()
+        assert sorted(o.requester_id for o in sim.outcomes) == [p.id for p in peers]
+        for o in sim.outcomes:
+            requester = sim.peers[o.requester_id]
+            assert o.start_time <= o.end_time <= requester.departure_time
+            if o.served:
+                # no transfer outruns the requester's downlink
+                fetch = cfg.content_size_kb * 8.0 / requester.downlink_kbps
+                assert o.end_time - o.start_time >= fetch
+            relay_served = isinstance(o.served_by, int)
+            if relay_served:
+                assert o.served_by != o.requester_id and o.served_by in sim.peers
+            else:
+                assert o.served_by in (SERVER, None)
+            if o.served_by == SERVER:
+                assert o.attempts == 0 and not o.entered_relay_phase
+            tried = sim.lists.get(o.requester_id, RelayCandidateList((), 0)).peer_ids
+            tried = tried[:o.attempts]
+            assert len(tried) == o.attempts <= cfg.zeta
+            if relay_served:
+                assert tried[-1] == o.served_by
+            assert o.primary_success == (relay_served and tried == (o.served_by,))
+        assert sim.ledger.fetch_failed == {o.requester_id for o in sim.outcomes
+                                           if o.entered_relay_phase}
+        assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}

@@ -24,7 +24,6 @@ from relaysim.io import (
     load_config_file,
     main,
     parse_trace,
-    replay_sessions,
     run_sweep,
     run_trace,
     summarize_sweep,
@@ -175,6 +174,16 @@ class TestTraceParsing:
         assert len(parsed.records) == 5
         assert [e[0] for e in parsed.errors] == [3, 4, 5, 6]
 
+    @pytest.mark.parametrize("req, leave", [("nan", "nan"), ("0", "inf"),
+                                            ("-inf", "10"), ("5", "NaN")])
+    def test_non_finite_timestamps_rejected(self, tmp_path, req, leave):
+        f = self.write(tmp_path, f"u1,0,100,0\nu2,{req},{leave},1\nu3,5,50,1\n")
+        parsed = parse_trace(f)
+        assert [r.user_id for r in parsed.records] == ["u1", "u3"]
+        ((lineno, msg),) = parsed.errors
+        assert lineno == 3
+        assert "bad timestamp" in msg
+
     def test_mostly_malformed_fatal(self, tmp_path):
         f = self.write(tmp_path, "u1,100,160,0\nu2,x,y,0\nu3,a,b,0\n")
         with pytest.raises(TraceFormatError):
@@ -205,24 +214,6 @@ class TestSynthesisAndReplay:
             synthesize_trace(-1)
         with pytest.raises(ValueError):
             synthesize_trace(5, fail_fraction=1.5)
-
-    def test_replay_schedule(self):
-        records = (TraceRecord("a", 0.0, 10.0), TraceRecord("b", 5.0, 20.0))
-        sched = replay_sessions(records)
-        assert len(sched) == 4
-        times = [t for t, _, _ in sched]
-        assert times == sorted(times)
-        assert sched[0] == (0.0, "join", "a")
-        assert sched[-1] == (20.0, "leave", "b")
-
-    def test_replay_leave_before_join_on_tie(self):
-        records = (TraceRecord("a", 0.0, 5.0), TraceRecord("b", 5.0, 9.0))
-        sched = replay_sessions(records)
-        assert [k for _, k, _ in sched] == ["join", "leave", "join", "leave"]
-        assert sched[1] == (5.0, "leave", "a")
-
-    def test_replay_empty(self):
-        assert replay_sessions(()) == []
 
     def test_build_trace_peers(self):
         import numpy as np
@@ -527,6 +518,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no requests" in captured.err
+
+    def test_trace_non_finite_row_skipped_with_warning(self, tmp_path, capsys):
+        trace = tmp_path / "nan.csv"
+        trace.write_text(",".join(TRACE_COLUMNS) + "\nu0,0,100,0\nu1,nan,nan,1\nu2,5,50,1\n")
+        assert main(["trace", "--file", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert f"{trace}:3: bad timestamp" in captured.err
+        assert json.loads(captured.out)["total_requests"] == 2
 
     def test_trace_missing_file_exit_1(self, capsys):
         assert main(["trace", "--file", "/nonexistent/trace.csv"]) == 1

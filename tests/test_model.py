@@ -64,9 +64,6 @@ class TestContentAndTrace:
         assert ContentItem(size_kb=500.0).size_kbits == 4000.0
         assert ContentItem(size_kb=1.0).size_kbits == 8.0
 
-    def test_origin_server_default(self):
-        assert ContentItem(size_kb=1.0).origin_server == "cdn"
-
     def test_trace_duration(self):
         rec = TraceRecord(user_id="u1", request_ts=100.0, leave_ts=160.0)
         assert rec.duration == 60.0
