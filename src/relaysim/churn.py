@@ -71,6 +71,13 @@ def sample_session_duration(model: SessionModel, rng: np.random.Generator, size=
     """Pareto-distributed session lengths, in seconds."""
     return 60.0 * model.pareto_scale_min * (1.0 + rng.pareto(model.pareto_shape, size=size))
 
+def sample_sessions(model: SessionModel, rng: np.random.Generator,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Join times (Poisson arrivals from 0) and durations of n sessions,
+    in seconds: the n gaps are drawn first, then the n durations."""
+    joins = sample_interarrival(model, rng, size=n).cumsum()
+    return joins, sample_session_duration(model, rng, size=n)
+
 
 @dataclass(frozen=True)
 class TimeToStayModel:

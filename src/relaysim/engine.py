@@ -8,7 +8,9 @@ AttemptPlan, and one handler resolves it when its time comes. Relay uplink
 capacity is tracked in a per-run ledger: transfer rates are fixed when an
 attempt starts and released when it resolves. Event ordering at equal
 timestamps is fixed (deliveries, other resolutions, departures, arrivals,
-request issues) so runs are bit-reproducible for a given seed.
+request issues) so runs are bit-reproducible for a given seed. The
+population is drawn column by column (churn.sample_sessions, then
+draw_peer_attributes, which trace replay shares) into built-in values.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ def collect_metrics(outcomes: list[RequestOutcome],
     """Aggregate outcomes; affected/region slices use the given id sets."""
     total = len(outcomes)
     served_server = sum(1 for o in outcomes if o.served_by == SERVER)
-    served_relay = sum(1 for o in outcomes if isinstance(o.served_by, int))
-    unserved = total - served_server - served_relay
-    relay_phase = [o for o in outcomes if o.entered_relay_phase]
     relay_served = [o for o in outcomes if isinstance(o.served_by, int)]
+    unserved = total - served_server - len(relay_served)
+    relay_phase = [o for o in outcomes if o.entered_relay_phase]
     primaries = sum(1 for o in relay_phase if o.primary_success)
 
     def ratio(part, whole):
@@ -110,9 +111,9 @@ def collect_metrics(outcomes: list[RequestOutcome],
     return MetricsReport(
         total_requests=total,
         served_by_server=served_server,
-        served_by_relay=served_relay,
+        served_by_relay=len(relay_served),
         unserved=unserved,
-        success_ratio=ratio(served_server + served_relay, total),
+        success_ratio=ratio(served_server + len(relay_served), total),
         relay_phase_requests=len(relay_phase),
         primary_success_ratio=ratio(primaries, len(relay_phase)),
         avg_repeated_requests=(sum(o.attempts for o in relay_served) / len(relay_served)
@@ -124,26 +125,27 @@ def collect_metrics(outcomes: list[RequestOutcome],
     )
 
 
-def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
-    """Sample the peer population: Poisson arrivals, Pareto sessions,
-    uniform city and ISP, bucketed access capacity."""
-    model = SessionModel(
-        cfg.arrival_rate_lambda,
-        cfg.pareto_shape if cfg.pareto_shape is not None else churn.DEFAULT_PARETO_SHAPE,
-        cfg.pareto_scale_min if cfg.pareto_scale_min is not None else churn.DEFAULT_PARETO_SCALE_MIN,
-    )
+def draw_peer_attributes(cfg: SimConfig, rng: np.random.Generator,
+                         n: int) -> tuple[list[str], list[int], list[float], list[float]]:
+    """City, ISP, uplink and downlink columns for n peers, drawn in that
+    order: uniform city and ISP, bucketed access capacity."""
     cities = list(cfg.city_table)
-    peers = []
-    t = 0.0
-    for i in range(cfg.peer_count):
-        t += float(churn.sample_interarrival(model, rng))
-        duration = float(churn.sample_session_duration(model, rng))
-        city = cities[int(rng.integers(len(cities)))]
-        isp = assign_isp(rng, cfg.isp_count)
-        up, down = assign_bandwidth(rng, cfg.uplink_profile, cfg.downlink_factor)
-        peers.append(Peer(id=i, city=city, isp=isp, uplink_kbps=up, downlink_kbps=down,
-                          join_time=t, session_duration=duration))
-    return peers
+    return ([cities[i] for i in rng.integers(len(cities), size=n).tolist()],
+            assign_isp(rng, n, cfg.isp_count),
+            *assign_bandwidth(rng, n, cfg.uplink_profile, cfg.downlink_factor))
+
+
+def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
+    """Sample the peer population: Poisson arrivals and Pareto sessions,
+    then the attribute columns of draw_peer_attributes."""
+    pareto = {"pareto_shape": cfg.pareto_shape, "pareto_scale_min": cfg.pareto_scale_min}
+    # None keeps SessionModel's default, the calibrated parameter.
+    model = SessionModel(cfg.arrival_rate_lambda,
+                         **{k: v for k, v in pareto.items() if v is not None})
+    n = cfg.peer_count
+    joins, durations = churn.sample_sessions(model, rng, n)
+    return list(map(Peer, range(n), *draw_peer_attributes(cfg, rng, n),
+                    joins.tolist(), durations.tolist()))
 
 
 class AttemptPlan(NamedTuple):
@@ -306,16 +308,16 @@ class Simulation:
         for req in self._requests.values():
             if req.outcome.end_time is None:
                 req.outcome.end_time = horizon
-        if self.scenario.region is not None:
-            region_ids = frozenset(p.id for p in self.peers.values()
-                                   if p.city == self.scenario.region)
-        else:
-            region_ids = frozenset()
+        # A region of None (trace replay) matches no city.
+        region_ids = frozenset(p.id for p in self.peers.values()
+                               if p.city == self.scenario.region)
         return collect_metrics(self.outcomes, self.scenario.affected or frozenset(),
                                region_ids)
 
     def _on_arrival(self, pid: int) -> None:
-        self._online[pid] = self.peers[pid]
+        peer = self.peers[pid]
+        if peer.departure_time > self._now:   # zero-length sessions never come online
+            self._online[pid] = peer
 
     def _on_departure(self, pid: int) -> None:
         self._online.pop(pid, None)
@@ -340,10 +342,10 @@ class Simulation:
         self._start_next_attempt(req, t)
 
     def _make_candidates(self, peer: Peer, t: float) -> RelayCandidateList:
-        online = sorted(self._online.values(), key=lambda p: p.id)
-        rng = _stream(self.cfg.rng_seed, _STREAM_SELECT, peer.id)
         if self.strategy == "no-relay":
             return no_relay_list()
+        online = sorted(self._online.values(), key=lambda p: p.id)
+        rng = _stream(self.cfg.rng_seed, _STREAM_SELECT, peer.id)
         if self.strategy == "random":
             return random_relay_list(peer, online, self.cfg.zeta, rng)
         return generate_relay_list(

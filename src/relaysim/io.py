@@ -4,7 +4,8 @@ Covers: key=value config files, access-trace CSV parsing and synthesis,
 parameter sweeps with a stable CSV schema, per-request outcome dumps,
 metrics JSON, and the relaysim CLI (run / sweep / trace / calibrate /
 solve). All emitted files are deterministic for a given input: fixed row
-order, repr-formatted floats, newline line endings.
+order, repr-formatted floats, newline line endings. Trace synthesis and
+replay reuse the population's session and attribute column samplers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from relaysim.churn import SessionModel, calibrate_pareto
 from relaysim.engine import MetricsReport, RequestOutcome, Simulation
 from relaysim.model import (STRATEGIES, CapacityError, ConfigError, Peer, SimConfig,
                             TraceRecord, config_field_names, validate_config)
-from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth, assign_isp
+# assign_bandwidth is not called here; perfbench's tracer patches this binding.
+from relaysim.netsim import CityTable, FailureScenario, assign_bandwidth  # noqa: F401
 
 SWEEP_COLUMNS = ("strategy", "size_kb", "failure_ratio", "seed", "success_ratio",
                  "primary_success_ratio", "avg_attempts", "affected_success_ratio",
@@ -233,35 +235,27 @@ def write_trace_csv(records, path) -> None:
 
 def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1,
                      start: float = 0.0) -> tuple[TraceRecord, ...]:
-    """Generate a synthetic access trace from the standard churn model."""
+    """Synthetic access trace: the standard churn model's session columns,
+    then a fetch-failure column."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 0.0 <= fail_fraction <= 1.0:
         raise ValueError("fail_fraction must lie in [0, 1]")
-    model = SessionModel()
     rng = np.random.default_rng(seed)
-    records = []
-    t = start
-    for i in range(count):
-        t += float(churn.sample_interarrival(model, rng))
-        duration = float(churn.sample_session_duration(model, rng))
-        fail = bool(rng.random() < fail_fraction)
-        records.append(TraceRecord(f"u{i}", t, t + duration, fail))
-    return tuple(records)
+    joins, durations = churn.sample_sessions(SessionModel(), rng, count)
+    joins += start
+    return tuple(map(TraceRecord, (f"u{i}" for i in range(count)), joins.tolist(),
+                     (joins + durations).tolist(),
+                     (rng.random(count) < fail_fraction).tolist()))
 
 
 def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
     """Materialize trace rows as peers; attributes the trace lacks (city,
-    ISP, capacity) are drawn from the configured distributions."""
-    cities = list(cfg.city_table)
-    peers = []
-    for i, rec in enumerate(records):
-        city = cities[int(rng.integers(len(cities)))]
-        isp = assign_isp(rng, cfg.isp_count)
-        up, down = assign_bandwidth(rng, cfg.uplink_profile, cfg.downlink_factor)
-        peers.append(Peer(id=i, city=city, isp=isp, uplink_kbps=up, downlink_kbps=down,
-                          join_time=rec.request_ts, session_duration=rec.duration))
-    return peers
+    ISP, capacity) are drawn as columns by engine.draw_peer_attributes."""
+    return list(map(Peer, range(len(records)),
+                    *engine.draw_peer_attributes(cfg, rng, len(records)),
+                    [rec.request_ts for rec in records],
+                    [rec.duration for rec in records]))
 
 
 def run_trace(records, cfg: SimConfig,
@@ -286,13 +280,10 @@ def run_trace(records, cfg: SimConfig,
                 f"request at {first!r} s; set sim_duration = inf or rebase the "
                 f"trace timestamps to start near 0")
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
-    peers = build_trace_peers(records, cfg, rng)
     affected = frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)
-    scenario = FailureScenario(region=None, ratio=0.0, start_time=0.0,
-                               end_time=math.inf, affected=affected)
-    sim = Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
-    report = sim.run()
-    return report, sim.outcomes
+    sim = Simulation(cfg, strategy=strategy, peers=build_trace_peers(records, cfg, rng),
+                     scenario=FailureScenario(None, 0.0, affected=affected))
+    return sim.run(), sim.outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +491,18 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cmd_run(args) -> int:
-    cfg = build_config(args)
-    sim = Simulation(cfg)
-    report = sim.run()
+def _report(args, report: MetricsReport, outcomes) -> int:
+    """Print the metrics; with --out PREFIX also write both files."""
     if args.out:
-        write_outcomes_csv(sim.outcomes, f"{args.out}_outcomes.csv")
+        write_outcomes_csv(outcomes, f"{args.out}_outcomes.csv")
         write_metrics_json(report, f"{args.out}_metrics.json")
     _print_json(report.to_dict())
     return 0
+
+
+def _cmd_run(args) -> int:
+    sim = Simulation(build_config(args))
+    return _report(args, sim.run(), sim.outcomes)
 
 
 def _cmd_sweep(args) -> int:
@@ -540,22 +534,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    cfg = build_config(args)
     if args.synthesize is not None:
-        records = synthesize_trace(args.synthesize, seed=args.seed or 0,
+        records = synthesize_trace(args.synthesize, seed=cfg.rng_seed,
                                    fail_fraction=args.fail_fraction)
         write_trace_csv(records, args.file)
         print(f"wrote {len(records)} sessions to {args.file}")
         return 0
-    cfg = build_config(args)
     parsed = parse_trace(args.file)
     for lineno, msg in parsed.errors:
         print(f"warning: {args.file}:{lineno}: {msg}", file=sys.stderr)
-    report, outcomes = run_trace(parsed.records, cfg)
-    if args.out:
-        write_outcomes_csv(outcomes, f"{args.out}_outcomes.csv")
-        write_metrics_json(report, f"{args.out}_metrics.json")
-    _print_json(report.to_dict())
-    return 0
+    return _report(args, *run_trace(parsed.records, cfg))
 
 
 def _cmd_calibrate(args) -> int:

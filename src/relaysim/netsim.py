@@ -8,7 +8,6 @@ asymmetry is what makes relay delivery through unaffected peers work.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import math
@@ -121,27 +120,29 @@ def _capacity_cdf(profile_items: tuple) -> tuple[tuple[float, ...], tuple[float,
     return tuple(float(b) for b in buckets), tuple(cdf.tolist())
 
 
-def assign_bandwidth(rng: np.random.Generator,
+def assign_bandwidth(rng: np.random.Generator, n: int,
                      profile: dict[float, float] | None = None,
-                     downlink_factor: float = 4.0) -> tuple[float, float]:
-    """Draw (uplink, downlink) kbps from the bucketed capacity profile.
+                     downlink_factor: float = 4.0) -> tuple[list[float], list[float]]:
+    """Draw n (uplink, downlink) kbps pairs from the bucketed capacity profile.
 
-    One rng.random() draw located in the profile's CDF by bisect_right:
-    the same draw, from the same stream position, as
-    rng.choice(sorted buckets, p=probs), without rebuilding the CDF.
+    One rng.random(n) draw located in the profile's CDF: the same draw,
+    from the same stream position, as rng.choice(sorted buckets, p=probs,
+    size=n), without rebuilding the CDF. The two columns are lists of
+    shared bucket floats.
     """
     if profile is None:
         profile = DEFAULT_UPLINK_PROFILE
     buckets, cdf = _capacity_cdf(tuple(profile.items()))
-    up = buckets[bisect.bisect_right(cdf, rng.random())]
-    return up, up * downlink_factor
+    downs = tuple(b * downlink_factor for b in buckets)
+    idx = np.searchsorted(cdf, rng.random(n), side="right").tolist()
+    return [buckets[i] for i in idx], [downs[i] for i in idx]
 
 
-def assign_isp(rng: np.random.Generator, isp_count: int) -> int:
-    """Uniform ISP label in 1..isp_count."""
+def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> list[int]:
+    """n uniform ISP labels in 1..isp_count."""
     if isp_count < 1:
         raise ValueError("isp_count must be at least 1")
-    return int(rng.integers(1, isp_count + 1))
+    return rng.integers(1, isp_count + 1, size=n).tolist()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Event engine tests: protocol arithmetic, ledger, determinism, metrics."""
 
 import copy
+import dataclasses
 import math
 
 import pytest
@@ -123,6 +124,22 @@ class TestPopulation:
         a = build_population(cfg, _stream(3, _STREAM_POPULATION))
         b = build_population(cfg, _stream(3, _STREAM_POPULATION))
         assert a == b
+
+    def test_fields_are_builtin_values(self):
+        # A numpy scalar would leak into the outcome CSV as 'np.float64(...)'.
+        peers = build_population(SimConfig(peer_count=200), _stream(2, _STREAM_POPULATION))
+        for p in peers:
+            assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
+                int, str, int, float, float, float, float]
+
+    def test_capacities_share_the_bucket_floats(self):
+        cfg = SimConfig(peer_count=400)
+        peers = build_population(cfg, _stream(2, _STREAM_POPULATION))
+        assert len({id(p.uplink_kbps) for p in peers}) <= len(cfg.uplink_profile)
+        assert len({id(p.downlink_kbps) for p in peers}) <= len(cfg.uplink_profile)
+
+    def test_empty_population(self):
+        assert build_population(SimConfig(peer_count=0), _stream(1, _STREAM_POPULATION)) == []
 
 
 class TestCapacityLedger:
@@ -420,6 +437,29 @@ class TestSimulation:
         rep = run(small_cfg())
         assert isinstance(rep, MetricsReport)
         assert not rep.is_empty
+
+    def test_zero_length_session_never_goes_online(self):
+        # Its departure (priority 2) runs before its arrival (priority 3) at
+        # the same instant, so admitting it would keep it online for good.
+        peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
+        scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset({1}))
+        sim = Simulation(small_cfg(), strategy="random", peers=peers, scenario=scenario)
+        sim.run()
+        assert 0 not in sim._online
+        by_id = {o.requester_id: o for o in sim.outcomes}
+        assert by_id[0].served_by is None and by_id[0].end_time == 0.0
+        assert by_id[1].attempts == 0 and by_id[1].served_by is None
+
+    def test_no_relay_draws_no_selection_stream(self, monkeypatch):
+        import relaysim.engine as engine
+        real = engine._stream
+
+        def no_select(seed, label, *key):
+            assert label != engine._STREAM_SELECT
+            return real(seed, label, *key)
+        monkeypatch.setattr(engine, "_stream", no_select)
+        rep = run(small_cfg(), strategy="no-relay")
+        assert rep.relay_phase_requests > 0
 
 
 class RecordingSimulation(Simulation):

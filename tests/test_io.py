@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import dataclasses
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -225,6 +227,33 @@ class TestSynthesisAndReplay:
         assert peers[0].session_duration == 7.0
         assert peers[1].session_duration == 16.0
         assert all(p.city in cfg.city_table for p in peers)
+
+    def test_trace_peer_fields_are_builtin_values(self):
+        import numpy as np
+        records = synthesize_trace(60, seed=3, fail_fraction=0.2)
+        assert [(type(r.user_id), type(r.request_ts), type(r.leave_ts), type(r.fetch_failure))
+                for r in records] == [(str, float, float, bool)] * 60
+        peers = build_trace_peers(records, SimConfig(), np.random.default_rng(1))
+        for p in peers:
+            assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
+                int, str, int, float, float, float, float]
+
+    def test_trace_peers_draw_the_population_attribute_columns(self):
+        import numpy as np
+        records = synthesize_trace(30, seed=2)
+        cfg = SimConfig(peer_count=30)
+        peers = build_trace_peers(records, cfg, np.random.default_rng(9))
+        cities, isps, ups, downs = engine.draw_peer_attributes(
+            cfg, np.random.default_rng(9), 30)
+        assert [(p.city, p.isp, p.uplink_kbps, p.downlink_kbps) for p in peers] == list(
+            zip(cities, isps, ups, downs))
+
+    def test_synthesize_start_offsets_every_session(self):
+        base = synthesize_trace(25, seed=4)
+        shifted = synthesize_trace(25, seed=4, start=1000.0)
+        for a, b in zip(base, shifted):
+            assert b.request_ts == a.request_ts + 1000.0
+            assert b.fetch_failure == a.fetch_failure
 
     def test_run_trace_failure_rows_enter_relay_phase(self):
         records = synthesize_trace(80, seed=6, fail_fraction=0.25)
@@ -502,6 +531,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_requests"] == 60
 
+    def test_trace_synthesize_seed_follows_the_config(self, tmp_path, capsys, monkeypatch):
+        def synthesize(*flags):
+            trace = tmp_path / "t.csv"
+            assert main(["trace", "--file", str(trace), "--synthesize", "30", *flags]) == 0
+            return trace.read_bytes()
+
+        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
+        default = synthesize()
+        by_flag = synthesize("--seed", "5")
+        by_set = synthesize("--set", "rng_seed=5")
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text("rng_seed = 5\n")
+        by_file = synthesize("--config", str(cfg_file))
+        monkeypatch.setenv("RELAYSIM_SEED", "5")
+        by_env = synthesize()
+        assert by_flag == by_set == by_file == by_env != default
+        write_trace_csv(synthesize_trace(30, seed=SimConfig().rng_seed), tmp_path / "ref.csv")
+        assert default == (tmp_path / "ref.csv").read_bytes()
+
     def test_trace_past_horizon_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "epoch.csv"
         write_trace_csv(synthesize_trace(30, seed=2, start=1.7e9), trace)
@@ -559,3 +607,30 @@ class TestCli:
         inst.write_text("1.0\n5.0\n")
         assert main(["solve", "--matrix", str(inst), "--exact"]) == 1
         assert "infeasible" in capsys.readouterr().err
+
+
+class TestGoldenOutputs:
+    """Pinned digests of small outputs: any change to a random stream, or
+    to the protocol, changes one of them. Update them only together with
+    an announced behaviour change."""
+
+    CFG = SimConfig(peer_count=150, failure_ratio=0.6, sim_duration=1800.0,
+                    content_size_kb=4000.0, rng_seed=7)
+    OUTCOMES = {
+        "no-relay": "86a49e06f854ecfac8bc449f784670ed4bbb1c0e260ed48ab089fbd6500e4e36",
+        "random": "7242fec8a7dcf11e38ca0cc87c883bfbf117a9d2efdc8c6ed55ebd2175d2a7aa",
+        "path-aware": "fce20874167b07c461c4822ade94618c1bf6d7f87867ea9d17e4221a68d4275c",
+    }
+    TRACE = "5c3b3f9af142f377b33e49865e623a136f0e73a46da548952842110fc1866b6f"
+
+    @pytest.mark.parametrize("strategy", sorted(OUTCOMES))
+    def test_outcomes_csv_digest(self, strategy, tmp_path):
+        sim = Simulation(self.CFG, strategy=strategy)
+        sim.run()
+        write_outcomes_csv(sim.outcomes, tmp_path / "o.csv")
+        digest = hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest()
+        assert digest == self.OUTCOMES[strategy]
+
+    def test_synthesized_trace_digest(self, tmp_path):
+        write_trace_csv(synthesize_trace(40, seed=5, fail_fraction=0.3), tmp_path / "t.csv")
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == self.TRACE

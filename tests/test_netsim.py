@@ -107,12 +107,12 @@ class TestLatency:
 class TestBandwidth:
     def test_single_bucket_profile(self):
         rng = np.random.default_rng(0)
-        for _ in range(16):
-            assert assign_bandwidth(rng, {1024.0: 1.0}) == (1024.0, 4096.0)
+        assert assign_bandwidth(rng, 16, {1024.0: 1.0}) == ([1024.0] * 16, [4096.0] * 16)
+        assert assign_bandwidth(rng, 0, {1024.0: 1.0}) == ([], [])
 
     def test_bucket_frequencies(self):
         rng = np.random.default_rng(1)
-        draws = [assign_bandwidth(rng)[0] for _ in range(100_000)]
+        draws, _ = assign_bandwidth(rng, 100_000)
         counts = {b: 0 for b in (512.0, 1024.0, 3072.0, 10240.0)}
         for d in draws:
             counts[d] += 1
@@ -122,23 +122,23 @@ class TestBandwidth:
 
     def test_downlink_factor(self):
         rng = np.random.default_rng(2)
-        up, down = assign_bandwidth(rng, {512.0: 1.0}, downlink_factor=8.0)
-        assert (up, down) == (512.0, 4096.0)
+        ups, downs = assign_bandwidth(rng, 3, {512.0: 1.0}, downlink_factor=8.0)
+        assert (ups, downs) == ([512.0] * 3, [4096.0] * 3)
 
     def test_all_positive(self):
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            up, down = assign_bandwidth(rng)
-            assert up > 0 and down > 0
+        ups, downs = assign_bandwidth(rng, 1000)
+        assert len(ups) == len(downs) == 1000
+        assert all(up > 0 and down > 0 for up, down in zip(ups, downs))
 
     def test_bad_profiles_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            assign_bandwidth(rng, {512.0: 0.5, 1024.0: 0.6})
+            assign_bandwidth(rng, 1, {512.0: 0.5, 1024.0: 0.6})
         with pytest.raises(ValueError):
-            assign_bandwidth(rng, {-512.0: 1.0})
+            assign_bandwidth(rng, 1, {-512.0: 1.0})
         with pytest.raises(ValueError):
-            assign_bandwidth(rng, {512.0: float("nan"), 1024.0: 1.0})
+            assign_bandwidth(rng, 1, {512.0: float("nan"), 1024.0: 1.0})
 
     @pytest.mark.parametrize("profile", [
         None,
@@ -148,38 +148,44 @@ class TestBandwidth:
         {1.0: 0.1, 2.0: 0.2, 3.0: 0.3, 4.0: 0.4, 5.0: 0.0},
     ])
     def test_same_draws_as_generator_choice(self, profile):
-        # The reference is the draw assign_bandwidth used to make directly.
         ref_profile = dict(DEFAULT_UPLINK_PROFILE) if profile is None else profile
         buckets = sorted(ref_profile)
         probs = np.array([ref_profile[b] for b in buckets], dtype=float)
         for seed in (0, 1, 7, 12345):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(2000):
-                up, down = assign_bandwidth(rng, profile, 3.0)
-                expected = float(ref.choice(np.array(buckets, dtype=float), p=probs))
-                assert (up, down) == (expected, expected * 3.0)
+            ups, downs = assign_bandwidth(rng, 2000, profile, 3.0)
+            expected = ref.choice(np.array(buckets, dtype=float), p=probs, size=2000)
+            assert ups == expected.tolist()
+            assert downs == [e * 3.0 for e in expected.tolist()]
             assert rng.random() == ref.random()   # streams stay aligned
+
+    def test_entries_are_shared_builtin_floats(self):
+        ups, downs = assign_bandwidth(np.random.default_rng(5), 500)
+        assert {type(v) for v in ups + downs} == {float}
+        assert len({id(v) for v in ups}) <= len(DEFAULT_UPLINK_PROFILE)
+        assert len({id(v) for v in downs}) <= len(DEFAULT_UPLINK_PROFILE)
 
 
 class TestIsp:
     def test_single_isp(self):
         rng = np.random.default_rng(0)
-        assert all(assign_isp(rng, 1) == 1 for _ in range(32))
+        assert assign_isp(rng, 32, 1) == [1] * 32
 
     def test_uniform_over_three(self):
         rng = np.random.default_rng(5)
-        draws = np.array([assign_isp(rng, 3) for _ in range(100_000)])
+        draws = np.array(assign_isp(rng, 100_000, 3))
         for isp in (1, 2, 3):
             assert abs(np.mean(draws == isp) - 1.0 / 3.0) < 0.01
 
     def test_deterministic(self):
-        a = [assign_isp(np.random.default_rng(6), 3) for _ in range(5)]
-        b = [assign_isp(np.random.default_rng(6), 3) for _ in range(5)]
+        a = assign_isp(np.random.default_rng(6), 5, 3)
+        b = assign_isp(np.random.default_rng(6), 5, 3)
         assert a == b
+        assert {type(v) for v in a} == {int}
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            assign_isp(np.random.default_rng(0), 0)
+            assign_isp(np.random.default_rng(0), 1, 0)
 
 
 class TestFailureInjection:
