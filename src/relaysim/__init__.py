@@ -16,16 +16,16 @@ from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
 from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceRecord,
                             validate_config)
 from relaysim.netsim import CityTable, FailureScenario, can_connect, inject_failure
-from relaysim.selection import (RelayCandidateList, generate_relay_list,
+from relaysim.selection import (OnlineSet, RelayCandidateList, generate_relay_list,
                                 solve_exact, solve_greedy)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
-    "Peer", "RelayCandidateList", "RequestOutcome", "SessionModel", "SimConfig",
-    "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord", "calibrate_pareto",
-    "can_connect", "collect_metrics", "estimate_time_to_stay", "generate_relay_list",
-    "inject_failure", "parse_trace", "run", "run_sweep", "run_trace", "solve_exact",
-    "solve_greedy", "validate_config",
+    "OnlineSet", "Peer", "RelayCandidateList", "RequestOutcome", "SessionModel",
+    "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord",
+    "calibrate_pareto", "can_connect", "collect_metrics", "estimate_time_to_stay",
+    "generate_relay_list", "inject_failure", "parse_trace", "run", "run_sweep",
+    "run_trace", "solve_exact", "solve_greedy", "validate_config",
 ]

@@ -8,9 +8,12 @@ AttemptPlan, and one handler resolves it when its time comes. Relay uplink
 capacity is tracked in a per-run ledger: transfer rates are fixed when an
 attempt starts and released when it resolves. Event ordering at equal
 timestamps is fixed (deliveries, other resolutions, departures, arrivals,
-request issues) so runs are bit-reproducible for a given seed. The
-population is drawn column by column (churn.sample_sessions, then
-draw_peer_attributes, which trace replay shares) into built-in values.
+request issues) so runs are bit-reproducible for a given seed. Arrivals
+and departures keep an OnlineSet of the peers online, which candidate
+generation reads without sorting; no-relay runs never read it and
+schedule neither event. The population is drawn column by column
+(churn.sample_sessions, then draw_peer_attributes, which trace replay
+shares) into built-in values.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from relaysim.model import (RATE_EPS, ContentItem, Peer, RelayLedger, SimConfig,
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, available_throughput, can_connect,
                              inject_failure, latency_ms)
-from relaysim.selection import (RelayCandidateList, generate_relay_list,
+from relaysim.selection import (OnlineSet, RelayCandidateList, generate_relay_list,
                                 no_relay_list, random_relay_list)
 
 # Heap entries are (time, priority, seq, kind, payload) tuples; the
@@ -270,7 +273,7 @@ class Simulation:
                                                   cfg.latency_per_km_ms) / 1000.0
         self.outcomes: list[RequestOutcome] = []
         self.ledger = RelayLedger()
-        self._online: dict[int, Peer] = {}
+        self._online = OnlineSet(self.peers)
         self._requests: dict[int, _Request] = {}
         self._heap: list = []
         self._seq = 0
@@ -286,10 +289,14 @@ class Simulation:
         if self._ran:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
         self._ran = True
+        # Only relay candidate draws read the online set, so no-relay runs
+        # skip its arrival and departure events.
+        track_online = self.strategy != "no-relay"
         for p in self.peers.values():
-            self._schedule(p.join_time, "peer-arrival", p.id)
-            if math.isfinite(p.departure_time):
-                self._schedule(p.departure_time, "peer-departure", p.id)
+            if track_online:
+                self._schedule(p.join_time, "peer-arrival", p.id)
+                if math.isfinite(p.departure_time):
+                    self._schedule(p.departure_time, "peer-departure", p.id)
             self._schedule(p.join_time, "request-issue", p.id)
         handlers = {
             "attempt-complete": self._on_resolve,
@@ -317,10 +324,10 @@ class Simulation:
     def _on_arrival(self, pid: int) -> None:
         peer = self.peers[pid]
         if peer.departure_time > self._now:   # zero-length sessions never come online
-            self._online[pid] = peer
+            self._online.add(peer)
 
     def _on_departure(self, pid: int) -> None:
-        self._online.pop(pid, None)
+        self._online.discard(self.peers[pid])
 
     def _on_request_issue(self, pid: int) -> None:
         peer = self.peers[pid]
@@ -344,12 +351,11 @@ class Simulation:
     def _make_candidates(self, peer: Peer, t: float) -> RelayCandidateList:
         if self.strategy == "no-relay":
             return no_relay_list()
-        online = sorted(self._online.values(), key=lambda p: p.id)
         rng = _stream(self.cfg.rng_seed, _STREAM_SELECT, peer.id)
         if self.strategy == "random":
-            return random_relay_list(peer, online, self.cfg.zeta, rng)
+            return random_relay_list(peer, self._online, self.cfg.zeta, rng)
         return generate_relay_list(
-            peer, online, alpha=self.cfg.alpha, gamma=self.cfg.gamma,
+            peer, self._online, alpha=self.cfg.alpha, gamma=self.cfg.gamma,
             zeta=self.cfg.zeta, rng=rng, t=t, tts=self.tts,
             workload_mode=self.cfg.workload_mode, ledger=self.ledger)
 

@@ -446,7 +446,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a single config field (repeatable)")
     p.add_argument("--seed", type=int,
-                   help="RNG seed (falls back to RELAYSIM_SEED, then the config)")
+                   help="RNG seed (overrides --config and --set; RELAYSIM_SEED "
+                        "applies only when none of them sets the seed)")
     p.add_argument("--peers", type=int, help="population size")
     p.add_argument("--strategy", choices=STRATEGIES, help="relay selection strategy")
     p.add_argument("--size", type=float, metavar="KB", help="content size in KB")
@@ -465,7 +466,8 @@ def build_config(args) -> SimConfig:
         raw[key.strip()] = val.strip()
     cfg = apply_overrides(SimConfig(), raw)
     seed = args.seed
-    if seed is None and os.environ.get("RELAYSIM_SEED"):
+    # The environment is the last resort: --seed, --config and --set all beat it.
+    if seed is None and "rng_seed" not in raw and os.environ.get("RELAYSIM_SEED"):
         try:
             seed = int(os.environ["RELAYSIM_SEED"])
         except ValueError:

@@ -5,6 +5,10 @@ partition drawn from peers sharing the requester's city and ISP, and a
 random partition drawn from everyone else online. Both partitions drop
 peers with a fetch-failure history or too much relay workload, then sort
 by estimated time-to-stay so the most durable candidates are tried first.
+Both generators read an OnlineSet, which keeps the online ids in ascending
+order and bucketed by (city, ISP), and draw pool indices without building
+the pools, so the work per list grows with zeta, not with the number of
+peers online.
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
 """
@@ -13,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, insort
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,24 +76,92 @@ def no_relay_list() -> RelayCandidateList:
     return RelayCandidateList((), 0)
 
 
-def _draw(rng: np.random.Generator, pool: list[Peer], k: int) -> list[Peer]:
-    k = min(k, len(pool))
+class OnlineSet:
+    """The ids of the online peers, kept in ascending order, plus one
+    id-ordered bucket per (city, ISP).
+
+    Only ids are stored; `peers` maps an id to its Peer and is consulted
+    for drawn candidates alone. add() and discard() keep both orders with
+    bisect, so the candidate draws below never sort or scan the set.
+    """
+
+    def __init__(self, peers: Mapping[int, Peer]):
+        self.peers = peers
+        self.ids: list[int] = []
+        self._buckets: dict[tuple[str, int], list[int]] = {}
+
+    @classmethod
+    def of(cls, online: Iterable[Peer]) -> OnlineSet:
+        """The set holding exactly the given peers."""
+        online = list(online)
+        result = cls({p.id: p for p in online})
+        for p in online:
+            result.add(p)
+        return result
+
+    def add(self, peer: Peer) -> None:
+        if peer.id not in self:
+            insort(self.ids, peer.id)
+            insort(self._buckets.setdefault((peer.city, peer.isp), []), peer.id)
+
+    def discard(self, peer: Peer) -> None:
+        i = _find(self.ids, peer.id)
+        if i >= 0:
+            del self.ids[i]
+            bucket = self._buckets[peer.city, peer.isp]
+            del bucket[_find(bucket, peer.id)]
+
+    def bucket(self, city: str, isp: int) -> list[int]:
+        """Ids of the online peers in that city and ISP, ascending."""
+        return self._buckets.get((city, isp), [])
+
+    def __contains__(self, pid: int) -> bool:
+        return _find(self.ids, pid) >= 0
+
+
+def _find(ids: list[int], pid: int) -> int:
+    """Position of pid in the ascending ids, or -1."""
+    i = bisect_left(ids, pid)
+    return i if i < len(ids) and ids[i] == pid else -1
+
+
+def _draw(rng: np.random.Generator, ids: list[int], skip: list[int], k: int) -> list[int]:
+    """Up to k ids drawn without replacement from ids minus the ascending
+    positions in skip, as rng.choice would draw them from that pool built
+    as a list: the draw depends only on the pool's length and k, so each
+    drawn pool index is mapped past the skipped positions. k <= 0, or an
+    empty pool, consumes no stream."""
+    k = min(k, len(ids) - len(skip))
     if k <= 0:
         return []
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in idx]
+    picked = []
+    for i in rng.choice(len(ids) - len(skip), size=k, replace=False).tolist():
+        for s in skip:
+            if s > i:
+                break
+            i += 1
+        picked.append(ids[i])
+    return picked
 
 
-def random_relay_list(requester: Peer, online_peers: list[Peer], zeta: int,
+def _positions(ids: list[int], pids) -> list[int]:
+    """Ascending positions in ids of those pids that ids holds."""
+    found = (_find(ids, pid) for pid in pids)
+    return sorted(i for i in found if i >= 0)
+
+
+def random_relay_list(requester: Peer, online: OnlineSet, zeta: int,
                       rng: np.random.Generator) -> RelayCandidateList:
-    """Baseline: up to zeta online peers drawn uniformly, in draw order.
+    """Baseline: up to zeta online peers other than the requester, drawn
+    uniformly, in draw order.
 
-    No filtering and no sorting. Callers must pass online_peers in a
-    stable order (the engine uses ascending peer id) for reproducibility.
+    No filtering and no sorting. Pool index i is the i-th lowest online id
+    other than the requester's, so the draw is reproducible whatever order
+    peers came online in.
     """
-    pool = [p for p in online_peers if p.id != requester.id]
-    picked = _draw(rng, pool, zeta)
-    return RelayCandidateList(tuple(p.id for p in picked), 0)
+    ids = online.ids
+    picked = _draw(rng, ids, _positions(ids, (requester.id,)), zeta)
+    return RelayCandidateList(tuple(picked), 0)
 
 
 def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bool:
@@ -96,7 +170,7 @@ def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bo
     return ledger.uplink_utilization(peer) <= gamma
 
 
-def generate_relay_list(requester: Peer, online_peers: list[Peer], *,
+def generate_relay_list(requester: Peer, online: OnlineSet, *,
                         alpha: float, gamma: float, zeta: int,
                         rng: np.random.Generator, t: float,
                         tts: TimeToStayModel | None = None,
@@ -104,26 +178,27 @@ def generate_relay_list(requester: Peer, online_peers: list[Peer], *,
                         ledger: RelayLedger | None = None) -> RelayCandidateList:
     """Path-aware candidate list for one requester.
 
-    ceil(zeta * alpha) slots go to the careful partition (same city and
-    same ISP as the requester); the remaining slots are drawn from all
-    other online peers. A shortfall in the careful partition is not
-    backfilled. Both partitions drop peers with a fetch-failure history
-    or workload above gamma, as recorded in the run's ledger (none without
-    one), then sort by descending estimated time-to-stay (ties on
-    ascending peer id). The careful partition comes first, so its most
-    durable member is the primary relay.
+    ceil(zeta * alpha) slots go to the careful partition, drawn from the
+    online peers of the requester's city and ISP; the remaining slots are
+    drawn from all other online peers. Both pools exclude the requester
+    and are indexed in ascending id order, the careful draw first. A
+    shortfall in the careful partition is not backfilled. Both partitions
+    drop peers with a fetch-failure history or workload above gamma, as
+    recorded in the run's ledger (none without one), then sort by
+    descending estimated time-to-stay (ties on ascending peer id). The
+    careful partition comes first, so its most durable member is the
+    primary relay. Work grows with zeta, not with the online count.
     """
     if tts is None:
         tts = TimeToStayModel()
     if ledger is None:
         ledger = RelayLedger()
-    pool = [p for p in online_peers if p.id != requester.id]
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
-    same = [p for p in pool if p.city == requester.city and p.isp == requester.isp]
-    careful = _draw(rng, same, careful_slots)
-    taken = {p.id for p in careful}
-    rest = [p for p in pool if p.id not in taken]
-    randoms = _draw(rng, rest, zeta - careful_slots)
+    same = online.bucket(requester.city, requester.isp)
+    careful = _draw(rng, same, _positions(same, (requester.id,)), careful_slots)
+    randoms = _draw(rng, online.ids, _positions(online.ids, (requester.id, *careful)),
+                    zeta - careful_slots)
+    peers = online.peers
 
     def keep(p: Peer) -> bool:
         return (p.id not in ledger.fetch_failed
@@ -133,8 +208,8 @@ def generate_relay_list(requester: Peer, online_peers: list[Peer], *,
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
         return (-remain, p.id)
 
-    careful = sorted((p for p in careful if keep(p)), key=durability)
-    randoms = sorted((p for p in randoms if keep(p)), key=durability)
+    careful = sorted(filter(keep, map(peers.__getitem__, careful)), key=durability)
+    randoms = sorted(filter(keep, map(peers.__getitem__, randoms)), key=durability)
     ids = tuple(p.id for p in careful) + tuple(p.id for p in randoms)
     return RelayCandidateList(ids, len(careful))
 

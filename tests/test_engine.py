@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim import engine
 from relaysim.engine import (
     EVENT_PRIORITY,
     MetricsReport,
@@ -20,9 +21,9 @@ from relaysim.engine import (
     _stream,
     _STREAM_POPULATION,
 )
-from relaysim.model import CapacityError, Peer, RelayLedger, SimConfig
+from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
-from relaysim.selection import RelayCandidateList
+from relaysim.selection import RelayCandidateList, no_relay_list
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=1e9,
@@ -443,15 +444,17 @@ class TestSimulation:
         # the same instant, so admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
         scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset({1}))
-        sim = Simulation(small_cfg(), strategy="random", peers=peers, scenario=scenario)
+        sim = OnlineSnapshotSimulation(small_cfg(), strategy="random", peers=peers,
+                                       scenario=scenario)
         sim.run()
-        assert 0 not in sim._online
+        # peer 1 alone was online, in its own bucket, when it drew its list
+        assert sim.snapshots == {1: ([1], [1])}
+        assert 0 not in sim._online and sim._online.ids == []
         by_id = {o.requester_id: o for o in sim.outcomes}
         assert by_id[0].served_by is None and by_id[0].end_time == 0.0
         assert by_id[1].attempts == 0 and by_id[1].served_by is None
 
     def test_no_relay_draws_no_selection_stream(self, monkeypatch):
-        import relaysim.engine as engine
         real = engine._stream
 
         def no_select(seed, label, *key):
@@ -460,6 +463,58 @@ class TestSimulation:
         monkeypatch.setattr(engine, "_stream", no_select)
         rep = run(small_cfg(), strategy="no-relay")
         assert rep.relay_phase_requests > 0
+
+
+class OnlineSnapshotSimulation(Simulation):
+    """Simulation that records, per relay-phase requester, the online ids
+    and the requester's (city, ISP) bucket when its list is drawn."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.snapshots = {}
+
+    def _make_candidates(self, peer, t):
+        self.snapshots[peer.id] = (list(self._online.ids),
+                                   list(self._online.bucket(peer.city, peer.isp)))
+        return super()._make_candidates(peer, t)
+
+
+class EventCountingSimulation(Simulation):
+    """Simulation that counts the events it schedules, by kind."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.scheduled = dict.fromkeys(EVENT_PRIORITY, 0)
+
+    def _schedule(self, time, kind, payload=None):
+        self.scheduled[kind] += 1
+        super()._schedule(time, kind, payload)
+
+
+class EmptyListSimulation(EventCountingSimulation):
+    """A relay-strategy run whose every list is empty: the no-relay
+    protocol, but with the online set kept up to date."""
+
+    def _make_candidates(self, peer, t):
+        return no_relay_list()
+
+
+class TestNoRelaySkipsOnlineSet:
+    def test_no_arrival_or_departure_events(self):
+        cfg = small_cfg(rng_seed=3)
+        peers, scenario = draw_population(cfg)
+        skipped = EventCountingSimulation(cfg, strategy="no-relay", peers=peers,
+                                          scenario=scenario)
+        tracked = EmptyListSimulation(cfg, strategy="random", peers=peers,
+                                      scenario=scenario)
+        assert skipped.run() == tracked.run()
+        assert skipped.outcomes == tracked.outcomes
+        assert skipped.scheduled["peer-arrival"] == skipped.scheduled["peer-departure"] == 0
+        assert skipped.scheduled["request-issue"] == len(peers)
+        assert tracked.scheduled["peer-arrival"] == len(peers)
+        assert tracked.scheduled["peer-departure"] > 0
+        assert skipped._online.ids == []
+        assert any(o.entered_relay_phase for o in skipped.outcomes)
 
 
 class RecordingSimulation(Simulation):
@@ -530,3 +585,41 @@ class TestProtocolProperties:
         assert sim.ledger.fetch_failed == {o.requester_id for o in sim.outcomes
                                            if o.entered_relay_phase}
         assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_runs())
+    def test_committed_rate_fits_free_uplink_and_downlink(self, run_args):
+        # _start_next_attempt commits a plan's rate the moment it is planned,
+        # so the ledger read here is the ledger at commit time.
+        cfg, strategy, peers, scenario = run_args
+        real, commits = engine._plan_attempt, []
+
+        def checked(relay, requester, content, t, scenario, ledger, *rest):
+            plan = real(relay, requester, content, t, scenario, ledger, *rest)
+            if plan.rate_kbps > 0:
+                commits.append((plan.rate_kbps, ledger.uplink_free_kbps(relay),
+                                requester.downlink_kbps))
+            return plan
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_plan_attempt", checked)
+            Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario).run()
+        for rate, free_uplink, downlink in commits:
+            assert rate <= min(free_uplink, downlink) + RATE_EPS
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_runs(), st.data())
+    def test_peer_order_does_not_matter_with_distinct_joins(self, run_args, data):
+        # With equal join times, arrivals and requests at one instant run in
+        # list order, so only distinct joins are order-free.
+        cfg, strategy, peers, scenario = run_args
+        quarters = data.draw(st.lists(st.integers(0, 40), min_size=len(peers),
+                                      max_size=len(peers), unique=True))
+        peers = [dataclasses.replace(p, join_time=q / 4.0) for p, q in zip(peers, quarters)]
+        shuffled = data.draw(st.permutations(peers))
+        runs = [Simulation(cfg, strategy=strategy, peers=order, scenario=scenario)
+                for order in (peers, shuffled)]
+        reports = [sim.run() for sim in runs]
+        assert reports[0] == reports[1]
+        by_id = [sorted(sim.outcomes, key=lambda o: o.requester_id) for sim in runs]
+        assert by_id[0] == by_id[1]

@@ -114,6 +114,23 @@ class TestConfigFile:
         cfg = build_config(make_args(seed=9))
         assert cfg.rng_seed == 9        # flag beats environment
 
+    @pytest.mark.parametrize("source", ["config", "set", "seed"])
+    def test_build_config_env_seed_is_the_last_resort(self, source, tmp_path, monkeypatch):
+        monkeypatch.setenv("RELAYSIM_SEED", "5")
+        f = tmp_path / "seed.cfg"
+        f.write_text("rng_seed = 7\n")
+        args = {"config": make_args(config=str(f)),
+                "set": make_args(set=["rng_seed=7"]),
+                "seed": make_args(seed=7)}[source]
+        assert build_config(args).rng_seed == 7
+
+    def test_build_config_env_seed_under_a_config_without_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RELAYSIM_SEED", "5")
+        f = tmp_path / "sim.cfg"
+        f.write_text("peer_count = 100\n")
+        cfg = build_config(make_args(config=str(f), set=["alpha=0.4"]))
+        assert cfg.rng_seed == 5 and cfg.peer_count == 100
+
     def test_build_config_bad_env_seed(self, monkeypatch):
         monkeypatch.setenv("RELAYSIM_SEED", "lots")
         with pytest.raises(ConfigError):
@@ -549,6 +566,23 @@ class TestCli:
         assert by_flag == by_set == by_file == by_env != default
         write_trace_csv(synthesize_trace(30, seed=SimConfig().rng_seed), tmp_path / "ref.csv")
         assert default == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["config", "set", "seed"])
+    def test_explicit_seed_beats_the_environment(self, source, tmp_path, capsys,
+                                                 monkeypatch):
+        def synthesize(*flags):
+            trace = tmp_path / "t.csv"
+            assert main(["trace", "--file", str(trace), "--synthesize", "30", *flags]) == 0
+            return trace.read_bytes()
+
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text("rng_seed = 7\n")
+        flags = {"config": ["--config", str(cfg_file)], "set": ["--set", "rng_seed=7"],
+                 "seed": ["--seed", "7"]}[source]
+        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
+        seven, five = synthesize("--seed", "7"), synthesize("--seed", "5")
+        monkeypatch.setenv("RELAYSIM_SEED", "5")
+        assert synthesize(*flags) == seven != five
 
     def test_trace_past_horizon_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "epoch.csv"

@@ -1,12 +1,17 @@
 """Candidate list generation and assignment solver tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaysim.churn import TimeToStayModel
+from relaysim.churn import TimeToStayModel, estimate_time_to_stay
 from relaysim.model import Peer, RelayLedger
 from relaysim.selection import (
     Infeasible,
+    OnlineSet,
     RelayCandidateList,
     SelectionMatrix,
     generate_relay_list,
@@ -16,6 +21,7 @@ from relaysim.selection import (
     save_instance,
     solve_exact,
     solve_greedy,
+    _workload_ok,
 )
 
 
@@ -24,6 +30,141 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
                 downlink_kbps=4096.0, join_time=join, session_duration=dur)
     base.update(kw)
     return Peer(**base)
+
+
+# The list-building forms of the two generators: each pool is materialized
+# from online peers in ascending id order. The indexed generators must draw
+# exactly what these draw, from the same stream.
+
+def reference_draw(rng, pool, k):
+    k = min(k, len(pool))
+    if k <= 0:
+        return []
+    idx = rng.choice(len(pool), size=k, replace=False)
+    return [pool[i] for i in idx]
+
+
+def reference_random_relay_list(requester, online_peers, zeta, rng):
+    pool = [p for p in online_peers if p.id != requester.id]
+    picked = reference_draw(rng, pool, zeta)
+    return RelayCandidateList(tuple(p.id for p in picked), 0)
+
+
+def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta, rng, t,
+                                  tts, workload_mode, ledger):
+    pool = [p for p in online_peers if p.id != requester.id]
+    careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
+    same = [p for p in pool if p.city == requester.city and p.isp == requester.isp]
+    careful = reference_draw(rng, same, careful_slots)
+    taken = {p.id for p in careful}
+    rest = [p for p in pool if p.id not in taken]
+    randoms = reference_draw(rng, rest, zeta - careful_slots)
+
+    def keep(p):
+        return (p.id not in ledger.fetch_failed
+                and _workload_ok(p, ledger, gamma, workload_mode))
+
+    def durability(p):
+        remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
+        return (-remain, p.id)
+
+    careful = sorted((p for p in careful if keep(p)), key=durability)
+    randoms = sorted((p for p in randoms if keep(p)), key=durability)
+    ids = tuple(p.id for p in careful) + tuple(p.id for p in randoms)
+    return RelayCandidateList(ids, len(careful))
+
+
+@st.composite
+def selection_cases(draw):
+    """An online population in arrival order, a requester that may or may
+    not be online, list parameters and a ledger with fetch failures and
+    busy relays."""
+    ids = draw(st.lists(st.integers(0, 200), unique=True, max_size=40))
+    peers = [make_peer(pid, city=draw(st.sampled_from(("Wuhan", "Beijing"))),
+                       isp=draw(st.integers(1, 2)),
+                       join=draw(st.sampled_from((0.0, 60.0, 600.0, 3000.0))),
+                       uplink_kbps=draw(st.sampled_from((512.0, 1024.0))))
+             for pid in ids]
+    # the requester is online, or absent: a zero-length session, or a
+    # city (Chengdu) whose careful bucket is empty
+    if peers and draw(st.booleans()):
+        requester = draw(st.sampled_from(peers))
+    else:
+        requester = make_peer(draw(st.integers(0, 200).filter(lambda i: i not in ids)),
+                              city=draw(st.sampled_from(("Wuhan", "Chengdu"))),
+                              isp=draw(st.integers(1, 2)), dur=0.0)
+    ledger = RelayLedger(
+        fetch_failed=draw(st.sets(st.sampled_from(ids))) if ids else set(),
+        workload={pid: draw(st.integers(1, 4)) for pid in ids if draw(st.booleans())},
+        in_use_kbps={p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
+                     for p in peers if draw(st.booleans())})
+    params = dict(alpha=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+                  gamma=draw(st.sampled_from((0.5, 0.95, 2.0))),
+                  zeta=draw(st.integers(1, 50)), t=3600.0, tts=TimeToStayModel(),
+                  workload_mode=draw(st.sampled_from(("utilization", "count"))),
+                  ledger=ledger)
+    return requester, draw(st.permutations(peers)), params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestIndexedDraws:
+    """The indexed generators against their list-building references."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(selection_cases())
+    def test_random_list_matches_reference(self, case):
+        requester, arrivals, params, seed = case
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_relay_list(requester, OnlineSet.of(arrivals), params["zeta"], ours)
+        want = reference_random_relay_list(requester, sorted(arrivals, key=lambda p: p.id),
+                                           params["zeta"], ref)
+        assert got.peer_ids == want.peer_ids and got.careful_count == 0
+        assert ours.random() == ref.random()
+
+    @settings(max_examples=400, deadline=None)
+    @given(selection_cases())
+    def test_path_aware_list_matches_reference(self, case):
+        requester, arrivals, params, seed = case
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_relay_list(requester, OnlineSet.of(arrivals), rng=ours, **params)
+        want = reference_generate_relay_list(
+            requester, sorted(arrivals, key=lambda p: p.id), rng=ref, **params)
+        assert got.peer_ids == want.peer_ids
+        assert got.careful_count == want.careful_count
+        assert ours.random() == ref.random()
+
+
+class TestOnlineSet:
+    def test_ids_and_buckets_stay_in_id_order(self):
+        online = OnlineSet({})
+        for p in (make_peer(5), make_peer(2, city="Wuhan"), make_peer(9), make_peer(2)):
+            online.add(p)                  # a second add of id 2 changes nothing
+        assert online.ids == [2, 5, 9]
+        assert online.bucket("Beijing", 1) == [5, 9]
+        assert online.bucket("Wuhan", 1) == [2]
+        assert online.bucket("Chengdu", 1) == []
+        online.discard(make_peer(5))
+        online.discard(make_peer(7))      # never online: no effect
+        assert online.ids == [2, 9] and 5 not in online and 9 in online
+        assert online.bucket("Beijing", 1) == [9]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=60))
+    def test_matches_a_plain_set(self, ops):
+        peers = {i: make_peer(i, city=("Wuhan", "Beijing")[i % 2], isp=1 + i % 3)
+                 for i in range(13)}
+        online, plain = OnlineSet(peers), set()
+        for arrive, pid in ops:
+            if arrive:
+                online.add(peers[pid])
+                plain.add(pid)
+            else:
+                online.discard(peers[pid])
+                plain.discard(pid)
+        assert online.ids == sorted(plain)
+        for city in ("Wuhan", "Beijing"):
+            for isp in (1, 2, 3):
+                assert online.bucket(city, isp) == sorted(
+                    pid for pid in plain if (peers[pid].city, peers[pid].isp) == (city, isp))
 
 
 class TestCandidateList:
@@ -56,7 +197,7 @@ class TestCandidateList:
 class TestRandomList:
     def test_excludes_requester_and_caps_length(self):
         me = make_peer(0)
-        online = [me] + [make_peer(i) for i in range(1, 5)]
+        online = OnlineSet.of([me] + [make_peer(i) for i in range(1, 5)])
         lst = random_relay_list(me, online, zeta=10, rng=np.random.default_rng(0))
         assert len(lst) == 4
         assert 0 not in lst.peer_ids
@@ -64,21 +205,21 @@ class TestRandomList:
 
     def test_respects_zeta(self):
         me = make_peer(0)
-        online = [me] + [make_peer(i) for i in range(1, 40)]
+        online = OnlineSet.of([me] + [make_peer(i) for i in range(1, 40)])
         lst = random_relay_list(me, online, zeta=10, rng=np.random.default_rng(1))
         assert len(lst) == 10
         assert len(set(lst.peer_ids)) == 10
 
     def test_reproducible(self):
         me = make_peer(0)
-        online = [make_peer(i) for i in range(20)]
+        online = OnlineSet.of(make_peer(i) for i in range(20))
         a = random_relay_list(me, online, 10, np.random.default_rng(7))
         b = random_relay_list(me, online, 10, np.random.default_rng(7))
         assert a.peer_ids == b.peer_ids
 
     def test_first_position_uniform(self):
         me = make_peer(0)
-        online = [me] + [make_peer(i) for i in range(1, 9)]
+        online = OnlineSet.of([me] + [make_peer(i) for i in range(1, 9)])
         rng = np.random.default_rng(11)
         counts = {i: 0 for i in range(1, 9)}
         trials = 10_000
@@ -97,7 +238,7 @@ class TestPathAwareList:
         args = dict(alpha=0.2, gamma=0.8, zeta=10,
                     rng=np.random.default_rng(kw.pop("seed", 0)), t=t)
         args.update(kw)
-        return generate_relay_list(requester, online, **args)
+        return generate_relay_list(requester, OnlineSet.of(online), **args)
 
     def test_partition_size_bounds(self):
         me = make_peer(0)
