@@ -15,7 +15,7 @@ from relaysim.engine import (MetricsReport, RequestOutcome, Simulation, collect_
 from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
 from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceRecord,
                             validate_config)
-from relaysim.netsim import CityTable, FailureScenario, can_connect, inject_failure
+from relaysim.netsim import CityTable, FailureScenario, inject_failure
 from relaysim.selection import (OnlineSet, RelayCandidateList, generate_relay_list,
                                 solve_exact, solve_greedy)
 
@@ -25,7 +25,7 @@ __all__ = [
     "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
     "OnlineSet", "Peer", "RelayCandidateList", "RequestOutcome", "SessionModel",
     "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord",
-    "calibrate_pareto", "can_connect", "collect_metrics", "estimate_time_to_stay",
+    "calibrate_pareto", "collect_metrics", "estimate_time_to_stay",
     "generate_relay_list", "inject_failure", "parse_trace", "run", "run_sweep",
     "run_trace", "solve_exact", "solve_greedy", "validate_config",
 ]

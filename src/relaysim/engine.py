@@ -4,11 +4,15 @@ Each peer issues one content request when it arrives. Requests first try
 the server; a peer cut off by a regional failure falls back to its relay
 candidate list and works through it one attempt at a time. Every attempt,
 server fetch or relay transfer, is planned in full when it starts as an
-AttemptPlan, and one handler resolves it when its time comes. Relay uplink
+AttemptPlan, and one handler resolves it when its time comes. One
+question decides every path: is this peer cut off now
+(FailureScenario.cut_off)? A requester that is not reaches the server; a
+relay that is not reaches the server and any requester. Relay uplink
 capacity is tracked in a per-run ledger: transfer rates are fixed when an
-attempt starts and released when it resolves. Event ordering at equal
-timestamps is fixed (deliveries, other resolutions, departures, arrivals,
-request issues) so runs are bit-reproducible for a given seed. Arrivals
+attempt starts and released when it resolves. An event's priority orders
+it at equal timestamps (deliveries, other resolutions, departures,
+arrivals, request issues), so runs are bit-reproducible for a given seed,
+and picks its handler. Arrivals
 and departures keep an OnlineSet of the peers online, which candidate
 generation reads without sorting; no-relay runs never read it and
 schedule neither event. The population is drawn column by column
@@ -30,22 +34,16 @@ from relaysim.churn import SessionModel, TimeToStayModel
 from relaysim.model import (RATE_EPS, ContentItem, Peer, RelayLedger, SimConfig,
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
-                             assign_isp, available_throughput, can_connect,
-                             inject_failure, latency_ms)
+                             assign_isp, inject_failure, latency_ms)
 from relaysim.selection import (OnlineSet, RelayCandidateList, generate_relay_list,
                                 no_relay_list, random_relay_list)
 
-# Heap entries are (time, priority, seq, kind, payload) tuples; the
-# priority orders events at equal timestamps and seq keeps insertion order.
-# An attempt resolves as "attempt-complete" when its plan delivers and as
-# "attempt-abort" otherwise; both go to the same handler.
-EVENT_PRIORITY = {
-    "attempt-complete": 0,
-    "attempt-abort": 1,
-    "peer-departure": 2,
-    "peer-arrival": 3,
-    "request-issue": 4,
-}
+# Heap entries are (time, priority, seq, payload) tuples; the priority
+# orders events at equal timestamps and indexes Simulation's handler tuple,
+# and seq keeps insertion order. An attempt resolves as ATTEMPT_COMPLETE
+# when its plan delivers and as ATTEMPT_ABORT otherwise; both go to the
+# same handler, with the _Request as payload. The other events carry a Peer.
+ATTEMPT_COMPLETE, ATTEMPT_ABORT, PEER_DEPARTURE, PEER_ARRIVAL, REQUEST_ISSUE = range(5)
 
 
 @dataclass(slots=True)
@@ -169,40 +167,10 @@ class AttemptPlan(NamedTuple):
     rate_kbps: float = 0.0
 
 
-def _plan_attempt(relay: Peer, requester: Peer, content: ContentItem, t: float,
-                  scenario: FailureScenario | None, ledger: RelayLedger,
-                  cities: CityTable, base_ms: float, per_km_ms: float) -> AttemptPlan:
-    """Decide how a single relay attempt plays out, without side effects.
-
-    The transfer rate is fixed at start: the smaller of the relay's free
-    uplink, the requester's downlink, and the relay's fair downlink share
-    across its current workload plus this transfer, both read from the
-    run's ledger. Every attempt pays a two-way handshake at the
-    city-to-city latency.
-    """
-    dist = cities.distance_km(requester.city, relay.city)
-    handshake = 2.0 * latency_ms(dist, base_ms, per_km_ms) / 1000.0
-    reachable = (relay.online(t)
-                 and can_connect(relay.id, SERVER, t, scenario)
-                 and can_connect(relay.id, requester.id, t, scenario))
-    if not reachable:
-        return AttemptPlan("reject", t + handshake)
-    avail = available_throughput(relay, requester, t, scenario, ledger)
-    if avail <= RATE_EPS:
-        return AttemptPlan("reject", t + handshake)
-    share = relay.downlink_kbps / (ledger.workload.get(relay.id, 0) + 1)
-    rate = min(avail, share)
-    t_end = t + handshake + content.size_kbits / rate
-    if t_end <= relay.departure_time and t_end <= requester.departure_time:
-        return AttemptPlan("success", t_end, rate)
-    if requester.departure_time <= relay.departure_time:
-        return AttemptPlan("requester-lost", requester.departure_time, rate)
-    return AttemptPlan("relay-lost", relay.departure_time, rate)
-
-
 @dataclass
 class _Request:
     outcome: RequestOutcome
+    requester: Peer
     candidates: RelayCandidateList = no_relay_list()   # immutable, so shared
     next_index: int = 0
     # (plan, relay Peer or None for the server) of the scheduled resolution
@@ -242,19 +210,15 @@ class Simulation:
     All randomness derives from cfg.rng_seed through labeled sub-streams,
     so two runs with the same config are bit-identical and two strategies
     under the same seed see the identical population and failure draw.
-    A caller may pass that draw as peers and a resolved scenario, together,
-    to run several cells on one population; peers are immutable and the
-    run's own state lives in self.ledger.
+    The strategy is cfg.strategy. A caller may pass that draw as peers and
+    a resolved scenario, together, to run several cells on one population;
+    peers are immutable and the run's own state lives in self.ledger.
     """
 
-    def __init__(self, cfg: SimConfig, strategy: str | None = None,
-                 peers: list[Peer] | None = None,
+    def __init__(self, cfg: SimConfig, peers: list[Peer] | None = None,
                  scenario: FailureScenario | None = None):
         validate_config(cfg)
         self.cfg = cfg
-        self.strategy = strategy if strategy is not None else cfg.strategy
-        if self.strategy not in ("no-relay", "random", "path-aware"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if (peers is None) != (scenario is None):
             raise ValueError("peers and scenario are supplied together or not at all")
         if peers is None:
@@ -268,21 +232,20 @@ class Simulation:
         self.scenario = scenario
         self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
         self.content = ContentItem(cfg.content_size_kb)
-        # The server fetch goes to the in-city edge.
-        self._server_handshake = 2.0 * latency_ms(0.0, cfg.latency_base_ms,
-                                                  cfg.latency_per_km_ms) / 1000.0
+        # Two-way handshake seconds per (requester city, relay city), filled
+        # on first use; the server fetch goes to the in-city edge.
+        self._handshakes: dict[tuple[str, str], float] = {}
         self.outcomes: list[RequestOutcome] = []
         self.ledger = RelayLedger()
         self._online = OnlineSet(self.peers)
-        self._requests: dict[int, _Request] = {}
         self._heap: list = []
         self._seq = 0
         self._now = 0.0
         self._ran = False
 
-    def _schedule(self, time: float, kind: str, payload: int | None = None) -> None:
+    def _schedule(self, time: float, priority: int, payload) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, EVENT_PRIORITY[kind], self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, priority, self._seq, payload))
 
     def run(self) -> MetricsReport:
         """Process events until the horizon, then aggregate metrics."""
@@ -291,53 +254,46 @@ class Simulation:
         self._ran = True
         # Only relay candidate draws read the online set, so no-relay runs
         # skip its arrival and departure events.
-        track_online = self.strategy != "no-relay"
+        track_online = self.cfg.strategy != "no-relay"
         for p in self.peers.values():
             if track_online:
-                self._schedule(p.join_time, "peer-arrival", p.id)
+                self._schedule(p.join_time, PEER_ARRIVAL, p)
                 if math.isfinite(p.departure_time):
-                    self._schedule(p.departure_time, "peer-departure", p.id)
-            self._schedule(p.join_time, "request-issue", p.id)
-        handlers = {
-            "attempt-complete": self._on_resolve,
-            "attempt-abort": self._on_resolve,
-            "peer-departure": self._on_departure,
-            "peer-arrival": self._on_arrival,
-            "request-issue": self._on_request_issue,
-        }
+                    self._schedule(p.departure_time, PEER_DEPARTURE, p)
+            self._schedule(p.join_time, REQUEST_ISSUE, p)
+        handlers = (self._on_resolve, self._on_resolve, self._on_departure,
+                    self._on_arrival, self._on_request_issue)
         horizon = self.cfg.sim_duration
         while self._heap:
-            t, _, _, kind, payload = heapq.heappop(self._heap)
+            t, priority, _, payload = heapq.heappop(self._heap)
             if t > horizon:
                 break
             self._now = t
-            handlers[kind](payload)
-        for req in self._requests.values():
-            if req.outcome.end_time is None:
-                req.outcome.end_time = horizon
+            handlers[priority](payload)
+        for out in self.outcomes:
+            if out.end_time is None:
+                out.end_time = horizon
         # A region of None (trace replay) matches no city.
         region_ids = frozenset(p.id for p in self.peers.values()
                                if p.city == self.scenario.region)
         return collect_metrics(self.outcomes, self.scenario.affected or frozenset(),
                                region_ids)
 
-    def _on_arrival(self, pid: int) -> None:
-        peer = self.peers[pid]
+    def _on_arrival(self, peer: Peer) -> None:
         if peer.departure_time > self._now:   # zero-length sessions never come online
             self._online.add(peer)
 
-    def _on_departure(self, pid: int) -> None:
-        self._online.discard(self.peers[pid])
+    def _on_departure(self, peer: Peer) -> None:
+        self._online.discard(peer)
 
-    def _on_request_issue(self, pid: int) -> None:
-        peer = self.peers[pid]
+    def _on_request_issue(self, peer: Peer) -> None:
         t = self._now
         out = RequestOutcome(peer.id, self.content.size_kb, t)
-        req = _Request(out)
+        req = _Request(out, peer)
         self.outcomes.append(out)
-        self._requests[peer.id] = req
-        if can_connect(peer.id, SERVER, t, self.scenario):
-            t_end = t + self._server_handshake + self.content.size_kbits / peer.downlink_kbps
+        if not self.scenario.cut_off(peer.id, t):
+            t_end = (t + self._handshake(peer.city, peer.city)
+                     + self.content.size_kbits / peer.downlink_kbps)
             if t_end <= peer.departure_time:
                 self._pend(req, AttemptPlan("success", t_end))
             else:
@@ -349,18 +305,53 @@ class Simulation:
         self._start_next_attempt(req, t)
 
     def _make_candidates(self, peer: Peer, t: float) -> RelayCandidateList:
-        if self.strategy == "no-relay":
+        strategy = self.cfg.strategy
+        if strategy == "no-relay":
             return no_relay_list()
         rng = _stream(self.cfg.rng_seed, _STREAM_SELECT, peer.id)
-        if self.strategy == "random":
+        if strategy == "random":
             return random_relay_list(peer, self._online, self.cfg.zeta, rng)
         return generate_relay_list(
             peer, self._online, alpha=self.cfg.alpha, gamma=self.cfg.gamma,
             zeta=self.cfg.zeta, rng=rng, t=t, tts=self.tts,
             workload_mode=self.cfg.workload_mode, ledger=self.ledger)
 
+    def _handshake(self, requester_city: str, relay_city: str) -> float:
+        key = (requester_city, relay_city)
+        seconds = self._handshakes.get(key)
+        if seconds is None:
+            dist = self.city_table.distance_km(requester_city, relay_city)
+            seconds = self._handshakes[key] = 2.0 * latency_ms(
+                dist, self.cfg.latency_base_ms, self.cfg.latency_per_km_ms) / 1000.0
+        return seconds
+
+    def _plan_attempt(self, relay: Peer, requester: Peer, t: float) -> AttemptPlan:
+        """Decide how a single relay attempt plays out, without side effects.
+
+        A relay that is offline or cut off is rejected. Otherwise the
+        transfer rate is fixed at start: the smaller of the relay's free
+        uplink, the requester's downlink, and the relay's fair downlink
+        share across its current workload plus this transfer, both read
+        from the run's ledger. Every attempt pays a two-way handshake at
+        the city-to-city latency.
+        """
+        handshake = self._handshake(requester.city, relay.city)
+        if not relay.online(t) or self.scenario.cut_off(relay.id, t):
+            return AttemptPlan("reject", t + handshake)
+        ledger = self.ledger
+        rate = min(ledger.uplink_free_kbps(relay), requester.downlink_kbps,
+                   relay.downlink_kbps / (ledger.workload.get(relay.id, 0) + 1))
+        if rate <= RATE_EPS:
+            return AttemptPlan("reject", t + handshake)
+        t_end = t + handshake + self.content.size_kbits / rate
+        if t_end <= relay.departure_time and t_end <= requester.departure_time:
+            return AttemptPlan("success", t_end, rate)
+        if requester.departure_time <= relay.departure_time:
+            return AttemptPlan("requester-lost", requester.departure_time, rate)
+        return AttemptPlan("relay-lost", relay.departure_time, rate)
+
     def _start_next_attempt(self, req: _Request, t: float) -> None:
-        requester = self.peers[req.outcome.requester_id]
+        requester = req.requester
         if t >= requester.departure_time:
             self._finalize(req, None, requester.departure_time)
             return
@@ -370,20 +361,17 @@ class Simulation:
         relay = self.peers[req.candidates[req.next_index]]
         req.next_index += 1
         req.outcome.attempts += 1
-        plan = _plan_attempt(relay, requester, self.content, t, self.scenario,
-                             self.ledger, self.city_table, self.cfg.latency_base_ms,
-                             self.cfg.latency_per_km_ms)
+        plan = self._plan_attempt(relay, requester, t)
         if plan.rate_kbps > 0:
             self.ledger.commit(relay, plan.rate_kbps)
         self._pend(req, plan, relay)
 
     def _pend(self, req: _Request, plan: AttemptPlan, relay: Peer | None = None) -> None:
         req.pending = (plan, relay)
-        kind = "attempt-complete" if plan.verdict == "success" else "attempt-abort"
-        self._schedule(plan.resolve_time, kind, req.outcome.requester_id)
+        priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
+        self._schedule(plan.resolve_time, priority, req)
 
-    def _on_resolve(self, pid: int) -> None:
-        req = self._requests[pid]
+    def _on_resolve(self, req: _Request) -> None:
         plan, relay = req.pending
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
@@ -395,12 +383,10 @@ class Simulation:
             self._start_next_attempt(req, self._now)
 
     def _finalize(self, req: _Request, served_by, end_time: float) -> None:
-        out = req.outcome
-        out.served_by = served_by
-        out.end_time = end_time
-        del self._requests[out.requester_id]
+        req.outcome.served_by = served_by
+        req.outcome.end_time = end_time
 
 
-def run(cfg: SimConfig, strategy: str | None = None) -> MetricsReport:
+def run(cfg: SimConfig) -> MetricsReport:
     """Build a Simulation from cfg and run it to completion."""
-    return Simulation(cfg, strategy=strategy).run()
+    return Simulation(cfg).run()

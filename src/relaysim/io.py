@@ -258,8 +258,7 @@ def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> list
                     [rec.duration for rec in records]))
 
 
-def run_trace(records, cfg: SimConfig,
-              strategy: str | None = None) -> tuple[MetricsReport, list[RequestOutcome]]:
+def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, list[RequestOutcome]]:
     """Replay a trace: sessions and the affected set come from the file.
 
     Rows flagged fetch_failure form the affected set of a failure window
@@ -281,7 +280,7 @@ def run_trace(records, cfg: SimConfig,
                 f"trace timestamps to start near 0")
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
     affected = frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)
-    sim = Simulation(cfg, strategy=strategy, peers=build_trace_peers(records, cfg, rng),
+    sim = Simulation(cfg, peers=build_trace_peers(records, cfg, rng),
                      scenario=FailureScenario(None, 0.0, affected=affected))
     return sim.run(), sim.outcomes
 
@@ -303,8 +302,8 @@ class SweepSpec:
         if not (self.content_sizes_kb and self.failure_ratios
                 and self.strategies and self.seeds):
             raise ValueError("sweep axes must be non-empty")
-        if any(s <= 0 for s in self.content_sizes_kb):
-            raise ValueError("content sizes must be positive")
+        if any(not 0 < s < math.inf for s in self.content_sizes_kb):
+            raise ValueError("content sizes must be positive and finite")
         if any(not 0.0 <= r <= 1.0 for r in self.failure_ratios):
             raise ValueError("failure ratios must lie in [0, 1]")
         if any(s not in STRATEGIES for s in self.strategies):

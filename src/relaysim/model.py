@@ -207,12 +207,12 @@ def config_errors(cfg: SimConfig) -> list[str]:
             errs.append(f"city_table[{name}]: coordinates out of range")
     if cfg.isp_count < 1:
         errs.append("isp_count: must be at least 1")
-    if cfg.arrival_rate_lambda <= 0:
-        errs.append("arrival_rate_lambda: must be positive")
-    if cfg.pareto_shape is not None and cfg.pareto_shape <= 0:
-        errs.append("pareto_shape: must be positive when set")
-    if cfg.pareto_scale_min is not None and cfg.pareto_scale_min <= 0:
-        errs.append("pareto_scale_min: must be positive when set")
+    if not 0 < cfg.arrival_rate_lambda < math.inf:
+        errs.append("arrival_rate_lambda: must be positive and finite")
+    if cfg.pareto_shape is not None and not 0 < cfg.pareto_shape < math.inf:
+        errs.append("pareto_shape: must be positive and finite when set")
+    if cfg.pareto_scale_min is not None and not 0 < cfg.pareto_scale_min < math.inf:
+        errs.append("pareto_scale_min: must be positive and finite when set")
     if not 0.0 <= cfg.alpha <= 1.0:
         errs.append("alpha: must lie in [0, 1]")
     if not 0.0 <= cfg.gamma <= 1.0:
@@ -225,14 +225,14 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("failure_ratio: must lie in [0, 1]")
     if cfg.failure_region not in cfg.city_table:
         errs.append(f"failure_region: unknown city {cfg.failure_region!r}")
-    if cfg.failure_start < 0:
-        errs.append("failure_start: must be non-negative")
+    if not 0 <= cfg.failure_start < math.inf:
+        errs.append("failure_start: must be non-negative and finite")
     if not cfg.failure_start < cfg.failure_end:
         errs.append("failure_start: must precede failure_end")
-    if cfg.content_size_kb <= 0:
-        errs.append("content_size_kb: must be positive")
-    if not cfg.content_sizes_kb or any(s <= 0 for s in cfg.content_sizes_kb):
-        errs.append("content_sizes_kb: must be a non-empty list of positive sizes")
+    if not 0 < cfg.content_size_kb < math.inf:
+        errs.append("content_size_kb: must be positive and finite")
+    if not cfg.content_sizes_kb or any(not 0 < s < math.inf for s in cfg.content_sizes_kb):
+        errs.append("content_sizes_kb: must be a non-empty list of positive finite sizes")
     if not cfg.uplink_profile:
         errs.append("uplink_profile: must not be empty")
     else:
@@ -243,19 +243,21 @@ def config_errors(cfg: SimConfig) -> list[str]:
             errs.append("uplink_profile: probabilities must be finite and non-negative")
         elif abs(sum(probs) - 1.0) > 1e-9:
             errs.append("uplink_profile: probabilities must sum to 1")
-    if cfg.downlink_factor <= 0:
-        errs.append("downlink_factor: must be positive")
-    if cfg.latency_base_ms < 0:
-        errs.append("latency_base_ms: must be non-negative")
-    if cfg.latency_per_km_ms < 0:
-        errs.append("latency_per_km_ms: must be non-negative")
+    if not 0 < cfg.downlink_factor < math.inf:
+        errs.append("downlink_factor: must be positive and finite")
+    if not 0 <= cfg.latency_base_ms < math.inf:
+        errs.append("latency_base_ms: must be non-negative and finite")
+    if not 0 <= cfg.latency_per_km_ms < math.inf:
+        errs.append("latency_per_km_ms: must be non-negative and finite")
     if len(cfg.tts_coeffs) != 3:
         errs.append("tts_coeffs: expected exactly three coefficients")
-    if cfg.tts_clamp_min <= 0:
-        errs.append("tts_clamp_min: must be positive")
+    elif not all(map(math.isfinite, cfg.tts_coeffs)):
+        errs.append("tts_coeffs: coefficients must be finite")
+    if not 0 < cfg.tts_clamp_min < math.inf:
+        errs.append("tts_clamp_min: must be positive and finite")
     if cfg.strategy not in STRATEGIES:
         errs.append(f"strategy: must be one of {STRATEGIES}")
-    if cfg.sim_duration <= 0:
+    if not cfg.sim_duration > 0:   # inf is allowed, NaN is not
         errs.append("sim_duration: must be positive")
     return errs
 

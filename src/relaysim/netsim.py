@@ -3,7 +3,10 @@
 Connectivity follows the in-network failure model: a failed region
 partitions its affected peers from the server and from each other, while
 paths between an affected peer and an unaffected peer stay usable. That
-asymmetry is what makes relay delivery through unaffected peers work.
+asymmetry is what makes relay delivery through unaffected peers work, and
+why one predicate, FailureScenario.cut_off, decides every path: a
+requester that is not cut off reaches the server, and a relay that is not
+cut off reaches both the server and any requester.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from relaysim.model import DEFAULT_UPLINK_PROFILE, Peer, RelayLedger
+from relaysim.model import DEFAULT_UPLINK_PROFILE, Peer
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -165,13 +168,11 @@ class FailureScenario:
     def resolved(self) -> bool:
         return self.affected is not None
 
-    def active(self, t: float) -> bool:
-        """True inside the window [start_time, end_time)."""
-        return self.start_time <= t < self.end_time
-
-    def is_affected(self, endpoint, t: float) -> bool:
-        return (endpoint != SERVER and self.resolved and self.active(t)
-                and endpoint in self.affected)
+    def cut_off(self, pid: int, t: float) -> bool:
+        """True when peer pid is affected and t lies in [start_time, end_time);
+        always False for an unresolved scenario."""
+        return (self.affected is not None and pid in self.affected
+                and self.start_time <= t < self.end_time)
 
 
 def inject_failure(scenario: FailureScenario, peers: list[Peer],
@@ -193,32 +194,3 @@ def inject_failure(scenario: FailureScenario, peers: list[Peer],
     else:
         affected = frozenset()
     return replace(scenario, affected=affected)
-
-
-def can_connect(x, y, t: float, scenario: FailureScenario | None) -> bool:
-    """Whether endpoints x and y (peer ids or SERVER) can reach each other at t.
-
-    While the failure window is active: affected<->server is broken,
-    affected<->affected is broken, affected<->unaffected still works.
-    """
-    if scenario is None or not scenario.resolved or not scenario.active(t):
-        return True
-    ax = x != SERVER and x in scenario.affected
-    ay = y != SERVER and y in scenario.affected
-    if ax and ay:
-        return False
-    if (ax and y == SERVER) or (ay and x == SERVER):
-        return False
-    return True
-
-
-def available_throughput(relay: Peer, requester: Peer, t: float,
-                         scenario: FailureScenario | None,
-                         ledger: RelayLedger) -> float:
-    """Usable kbps on the relay->requester path at t; 0 when unreachable.
-
-    The relay's free uplink is read from the run's ledger.
-    """
-    if not can_connect(relay.id, requester.id, t, scenario):
-        return 0.0
-    return max(0.0, min(ledger.uplink_free_kbps(relay), requester.downlink_kbps))

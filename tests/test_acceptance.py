@@ -114,9 +114,8 @@ def test_criterion_2_total_failure_resilience():
     path_means, norelay_match, affected_zero = [], [], []
     for seed in DESK_SEEDS:
         cell = replace(cfg, rng_seed=seed)
-        path_means.append(run(replace(cell, strategy="path-aware"),
-                              "path-aware").success_ratio)
-        report = run(replace(cell, strategy="no-relay"), "no-relay")
+        path_means.append(run(replace(cell, strategy="path-aware")).success_ratio)
+        report = run(replace(cell, strategy="no-relay"))
         affected_zero.append(report.affected_success_ratio == 0.0)
         norelay_match.append(
             report.success_ratio == _no_relay_accounting_oracle(cell))
@@ -140,7 +139,7 @@ def _no_relay_accounting_oracle(cfg: SimConfig) -> float:
                                  cfg.latency_per_km_ms) / 1000.0
     served = 0
     for p in peers:
-        if scenario.is_affected(p.id, p.join_time):
+        if scenario.cut_off(p.id, p.join_time):
             continue
         end = p.join_time + handshake + cfg.content_size_kb * 8.0 / p.downlink_kbps
         if end <= p.departure_time:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,11 @@ from hypothesis import strategies as st
 
 from relaysim import engine
 from relaysim.engine import (
-    EVENT_PRIORITY,
+    ATTEMPT_ABORT,
+    ATTEMPT_COMPLETE,
+    PEER_ARRIVAL,
+    PEER_DEPARTURE,
+    REQUEST_ISSUE,
     MetricsReport,
     RequestOutcome,
     Simulation,
@@ -42,11 +47,10 @@ def small_cfg(**kw):
 
 class TestEventOrdering:
     def test_priorities(self):
-        p = EVENT_PRIORITY
         # departures strictly before arrivals before request issues
-        assert p["peer-departure"] < p["peer-arrival"] < p["request-issue"]
+        assert PEER_DEPARTURE < PEER_ARRIVAL < REQUEST_ISSUE
         # deliveries before aborts before departures at the same instant
-        assert p["attempt-complete"] < p["attempt-abort"] < p["peer-departure"]
+        assert ATTEMPT_COMPLETE < ATTEMPT_ABORT < PEER_DEPARTURE
 
 
 class TestCollectMetrics:
@@ -320,7 +324,7 @@ class TestAttemptDownload:
 
 class TestSimulation:
     def test_no_failure_no_relay_full_success(self):
-        rep = run(small_cfg(failure_ratio=0.0), strategy="no-relay")
+        rep = run(small_cfg(failure_ratio=0.0, strategy="no-relay"))
         assert rep.success_ratio == 1.0
         assert rep.served_by_relay == 0
         assert rep.relay_phase_requests == 0
@@ -344,7 +348,8 @@ class TestSimulation:
         peers, scenario = draw_population(cfg)
         before = copy.deepcopy(peers)
         for strategy in ("random", "path-aware"):
-            sim = Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
+            sim = Simulation(replace(cfg, strategy=strategy), peers=peers,
+                             scenario=scenario)
             sim.run()
             assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
             assert sim.ledger.fetch_failed
@@ -354,8 +359,9 @@ class TestSimulation:
         cfg = small_cfg(rng_seed=4)
         peers, scenario = draw_population(cfg)
         for strategy in ("no-relay", "random", "path-aware"):
-            shared = Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
-            own = Simulation(cfg, strategy=strategy)
+            cell = replace(cfg, strategy=strategy)
+            shared = Simulation(cell, peers=peers, scenario=scenario)
+            own = Simulation(cell)
             assert shared.run() == own.run()
             assert shared.outcomes == own.outcomes
 
@@ -388,8 +394,8 @@ class TestSimulation:
 
     def test_population_shared_across_strategies(self):
         cfg = small_cfg(rng_seed=9)
-        a = Simulation(cfg, strategy="random")
-        b = Simulation(cfg, strategy="path-aware")
+        a = Simulation(replace(cfg, strategy="random"))
+        b = Simulation(replace(cfg, strategy="path-aware"))
         assert list(a.peers.values()) == list(b.peers.values())
         assert a.scenario.affected == b.scenario.affected
 
@@ -401,13 +407,13 @@ class TestSimulation:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            Simulation(small_cfg(), strategy="psychic")
+            Simulation(small_cfg(strategy="psychic"))
 
     def test_relay_strategies_beat_no_relay_here(self):
         cfg = small_cfg(peer_count=200, sim_duration=1800.0)
-        no_relay = run(cfg, strategy="no-relay")
-        random_rep = run(cfg, strategy="random")
-        path = run(cfg, strategy="path-aware")
+        no_relay = run(replace(cfg, strategy="no-relay"))
+        random_rep = run(replace(cfg, strategy="random"))
+        path = run(replace(cfg, strategy="path-aware"))
         assert random_rep.success_ratio > no_relay.success_ratio
         assert path.success_ratio > no_relay.success_ratio
         assert no_relay.affected_success_ratio == 0.0
@@ -444,7 +450,7 @@ class TestSimulation:
         # the same instant, so admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
         scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset({1}))
-        sim = OnlineSnapshotSimulation(small_cfg(), strategy="random", peers=peers,
+        sim = OnlineSnapshotSimulation(small_cfg(strategy="random"), peers=peers,
                                        scenario=scenario)
         sim.run()
         # peer 1 alone was online, in its own bucket, when it drew its list
@@ -461,7 +467,7 @@ class TestSimulation:
             assert label != engine._STREAM_SELECT
             return real(seed, label, *key)
         monkeypatch.setattr(engine, "_stream", no_select)
-        rep = run(small_cfg(), strategy="no-relay")
+        rep = run(small_cfg(strategy="no-relay"))
         assert rep.relay_phase_requests > 0
 
 
@@ -480,15 +486,15 @@ class OnlineSnapshotSimulation(Simulation):
 
 
 class EventCountingSimulation(Simulation):
-    """Simulation that counts the events it schedules, by kind."""
+    """Simulation that counts the events it schedules, by priority."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.scheduled = dict.fromkeys(EVENT_PRIORITY, 0)
+        self.scheduled = [0] * (REQUEST_ISSUE + 1)
 
-    def _schedule(self, time, kind, payload=None):
-        self.scheduled[kind] += 1
-        super()._schedule(time, kind, payload)
+    def _schedule(self, time, priority, payload):
+        self.scheduled[priority] += 1
+        super()._schedule(time, priority, payload)
 
 
 class EmptyListSimulation(EventCountingSimulation):
@@ -503,16 +509,16 @@ class TestNoRelaySkipsOnlineSet:
     def test_no_arrival_or_departure_events(self):
         cfg = small_cfg(rng_seed=3)
         peers, scenario = draw_population(cfg)
-        skipped = EventCountingSimulation(cfg, strategy="no-relay", peers=peers,
+        skipped = EventCountingSimulation(replace(cfg, strategy="no-relay"), peers=peers,
                                           scenario=scenario)
-        tracked = EmptyListSimulation(cfg, strategy="random", peers=peers,
+        tracked = EmptyListSimulation(replace(cfg, strategy="random"), peers=peers,
                                       scenario=scenario)
         assert skipped.run() == tracked.run()
         assert skipped.outcomes == tracked.outcomes
-        assert skipped.scheduled["peer-arrival"] == skipped.scheduled["peer-departure"] == 0
-        assert skipped.scheduled["request-issue"] == len(peers)
-        assert tracked.scheduled["peer-arrival"] == len(peers)
-        assert tracked.scheduled["peer-departure"] > 0
+        assert skipped.scheduled[PEER_ARRIVAL] == skipped.scheduled[PEER_DEPARTURE] == 0
+        assert skipped.scheduled[REQUEST_ISSUE] == len(peers)
+        assert tracked.scheduled[PEER_ARRIVAL] == len(peers)
+        assert tracked.scheduled[PEER_DEPARTURE] > 0
         assert skipped._online.ids == []
         assert any(o.entered_relay_phase for o in skipped.outcomes)
 
@@ -549,17 +555,17 @@ def small_runs(draw):
                     zeta=draw(st.integers(1, 4)),
                     content_size_kb=draw(st.sampled_from((100.0, 512.0, 2000.0))),
                     workload_mode=draw(st.sampled_from(("utilization", "count"))),
+                    strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
                     sim_duration=math.inf)
-    strategy = draw(st.sampled_from(("no-relay", "random", "path-aware")))
-    return cfg, strategy, peers, scenario
+    return cfg, peers, scenario
 
 
 class TestProtocolProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_runs())
     def test_every_request_ends_once_and_consistently(self, run_args):
-        cfg, strategy, peers, scenario = run_args
-        sim = RecordingSimulation(cfg, strategy=strategy, peers=peers, scenario=scenario)
+        cfg, peers, scenario = run_args
+        sim = RecordingSimulation(cfg, peers=peers, scenario=scenario)
         sim.run()
         assert sorted(o.requester_id for o in sim.outcomes) == [p.id for p in peers]
         for o in sim.outcomes:
@@ -591,19 +597,19 @@ class TestProtocolProperties:
     def test_committed_rate_fits_free_uplink_and_downlink(self, run_args):
         # _start_next_attempt commits a plan's rate the moment it is planned,
         # so the ledger read here is the ledger at commit time.
-        cfg, strategy, peers, scenario = run_args
-        real, commits = engine._plan_attempt, []
+        cfg, peers, scenario = run_args
+        real, commits = Simulation._plan_attempt, []
 
-        def checked(relay, requester, content, t, scenario, ledger, *rest):
-            plan = real(relay, requester, content, t, scenario, ledger, *rest)
+        def checked(sim, relay, requester, t):
+            plan = real(sim, relay, requester, t)
             if plan.rate_kbps > 0:
-                commits.append((plan.rate_kbps, ledger.uplink_free_kbps(relay),
+                commits.append((plan.rate_kbps, sim.ledger.uplink_free_kbps(relay),
                                 requester.downlink_kbps))
             return plan
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_plan_attempt", checked)
-            Simulation(cfg, strategy=strategy, peers=peers, scenario=scenario).run()
+            mp.setattr(Simulation, "_plan_attempt", checked)
+            Simulation(cfg, peers=peers, scenario=scenario).run()
         for rate, free_uplink, downlink in commits:
             assert rate <= min(free_uplink, downlink) + RATE_EPS
 
@@ -612,12 +618,12 @@ class TestProtocolProperties:
     def test_peer_order_does_not_matter_with_distinct_joins(self, run_args, data):
         # With equal join times, arrivals and requests at one instant run in
         # list order, so only distinct joins are order-free.
-        cfg, strategy, peers, scenario = run_args
+        cfg, peers, scenario = run_args
         quarters = data.draw(st.lists(st.integers(0, 40), min_size=len(peers),
                                       max_size=len(peers), unique=True))
         peers = [dataclasses.replace(p, join_time=q / 4.0) for p, q in zip(peers, quarters)]
         shuffled = data.draw(st.permutations(peers))
-        runs = [Simulation(cfg, strategy=strategy, peers=order, scenario=scenario)
+        runs = [Simulation(cfg, peers=order, scenario=scenario)
                 for order in (peers, shuffled)]
         reports = [sim.run() for sim in runs]
         assert reports[0] == reports[1]

@@ -274,8 +274,8 @@ class TestSynthesisAndReplay:
 
     def test_run_trace_failure_rows_enter_relay_phase(self):
         records = synthesize_trace(80, seed=6, fail_fraction=0.25)
-        cfg = SimConfig(peer_count=80, rng_seed=0)
-        report, outcomes = run_trace(records, cfg, strategy="no-relay")
+        cfg = SimConfig(peer_count=80, rng_seed=0, strategy="no-relay")
+        report, outcomes = run_trace(records, cfg)
         flagged = {i for i, r in enumerate(records) if r.fetch_failure}
         assert report.total_requests == 80
         for o in outcomes:
@@ -288,8 +288,8 @@ class TestSynthesisAndReplay:
     def test_run_trace_relay_recovers_some(self):
         records = synthesize_trace(120, seed=8, fail_fraction=0.3)
         cfg = SimConfig(peer_count=120, rng_seed=0)
-        no_relay, _ = run_trace(records, cfg, strategy="no-relay")
-        path, _ = run_trace(records, cfg, strategy="path-aware")
+        no_relay, _ = run_trace(records, replace(cfg, strategy="no-relay"))
+        path, _ = run_trace(records, replace(cfg, strategy="path-aware"))
         assert path.success_ratio > no_relay.success_ratio
 
     def test_run_trace_without_records_raises(self):
@@ -323,6 +323,9 @@ class TestSweep:
             SweepSpec(failure_ratios=(1.2,))
         with pytest.raises(ValueError):
             SweepSpec(strategies=("telepathy",))
+        for size in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(content_sizes_kb=(size, 1000.0))
 
     def test_cross_product_row_count(self):
         spec = SweepSpec(failure_ratios=(0.6,), seeds=(0,))
@@ -398,7 +401,7 @@ class TestSweep:
         real_run = Simulation.run
 
         def flaky(self):
-            if self.strategy == "random":
+            if self.cfg.strategy == "random":
                 raise RuntimeError("random cell broke")
             return real_run(self)
         monkeypatch.setattr(Simulation, "run", flaky)
@@ -514,6 +517,27 @@ class TestCli:
 
     def test_unknown_config_key_exit_2(self, capsys):
         assert main(["run", "--set", "warpdrive=1"]) == 2
+
+    def test_run_nan_size_exit_2(self, capsys):
+        assert main(["run", *self.run_flags(), "--size", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: content_size_kb" in captured.err
+
+    def test_sweep_nan_size_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *self.run_flags(), "--sizes", "nan,1000",
+                     "--out", str(out)]) == 2
+        assert "content sizes must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_nan_latency_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        write_trace_csv(synthesize_trace(20, seed=1), trace)
+        assert main(["trace", "--file", str(trace), "--set", "latency_base_ms=nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: latency_base_ms" in captured.err
 
     def test_sweep_grid_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -657,13 +681,25 @@ class TestGoldenOutputs:
     }
     TRACE = "5c3b3f9af142f377b33e49865e623a136f0e73a46da548952842110fc1866b6f"
 
-    @pytest.mark.parametrize("strategy", sorted(OUTCOMES))
-    def test_outcomes_csv_digest(self, strategy, tmp_path):
-        sim = Simulation(self.CFG, strategy=strategy)
+    # A failure window that opens and closes inside the run, with the
+    # count workload filter.
+    WINDOW_CFG = replace(CFG, peer_count=600, failure_start=200.0, failure_end=900.0,
+                         workload_mode="count", strategy="path-aware")
+    WINDOW_OUTCOMES = "58cbe2d236ca4589b771afca8ef771d55ea758e8ff81ef3dee107cc95abef970"
+
+    def outcomes_digest(self, cfg, tmp_path):
+        sim = Simulation(cfg)
         sim.run()
         write_outcomes_csv(sim.outcomes, tmp_path / "o.csv")
-        digest = hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest()
+        return hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("strategy", sorted(OUTCOMES))
+    def test_outcomes_csv_digest(self, strategy, tmp_path):
+        digest = self.outcomes_digest(replace(self.CFG, strategy=strategy), tmp_path)
         assert digest == self.OUTCOMES[strategy]
+
+    def test_finite_window_count_mode_digest(self, tmp_path):
+        assert self.outcomes_digest(self.WINDOW_CFG, tmp_path) == self.WINDOW_OUTCOMES
 
     def test_synthesized_trace_digest(self, tmp_path):
         write_trace_csv(synthesize_trace(40, seed=5, fail_fraction=0.3), tmp_path / "t.csv")

@@ -113,6 +113,35 @@ class TestConfigValidation:
         ("downlink_factor", 0.0, "downlink_factor"),
         ("sim_duration", 0.0, "sim_duration"),
         ("pareto_shape", -2.0, "pareto_shape"),
+        # NaN passes no comparison, so every float field must reject it;
+        # inf is rejected except for sim_duration and failure_end.
+        ("arrival_rate_lambda", math.nan, "arrival_rate_lambda"),
+        ("arrival_rate_lambda", math.inf, "arrival_rate_lambda"),
+        ("pareto_shape", math.nan, "pareto_shape"),
+        ("pareto_shape", math.inf, "pareto_shape"),
+        ("pareto_scale_min", math.nan, "pareto_scale_min"),
+        ("pareto_scale_min", math.inf, "pareto_scale_min"),
+        ("alpha", math.nan, "alpha"),
+        ("gamma", math.nan, "gamma"),
+        ("failure_ratio", math.nan, "failure_ratio"),
+        ("failure_start", math.nan, "failure_start"),
+        ("failure_start", math.inf, "failure_start"),
+        ("failure_end", math.nan, "failure_end"),
+        ("content_size_kb", math.nan, "content_size_kb"),
+        ("content_size_kb", math.inf, "content_size_kb"),
+        ("content_sizes_kb", (math.nan, 1000.0), "content_sizes_kb"),
+        ("content_sizes_kb", (500.0, math.inf), "content_sizes_kb"),
+        ("downlink_factor", math.nan, "downlink_factor"),
+        ("downlink_factor", math.inf, "downlink_factor"),
+        ("latency_base_ms", math.nan, "latency_base_ms"),
+        ("latency_base_ms", math.inf, "latency_base_ms"),
+        ("latency_per_km_ms", math.nan, "latency_per_km_ms"),
+        ("latency_per_km_ms", math.inf, "latency_per_km_ms"),
+        ("tts_coeffs", (math.nan, 0.97, 3.5), "tts_coeffs"),
+        ("tts_coeffs", (-0.0076, math.inf, 3.5), "tts_coeffs"),
+        ("tts_clamp_min", math.nan, "tts_clamp_min"),
+        ("tts_clamp_min", math.inf, "tts_clamp_min"),
+        ("sim_duration", math.nan, "sim_duration"),
     ])
     def test_single_field_violations(self, field, value, tag):
         errs = config_errors(SimConfig(**{field: value}))

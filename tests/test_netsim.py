@@ -1,20 +1,18 @@
-"""Geography, bandwidth, failure model, and connectivity tests."""
+"""Geography, bandwidth, failure model, connectivity and attempt-rate tests."""
 
 import math
 
 import numpy as np
 import pytest
 
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, RelayLedger
+from relaysim.engine import Simulation
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, SimConfig
 from relaysim.netsim import (
-    SERVER,
     CityTable,
     FailureScenario,
     UnknownCityError,
     assign_bandwidth,
     assign_isp,
-    available_throughput,
-    can_connect,
     haversine_km,
     inject_failure,
     latency_ms,
@@ -234,10 +232,10 @@ class TestFailureInjection:
     def test_window_half_open(self):
         scen = FailureScenario(region="Beijing", ratio=1.0, start_time=10.0,
                                end_time=20.0, affected=frozenset({1}))
-        assert not scen.active(9.999)
-        assert scen.active(10.0)
-        assert scen.active(19.999)
-        assert not scen.active(20.0)
+        assert not scen.cut_off(1, 9.999)
+        assert scen.cut_off(1, 10.0)       # start edge inclusive
+        assert scen.cut_off(1, 19.999)
+        assert not scen.cut_off(1, 20.0)   # end edge exclusive
 
 
 class TestConnectivity:
@@ -248,69 +246,64 @@ class TestConnectivity:
     def test_truth_table_during_window(self):
         scen = self.scenario({1, 2})
         t = 5.0
-        assert can_connect(1, SERVER, t, scen) is False
-        assert can_connect(SERVER, 1, t, scen) is False
-        assert can_connect(1, 2, t, scen) is False
-        assert can_connect(1, 3, t, scen) is True
-        assert can_connect(3, 1, t, scen) is True
-        assert can_connect(3, SERVER, t, scen) is True
-        assert can_connect(3, 4, t, scen) is True
-        assert can_connect(SERVER, SERVER, t, scen) is True
-
-    def test_symmetry(self):
-        scen = self.scenario({1, 2})
-        endpoints = [1, 2, 3, SERVER]
-        for x in endpoints:
-            for y in endpoints:
-                assert can_connect(x, y, 0.0, scen) == can_connect(y, x, 0.0, scen)
+        assert scen.cut_off(1, t) is True
+        assert scen.cut_off(2, t) is True
+        assert scen.cut_off(3, t) is False
+        assert scen.cut_off(4, t) is False
 
     def test_outside_window(self):
         scen = self.scenario({1, 2}, start=10.0, end=20.0)
         for t in (9.9, 20.0, 100.0):
-            assert can_connect(1, SERVER, t, scen)
-            assert can_connect(1, 2, t, scen)
+            assert not scen.cut_off(1, t)
+            assert not scen.cut_off(2, t)
 
     def test_no_scenario(self):
-        assert can_connect(1, SERVER, 0.0, None)
-        assert can_connect(1, 2, 0.0, FailureScenario(region="Beijing", ratio=0.5))
+        # An unresolved scenario names a region but cuts no peer off.
+        assert not FailureScenario(region="Beijing", ratio=0.5).cut_off(1, 0.0)
+
+
+def plan_attempt(relay, requester, in_use=None, affected=()):
+    """Simulation._plan_attempt at t = 0 on a two-peer run with the relay's
+    uplink partly in use."""
+    scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset(affected))
+    sim = Simulation(SimConfig(peer_count=2, content_size_kb=512.0),
+                     peers=[relay, requester], scenario=scenario)
+    sim.ledger.in_use_kbps.update(in_use or {})
+    return sim._plan_attempt(relay, requester, 0.0)
 
 
 class TestThroughput:
     def test_min_of_legs(self):
         relay = make_peer(1, uplink_kbps=1024.0)
         req = make_peer(2, downlink_kbps=4096.0)
-        assert available_throughput(relay, req, 0.0, None, RelayLedger()) == 1024.0
+        assert plan_attempt(relay, req).rate_kbps == 1024.0
 
     def test_requester_downlink_binds(self):
         relay = make_peer(1, uplink_kbps=10240.0)
         req = make_peer(2, downlink_kbps=2048.0)
-        assert available_throughput(relay, req, 0.0, None, RelayLedger()) == 2048.0
+        assert plan_attempt(relay, req).rate_kbps == 2048.0
 
     def test_saturated_relay(self):
         relay = make_peer(1, uplink_kbps=1024.0)
-        ledger = RelayLedger(in_use_kbps={1: 1024.0})
-        req = make_peer(2)
-        assert available_throughput(relay, req, 0.0, None, ledger) == 0.0
+        plan = plan_attempt(relay, make_peer(2), in_use={1: 1024.0})
+        assert plan.verdict == "reject" and plan.rate_kbps == 0.0
 
     def test_partial_commitment(self):
         relay = make_peer(1, uplink_kbps=1024.0)
-        ledger = RelayLedger(in_use_kbps={1: 600.0})
         req = make_peer(2, downlink_kbps=4096.0)
-        assert available_throughput(relay, req, 0.0, None, ledger) == pytest.approx(424.0)
+        assert plan_attempt(relay, req, in_use={1: 600.0}).rate_kbps == pytest.approx(424.0)
 
     def test_disconnected_pair(self):
-        scen = FailureScenario(region="Beijing", ratio=0.6,
-                               affected=frozenset({1, 2}))
-        relay = make_peer(1)
-        req = make_peer(2)
-        assert available_throughput(relay, req, 0.0, scen, RelayLedger()) == 0.0
+        # An affected relay is rejected for an affected requester.
+        plan = plan_attempt(make_peer(1), make_peer(2), affected={1, 2})
+        assert plan.verdict == "reject" and plan.rate_kbps == 0.0
 
     def test_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             relay = make_peer(1, uplink_kbps=float(rng.integers(1, 10000)))
-            ledger = RelayLedger(in_use_kbps={1: float(rng.uniform(0, relay.uplink_kbps))})
+            in_use = float(rng.uniform(0, relay.uplink_kbps))
             req = make_peer(2, downlink_kbps=float(rng.integers(1, 10000)))
-            tp = available_throughput(relay, req, 0.0, None, ledger)
-            assert 0.0 <= tp <= relay.uplink_kbps
+            tp = plan_attempt(relay, req, in_use={1: in_use}).rate_kbps
+            assert 0.0 <= tp <= relay.uplink_kbps - in_use + 1e-9
             assert tp <= req.downlink_kbps
