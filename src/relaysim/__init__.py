@@ -11,13 +11,13 @@ time-to-stay.
 from relaysim.churn import (SessionModel, TimeToStayModel, calibrate_pareto,
                             estimate_time_to_stay)
 from relaysim.engine import (MetricsReport, RequestOutcome, Simulation, collect_metrics,
-                             run)
+                             draw_candidates, run)
 from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
 from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceRecord,
                             validate_config)
 from relaysim.netsim import CityTable, FailureScenario, inject_failure
-from relaysim.selection import (OnlineSet, RelayCandidateList, generate_relay_list,
-                                solve_exact, solve_greedy)
+from relaysim.selection import (OnlineSet, RelayCandidateList, draw_path_aware,
+                                generate_relay_list, solve_exact, solve_greedy)
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
     "OnlineSet", "Peer", "RelayCandidateList", "RequestOutcome", "SessionModel",
     "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord",
-    "calibrate_pareto", "collect_metrics", "estimate_time_to_stay",
-    "generate_relay_list", "inject_failure", "parse_trace", "run", "run_sweep",
+    "calibrate_pareto", "collect_metrics", "draw_candidates", "draw_path_aware",
+    "estimate_time_to_stay", "generate_relay_list", "inject_failure", "parse_trace", "run", "run_sweep",
     "run_trace", "solve_exact", "solve_greedy", "validate_config",
 ]

@@ -10,12 +10,16 @@ question decides every path: is this peer cut off now
 relay that is not reaches the server and any requester. Relay uplink
 capacity is tracked in a per-run ledger: transfer rates are fixed when an
 attempt starts and released when it resolves. An event's priority orders
-it at equal timestamps (deliveries, other resolutions, departures,
-arrivals, request issues), so runs are bit-reproducible for a given seed,
-and picks its handler. Arrivals
-and departures keep an OnlineSet of the peers online, which candidate
-generation reads without sorting; no-relay runs never read it and
-schedule neither event. The population is drawn column by column
+it at equal timestamps (deliveries, other resolutions, request issues),
+so runs are bit-reproducible for a given seed, and picks its handler.
+
+Who is online when a request is issued depends only on the population, so
+the relay candidate draws are made before the event loop, in one pass over
+the join and departure times (draw_candidates); the loop schedules no
+arrival or departure events. At request time the path-aware draw is ranked
+against the run's ledger (selection.generate_relay_list). A sweep makes the
+draws once per population and relay strategy and hands them to every
+content size. The population is drawn column by column
 (churn.sample_sessions, then draw_peer_attributes, which trace replay
 shares) into built-in values.
 """
@@ -23,8 +27,10 @@ shares) into built-in values.
 from __future__ import annotations
 
 import heapq
-import math
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass
+from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -35,15 +41,15 @@ from relaysim.model import (RATE_EPS, ContentItem, Peer, RelayLedger, SimConfig,
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, inject_failure, latency_ms)
-from relaysim.selection import (OnlineSet, RelayCandidateList, generate_relay_list,
-                                no_relay_list, random_relay_list)
+from relaysim.selection import (OnlineSet, RelayCandidateList, draw_path_aware,
+                                generate_relay_list, no_relay_list, random_relay_list)
 
 # Heap entries are (time, priority, seq, payload) tuples; the priority
 # orders events at equal timestamps and indexes Simulation's handler tuple,
 # and seq keeps insertion order. An attempt resolves as ATTEMPT_COMPLETE
 # when its plan delivers and as ATTEMPT_ABORT otherwise; both go to the
-# same handler, with the _Request as payload. The other events carry a Peer.
-ATTEMPT_COMPLETE, ATTEMPT_ABORT, PEER_DEPARTURE, PEER_ARRIVAL, REQUEST_ISSUE = range(5)
+# same handler, with the _Request as payload. REQUEST_ISSUE carries a Peer.
+ATTEMPT_COMPLETE, ATTEMPT_ABORT, REQUEST_ISSUE = range(3)
 
 
 @dataclass(slots=True)
@@ -204,6 +210,70 @@ def draw_population(cfg: SimConfig) -> tuple[list[Peer], FailureScenario]:
     return peers, scenario
 
 
+class CandidateDraws(NamedTuple):
+    """The relay candidate draws of one population under one strategy.
+
+    lists maps each relay-phase requester's id to its draw: the final
+    RelayCandidateList for random, the unranked (careful ids, random ids)
+    for path-aware, nothing for no-relay. made_for is the config key
+    (_draws_key) the draws were made under. Both are read-only, so the
+    cells of a sweep group can share them.
+    """
+
+    made_for: tuple
+    lists: Mapping[int, RelayCandidateList | tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _draws_key(cfg: SimConfig) -> tuple:
+    """The config fields a candidate draw depends on, beside the population."""
+    return (cfg.strategy, cfg.zeta, cfg.alpha, cfg.rng_seed, cfg.sim_duration)
+
+
+def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
+                    scenario: FailureScenario) -> CandidateDraws:
+    """Draw the relay candidates of every relay-phase requester, without
+    running the event loop.
+
+    A requester enters the relay phase when it joins by cfg.sim_duration
+    and is cut off at its join. Peer q is online at time t iff join_q <= t
+    < departure_q: one walk over the join and departure times, with
+    departures before arrivals at equal times, keeps an OnlineSet, and a
+    zero-length session never comes online. Each requester draws from its
+    own stream, keyed by its id, so the draws do not depend on the order
+    the walk visits requesters at one instant. no-relay draws nothing and
+    builds no stream.
+    """
+    lists: dict = {}
+    strategy = cfg.strategy
+    if strategy == "no-relay":
+        return CandidateDraws(_draws_key(cfg), MappingProxyType(lists))
+    peers = list(peers)
+    horizon = cfg.sim_duration
+    requesters = sorted((p for p in peers if p.join_time <= horizon
+                         and scenario.cut_off(p.id, p.join_time)),
+                        key=attrgetter("join_time"))
+    by_join = sorted(peers, key=attrgetter("join_time"))
+    by_departure = sorted(peers, key=attrgetter("departure_time"))
+    online = OnlineSet({p.id: p for p in peers})
+    arrived = departed = 0
+    for requester in requesters:
+        t = requester.join_time
+        while departed < len(peers) and by_departure[departed].departure_time <= t:
+            online.discard(by_departure[departed])
+            departed += 1
+        while arrived < len(peers) and by_join[arrived].join_time <= t:
+            if by_join[arrived].departure_time > t:
+                online.add(by_join[arrived])
+            arrived += 1
+        rng = _stream(cfg.rng_seed, _STREAM_SELECT, requester.id)
+        if strategy == "random":
+            lists[requester.id] = random_relay_list(requester, online, cfg.zeta, rng)
+        else:
+            lists[requester.id] = draw_path_aware(requester, online, alpha=cfg.alpha,
+                                                  zeta=cfg.zeta, rng=rng)
+    return CandidateDraws(_draws_key(cfg), MappingProxyType(lists))
+
+
 class Simulation:
     """One seeded simulation run; single-shot.
 
@@ -212,15 +282,26 @@ class Simulation:
     under the same seed see the identical population and failure draw.
     The strategy is cfg.strategy. A caller may pass that draw as peers and
     a resolved scenario, together, to run several cells on one population;
-    peers are immutable and the run's own state lives in self.ledger.
+    peers are immutable and the run's own state lives in self.ledger. With
+    them it may also pass the population's candidate draws (draw_candidates)
+    for cfg's strategy, zeta, alpha, seed and horizon, which cells differing
+    only in content size share; without them run() makes its own.
     """
 
     def __init__(self, cfg: SimConfig, peers: list[Peer] | None = None,
-                 scenario: FailureScenario | None = None):
+                 scenario: FailureScenario | None = None,
+                 candidates: CandidateDraws | None = None):
         validate_config(cfg)
         self.cfg = cfg
         if (peers is None) != (scenario is None):
             raise ValueError("peers and scenario are supplied together or not at all")
+        if candidates is not None:
+            if peers is None:
+                raise ValueError("candidate draws need the peers and scenario they "
+                                 "were drawn from")
+            if candidates.made_for != _draws_key(cfg):
+                raise ValueError(f"candidate draws made for {candidates.made_for}, "
+                                 f"not {_draws_key(cfg)}")
         if peers is None:
             peers, scenario = draw_population(cfg)
         elif not scenario.resolved:
@@ -237,7 +318,7 @@ class Simulation:
         self._handshakes: dict[tuple[str, str], float] = {}
         self.outcomes: list[RequestOutcome] = []
         self.ledger = RelayLedger()
-        self._online = OnlineSet(self.peers)
+        self._draws = candidates
         self._heap: list = []
         self._seq = 0
         self._now = 0.0
@@ -252,17 +333,11 @@ class Simulation:
         if self._ran:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
         self._ran = True
-        # Only relay candidate draws read the online set, so no-relay runs
-        # skip its arrival and departure events.
-        track_online = self.cfg.strategy != "no-relay"
+        if self._draws is None:
+            self._draws = draw_candidates(self.cfg, self.peers.values(), self.scenario)
         for p in self.peers.values():
-            if track_online:
-                self._schedule(p.join_time, PEER_ARRIVAL, p)
-                if math.isfinite(p.departure_time):
-                    self._schedule(p.departure_time, PEER_DEPARTURE, p)
             self._schedule(p.join_time, REQUEST_ISSUE, p)
-        handlers = (self._on_resolve, self._on_resolve, self._on_departure,
-                    self._on_arrival, self._on_request_issue)
+        handlers = (self._on_resolve, self._on_resolve, self._on_request_issue)
         horizon = self.cfg.sim_duration
         while self._heap:
             t, priority, _, payload = heapq.heappop(self._heap)
@@ -278,13 +353,6 @@ class Simulation:
                                if p.city == self.scenario.region)
         return collect_metrics(self.outcomes, self.scenario.affected or frozenset(),
                                region_ids)
-
-    def _on_arrival(self, peer: Peer) -> None:
-        if peer.departure_time > self._now:   # zero-length sessions never come online
-            self._online.add(peer)
-
-    def _on_departure(self, peer: Peer) -> None:
-        self._online.discard(peer)
 
     def _on_request_issue(self, peer: Peer) -> None:
         t = self._now
@@ -305,16 +373,16 @@ class Simulation:
         self._start_next_attempt(req, t)
 
     def _make_candidates(self, peer: Peer, t: float) -> RelayCandidateList:
+        """The requester's list: its draw, ranked now for path-aware."""
         strategy = self.cfg.strategy
         if strategy == "no-relay":
             return no_relay_list()
-        rng = _stream(self.cfg.rng_seed, _STREAM_SELECT, peer.id)
+        drawn = self._draws.lists[peer.id]
         if strategy == "random":
-            return random_relay_list(peer, self._online, self.cfg.zeta, rng)
-        return generate_relay_list(
-            peer, self._online, alpha=self.cfg.alpha, gamma=self.cfg.gamma,
-            zeta=self.cfg.zeta, rng=rng, t=t, tts=self.tts,
-            workload_mode=self.cfg.workload_mode, ledger=self.ledger)
+            return drawn
+        return generate_relay_list(drawn, self.peers, gamma=self.cfg.gamma, t=t,
+                                   tts=self.tts, workload_mode=self.cfg.workload_mode,
+                                   ledger=self.ledger)
 
     def _handshake(self, requester_city: str, relay_city: str) -> float:
         key = (requester_city, relay_city)

@@ -327,10 +327,13 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
     Each cell reseeds with its own seed value, and the population and
     failure draw depend only on the ratio and the seed, so they are drawn
     once per (ratio, seed) and shared by every size and strategy there;
-    one draw is alive at a time. If the draw fails, every cell of its
-    group is recorded with that error. CapacityError propagates: it means
-    an engine invariant broke, not that a cell is bad. Rows and failures
-    come out in the spec's size -> ratio -> strategy -> seed order.
+    the relay candidate draws depend on the strategy too, not on the size,
+    so they are drawn once per (ratio, seed, strategy) and shared by every
+    size. One group's draws are alive at a time. If a draw fails, every
+    cell of its group is recorded with that error. CapacityError
+    propagates: it means an engine invariant broke, not that a cell is
+    bad. Rows and failures come out in the spec's size -> ratio ->
+    strategy -> seed order.
     """
     if base_cfg is None:
         base_cfg = SimConfig()
@@ -348,6 +351,9 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
             try:
                 validate_config(group_cfg)
                 peers, scenario = engine.draw_population(group_cfg)
+                draws = {strategy: engine.draw_candidates(
+                             replace(group_cfg, strategy=strategy), peers, scenario)
+                         for strategy in strategies}
             except CapacityError:
                 raise
             except Exception as exc:  # record for the whole group and continue
@@ -359,7 +365,8 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                 for ti, strategy in enumerate(strategies):
                     cfg = replace(group_cfg, content_size_kb=size, strategy=strategy)
                     try:
-                        report = Simulation(cfg, peers=peers, scenario=scenario).run()
+                        report = Simulation(cfg, peers=peers, scenario=scenario,
+                                            candidates=draws[strategy]).run()
                     except CapacityError:
                         raise
                     except Exception as exc:  # record and continue

@@ -9,6 +9,7 @@ cities, Poisson arrivals, heavy-tailed sessions, one failed region).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 # Reference city set with (lat, lon) in degrees.
@@ -191,10 +192,17 @@ class SimConfig:
     sim_duration: float = math.inf
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bools are not counts or seeds."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def config_errors(cfg: SimConfig) -> list[str]:
     """Collect every violated constraint; empty list means valid."""
-    errs = []
-    if cfg.peer_count <= 0:
+    errs = [f"{name}: must be an integer" for name in ("peer_count", "isp_count", "zeta",
+                                                       "rng_seed")
+            if not _is_int(getattr(cfg, name))]
+    if _is_int(cfg.peer_count) and cfg.peer_count <= 0:
         errs.append("peer_count: must be positive")
     if not cfg.city_table:
         errs.append("city_table: must contain at least one city")
@@ -205,7 +213,7 @@ def config_errors(cfg: SimConfig) -> list[str]:
         lat, lon = coord
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             errs.append(f"city_table[{name}]: coordinates out of range")
-    if cfg.isp_count < 1:
+    if _is_int(cfg.isp_count) and cfg.isp_count < 1:
         errs.append("isp_count: must be at least 1")
     if not 0 < cfg.arrival_rate_lambda < math.inf:
         errs.append("arrival_rate_lambda: must be positive and finite")
@@ -217,7 +225,7 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("alpha: must lie in [0, 1]")
     if not 0.0 <= cfg.gamma <= 1.0:
         errs.append("gamma: must lie in [0, 1]")
-    if cfg.zeta < 1:
+    if _is_int(cfg.zeta) and cfg.zeta < 1:
         errs.append("zeta: must be at least 1")
     if cfg.workload_mode not in WORKLOAD_MODES:
         errs.append(f"workload_mode: must be one of {WORKLOAD_MODES}")

@@ -1,14 +1,18 @@
 """Relay candidate selection and the global assignment solvers.
 
-The path-aware list generator builds a two-part candidate list: a careful
-partition drawn from peers sharing the requester's city and ISP, and a
-random partition drawn from everyone else online. Both partitions drop
-peers with a fetch-failure history or too much relay workload, then sort
-by estimated time-to-stay so the most durable candidates are tried first.
-Both generators read an OnlineSet, which keeps the online ids in ascending
-order and bucketed by (city, ISP), and draw pool indices without building
-the pools, so the work per list grows with zeta, not with the number of
-peers online.
+Candidate generation is split in two. The draw depends only on who is
+online when a request is issued, so the engine makes it in one pass over
+the population before the event loop (engine.draw_candidates): the random
+baseline draws its final list with random_relay_list, and the path-aware
+strategy draws a careful partition from peers sharing the requester's city
+and ISP and a random partition from everyone else online
+(draw_path_aware). The rank, generate_relay_list, runs at request time: it
+drops drawn peers with a fetch-failure history or too much relay workload,
+then sorts each partition by estimated time-to-stay so the most durable
+candidates are tried first. The draws read an OnlineSet, which keeps the
+online ids in ascending order and bucketed by (city, ISP), and draw pool
+indices without building the pools, so the work per list grows with zeta,
+not with the number of peers online.
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
 """
@@ -170,35 +174,42 @@ def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bo
     return ledger.uplink_utilization(peer) <= gamma
 
 
-def generate_relay_list(requester: Peer, online: OnlineSet, *,
-                        alpha: float, gamma: float, zeta: int,
-                        rng: np.random.Generator, t: float,
-                        tts: TimeToStayModel | None = None,
-                        workload_mode: str = "utilization",
-                        ledger: RelayLedger | None = None) -> RelayCandidateList:
-    """Path-aware candidate list for one requester.
+def draw_path_aware(requester: Peer, online: OnlineSet, *, alpha: float, zeta: int,
+                    rng: np.random.Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The draw half of a path-aware list: (careful ids, random ids).
 
     ceil(zeta * alpha) slots go to the careful partition, drawn from the
     online peers of the requester's city and ISP; the remaining slots are
     drawn from all other online peers. Both pools exclude the requester
     and are indexed in ascending id order, the careful draw first. A
-    shortfall in the careful partition is not backfilled. Both partitions
-    drop peers with a fetch-failure history or workload above gamma, as
-    recorded in the run's ledger (none without one), then sort by
-    descending estimated time-to-stay (ties on ascending peer id). The
-    careful partition comes first, so its most durable member is the
-    primary relay. Work grows with zeta, not with the online count.
+    shortfall in the careful partition is not backfilled. Both parts are
+    in draw order, unfiltered; generate_relay_list ranks them.
     """
-    if tts is None:
-        tts = TimeToStayModel()
-    if ledger is None:
-        ledger = RelayLedger()
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = online.bucket(requester.city, requester.isp)
     careful = _draw(rng, same, _positions(same, (requester.id,)), careful_slots)
     randoms = _draw(rng, online.ids, _positions(online.ids, (requester.id, *careful)),
                     zeta - careful_slots)
-    peers = online.peers
+    return tuple(careful), tuple(randoms)
+
+
+def generate_relay_list(drawn: tuple[tuple[int, ...], tuple[int, ...]],
+                        peers: Mapping[int, Peer], *, gamma: float, t: float,
+                        tts: TimeToStayModel | None = None,
+                        workload_mode: str = "utilization",
+                        ledger: RelayLedger | None = None) -> RelayCandidateList:
+    """Rank a path-aware draw (see draw_path_aware) at request time t.
+
+    Both partitions drop peers with a fetch-failure history or workload
+    above gamma, as recorded in the run's ledger (none without one), then
+    sort by descending estimated time-to-stay (ties on ascending peer id).
+    The careful partition comes first, so its most durable member is the
+    primary relay. peers maps every drawn id to its Peer.
+    """
+    if tts is None:
+        tts = TimeToStayModel()
+    if ledger is None:
+        ledger = RelayLedger()
 
     def keep(p: Peer) -> bool:
         return (p.id not in ledger.fetch_failed
@@ -208,6 +219,7 @@ def generate_relay_list(requester: Peer, online: OnlineSet, *,
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
         return (-remain, p.id)
 
+    careful, randoms = drawn
     careful = sorted(filter(keep, map(peers.__getitem__, careful)), key=durability)
     randoms = sorted(filter(keep, map(peers.__getitem__, randoms)), key=durability)
     ids = tuple(p.id for p in careful) + tuple(p.id for p in randoms)

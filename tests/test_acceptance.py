@@ -30,6 +30,7 @@ from relaysim.netsim import FailureScenario, inject_failure, latency_ms
 from relaysim.selection import (
     Infeasible,
     OnlineSet,
+    draw_path_aware,
     generate_relay_list,
     solve_exact,
     solve_greedy,
@@ -273,10 +274,10 @@ def test_criterion_7_candidate_list_invariants():
         zeta = int(rng.integers(1, 12))
         t = float(rng.uniform(50.0, 120.0))
         online = [p for p in peers if p.online(t)]
-        lst = generate_relay_list(requester, OnlineSet.of(online), alpha=alpha,
-                                  gamma=gamma, zeta=zeta, rng=rng, t=t, tts=tts,
-                                  ledger=ledger)
         by_id = {p.id: p for p in online}
+        drawn = draw_path_aware(requester, OnlineSet.of(online), alpha=alpha,
+                                zeta=zeta, rng=rng)
+        lst = generate_relay_list(drawn, by_id, gamma=gamma, t=t, tts=tts, ledger=ledger)
         assert len(lst) <= zeta
         assert len(set(lst.peer_ids)) == len(lst)
         assert requester.id not in lst.peer_ids

@@ -13,14 +13,13 @@ from relaysim import engine
 from relaysim.engine import (
     ATTEMPT_ABORT,
     ATTEMPT_COMPLETE,
-    PEER_ARRIVAL,
-    PEER_DEPARTURE,
     REQUEST_ISSUE,
     MetricsReport,
     RequestOutcome,
     Simulation,
     build_population,
     collect_metrics,
+    draw_candidates,
     draw_population,
     run,
     _stream,
@@ -47,10 +46,10 @@ def small_cfg(**kw):
 
 class TestEventOrdering:
     def test_priorities(self):
-        # departures strictly before arrivals before request issues
-        assert PEER_DEPARTURE < PEER_ARRIVAL < REQUEST_ISSUE
-        # deliveries before aborts before departures at the same instant
-        assert ATTEMPT_COMPLETE < ATTEMPT_ABORT < PEER_DEPARTURE
+        # deliveries before aborts before request issues at the same instant,
+        # and each priority indexes the run's handler tuple
+        assert ATTEMPT_COMPLETE < ATTEMPT_ABORT < REQUEST_ISSUE
+        assert (ATTEMPT_COMPLETE, ATTEMPT_ABORT, REQUEST_ISSUE) == (0, 1, 2)
 
 
 class TestCollectMetrics:
@@ -445,20 +444,56 @@ class TestSimulation:
         assert isinstance(rep, MetricsReport)
         assert not rep.is_empty
 
-    def test_zero_length_session_never_goes_online(self):
-        # Its departure (priority 2) runs before its arrival (priority 3) at
-        # the same instant, so admitting it would keep it online for good.
+    def test_zero_length_session_never_goes_online(self, monkeypatch):
+        # Its departure runs before its arrival at the same instant, so
+        # admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
         scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset({1}))
-        sim = OnlineSnapshotSimulation(small_cfg(strategy="random"), peers=peers,
-                                       scenario=scenario)
+        pools = record_pools(monkeypatch)
+        sim = Simulation(small_cfg(strategy="random"), peers=peers, scenario=scenario)
         sim.run()
-        # peer 1 alone was online, in its own bucket, when it drew its list
-        assert sim.snapshots == {1: ([1], [1])}
-        assert 0 not in sim._online and sim._online.ids == []
+        # peer 1 drew from an empty pool: peer 0 was never online, and the
+        # requester is not its own candidate
+        assert pools == {1: (5.0, [], [])}
         by_id = {o.requester_id: o for o in sim.outcomes}
         assert by_id[0].served_by is None and by_id[0].end_time == 0.0
         assert by_id[1].attempts == 0 and by_id[1].served_by is None
+
+    def test_candidates_need_their_population(self):
+        cfg = small_cfg(strategy="random")
+        peers, scenario = draw_population(cfg)
+        draws = draw_candidates(cfg, peers, scenario)
+        with pytest.raises(ValueError, match="peers and scenario"):
+            Simulation(cfg, candidates=draws)
+
+    @pytest.mark.parametrize("change", [
+        {"strategy": "path-aware"}, {"zeta": 4}, {"alpha": 0.5}, {"rng_seed": 1},
+        {"sim_duration": 600.0},
+    ])
+    def test_candidates_must_match_the_config(self, change):
+        cfg = small_cfg(strategy="random")
+        peers, scenario = draw_population(cfg)
+        draws = draw_candidates(cfg, peers, scenario)
+        with pytest.raises(ValueError, match="made for"):
+            Simulation(replace(cfg, **change), peers=peers, scenario=scenario,
+                       candidates=draws)
+        # the content size and the rank parameters are not part of the draw
+        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5), peers=peers,
+                   scenario=scenario, candidates=draws).run()
+
+    def test_shared_candidates_match_own_draws(self):
+        cfg = small_cfg(strategy="path-aware", rng_seed=4)
+        peers, scenario = draw_population(cfg)
+        draws = draw_candidates(cfg, peers, scenario)
+        assert draws.lists and all(isinstance(d, tuple) for d in draws.lists.values())
+        with pytest.raises(TypeError):
+            draws.lists[-1] = ((), ())
+        for size in (500.0, 16000.0):
+            cell = replace(cfg, content_size_kb=size)
+            shared = Simulation(cell, peers=peers, scenario=scenario, candidates=draws)
+            own = Simulation(cell, peers=peers, scenario=scenario)
+            assert shared.run() == own.run()
+            assert shared.outcomes == own.outcomes
 
     def test_no_relay_draws_no_selection_stream(self, monkeypatch):
         real = engine._stream
@@ -471,18 +506,24 @@ class TestSimulation:
         assert rep.relay_phase_requests > 0
 
 
-class OnlineSnapshotSimulation(Simulation):
-    """Simulation that records, per relay-phase requester, the online ids
-    and the requester's (city, ISP) bucket when its list is drawn."""
+def record_pools(monkeypatch):
+    """Record, per relay-phase requester, its request time, the online ids
+    other than its own and its (city, ISP) bucket less itself, as the
+    draw pass hands them to either strategy's draw."""
+    pools = {}
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.snapshots = {}
-
-    def _make_candidates(self, peer, t):
-        self.snapshots[peer.id] = (list(self._online.ids),
-                                   list(self._online.bucket(peer.city, peer.isp)))
-        return super()._make_candidates(peer, t)
+    def recording(real):
+        def draw(requester, online, *args, **kwargs):
+            pools[requester.id] = (
+                requester.join_time,
+                [i for i in online.ids if i != requester.id],
+                [i for i in online.bucket(requester.city, requester.isp)
+                 if i != requester.id])
+            return real(requester, online, *args, **kwargs)
+        return draw
+    for name in ("random_relay_list", "draw_path_aware"):
+        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
+    return pools
 
 
 class EventCountingSimulation(Simulation):
@@ -499,27 +540,32 @@ class EventCountingSimulation(Simulation):
 
 class EmptyListSimulation(EventCountingSimulation):
     """A relay-strategy run whose every list is empty: the no-relay
-    protocol, but with the online set kept up to date."""
+    protocol, after a full candidate draw."""
 
     def _make_candidates(self, peer, t):
         return no_relay_list()
 
 
 class TestNoRelaySkipsOnlineSet:
-    def test_no_arrival_or_departure_events(self):
-        cfg = small_cfg(rng_seed=3)
+    def test_no_arrival_or_departure_events(self, monkeypatch):
+        cfg = small_cfg(rng_seed=3, strategy="no-relay")
         peers, scenario = draw_population(cfg)
-        skipped = EventCountingSimulation(replace(cfg, strategy="no-relay"), peers=peers,
-                                          scenario=scenario)
+        streams, real = [], engine._stream
+        monkeypatch.setattr(engine, "_stream",
+                            lambda *key: streams.append(key) or real(*key))
+        # no-relay draws nothing and builds no selection stream
+        assert draw_candidates(cfg, peers, scenario).lists == {}
+        skipped = EventCountingSimulation(cfg, peers=peers, scenario=scenario)
         tracked = EmptyListSimulation(replace(cfg, strategy="random"), peers=peers,
                                       scenario=scenario)
         assert skipped.run() == tracked.run()
         assert skipped.outcomes == tracked.outcomes
-        assert skipped.scheduled[PEER_ARRIVAL] == skipped.scheduled[PEER_DEPARTURE] == 0
+        assert skipped._draws.lists == {}
+        assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
+            (cfg.rng_seed, engine._STREAM_SELECT, pid) for pid in tracked._draws.lists]
+        # the loop schedules one request per peer and its resolutions only
         assert skipped.scheduled[REQUEST_ISSUE] == len(peers)
-        assert tracked.scheduled[PEER_ARRIVAL] == len(peers)
-        assert tracked.scheduled[PEER_DEPARTURE] > 0
-        assert skipped._online.ids == []
+        assert tracked.scheduled == skipped.scheduled
         assert any(o.entered_relay_phase for o in skipped.outcomes)
 
 
@@ -629,3 +675,62 @@ class TestProtocolProperties:
         assert reports[0] == reports[1]
         by_id = [sorted(sim.outcomes, key=lambda o: o.requester_id) for sim in runs]
         assert by_id[0] == by_id[1]
+
+
+@st.composite
+def draw_populations(draw):
+    """A population whose join and departure times collide: same-instant
+    joins, zero-length and infinite sessions, departures landing on other
+    peers' joins, and joins past a finite horizon."""
+    n = draw(st.integers(1, 20))
+    peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
+                  isp=draw(st.integers(1, 2)), uplink_kbps=1024.0, downlink_kbps=4096.0,
+                  join_time=draw(st.sampled_from((0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0))),
+                  session_duration=draw(st.sampled_from((0.0, 1.0, 2.0, 3.0, math.inf))))
+             for i in range(n)]
+    start = draw(st.sampled_from((0.0, 1.0, 2.0)))
+    scenario = FailureScenario(
+        region="Beijing", ratio=0.5, start_time=start,
+        end_time=start + draw(st.sampled_from((2.0, math.inf))),
+        affected=frozenset(draw(st.sets(st.integers(0, n - 1)))))
+    cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
+                    zeta=draw(st.integers(1, 4)), alpha=draw(st.sampled_from((0.0, 0.5, 1.0))),
+                    sim_duration=draw(st.sampled_from((3.0, 5.0, math.inf))))
+    return cfg, draw(st.permutations(peers)), scenario
+
+
+class TestDrawPass:
+    @settings(max_examples=300, deadline=None)
+    @given(draw_populations(), st.sampled_from(("random", "path-aware")))
+    def test_pools_are_the_online_peers_at_the_request(self, case, strategy):
+        cfg, peers, scenario = case
+        cfg = replace(cfg, strategy=strategy)
+        with pytest.MonkeyPatch.context() as mp:
+            pools = record_pools(mp)
+            draws = draw_candidates(cfg, peers, scenario)
+        requesters = {p.id: p for p in peers if p.join_time <= cfg.sim_duration
+                      and scenario.cut_off(p.id, p.join_time)}
+        assert set(pools) == set(draws.lists) == set(requesters)
+        for pid, (t, pool, bucket) in pools.items():
+            me = requesters[pid]
+            online = [q for q in sorted(peers, key=lambda q: q.id)
+                      if q.id != pid and q.join_time <= t < q.departure_time]
+            assert t == me.join_time
+            assert pool == [q.id for q in online]
+            assert bucket == [q.id for q in online if (q.city, q.isp) == (me.city, me.isp)]
+            drawn = draws.lists[pid]
+            ids = drawn.peer_ids if strategy == "random" else drawn[0] + drawn[1]
+            assert set(ids) <= set(pool) and len(ids) == len(set(ids)) <= cfg.zeta
+
+    @pytest.mark.parametrize("strategy", ["random", "path-aware"])
+    def test_request_at_a_departure_and_past_the_horizon(self, strategy, monkeypatch):
+        # Peer 1 leaves at t = 2, the instant peer 2 joins; peer 3 joins at
+        # the same instant; peer 4 joins past the finite horizon.
+        peers = [make_peer(0, join=0.0, dur=math.inf), make_peer(1, join=1.0, dur=1.0),
+                 make_peer(2, join=2.0, dur=5.0), make_peer(3, join=2.0, dur=0.0),
+                 make_peer(4, join=4.0, dur=5.0)]
+        scenario = FailureScenario(region=None, ratio=0.0,
+                                   affected=frozenset({1, 2, 3, 4}))
+        pools = record_pools(monkeypatch)
+        draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0), peers, scenario)
+        assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}

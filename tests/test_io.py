@@ -374,6 +374,45 @@ class TestSweep:
                                          rep.region_success_ratio))
         assert [tuple(r[c] for c in SWEEP_COLUMNS) for r in result.rows] == expected
 
+    def test_shared_draws_match_fresh_cells(self, monkeypatch):
+        # Each (ratio, seed, strategy) draws its candidates once, and every
+        # size reuses them; each cell must still equal a run of it alone.
+        spec = SweepSpec(content_sizes_kb=(500.0, 16000.0), failure_ratios=(0.3, 1.0),
+                         strategies=("no-relay", "random", "path-aware"), seeds=(2, 5))
+        base = SimConfig(peer_count=150, sim_duration=900.0)
+        real_draw, real_run = engine.draw_candidates, Simulation.run
+        draws, cells = [], []
+
+        def counting(cfg, peers, scenario):
+            draws.append((cfg.failure_ratio, cfg.rng_seed, cfg.strategy))
+            return real_draw(cfg, peers, scenario)
+
+        def keeping(sim):
+            report = real_run(sim)
+            cells.append((sim.cfg, report, sim.outcomes))
+            return report
+        monkeypatch.setattr(engine, "draw_candidates", counting)
+        monkeypatch.setattr(Simulation, "run", keeping)
+        result = run_sweep(spec, base)
+        assert result.failures == [] and len(cells) == spec.cell_count
+        assert sorted(draws) == sorted(
+            (r, s, t) for r in spec.failure_ratios for s in spec.seeds for t in spec.strategies)
+        monkeypatch.undo()
+        relay_phase = {"random": 0, "path-aware": 0}
+        for cfg, report, outcomes in cells:
+            fresh = Simulation(cfg)
+            assert fresh.run() == report
+            assert fresh.outcomes == outcomes
+            if cfg.strategy in relay_phase:
+                relay_phase[cfg.strategy] += report.relay_phase_requests
+        assert all(relay_phase.values())
+        rows = {(r["strategy"], r["size_kb"], r["failure_ratio"], r["seed"]): r
+                for r in result.rows}
+        for cfg, report, _ in cells:
+            row = rows[cfg.strategy, cfg.content_size_kb, cfg.failure_ratio, cfg.rng_seed]
+            assert (row["success_ratio"], row["avg_attempts"]) == (
+                report.success_ratio, report.avg_repeated_requests)
+
     def test_one_draw_per_ratio_and_seed(self, monkeypatch):
         draws = []
         real_build = engine.build_population
@@ -538,6 +577,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error: latency_base_ms" in captured.err
+
+    @pytest.mark.parametrize("field,value", [
+        ("zeta", "2.5"), ("peer_count", "50.5"), ("isp_count", "1.5")])
+    @pytest.mark.parametrize("command", ["run", "sweep", "trace"])
+    def test_non_integer_count_exit_2(self, command, field, value, tmp_path, capsys):
+        extra = {"run": [], "sweep": ["--out", str(tmp_path / "s.csv")],
+                 "trace": ["--file", str(tmp_path / "t.csv"), "--synthesize", "5"]}
+        assert main([command, "--set", f"{field}={value}", *extra[command]]) == 2
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_grid_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from relaysim.model import (
@@ -146,6 +147,24 @@ class TestConfigValidation:
     def test_single_field_violations(self, field, value, tag):
         errs = config_errors(SimConfig(**{field: value}))
         assert errs and all(tag in e for e in errs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("zeta", 2.5), ("peer_count", 50.5), ("isp_count", 1.5), ("rng_seed", 7.0),
+        ("peer_count", True), ("zeta", False), ("isp_count", np.float64(2.0)),
+        ("rng_seed", "7"), ("zeta", None),
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        assert config_errors(SimConfig(**{field: value})) == [
+            f"{field}: must be an integer"]
+        with pytest.raises(ConfigError, match=field):
+            validate_config(SimConfig(**{field: value}))
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = SimConfig(peer_count=np.int64(50), isp_count=np.int32(2),
+                        zeta=np.int16(4), rng_seed=np.uint64(9))
+        assert config_errors(cfg) == []
+        assert config_errors(SimConfig(peer_count=np.int64(0))) == [
+            "peer_count: must be positive"]
 
     def test_uplink_profile_must_sum_to_one(self):
         errs = config_errors(SimConfig(uplink_profile={512.0: 0.5, 1024.0: 0.4}))

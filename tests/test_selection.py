@@ -14,6 +14,7 @@ from relaysim.selection import (
     OnlineSet,
     RelayCandidateList,
     SelectionMatrix,
+    draw_path_aware,
     generate_relay_list,
     load_instance,
     no_relay_list,
@@ -30,6 +31,13 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
                 downlink_kbps=4096.0, join_time=join, session_duration=dur)
     base.update(kw)
     return Peer(**base)
+
+
+def path_aware_list(requester, online, *, alpha, zeta, rng, **rank):
+    """Draw and rank a path-aware list in one call, as a request issued
+    with online as the online set would get it."""
+    drawn = draw_path_aware(requester, online, alpha=alpha, zeta=zeta, rng=rng)
+    return generate_relay_list(drawn, online.peers, **rank)
 
 
 # The list-building forms of the two generators: each pool is materialized
@@ -125,7 +133,7 @@ class TestIndexedDraws:
     def test_path_aware_list_matches_reference(self, case):
         requester, arrivals, params, seed = case
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = generate_relay_list(requester, OnlineSet.of(arrivals), rng=ours, **params)
+        got = path_aware_list(requester, OnlineSet.of(arrivals), rng=ours, **params)
         want = reference_generate_relay_list(
             requester, sorted(arrivals, key=lambda p: p.id), rng=ref, **params)
         assert got.peer_ids == want.peer_ids
@@ -238,7 +246,7 @@ class TestPathAwareList:
         args = dict(alpha=0.2, gamma=0.8, zeta=10,
                     rng=np.random.default_rng(kw.pop("seed", 0)), t=t)
         args.update(kw)
-        return generate_relay_list(requester, OnlineSet.of(online), **args)
+        return path_aware_list(requester, OnlineSet.of(online), **args)
 
     def test_partition_size_bounds(self):
         me = make_peer(0)
