@@ -2,16 +2,18 @@
 
 Each peer issues one content request when it arrives. Requests first try
 the server; a peer cut off by a regional failure falls back to its relay
-candidate list and works through it one attempt at a time. Every attempt,
-server fetch or relay transfer, is planned in full when it starts as an
-AttemptPlan, and one handler resolves it when its time comes. One
-question decides every path: is this peer cut off now
-(FailureScenario.cut_off)? A requester that is not reaches the server; a
-relay that is not reaches the server and any requester. Relay uplink
-capacity is tracked in a per-run ledger: transfer rates are fixed when an
-attempt starts and released when it resolves. An event's priority orders
-it at equal timestamps (deliveries, other resolutions, request issues),
-so runs are bit-reproducible for a given seed, and picks its handler.
+candidate list and works through it one attempt at a time. One question
+decides every path: is this peer cut off now (FailureScenario.cut_off)? A
+requester that is not reaches the server; a relay that is not reaches the
+server and any requester. A server fetch holds no relay capacity, so it
+is decided at issue time, before the event loop, and never enters the
+heap: the loop holds only relay-phase request issues and relay attempt
+resolutions. Each relay attempt is planned in full as an AttemptPlan when
+it starts, and one handler resolves it. Relay uplink capacity is tracked
+in a per-run ledger: rates are fixed when an attempt starts and released
+when it resolves. An event's priority orders it at equal timestamps
+(deliveries, other resolutions, request issues), so runs are
+bit-reproducible for a given seed, and picks its handler.
 
 Who is online when a request is issued depends only on the population, so
 the relay candidate draws are made before the event loop, in one pass over
@@ -46,9 +48,10 @@ from relaysim.selection import (OnlineSet, RelayCandidateList, draw_path_aware,
 
 # Heap entries are (time, priority, seq, payload) tuples; the priority
 # orders events at equal timestamps and indexes Simulation's handler tuple,
-# and seq keeps insertion order. An attempt resolves as ATTEMPT_COMPLETE
-# when its plan delivers and as ATTEMPT_ABORT otherwise; both go to the
-# same handler, with the _Request as payload. REQUEST_ISSUE carries a Peer.
+# and seq keeps insertion order. No server fetch enters the heap. A relay
+# attempt resolves as ATTEMPT_COMPLETE when its plan delivers and as
+# ATTEMPT_ABORT otherwise; REQUEST_ISSUE starts a cut-off requester's relay
+# phase. Every payload is the _Request.
 ATTEMPT_COMPLETE, ATTEMPT_ABORT, REQUEST_ISSUE = range(3)
 
 
@@ -156,14 +159,12 @@ def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
 
 
 class AttemptPlan(NamedTuple):
-    """Resolution of one attempt, a server fetch or a relay transfer,
-    started at a fixed time.
+    """Resolution of one relay attempt started at a fixed time.
 
     verdict: 'reject' (preconditions failed; resolve_time is the end of
     the wasted handshake), 'success' (resolve_time is delivery),
     'relay-lost' or 'requester-lost' (resolve_time is the departure that
-    kills the transfer). A server fetch only ends in 'success' or
-    'requester-lost'. Completion landing exactly on a departure instant
+    kills the transfer). Completion landing exactly on a departure instant
     counts as delivered. rate_kbps is the relay capacity the attempt holds
     until it resolves; 0 when it holds none.
     """
@@ -179,8 +180,8 @@ class _Request:
     requester: Peer
     candidates: RelayCandidateList = no_relay_list()   # immutable, so shared
     next_index: int = 0
-    # (plan, relay Peer or None for the server) of the scheduled resolution
-    pending: tuple[AttemptPlan, Peer | None] | None = None
+    # (plan, relay) of the scheduled resolution
+    pending: tuple[AttemptPlan, Peer] | None = None
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
@@ -335,10 +336,26 @@ class Simulation:
         self._ran = True
         if self._draws is None:
             self._draws = draw_candidates(self.cfg, self.peers.values(), self.scenario)
-        for p in self.peers.values():
-            self._schedule(p.join_time, REQUEST_ISSUE, p)
-        handlers = (self._on_resolve, self._on_resolve, self._on_request_issue)
         horizon = self.cfg.sim_duration
+        # Record every request issued by the horizon in join order (list
+        # order at equal joins). A server fetch holds no relay capacity, so
+        # it is decided here; only cut-off requesters enter the loop.
+        size_kb, size_kbits = self.content.size_kb, self.content.size_kbits
+        for peer in sorted(self.peers.values(), key=attrgetter("join_time")):
+            t = peer.join_time
+            if t > horizon:
+                break
+            out = RequestOutcome(peer.id, size_kb, t)
+            self.outcomes.append(out)
+            if self.scenario.cut_off(peer.id, t):
+                self._schedule(t, REQUEST_ISSUE, _Request(out, peer))
+                continue
+            t_end = t + self._handshake(peer.city, peer.city) + size_kbits / peer.downlink_kbps
+            if t_end <= peer.departure_time and t_end <= horizon:
+                out.served_by, out.end_time = SERVER, t_end
+            else:
+                out.end_time = min(peer.departure_time, horizon)
+        handlers = (self._on_resolve, self._on_resolve, self._on_request_issue)
         while self._heap:
             t, priority, _, payload = heapq.heappop(self._heap)
             if t > horizon:
@@ -354,21 +371,10 @@ class Simulation:
         return collect_metrics(self.outcomes, self.scenario.affected or frozenset(),
                                region_ids)
 
-    def _on_request_issue(self, peer: Peer) -> None:
-        t = self._now
-        out = RequestOutcome(peer.id, self.content.size_kb, t)
-        req = _Request(out, peer)
-        self.outcomes.append(out)
-        if not self.scenario.cut_off(peer.id, t):
-            t_end = (t + self._handshake(peer.city, peer.city)
-                     + self.content.size_kbits / peer.downlink_kbps)
-            if t_end <= peer.departure_time:
-                self._pend(req, AttemptPlan("success", t_end))
-            else:
-                self._pend(req, AttemptPlan("requester-lost", peer.departure_time))
-            return
+    def _on_request_issue(self, req: _Request) -> None:
+        peer, t = req.requester, self._now
         self.ledger.fetch_failed.add(peer.id)
-        out.entered_relay_phase = True
+        req.outcome.entered_relay_phase = True
         req.candidates = self._make_candidates(peer, t)
         self._start_next_attempt(req, t)
 
@@ -421,10 +427,10 @@ class Simulation:
     def _start_next_attempt(self, req: _Request, t: float) -> None:
         requester = req.requester
         if t >= requester.departure_time:
-            self._finalize(req, None, requester.departure_time)
+            req.outcome.end_time = requester.departure_time
             return
         if req.next_index >= len(req.candidates):
-            self._finalize(req, None, t)
+            req.outcome.end_time = t
             return
         relay = self.peers[req.candidates[req.next_index]]
         req.next_index += 1
@@ -432,9 +438,6 @@ class Simulation:
         plan = self._plan_attempt(relay, requester, t)
         if plan.rate_kbps > 0:
             self.ledger.commit(relay, plan.rate_kbps)
-        self._pend(req, plan, relay)
-
-    def _pend(self, req: _Request, plan: AttemptPlan, relay: Peer | None = None) -> None:
         req.pending = (plan, relay)
         priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
         self._schedule(plan.resolve_time, priority, req)
@@ -444,15 +447,11 @@ class Simulation:
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            self._finalize(req, SERVER if relay is None else relay.id, self._now)
+            req.outcome.served_by, req.outcome.end_time = relay.id, self._now
         elif plan.verdict == "requester-lost":
-            self._finalize(req, None, self._now)
+            req.outcome.end_time = self._now
         else:
             self._start_next_attempt(req, self._now)
-
-    def _finalize(self, req: _Request, served_by, end_time: float) -> None:
-        req.outcome.served_by = served_by
-        req.outcome.end_time = end_time
 
 
 def run(cfg: SimConfig) -> MetricsReport:

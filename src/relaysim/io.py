@@ -299,9 +299,11 @@ class SweepSpec:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if not (self.content_sizes_kb and self.failure_ratios
-                and self.strategies and self.seeds):
-            raise ValueError("sweep axes must be non-empty")
+        axes = {"content sizes": self.content_sizes_kb, "failure ratios": self.failure_ratios,
+                "strategies": self.strategies, "seeds": self.seeds}
+        for name, axis in axes.items():
+            if not axis or len(set(axis)) != len(axis):
+                raise ValueError(f"sweep {name} must be non-empty and distinct, got {axis}")
         if any(not 0 < s < math.inf for s in self.content_sizes_kb):
             raise ValueError("content sizes must be positive and finite")
         if any(not 0.0 <= r <= 1.0 for r in self.failure_ratios):
@@ -516,20 +518,16 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = build_config(args)
     kwargs = {"content_sizes_kb": tuple(cfg.content_sizes_kb)}
-    if args.sizes:
-        kwargs["content_sizes_kb"] = tuple(float(v) for v in args.sizes.split(","))
-    if args.ratios:
-        kwargs["failure_ratios"] = tuple(float(v) for v in args.ratios.split(","))
-    if args.strategies:
-        kwargs["strategies"] = tuple(s.strip() for s in args.strategies.split(","))
-    if args.seeds:
-        kwargs["seeds"] = tuple(int(v) for v in args.seeds.split(","))
-    try:
-        spec = SweepSpec(**kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = run_sweep(spec, cfg)
+    for flag, field, parse in (("sizes", "content_sizes_kb", float),
+                               ("ratios", "failure_ratios", float),
+                               ("strategies", "strategies", str), ("seeds", "seeds", int)):
+        raw = getattr(args, flag)
+        if raw is not None:
+            values = [v.strip() for v in raw.split(",")]
+            if not all(values):
+                raise ValueError(f"--{flag} {raw!r} has an empty value")
+            kwargs[field] = tuple(map(parse, values))
+    result = run_sweep(SweepSpec(**kwargs), cfg)
     write_sweep_csv(result, args.out)
     if args.summary:
         with open(args.summary, "w") as fh:

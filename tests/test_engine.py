@@ -563,8 +563,13 @@ class TestNoRelaySkipsOnlineSet:
         assert skipped._draws.lists == {}
         assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
             (cfg.rng_seed, engine._STREAM_SELECT, pid) for pid in tracked._draws.lists]
-        # the loop schedules one request per peer and its resolutions only
-        assert skipped.scheduled[REQUEST_ISSUE] == len(peers)
+        # the loop schedules the relay-phase requests and their resolutions
+        # only: one issue per peer cut off at a join by the horizon, and no
+        # resolution for a server fetch (no-relay has no relay attempt)
+        cut = [p for p in peers
+               if p.join_time <= cfg.sim_duration and scenario.cut_off(p.id, p.join_time)]
+        assert skipped.scheduled == [0, 0, len(cut)]
+        assert len(cut) < len(peers)
         assert tracked.scheduled == skipped.scheduled
         assert any(o.entered_relay_phase for o in skipped.outcomes)
 
@@ -734,3 +739,103 @@ class TestDrawPass:
         pools = record_pools(monkeypatch)
         draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0), peers, scenario)
         assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}
+
+
+# A 250 ms base latency makes the in-city server handshake 0.5 s, and 512 KB
+# takes 1 s at 4096 kbps and 2 s at 2048 kbps, so a server fetch ends at
+# join + 1.5 or join + 2.5, exactly, and lands on the departures and
+# horizons below.
+SERVER_CFG = dict(content_size_kb=512.0, latency_base_ms=250.0)
+
+
+def server_oracle(peer, horizon):
+    """(served_by, end_time) of one request that reaches the server: it is
+    served when the fetch ends while the requester is still there and no
+    later than the horizon, and otherwise ends when the requester leaves
+    or the run stops, whichever comes first."""
+    fetch_end = peer.join_time + 0.5 + 4096.0 / peer.downlink_kbps
+    if fetch_end <= peer.departure_time and fetch_end <= horizon:
+        return SERVER, fetch_end
+    return None, min(peer.departure_time, horizon)
+
+
+def check_server_path(cfg, peers, scenario):
+    sim = Simulation(cfg, peers=peers, scenario=scenario)
+    sim.run()
+    horizon = cfg.sim_duration
+    # one outcome per request issued by the horizon, in join order and, at
+    # equal joins, in peers= list order
+    issued = sorted((p for p in peers if p.join_time <= horizon),
+                    key=lambda p: p.join_time)
+    assert [o.requester_id for o in sim.outcomes] == [p.id for p in issued]
+    for peer, o in zip(issued, sim.outcomes):
+        assert o.start_time == peer.join_time
+        if scenario.cut_off(peer.id, peer.join_time):
+            assert o.entered_relay_phase and o.served_by != SERVER
+        else:
+            assert not o.entered_relay_phase and o.attempts == 0
+            assert (o.served_by, o.end_time) == server_oracle(peer, horizon)
+    return sim.outcomes
+
+
+@st.composite
+def server_populations(draw):
+    """Hand-built populations whose server fetches end exactly on a
+    departure or the horizon, whose joins tie and land on the horizon and
+    the failure window's edges, and some of whose joins come after the
+    horizon."""
+    n = draw(st.integers(1, 12))
+    peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))), isp=1,
+                  uplink_kbps=1024.0, downlink_kbps=draw(st.sampled_from((2048.0, 4096.0))),
+                  join_time=draw(st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0, 4.0, 6.0))),
+                  session_duration=draw(st.sampled_from((0.0, 1.0, 1.5, 2.5, 4.0, math.inf))))
+             for i in range(n)]
+    start = draw(st.sampled_from((0.0, 1.0, 2.0)))
+    scenario = FailureScenario(
+        region="Beijing", ratio=0.5, start_time=start,
+        end_time=start + draw(st.sampled_from((1.0, 4.0, math.inf))),
+        affected=frozenset(draw(st.sets(st.integers(0, n - 1)))))
+    cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
+                    strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
+                    sim_duration=draw(st.sampled_from((1.5, 2.5, 4.0, 6.0, math.inf))),
+                    **SERVER_CFG)
+    return cfg, draw(st.permutations(peers)), scenario
+
+
+class TestServerFetch:
+    """Server fetches are decided at issue time, outside the event loop;
+    every outcome must still match a per-peer reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(server_populations())
+    def test_outcomes_match_a_per_peer_oracle(self, case):
+        check_server_path(*case)
+
+    @pytest.mark.parametrize("join, duration, horizon, expected", [
+        (0.0, 1.5, math.inf, (SERVER, 1.5)),   # fetch ends on the departure
+        (0.0, math.inf, 1.5, (SERVER, 1.5)),   # fetch ends on the horizon
+        (0.0, math.inf, 1.0, (None, 1.0)),     # fetch ends past the horizon
+        (0.0, 1.0, math.inf, (None, 1.0)),     # requester leaves first
+        (0.0, 1.0, 0.75, (None, 0.75)),        # ... after the horizon
+        (2.0, math.inf, 2.0, (None, 2.0)),     # join on the horizon is issued
+        (2.5, math.inf, 2.0, None),            # join past it is not
+    ])
+    def test_edges(self, join, duration, horizon, expected):
+        peer = make_peer(0, join=join, dur=duration)
+        cfg = SimConfig(peer_count=1, sim_duration=horizon, **SERVER_CFG)
+        outcomes = check_server_path(cfg, [peer], FailureScenario("Beijing", 0.0,
+                                                                    affected=frozenset()))
+        assert [(o.served_by, o.end_time) for o in outcomes] == (
+            [expected] if expected else [])
+
+    def test_failure_window_edges_and_same_instant_order(self):
+        # joins at failure_start are cut off, joins at failure_end reach the
+        # server, and same-instant joins keep the peers= list order
+        peers = [make_peer(pid, join=join) for pid, join in
+                 ((3, 2.0), (1, 1.0), (0, 1.0), (2, 2.0), (4, 0.5))]
+        scenario = FailureScenario("Beijing", 1.0, start_time=1.0, end_time=2.0,
+                                   affected=frozenset(range(5)))
+        cfg = SimConfig(peer_count=5, strategy="no-relay", **SERVER_CFG)
+        outcomes = check_server_path(cfg, peers, scenario)
+        assert [(o.requester_id, o.entered_relay_phase) for o in outcomes] == [
+            (4, False), (1, True), (0, True), (3, False), (2, False)]

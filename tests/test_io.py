@@ -326,6 +326,15 @@ class TestSweep:
         for size in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 SweepSpec(content_sizes_kb=(size, 1000.0))
+        # a repeated value would run its cells twice and weight them twice
+        # in the summary's means
+        for axis, values in (("content_sizes_kb", (500.0, 500.0)),
+                             ("failure_ratios", (0.0, 0.6, 0.0)),
+                             ("strategies", ("random", "random")), ("seeds", (1, 1))):
+            with pytest.raises(ValueError, match="distinct"):
+                SweepSpec(**{axis: values})
+        with pytest.raises(ValueError, match="non-empty"):
+            SweepSpec(seeds=())
 
     def test_cross_product_row_count(self):
         spec = SweepSpec(failure_ratios=(0.6,), seeds=(0,))
@@ -569,6 +578,24 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert "content sizes must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis, message", [
+        (["--seeds", "1,1"], "sweep seeds must be non-empty and distinct"),
+        (["--sizes", "500,500.0"], "sweep content sizes must be non-empty and distinct"),
+        (["--seeds", ""], "--seeds '' has an empty value"),
+        (["--sizes", ""], "--sizes '' has an empty value"),
+        (["--ratios", "0.5,"], "--ratios '0.5,' has an empty value"),
+        (["--strategies", " "], "--strategies ' ' has an empty value"),
+    ])
+    def test_sweep_bad_axis_exit_2(self, tmp_path, capsys, axis, message):
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        flags = {"--sizes": "500", "--ratios": "0.5"}
+        flags[axis[0]] = axis[1]
+        assert main(["sweep", *self.run_flags(), *[v for kv in flags.items() for v in kv],
+                     "--out", str(out), "--summary", str(summary)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists() and not summary.exists()
 
     def test_trace_nan_latency_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
