@@ -94,10 +94,6 @@ class MetricsReport:
     region_requests: int
     region_success_ratio: float | None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.total_requests == 0
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -198,17 +194,16 @@ def _stream(seed: int, label: int, *key: int) -> np.random.Generator:
 
 
 def draw_population(cfg: SimConfig) -> tuple[list[Peer], FailureScenario]:
-    """The population and resolved failure scenario a valid cfg describes.
+    """The population and failure scenario a valid cfg describes.
 
     Only the population and failure fields and rng_seed enter the draw, so
     configs that differ in content size or strategy alone share it.
     """
     peers = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
-    scenario = inject_failure(
-        FailureScenario(cfg.failure_region, cfg.failure_ratio,
-                        cfg.failure_start, cfg.failure_end),
-        peers, _stream(cfg.rng_seed, _STREAM_FAILURE))
-    return peers, scenario
+    affected = inject_failure(cfg.failure_region, cfg.failure_ratio, peers,
+                              _stream(cfg.rng_seed, _STREAM_FAILURE))
+    return peers, FailureScenario(affected, cfg.failure_region, cfg.failure_start,
+                                  cfg.failure_end)
 
 
 class CandidateDraws(NamedTuple):
@@ -255,7 +250,7 @@ def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
                         key=attrgetter("join_time"))
     by_join = sorted(peers, key=attrgetter("join_time"))
     by_departure = sorted(peers, key=attrgetter("departure_time"))
-    online = OnlineSet({p.id: p for p in peers})
+    online = OnlineSet()
     arrived = departed = 0
     for requester in requesters:
         t = requester.join_time
@@ -282,8 +277,8 @@ class Simulation:
     so two runs with the same config are bit-identical and two strategies
     under the same seed see the identical population and failure draw.
     The strategy is cfg.strategy. A caller may pass that draw as peers and
-    a resolved scenario, together, to run several cells on one population;
-    peers are immutable and the run's own state lives in self.ledger. With
+    scenario, together, to run several cells on one population; peers
+    are immutable and the run's own state lives in self.ledger. With
     them it may also pass the population's candidate draws (draw_candidates)
     for cfg's strategy, zeta, alpha, seed and horizon, which cells differing
     only in content size share; without them run() makes its own.
@@ -305,8 +300,6 @@ class Simulation:
                                  f"not {_draws_key(cfg)}")
         if peers is None:
             peers, scenario = draw_population(cfg)
-        elif not scenario.resolved:
-            raise ValueError("externally supplied scenario must be resolved")
         self.peers: dict[int, Peer] = {p.id: p for p in peers}
         if len(self.peers) != len(peers):
             raise ValueError("peer ids must be unique")
@@ -356,20 +349,19 @@ class Simulation:
             else:
                 out.end_time = min(peer.departure_time, horizon)
         handlers = (self._on_resolve, self._on_resolve, self._on_request_issue)
-        while self._heap:
-            t, priority, _, payload = heapq.heappop(self._heap)
-            if t > horizon:
-                break
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            t, priority, _, payload = heapq.heappop(heap)
             self._now = t
             handlers[priority](payload)
-        for out in self.outcomes:
-            if out.end_time is None:
-                out.end_time = horizon
+        # Each request still open waits on one event past the horizon; it
+        # ends at the horizon, or at its requester's departure if earlier.
+        for *_, req in heap:
+            req.outcome.end_time = min(req.requester.departure_time, horizon)
         # A region of None (trace replay) matches no city.
         region_ids = frozenset(p.id for p in self.peers.values()
                                if p.city == self.scenario.region)
-        return collect_metrics(self.outcomes, self.scenario.affected or frozenset(),
-                               region_ids)
+        return collect_metrics(self.outcomes, self.scenario.affected, region_ids)
 
     def _on_request_issue(self, req: _Request) -> None:
         peer, t = req.requester, self._now

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,7 +25,7 @@ from relaysim import churn, engine, selection
 from relaysim.churn import SessionModel, calibrate_pareto
 from relaysim.engine import MetricsReport, RequestOutcome, Simulation
 from relaysim.model import (STRATEGIES, CapacityError, ConfigError, Peer, SimConfig,
-                            TraceRecord, config_field_names, validate_config)
+                            TraceRecord, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
 from relaysim.netsim import CityTable, FailureScenario, assign_bandwidth  # noqa: F401
 
@@ -89,31 +89,17 @@ def _parse_profile(raw: str):
         out[float(kbps)] = float(prob)
     return out
 
-_FIELD_PARSERS = {
-    "peer_count": int,
-    "isp_count": int,
-    "zeta": int,
-    "rng_seed": int,
-    "arrival_rate_lambda": float,
-    "alpha": float,
-    "gamma": float,
-    "failure_ratio": float,
-    "failure_start": float,
-    "failure_end": float,
-    "content_size_kb": float,
-    "downlink_factor": float,
-    "latency_base_ms": float,
-    "latency_per_km_ms": float,
-    "tts_clamp_min": float,
-    "sim_duration": float,
-    "pareto_shape": _parse_optional_float,
-    "pareto_scale_min": _parse_optional_float,
-    "workload_mode": str,
-    "failure_region": str,
-    "strategy": str,
-    "tts_coeffs": _parse_float_tuple,
-    "content_sizes_kb": _parse_float_tuple,
-    "uplink_profile": _parse_profile,
+# Text parsers keyed by a SimConfig field's annotation (a string, since
+# model postpones annotations). A field whose annotation is not here, such
+# as city_table, cannot be set from text.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": _parse_optional_float,
+    "tuple[float, ...]": _parse_float_tuple,
+    "tuple[float, float, float]": _parse_float_tuple,
+    "dict[float, float]": _parse_profile,
 }
 
 
@@ -123,17 +109,17 @@ def apply_overrides(cfg: SimConfig, raw: dict[str, str]) -> SimConfig:
     The special key city_file replaces the city table from a name,lat,lon
     CSV file.
     """
-    known = set(config_field_names())
+    annotations = {f.name: f.type for f in fields(SimConfig)}
     updates = {}
     errors = []
     for key, val in raw.items():
         if key == "city_file":
             updates["city_table"] = CityTable.from_csv(val).as_dict()
             continue
-        if key not in known:
+        if key not in annotations:
             errors.append(f"unknown config key {key!r}")
             continue
-        parser = _FIELD_PARSERS.get(key)
+        parser = _PARSERS.get(annotations[key])
         if parser is None:
             errors.append(f"config key {key!r} cannot be set from text")
             continue
@@ -281,7 +267,7 @@ def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, list[RequestOutco
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
     affected = frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)
     sim = Simulation(cfg, peers=build_trace_peers(records, cfg, rng),
-                     scenario=FailureScenario(None, 0.0, affected=affected))
+                     scenario=FailureScenario(affected))
     return sim.run(), sim.outcomes
 
 

@@ -6,7 +6,9 @@ paths between an affected peer and an unaffected peer stay usable. That
 asymmetry is what makes relay delivery through unaffected peers work, and
 why one predicate, FailureScenario.cut_off, decides every path: a
 requester that is not cut off reaches the server, and a relay that is not
-cut off reaches both the server and any requester.
+cut off reaches both the server and any requester. A FailureScenario
+always holds its affected peer ids: inject_failure samples them from the
+failed region, and trace replay takes them from the file.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +74,6 @@ class CityTable:
 
     def as_dict(self) -> dict[str, tuple[float, float]]:
         return dict(self._coords)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._coords)
 
     def __contains__(self, name: str) -> bool:
         return name in self._coords
@@ -150,47 +148,33 @@ def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FailureScenario:
-    """A regional in-network failure over a half-open time window.
+    """A resolved in-network failure: the affected peer ids are cut off
+    over the half-open window [start_time, end_time).
 
-    Unresolved scenarios (affected is None) only name the region and the
-    ratio of its peers to break; inject_failure samples the concrete
-    affected set. Trace-driven runs may construct a resolved scenario
-    directly with region=None and an explicit affected set.
+    region names the failed city for the region metrics; None (trace
+    replay, whose affected set comes from the file) matches no city.
     """
 
-    region: str | None
-    ratio: float
+    affected: frozenset[int]
+    region: str | None = None
     start_time: float = 0.0
     end_time: float = math.inf
-    affected: frozenset[int] | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.affected is not None
 
     def cut_off(self, pid: int, t: float) -> bool:
-        """True when peer pid is affected and t lies in [start_time, end_time);
-        always False for an unresolved scenario."""
-        return (self.affected is not None and pid in self.affected
-                and self.start_time <= t < self.end_time)
+        """True when peer pid is affected and t lies in [start_time, end_time)."""
+        return pid in self.affected and self.start_time <= t < self.end_time
 
 
-def inject_failure(scenario: FailureScenario, peers: list[Peer],
-                   rng: np.random.Generator) -> FailureScenario:
-    """Resolve a scenario by sampling floor(ratio * |region peers|) victims.
+def inject_failure(region: str, ratio: float, peers: list[Peer],
+                   rng: np.random.Generator) -> frozenset[int]:
+    """Sample floor(ratio * |region peers|) affected peer ids.
 
     Sampling is uniform without replacement over the region's peers in id
-    order. An empty region resolves to an empty affected set.
+    order. An empty region gives an empty set.
     """
-    if scenario.resolved:
-        raise ValueError("scenario already resolved")
-    if scenario.region is None:
-        raise ValueError("cannot inject a failure without a region")
-    region_ids = sorted(p.id for p in peers if p.city == scenario.region)
-    k = math.floor(scenario.ratio * len(region_ids))
-    if k > 0:
-        picked = rng.choice(np.array(region_ids, dtype=np.int64), size=k, replace=False)
-        affected = frozenset(int(i) for i in picked)
-    else:
-        affected = frozenset()
-    return replace(scenario, affected=affected)
+    region_ids = sorted(p.id for p in peers if p.city == region)
+    k = math.floor(ratio * len(region_ids))
+    if k <= 0:
+        return frozenset()
+    picked = rng.choice(np.array(region_ids, dtype=np.int64), size=k, replace=False)
+    return frozenset(int(i) for i in picked)

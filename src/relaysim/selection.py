@@ -9,10 +9,13 @@ and ISP and a random partition from everyone else online
 (draw_path_aware). The rank, generate_relay_list, runs at request time: it
 drops drawn peers with a fetch-failure history or too much relay workload,
 then sorts each partition by estimated time-to-stay so the most durable
-candidates are tried first. The draws read an OnlineSet, which keeps the
-online ids in ascending order and bucketed by (city, ISP), and draw pool
-indices without building the pools, so the work per list grows with zeta,
-not with the number of peers online.
+candidates are tried first. The draws read an OnlineSet, which holds only
+the online ids, in ascending order and bucketed by (city, ISP), and draw
+pool indices without building the pools, so the work per list grows with
+zeta, not with the number of peers online. No draw repeats an id (the
+random partition skips the careful picks), so a RelayCandidateList is a
+plain id tuple whose first careful_count ids form the careful partition.
+
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,26 +53,9 @@ class RelayCandidateList:
     def __post_init__(self):
         if not 0 <= self.careful_count <= len(self.peer_ids):
             raise ValueError("careful_count out of range")
-        if len(set(self.peer_ids)) != len(self.peer_ids):
-            raise ValueError("duplicate candidate ids")
-
-    @property
-    def careful(self) -> tuple[int, ...]:
-        return self.peer_ids[:self.careful_count]
-
-    @property
-    def random_part(self) -> tuple[int, ...]:
-        return self.peer_ids[self.careful_count:]
-
-    @property
-    def primary(self) -> int | None:
-        return self.peer_ids[0] if self.peer_ids else None
 
     def __len__(self):
         return len(self.peer_ids)
-
-    def __iter__(self):
-        return iter(self.peer_ids)
 
     def __getitem__(self, i):
         return self.peer_ids[i]
@@ -84,24 +70,13 @@ class OnlineSet:
     """The ids of the online peers, kept in ascending order, plus one
     id-ordered bucket per (city, ISP).
 
-    Only ids are stored; `peers` maps an id to its Peer and is consulted
-    for drawn candidates alone. add() and discard() keep both orders with
-    bisect, so the candidate draws below never sort or scan the set.
+    Only ids are stored. add() and discard() keep both orders with bisect,
+    so the candidate draws below never sort or scan the set.
     """
 
-    def __init__(self, peers: Mapping[int, Peer]):
-        self.peers = peers
+    def __init__(self):
         self.ids: list[int] = []
         self._buckets: dict[tuple[str, int], list[int]] = {}
-
-    @classmethod
-    def of(cls, online: Iterable[Peer]) -> OnlineSet:
-        """The set holding exactly the given peers."""
-        online = list(online)
-        result = cls({p.id: p for p in online})
-        for p in online:
-            result.add(p)
-        return result
 
     def add(self, peer: Peer) -> None:
         if peer.id not in self:
@@ -195,22 +170,16 @@ def draw_path_aware(requester: Peer, online: OnlineSet, *, alpha: float, zeta: i
 
 def generate_relay_list(drawn: tuple[tuple[int, ...], tuple[int, ...]],
                         peers: Mapping[int, Peer], *, gamma: float, t: float,
-                        tts: TimeToStayModel | None = None,
-                        workload_mode: str = "utilization",
-                        ledger: RelayLedger | None = None) -> RelayCandidateList:
+                        tts: TimeToStayModel, workload_mode: str,
+                        ledger: RelayLedger) -> RelayCandidateList:
     """Rank a path-aware draw (see draw_path_aware) at request time t.
 
     Both partitions drop peers with a fetch-failure history or workload
-    above gamma, as recorded in the run's ledger (none without one), then
-    sort by descending estimated time-to-stay (ties on ascending peer id).
+    above gamma, as recorded in the run's ledger, then sort by descending
+    estimated time-to-stay (ties on ascending peer id).
     The careful partition comes first, so its most durable member is the
     primary relay. peers maps every drawn id to its Peer.
     """
-    if tts is None:
-        tts = TimeToStayModel()
-    if ledger is None:
-        ledger = RelayLedger()
-
     def keep(p: Peer) -> bool:
         return (p.id not in ledger.fetch_failed
                 and _workload_ok(p, ledger, gamma, workload_mode))
@@ -237,16 +206,6 @@ class SelectionMatrix:
     @property
     def unmatched(self) -> tuple[int, ...]:
         return tuple(q for q, r in enumerate(self.assignment) if r < 0)
-
-    def matrix(self) -> np.ndarray:
-        """0/1 matrix p with p[r, q] = 1 iff relay r serves requester q."""
-        m = len(self.relay_caps)
-        n = len(self.assignment)
-        p = np.zeros((m, n), dtype=np.int8)
-        for q, r in enumerate(self.assignment):
-            if r >= 0:
-                p[r, q] = 1
-        return p
 
     def loads(self, b: np.ndarray) -> np.ndarray:
         out = np.zeros(len(self.relay_caps), dtype=float)

@@ -29,13 +29,14 @@ from relaysim.model import Peer, RelayLedger, SimConfig
 from relaysim.netsim import FailureScenario, inject_failure, latency_ms
 from relaysim.selection import (
     Infeasible,
-    OnlineSet,
     draw_path_aware,
     generate_relay_list,
     solve_exact,
     solve_greedy,
     _workload_ok,
 )
+
+from helpers import online_set
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -132,10 +133,10 @@ def _no_relay_accounting_oracle(cfg: SimConfig) -> float:
     arithmetic: a request issued at join time succeeds iff the server
     round trip plus transfer fits inside the session."""
     peers = build_population(cfg, _stream(cfg.rng_seed, 0))
-    scenario = inject_failure(
-        FailureScenario(cfg.failure_region, cfg.failure_ratio,
-                        cfg.failure_start, cfg.failure_end),
-        peers, _stream(cfg.rng_seed, _STREAM_FAILURE))
+    scenario = FailureScenario(
+        inject_failure(cfg.failure_region, cfg.failure_ratio, peers,
+                       _stream(cfg.rng_seed, _STREAM_FAILURE)),
+        cfg.failure_region, cfg.failure_start, cfg.failure_end)
     handshake = 2.0 * latency_ms(0.0, cfg.latency_base_ms,
                                  cfg.latency_per_km_ms) / 1000.0
     served = 0
@@ -275,22 +276,25 @@ def test_criterion_7_candidate_list_invariants():
         t = float(rng.uniform(50.0, 120.0))
         online = [p for p in peers if p.online(t)]
         by_id = {p.id: p for p in online}
-        drawn = draw_path_aware(requester, OnlineSet.of(online), alpha=alpha,
+        drawn = draw_path_aware(requester, online_set(online), alpha=alpha,
                                 zeta=zeta, rng=rng)
-        lst = generate_relay_list(drawn, by_id, gamma=gamma, t=t, tts=tts, ledger=ledger)
+        lst = generate_relay_list(drawn, by_id, gamma=gamma, t=t, tts=tts,
+                                  workload_mode="utilization", ledger=ledger)
         assert len(lst) <= zeta
         assert len(set(lst.peer_ids)) == len(lst)
         assert requester.id not in lst.peer_ids
         careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
         assert lst.careful_count <= careful_slots
-        assert len(lst.random_part) <= zeta - careful_slots
-        for pid in lst.careful:
+        careful = lst.peer_ids[:lst.careful_count]
+        randoms = lst.peer_ids[lst.careful_count:]
+        assert len(randoms) <= zeta - careful_slots
+        for pid in careful:
             assert by_id[pid].city == requester.city
             assert by_id[pid].isp == requester.isp
         for pid in lst.peer_ids:
             assert pid not in ledger.fetch_failed
             assert _workload_ok(by_id[pid], ledger, gamma, "utilization")
-        for part in (lst.careful, lst.random_part):
+        for part in (careful, randoms):
             taus = [estimate_time_to_stay(tts, by_id[pid].elapse(t) / 60.0)
                     for pid in part]
             assert all(a >= b - 1e-12 for a, b in zip(taus, taus[1:]))

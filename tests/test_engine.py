@@ -6,7 +6,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaysim import engine
@@ -73,7 +73,7 @@ class TestCollectMetrics:
 
     def test_empty_report(self):
         rep = collect_metrics([])
-        assert rep.is_empty
+        assert rep.total_requests == 0
         assert rep.success_ratio is None
         assert rep.primary_success_ratio is None
 
@@ -199,8 +199,7 @@ class TestAttemptDownload:
     def download(self, requester, relays=(), affected=(), candidates=(), workload=None):
         cfg = SimConfig(peer_count=1 + len(relays), content_size_kb=512.0,
                         sim_duration=math.inf)
-        scenario = FailureScenario(region="Beijing", ratio=0.5,
-                                   affected=frozenset(affected))
+        scenario = FailureScenario(frozenset(affected), region="Beijing")
         sim = FixedListSimulation(cfg, [requester, *relays], scenario,
                                   {requester.id: RelayCandidateList(tuple(candidates), 0)})
         if workload is not None:
@@ -308,8 +307,7 @@ class TestAttemptDownload:
         peers = [make_peer(0), make_peer(1), make_peer(2),
                  make_peer(3, up=512.0, dur=4.01)]
         cfg = SimConfig(peer_count=4, content_size_kb=512.0, sim_duration=math.inf)
-        scenario = FailureScenario(region="Beijing", ratio=0.5,
-                                   affected=frozenset({0, 2}))
+        scenario = FailureScenario(frozenset({0, 2}), region="Beijing")
         sim = FixedListSimulation(cfg, peers, scenario,
                                   {0: RelayCandidateList((3, 1), 0),
                                    2: RelayCandidateList((1,), 0)})
@@ -417,15 +415,6 @@ class TestSimulation:
         assert path.success_ratio > no_relay.success_ratio
         assert no_relay.affected_success_ratio == 0.0
 
-    def test_external_scenario_must_be_resolved(self):
-        with pytest.raises(ValueError):
-            Simulation(small_cfg(),
-                       scenario=FailureScenario(region="Beijing", ratio=0.5))
-        peers, _ = draw_population(small_cfg())
-        with pytest.raises(ValueError):
-            Simulation(small_cfg(), peers=peers,
-                       scenario=FailureScenario(region="Beijing", ratio=0.5))
-
     def test_population_and_scenario_supplied_together(self):
         peers, scenario = draw_population(small_cfg())
         with pytest.raises(ValueError):
@@ -442,13 +431,13 @@ class TestSimulation:
     def test_run_returns_report(self):
         rep = run(small_cfg())
         assert isinstance(rep, MetricsReport)
-        assert not rep.is_empty
+        assert rep.total_requests > 0
 
     def test_zero_length_session_never_goes_online(self, monkeypatch):
         # Its departure runs before its arrival at the same instant, so
         # admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
-        scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset({1}))
+        scenario = FailureScenario(frozenset({1}))
         pools = record_pools(monkeypatch)
         sim = Simulation(small_cfg(strategy="random"), peers=peers, scenario=scenario)
         sim.run()
@@ -588,7 +577,8 @@ class RecordingSimulation(Simulation):
 
 @st.composite
 def small_runs(draw):
-    """A hand-built population with ties in time, a failure draw and a strategy."""
+    """A hand-built population with ties in time, a failure draw, a strategy
+    and a horizon."""
     n = draw(st.integers(1, 16))
     peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
                   isp=draw(st.integers(1, 2)),
@@ -598,30 +588,44 @@ def small_runs(draw):
                   session_duration=draw(st.sampled_from((1.0, 3.0, 4.01, 60.0, 1e9, 1e9))))
              for i in range(n)]
     start = draw(st.sampled_from((0.0, 1.0, 3.0)))
-    scenario = FailureScenario(
-        region="Beijing", ratio=0.5, start_time=start,
-        end_time=start + draw(st.sampled_from((1.0, 8.0, math.inf))),
-        affected=frozenset(draw(st.sets(st.integers(0, n - 1)))))
+    end = start + draw(st.sampled_from((1.0, 8.0, math.inf)))
+    scenario = FailureScenario(frozenset(draw(st.sets(st.integers(0, n - 1)))),
+                               region="Beijing", start_time=start, end_time=end)
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(1, 4)),
                     content_size_kb=draw(st.sampled_from((100.0, 512.0, 2000.0))),
                     workload_mode=draw(st.sampled_from(("utilization", "count"))),
                     strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
-                    sim_duration=math.inf)
+                    # a 20 s handshake lets a reject outlast its requester's
+                    # departure and a finite horizon after it
+                    latency_base_ms=draw(st.sampled_from((5.0, 10000.0))),
+                    sim_duration=draw(st.sampled_from((1.5, 3.0, 6.0, math.inf))))
     return cfg, peers, scenario
+
+
+def crossed_reject(horizon):
+    """Two cut-off peers, each the other's only candidate, and a 1.2 s
+    handshake: requester 0's reject resolves past its departure at 1.0
+    and, at a horizon of 1.1, past the horizon too."""
+    cfg = SimConfig(peer_count=2, strategy="random", latency_base_ms=600.0,
+                    sim_duration=horizon)
+    return cfg, [make_peer(0, dur=1.0), make_peer(1)], FailureScenario(frozenset({0, 1}))
 
 
 class TestProtocolProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_runs())
+    @example(crossed_reject(1.1))
     def test_every_request_ends_once_and_consistently(self, run_args):
         cfg, peers, scenario = run_args
+        horizon = cfg.sim_duration
         sim = RecordingSimulation(cfg, peers=peers, scenario=scenario)
         sim.run()
-        assert sorted(o.requester_id for o in sim.outcomes) == [p.id for p in peers]
+        assert sorted(o.requester_id for o in sim.outcomes) == [
+            p.id for p in peers if p.join_time <= horizon]
         for o in sim.outcomes:
             requester = sim.peers[o.requester_id]
-            assert o.start_time <= o.end_time <= requester.departure_time
+            assert o.start_time <= o.end_time <= min(requester.departure_time, horizon)
             if o.served:
                 # no transfer outruns the requester's downlink
                 fetch = cfg.content_size_kb * 8.0 / requester.downlink_kbps
@@ -641,7 +645,9 @@ class TestProtocolProperties:
             assert o.primary_success == (relay_served and tried == (o.served_by,))
         assert sim.ledger.fetch_failed == {o.requester_id for o in sim.outcomes
                                            if o.entered_relay_phase}
-        assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+        if horizon == math.inf:
+            # a finite horizon may cut transfers that still hold capacity
+            assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
 
     @settings(max_examples=200, deadline=None)
     @given(small_runs())
@@ -682,6 +688,17 @@ class TestProtocolProperties:
         assert by_id[0] == by_id[1]
 
 
+class TestHorizon:
+    @pytest.mark.parametrize("horizon", [1.1, math.inf])
+    def test_open_request_ends_by_its_departure(self, horizon):
+        cfg, peers, scenario = crossed_reject(horizon)
+        sim = Simulation(cfg, peers=peers, scenario=scenario)
+        sim.run()
+        assert [(o.requester_id, o.served_by, o.attempts) for o in sim.outcomes] == [
+            (0, None, 1), (1, None, 1)]
+        assert [o.end_time for o in sim.outcomes] == [1.0, min(1.2, horizon)]
+
+
 @st.composite
 def draw_populations(draw):
     """A population whose join and departure times collide: same-instant
@@ -694,10 +711,9 @@ def draw_populations(draw):
                   session_duration=draw(st.sampled_from((0.0, 1.0, 2.0, 3.0, math.inf))))
              for i in range(n)]
     start = draw(st.sampled_from((0.0, 1.0, 2.0)))
-    scenario = FailureScenario(
-        region="Beijing", ratio=0.5, start_time=start,
-        end_time=start + draw(st.sampled_from((2.0, math.inf))),
-        affected=frozenset(draw(st.sets(st.integers(0, n - 1)))))
+    end = start + draw(st.sampled_from((2.0, math.inf)))
+    scenario = FailureScenario(frozenset(draw(st.sets(st.integers(0, n - 1)))),
+                               region="Beijing", start_time=start, end_time=end)
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(1, 4)), alpha=draw(st.sampled_from((0.0, 0.5, 1.0))),
                     sim_duration=draw(st.sampled_from((3.0, 5.0, math.inf))))
@@ -734,8 +750,7 @@ class TestDrawPass:
         peers = [make_peer(0, join=0.0, dur=math.inf), make_peer(1, join=1.0, dur=1.0),
                  make_peer(2, join=2.0, dur=5.0), make_peer(3, join=2.0, dur=0.0),
                  make_peer(4, join=4.0, dur=5.0)]
-        scenario = FailureScenario(region=None, ratio=0.0,
-                                   affected=frozenset({1, 2, 3, 4}))
+        scenario = FailureScenario(frozenset({1, 2, 3, 4}))
         pools = record_pools(monkeypatch)
         draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0), peers, scenario)
         assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}
@@ -791,10 +806,9 @@ def server_populations(draw):
                   session_duration=draw(st.sampled_from((0.0, 1.0, 1.5, 2.5, 4.0, math.inf))))
              for i in range(n)]
     start = draw(st.sampled_from((0.0, 1.0, 2.0)))
-    scenario = FailureScenario(
-        region="Beijing", ratio=0.5, start_time=start,
-        end_time=start + draw(st.sampled_from((1.0, 4.0, math.inf))),
-        affected=frozenset(draw(st.sets(st.integers(0, n - 1)))))
+    end = start + draw(st.sampled_from((1.0, 4.0, math.inf)))
+    scenario = FailureScenario(frozenset(draw(st.sets(st.integers(0, n - 1)))),
+                               region="Beijing", start_time=start, end_time=end)
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
                     strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
                     sim_duration=draw(st.sampled_from((1.5, 2.5, 4.0, 6.0, math.inf))),
@@ -823,8 +837,7 @@ class TestServerFetch:
     def test_edges(self, join, duration, horizon, expected):
         peer = make_peer(0, join=join, dur=duration)
         cfg = SimConfig(peer_count=1, sim_duration=horizon, **SERVER_CFG)
-        outcomes = check_server_path(cfg, [peer], FailureScenario("Beijing", 0.0,
-                                                                    affected=frozenset()))
+        outcomes = check_server_path(cfg, [peer], FailureScenario(frozenset(), "Beijing"))
         assert [(o.served_by, o.end_time) for o in outcomes] == (
             [expected] if expected else [])
 
@@ -833,8 +846,8 @@ class TestServerFetch:
         # server, and same-instant joins keep the peers= list order
         peers = [make_peer(pid, join=join) for pid, join in
                  ((3, 2.0), (1, 1.0), (0, 1.0), (2, 2.0), (4, 0.5))]
-        scenario = FailureScenario("Beijing", 1.0, start_time=1.0, end_time=2.0,
-                                   affected=frozenset(range(5)))
+        scenario = FailureScenario(frozenset(range(5)), "Beijing", start_time=1.0,
+                                   end_time=2.0)
         cfg = SimConfig(peer_count=5, strategy="no-relay", **SERVER_CFG)
         outcomes = check_server_path(cfg, peers, scenario)
         assert [(o.requester_id, o.entered_relay_phase) for o in outcomes] == [

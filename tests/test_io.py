@@ -33,6 +33,7 @@ from relaysim.io import (
     write_outcomes_csv,
     write_sweep_csv,
     write_trace_csv,
+    _PARSERS,
 )
 from relaysim.model import CapacityError, ConfigError, SimConfig, TraceRecord
 from relaysim.netsim import SERVER
@@ -91,6 +92,14 @@ class TestConfigFile:
     def test_unparsable_value_rejected(self):
         with pytest.raises(ConfigError):
             apply_overrides(SimConfig(), {"peer_count": "many"})
+
+    def test_every_field_but_the_city_table_has_a_parser(self):
+        # A field whose annotation has no parser could not be set from text.
+        missing = {f.name: f.type for f in dataclasses.fields(SimConfig)
+                   if f.type not in _PARSERS}
+        assert missing == {"city_table": "dict[str, tuple[float, float]]"}
+        with pytest.raises(ConfigError, match="cannot be set from text"):
+            apply_overrides(SimConfig(), {"city_table": "A:1:2"})
 
     def test_city_file_override(self, tmp_path):
         f = tmp_path / "cities.csv"

@@ -40,8 +40,8 @@ class TestGeography:
 
     def test_symmetry_all_pairs(self):
         table = CityTable(DEFAULT_CITIES)
-        for a in table.names:
-            for b in table.names:
+        for a in table.as_dict():
+            for b in table.as_dict():
                 assert table.distance_km(a, b) == pytest.approx(
                     table.distance_km(b, a), abs=1e-9)
 
@@ -67,7 +67,7 @@ class TestGeography:
         f = tmp_path / "cities.csv"
         f.write_text("name,lat,lon\nA,10.0,20.0\nB,-5.5,30.25\n")
         table = CityTable.from_csv(f)
-        assert table.names == ("A", "B")
+        assert tuple(table.as_dict()) == ("A", "B")
         assert table.coords("B") == (-5.5, 30.25)
 
     def test_from_csv_without_header(self, tmp_path):
@@ -192,46 +192,36 @@ class TestFailureInjection:
 
     def test_floor_sampling(self):
         peers = self.make_region(100)
-        scen = FailureScenario(region="Beijing", ratio=0.6)
-        out = inject_failure(scen, peers, np.random.default_rng(0))
-        assert out.resolved
-        assert len(out.affected) == 60
+        out = inject_failure("Beijing", 0.6, peers, np.random.default_rng(0))
+        assert isinstance(out, frozenset)
+        assert len(out) == 60
         region_ids = {p.id for p in peers}
-        assert out.affected <= region_ids
+        assert out <= region_ids
 
     def test_ratio_zero(self):
-        out = inject_failure(FailureScenario(region="Beijing", ratio=0.0),
-                             self.make_region(100), np.random.default_rng(0))
-        assert out.affected == frozenset()
+        out = inject_failure("Beijing", 0.0, self.make_region(100),
+                             np.random.default_rng(0))
+        assert out == frozenset()
 
     def test_ratio_one(self):
         peers = self.make_region(25)
-        out = inject_failure(FailureScenario(region="Beijing", ratio=1.0),
-                             peers, np.random.default_rng(0))
-        assert out.affected == {p.id for p in peers}
+        out = inject_failure("Beijing", 1.0, peers, np.random.default_rng(0))
+        assert out == {p.id for p in peers}
 
     def test_only_region_peers_sampled(self):
         peers = (self.make_region(50, "Beijing")
                  + [make_peer(100 + i, city="Shanghai") for i in range(50)])
-        out = inject_failure(FailureScenario(region="Beijing", ratio=1.0),
-                             peers, np.random.default_rng(0))
-        assert all(i < 100 for i in out.affected)
-        assert len(out.affected) == 50
+        out = inject_failure("Beijing", 1.0, peers, np.random.default_rng(0))
+        assert all(i < 100 for i in out)
+        assert len(out) == 50
 
     def test_empty_region_ok(self):
-        out = inject_failure(FailureScenario(region="Beijing", ratio=0.6),
-                             [], np.random.default_rng(0))
-        assert out.affected == frozenset()
-
-    def test_double_injection_rejected(self):
-        scen = inject_failure(FailureScenario(region="Beijing", ratio=0.1),
-                              self.make_region(10), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            inject_failure(scen, self.make_region(10), np.random.default_rng(0))
+        out = inject_failure("Beijing", 0.6, [], np.random.default_rng(0))
+        assert out == frozenset()
 
     def test_window_half_open(self):
-        scen = FailureScenario(region="Beijing", ratio=1.0, start_time=10.0,
-                               end_time=20.0, affected=frozenset({1}))
+        scen = FailureScenario(frozenset({1}), region="Beijing", start_time=10.0,
+                               end_time=20.0)
         assert not scen.cut_off(1, 9.999)
         assert scen.cut_off(1, 10.0)       # start edge inclusive
         assert scen.cut_off(1, 19.999)
@@ -240,8 +230,8 @@ class TestFailureInjection:
 
 class TestConnectivity:
     def scenario(self, affected, start=0.0, end=math.inf):
-        return FailureScenario(region="Beijing", ratio=0.6, start_time=start,
-                               end_time=end, affected=frozenset(affected))
+        return FailureScenario(frozenset(affected), region="Beijing", start_time=start,
+                               end_time=end)
 
     def test_truth_table_during_window(self):
         scen = self.scenario({1, 2})
@@ -258,14 +248,14 @@ class TestConnectivity:
             assert not scen.cut_off(2, t)
 
     def test_no_scenario(self):
-        # An unresolved scenario names a region but cuts no peer off.
-        assert not FailureScenario(region="Beijing", ratio=0.5).cut_off(1, 0.0)
+        # A scenario without affected peers names a region but cuts no peer off.
+        assert not FailureScenario(frozenset(), region="Beijing").cut_off(1, 0.0)
 
 
 def plan_attempt(relay, requester, in_use=None, affected=()):
     """Simulation._plan_attempt at t = 0 on a two-peer run with the relay's
     uplink partly in use."""
-    scenario = FailureScenario(region=None, ratio=0.0, affected=frozenset(affected))
+    scenario = FailureScenario(frozenset(affected))
     sim = Simulation(SimConfig(peer_count=2, content_size_kb=512.0),
                      peers=[relay, requester], scenario=scenario)
     sim.ledger.in_use_kbps.update(in_use or {})

@@ -25,6 +25,8 @@ from relaysim.selection import (
     _workload_ok,
 )
 
+from helpers import assignment_matrix, online_set
+
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
     base = dict(id=pid, city=city, isp=isp, uplink_kbps=1024.0,
@@ -35,9 +37,9 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
 
 def path_aware_list(requester, online, *, alpha, zeta, rng, **rank):
     """Draw and rank a path-aware list in one call, as a request issued
-    with online as the online set would get it."""
-    drawn = draw_path_aware(requester, online, alpha=alpha, zeta=zeta, rng=rng)
-    return generate_relay_list(drawn, online.peers, **rank)
+    while exactly the peers in online are online would get it."""
+    drawn = draw_path_aware(requester, online_set(online), alpha=alpha, zeta=zeta, rng=rng)
+    return generate_relay_list(drawn, {p.id: p for p in online}, **rank)
 
 
 # The list-building forms of the two generators: each pool is materialized
@@ -122,10 +124,11 @@ class TestIndexedDraws:
     def test_random_list_matches_reference(self, case):
         requester, arrivals, params, seed = case
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_relay_list(requester, OnlineSet.of(arrivals), params["zeta"], ours)
+        got = random_relay_list(requester, online_set(arrivals), params["zeta"], ours)
         want = reference_random_relay_list(requester, sorted(arrivals, key=lambda p: p.id),
                                            params["zeta"], ref)
         assert got.peer_ids == want.peer_ids and got.careful_count == 0
+        assert len(set(got.peer_ids)) == len(got)
         assert ours.random() == ref.random()
 
     @settings(max_examples=400, deadline=None)
@@ -133,17 +136,18 @@ class TestIndexedDraws:
     def test_path_aware_list_matches_reference(self, case):
         requester, arrivals, params, seed = case
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = path_aware_list(requester, OnlineSet.of(arrivals), rng=ours, **params)
+        got = path_aware_list(requester, arrivals, rng=ours, **params)
         want = reference_generate_relay_list(
             requester, sorted(arrivals, key=lambda p: p.id), rng=ref, **params)
         assert got.peer_ids == want.peer_ids
+        assert len(set(got.peer_ids)) == len(got)
         assert got.careful_count == want.careful_count
         assert ours.random() == ref.random()
 
 
 class TestOnlineSet:
     def test_ids_and_buckets_stay_in_id_order(self):
-        online = OnlineSet({})
+        online = OnlineSet()
         for p in (make_peer(5), make_peer(2, city="Wuhan"), make_peer(9), make_peer(2)):
             online.add(p)                  # a second add of id 2 changes nothing
         assert online.ids == [2, 5, 9]
@@ -160,7 +164,7 @@ class TestOnlineSet:
     def test_matches_a_plain_set(self, ops):
         peers = {i: make_peer(i, city=("Wuhan", "Beijing")[i % 2], isp=1 + i % 3)
                  for i in range(13)}
-        online, plain = OnlineSet(peers), set()
+        online, plain = OnlineSet(), set()
         for arrive, pid in ops:
             if arrive:
                 online.add(peers[pid])
@@ -178,9 +182,9 @@ class TestOnlineSet:
 class TestCandidateList:
     def test_partitions(self):
         lst = RelayCandidateList((5, 3, 8, 1), careful_count=2)
-        assert lst.careful == (5, 3)
-        assert lst.random_part == (8, 1)
-        assert lst.primary == 5
+        assert lst.peer_ids[:lst.careful_count] == (5, 3)
+        assert lst.peer_ids[lst.careful_count:] == (8, 1)
+        assert lst[0] == 5
         assert len(lst) == 4
         assert list(lst) == [5, 3, 8, 1]
         assert lst[2] == 8
@@ -188,12 +192,8 @@ class TestCandidateList:
     def test_empty(self):
         lst = no_relay_list()
         assert len(lst) == 0
-        assert lst.primary is None
-        assert lst.careful == () and lst.random_part == ()
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            RelayCandidateList((1, 2, 1), 0)
+        assert lst.peer_ids == ()
+        assert lst.careful_count == 0
 
     def test_careful_count_bounds(self):
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ class TestCandidateList:
 class TestRandomList:
     def test_excludes_requester_and_caps_length(self):
         me = make_peer(0)
-        online = OnlineSet.of([me] + [make_peer(i) for i in range(1, 5)])
+        online = online_set([me] + [make_peer(i) for i in range(1, 5)])
         lst = random_relay_list(me, online, zeta=10, rng=np.random.default_rng(0))
         assert len(lst) == 4
         assert 0 not in lst.peer_ids
@@ -213,27 +213,27 @@ class TestRandomList:
 
     def test_respects_zeta(self):
         me = make_peer(0)
-        online = OnlineSet.of([me] + [make_peer(i) for i in range(1, 40)])
+        online = online_set([me] + [make_peer(i) for i in range(1, 40)])
         lst = random_relay_list(me, online, zeta=10, rng=np.random.default_rng(1))
         assert len(lst) == 10
         assert len(set(lst.peer_ids)) == 10
 
     def test_reproducible(self):
         me = make_peer(0)
-        online = OnlineSet.of(make_peer(i) for i in range(20))
+        online = online_set(make_peer(i) for i in range(20))
         a = random_relay_list(me, online, 10, np.random.default_rng(7))
         b = random_relay_list(me, online, 10, np.random.default_rng(7))
         assert a.peer_ids == b.peer_ids
 
     def test_first_position_uniform(self):
         me = make_peer(0)
-        online = OnlineSet.of([me] + [make_peer(i) for i in range(1, 9)])
+        online = online_set([me] + [make_peer(i) for i in range(1, 9)])
         rng = np.random.default_rng(11)
         counts = {i: 0 for i in range(1, 9)}
         trials = 10_000
         for _ in range(trials):
             lst = random_relay_list(me, online, 3, rng)
-            counts[lst.primary] += 1
+            counts[lst[0]] += 1
         # binomial 3 sigma around p = 1/8
         p = 1.0 / 8.0
         bound = 3.0 * (p * (1 - p) / trials) ** 0.5
@@ -244,16 +244,18 @@ class TestRandomList:
 class TestPathAwareList:
     def gen(self, requester, online, t=0.0, **kw):
         args = dict(alpha=0.2, gamma=0.8, zeta=10,
-                    rng=np.random.default_rng(kw.pop("seed", 0)), t=t)
+                    rng=np.random.default_rng(kw.pop("seed", 0)), t=t,
+                    tts=TimeToStayModel(), workload_mode="utilization",
+                    ledger=RelayLedger())
         args.update(kw)
-        return path_aware_list(requester, OnlineSet.of(online), **args)
+        return path_aware_list(requester, online, **args)
 
     def test_partition_size_bounds(self):
         me = make_peer(0)
         online = [me] + [make_peer(i) for i in range(1, 60)]
         lst = self.gen(me, online)
-        assert len(lst.careful) <= 2
-        assert len(lst.random_part) <= 8
+        assert lst.careful_count <= 2
+        assert len(lst) - lst.careful_count <= 8
         assert len(lst) <= 10
 
     def test_empty_online_set(self):
@@ -273,7 +275,7 @@ class TestPathAwareList:
         lst = self.gen(me, [me] + peers, t=t, alpha=1.0, zeta=3)
         assert lst.peer_ids == (1, 3, 2)
         assert lst.careful_count == 3
-        assert lst.primary == 1
+        assert lst[0] == 1
 
     def test_careful_members_share_city_and_isp(self):
         me = make_peer(0, city="Wuhan", isp=2)
@@ -284,7 +286,7 @@ class TestPathAwareList:
         by_id = {p.id: p for p in online}
         for seed in range(10):
             lst = self.gen(me, online, seed=seed)
-            for pid in lst.careful:
+            for pid in lst.peer_ids[:lst.careful_count]:
                 assert by_id[pid].city == "Wuhan"
                 assert by_id[pid].isp == 2
 
@@ -332,7 +334,7 @@ class TestPathAwareList:
         me = make_peer(0)
         online = [me] + [make_peer(i) for i in range(1, 30)]
         lst = self.gen(me, online, alpha=0.3)
-        assert len(lst.careful) == 3
+        assert lst.careful_count == 3
 
     def test_tau_ties_break_by_id(self):
         t = 100.0
@@ -367,7 +369,7 @@ class TestSolveExact:
         assert obj == 17.0
         assert sel.assignment == (1, 0)
         assert sel.is_feasible(np.array(b))
-        p = sel.matrix()
+        p = assignment_matrix(sel)
         assert p.shape == (2, 2)
         assert p.sum(axis=0).tolist() == [1, 1]   # one relay per requester
 
