@@ -181,16 +181,17 @@ class _Request:
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
-# shared by every strategy at a given seed (common random numbers), and each
-# request gets its own selection stream keyed by requester id so candidate
-# draws stay aligned across strategies too.
+# shared by every strategy at a given seed (common random numbers). The
+# selection stream is drawn once per population as a block with one row per
+# relay-phase requester, indexed by its rank by id, so candidate draws stay
+# aligned across strategies and content sizes too.
 _STREAM_POPULATION = 0
 _STREAM_FAILURE = 1
 _STREAM_SELECT = 2
 
 
-def _stream(seed: int, label: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, label) + key))
+def _stream(seed: int, label: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, label)))
 
 
 def draw_population(cfg: SimConfig) -> tuple[list[Peer], FailureScenario]:
@@ -234,10 +235,11 @@ def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
     and is cut off at its join. Peer q is online at time t iff join_q <= t
     < departure_q: one walk over the join and departure times, with
     departures before arrivals at equal times, keeps an OnlineSet, and a
-    zero-length session never comes online. Each requester draws from its
-    own stream, keyed by its id, so the draws do not depend on the order
-    the walk visits requesters at one instant. no-relay draws nothing and
-    builds no stream.
+    zero-length session never comes online. The selection stream is drawn
+    once, as a block of cfg.zeta uniform floats per requester, and the
+    requester with rank r by id reads row r, so the draws do not depend on
+    the order the walk visits requesters at one instant. no-relay draws
+    nothing and builds no stream.
     """
     lists: dict = {}
     strategy = cfg.strategy
@@ -246,13 +248,14 @@ def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
     peers = list(peers)
     horizon = cfg.sim_duration
     requesters = sorted((p for p in peers if p.join_time <= horizon
-                         and scenario.cut_off(p.id, p.join_time)),
-                        key=attrgetter("join_time"))
+                         and scenario.cut_off(p.id, p.join_time)), key=attrgetter("id"))
+    rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
     by_join = sorted(peers, key=attrgetter("join_time"))
     by_departure = sorted(peers, key=attrgetter("departure_time"))
     online = OnlineSet()
     arrived = departed = 0
-    for requester in requesters:
+    for r in sorted(range(len(requesters)), key=lambda r: requesters[r].join_time):
+        requester = requesters[r]
         t = requester.join_time
         while departed < len(peers) and by_departure[departed].departure_time <= t:
             online.discard(by_departure[departed])
@@ -261,12 +264,12 @@ def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
             if by_join[arrived].departure_time > t:
                 online.add(by_join[arrived])
             arrived += 1
-        rng = _stream(cfg.rng_seed, _STREAM_SELECT, requester.id)
+        u = rows[r].tolist()
         if strategy == "random":
-            lists[requester.id] = random_relay_list(requester, online, cfg.zeta, rng)
+            lists[requester.id] = random_relay_list(requester, online, cfg.zeta, u)
         else:
             lists[requester.id] = draw_path_aware(requester, online, alpha=cfg.alpha,
-                                                  zeta=cfg.zeta, rng=rng)
+                                                  zeta=cfg.zeta, u=u)
     return CandidateDraws(_draws_key(cfg), MappingProxyType(lists))
 
 

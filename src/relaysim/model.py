@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 # Reference city set with (lat, lon) in degrees.
 DEFAULT_CITIES: dict[str, tuple[float, float]] = {
@@ -276,7 +276,3 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     if errs:
         raise ConfigError(errs)
     return cfg
-
-
-def config_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(SimConfig))

@@ -12,9 +12,12 @@ then sorts each partition by estimated time-to-stay so the most durable
 candidates are tried first. The draws read an OnlineSet, which holds only
 the online ids, in ascending order and bucketed by (city, ISP), and draw
 pool indices without building the pools, so the work per list grows with
-zeta, not with the number of peers online. No draw repeats an id (the
-random partition skips the careful picks), so a RelayCandidateList is a
-plain id tuple whose first careful_count ids form the careful partition.
+zeta, not with the number of peers online. Each draw reads a row u of
+uniform floats in [0, 1), one float per pick (engine.draw_candidates hands
+every requester its row of one block), and samples without replacement in
+sequence (_draw). No draw repeats an id (the random partition skips the
+careful picks), so a RelayCandidateList is a plain id tuple whose first
+careful_count ids form the careful partition.
 
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, insort
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,21 +107,27 @@ def _find(ids: list[int], pid: int) -> int:
     return i if i < len(ids) and ids[i] == pid else -1
 
 
-def _draw(rng: np.random.Generator, ids: list[int], skip: list[int], k: int) -> list[int]:
-    """Up to k ids drawn without replacement from ids minus the ascending
-    positions in skip, as rng.choice would draw them from that pool built
-    as a list: the draw depends only on the pool's length and k, so each
-    drawn pool index is mapped past the skipped positions. k <= 0, or an
-    empty pool, consumes no stream."""
-    k = min(k, len(ids) - len(skip))
-    if k <= 0:
-        return []
+def _draw(u: Sequence[float], ids: list[int], skip: list[int], k: int) -> list[int]:
+    """Up to k ids drawn without replacement, in sequence, from ids minus
+    the ascending positions in skip, reading one float of u per pick.
+
+    Of the m ids in the pool, pick j takes position floor(u[j] * (m - j))
+    among the positions still untaken: as pool.pop(int(u[j] * len(pool)))
+    on the pool built as a list, whose every ordered pick sequence is
+    equally likely for uniform u. The position is mapped past the skipped
+    and already-taken positions instead. k <= 0, or an empty pool, reads
+    nothing of u.
+    """
+    m = len(ids) - len(skip)
+    taken = list(skip)
     picked = []
-    for i in rng.choice(len(ids) - len(skip), size=k, replace=False).tolist():
-        for s in skip:
+    for j in range(min(k, m)):
+        i = int(u[j] * (m - j))
+        for s in taken:
             if s > i:
                 break
             i += 1
+        insort(taken, i)
         picked.append(ids[i])
     return picked
 
@@ -130,16 +139,16 @@ def _positions(ids: list[int], pids) -> list[int]:
 
 
 def random_relay_list(requester: Peer, online: OnlineSet, zeta: int,
-                      rng: np.random.Generator) -> RelayCandidateList:
+                      u: Sequence[float]) -> RelayCandidateList:
     """Baseline: up to zeta online peers other than the requester, drawn
-    uniformly, in draw order.
+    uniformly from the row u, in draw order.
 
     No filtering and no sorting. Pool index i is the i-th lowest online id
     other than the requester's, so the draw is reproducible whatever order
     peers came online in.
     """
     ids = online.ids
-    picked = _draw(rng, ids, _positions(ids, (requester.id,)), zeta)
+    picked = _draw(u, ids, _positions(ids, (requester.id,)), zeta)
     return RelayCandidateList(tuple(picked), 0)
 
 
@@ -150,21 +159,23 @@ def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bo
 
 
 def draw_path_aware(requester: Peer, online: OnlineSet, *, alpha: float, zeta: int,
-                    rng: np.random.Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+                    u: Sequence[float]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The draw half of a path-aware list: (careful ids, random ids).
 
     ceil(zeta * alpha) slots go to the careful partition, drawn from the
     online peers of the requester's city and ISP; the remaining slots are
     drawn from all other online peers. Both pools exclude the requester
-    and are indexed in ascending id order, the careful draw first. A
+    and are indexed in ascending id order. The careful draw reads the row
+    u first and the random draw reads u[careful_slots:], so with alpha 0
+    the random part is random_relay_list's draw from the same row. A
     shortfall in the careful partition is not backfilled. Both parts are
     in draw order, unfiltered; generate_relay_list ranks them.
     """
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = online.bucket(requester.city, requester.isp)
-    careful = _draw(rng, same, _positions(same, (requester.id,)), careful_slots)
-    randoms = _draw(rng, online.ids, _positions(online.ids, (requester.id, *careful)),
-                    zeta - careful_slots)
+    careful = _draw(u, same, _positions(same, (requester.id,)), careful_slots)
+    randoms = _draw(u[careful_slots:], online.ids,
+                    _positions(online.ids, (requester.id, *careful)), zeta - careful_slots)
     return tuple(careful), tuple(randoms)
 
 

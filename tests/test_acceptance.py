@@ -277,7 +277,7 @@ def test_criterion_7_candidate_list_invariants():
         online = [p for p in peers if p.online(t)]
         by_id = {p.id: p for p in online}
         drawn = draw_path_aware(requester, online_set(online), alpha=alpha,
-                                zeta=zeta, rng=rng)
+                                zeta=zeta, u=rng.random(zeta).tolist())
         lst = generate_relay_list(drawn, by_id, gamma=gamma, t=t, tts=tts,
                                   workload_mode="utilization", ledger=ledger)
         assert len(lst) <= zeta

@@ -29,6 +29,8 @@ from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import RelayCandidateList, no_relay_list
 
+from reference import reference_run
+
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=1e9,
               up=1024.0, down=4096.0, **kw):
@@ -487,9 +489,9 @@ class TestSimulation:
     def test_no_relay_draws_no_selection_stream(self, monkeypatch):
         real = engine._stream
 
-        def no_select(seed, label, *key):
+        def no_select(seed, label):
             assert label != engine._STREAM_SELECT
-            return real(seed, label, *key)
+            return real(seed, label)
         monkeypatch.setattr(engine, "_stream", no_select)
         rep = run(small_cfg(strategy="no-relay"))
         assert rep.relay_phase_requests > 0
@@ -550,8 +552,10 @@ class TestNoRelaySkipsOnlineSet:
         assert skipped.run() == tracked.run()
         assert skipped.outcomes == tracked.outcomes
         assert skipped._draws.lists == {}
+        # the relay strategy's one draw pass builds one selection stream
+        assert tracked._draws.lists
         assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
-            (cfg.rng_seed, engine._STREAM_SELECT, pid) for pid in tracked._draws.lists]
+            (cfg.rng_seed, engine._STREAM_SELECT)]
         # the loop schedules the relay-phase requests and their resolutions
         # only: one issue per peer cut off at a join by the horizon, and no
         # resolution for a server fetch (no-relay has no relay attempt)
@@ -686,6 +690,60 @@ class TestProtocolProperties:
         assert reports[0] == reports[1]
         by_id = [sorted(sim.outcomes, key=lambda o: o.requester_id) for sim in runs]
         assert by_id[0] == by_id[1]
+
+
+@st.composite
+def reference_runs(draw):
+    """Hand-built populations for the whole-run reference: same-instant
+    joins and departures, zero-length and endless sessions, most peers cut
+    off so that requesters share relays, capacities under which a relay's
+    fair downlink share binds, failure windows whose edges fall on joins,
+    and finite horizons."""
+    n = draw(st.integers(2, 16))
+    peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
+                  isp=draw(st.integers(1, 2)),
+                  uplink_kbps=draw(st.sampled_from((256.0, 1024.0, 4096.0))),
+                  downlink_kbps=draw(st.sampled_from((512.0, 1024.0, 4096.0))),
+                  join_time=draw(st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0, 4.0, 6.0))),
+                  session_duration=draw(st.sampled_from((0.0, 1.0, 3.0, 60.0, math.inf,
+                                                         math.inf))))
+             for i in range(n)]
+    cut = st.sampled_from((True, True, True, False))
+    affected = frozenset(i for i in range(n) if draw(cut))
+    start = draw(st.sampled_from((0.0, 1.0, 2.0)))
+    end = start + draw(st.sampled_from((1.0, 2.0, math.inf, math.inf)))
+    scenario = FailureScenario(affected, region="Beijing", start_time=start, end_time=end)
+    cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
+                    zeta=draw(st.integers(1, 4)),
+                    alpha=draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)),
+                                         st.floats(0.0, 1.0))),
+                    gamma=draw(st.sampled_from((0.5, 1.0))),
+                    content_size_kb=draw(st.sampled_from((100.0, 100.0, 100.0, 512.0,
+                                                          2000.0))),
+                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
+                    strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
+                    latency_base_ms=draw(st.sampled_from((5.0, 5.0, 250.0, 10000.0))),
+                    sim_duration=draw(st.sampled_from((2.0, 4.5, 30.0, math.inf, math.inf,
+                                                       math.inf))))
+    return cfg, draw(st.permutations(peers)), scenario
+
+
+class TestWholeRunReference:
+    """Whole runs against tests/reference.py, a slow model written from the
+    protocol's rules: every request's server, attempt count, end time and
+    relay-phase flag must match exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reference_runs())
+    @example(crossed_reject(1.1))
+    def test_outcomes_match_the_reference(self, run_args):
+        cfg, peers, scenario = run_args
+        sim = Simulation(cfg, peers=peers, scenario=scenario)
+        sim.run()
+        got = {o.requester_id: (o.served_by, o.attempts, o.end_time, o.entered_relay_phase)
+               for o in sim.outcomes}
+        assert len(got) == len(sim.outcomes)
+        assert got == reference_run(cfg, peers, scenario)
 
 
 class TestHorizon:

@@ -755,14 +755,17 @@ class TestCli:
 class TestGoldenOutputs:
     """Pinned digests of small outputs: any change to a random stream, or
     to the protocol, changes one of them. Update them only together with
-    an announced behaviour change."""
+    an announced behaviour change. The relay-strategy digests last moved
+    when the selection stream became one block per population, read one
+    row per relay-phase requester by the sequential pick; no-relay and the
+    trace did not move."""
 
     CFG = SimConfig(peer_count=150, failure_ratio=0.6, sim_duration=1800.0,
                     content_size_kb=4000.0, rng_seed=7)
     OUTCOMES = {
         "no-relay": "86a49e06f854ecfac8bc449f784670ed4bbb1c0e260ed48ab089fbd6500e4e36",
-        "random": "7242fec8a7dcf11e38ca0cc87c883bfbf117a9d2efdc8c6ed55ebd2175d2a7aa",
-        "path-aware": "fce20874167b07c461c4822ade94618c1bf6d7f87867ea9d17e4221a68d4275c",
+        "random": "1b99984c0647b77b2b2818ed5072dd04312612a02700338ce7d4cdf61fec8fb8",
+        "path-aware": "1034494e9a3b7e07297c870061d3e5cc2b085072658429f97de91d71fd53f9c8",
     }
     TRACE = "5c3b3f9af142f377b33e49865e623a136f0e73a46da548952842110fc1866b6f"
 
@@ -770,7 +773,7 @@ class TestGoldenOutputs:
     # count workload filter.
     WINDOW_CFG = replace(CFG, peer_count=600, failure_start=200.0, failure_end=900.0,
                          workload_mode="count", strategy="path-aware")
-    WINDOW_OUTCOMES = "58cbe2d236ca4589b771afca8ef771d55ea758e8ff81ef3dee107cc95abef970"
+    WINDOW_OUTCOMES = "fa053c124d5849ad105dda90d6bc6d98bfc698fc11a92ad3889a7366ce86e9c6"
 
     def outcomes_digest(self, cfg, tmp_path):
         sim = Simulation(cfg)

@@ -1,6 +1,7 @@
 """Candidate list generation and assignment solver tests."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from relaysim.selection import (
     save_instance,
     solve_exact,
     solve_greedy,
+    _draw,
     _workload_ok,
 )
 
@@ -35,40 +37,42 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
     return Peer(**base)
 
 
-def path_aware_list(requester, online, *, alpha, zeta, rng, **rank):
+def path_aware_list(requester, online, *, alpha, zeta, u, **rank):
     """Draw and rank a path-aware list in one call, as a request issued
     while exactly the peers in online are online would get it."""
-    drawn = draw_path_aware(requester, online_set(online), alpha=alpha, zeta=zeta, rng=rng)
+    drawn = draw_path_aware(requester, online_set(online), alpha=alpha, zeta=zeta, u=u)
     return generate_relay_list(drawn, {p.id: p for p in online}, **rank)
+
+
+def row(seed, n):
+    """A row of n uniform floats, as draw_candidates hands one requester."""
+    return np.random.default_rng(seed).random(n).tolist()
 
 
 # The list-building forms of the two generators: each pool is materialized
 # from online peers in ascending id order. The indexed generators must draw
-# exactly what these draw, from the same stream.
+# exactly what these draw, from the same row.
 
-def reference_draw(rng, pool, k):
-    k = min(k, len(pool))
-    if k <= 0:
-        return []
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in idx]
+def reference_draw(u, pool, k):
+    pool = list(pool)
+    return [pool.pop(int(u[j] * len(pool))) for j in range(min(k, len(pool)))]
 
 
-def reference_random_relay_list(requester, online_peers, zeta, rng):
+def reference_random_relay_list(requester, online_peers, zeta, u):
     pool = [p for p in online_peers if p.id != requester.id]
-    picked = reference_draw(rng, pool, zeta)
+    picked = reference_draw(u, pool, zeta)
     return RelayCandidateList(tuple(p.id for p in picked), 0)
 
 
-def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta, rng, t,
+def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta, u, t,
                                   tts, workload_mode, ledger):
     pool = [p for p in online_peers if p.id != requester.id]
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = [p for p in pool if p.city == requester.city and p.isp == requester.isp]
-    careful = reference_draw(rng, same, careful_slots)
+    careful = reference_draw(u, same, careful_slots)
     taken = {p.id for p in careful}
     rest = [p for p in pool if p.id not in taken]
-    randoms = reference_draw(rng, rest, zeta - careful_slots)
+    randoms = reference_draw(u[careful_slots:], rest, zeta - careful_slots)
 
     def keep(p):
         return (p.id not in ledger.fetch_failed
@@ -87,8 +91,8 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
 @st.composite
 def selection_cases(draw):
     """An online population in arrival order, a requester that may or may
-    not be online, list parameters and a ledger with fetch failures and
-    busy relays."""
+    not be online, list parameters, a ledger with fetch failures and busy
+    relays, and the requester's row of zeta floats in [0, 1)."""
     ids = draw(st.lists(st.integers(0, 200), unique=True, max_size=40))
     peers = [make_peer(pid, city=draw(st.sampled_from(("Wuhan", "Beijing"))),
                        isp=draw(st.integers(1, 2)),
@@ -113,7 +117,14 @@ def selection_cases(draw):
                   zeta=draw(st.integers(1, 50)), t=3600.0, tts=TimeToStayModel(),
                   workload_mode=draw(st.sampled_from(("utilization", "count"))),
                   ledger=ledger)
-    return requester, draw(st.permutations(peers)), params, draw(st.integers(0, 2**32 - 1))
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=params["zeta"],
+                      max_size=params["zeta"]))
+    return requester, draw(st.permutations(peers)), params, u
+
+
+def past_the_picks(u, used):
+    """u with every float outside the positions in used moved."""
+    return [x if j in used else (x + 0.5) % 1.0 for j, x in enumerate(u)]
 
 
 class TestIndexedDraws:
@@ -122,27 +133,77 @@ class TestIndexedDraws:
     @settings(max_examples=400, deadline=None)
     @given(selection_cases())
     def test_random_list_matches_reference(self, case):
-        requester, arrivals, params, seed = case
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_relay_list(requester, online_set(arrivals), params["zeta"], ours)
+        requester, arrivals, params, u = case
+        got = random_relay_list(requester, online_set(arrivals), params["zeta"], u)
         want = reference_random_relay_list(requester, sorted(arrivals, key=lambda p: p.id),
-                                           params["zeta"], ref)
+                                           params["zeta"], u)
         assert got.peer_ids == want.peer_ids and got.careful_count == 0
         assert len(set(got.peer_ids)) == len(got)
-        assert ours.random() == ref.random()
+        # the draw reads one float per pick and nothing past them
+        moved = past_the_picks(u, range(len(got)))
+        assert random_relay_list(requester, online_set(arrivals), params["zeta"],
+                                 moved) == got
 
     @settings(max_examples=400, deadline=None)
     @given(selection_cases())
     def test_path_aware_list_matches_reference(self, case):
-        requester, arrivals, params, seed = case
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = path_aware_list(requester, arrivals, rng=ours, **params)
+        requester, arrivals, params, u = case
+        got = path_aware_list(requester, arrivals, u=u, **params)
         want = reference_generate_relay_list(
-            requester, sorted(arrivals, key=lambda p: p.id), rng=ref, **params)
+            requester, sorted(arrivals, key=lambda p: p.id), u=u, **params)
         assert got.peer_ids == want.peer_ids
         assert len(set(got.peer_ids)) == len(got)
         assert got.careful_count == want.careful_count
-        assert ours.random() == ref.random()
+        # the careful picks read the row from 0 and the random picks from
+        # careful_slots, one float each, and nothing else
+        zeta, alpha, online = params["zeta"], params["alpha"], online_set(arrivals)
+        careful, randoms = draw_path_aware(requester, online, alpha=alpha, zeta=zeta, u=u)
+        slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
+        used = {*range(len(careful)), *range(slots, slots + len(randoms))}
+        assert draw_path_aware(requester, online, alpha=alpha, zeta=zeta,
+                               u=past_the_picks(u, used)) == (careful, randoms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(selection_cases())
+    def test_path_aware_without_careful_slots_is_the_random_list(self, case):
+        requester, arrivals, params, u = case
+        online = online_set(arrivals)
+        drawn = draw_path_aware(requester, online, alpha=0.0, zeta=params["zeta"], u=u)
+        assert drawn == ((), random_relay_list(requester, online, params["zeta"], u).peer_ids)
+
+
+def chi_square_bound(df, z=4.5):
+    """Upper chi-square quantile for df degrees of freedom at the normal
+    deviate z (Wilson-Hilferty); z = 4.5 is a tail of about 3e-6."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+class TestSequentialPick:
+    def test_every_ordered_pick_sequence_is_equally_likely(self):
+        # Pools of m ids, with one skipped position inside and one at the
+        # end, so the mapping past skipped and taken positions is exercised.
+        # Under uniformity Pearson's statistic has mean cells - 1 and
+        # variance about 2 (cells - 1) whatever the expected count per cell,
+        # so two draws per cell suffice where the cells are many.
+        rng = np.random.default_rng(20261018)
+        for m in range(1, 9):
+            ids = list(range(m + 2))
+            skip = [1, m + 1]
+            pool = [i for pos, i in enumerate(ids) if pos not in skip]
+            for k in range(1, m + 1):
+                cells = math.perm(m, k)
+                trials = 2 * cells + 500
+                counts = Counter(tuple(_draw(u, ids, skip, k))
+                                 for u in rng.random((trials, k)).tolist())
+                assert all(len(set(seq)) == k and set(seq) <= set(pool) for seq in counts)
+                expected = trials / cells
+                chi2 = (sum((c - expected) ** 2 for c in counts.values())
+                        + (cells - len(counts)) * expected ** 2) / expected
+                if cells > 1:
+                    assert chi2 < chi_square_bound(cells - 1), (m, k, chi2)
+                else:
+                    assert counts == {tuple(pool): trials}
 
 
 class TestOnlineSet:
@@ -206,7 +267,7 @@ class TestRandomList:
     def test_excludes_requester_and_caps_length(self):
         me = make_peer(0)
         online = online_set([me] + [make_peer(i) for i in range(1, 5)])
-        lst = random_relay_list(me, online, zeta=10, rng=np.random.default_rng(0))
+        lst = random_relay_list(me, online, zeta=10, u=row(0, 10))
         assert len(lst) == 4
         assert 0 not in lst.peer_ids
         assert lst.careful_count == 0
@@ -214,15 +275,15 @@ class TestRandomList:
     def test_respects_zeta(self):
         me = make_peer(0)
         online = online_set([me] + [make_peer(i) for i in range(1, 40)])
-        lst = random_relay_list(me, online, zeta=10, rng=np.random.default_rng(1))
+        lst = random_relay_list(me, online, zeta=10, u=row(1, 10))
         assert len(lst) == 10
         assert len(set(lst.peer_ids)) == 10
 
     def test_reproducible(self):
         me = make_peer(0)
         online = online_set(make_peer(i) for i in range(20))
-        a = random_relay_list(me, online, 10, np.random.default_rng(7))
-        b = random_relay_list(me, online, 10, np.random.default_rng(7))
+        a = random_relay_list(me, online, 10, row(7, 10))
+        b = random_relay_list(me, online, 10, row(7, 10))
         assert a.peer_ids == b.peer_ids
 
     def test_first_position_uniform(self):
@@ -232,7 +293,7 @@ class TestRandomList:
         counts = {i: 0 for i in range(1, 9)}
         trials = 10_000
         for _ in range(trials):
-            lst = random_relay_list(me, online, 3, rng)
+            lst = random_relay_list(me, online, 3, rng.random(3).tolist())
             counts[lst[0]] += 1
         # binomial 3 sigma around p = 1/8
         p = 1.0 / 8.0
@@ -243,12 +304,11 @@ class TestRandomList:
 
 class TestPathAwareList:
     def gen(self, requester, online, t=0.0, **kw):
-        args = dict(alpha=0.2, gamma=0.8, zeta=10,
-                    rng=np.random.default_rng(kw.pop("seed", 0)), t=t,
-                    tts=TimeToStayModel(), workload_mode="utilization",
-                    ledger=RelayLedger())
+        seed = kw.pop("seed", 0)
+        args = dict(alpha=0.2, gamma=0.8, zeta=10, t=t, tts=TimeToStayModel(),
+                    workload_mode="utilization", ledger=RelayLedger())
         args.update(kw)
-        return path_aware_list(requester, online, **args)
+        return path_aware_list(requester, online, u=row(seed, args["zeta"]), **args)
 
     def test_partition_size_bounds(self):
         me = make_peer(0)
