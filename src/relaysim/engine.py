@@ -6,19 +6,22 @@ candidate list and works through it one attempt at a time. One question
 decides every path: is this peer cut off now (FailureScenario.cut_off)? A
 requester that is not reaches the server; a relay that is not reaches the
 server and any requester. A server fetch holds no relay capacity, so it
-is decided at issue time, before the event loop, and never enters the
-heap: the loop holds only relay-phase request issues and relay attempt
-resolutions. Each relay attempt is planned in full as an AttemptPlan when
-it starts, and one handler resolves it. Relay uplink capacity is tracked
-in a per-run ledger: rates are fixed when an attempt starts and released
-when it resolves. An event's priority orders it at equal timestamps
-(deliveries, other resolutions, request issues), so runs are
-bit-reproducible for a given seed, and picks its handler.
+is decided at issue time, before the event loop, for every request at
+once with array operations, and never enters the heap: the loop holds
+only relay-phase request issues and relay attempt resolutions. A run's
+results are one Outcomes table of columns in issue order; a relay-phase
+request writes its terminal state into its own row, and collect_metrics
+counts on the columns. Each relay attempt is planned in full as an
+AttemptPlan when it starts, and one handler resolves it. Relay uplink
+capacity is tracked in a per-run ledger: rates are fixed when an attempt
+starts and released when it resolves. An event's priority orders it at
+equal timestamps (deliveries, other resolutions, request issues), so runs
+are bit-reproducible for a given seed, and picks its handler.
 
 Who is online when a request is issued depends only on the population, so
-the relay candidate draws are made before the event loop, in one pass over
-the join and departure times (draw_candidates); the loop schedules no
-arrival or departure events. At request time the path-aware draw is ranked
+the relay candidate draws are made before the event loop, in one walk
+whose steps are precomputed from the join and departure columns
+(draw_candidates); the loop schedules no arrival or departure events. At request time the path-aware draw is ranked
 against the run's ledger (selection.generate_relay_list). A sweep makes the
 draws once per population and relay strategy and hands them to every
 content size. The population is drawn column by column
@@ -29,9 +32,8 @@ shares) into built-in values.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -77,6 +79,47 @@ class RequestOutcome:
         return isinstance(self.served_by, int) and self.attempts == 1
 
 
+# Codes of Outcomes.served_by besides a relay's id, which is non-negative.
+SERVED_BY_SERVER, UNSERVED = -1, -2
+
+
+@dataclass(eq=False)
+class Outcomes:
+    """The terminal records of one run's requests as columns, one row per
+    request in issue order: join order, and peers= list order at equal
+    joins.
+
+    served_by holds the serving relay's id, SERVED_BY_SERVER or UNSERVED;
+    size_kb is the run's content size. Iteration yields the rows as
+    RequestOutcome records of built-in values, and two tables are equal
+    when their rows are.
+    """
+
+    size_kb: float
+    requester_id: np.ndarray          # int64
+    start_time: np.ndarray            # float64
+    end_time: np.ndarray              # float64
+    served_by: np.ndarray             # int64 codes
+    attempts: np.ndarray              # int64
+    entered_relay_phase: np.ndarray   # bool
+
+    def __len__(self) -> int:
+        return len(self.requester_id)
+
+    def __iter__(self) -> Iterator[RequestOutcome]:
+        labels = {SERVED_BY_SERVER: SERVER, UNSERVED: None}
+        size_kb = self.size_kb
+        for pid, start, end, code, attempts, relay_phase in zip(
+                self.requester_id.tolist(), self.start_time.tolist(),
+                self.end_time.tolist(), self.served_by.tolist(), self.attempts.tolist(),
+                self.entered_relay_phase.tolist()):
+            yield RequestOutcome(pid, size_kb, start, labels.get(code, code), attempts,
+                                 relay_phase, end)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Outcomes) else NotImplemented
+
+
 @dataclass
 class MetricsReport:
     """Aggregated run statistics; ratios are None when undefined."""
@@ -98,36 +141,41 @@ class MetricsReport:
         return asdict(self)
 
 
-def collect_metrics(outcomes: list[RequestOutcome],
+def collect_metrics(outcomes: Outcomes,
                     affected_ids: frozenset[int] = frozenset(),
                     region_ids: frozenset[int] = frozenset()) -> MetricsReport:
-    """Aggregate outcomes; affected/region slices use the given id sets."""
-    total = len(outcomes)
-    served_server = sum(1 for o in outcomes if o.served_by == SERVER)
-    relay_served = [o for o in outcomes if isinstance(o.served_by, int)]
-    unserved = total - served_server - len(relay_served)
-    relay_phase = [o for o in outcomes if o.entered_relay_phase]
-    primaries = sum(1 for o in relay_phase if o.primary_success)
+    """Aggregate outcomes; affected/region slices use the given id sets.
+    Counts are built-in ints, and each ratio divides two of them."""
+    def count(mask) -> int:
+        return int(np.count_nonzero(mask))
 
     def ratio(part, whole):
         return part / whole if whole else None
 
-    affected = [o for o in outcomes if o.requester_id in affected_ids]
-    region = [o for o in outcomes if o.requester_id in region_ids]
+    served_by, attempts = outcomes.served_by, outcomes.attempts
+    total = len(outcomes)
+    by_server = count(served_by == SERVED_BY_SERVER)
+    relay_served = served_by >= 0
+    by_relay = count(relay_served)
+    served = served_by != UNSERVED
+    in_relay_phase = outcomes.entered_relay_phase
+    relay_phase = count(in_relay_phase)
+    affected = np.isin(outcomes.requester_id, list(affected_ids))
+    region = np.isin(outcomes.requester_id, list(region_ids))
     return MetricsReport(
         total_requests=total,
-        served_by_server=served_server,
-        served_by_relay=len(relay_served),
-        unserved=unserved,
-        success_ratio=ratio(served_server + len(relay_served), total),
-        relay_phase_requests=len(relay_phase),
-        primary_success_ratio=ratio(primaries, len(relay_phase)),
-        avg_repeated_requests=(sum(o.attempts for o in relay_served) / len(relay_served)
-                               if relay_served else None),
-        affected_requests=len(affected),
-        affected_success_ratio=ratio(sum(1 for o in affected if o.served), len(affected)),
-        region_requests=len(region),
-        region_success_ratio=ratio(sum(1 for o in region if o.served), len(region)),
+        served_by_server=by_server,
+        served_by_relay=by_relay,
+        unserved=total - by_server - by_relay,
+        success_ratio=ratio(by_server + by_relay, total),
+        relay_phase_requests=relay_phase,
+        primary_success_ratio=ratio(count(in_relay_phase & relay_served & (attempts == 1)),
+                                    relay_phase),
+        avg_repeated_requests=ratio(int(attempts[relay_served].sum()), by_relay),
+        affected_requests=count(affected),
+        affected_success_ratio=ratio(count(affected & served), count(affected)),
+        region_requests=count(region),
+        region_success_ratio=ratio(count(region & served), count(region)),
     )
 
 
@@ -170,12 +218,12 @@ class AttemptPlan(NamedTuple):
     rate_kbps: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
-    outcome: RequestOutcome
+    row: int                 # in Simulation.outcomes
     requester: Peer
     candidates: RelayCandidateList = no_relay_list()   # immutable, so shared
-    next_index: int = 0
+    next_index: int = 0      # also the number of attempts started
     # (plan, relay) of the scheduled resolution
     pending: tuple[AttemptPlan, Peer] | None = None
 
@@ -226,44 +274,62 @@ def _draws_key(cfg: SimConfig) -> tuple:
     return (cfg.strategy, cfg.zeta, cfg.alpha, cfg.rng_seed, cfg.sim_duration)
 
 
+def _session_columns(peers: list[Peer]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Id, join and departure columns of peers, in list order. A departure
+    is join + duration in float64, as Peer.departure_time computes it."""
+    n = len(peers)
+    ids = np.fromiter((p.id for p in peers), np.int64, n)
+    join = np.fromiter((p.join_time for p in peers), np.float64, n)
+    return ids, join, join + np.fromiter((p.session_duration for p in peers), np.float64, n)
+
+
 def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
                     scenario: FailureScenario) -> CandidateDraws:
     """Draw the relay candidates of every relay-phase requester, without
     running the event loop.
 
     A requester enters the relay phase when it joins by cfg.sim_duration
-    and is cut off at its join. Peer q is online at time t iff join_q <= t
-    < departure_q: one walk over the join and departure times, with
-    departures before arrivals at equal times, keeps an OnlineSet, and a
-    zero-length session never comes online. The selection stream is drawn
-    once, as a block of cfg.zeta uniform floats per requester, and the
-    requester with rank r by id reads row r, so the draws do not depend on
-    the order the walk visits requesters at one instant. no-relay draws
-    nothing and builds no stream.
+    and is cut off at its join. The walk takes one step per requester, in
+    join order (rank order at equal joins), and keeps an OnlineSet of the
+    peers q with join_q <= t < departure_q at the step's time t. From the
+    sorted step times, searchsorted gives each peer the step it arrives at
+    (the first whose time reaches its join) and the step it leaves at (the
+    first that reaches its departure); it comes online only when it leaves
+    at a later step than it arrives, so a zero-length session never does.
+    Each step removes and adds just its own slice of peers. The selection
+    stream is drawn once, as a block of cfg.zeta uniform floats per
+    requester, and the requester with rank r by id reads row r, so the
+    draws do not depend on the order the walk visits requesters at one
+    instant. no-relay draws nothing and builds no stream.
     """
     lists: dict = {}
     strategy = cfg.strategy
     if strategy == "no-relay":
         return CandidateDraws(_draws_key(cfg), MappingProxyType(lists))
     peers = list(peers)
-    horizon = cfg.sim_duration
-    requesters = sorted((p for p in peers if p.join_time <= horizon
-                         and scenario.cut_off(p.id, p.join_time)), key=attrgetter("id"))
+    ids, join, dep = _session_columns(peers)
+    requesters = np.flatnonzero((join <= cfg.sim_duration) & scenario.cut_off_array(ids, join))
+    requesters = requesters[np.argsort(ids[requesters], kind="stable")]
     rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
-    by_join = sorted(peers, key=attrgetter("join_time"))
-    by_departure = sorted(peers, key=attrgetter("departure_time"))
+    steps = np.argsort(join[requesters], kind="stable")
+    times = join[requesters[steps]]
+    arrive, leave = np.searchsorted(times, join), np.searchsorted(times, dep)
+    online_peers = np.flatnonzero(leave > arrive)
+    bounds = np.arange(len(steps) + 1)
+
+    def by_step(step: np.ndarray) -> tuple[list[Peer], list[int]]:
+        """The online peers in order of step, and where each step's slice starts."""
+        order = online_peers[np.argsort(step[online_peers], kind="stable")]
+        return ([peers[i] for i in order.tolist()],
+                np.searchsorted(step[order], bounds).tolist())
+    arrivals, arrive_at = by_step(arrive)
+    departures, leave_at = by_step(leave)
+    by_rank = [peers[i] for i in requesters.tolist()]
     online = OnlineSet()
-    arrived = departed = 0
-    for r in sorted(range(len(requesters)), key=lambda r: requesters[r].join_time):
-        requester = requesters[r]
-        t = requester.join_time
-        while departed < len(peers) and by_departure[departed].departure_time <= t:
-            online.discard(by_departure[departed])
-            departed += 1
-        while arrived < len(peers) and by_join[arrived].join_time <= t:
-            if by_join[arrived].departure_time > t:
-                online.add(by_join[arrived])
-            arrived += 1
+    for s, r in enumerate(steps.tolist()):
+        online.update(departures[leave_at[s]:leave_at[s + 1]],
+                      arrivals[arrive_at[s]:arrive_at[s + 1]])
+        requester = by_rank[r]
         u = rows[r].tolist()
         if strategy == "random":
             lists[requester.id] = random_relay_list(requester, online, cfg.zeta, u)
@@ -306,6 +372,8 @@ class Simulation:
         self.peers: dict[int, Peer] = {p.id: p for p in peers}
         if len(self.peers) != len(peers):
             raise ValueError("peer ids must be unique")
+        if min(self.peers, default=0) < 0:   # Outcomes.served_by codes are negative
+            raise ValueError("peer ids must be non-negative")
         self.city_table = CityTable(cfg.city_table)
         self.scenario = scenario
         self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
@@ -313,7 +381,7 @@ class Simulation:
         # Two-way handshake seconds per (requester city, relay city), filled
         # on first use; the server fetch goes to the in-city edge.
         self._handshakes: dict[tuple[str, str], float] = {}
-        self.outcomes: list[RequestOutcome] = []
+        self.outcomes: Outcomes | None = None   # set by run()
         self.ledger = RelayLedger()
         self._draws = candidates
         self._heap: list = []
@@ -333,24 +401,7 @@ class Simulation:
         if self._draws is None:
             self._draws = draw_candidates(self.cfg, self.peers.values(), self.scenario)
         horizon = self.cfg.sim_duration
-        # Record every request issued by the horizon in join order (list
-        # order at equal joins). A server fetch holds no relay capacity, so
-        # it is decided here; only cut-off requesters enter the loop.
-        size_kb, size_kbits = self.content.size_kb, self.content.size_kbits
-        for peer in sorted(self.peers.values(), key=attrgetter("join_time")):
-            t = peer.join_time
-            if t > horizon:
-                break
-            out = RequestOutcome(peer.id, size_kb, t)
-            self.outcomes.append(out)
-            if self.scenario.cut_off(peer.id, t):
-                self._schedule(t, REQUEST_ISSUE, _Request(out, peer))
-                continue
-            t_end = t + self._handshake(peer.city, peer.city) + size_kbits / peer.downlink_kbps
-            if t_end <= peer.departure_time and t_end <= horizon:
-                out.served_by, out.end_time = SERVER, t_end
-            else:
-                out.end_time = min(peer.departure_time, horizon)
+        self._issue_requests()
         handlers = (self._on_resolve, self._on_resolve, self._on_request_issue)
         heap = self._heap
         while heap and heap[0][0] <= horizon:
@@ -360,16 +411,50 @@ class Simulation:
         # Each request still open waits on one event past the horizon; it
         # ends at the horizon, or at its requester's departure if earlier.
         for *_, req in heap:
-            req.outcome.end_time = min(req.requester.departure_time, horizon)
+            self._end(req, min(req.requester.departure_time, horizon))
         # A region of None (trace replay) matches no city.
         region_ids = frozenset(p.id for p in self.peers.values()
                                if p.city == self.scenario.region)
         return collect_metrics(self.outcomes, self.scenario.affected, region_ids)
 
+    def _issue_requests(self) -> None:
+        """Record every request issued by the horizon in self.outcomes, in
+        join order (list order at equal joins), and schedule the cut-off
+        ones. A server fetch holds no relay capacity, so it is decided here
+        on whole columns, with the float operations of the per-request rule:
+        a fetch ends at join + handshake + size_kbits / downlink, and it
+        serves the request when that is by both the requester's departure
+        and the horizon. An unserved request ends at the earlier of the two.
+        """
+        horizon = self.cfg.sim_duration
+        peers = list(self.peers.values())
+        ids, join, dep = _session_columns(peers)
+        order = np.argsort(join, kind="stable")
+        order = order[:np.searchsorted(join[order], horizon, side="right")]
+        ids, join, dep = ids[order], join[order], dep[order]
+        cut = self.scenario.cut_off_array(ids, join)
+        issued = [peers[i] for i in order.tolist()]
+        cities = [p.city for p in issued]
+        in_city = {city: self._handshake(city, city) for city in set(cities)}
+        t_end = (join + np.fromiter(map(in_city.__getitem__, cities), np.float64, len(cities))
+                 + self.content.size_kbits
+                 / np.fromiter((p.downlink_kbps for p in issued), np.float64, len(issued)))
+        served = ~cut & (t_end <= dep) & (t_end <= horizon)
+        self.outcomes = Outcomes(
+            self.content.size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
+            np.where(served, SERVED_BY_SERVER, UNSERVED), np.zeros(len(ids), np.int64), cut)
+        for row in np.flatnonzero(cut).tolist():
+            peer = issued[row]
+            self._schedule(peer.join_time, REQUEST_ISSUE, _Request(row, peer))
+
+    def _end(self, req: _Request, t: float, served_by: int = UNSERVED) -> None:
+        """Write a relay-phase request's terminal state into its row."""
+        out, row = self.outcomes, req.row
+        out.end_time[row], out.served_by[row], out.attempts[row] = t, served_by, req.next_index
+
     def _on_request_issue(self, req: _Request) -> None:
         peer, t = req.requester, self._now
         self.ledger.fetch_failed.add(peer.id)
-        req.outcome.entered_relay_phase = True
         req.candidates = self._make_candidates(peer, t)
         self._start_next_attempt(req, t)
 
@@ -422,14 +507,13 @@ class Simulation:
     def _start_next_attempt(self, req: _Request, t: float) -> None:
         requester = req.requester
         if t >= requester.departure_time:
-            req.outcome.end_time = requester.departure_time
+            self._end(req, requester.departure_time)
             return
         if req.next_index >= len(req.candidates):
-            req.outcome.end_time = t
+            self._end(req, t)
             return
         relay = self.peers[req.candidates[req.next_index]]
         req.next_index += 1
-        req.outcome.attempts += 1
         plan = self._plan_attempt(relay, requester, t)
         if plan.rate_kbps > 0:
             self.ledger.commit(relay, plan.rate_kbps)
@@ -442,9 +526,9 @@ class Simulation:
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            req.outcome.served_by, req.outcome.end_time = relay.id, self._now
+            self._end(req, self._now, relay.id)
         elif plan.verdict == "requester-lost":
-            req.outcome.end_time = self._now
+            self._end(req, self._now)
         else:
             self._start_next_attempt(req, self._now)
 

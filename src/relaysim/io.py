@@ -1,11 +1,14 @@
 """File formats and the command line interface.
 
 Covers: key=value config files, access-trace CSV parsing and synthesis,
-parameter sweeps with a stable CSV schema, per-request outcome dumps,
+parameter sweeps with a stable CSV schema, per-request outcome dumps
+(written from the engine's Outcomes columns a block of rows at a time),
 metrics JSON, and the relaysim CLI (run / sweep / trace / calibrate /
 solve). All emitted files are deterministic for a given input: fixed row
 order, repr-formatted floats, newline line endings. Trace synthesis and
-replay reuse the population's session and attribute column samplers.
+replay reuse the population's session and attribute column samplers. A
+run, trace replay or sweep cell whose horizon ends before its first
+request is an error, not an empty result.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import numpy as np
 
 from relaysim import churn, engine, selection
 from relaysim.churn import SessionModel, calibrate_pareto
-from relaysim.engine import MetricsReport, RequestOutcome, Simulation
+from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
 from relaysim.model import (STRATEGIES, CapacityError, ConfigError, Peer, SimConfig,
                             TraceRecord, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
-from relaysim.netsim import CityTable, FailureScenario, assign_bandwidth  # noqa: F401
+from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth  # noqa: F401
 
 SWEEP_COLUMNS = ("strategy", "size_kb", "failure_ratio", "seed", "success_ratio",
                  "primary_success_ratio", "avg_attempts", "affected_success_ratio",
@@ -37,6 +40,9 @@ TRACE_COLUMNS = ("user_id", "request_ts", "leave_ts", "fetch_failure")
 
 OUTCOME_COLUMNS = ("requester_id", "size_kb", "start_time", "end_time", "served_by",
                    "attempts", "primary_success", "entered_relay_phase")
+
+# Rows formatted at a time by write_outcomes_csv: bounds the strings held.
+_OUTCOME_BLOCK = 4096
 
 
 class TraceFormatError(ValueError):
@@ -244,7 +250,7 @@ def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> list
                     [rec.duration for rec in records]))
 
 
-def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, list[RequestOutcome]]:
+def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, Outcomes]:
     """Replay a trace: sessions and the affected set come from the file.
 
     Rows flagged fetch_failure form the affected set of a failure window
@@ -320,8 +326,9 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
     size. One group's draws are alive at a time. If a draw fails, every
     cell of its group is recorded with that error. CapacityError
     propagates: it means an engine invariant broke, not that a cell is
-    bad. Rows and failures come out in the spec's size -> ratio ->
-    strategy -> seed order.
+    bad, and so is a cell that issues no request (its horizon ends before
+    the first join). Rows and failures come out in the spec's size ->
+    ratio -> strategy -> seed order.
     """
     if base_cfg is None:
         base_cfg = SimConfig()
@@ -355,6 +362,8 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                     try:
                         report = Simulation(cfg, peers=peers, scenario=scenario,
                                             candidates=draws[strategy]).run()
+                        if not report.total_requests:
+                            raise _no_requests(cfg, peers)
                     except CapacityError:
                         raise
                     except Exception as exc:  # record and continue
@@ -374,6 +383,14 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
     ordered = [cells[key] for key in sorted(cells)]
     return SweepResult([c for c in ordered if "error" not in c],
                        [c for c in ordered if "error" in c])
+
+
+def _no_requests(cfg: SimConfig, peers) -> ValueError:
+    """The error for a run whose horizon ends before its first request."""
+    first = min(p.join_time for p in peers)
+    return ValueError(f"sim_duration {cfg.sim_duration!r} s ends before the first "
+                      f"request at {first!r} s, so the run issues no request; raise "
+                      f"sim_duration or set it to inf")
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
@@ -415,15 +432,29 @@ def summarize_sweep(result: SweepResult) -> dict:
 # ---------------------------------------------------------------------------
 # outcome and metrics dumps
 
-def write_outcomes_csv(outcomes, path) -> None:
-    """Per-request outcomes ordered by requester id."""
+def write_outcomes_csv(outcomes: Outcomes, path) -> None:
+    """Per-request outcomes ordered by requester id.
+
+    The columns are formatted _OUTCOME_BLOCK rows at a time, as _fmt
+    formats each cell. No cell holds a comma, quote or line break, so each
+    line is what csv.writer writes for that row.
+    """
+    labels = {SERVED_BY_SERVER: SERVER, UNSERVED: ""}
+    size = _fmt(outcomes.size_kb)
+    order = np.argsort(outcomes.requester_id, kind="stable")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(OUTCOME_COLUMNS)
-        for o in sorted(outcomes, key=lambda o: o.requester_id):
-            w.writerow([o.requester_id, _fmt(o.size_kb), _fmt(o.start_time),
-                        _fmt(o.end_time), _fmt(o.served_by), o.attempts,
-                        _fmt(o.primary_success), _fmt(o.entered_relay_phase)])
+        fh.write(",".join(OUTCOME_COLUMNS) + "\n")
+        for lo in range(0, len(order), _OUTCOME_BLOCK):
+            rows = order[lo:lo + _OUTCOME_BLOCK]
+            served_by, attempts = outcomes.served_by[rows], outcomes.attempts[rows]
+            primary = (served_by >= 0) & (attempts == 1)
+            fh.write("".join(
+                f"{pid},{size},{start!r},{end!r},{labels.get(code, code)},{n},{p},{r}\n"
+                for pid, start, end, code, n, p, r in zip(
+                    outcomes.requester_id[rows].tolist(), outcomes.start_time[rows].tolist(),
+                    outcomes.end_time[rows].tolist(), served_by.tolist(), attempts.tolist(),
+                    primary.view(np.uint8).tolist(),
+                    outcomes.entered_relay_phase[rows].view(np.uint8).tolist())))
 
 
 def write_metrics_json(report: MetricsReport, path) -> None:
@@ -498,7 +529,10 @@ def _report(args, report: MetricsReport, outcomes) -> int:
 
 def _cmd_run(args) -> int:
     sim = Simulation(build_config(args))
-    return _report(args, sim.run(), sim.outcomes)
+    report = sim.run()
+    if not report.total_requests:
+        raise _no_requests(sim.cfg, sim.peers.values())
+    return _report(args, report, sim.outcomes)
 
 
 def _cmd_sweep(args) -> int:

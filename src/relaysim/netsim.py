@@ -164,6 +164,10 @@ class FailureScenario:
         """True when peer pid is affected and t lies in [start_time, end_time)."""
         return pid in self.affected and self.start_time <= t < self.end_time
 
+    def cut_off_array(self, ids: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """cut_off elementwise: entry i is cut_off(ids[i], t[i])."""
+        return np.isin(ids, list(self.affected)) & (self.start_time <= t) & (t < self.end_time)
+
 
 def inject_failure(region: str, ratio: float, peers: list[Peer],
                    rng: np.random.Generator) -> frozenset[int]:

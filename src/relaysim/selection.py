@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, insort
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,32 +73,31 @@ class OnlineSet:
     """The ids of the online peers, kept in ascending order, plus one
     id-ordered bucket per (city, ISP).
 
-    Only ids are stored. add() and discard() keep both orders with bisect,
-    so the candidate draws below never sort or scan the set.
+    Only ids are stored. update() keeps both orders with bisect, so the
+    candidate draws below never sort or scan the set.
     """
 
     def __init__(self):
         self.ids: list[int] = []
         self._buckets: dict[tuple[str, int], list[int]] = {}
 
-    def add(self, peer: Peer) -> None:
-        if peer.id not in self:
-            insort(self.ids, peer.id)
-            insort(self._buckets.setdefault((peer.city, peer.isp), []), peer.id)
-
-    def discard(self, peer: Peer) -> None:
-        i = _find(self.ids, peer.id)
-        if i >= 0:
-            del self.ids[i]
-            bucket = self._buckets[peer.city, peer.isp]
-            del bucket[_find(bucket, peer.id)]
+    def update(self, leaving: Iterable[Peer], arriving: Iterable[Peer]) -> None:
+        """Remove the leaving peers, which must be online, then add the
+        arriving ones, which must not be."""
+        ids, buckets = self.ids, self._buckets
+        for p in leaving:
+            pid = p.id
+            del ids[bisect_left(ids, pid)]
+            bucket = buckets[p.city, p.isp]
+            del bucket[bisect_left(bucket, pid)]
+        for p in arriving:
+            pid = p.id
+            insort(ids, pid)
+            insort(buckets.setdefault((p.city, p.isp), []), pid)
 
     def bucket(self, city: str, isp: int) -> list[int]:
         """Ids of the online peers in that city and ISP, ascending."""
         return self._buckets.get((city, isp), [])
-
-    def __contains__(self, pid: int) -> bool:
-        return _find(self.ids, pid) >= 0
 
 
 def _find(ids: list[int], pid: int) -> int:

@@ -1,16 +1,77 @@
 """Helpers shared by the test modules."""
 
-import numpy as np
+import math
 
+import numpy as np
+from hypothesis import strategies as st
+
+from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes
+from relaysim.io import _OUTCOME_BLOCK
+from relaysim.netsim import SERVER
 from relaysim.selection import OnlineSet
+
+
+def add(online, peer):
+    """Bring peer online in the OnlineSet; no effect when its id already is."""
+    if peer.id not in online.ids:
+        online.update((), (peer,))
+
+
+def discard(online, peer):
+    """Take peer offline in the OnlineSet; no effect when its id is not online."""
+    if peer.id in online.ids:
+        online.update((peer,), ())
 
 
 def online_set(peers):
     """The OnlineSet holding exactly the given peers."""
     online = OnlineSet()
     for p in peers:
-        online.add(p)
+        add(online, p)
     return online
+
+
+def outcomes_table(rows, size_kb=1.0):
+    """The Outcomes table of RequestOutcome rows, which share one size_kb
+    (size_kb when there are none). An end_time of None becomes NaN."""
+    rows = list(rows)
+    sizes = {o.size_kb for o in rows} or {size_kb}
+    assert len(sizes) == 1, sizes
+    codes = {SERVER: SERVED_BY_SERVER, None: UNSERVED}
+    return Outcomes(
+        sizes.pop(),
+        np.array([o.requester_id for o in rows], dtype=np.int64),
+        np.array([o.start_time for o in rows], dtype=np.float64),
+        np.array([math.nan if o.end_time is None else o.end_time for o in rows],
+                 dtype=np.float64),
+        np.array([codes.get(o.served_by, o.served_by) for o in rows], dtype=np.int64),
+        np.array([o.attempts for o in rows], dtype=np.int64),
+        np.array([o.entered_relay_phase for o in rows], dtype=bool))
+
+
+# Floats whose repr takes an exponent or is otherwise special.
+SPECIAL_FLOATS = (0.0, 1e-05, 1.5e-05, 1e-04, 0.1, 5e-324, 9999999999999998.0, 1e+16,
+                  1.2345e+16, math.inf)
+
+
+@st.composite
+def outcome_tables(draw):
+    """Outcomes tables with no rows, a few, or more than one writer block:
+    served_by of every kind, attempts from 0, and times mixing special
+    floats with floats from 1e-8 to 1e19. Rows are in random id order."""
+    n = draw(st.one_of(st.integers(0, 12),
+                       st.sampled_from((_OUTCOME_BLOCK, 2 * _OUTCOME_BLOCK + 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def times():
+        spread = rng.random(n) * 10.0 ** rng.integers(-8, 20, n)
+        return np.where(rng.random(n) < 0.3, rng.choice(SPECIAL_FLOATS, n), spread)
+    codes = np.array([SERVED_BY_SERVER, UNSERVED])
+    served_by = np.where(rng.random(n) < 0.5, rng.choice(codes, n), rng.integers(0, 10**6, n))
+    return Outcomes(draw(st.sampled_from(SPECIAL_FLOATS[:-1] + (1600.0, 512.5))),
+                    rng.choice(10**6, n, replace=False).astype(np.int64), times(), times(),
+                    served_by.astype(np.int64), rng.integers(0, 4, n).astype(np.int64),
+                    rng.random(n) < 0.5)
 
 
 def assignment_matrix(sel):

@@ -10,13 +10,20 @@ geography (city distances and the latency model), the time-to-stay
 formula and the selection stream's seed. reference_run(cfg, peers,
 scenario) returns {requester id: (served_by, attempts, end_time,
 entered_relay_phase)} for every request issued by the horizon.
+
+It also keeps the row-by-row forms of the metrics and the outcome CSV
+writer, which scan RequestOutcome records: collect_metrics_rows and
+write_outcomes_csv_rows.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
+from relaysim.engine import MetricsReport
+from relaysim.io import OUTCOME_COLUMNS, _fmt
 from relaysim.model import RATE_EPS
 from relaysim.netsim import SERVER, CityTable, latency_ms
 
@@ -179,3 +186,45 @@ def reference_run(cfg, peers, scenario):
         req = by_id[rid]
         result[rid] = (None, state[rid]["attempts"], min(departure(req), horizon), True)
     return result
+
+
+def collect_metrics_rows(outcomes, affected_ids=frozenset(), region_ids=frozenset()):
+    """engine.collect_metrics over a list of RequestOutcome records."""
+    total = len(outcomes)
+    served_server = sum(1 for o in outcomes if o.served_by == SERVER)
+    relay_served = [o for o in outcomes if isinstance(o.served_by, int)]
+    unserved = total - served_server - len(relay_served)
+    relay_phase = [o for o in outcomes if o.entered_relay_phase]
+    primaries = sum(1 for o in relay_phase if o.primary_success)
+
+    def ratio(part, whole):
+        return part / whole if whole else None
+
+    affected = [o for o in outcomes if o.requester_id in affected_ids]
+    region = [o for o in outcomes if o.requester_id in region_ids]
+    return MetricsReport(
+        total_requests=total,
+        served_by_server=served_server,
+        served_by_relay=len(relay_served),
+        unserved=unserved,
+        success_ratio=ratio(served_server + len(relay_served), total),
+        relay_phase_requests=len(relay_phase),
+        primary_success_ratio=ratio(primaries, len(relay_phase)),
+        avg_repeated_requests=(sum(o.attempts for o in relay_served) / len(relay_served)
+                               if relay_served else None),
+        affected_requests=len(affected),
+        affected_success_ratio=ratio(sum(1 for o in affected if o.served), len(affected)),
+        region_requests=len(region),
+        region_success_ratio=ratio(sum(1 for o in region if o.served), len(region)),
+    )
+
+
+def write_outcomes_csv_rows(outcomes, path):
+    """io.write_outcomes_csv through csv.writer, one RequestOutcome at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(OUTCOME_COLUMNS)
+        for o in sorted(outcomes, key=lambda o: o.requester_id):
+            w.writerow([o.requester_id, _fmt(o.size_kb), _fmt(o.start_time),
+                        _fmt(o.end_time), _fmt(o.served_by), o.attempts,
+                        _fmt(o.primary_success), _fmt(o.entered_relay_phase)])

@@ -29,7 +29,8 @@ from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import RelayCandidateList, no_relay_list
 
-from reference import reference_run
+from helpers import outcome_tables, outcomes_table
+from reference import collect_metrics_rows, reference_run
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=1e9,
@@ -58,7 +59,7 @@ class TestCollectMetrics:
     def test_ratio_arithmetic(self):
         outs = [RequestOutcome(i, 100.0, 0.0, served_by=SERVER) for i in range(3)]
         outs.append(RequestOutcome(3, 100.0, 0.0))
-        rep = collect_metrics(outs)
+        rep = collect_metrics(outcomes_table(outs))
         assert rep.success_ratio == 0.75
         assert rep.served_by_server == 3
         assert rep.unserved == 1
@@ -69,35 +70,45 @@ class TestCollectMetrics:
         for i, k in enumerate((1, 2, 3)):
             outs.append(RequestOutcome(i, 100.0, 0.0, served_by=50 + i, attempts=k,
                                        entered_relay_phase=True))
-        rep = collect_metrics(outs)
+        rep = collect_metrics(outcomes_table(outs))
         assert rep.avg_repeated_requests == 2.0
         assert rep.primary_success_ratio == pytest.approx(1.0 / 3.0)
 
     def test_empty_report(self):
-        rep = collect_metrics([])
+        rep = collect_metrics(outcomes_table([]))
         assert rep.total_requests == 0
         assert rep.success_ratio is None
         assert rep.primary_success_ratio is None
 
     def test_no_relay_phase_means_absent_primary_ratio(self):
-        rep = collect_metrics([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)])
+        rep = collect_metrics(outcomes_table([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)]))
         assert rep.primary_success_ratio is None
 
     def test_slices(self):
         outs = [RequestOutcome(0, 1.0, 0.0, served_by=SERVER),
                 RequestOutcome(1, 1.0, 0.0)]
-        rep = collect_metrics(outs, affected_ids=frozenset({1}),
+        rep = collect_metrics(outcomes_table(outs), affected_ids=frozenset({1}),
                               region_ids=frozenset({0, 1}))
         assert rep.affected_requests == 1
         assert rep.affected_success_ratio == 0.0
         assert rep.region_success_ratio == 0.5
 
     def test_to_dict_round(self):
-        rep = collect_metrics([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)])
+        rep = collect_metrics(outcomes_table([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)]))
         d = rep.to_dict()
         assert d["total_requests"] == 1
         assert d["success_ratio"] == 1.0
         assert MetricsReport(**d) == rep
+
+    @settings(max_examples=300, deadline=None)
+    @given(outcome_tables(), st.data())
+    def test_matches_the_row_reference(self, table, data):
+        ids = table.requester_id.tolist()
+        id_sets = st.frozensets(st.one_of(st.sampled_from(ids), st.integers(0, 10**6))
+                                if ids else st.integers(0, 10**6))
+        affected, region = data.draw(id_sets), data.draw(id_sets)
+        assert collect_metrics(table, affected, region).to_dict() == collect_metrics_rows(
+            list(table), affected, region).to_dict()
 
     def test_primary_success_is_derived(self):
         assert RequestOutcome(0, 1.0, 0.0, served_by=7, attempts=1).primary_success
@@ -430,6 +441,13 @@ class TestSimulation:
         with pytest.raises(ValueError, match="unique"):
             Simulation(cfg, peers=[*peers, peers[7]], scenario=scenario)
 
+    def test_negative_peer_ids_rejected(self):
+        # Outcomes.served_by codes the server and unserved as negative ids
+        peers = [make_peer(0), make_peer(-1)]
+        with pytest.raises(ValueError, match="non-negative"):
+            Simulation(small_cfg(peer_count=2), peers=peers,
+                       scenario=FailureScenario(frozenset()))
+
     def test_run_returns_report(self):
         rep = run(small_cfg())
         assert isinstance(rep, MetricsReport)
@@ -728,22 +746,65 @@ def reference_runs(draw):
     return cfg, draw(st.permutations(peers)), scenario
 
 
+@st.composite
+def crowded_relay_runs(draw):
+    """A few relays that are never cut off and stay online, with small
+    uplinks and, often, downlinks below their uplinks, and many cut-off
+    requesters whose joins overlap one another's transfers. Requesters
+    queue for the same relays, so the release of capacity when an attempt
+    resolves and the relay's fair downlink share both decide who is served
+    and when."""
+    relays = draw(st.integers(1, 3))
+    n = relays + draw(st.integers(3, 12))
+    peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
+                  isp=draw(st.integers(1, 2)),
+                  uplink_kbps=draw(st.sampled_from((256.0, 512.0, 1024.0))),
+                  downlink_kbps=draw(st.sampled_from((128.0, 256.0, 512.0, 4096.0))),
+                  join_time=0.0, session_duration=math.inf)
+             for i in range(relays)]
+    peers += [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
+                   isp=draw(st.integers(1, 2)), uplink_kbps=1024.0,
+                   downlink_kbps=draw(st.sampled_from((512.0, 4096.0))),
+                   join_time=draw(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0))),
+                   session_duration=draw(st.sampled_from((4.0, 10.0, 60.0, math.inf))))
+              for i in range(relays, n)]
+    scenario = FailureScenario(frozenset(range(relays, n)), region="Beijing",
+                               end_time=draw(st.sampled_from((6.0, math.inf, math.inf))))
+    cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
+                    zeta=draw(st.integers(2, 6)),
+                    alpha=draw(st.sampled_from((0.0, 0.5, 1.0))),
+                    gamma=draw(st.sampled_from((0.5, 1.0))),
+                    content_size_kb=draw(st.sampled_from((50.0, 100.0, 200.0))),
+                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
+                    strategy=draw(st.sampled_from(("random", "path-aware", "path-aware"))),
+                    sim_duration=draw(st.sampled_from((7.0, math.inf, math.inf))))
+    return cfg, draw(st.permutations(peers)), scenario
+
+
 class TestWholeRunReference:
     """Whole runs against tests/reference.py, a slow model written from the
     protocol's rules: every request's server, attempt count, end time and
     relay-phase flag must match exactly."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(reference_runs())
-    @example(crossed_reject(1.1))
-    def test_outcomes_match_the_reference(self, run_args):
-        cfg, peers, scenario = run_args
+    @staticmethod
+    def check(cfg, peers, scenario):
         sim = Simulation(cfg, peers=peers, scenario=scenario)
         sim.run()
         got = {o.requester_id: (o.served_by, o.attempts, o.end_time, o.entered_relay_phase)
                for o in sim.outcomes}
         assert len(got) == len(sim.outcomes)
         assert got == reference_run(cfg, peers, scenario)
+
+    @settings(max_examples=400, deadline=None)
+    @given(reference_runs())
+    @example(crossed_reject(1.1))
+    def test_outcomes_match_the_reference(self, run_args):
+        self.check(*run_args)
+
+    @settings(max_examples=400, deadline=None)
+    @given(crowded_relay_runs())
+    def test_crowded_relays_match_the_reference(self, run_args):
+        self.check(*run_args)
 
 
 class TestHorizon:

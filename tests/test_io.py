@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from relaysim import engine
 from relaysim.engine import RequestOutcome, Simulation
@@ -37,6 +38,9 @@ from relaysim.io import (
 )
 from relaysim.model import CapacityError, ConfigError, SimConfig, TraceRecord
 from relaysim.netsim import SERVER
+
+from helpers import outcome_tables, outcomes_table
+from reference import write_outcomes_csv_rows
 
 
 def make_args(**kw):
@@ -529,7 +533,7 @@ class TestDumps:
                                entered_relay_phase=True, end_time=9.0),
                 RequestOutcome(1, 100.0, 0.5, served_by=SERVER, end_time=2.5)]
         path = tmp_path / "outcomes.csv"
-        write_outcomes_csv(outs, path)
+        write_outcomes_csv(outcomes_table(outs), path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh, strict=True))
         assert tuple(rows[0]) == OUTCOME_COLUMNS
@@ -538,10 +542,26 @@ class TestDumps:
         assert rows[2][4] == ""             # unserved -> empty cell
         assert rows[2][5] == "3"
 
+    @settings(max_examples=60, deadline=None)
+    @given(outcome_tables())
+    def test_outcomes_csv_bytes_match_the_row_writer(self, tmp_path_factory, table):
+        # The block writer against csv.writer fed one RequestOutcome row at a
+        # time: no rows, fewer rows than a block and more than one block.
+        rows = list(table)
+        for o in rows:
+            assert type(o.requester_id) is int and type(o.attempts) is int
+            assert type(o.size_kb) is type(o.start_time) is type(o.end_time) is float
+            assert type(o.entered_relay_phase) is bool
+            assert o.served_by in (SERVER, None) or type(o.served_by) is int
+        out = tmp_path_factory.mktemp("outcomes")
+        write_outcomes_csv(table, out / "blocks.csv")
+        write_outcomes_csv_rows(rows, out / "rows.csv")
+        assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
     def test_metrics_json(self, tmp_path):
         from relaysim.engine import collect_metrics
         from relaysim.io import write_metrics_json
-        rep = collect_metrics([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)])
+        rep = collect_metrics(outcomes_table([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)]))
         path = tmp_path / "metrics.json"
         write_metrics_json(rep, path)
         payload = json.loads(path.read_text())
@@ -567,6 +587,29 @@ class TestCli:
         assert main(["run", *self.run_flags(), "--out", prefix]) == 0
         assert (tmp_path / "demo_outcomes.csv").exists()
         assert json.loads((tmp_path / "demo_metrics.json").read_text())
+
+    def test_run_without_requests_exit_2(self, tmp_path, capsys):
+        # a horizon before the first join issues no request
+        prefix = tmp_path / "demo"
+        assert main(["run", "--peers", "200", "--set", "sim_duration=0.5",
+                     "--out", str(prefix)]) == 2
+        first = min(p.join_time for p in engine.draw_population(
+            SimConfig(peer_count=200))[0])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"sim_duration 0.5 s ends before the first request at {first!r} s"
+                in captured.err)
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_without_requests_exit_1(self, tmp_path, capsys):
+        # every cell of the sweep issues no request, so each one fails
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--peers", "50", "--sizes", "500", "--strategies", "random",
+                     "--seeds", "1", "--set", "sim_duration=0.5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("sim_duration 0.5 s ends before the first request") == 6
+        assert "wrote 0 rows" in captured.out
+        assert out.read_text().splitlines() == [",".join(SWEEP_COLUMNS)]
 
     def test_config_error_exit_2(self, capsys):
         assert main(["run", "--set", "alpha=1.5"]) == 2
