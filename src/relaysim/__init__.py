@@ -10,8 +10,8 @@ time-to-stay.
 
 from relaysim.churn import (SessionModel, TimeToStayModel, calibrate_pareto,
                             estimate_time_to_stay)
-from relaysim.engine import (MetricsReport, Outcomes, RequestOutcome, Simulation,
-                             collect_metrics, draw_candidates, run)
+from relaysim.engine import (MetricsReport, Outcomes, Population, RequestOutcome,
+                             Simulation, collect_metrics, draw_candidates, run)
 from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
 from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceRecord,
                             validate_config)
@@ -23,9 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
-    "OnlineSet", "Outcomes", "Peer", "RelayCandidateList", "RequestOutcome", "SessionModel",
-    "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord",
+    "OnlineSet", "Outcomes", "Peer", "Population", "RelayCandidateList", "RequestOutcome",
+    "SessionModel", "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceRecord",
     "calibrate_pareto", "collect_metrics", "draw_candidates", "draw_path_aware",
-    "estimate_time_to_stay", "generate_relay_list", "inject_failure", "parse_trace", "run", "run_sweep",
-    "run_trace", "solve_exact", "solve_greedy", "validate_config",
+    "estimate_time_to_stay", "generate_relay_list", "inject_failure", "parse_trace", "run",
+    "run_sweep", "run_trace", "solve_exact", "solve_greedy", "validate_config",
 ]

@@ -5,28 +5,24 @@ the server; a peer cut off by a regional failure falls back to its relay
 candidate list and works through it one attempt at a time. One question
 decides every path: is this peer cut off now (FailureScenario.cut_off)? A
 requester that is not reaches the server; a relay that is not reaches the
-server and any requester. A server fetch holds no relay capacity, so it
-is decided at issue time, before the event loop, for every request at
-once with array operations, and never enters the heap: the loop holds
-only relay-phase request issues and relay attempt resolutions. A run's
-results are one Outcomes table of columns in issue order; a relay-phase
-request writes its terminal state into its own row, and collect_metrics
-counts on the columns. Each relay attempt is planned in full as an
-AttemptPlan when it starts, and one handler resolves it. Relay uplink
-capacity is tracked in a per-run ledger: rates are fixed when an attempt
-starts and released when it resolves. An event's priority orders it at
-equal timestamps (deliveries, other resolutions, request issues), so runs
-are bit-reproducible for a given seed, and picks its handler.
+server and any requester.
 
-Who is online when a request is issued depends only on the population, so
-the relay candidate draws are made before the event loop, in one walk
-whose steps are precomputed from the join and departure columns
-(draw_candidates); the loop schedules no arrival or departure events. At request time the path-aware draw is ranked
-against the run's ledger (selection.generate_relay_list). A sweep makes the
-draws once per population and relay strategy and hands them to every
-content size. The population is drawn column by column
-(churn.sample_sessions, then draw_peer_attributes, which trace replay
-shares) into built-in values.
+A run reads a Population, built once and shared by the cells run on it:
+the peers in issue order with read-only id, join, departure and cut-off
+columns. The requests issued by the horizon are a prefix of that order,
+and the cut-off ones enter the relay phase. A server fetch holds no relay
+capacity, so it is decided at issue time for every request at once with
+array operations. Who is online at a request depends only on the
+population, so the relay candidate draws are made before the event loop
+in one walk (draw_candidates), once per population and strategy in a
+sweep. The event loop walks the relay-phase rows in issue order and
+resolves the attempts due by each one's join before issuing it, so its
+heap holds attempt resolutions only. At request time a path-aware draw is
+ranked against the run's ledger (selection.generate_relay_list), where
+relay capacity is committed when an attempt starts and released when it
+resolves; each attempt is planned in full as an AttemptPlan when it
+starts. Results are one Outcomes table of columns in issue order; a
+relay-phase request writes its end into its own row.
 """
 
 from __future__ import annotations
@@ -48,13 +44,11 @@ from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidt
 from relaysim.selection import (OnlineSet, RelayCandidateList, draw_path_aware,
                                 generate_relay_list, no_relay_list, random_relay_list)
 
-# Heap entries are (time, priority, seq, payload) tuples; the priority
-# orders events at equal timestamps and indexes Simulation's handler tuple,
-# and seq keeps insertion order. No server fetch enters the heap. A relay
-# attempt resolves as ATTEMPT_COMPLETE when its plan delivers and as
-# ATTEMPT_ABORT otherwise; REQUEST_ISSUE starts a cut-off requester's relay
-# phase. Every payload is the _Request.
-ATTEMPT_COMPLETE, ATTEMPT_ABORT, REQUEST_ISSUE = range(3)
+# Heap entries are (time, priority, seq, request), one per relay attempt
+# resolution: ATTEMPT_COMPLETE when its plan delivers, ATTEMPT_ABORT
+# otherwise, so deliveries run first at equal times; seq keeps insertion
+# order. Every resolution due at t runs before a request issued at t.
+ATTEMPT_COMPLETE, ATTEMPT_ABORT = range(2)
 
 
 @dataclass(slots=True)
@@ -86,8 +80,8 @@ SERVED_BY_SERVER, UNSERVED = -1, -2
 @dataclass(eq=False)
 class Outcomes:
     """The terminal records of one run's requests as columns, one row per
-    request in issue order: join order, and peers= list order at equal
-    joins.
+    request in the Population's issue order; requester_id, start_time and
+    entered_relay_phase are read-only views of its columns.
 
     served_by holds the serving relay's id, SERVED_BY_SERVER or UNSERVED;
     size_kb is the run's content size. Iteration yields the rows as
@@ -242,7 +236,43 @@ def _stream(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, label)))
 
 
-def draw_population(cfg: SimConfig) -> tuple[list[Peer], FailureScenario]:
+class Population:
+    """The peers of one run and their failure scenario, in issue order:
+    join order, list order at equal joins. issued holds the peers in it,
+    and ids, join, dep (join + duration, as Peer.departure_time) and cut
+    (cut off at its join: the request enters the relay phase) are read-only
+    columns in it. region_ids are the peers in the scenario's region (None,
+    in trace replay, matches none). Ids must be unique and non-negative
+    (Outcomes.served_by codes are negative). Runs only read a population.
+    """
+
+    def __init__(self, peers: Iterable[Peer], scenario: FailureScenario):
+        peers = list(peers)
+        self.peers: dict[int, Peer] = {p.id: p for p in peers}
+        if len(self.peers) != len(peers):
+            raise ValueError("peer ids must be unique")
+        if min(self.peers, default=0) < 0:
+            raise ValueError("peer ids must be non-negative")
+        self.scenario = scenario
+        n = len(peers)
+        join = np.fromiter((p.join_time for p in peers), np.float64, n)
+        order = np.argsort(join, kind="stable")
+        self.issued: tuple[Peer, ...] = tuple(map(peers.__getitem__, order.tolist()))
+        self.ids = np.fromiter((p.id for p in self.issued), np.int64, n)
+        self.join = join[order]
+        self.dep = self.join + np.fromiter((p.session_duration for p in self.issued),
+                                           np.float64, n)
+        self.cut = scenario.cut_off_array(self.ids, self.join)
+        for column in (self.ids, self.join, self.dep, self.cut):
+            column.flags.writeable = False
+        self.region_ids = frozenset(p.id for p in peers if p.city == scenario.region)
+
+    def issued_by(self, horizon: float) -> int:
+        """Requests issued by the horizon: the leading rows with join <= horizon."""
+        return int(np.searchsorted(self.join, horizon, side="right"))
+
+
+def draw_population(cfg: SimConfig) -> Population:
     """The population and failure scenario a valid cfg describes.
 
     Only the population and failure fields and rng_seed enter the draw, so
@@ -251,8 +281,8 @@ def draw_population(cfg: SimConfig) -> tuple[list[Peer], FailureScenario]:
     peers = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
     affected = inject_failure(cfg.failure_region, cfg.failure_ratio, peers,
                               _stream(cfg.rng_seed, _STREAM_FAILURE))
-    return peers, FailureScenario(affected, cfg.failure_region, cfg.failure_start,
-                                  cfg.failure_end)
+    return Population(peers, FailureScenario(affected, cfg.failure_region, cfg.failure_start,
+                                             cfg.failure_end))
 
 
 class CandidateDraws(NamedTuple):
@@ -260,12 +290,13 @@ class CandidateDraws(NamedTuple):
 
     lists maps each relay-phase requester's id to its draw: the final
     RelayCandidateList for random, the unranked (careful ids, random ids)
-    for path-aware, nothing for no-relay. made_for is the config key
-    (_draws_key) the draws were made under. Both are read-only, so the
-    cells of a sweep group can share them.
+    for path-aware, nothing for no-relay; it is read-only, so the cells of
+    a sweep group can share it. made_for is the config key (_draws_key) the
+    draws were made under, and population the Population drawn from.
     """
 
     made_for: tuple
+    population: Population
     lists: Mapping[int, RelayCandidateList | tuple[tuple[int, ...], tuple[int, ...]]]
 
 
@@ -274,41 +305,31 @@ def _draws_key(cfg: SimConfig) -> tuple:
     return (cfg.strategy, cfg.zeta, cfg.alpha, cfg.rng_seed, cfg.sim_duration)
 
 
-def _session_columns(peers: list[Peer]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Id, join and departure columns of peers, in list order. A departure
-    is join + duration in float64, as Peer.departure_time computes it."""
-    n = len(peers)
-    ids = np.fromiter((p.id for p in peers), np.int64, n)
-    join = np.fromiter((p.join_time for p in peers), np.float64, n)
-    return ids, join, join + np.fromiter((p.session_duration for p in peers), np.float64, n)
-
-
-def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
-                    scenario: FailureScenario) -> CandidateDraws:
+def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     """Draw the relay candidates of every relay-phase requester, without
-    running the event loop.
+    running the event loop: the cut-off rows among those issued by
+    cfg.sim_duration.
 
-    A requester enters the relay phase when it joins by cfg.sim_duration
-    and is cut off at its join. The walk takes one step per requester, in
-    join order (rank order at equal joins), and keeps an OnlineSet of the
-    peers q with join_q <= t < departure_q at the step's time t. From the
-    sorted step times, searchsorted gives each peer the step it arrives at
-    (the first whose time reaches its join) and the step it leaves at (the
-    first that reaches its departure); it comes online only when it leaves
-    at a later step than it arrives, so a zero-length session never does.
-    Each step removes and adds just its own slice of peers. The selection
-    stream is drawn once, as a block of cfg.zeta uniform floats per
-    requester, and the requester with rank r by id reads row r, so the
-    draws do not depend on the order the walk visits requesters at one
-    instant. no-relay draws nothing and builds no stream.
+    The walk takes one step per requester, in join order (rank order at
+    equal joins), and keeps an OnlineSet of the peers q with join_q <= t <
+    departure_q at the step's time t. From the sorted step times,
+    searchsorted gives each peer the step it arrives at (the first whose
+    time reaches its join) and the step it leaves at (the first that
+    reaches its departure); it comes online only when it leaves at a later
+    step than it arrives, so a zero-length session never does. Each step
+    removes and adds just its own slice of peers. The selection stream is
+    drawn once, as a block of cfg.zeta uniform floats per requester, and
+    the requester with rank r by id reads row r, so the draws do not depend
+    on the order the walk visits requesters at one instant. no-relay draws
+    nothing and builds no stream.
     """
     lists: dict = {}
     strategy = cfg.strategy
     if strategy == "no-relay":
-        return CandidateDraws(_draws_key(cfg), MappingProxyType(lists))
-    peers = list(peers)
-    ids, join, dep = _session_columns(peers)
-    requesters = np.flatnonzero((join <= cfg.sim_duration) & scenario.cut_off_array(ids, join))
+        return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
+    k = population.issued_by(cfg.sim_duration)
+    ids, join, dep = population.ids[:k], population.join[:k], population.dep[:k]
+    requesters = np.flatnonzero(population.cut[:k])
     requesters = requesters[np.argsort(ids[requesters], kind="stable")]
     rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
     steps = np.argsort(join[requesters], kind="stable")
@@ -316,6 +337,7 @@ def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
     arrive, leave = np.searchsorted(times, join), np.searchsorted(times, dep)
     online_peers = np.flatnonzero(leave > arrive)
     bounds = np.arange(len(steps) + 1)
+    peers = population.issued
 
     def by_step(step: np.ndarray) -> tuple[list[Peer], list[int]]:
         """The online peers in order of step, and where each step's slice starts."""
@@ -336,7 +358,7 @@ def draw_candidates(cfg: SimConfig, peers: Iterable[Peer],
         else:
             lists[requester.id] = draw_path_aware(requester, online, alpha=cfg.alpha,
                                                   zeta=cfg.zeta, u=u)
-    return CandidateDraws(_draws_key(cfg), MappingProxyType(lists))
+    return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
 
 
 class Simulation:
@@ -345,37 +367,29 @@ class Simulation:
     All randomness derives from cfg.rng_seed through labeled sub-streams,
     so two runs with the same config are bit-identical and two strategies
     under the same seed see the identical population and failure draw.
-    The strategy is cfg.strategy. A caller may pass that draw as peers and
-    scenario, together, to run several cells on one population; peers
-    are immutable and the run's own state lives in self.ledger. With
-    them it may also pass the population's candidate draws (draw_candidates)
-    for cfg's strategy, zeta, alpha, seed and horizon, which cells differing
-    only in content size share; without them run() makes its own.
+    The strategy is cfg.strategy. To run several cells on one population,
+    pass it (draw_population), and with it its candidate draws
+    (draw_candidates) for cfg's strategy, zeta, alpha, seed and horizon,
+    which cells differing only in content size share; draws from another
+    population or config key are rejected. The run's state is self.ledger.
     """
 
-    def __init__(self, cfg: SimConfig, peers: list[Peer] | None = None,
-                 scenario: FailureScenario | None = None,
+    def __init__(self, cfg: SimConfig, population: Population | None = None,
                  candidates: CandidateDraws | None = None):
         validate_config(cfg)
         self.cfg = cfg
-        if (peers is None) != (scenario is None):
-            raise ValueError("peers and scenario are supplied together or not at all")
+        if population is None:
+            population = draw_population(cfg)
         if candidates is not None:
-            if peers is None:
-                raise ValueError("candidate draws need the peers and scenario they "
-                                 "were drawn from")
+            if candidates.population is not population:
+                raise ValueError("candidate draws were drawn from another population")
             if candidates.made_for != _draws_key(cfg):
                 raise ValueError(f"candidate draws made for {candidates.made_for}, "
                                  f"not {_draws_key(cfg)}")
-        if peers is None:
-            peers, scenario = draw_population(cfg)
-        self.peers: dict[int, Peer] = {p.id: p for p in peers}
-        if len(self.peers) != len(peers):
-            raise ValueError("peer ids must be unique")
-        if min(self.peers, default=0) < 0:   # Outcomes.served_by codes are negative
-            raise ValueError("peer ids must be non-negative")
+        self.population = population
+        self.peers = population.peers
+        self.scenario = population.scenario
         self.city_table = CityTable(cfg.city_table)
-        self.scenario = scenario
         self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
         self.content = ContentItem(cfg.content_size_kb)
         # Two-way handshake seconds per (requester city, relay city), filled
@@ -386,74 +400,71 @@ class Simulation:
         self._draws = candidates
         self._heap: list = []
         self._seq = 0
-        self._now = 0.0
         self._ran = False
 
-    def _schedule(self, time: float, priority: int, payload) -> None:
+    def _schedule(self, time: float, priority: int, req: _Request) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, payload))
+        heapq.heappush(self._heap, (time, priority, self._seq, req))
+
+    def _resolve_until(self, t: float) -> None:
+        """Resolve every attempt due by t, in heap order."""
+        heap = self._heap
+        while heap and heap[0][0] <= t:
+            time, _, _, req = heapq.heappop(heap)
+            self._on_resolve(req, time)
 
     def run(self) -> MetricsReport:
-        """Process events until the horizon, then aggregate metrics."""
+        """Decide the server fetches, then run the relay phase in issue order
+        up to the horizon; aggregate metrics."""
         if self._ran:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
         self._ran = True
+        population, horizon = self.population, self.cfg.sim_duration
         if self._draws is None:
-            self._draws = draw_candidates(self.cfg, self.peers.values(), self.scenario)
-        horizon = self.cfg.sim_duration
-        self._issue_requests()
-        handlers = (self._on_resolve, self._on_resolve, self._on_request_issue)
-        heap = self._heap
-        while heap and heap[0][0] <= horizon:
-            t, priority, _, payload = heapq.heappop(heap)
-            self._now = t
-            handlers[priority](payload)
+            self._draws = draw_candidates(self.cfg, population)
+        issued = population.issued_by(horizon)
+        self._decide_server_fetches(issued)
+        for row in np.flatnonzero(population.cut[:issued]).tolist():
+            peer = population.issued[row]
+            self._resolve_until(peer.join_time)
+            self._issue(_Request(row, peer), peer.join_time)
+        self._resolve_until(horizon)
         # Each request still open waits on one event past the horizon; it
         # ends at the horizon, or at its requester's departure if earlier.
-        for *_, req in heap:
+        for *_, req in self._heap:
             self._end(req, min(req.requester.departure_time, horizon))
-        # A region of None (trace replay) matches no city.
-        region_ids = frozenset(p.id for p in self.peers.values()
-                               if p.city == self.scenario.region)
-        return collect_metrics(self.outcomes, self.scenario.affected, region_ids)
+        return collect_metrics(self.outcomes, self.scenario.affected, population.region_ids)
 
-    def _issue_requests(self) -> None:
-        """Record every request issued by the horizon in self.outcomes, in
-        join order (list order at equal joins), and schedule the cut-off
-        ones. A server fetch holds no relay capacity, so it is decided here
-        on whole columns, with the float operations of the per-request rule:
-        a fetch ends at join + handshake + size_kbits / downlink, and it
-        serves the request when that is by both the requester's departure
-        and the horizon. An unserved request ends at the earlier of the two.
+    def _decide_server_fetches(self, issued: int) -> None:
+        """Record the first issued requests in self.outcomes. A server fetch
+        holds no relay capacity, so it is decided here on whole columns, with
+        the float operations of the per-request rule: it ends at join +
+        handshake + size_kbits / downlink and serves the request when that is
+        by both its departure and the horizon; else the request ends at the
+        earlier of the two. Relay-phase rows are written when they end.
         """
         horizon = self.cfg.sim_duration
-        peers = list(self.peers.values())
-        ids, join, dep = _session_columns(peers)
-        order = np.argsort(join, kind="stable")
-        order = order[:np.searchsorted(join[order], horizon, side="right")]
-        ids, join, dep = ids[order], join[order], dep[order]
-        cut = self.scenario.cut_off_array(ids, join)
-        issued = [peers[i] for i in order.tolist()]
-        cities = [p.city for p in issued]
+        population = self.population
+        ids, join, dep, cut, peers = (column[:issued] for column in (
+            population.ids, population.join, population.dep, population.cut, population.issued))
+        cities = [p.city for p in peers]
         in_city = {city: self._handshake(city, city) for city in set(cities)}
-        t_end = (join + np.fromiter(map(in_city.__getitem__, cities), np.float64, len(cities))
+        t_end = (join + np.fromiter(map(in_city.__getitem__, cities), np.float64, issued)
                  + self.content.size_kbits
-                 / np.fromiter((p.downlink_kbps for p in issued), np.float64, len(issued)))
+                 / np.fromiter((p.downlink_kbps for p in peers), np.float64, issued))
         served = ~cut & (t_end <= dep) & (t_end <= horizon)
         self.outcomes = Outcomes(
             self.content.size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
-            np.where(served, SERVED_BY_SERVER, UNSERVED), np.zeros(len(ids), np.int64), cut)
-        for row in np.flatnonzero(cut).tolist():
-            peer = issued[row]
-            self._schedule(peer.join_time, REQUEST_ISSUE, _Request(row, peer))
+            np.where(served, SERVED_BY_SERVER, UNSERVED), np.zeros(issued, np.int64), cut)
 
     def _end(self, req: _Request, t: float, served_by: int = UNSERVED) -> None:
         """Write a relay-phase request's terminal state into its row."""
         out, row = self.outcomes, req.row
         out.end_time[row], out.served_by[row], out.attempts[row] = t, served_by, req.next_index
 
-    def _on_request_issue(self, req: _Request) -> None:
-        peer, t = req.requester, self._now
+    def _issue(self, req: _Request, t: float) -> None:
+        """Start a cut-off requester's relay phase at its join t."""
+        peer = req.requester
         self.ledger.fetch_failed.add(peer.id)
         req.candidates = self._make_candidates(peer, t)
         self._start_next_attempt(req, t)
@@ -521,16 +532,16 @@ class Simulation:
         priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
         self._schedule(plan.resolve_time, priority, req)
 
-    def _on_resolve(self, req: _Request) -> None:
+    def _on_resolve(self, req: _Request, t: float) -> None:
         plan, relay = req.pending
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            self._end(req, self._now, relay.id)
+            self._end(req, t, relay.id)
         elif plan.verdict == "requester-lost":
-            self._end(req, self._now)
+            self._end(req, t)
         else:
-            self._start_next_attempt(req, self._now)
+            self._start_next_attempt(req, t)
 
 
 def run(cfg: SimConfig) -> MetricsReport:

@@ -28,7 +28,7 @@ from relaysim import churn, engine, selection
 from relaysim.churn import SessionModel, calibrate_pareto
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
 from relaysim.model import (STRATEGIES, CapacityError, ConfigError, Peer, SimConfig,
-                            TraceRecord, validate_config)
+                            TraceRecord, _is_int, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
 from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth  # noqa: F401
 
@@ -272,8 +272,8 @@ def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, Outcomes]:
                 f"trace timestamps to start near 0")
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
     affected = frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)
-    sim = Simulation(cfg, peers=build_trace_peers(records, cfg, rng),
-                     scenario=FailureScenario(affected))
+    sim = Simulation(cfg, engine.Population(build_trace_peers(records, cfg, rng),
+                                            FailureScenario(affected)))
     return sim.run(), sim.outcomes
 
 
@@ -302,6 +302,8 @@ class SweepSpec:
             raise ValueError("failure ratios must lie in [0, 1]")
         if any(s not in STRATEGIES for s in self.strategies):
             raise ValueError(f"strategies must be among {STRATEGIES}")
+        if any(not _is_int(s) or s < 0 for s in self.seeds):
+            raise ValueError("sweep seeds must be non-negative integers")
 
     @property
     def cell_count(self) -> int:
@@ -345,9 +347,9 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                                 strategy=strategies[0], rng_seed=seed)
             try:
                 validate_config(group_cfg)
-                peers, scenario = engine.draw_population(group_cfg)
+                population = engine.draw_population(group_cfg)
                 draws = {strategy: engine.draw_candidates(
-                             replace(group_cfg, strategy=strategy), peers, scenario)
+                             replace(group_cfg, strategy=strategy), population)
                          for strategy in strategies}
             except CapacityError:
                 raise
@@ -360,10 +362,9 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                 for ti, strategy in enumerate(strategies):
                     cfg = replace(group_cfg, content_size_kb=size, strategy=strategy)
                     try:
-                        report = Simulation(cfg, peers=peers, scenario=scenario,
-                                            candidates=draws[strategy]).run()
+                        report = Simulation(cfg, population, draws[strategy]).run()
                         if not report.total_requests:
-                            raise _no_requests(cfg, peers)
+                            raise _no_requests(cfg, population)
                     except CapacityError:
                         raise
                     except Exception as exc:  # record and continue
@@ -385,9 +386,9 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                        [c for c in ordered if "error" in c])
 
 
-def _no_requests(cfg: SimConfig, peers) -> ValueError:
+def _no_requests(cfg: SimConfig, population: engine.Population) -> ValueError:
     """The error for a run whose horizon ends before its first request."""
-    first = min(p.join_time for p in peers)
+    first = population.issued[0].join_time
     return ValueError(f"sim_duration {cfg.sim_duration!r} s ends before the first "
                       f"request at {first!r} s, so the run issues no request; raise "
                       f"sim_duration or set it to inf")
@@ -531,7 +532,7 @@ def _cmd_run(args) -> int:
     sim = Simulation(build_config(args))
     report = sim.run()
     if not report.total_requests:
-        raise _no_requests(sim.cfg, sim.peers.values())
+        raise _no_requests(sim.cfg, sim.population)
     return _report(args, report, sim.outcomes)
 
 

@@ -204,6 +204,8 @@ def config_errors(cfg: SimConfig) -> list[str]:
             if not _is_int(getattr(cfg, name))]
     if _is_int(cfg.peer_count) and cfg.peer_count <= 0:
         errs.append("peer_count: must be positive")
+    if _is_int(cfg.rng_seed) and cfg.rng_seed < 0:
+        errs.append("rng_seed: must be non-negative")
     if not cfg.city_table:
         errs.append("city_table: must contain at least one city")
     for name, coord in cfg.city_table.items():

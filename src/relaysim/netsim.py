@@ -75,12 +75,6 @@ class CityTable:
     def as_dict(self) -> dict[str, tuple[float, float]]:
         return dict(self._coords)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._coords
-
-    def __len__(self) -> int:
-        return len(self._coords)
-
     def coords(self, name: str) -> tuple[float, float]:
         try:
             return self._coords[name]

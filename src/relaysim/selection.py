@@ -286,18 +286,9 @@ def solve_greedy(b, caps) -> tuple[SelectionMatrix, float]:
     return SelectionMatrix(tuple(int(r) for r in assign), tuple(caps)), obj
 
 
-def save_instance(path, b, caps) -> None:
-    """Write an instance as CSV: first row caps, then one row per requester."""
-    b, caps = _check_instance(b, caps)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([repr(float(c)) for c in caps])
-        for row in b:
-            w.writerow([repr(float(v)) for v in row])
-
-
 def load_instance(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an instance written by save_instance; returns (b, caps)."""
+    """Read an instance CSV, first row caps, then one row per requester;
+    returns (b, caps)."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and "".join(row).strip()]
     if not rows:

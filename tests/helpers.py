@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes
 from relaysim.io import _OUTCOME_BLOCK
 from relaysim.netsim import SERVER
-from relaysim.selection import OnlineSet
+from relaysim.selection import OnlineSet, _check_instance
 
 
 def add(online, peer):
@@ -72,6 +73,17 @@ def outcome_tables(draw):
                     rng.choice(10**6, n, replace=False).astype(np.int64), times(), times(),
                     served_by.astype(np.int64), rng.integers(0, 4, n).astype(np.int64),
                     rng.random(n) < 0.5)
+
+
+def save_instance(path, b, caps):
+    """Write an assignment instance as CSV, as selection.load_instance reads
+    it: first row caps, then one row per requester."""
+    b, caps = _check_instance(b, caps)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow([repr(float(c)) for c in caps])
+        for row in b:
+            w.writerow([repr(float(v)) for v in row])
 
 
 def assignment_matrix(sel):

@@ -13,8 +13,8 @@ from relaysim import engine
 from relaysim.engine import (
     ATTEMPT_ABORT,
     ATTEMPT_COMPLETE,
-    REQUEST_ISSUE,
     MetricsReport,
+    Population,
     RequestOutcome,
     Simulation,
     build_population,
@@ -49,10 +49,10 @@ def small_cfg(**kw):
 
 class TestEventOrdering:
     def test_priorities(self):
-        # deliveries before aborts before request issues at the same instant,
-        # and each priority indexes the run's handler tuple
-        assert ATTEMPT_COMPLETE < ATTEMPT_ABORT < REQUEST_ISSUE
-        assert (ATTEMPT_COMPLETE, ATTEMPT_ABORT, REQUEST_ISSUE) == (0, 1, 2)
+        # deliveries before aborts at the same instant; request issues do
+        # not enter the heap
+        assert ATTEMPT_COMPLETE < ATTEMPT_ABORT
+        assert (ATTEMPT_COMPLETE, ATTEMPT_ABORT) == (0, 1)
 
 
 class TestCollectMetrics:
@@ -194,7 +194,7 @@ class FixedListSimulation(Simulation):
     peer gets an empty list."""
 
     def __init__(self, cfg, peers, scenario, lists):
-        super().__init__(cfg, peers=peers, scenario=scenario)
+        super().__init__(cfg, Population(peers, scenario))
         self.lists = lists
 
     def _make_candidates(self, peer, t):
@@ -331,6 +331,22 @@ class TestAttemptDownload:
         assert first.attempts == 2
         assert first.end_time == pytest.approx(4.01 + 0.01 + 4.0)
 
+    def test_zero_handshake_reject_resolves_before_a_same_instant_issue(self):
+        # With no latency, requester 1's reject of the offline relay 3
+        # resolves at t = 0, the instant requester 2 is issued; the
+        # resolution runs first, so requester 1 takes relay 0's whole uplink.
+        peers = [make_peer(0), make_peer(1), make_peer(2), make_peer(3, join=500.0)]
+        cfg = SimConfig(peer_count=4, content_size_kb=512.0, latency_base_ms=0.0,
+                        latency_per_km_ms=0.0, sim_duration=math.inf)
+        scenario = FailureScenario(frozenset({1, 2}), region="Beijing")
+        sim = FixedListSimulation(cfg, peers, scenario,
+                                  {1: RelayCandidateList((3, 0), 0),
+                                   2: RelayCandidateList((0,), 0)})
+        sim.run()
+        by_id = {o.requester_id: o for o in sim.outcomes}
+        assert (by_id[1].served_by, by_id[1].attempts, by_id[1].end_time) == (0, 2, 4.0)
+        assert (by_id[2].served_by, by_id[2].attempts, by_id[2].end_time) == (None, 1, 0.0)
+
 
 class TestSimulation:
     def test_no_failure_no_relay_full_success(self):
@@ -355,22 +371,26 @@ class TestSimulation:
 
     def test_supplied_population_left_unchanged(self):
         cfg = small_cfg(sim_duration=math.inf)
-        peers, scenario = draw_population(cfg)
-        before = copy.deepcopy(peers)
+        population = draw_population(cfg)
+        before = copy.deepcopy(population.issued)
         for strategy in ("random", "path-aware"):
-            sim = Simulation(replace(cfg, strategy=strategy), peers=peers,
-                             scenario=scenario)
+            sim = Simulation(replace(cfg, strategy=strategy), population)
             sim.run()
             assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
             assert sim.ledger.fetch_failed
-        assert peers == before
+            # no run or caller can write through the shared columns
+            out = sim.outcomes
+            for column in (population.ids, population.join, population.dep, population.cut,
+                           out.requester_id, out.start_time, out.entered_relay_phase):
+                assert not column.flags.writeable
+        assert population.issued == before
 
     def test_shared_draw_matches_own_draw(self):
         cfg = small_cfg(rng_seed=4)
-        peers, scenario = draw_population(cfg)
+        population = draw_population(cfg)
         for strategy in ("no-relay", "random", "path-aware"):
             cell = replace(cfg, strategy=strategy)
-            shared = Simulation(cell, peers=peers, scenario=scenario)
+            shared = Simulation(cell, population)
             own = Simulation(cell)
             assert shared.run() == own.run()
             assert shared.outcomes == own.outcomes
@@ -428,25 +448,17 @@ class TestSimulation:
         assert path.success_ratio > no_relay.success_ratio
         assert no_relay.affected_success_ratio == 0.0
 
-    def test_population_and_scenario_supplied_together(self):
-        peers, scenario = draw_population(small_cfg())
-        with pytest.raises(ValueError):
-            Simulation(small_cfg(), peers=peers)
-        with pytest.raises(ValueError):
-            Simulation(small_cfg(), scenario=scenario)
-
     def test_duplicate_peer_ids_rejected(self):
-        cfg = small_cfg(peer_count=50)
-        peers, scenario = draw_population(cfg)
+        population = draw_population(small_cfg(peer_count=50))
+        peers = list(population.peers.values())
         with pytest.raises(ValueError, match="unique"):
-            Simulation(cfg, peers=[*peers, peers[7]], scenario=scenario)
+            Population([*peers, peers[7]], population.scenario)
 
     def test_negative_peer_ids_rejected(self):
         # Outcomes.served_by codes the server and unserved as negative ids
         peers = [make_peer(0), make_peer(-1)]
         with pytest.raises(ValueError, match="non-negative"):
-            Simulation(small_cfg(peer_count=2), peers=peers,
-                       scenario=FailureScenario(frozenset()))
+            Population(peers, FailureScenario(frozenset()))
 
     def test_run_returns_report(self):
         rep = run(small_cfg())
@@ -459,7 +471,7 @@ class TestSimulation:
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
         scenario = FailureScenario(frozenset({1}))
         pools = record_pools(monkeypatch)
-        sim = Simulation(small_cfg(strategy="random"), peers=peers, scenario=scenario)
+        sim = Simulation(small_cfg(strategy="random"), Population(peers, scenario))
         sim.run()
         # peer 1 drew from an empty pool: peer 0 was never online, and the
         # requester is not its own candidate
@@ -470,10 +482,19 @@ class TestSimulation:
 
     def test_candidates_need_their_population(self):
         cfg = small_cfg(strategy="random")
-        peers, scenario = draw_population(cfg)
-        draws = draw_candidates(cfg, peers, scenario)
-        with pytest.raises(ValueError, match="peers and scenario"):
+        draws = draw_candidates(cfg, draw_population(cfg))
+        with pytest.raises(ValueError, match="another population"):
             Simulation(cfg, candidates=draws)
+
+    def test_candidates_from_another_population_rejected(self):
+        # The config key holds no failure field: without the population
+        # check, B's run would look up requesters that A's draw never had.
+        cfg = SimConfig(peer_count=300, rng_seed=1, strategy="random")
+        draws = draw_candidates(cfg, draw_population(cfg))
+        other = draw_population(replace(cfg, failure_ratio=0.59))
+        assert set(other.ids[other.cut]) - set(draws.lists)
+        with pytest.raises(ValueError, match="another population"):
+            Simulation(cfg, other, draws)
 
     @pytest.mark.parametrize("change", [
         {"strategy": "path-aware"}, {"zeta": 4}, {"alpha": 0.5}, {"rng_seed": 1},
@@ -481,26 +502,25 @@ class TestSimulation:
     ])
     def test_candidates_must_match_the_config(self, change):
         cfg = small_cfg(strategy="random")
-        peers, scenario = draw_population(cfg)
-        draws = draw_candidates(cfg, peers, scenario)
+        population = draw_population(cfg)
+        draws = draw_candidates(cfg, population)
         with pytest.raises(ValueError, match="made for"):
-            Simulation(replace(cfg, **change), peers=peers, scenario=scenario,
-                       candidates=draws)
+            Simulation(replace(cfg, **change), population, draws)
         # the content size and the rank parameters are not part of the draw
-        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5), peers=peers,
-                   scenario=scenario, candidates=draws).run()
+        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5), population,
+                   draws).run()
 
     def test_shared_candidates_match_own_draws(self):
         cfg = small_cfg(strategy="path-aware", rng_seed=4)
-        peers, scenario = draw_population(cfg)
-        draws = draw_candidates(cfg, peers, scenario)
+        population = draw_population(cfg)
+        draws = draw_candidates(cfg, population)
         assert draws.lists and all(isinstance(d, tuple) for d in draws.lists.values())
         with pytest.raises(TypeError):
             draws.lists[-1] = ((), ())
         for size in (500.0, 16000.0):
             cell = replace(cfg, content_size_kb=size)
-            shared = Simulation(cell, peers=peers, scenario=scenario, candidates=draws)
-            own = Simulation(cell, peers=peers, scenario=scenario)
+            shared = Simulation(cell, population, draws)
+            own = Simulation(cell, population)
             assert shared.run() == own.run()
             assert shared.outcomes == own.outcomes
 
@@ -536,15 +556,21 @@ def record_pools(monkeypatch):
 
 
 class EventCountingSimulation(Simulation):
-    """Simulation that counts the events it schedules, by priority."""
+    """Simulation that counts the attempt resolutions it schedules, by
+    priority, and the relay-phase requests it issues."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.scheduled = [0] * (REQUEST_ISSUE + 1)
+        self.scheduled = [0] * (ATTEMPT_ABORT + 1)
+        self.issued = 0
 
-    def _schedule(self, time, priority, payload):
+    def _schedule(self, time, priority, req):
         self.scheduled[priority] += 1
-        super()._schedule(time, priority, payload)
+        super()._schedule(time, priority, req)
+
+    def _issue(self, req, t):
+        self.issued += 1
+        super()._issue(req, t)
 
 
 class EmptyListSimulation(EventCountingSimulation):
@@ -558,15 +584,15 @@ class EmptyListSimulation(EventCountingSimulation):
 class TestNoRelaySkipsOnlineSet:
     def test_no_arrival_or_departure_events(self, monkeypatch):
         cfg = small_cfg(rng_seed=3, strategy="no-relay")
-        peers, scenario = draw_population(cfg)
+        population = draw_population(cfg)
+        peers, scenario = population.issued, population.scenario
         streams, real = [], engine._stream
         monkeypatch.setattr(engine, "_stream",
                             lambda *key: streams.append(key) or real(*key))
         # no-relay draws nothing and builds no selection stream
-        assert draw_candidates(cfg, peers, scenario).lists == {}
-        skipped = EventCountingSimulation(cfg, peers=peers, scenario=scenario)
-        tracked = EmptyListSimulation(replace(cfg, strategy="random"), peers=peers,
-                                      scenario=scenario)
+        assert draw_candidates(cfg, population).lists == {}
+        skipped = EventCountingSimulation(cfg, population)
+        tracked = EmptyListSimulation(replace(cfg, strategy="random"), population)
         assert skipped.run() == tracked.run()
         assert skipped.outcomes == tracked.outcomes
         assert skipped._draws.lists == {}
@@ -574,14 +600,15 @@ class TestNoRelaySkipsOnlineSet:
         assert tracked._draws.lists
         assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
             (cfg.rng_seed, engine._STREAM_SELECT)]
-        # the loop schedules the relay-phase requests and their resolutions
-        # only: one issue per peer cut off at a join by the horizon, and no
-        # resolution for a server fetch (no-relay has no relay attempt)
+        # the loop issues the relay-phase requests and schedules their
+        # resolutions only: one issue per peer cut off at a join by the
+        # horizon, and no resolution for a server fetch (no-relay has no
+        # relay attempt)
         cut = [p for p in peers
                if p.join_time <= cfg.sim_duration and scenario.cut_off(p.id, p.join_time)]
-        assert skipped.scheduled == [0, 0, len(cut)]
+        assert (skipped.scheduled, skipped.issued) == ([0, 0], len(cut))
         assert len(cut) < len(peers)
-        assert tracked.scheduled == skipped.scheduled
+        assert (tracked.scheduled, tracked.issued) == (skipped.scheduled, skipped.issued)
         assert any(o.entered_relay_phase for o in skipped.outcomes)
 
 
@@ -641,7 +668,7 @@ class TestProtocolProperties:
     def test_every_request_ends_once_and_consistently(self, run_args):
         cfg, peers, scenario = run_args
         horizon = cfg.sim_duration
-        sim = RecordingSimulation(cfg, peers=peers, scenario=scenario)
+        sim = RecordingSimulation(cfg, Population(peers, scenario))
         sim.run()
         assert sorted(o.requester_id for o in sim.outcomes) == [
             p.id for p in peers if p.join_time <= horizon]
@@ -688,7 +715,7 @@ class TestProtocolProperties:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Simulation, "_plan_attempt", checked)
-            Simulation(cfg, peers=peers, scenario=scenario).run()
+            Simulation(cfg, Population(peers, scenario)).run()
         for rate, free_uplink, downlink in commits:
             assert rate <= min(free_uplink, downlink) + RATE_EPS
 
@@ -702,12 +729,19 @@ class TestProtocolProperties:
                                       max_size=len(peers), unique=True))
         peers = [dataclasses.replace(p, join_time=q / 4.0) for p, q in zip(peers, quarters)]
         shuffled = data.draw(st.permutations(peers))
-        runs = [Simulation(cfg, peers=order, scenario=scenario)
+        runs = [Simulation(cfg, Population(order, scenario))
                 for order in (peers, shuffled)]
         reports = [sim.run() for sim in runs]
         assert reports[0] == reports[1]
         by_id = [sorted(sim.outcomes, key=lambda o: o.requester_id) for sim in runs]
         assert by_id[0] == by_id[1]
+
+
+# (latency_base_ms, latency_per_km_ms) pairs. With both zero every
+# handshake is zero, so a reject resolves at the instant its attempt
+# starts, which may be the join of another relay-phase request: the
+# resolution must still run before that request is issued.
+LATENCIES = ((5.0, 0.02), (5.0, 0.02), (250.0, 0.02), (10000.0, 0.02), (0.0, 0.0))
 
 
 @st.composite
@@ -731,6 +765,7 @@ def reference_runs(draw):
     start = draw(st.sampled_from((0.0, 1.0, 2.0)))
     end = start + draw(st.sampled_from((1.0, 2.0, math.inf, math.inf)))
     scenario = FailureScenario(affected, region="Beijing", start_time=start, end_time=end)
+    base_ms, per_km_ms = draw(st.sampled_from(LATENCIES))
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(1, 4)),
                     alpha=draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)),
@@ -740,7 +775,7 @@ def reference_runs(draw):
                                                           2000.0))),
                     workload_mode=draw(st.sampled_from(("utilization", "count"))),
                     strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
-                    latency_base_ms=draw(st.sampled_from((5.0, 5.0, 250.0, 10000.0))),
+                    latency_base_ms=base_ms, latency_per_km_ms=per_km_ms,
                     sim_duration=draw(st.sampled_from((2.0, 4.5, 30.0, math.inf, math.inf,
                                                        math.inf))))
     return cfg, draw(st.permutations(peers)), scenario
@@ -770,6 +805,7 @@ def crowded_relay_runs(draw):
               for i in range(relays, n)]
     scenario = FailureScenario(frozenset(range(relays, n)), region="Beijing",
                                end_time=draw(st.sampled_from((6.0, math.inf, math.inf))))
+    base_ms, per_km_ms = draw(st.sampled_from(((5.0, 0.02), (5.0, 0.02), (0.0, 0.0))))
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(2, 6)),
                     alpha=draw(st.sampled_from((0.0, 0.5, 1.0))),
@@ -777,6 +813,7 @@ def crowded_relay_runs(draw):
                     content_size_kb=draw(st.sampled_from((50.0, 100.0, 200.0))),
                     workload_mode=draw(st.sampled_from(("utilization", "count"))),
                     strategy=draw(st.sampled_from(("random", "path-aware", "path-aware"))),
+                    latency_base_ms=base_ms, latency_per_km_ms=per_km_ms,
                     sim_duration=draw(st.sampled_from((7.0, math.inf, math.inf))))
     return cfg, draw(st.permutations(peers)), scenario
 
@@ -788,7 +825,7 @@ class TestWholeRunReference:
 
     @staticmethod
     def check(cfg, peers, scenario):
-        sim = Simulation(cfg, peers=peers, scenario=scenario)
+        sim = Simulation(cfg, Population(peers, scenario))
         sim.run()
         got = {o.requester_id: (o.served_by, o.attempts, o.end_time, o.entered_relay_phase)
                for o in sim.outcomes}
@@ -811,7 +848,7 @@ class TestHorizon:
     @pytest.mark.parametrize("horizon", [1.1, math.inf])
     def test_open_request_ends_by_its_departure(self, horizon):
         cfg, peers, scenario = crossed_reject(horizon)
-        sim = Simulation(cfg, peers=peers, scenario=scenario)
+        sim = Simulation(cfg, Population(peers, scenario))
         sim.run()
         assert [(o.requester_id, o.served_by, o.attempts) for o in sim.outcomes] == [
             (0, None, 1), (1, None, 1)]
@@ -847,7 +884,7 @@ class TestDrawPass:
         cfg = replace(cfg, strategy=strategy)
         with pytest.MonkeyPatch.context() as mp:
             pools = record_pools(mp)
-            draws = draw_candidates(cfg, peers, scenario)
+            draws = draw_candidates(cfg, Population(peers, scenario))
         requesters = {p.id: p for p in peers if p.join_time <= cfg.sim_duration
                       and scenario.cut_off(p.id, p.join_time)}
         assert set(pools) == set(draws.lists) == set(requesters)
@@ -871,7 +908,8 @@ class TestDrawPass:
                  make_peer(4, join=4.0, dur=5.0)]
         scenario = FailureScenario(frozenset({1, 2, 3, 4}))
         pools = record_pools(monkeypatch)
-        draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0), peers, scenario)
+        draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0),
+                        Population(peers, scenario))
         assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}
 
 
@@ -894,11 +932,11 @@ def server_oracle(peer, horizon):
 
 
 def check_server_path(cfg, peers, scenario):
-    sim = Simulation(cfg, peers=peers, scenario=scenario)
+    sim = Simulation(cfg, Population(peers, scenario))
     sim.run()
     horizon = cfg.sim_duration
     # one outcome per request issued by the horizon, in join order and, at
-    # equal joins, in peers= list order
+    # equal joins, in list order
     issued = sorted((p for p in peers if p.join_time <= horizon),
                     key=lambda p: p.join_time)
     assert [o.requester_id for o in sim.outcomes] == [p.id for p in issued]
@@ -962,7 +1000,7 @@ class TestServerFetch:
 
     def test_failure_window_edges_and_same_instant_order(self):
         # joins at failure_start are cut off, joins at failure_end reach the
-        # server, and same-instant joins keep the peers= list order
+        # server, and same-instant joins keep the list order
         peers = [make_peer(pid, join=join) for pid, join in
                  ((3, 2.0), (1, 1.0), (0, 1.0), (2, 2.0), (4, 0.5))]
         scenario = FailureScenario(frozenset(range(5)), "Beijing", start_time=1.0,

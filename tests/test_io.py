@@ -348,6 +348,9 @@ class TestSweep:
                 SweepSpec(**{axis: values})
         with pytest.raises(ValueError, match="non-empty"):
             SweepSpec(seeds=())
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="seeds must be non-negative integers"):
+                SweepSpec(seeds=(0, seed))
 
     def test_cross_product_row_count(self):
         spec = SweepSpec(failure_ratios=(0.6,), seeds=(0,))
@@ -405,9 +408,9 @@ class TestSweep:
         real_draw, real_run = engine.draw_candidates, Simulation.run
         draws, cells = [], []
 
-        def counting(cfg, peers, scenario):
+        def counting(cfg, population):
             draws.append((cfg.failure_ratio, cfg.rng_seed, cfg.strategy))
-            return real_draw(cfg, peers, scenario)
+            return real_draw(cfg, population)
 
         def keeping(sim):
             report = real_run(sim)
@@ -476,17 +479,24 @@ class TestSweep:
                    for f in result.failures)
         assert [r["strategy"] for r in result.rows] == ["no-relay"] * 4
 
-    def test_failed_draw_fails_its_group(self):
+    def test_failed_draw_fails_its_group(self, monkeypatch):
+        real_draw = engine.draw_population
+
+        def failing(cfg):
+            if cfg.rng_seed == 1:
+                raise ValueError("population draw broke")
+            return real_draw(cfg)
+        monkeypatch.setattr(engine, "draw_population", failing)
         spec = SweepSpec(content_sizes_kb=(500.0, 1000.0), failure_ratios=(0.6,),
-                         strategies=("no-relay", "path-aware"), seeds=(0, -1))
+                         strategies=("no-relay", "path-aware"), seeds=(0, 1))
         result = run_sweep(spec, self.small_cfg())
         assert [(r["size_kb"], r["strategy"]) for r in result.rows] == [
             (500.0, "no-relay"), (500.0, "path-aware"),
             (1000.0, "no-relay"), (1000.0, "path-aware")]
         assert all(r["seed"] == 0 for r in result.rows)
         assert [(f["size_kb"], f["strategy"], f["seed"]) for f in result.failures] == [
-            (500.0, "no-relay", -1), (500.0, "path-aware", -1),
-            (1000.0, "no-relay", -1), (1000.0, "path-aware", -1)]
+            (500.0, "no-relay", 1), (500.0, "path-aware", 1),
+            (1000.0, "no-relay", 1), (1000.0, "path-aware", 1)]
         assert all(f["error"].startswith("ValueError:") for f in result.failures)
 
     def test_csv_strict_rfc4180(self, tmp_path):
@@ -594,7 +604,7 @@ class TestCli:
         assert main(["run", "--peers", "200", "--set", "sim_duration=0.5",
                      "--out", str(prefix)]) == 2
         first = min(p.join_time for p in engine.draw_population(
-            SimConfig(peer_count=200))[0])
+            SimConfig(peer_count=200)).peers.values())
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"sim_duration 0.5 s ends before the first request at {first!r} s"
@@ -665,6 +675,26 @@ class TestCli:
                  "trace": ["--file", str(tmp_path / "t.csv"), "--synthesize", "5"]}
         assert main([command, "--set", f"{field}={value}", *extra[command]]) == 2
         assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, env, message", [
+        (["run", "--seed", "-1"], None, "config error: rng_seed: must be non-negative"),
+        (["run"], "-3", "config error: rng_seed: must be non-negative"),
+        (["trace", "--synthesize", "10", "--seed", "-1"], None,
+         "config error: rng_seed: must be non-negative"),
+        (["sweep", "--seeds", "-1", "--peers", "50", "--sizes", "500", "--ratios", "0.6"],
+         None, "error: sweep seeds must be non-negative"),
+    ])
+    def test_negative_seed_exit_2(self, command, env, message, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("RELAYSIM_SEED", env)
+        out = {"run": ["--out", str(tmp_path / "r")], "sweep": ["--out", str(tmp_path / "s.csv")],
+               "trace": ["--file", str(tmp_path / "t.csv")]}[command[0]]
+        assert main([*command, *out]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_grid_and_determinism(self, tmp_path, capsys):

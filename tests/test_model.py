@@ -143,6 +143,7 @@ class TestConfigValidation:
         ("tts_clamp_min", math.nan, "tts_clamp_min"),
         ("tts_clamp_min", math.inf, "tts_clamp_min"),
         ("sim_duration", math.nan, "sim_duration"),
+        ("rng_seed", -1, "rng_seed: must be non-negative"),
     ])
     def test_single_field_violations(self, field, value, tag):
         errs = config_errors(SimConfig(**{field: value}))

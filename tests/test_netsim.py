@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysim.engine import Simulation
+from relaysim.engine import Population, Simulation
 from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, SimConfig
 from relaysim.netsim import (
     CityTable,
@@ -73,7 +73,7 @@ class TestGeography:
     def test_from_csv_without_header(self, tmp_path):
         f = tmp_path / "cities.csv"
         f.write_text("A,10.0,20.0\nB,-5.5,30.25\n")
-        assert len(CityTable.from_csv(f)) == 2
+        assert len(CityTable.from_csv(f).as_dict()) == 2
 
     def test_from_csv_bad_rows(self, tmp_path):
         f = tmp_path / "cities.csv"
@@ -257,7 +257,7 @@ def plan_attempt(relay, requester, in_use=None, affected=()):
     uplink partly in use."""
     scenario = FailureScenario(frozenset(affected))
     sim = Simulation(SimConfig(peer_count=2, content_size_kb=512.0),
-                     peers=[relay, requester], scenario=scenario)
+                     Population([relay, requester], scenario))
     sim.ledger.in_use_kbps.update(in_use or {})
     return sim._plan_attempt(relay, requester, 0.0)
 

@@ -20,14 +20,13 @@ from relaysim.selection import (
     load_instance,
     no_relay_list,
     random_relay_list,
-    save_instance,
     solve_exact,
     solve_greedy,
     _draw,
     _workload_ok,
 )
 
-from helpers import add, assignment_matrix, discard, online_set
+from helpers import add, assignment_matrix, discard, online_set, save_instance
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
