@@ -12,14 +12,15 @@ the peers in issue order with read-only id, join, departure and cut-off
 columns. The requests issued by the horizon are a prefix of that order,
 and the cut-off ones enter the relay phase. A server fetch holds no relay
 capacity, so it is decided at issue time for every request at once with
-array operations. Who is online at a request depends only on the
-population, so the relay candidate draws are made before the event loop
-in one walk (draw_candidates), once per population and strategy in a
-sweep. The event loop walks the relay-phase rows in issue order and
-resolves the attempts due by each one's join before issuing it, so its
-heap holds attempt resolutions only. At request time a path-aware draw is
-ranked against the run's ledger (selection.generate_relay_list), where
-relay capacity is committed when an attempt starts and released when it
+array operations. Who is online at a request, and who failed a fetch
+before it, depend only on the population, so the relay candidate draws
+are made in one walk in issue order before the event loop
+(draw_candidates), once per population and strategy in a sweep. The loop
+walks the relay-phase rows in issue order and resolves the attempts due by
+each join before issuing that request, so its heap holds attempt
+resolutions only. At request time a path-aware draw is ranked against the
+workload in the run's ledger (selection.generate_relay_list), where relay
+capacity is committed when an attempt starts and released when it
 resolves; each attempt is planned in full as an AttemptPlan when it
 starts. Results are one Outcomes table of columns in issue order; a
 relay-phase request writes its end into its own row.
@@ -183,15 +184,18 @@ def draw_peer_attributes(cfg: SimConfig, rng: np.random.Generator,
             *assign_bandwidth(rng, n, cfg.uplink_profile, cfg.downlink_factor))
 
 
+def session_model(cfg: SimConfig) -> SessionModel:
+    """cfg's session model; a None Pareto field keeps the calibrated default."""
+    pareto = {"pareto_shape": cfg.pareto_shape, "pareto_scale_min": cfg.pareto_scale_min}
+    return SessionModel(cfg.arrival_rate_lambda,
+                        **{k: v for k, v in pareto.items() if v is not None})
+
+
 def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
     """Sample the peer population: Poisson arrivals and Pareto sessions,
     then the attribute columns of draw_peer_attributes."""
-    pareto = {"pareto_shape": cfg.pareto_shape, "pareto_scale_min": cfg.pareto_scale_min}
-    # None keeps SessionModel's default, the calibrated parameter.
-    model = SessionModel(cfg.arrival_rate_lambda,
-                         **{k: v for k, v in pareto.items() if v is not None})
     n = cfg.peer_count
-    joins, durations = churn.sample_sessions(model, rng, n)
+    joins, durations = churn.sample_sessions(session_model(cfg), rng, n)
     return list(map(Peer, range(n), *draw_peer_attributes(cfg, rng, n),
                     joins.tolist(), durations.tolist()))
 
@@ -289,10 +293,10 @@ class CandidateDraws(NamedTuple):
     """The relay candidate draws of one population under one strategy.
 
     lists maps each relay-phase requester's id to its draw: the final
-    RelayCandidateList for random, the unranked (careful ids, random ids)
-    for path-aware, nothing for no-relay; it is read-only, so the cells of
-    a sweep group can share it. made_for is the config key (_draws_key) the
-    draws were made under, and population the Population drawn from.
+    RelayCandidateList for random, draw_path_aware's unranked (careful ids,
+    random ids) for path-aware, nothing for no-relay; it is read-only, so a
+    sweep group's cells can share it. made_for is the config key
+    (_draws_key) the draws were made under, population their source.
     """
 
     made_for: tuple
@@ -310,33 +314,32 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     running the event loop: the cut-off rows among those issued by
     cfg.sim_duration.
 
-    The walk takes one step per requester, in join order (rank order at
-    equal joins), and keeps an OnlineSet of the peers q with join_q <= t <
-    departure_q at the step's time t. From the sorted step times,
-    searchsorted gives each peer the step it arrives at (the first whose
-    time reaches its join) and the step it leaves at (the first that
-    reaches its departure); it comes online only when it leaves at a later
-    step than it arrives, so a zero-length session never does. Each step
-    removes and adds just its own slice of peers. The selection stream is
-    drawn once, as a block of cfg.zeta uniform floats per requester, and
-    the requester with rank r by id reads row r, so the draws do not depend
-    on the order the walk visits requesters at one instant. no-relay draws
-    nothing and builds no stream.
+    The walk takes one step per requester, in issue order, as
+    Simulation.run issues them, and keeps an OnlineSet of the peers q
+    with join_q <= t < departure_q at the step's time t. From the sorted
+    step times, searchsorted gives each peer the step it arrives at (the
+    first whose time reaches its join) and the step it leaves at (the first
+    that reaches its departure); it comes online only when it leaves at a
+    later step than it arrives, so a zero-length session never does. Each
+    step removes and adds just its own slice of peers. The selection stream
+    is drawn once, as a block of cfg.zeta uniform floats per requester, and
+    the requester with rank r by id reads row r. The requesters visited so
+    far are the fetch-failure history a path-aware draw drops. no-relay
+    draws nothing and builds no stream.
     """
     lists: dict = {}
     strategy = cfg.strategy
     if strategy == "no-relay":
         return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
     k = population.issued_by(cfg.sim_duration)
-    ids, join, dep = population.ids[:k], population.join[:k], population.dep[:k]
+    join, dep = population.join[:k], population.dep[:k]
     requesters = np.flatnonzero(population.cut[:k])
-    requesters = requesters[np.argsort(ids[requesters], kind="stable")]
+    rank = np.argsort(np.argsort(population.ids[requesters]))
     rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
-    steps = np.argsort(join[requesters], kind="stable")
-    times = join[requesters[steps]]
+    times = join[requesters]
     arrive, leave = np.searchsorted(times, join), np.searchsorted(times, dep)
     online_peers = np.flatnonzero(leave > arrive)
-    bounds = np.arange(len(steps) + 1)
+    bounds = np.arange(len(requesters) + 1)
     peers = population.issued
 
     def by_step(step: np.ndarray) -> tuple[list[Peer], list[int]]:
@@ -346,18 +349,17 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
                 np.searchsorted(step[order], bounds).tolist())
     arrivals, arrive_at = by_step(arrive)
     departures, leave_at = by_step(leave)
-    by_rank = [peers[i] for i in requesters.tolist()]
-    online = OnlineSet()
-    for s, r in enumerate(steps.tolist()):
+    online, failed = OnlineSet(), set()
+    for s, requester in enumerate(map(peers.__getitem__, requesters.tolist())):
         online.update(departures[leave_at[s]:leave_at[s + 1]],
                       arrivals[arrive_at[s]:arrive_at[s + 1]])
-        requester = by_rank[r]
-        u = rows[r].tolist()
+        u = rows[rank[s]].tolist()
         if strategy == "random":
             lists[requester.id] = random_relay_list(requester, online, cfg.zeta, u)
         else:
             lists[requester.id] = draw_path_aware(requester, online, alpha=cfg.alpha,
-                                                  zeta=cfg.zeta, u=u)
+                                                  zeta=cfg.zeta, u=u, failed=failed)
+            failed.add(requester.id)
     return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
 
 
@@ -464,9 +466,7 @@ class Simulation:
 
     def _issue(self, req: _Request, t: float) -> None:
         """Start a cut-off requester's relay phase at its join t."""
-        peer = req.requester
-        self.ledger.fetch_failed.add(peer.id)
-        req.candidates = self._make_candidates(peer, t)
+        req.candidates = self._make_candidates(req.requester, t)
         self._start_next_attempt(req, t)
 
     def _make_candidates(self, peer: Peer, t: float) -> RelayCandidateList:

@@ -225,16 +225,16 @@ def write_trace_csv(records, path) -> None:
                         _fmt(r.fetch_failure)])
 
 
-def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1,
-                     start: float = 0.0) -> tuple[TraceRecord, ...]:
-    """Synthetic access trace: the standard churn model's session columns,
-    then a fetch-failure column."""
+def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1, start: float = 0.0,
+                     model: SessionModel = SessionModel()) -> tuple[TraceRecord, ...]:
+    """Synthetic access trace: the churn model's session columns (the
+    standard one by default), then a fetch-failure column."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 0.0 <= fail_fraction <= 1.0:
         raise ValueError("fail_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    joins, durations = churn.sample_sessions(SessionModel(), rng, count)
+    joins, durations = churn.sample_sessions(model, rng, count)
     joins += start
     return tuple(map(TraceRecord, (f"u{i}" for i in range(count)), joins.tolist(),
                      (joins + durations).tolist(),
@@ -285,7 +285,7 @@ class SweepSpec:
     """Cartesian sweep grid; cells run in the fixed nesting order
     size -> ratio -> strategy -> seed."""
 
-    content_sizes_kb: tuple[float, ...] = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
+    content_sizes_kb: tuple[float, ...] = SimConfig.content_sizes_kb
     failure_ratios: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     strategies: tuple[str, ...] = ("no-relay", "random", "path-aware")
     seeds: tuple[int, ...] = (0,)
@@ -563,8 +563,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_trace(args) -> int:
     cfg = build_config(args)
     if args.synthesize is not None:
-        records = synthesize_trace(args.synthesize, seed=cfg.rng_seed,
-                                   fail_fraction=args.fail_fraction)
+        records = synthesize_trace(args.synthesize, cfg.rng_seed, args.fail_fraction,
+                                   model=engine.session_model(cfg))
         write_trace_csv(records, args.file)
         print(f"wrote {len(records)} sessions to {args.file}")
         return 0

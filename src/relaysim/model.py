@@ -84,15 +84,14 @@ class CapacityError(RuntimeError):
 class RelayLedger:
     """Per-run relay state, keyed by peer id and kept sparse.
 
-    A peer without an entry serves no transfer, has no uplink committed
-    and has no fetch failure on record. commit() and release() drop an
-    entry once it returns to zero, so a ledger with nothing in flight holds
-    no workload or capacity entries.
+    Relay capacity only: the issue order fixes the fetch-failure history
+    (engine.draw_candidates). A peer without an entry serves no transfer
+    and has no uplink committed. commit() and release() drop an entry once
+    it returns to zero, so a ledger with nothing in flight holds none.
     """
 
     workload: dict[int, int] = field(default_factory=dict)
     in_use_kbps: dict[int, float] = field(default_factory=dict)
-    fetch_failed: set[int] = field(default_factory=set)
 
     def uplink_free_kbps(self, peer: Peer) -> float:
         return max(0.0, peer.uplink_kbps - self.in_use_kbps.get(peer.id, 0.0))

@@ -1,20 +1,21 @@
 """Relay candidate selection and the global assignment solvers.
 
 Candidate generation is split in two. The draw depends only on who is
-online when a request is issued, so the engine makes it in one pass over
-the population before the event loop (engine.draw_candidates): the random
-baseline draws its final list with random_relay_list, and the path-aware
-strategy draws a careful partition from peers sharing the requester's city
-and ISP and a random partition from everyone else online
-(draw_path_aware). The rank, generate_relay_list, runs at request time: it
-drops drawn peers with a fetch-failure history or too much relay workload,
-then sorts each partition by estimated time-to-stay so the most durable
-candidates are tried first. The draws read an OnlineSet, which holds only
-the online ids, in ascending order and bucketed by (city, ISP), and draw
-pool indices without building the pools, so the work per list grows with
-zeta, not with the number of peers online. Each draw reads a row u of
-uniform floats in [0, 1), one float per pick (engine.draw_candidates hands
-every requester its row of one block), and samples without replacement in
+online when a request is issued and who failed a fetch before it, so the
+engine makes it in one pass over the population in issue order before the
+event loop (engine.draw_candidates): the random baseline draws its final
+list with random_relay_list, and the path-aware strategy draws a careful
+partition from peers sharing the requester's city and ISP and a random
+partition from everyone else online, less the requesters the pass walked
+before (draw_path_aware). The rank, generate_relay_list, runs at request
+time: it drops drawn peers with too much relay workload, then sorts each
+partition by estimated time-to-stay so the most durable candidates are
+tried first. The draws read an OnlineSet, which holds only the online ids,
+in ascending order and bucketed by (city, ISP), and draw pool indices
+without building the pools, so the work per list grows with zeta, not
+with the number of peers online. Each draw reads a row u of uniform floats
+in [0, 1), one float per pick (engine.draw_candidates hands every
+requester its row of one block), and samples without replacement in
 sequence (_draw). No draw repeats an id (the random partition skips the
 careful picks), so a RelayCandidateList is a plain id tuple whose first
 careful_count ids form the careful partition.
@@ -28,8 +29,9 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
@@ -158,7 +160,8 @@ def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bo
 
 
 def draw_path_aware(requester: Peer, online: OnlineSet, *, alpha: float, zeta: int,
-                    u: Sequence[float]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+                    u: Sequence[float],
+                    failed: Container[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The draw half of a path-aware list: (careful ids, random ids).
 
     ceil(zeta * alpha) slots go to the careful partition, drawn from the
@@ -166,16 +169,18 @@ def draw_path_aware(requester: Peer, online: OnlineSet, *, alpha: float, zeta: i
     drawn from all other online peers. Both pools exclude the requester
     and are indexed in ascending id order. The careful draw reads the row
     u first and the random draw reads u[careful_slots:], so with alpha 0
-    the random part is random_relay_list's draw from the same row. A
-    shortfall in the careful partition is not backfilled. Both parts are
-    in draw order, unfiltered; generate_relay_list ranks them.
+    and failed empty the random part is random_relay_list's draw from u. A
+    shortfall in the careful partition is not backfilled. The ids in failed
+    (the fetch-failure history) take their picks, then leave both parts,
+    which stay in draw order; generate_relay_list ranks them.
     """
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = online.bucket(requester.city, requester.isp)
     careful = _draw(u, same, _positions(same, (requester.id,)), careful_slots)
     randoms = _draw(u[careful_slots:], online.ids,
                     _positions(online.ids, (requester.id, *careful)), zeta - careful_slots)
-    return tuple(careful), tuple(randoms)
+    drop = failed.__contains__
+    return tuple(filterfalse(drop, careful)), tuple(filterfalse(drop, randoms))
 
 
 def generate_relay_list(drawn: tuple[tuple[int, ...], tuple[int, ...]],
@@ -184,25 +189,21 @@ def generate_relay_list(drawn: tuple[tuple[int, ...], tuple[int, ...]],
                         ledger: RelayLedger) -> RelayCandidateList:
     """Rank a path-aware draw (see draw_path_aware) at request time t.
 
-    Both partitions drop peers with a fetch-failure history or workload
-    above gamma, as recorded in the run's ledger, then sort by descending
-    estimated time-to-stay (ties on ascending peer id).
-    The careful partition comes first, so its most durable member is the
-    primary relay. peers maps every drawn id to its Peer.
+    Both partitions drop peers with workload above gamma in the run's
+    ledger, then sort by descending estimated time-to-stay (ties on
+    ascending id). The careful partition comes first, so its most durable
+    member is the primary relay. peers maps every drawn id to its Peer.
     """
     def keep(p: Peer) -> bool:
-        return (p.id not in ledger.fetch_failed
-                and _workload_ok(p, ledger, gamma, workload_mode))
+        return _workload_ok(p, ledger, gamma, workload_mode)
 
     def durability(p: Peer):
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
         return (-remain, p.id)
 
-    careful, randoms = drawn
-    careful = sorted(filter(keep, map(peers.__getitem__, careful)), key=durability)
-    randoms = sorted(filter(keep, map(peers.__getitem__, randoms)), key=durability)
-    ids = tuple(p.id for p in careful) + tuple(p.id for p in randoms)
-    return RelayCandidateList(ids, len(careful))
+    careful, randoms = (sorted(filter(keep, map(peers.__getitem__, part)), key=durability)
+                        for part in drawn)
+    return RelayCandidateList(tuple(p.id for p in careful + randoms), len(careful))
 
 
 @dataclass(frozen=True)

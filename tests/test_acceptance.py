@@ -249,7 +249,7 @@ def _random_table(rng: np.random.Generator):
     n = int(rng.integers(2, 28))
     cities = ("A", "B", "C")
     peers = []
-    ledger = RelayLedger()
+    ledger, failed = RelayLedger(), set()
     for pid in range(n):
         up = float(rng.choice((256.0, 512.0, 1024.0, 3072.0)))
         p = Peer(pid, cities[int(rng.integers(0, 3))], int(rng.integers(1, 4)),
@@ -258,9 +258,9 @@ def _random_table(rng: np.random.Generator):
         ledger.workload[pid] = int(rng.integers(0, 5))
         ledger.in_use_kbps[pid] = float(rng.uniform(0.0, up * 1.2))
         if rng.random() < 0.25:
-            ledger.fetch_failed.add(pid)
+            failed.add(pid)
         peers.append(p)
-    return peers, ledger
+    return peers, ledger, failed
 
 
 def test_criterion_7_candidate_list_invariants():
@@ -268,7 +268,7 @@ def test_criterion_7_candidate_list_invariants():
     tts = TimeToStayModel()
     checked = 0
     for _ in range(10 ** 4):
-        peers, ledger = _random_table(rng)
+        peers, ledger, failed = _random_table(rng)
         requester = peers[int(rng.integers(0, len(peers)))]
         alpha = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.2, 1.0))
@@ -277,7 +277,7 @@ def test_criterion_7_candidate_list_invariants():
         online = [p for p in peers if p.online(t)]
         by_id = {p.id: p for p in online}
         drawn = draw_path_aware(requester, online_set(online), alpha=alpha,
-                                zeta=zeta, u=rng.random(zeta).tolist())
+                                zeta=zeta, u=rng.random(zeta).tolist(), failed=failed)
         lst = generate_relay_list(drawn, by_id, gamma=gamma, t=t, tts=tts,
                                   workload_mode="utilization", ledger=ledger)
         assert len(lst) <= zeta
@@ -292,7 +292,7 @@ def test_criterion_7_candidate_list_invariants():
             assert by_id[pid].city == requester.city
             assert by_id[pid].isp == requester.isp
         for pid in lst.peer_ids:
-            assert pid not in ledger.fetch_failed
+            assert pid not in failed
             assert _workload_ok(by_id[pid], ledger, gamma, "utilization")
         for part in (careful, randoms):
             taus = [estimate_time_to_stay(tts, by_id[pid].elapse(t) / 60.0)

@@ -749,6 +749,24 @@ class TestCli:
         write_trace_csv(synthesize_trace(30, seed=SimConfig().rng_seed), tmp_path / "ref.csv")
         assert default == (tmp_path / "ref.csv").read_bytes()
 
+    def test_trace_synthesize_follows_the_session_model(self, tmp_path, capsys, monkeypatch):
+        def sessions(*flags):
+            trace = tmp_path / "t.csv"
+            assert main(["trace", "--file", str(trace), "--synthesize", "5", *flags]) == 0
+            records = parse_trace(trace).records
+            return [r.request_ts for r in records], [r.duration for r in records]
+
+        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
+        joins, durations = sessions()
+        # a thirtieth of the default rate: the same gaps, each 30 times as long
+        slow_joins, slow_durations = sessions("--set", "arrival_rate_lambda=1")
+        assert slow_joins != joins
+        assert slow_joins == pytest.approx([30.0 * t for t in joins])
+        assert slow_durations == pytest.approx(durations)
+        for field in ("pareto_shape=2", "pareto_scale_min=1"):
+            other_joins, other_durations = sessions("--set", field)
+            assert other_joins == joins and other_durations != pytest.approx(durations)
+
     @pytest.mark.parametrize("source", ["config", "set", "seed"])
     def test_explicit_seed_beats_the_environment(self, source, tmp_path, capsys,
                                                  monkeypatch):

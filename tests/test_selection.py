@@ -36,10 +36,12 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
     return Peer(**base)
 
 
-def path_aware_list(requester, online, *, alpha, zeta, u, **rank):
+def path_aware_list(requester, online, *, alpha, zeta, u, failed, **rank):
     """Draw and rank a path-aware list in one call, as a request issued
-    while exactly the peers in online are online would get it."""
-    drawn = draw_path_aware(requester, online_set(online), alpha=alpha, zeta=zeta, u=u)
+    while exactly the peers in online are online, after the requesters in
+    failed, would get it."""
+    drawn = draw_path_aware(requester, online_set(online), alpha=alpha, zeta=zeta, u=u,
+                            failed=failed)
     return generate_relay_list(drawn, {p.id: p for p in online}, **rank)
 
 
@@ -64,7 +66,7 @@ def reference_random_relay_list(requester, online_peers, zeta, u):
 
 
 def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta, u, t,
-                                  tts, workload_mode, ledger):
+                                  tts, workload_mode, ledger, failed):
     pool = [p for p in online_peers if p.id != requester.id]
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = [p for p in pool if p.city == requester.city and p.isp == requester.isp]
@@ -74,8 +76,7 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
     randoms = reference_draw(u[careful_slots:], rest, zeta - careful_slots)
 
     def keep(p):
-        return (p.id not in ledger.fetch_failed
-                and _workload_ok(p, ledger, gamma, workload_mode))
+        return p.id not in failed and _workload_ok(p, ledger, gamma, workload_mode)
 
     def durability(p):
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
@@ -90,8 +91,8 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
 @st.composite
 def selection_cases(draw):
     """An online population in arrival order, a requester that may or may
-    not be online, list parameters, a ledger with fetch failures and busy
-    relays, and the requester's row of zeta floats in [0, 1)."""
+    not be online, list parameters, a fetch-failure history, a ledger with
+    busy relays, and the requester's row of zeta floats in [0, 1)."""
     ids = draw(st.lists(st.integers(0, 200), unique=True, max_size=40))
     peers = [make_peer(pid, city=draw(st.sampled_from(("Wuhan", "Beijing"))),
                        isp=draw(st.integers(1, 2)),
@@ -106,8 +107,8 @@ def selection_cases(draw):
         requester = make_peer(draw(st.integers(0, 200).filter(lambda i: i not in ids)),
                               city=draw(st.sampled_from(("Wuhan", "Chengdu"))),
                               isp=draw(st.integers(1, 2)), dur=0.0)
+    failed = draw(st.sets(st.sampled_from(ids))) if ids else set()
     ledger = RelayLedger(
-        fetch_failed=draw(st.sets(st.sampled_from(ids))) if ids else set(),
         workload={pid: draw(st.integers(1, 4)) for pid in ids if draw(st.booleans())},
         in_use_kbps={p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
                      for p in peers if draw(st.booleans())})
@@ -115,7 +116,7 @@ def selection_cases(draw):
                   gamma=draw(st.sampled_from((0.5, 0.95, 2.0))),
                   zeta=draw(st.integers(1, 50)), t=3600.0, tts=TimeToStayModel(),
                   workload_mode=draw(st.sampled_from(("utilization", "count"))),
-                  ledger=ledger)
+                  ledger=ledger, failed=failed)
     u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=params["zeta"],
                       max_size=params["zeta"]))
     return requester, draw(st.permutations(peers)), params, u
@@ -155,20 +156,28 @@ class TestIndexedDraws:
         assert got.careful_count == want.careful_count
         # the careful picks read the row from 0 and the random picks from
         # careful_slots, one float each, and nothing else
+        # (counted before the history drops any pick)
         zeta, alpha, online = params["zeta"], params["alpha"], online_set(arrivals)
-        careful, randoms = draw_path_aware(requester, online, alpha=alpha, zeta=zeta, u=u)
+        careful, randoms = draw_path_aware(requester, online, alpha=alpha, zeta=zeta, u=u,
+                                           failed=frozenset())
         slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
         used = {*range(len(careful)), *range(slots, slots + len(randoms))}
-        assert draw_path_aware(requester, online, alpha=alpha, zeta=zeta,
-                               u=past_the_picks(u, used)) == (careful, randoms)
+        moved = past_the_picks(u, used)
+        for failed in (frozenset(), params["failed"]):
+            assert draw_path_aware(requester, online, alpha=alpha, zeta=zeta, u=moved,
+                                   failed=failed) == draw_path_aware(
+                requester, online, alpha=alpha, zeta=zeta, u=u, failed=failed)
 
     @settings(max_examples=100, deadline=None)
     @given(selection_cases())
     def test_path_aware_without_careful_slots_is_the_random_list(self, case):
         requester, arrivals, params, u = case
-        online = online_set(arrivals)
-        drawn = draw_path_aware(requester, online, alpha=0.0, zeta=params["zeta"], u=u)
-        assert drawn == ((), random_relay_list(requester, online, params["zeta"], u).peer_ids)
+        online, failed = online_set(arrivals), params["failed"]
+        listed = random_relay_list(requester, online, params["zeta"], u).peer_ids
+        for history, want in ((frozenset(), listed),
+                              (failed, tuple(pid for pid in listed if pid not in failed))):
+            assert draw_path_aware(requester, online, alpha=0.0, zeta=params["zeta"], u=u,
+                                   failed=history) == ((), want)
 
 
 def chi_square_bound(df, z=4.5):
@@ -305,7 +314,7 @@ class TestPathAwareList:
     def gen(self, requester, online, t=0.0, **kw):
         seed = kw.pop("seed", 0)
         args = dict(alpha=0.2, gamma=0.8, zeta=10, t=t, tts=TimeToStayModel(),
-                    workload_mode="utilization", ledger=RelayLedger())
+                    workload_mode="utilization", ledger=RelayLedger(), failed=frozenset())
         args.update(kw)
         return path_aware_list(requester, online, u=row(seed, args["zeta"]), **args)
 
@@ -353,8 +362,7 @@ class TestPathAwareList:
         me = make_peer(0)
         bad = [make_peer(i) for i in range(1, 6)]
         good = [make_peer(i) for i in range(6, 11)]
-        ledger = RelayLedger(fetch_failed={p.id for p in bad})
-        lst = self.gen(me, [me] + bad + good, ledger=ledger)
+        lst = self.gen(me, [me] + bad + good, failed={p.id for p in bad})
         assert all(pid >= 6 for pid in lst.peer_ids)
 
     def test_workload_filter_utilization(self):
