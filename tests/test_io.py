@@ -883,3 +883,21 @@ class TestGoldenOutputs:
     def test_synthesized_trace_digest(self, tmp_path):
         write_trace_csv(synthesize_trace(40, seed=5, fail_fraction=0.3), tmp_path / "t.csv")
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == self.TRACE
+
+    # Trace replay of records listed out of join order: a peer's id is its
+    # record's position, so ids differ from issue rows.
+    TRACE_OUTCOMES = {
+        "path-aware": "294c5c4373424e2933a8d5037eb96a0bdde4ac7bfeb4f76dfc0a8585638c2173",
+        "random": "b646be7a6fb2df1d9221d73d3b93e3c3c3ced678a9f432c920fea876a6353dff",
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(TRACE_OUTCOMES))
+    def test_trace_replay_outcomes_csv_digest(self, strategy, tmp_path):
+        import numpy as np
+        records = synthesize_trace(300, seed=5, fail_fraction=0.5)
+        shuffled = [records[i] for i in np.random.default_rng(3).permutation(300).tolist()]
+        _, outcomes = run_trace(shuffled, replace(self.CFG, strategy=strategy))
+        assert outcomes.entered_relay_phase.any() and (outcomes.served_by >= 0).any()
+        write_outcomes_csv(outcomes, tmp_path / "o.csv")
+        digest = hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest()
+        assert digest == self.TRACE_OUTCOMES[strategy]
