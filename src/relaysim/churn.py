@@ -44,13 +44,14 @@ def calibrate_pareto(q1: tuple[float, float] = (1.0, 0.60),
 
 # Parameters from the standard session quantiles, computed once.
 DEFAULT_PARETO_SCALE_MIN, DEFAULT_PARETO_SHAPE = calibrate_pareto()
+DEFAULT_ARRIVALS_PER_MIN = 30.0   # the reference arrival rate
 
 
 @dataclass(frozen=True)
 class SessionModel:
     """Arrival rate (per minute) plus Pareto session parameters (minutes)."""
 
-    lambda_per_min: float = 30.0
+    lambda_per_min: float = DEFAULT_ARRIVALS_PER_MIN
     pareto_shape: float = DEFAULT_PARETO_SHAPE
     pareto_scale_min: float = DEFAULT_PARETO_SCALE_MIN
 

@@ -7,28 +7,23 @@ decides every path: is this peer cut off now (FailureScenario.cut_off)? A
 requester that is not reaches the server; a relay that is not reaches the
 server and any requester.
 
-A run reads a Population, built once and shared by the cells run on it:
-the peers in issue order with read-only id, join, departure and cut-off
-columns. The requests issued by the horizon are a prefix of that order,
-and the cut-off ones enter the relay phase. A server fetch holds no relay
-capacity, so it is decided at issue time for every request at once with
-array operations. Who is online at a request, and who failed a fetch
-before it, depend only on the population, so the relay candidate draws
-are made in one walk in issue order before the event loop
-(draw_candidates), once per population and strategy in a sweep. The loop
-walks the relay-phase rows in issue order and resolves the attempts due by
-each join before issuing that request, so its heap holds attempt
-resolutions only. At request time a path-aware draw is ranked against the
-workload in the run's ledger (selection.generate_relay_list), where relay
-capacity is committed when an attempt starts and released when it
-resolves; each attempt is planned in full as an AttemptPlan when it
-starts. Results are one Outcomes table of columns in issue order; a
-relay-phase request writes its end into its own row.
+A run reads a Population, read-only columns in issue order built once
+from the drawn columns; Peer objects exist only at the API edge. Server
+fetches hold no relay capacity, so they are decided at issue time with
+array operations, and the candidate draws depend only on the population,
+so they are made in one walk before the event loop (draw_candidates). The
+loop resolves the attempts due by each relay-phase join before issuing
+that request, so its heap holds attempt resolutions only. Path-aware
+draws are ranked at request time against the run's ledger of relay
+capacity; each attempt is planned in full (AttemptPlan) when it starts.
+Candidate lists hold ids, which Population.row_of maps to rows. Results
+are one Outcomes table of columns in issue order.
 """
 
 from __future__ import annotations
 
 import heapq
+import numbers
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
@@ -38,7 +33,7 @@ import numpy as np
 
 from relaysim import churn
 from relaysim.churn import SessionModel, TimeToStayModel
-from relaysim.model import (RATE_EPS, ContentItem, Peer, RelayLedger, SimConfig,
+from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedger, SimConfig,
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, inject_failure, latency_ms)
@@ -82,12 +77,10 @@ SERVED_BY_SERVER, UNSERVED = -1, -2
 class Outcomes:
     """The terminal records of one run's requests as columns, one row per
     request in the Population's issue order; requester_id, start_time and
-    entered_relay_phase are read-only views of its columns.
-
-    served_by holds the serving relay's id, SERVED_BY_SERVER or UNSERVED;
-    size_kb is the run's content size. Iteration yields the rows as
-    RequestOutcome records of built-in values, and two tables are equal
-    when their rows are.
+    entered_relay_phase are read-only views of its columns. served_by
+    holds the serving relay's id, SERVED_BY_SERVER or UNSERVED. Iteration
+    yields the rows as RequestOutcome records of built-in values, and two
+    tables are equal when their rows are.
     """
 
     size_kb: float
@@ -175,12 +168,10 @@ def collect_metrics(outcomes: Outcomes,
 
 
 def draw_peer_attributes(cfg: SimConfig, rng: np.random.Generator,
-                         n: int) -> tuple[list[str], list[int], list[float], list[float]]:
-    """City, ISP, uplink and downlink columns for n peers, drawn in that
-    order: uniform city and ISP, bucketed access capacity."""
-    cities = list(cfg.city_table)
-    return ([cities[i] for i in rng.integers(len(cities), size=n).tolist()],
-            assign_isp(rng, n, cfg.isp_count),
+                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """City code (into cfg.city_table), ISP, uplink and downlink columns for
+    n peers, drawn in that order: uniform city and ISP, bucketed capacity."""
+    return (rng.integers(len(cfg.city_table), size=n), assign_isp(rng, n, cfg.isp_count),
             *assign_bandwidth(rng, n, cfg.uplink_profile, cfg.downlink_factor))
 
 
@@ -191,25 +182,21 @@ def session_model(cfg: SimConfig) -> SessionModel:
                         **{k: v for k, v in pareto.items() if v is not None})
 
 
-def build_population(cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
-    """Sample the peer population: Poisson arrivals and Pareto sessions,
-    then the attribute columns of draw_peer_attributes."""
+def build_population(cfg: SimConfig, rng: np.random.Generator) -> PeerColumns:
+    """Sample the peer population as columns, ids 0..n-1: Poisson arrivals
+    and Pareto sessions, then the attribute columns of draw_peer_attributes."""
     n = cfg.peer_count
     joins, durations = churn.sample_sessions(session_model(cfg), rng, n)
-    return list(map(Peer, range(n), *draw_peer_attributes(cfg, rng, n),
-                    joins.tolist(), durations.tolist()))
+    return PeerColumns(tuple(cfg.city_table), np.arange(n),
+                       *draw_peer_attributes(cfg, rng, n), joins, durations)
 
 
 class AttemptPlan(NamedTuple):
-    """Resolution of one relay attempt started at a fixed time.
-
-    verdict: 'reject' (preconditions failed; resolve_time is the end of
-    the wasted handshake), 'success' (resolve_time is delivery),
-    'relay-lost' or 'requester-lost' (resolve_time is the departure that
-    kills the transfer). Completion landing exactly on a departure instant
-    counts as delivered. rate_kbps is the relay capacity the attempt holds
-    until it resolves; 0 when it holds none.
-    """
+    """Resolution of one relay attempt. verdict: 'reject' (resolve_time
+    ends the wasted handshake), 'success' (delivery, also when it lands
+    exactly on a departure), 'relay-lost' or 'requester-lost' (the departure
+    that kills the transfer). rate_kbps is the relay capacity held until it
+    resolves; 0 when it holds none."""
 
     verdict: str
     resolve_time: float
@@ -218,19 +205,16 @@ class AttemptPlan(NamedTuple):
 
 @dataclass(slots=True)
 class _Request:
-    row: int                 # in Simulation.outcomes
-    requester: Peer
+    row: int                 # the requester's, in the Population and Simulation.outcomes
     candidates: RelayCandidateList = no_relay_list()   # immutable, so shared
     next_index: int = 0      # also the number of attempts started
-    # (plan, relay) of the scheduled resolution
-    pending: tuple[AttemptPlan, Peer] | None = None
+    pending: tuple[AttemptPlan, int] | None = None   # scheduled (plan, relay id)
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
-# shared by every strategy at a given seed (common random numbers). The
-# selection stream is drawn once per population as a block with one row per
-# relay-phase requester, indexed by its rank by id, so candidate draws stay
-# aligned across strategies and content sizes too.
+# shared by every strategy at a given seed (common random numbers); the
+# selection stream is one block per population, a row per relay-phase
+# requester by rank of id, so draws stay aligned across strategies and sizes.
 _STREAM_POPULATION = 0
 _STREAM_FAILURE = 1
 _STREAM_SELECT = 2
@@ -241,39 +225,68 @@ def _stream(seed: int, label: int) -> np.random.Generator:
 
 
 class Population:
-    """The peers of one run and their failure scenario, in issue order:
-    join order, list order at equal joins. issued holds the peers in it,
-    and ids, join, dep (join + duration, as Peer.departure_time) and cut
-    (cut off at its join: the request enters the relay phase) are read-only
-    columns in it. region_ids are the peers in the scenario's region (None,
-    in trace replay, matches none). Ids must be unique and non-negative
-    (Outcomes.served_by codes are negative). Runs only read a population.
+    """The peers of one run and their failure scenario, as read-only
+    columns in issue order (join order, list order at equal joins).
+
+    The columns are ids, city (codes into cities), isp, uplink, downlink,
+    join, dep (join + duration), cut (cut off at its join, so the request
+    enters the relay phase) and bucket (a code per city and ISP); row_of,
+    sized by the largest id, maps an id to its row, other ids to -1. Ids
+    are unique and non-negative. region_ids: the scenario region's peers.
     """
 
-    def __init__(self, peers: Iterable[Peer], scenario: FailureScenario):
-        peers = list(peers)
-        self.peers: dict[int, Peer] = {p.id: p for p in peers}
-        if len(self.peers) != len(peers):
-            raise ValueError("peer ids must be unique")
-        if min(self.peers, default=0) < 0:
+    def __init__(self, columns: PeerColumns, scenario: FailureScenario):
+        if len(columns.ids) and columns.ids.min() < 0:
             raise ValueError("peer ids must be non-negative")
-        self.scenario = scenario
-        n = len(peers)
-        join = np.fromiter((p.join_time for p in peers), np.float64, n)
-        order = np.argsort(join, kind="stable")
-        self.issued: tuple[Peer, ...] = tuple(map(peers.__getitem__, order.tolist()))
-        self.ids = np.fromiter((p.id for p in self.issued), np.int64, n)
-        self.join = join[order]
-        self.dep = self.join + np.fromiter((p.session_duration for p in self.issued),
-                                           np.float64, n)
+        self.scenario, self.cities = scenario, columns.cities
+        order = np.argsort(columns.join, kind="stable")
+        self.ids, self.city, self.isp, self.uplink, self.downlink, self.join = (
+            column[order] for column in columns[1:7])
+        self.dep = self.join + columns.duration[order]
         self.cut = scenario.cut_off_array(self.ids, self.join)
-        for column in (self.ids, self.join, self.dep, self.cut):
+        self.bucket = (self.isp - self.isp.min(initial=0)) * len(self.cities) + self.city
+        self.row_of = np.full(self.ids.max(initial=-1) + 1, -1)
+        self.row_of[self.ids] = np.arange(len(self.ids))
+        if np.count_nonzero(self.row_of >= 0) != len(self.ids):
+            raise ValueError("peer ids must be unique")
+        for column in (self.ids, self.city, self.isp, self.uplink, self.downlink, self.join,
+                       self.dep, self.cut, self.bucket, self.row_of):
             column.flags.writeable = False
-        self.region_ids = frozenset(p.id for p in peers if p.city == scenario.region)
+        self.region_ids = frozenset(columns.ids[columns.in_city(scenario.region)].tolist())
+
+    @classmethod
+    def from_peers(cls, peers: Iterable[Peer], scenario: FailureScenario) -> Population:
+        """The population of the given Peer records, in list order."""
+        return cls(PeerColumns.from_peers(peers), scenario)
+
+    @property
+    def peers(self) -> Mapping[int, Peer]:
+        """Id -> Peer in issue order, built from the row on each access."""
+        return _PeerRows(self)
 
     def issued_by(self, horizon: float) -> int:
         """Requests issued by the horizon: the leading rows with join <= horizon."""
         return int(np.searchsorted(self.join, horizon, side="right"))
+
+
+class _PeerRows(Mapping):
+    def __init__(self, population: Population):
+        self._population = population
+
+    def __len__(self) -> int:
+        return len(self._population.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._population.ids.tolist())
+
+    def __getitem__(self, pid) -> Peer:
+        p = self._population
+        if not (isinstance(pid, numbers.Integral) and 0 <= pid < len(p.row_of)
+                and (row := p.row_of.item(pid)) >= 0):
+            raise KeyError(pid)
+        join = p.join.item(row)
+        return Peer(p.ids.item(row), p.cities[p.city.item(row)], p.isp.item(row),
+                    p.uplink.item(row), p.downlink.item(row), join, p.dep.item(row) - join)
 
 
 def draw_population(cfg: SimConfig) -> Population:
@@ -282,20 +295,19 @@ def draw_population(cfg: SimConfig) -> Population:
     Only the population and failure fields and rng_seed enter the draw, so
     configs that differ in content size or strategy alone share it.
     """
-    peers = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
-    affected = inject_failure(cfg.failure_region, cfg.failure_ratio, peers,
+    columns = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
+    affected = inject_failure(cfg.failure_region, cfg.failure_ratio, columns,
                               _stream(cfg.rng_seed, _STREAM_FAILURE))
-    return Population(peers, FailureScenario(affected, cfg.failure_region, cfg.failure_start,
-                                             cfg.failure_end))
+    return Population(columns, FailureScenario(affected, cfg.failure_region,
+                                               cfg.failure_start, cfg.failure_end))
 
 
 class CandidateDraws(NamedTuple):
-    """The relay candidate draws of one population under one strategy.
-
-    lists maps each relay-phase requester's id to its draw: the final
+    """The relay candidate draws of one population under one strategy:
+    lists maps each relay-phase requester's id to its draw, the final
     RelayCandidateList for random, draw_path_aware's unranked (careful ids,
-    random ids) for path-aware, nothing for no-relay; it is read-only, so a
-    sweep group's cells can share it. made_for is the config key
+    random ids) for path-aware, nothing for no-relay; it is read-only, so
+    a sweep group's cells can share it. made_for is the config key
     (_draws_key) the draws were made under, population their source.
     """
 
@@ -310,22 +322,16 @@ def _draws_key(cfg: SimConfig) -> tuple:
 
 
 def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
-    """Draw the relay candidates of every relay-phase requester, without
-    running the event loop: the cut-off rows among those issued by
-    cfg.sim_duration.
+    """Draw the relay candidates of every relay-phase requester (the cut-off
+    rows issued by cfg.sim_duration) without running the event loop.
 
-    The walk takes one step per requester, in issue order, as
-    Simulation.run issues them, and keeps an OnlineSet of the peers q
-    with join_q <= t < departure_q at the step's time t. From the sorted
-    step times, searchsorted gives each peer the step it arrives at (the
-    first whose time reaches its join) and the step it leaves at (the first
-    that reaches its departure); it comes online only when it leaves at a
-    later step than it arrives, so a zero-length session never does. Each
-    step removes and adds just its own slice of peers. The selection stream
-    is drawn once, as a block of cfg.zeta uniform floats per requester, and
-    the requester with rank r by id reads row r. The requesters visited so
-    far are the fetch-failure history a path-aware draw drops. no-relay
-    draws nothing and builds no stream.
+    The walk takes one step per requester, in issue order, with an
+    OnlineSet of the peers q with join_q <= t < departure_q at the step's
+    time t; a peer comes online only if it leaves at a later step than it
+    arrives, so a zero-length session never does. The selection stream is
+    drawn once, cfg.zeta floats per requester; the requester with rank r by
+    id reads row r. The requesters visited so far are the fetch-failure
+    history a path-aware draw drops. no-relay draws nothing.
     """
     lists: dict = {}
     strategy = cfg.strategy
@@ -334,46 +340,44 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     k = population.issued_by(cfg.sim_duration)
     join, dep = population.join[:k], population.dep[:k]
     requesters = np.flatnonzero(population.cut[:k])
-    rank = np.argsort(np.argsort(population.ids[requesters]))
+    ids, bucket = population.ids, population.bucket
+    rank = np.argsort(np.argsort(ids[requesters]))
     rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
     times = join[requesters]
     arrive, leave = np.searchsorted(times, join), np.searchsorted(times, dep)
     online_peers = np.flatnonzero(leave > arrive)
     bounds = np.arange(len(requesters) + 1)
-    peers = population.issued
 
-    def by_step(step: np.ndarray) -> tuple[list[Peer], list[int]]:
-        """The online peers in order of step, and where each step's slice starts."""
+    def by_step(step: np.ndarray) -> Iterator[Iterator[tuple[int, int]]]:
+        """Each step's slice of the online peers, as (id, bucket code)."""
         order = online_peers[np.argsort(step[online_peers], kind="stable")]
-        return ([peers[i] for i in order.tolist()],
-                np.searchsorted(step[order], bounds).tolist())
-    arrivals, arrive_at = by_step(arrive)
-    departures, leave_at = by_step(leave)
+        pids, codes = ids[order].tolist(), bucket[order].tolist()
+        at = np.searchsorted(step[order], bounds).tolist()
+        return (zip(pids[lo:hi], codes[lo:hi]) for lo, hi in zip(at, at[1:]))
     online, failed = OnlineSet(), set()
-    for s, requester in enumerate(map(peers.__getitem__, requesters.tolist())):
-        online.update(departures[leave_at[s]:leave_at[s + 1]],
-                      arrivals[arrive_at[s]:arrive_at[s + 1]])
-        u = rows[rank[s]].tolist()
+    for pid, code, r, leaving, arriving in zip(ids[requesters].tolist(),
+                                               bucket[requesters].tolist(), rank.tolist(),
+                                               by_step(leave), by_step(arrive)):
+        online.update(leaving, arriving)
+        u = rows[r].tolist()
         if strategy == "random":
-            lists[requester.id] = random_relay_list(requester, online, cfg.zeta, u)
+            lists[pid] = random_relay_list(pid, online, cfg.zeta, u)
         else:
-            lists[requester.id] = draw_path_aware(requester, online, alpha=cfg.alpha,
-                                                  zeta=cfg.zeta, u=u, failed=failed)
-            failed.add(requester.id)
+            lists[pid] = draw_path_aware(pid, code, online, alpha=cfg.alpha, zeta=cfg.zeta,
+                                         u=u, failed=failed)
+            failed.add(pid)
     return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
 
 
 class Simulation:
-    """One seeded simulation run; single-shot.
+    """One seeded simulation run of cfg.strategy; single-shot.
 
     All randomness derives from cfg.rng_seed through labeled sub-streams,
     so two runs with the same config are bit-identical and two strategies
-    under the same seed see the identical population and failure draw.
-    The strategy is cfg.strategy. To run several cells on one population,
-    pass it (draw_population), and with it its candidate draws
-    (draw_candidates) for cfg's strategy, zeta, alpha, seed and horizon,
-    which cells differing only in content size share; draws from another
-    population or config key are rejected. The run's state is self.ledger.
+    under the same seed see the identical population and failure draw. To
+    run several cells on one population, pass it (draw_population) and its
+    candidate draws (draw_candidates) for cfg's strategy, zeta, alpha, seed
+    and horizon; draws from another population or config key are rejected.
     """
 
     def __init__(self, cfg: SimConfig, population: Population | None = None,
@@ -391,12 +395,14 @@ class Simulation:
         self.population = population
         self.peers = population.peers
         self.scenario = population.scenario
-        self.city_table = CityTable(cfg.city_table)
+        table = CityTable(cfg.city_table)
         self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
         self.content = ContentItem(cfg.content_size_kb)
-        # Two-way handshake seconds per (requester city, relay city), filled
-        # on first use; the server fetch goes to the in-city edge.
-        self._handshakes: dict[tuple[str, str], float] = {}
+        # Two-way handshake seconds by (requester, relay) city code; the
+        # server fetch goes to the in-city edge.
+        self._handshake = [[2.0 * latency_ms(table.distance_km(a, b), cfg.latency_base_ms,
+                                             cfg.latency_per_km_ms) / 1000.0
+                            for b in population.cities] for a in population.cities]
         self.outcomes: Outcomes | None = None   # set by run()
         self.ledger = RelayLedger()
         self._draws = candidates
@@ -416,8 +422,8 @@ class Simulation:
             self._on_resolve(req, time)
 
     def run(self) -> MetricsReport:
-        """Decide the server fetches, then run the relay phase in issue order
-        up to the horizon; aggregate metrics."""
+        """Decide the server fetches, run the relay phase up to the horizon,
+        aggregate metrics."""
         if self._ran:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
         self._ran = True
@@ -426,34 +432,29 @@ class Simulation:
             self._draws = draw_candidates(self.cfg, population)
         issued = population.issued_by(horizon)
         self._decide_server_fetches(issued)
+        join, dep = population.join, population.dep
         for row in np.flatnonzero(population.cut[:issued]).tolist():
-            peer = population.issued[row]
-            self._resolve_until(peer.join_time)
-            self._issue(_Request(row, peer), peer.join_time)
+            t = join.item(row)
+            self._resolve_until(t)
+            self._issue(_Request(row), t)
         self._resolve_until(horizon)
         # Each request still open waits on one event past the horizon; it
         # ends at the horizon, or at its requester's departure if earlier.
         for *_, req in self._heap:
-            self._end(req, min(req.requester.departure_time, horizon))
+            self._end(req, min(dep.item(req.row), horizon))
         return collect_metrics(self.outcomes, self.scenario.affected, population.region_ids)
 
     def _decide_server_fetches(self, issued: int) -> None:
-        """Record the first issued requests in self.outcomes. A server fetch
-        holds no relay capacity, so it is decided here on whole columns, with
-        the float operations of the per-request rule: it ends at join +
-        handshake + size_kbits / downlink and serves the request when that is
-        by both its departure and the horizon; else the request ends at the
-        earlier of the two. Relay-phase rows are written when they end.
-        """
-        horizon = self.cfg.sim_duration
-        population = self.population
-        ids, join, dep, cut, peers = (column[:issued] for column in (
-            population.ids, population.join, population.dep, population.cut, population.issued))
-        cities = [p.city for p in peers]
-        in_city = {city: self._handshake(city, city) for city in set(cities)}
-        t_end = (join + np.fromiter(map(in_city.__getitem__, cities), np.float64, issued)
-                 + self.content.size_kbits
-                 / np.fromiter((p.downlink_kbps for p in peers), np.float64, issued))
+        """Record the first issued requests in self.outcomes, deciding server
+        fetches on whole columns: a fetch ends at join + handshake +
+        size_kbits / downlink and serves the request when that is by both its
+        departure and the horizon; else the request ends at the earlier of
+        the two. Relay-phase rows are written when they end."""
+        horizon, p = self.cfg.sim_duration, self.population
+        ids, join, dep, cut, city, downlink = (
+            column[:issued] for column in (p.ids, p.join, p.dep, p.cut, p.city, p.downlink))
+        in_city = np.array([shakes[c] for c, shakes in enumerate(self._handshake)], np.float64)
+        t_end = join + in_city[city] + self.content.size_kbits / downlink
         served = ~cut & (t_end <= dep) & (t_end <= horizon)
         self.outcomes = Outcomes(
             self.content.size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
@@ -466,68 +467,62 @@ class Simulation:
 
     def _issue(self, req: _Request, t: float) -> None:
         """Start a cut-off requester's relay phase at its join t."""
-        req.candidates = self._make_candidates(req.requester, t)
+        req.candidates = self._make_candidates(req.row, t)
         self._start_next_attempt(req, t)
 
-    def _make_candidates(self, peer: Peer, t: float) -> RelayCandidateList:
-        """The requester's list: its draw, ranked now for path-aware."""
+    def _make_candidates(self, row: int, t: float) -> RelayCandidateList:
+        """The list of the requester in that row: its draw, ranked now for
+        path-aware."""
         strategy = self.cfg.strategy
         if strategy == "no-relay":
             return no_relay_list()
-        drawn = self._draws.lists[peer.id]
+        drawn = self._draws.lists[self.population.ids.item(row)]
         if strategy == "random":
             return drawn
-        return generate_relay_list(drawn, self.peers, gamma=self.cfg.gamma, t=t,
+        return generate_relay_list(drawn, self.population, gamma=self.cfg.gamma, t=t,
                                    tts=self.tts, workload_mode=self.cfg.workload_mode,
                                    ledger=self.ledger)
 
-    def _handshake(self, requester_city: str, relay_city: str) -> float:
-        key = (requester_city, relay_city)
-        seconds = self._handshakes.get(key)
-        if seconds is None:
-            dist = self.city_table.distance_km(requester_city, relay_city)
-            seconds = self._handshakes[key] = 2.0 * latency_ms(
-                dist, self.cfg.latency_base_ms, self.cfg.latency_per_km_ms) / 1000.0
-        return seconds
-
-    def _plan_attempt(self, relay: Peer, requester: Peer, t: float) -> AttemptPlan:
-        """Decide how a single relay attempt plays out, without side effects.
-
-        A relay that is offline or cut off is rejected. Otherwise the
-        transfer rate is fixed at start: the smaller of the relay's free
-        uplink, the requester's downlink, and the relay's fair downlink
-        share across its current workload plus this transfer, both read
-        from the run's ledger. Every attempt pays a two-way handshake at
-        the city-to-city latency.
+    def _plan_attempt(self, relay: int, requester: int, t: float) -> AttemptPlan:
+        """Decide how one relay attempt plays out, without side effects;
+        relay and requester are rows. A relay that is offline or cut off is
+        rejected. Otherwise the rate is fixed at start: the smaller of the
+        relay's free uplink, the requester's downlink, and the relay's fair
+        downlink share across its current workload plus this transfer, both
+        read from the run's ledger. Every attempt pays a two-way handshake
+        at the city-to-city latency.
         """
-        handshake = self._handshake(requester.city, relay.city)
-        if not relay.online(t) or self.scenario.cut_off(relay.id, t):
+        p = self.population
+        handshake = self._handshake[p.city.item(requester)][p.city.item(relay)]
+        relay_id, relay_dep = p.ids.item(relay), p.dep.item(relay)
+        if not p.join.item(relay) <= t < relay_dep or self.scenario.cut_off(relay_id, t):
             return AttemptPlan("reject", t + handshake)
         ledger = self.ledger
-        rate = min(ledger.uplink_free_kbps(relay), requester.downlink_kbps,
-                   relay.downlink_kbps / (ledger.workload.get(relay.id, 0) + 1))
+        rate = min(ledger.uplink_free_kbps(relay_id, p.uplink.item(relay)),
+                   p.downlink.item(requester),
+                   p.downlink.item(relay) / (ledger.workload.get(relay_id, 0) + 1))
         if rate <= RATE_EPS:
             return AttemptPlan("reject", t + handshake)
         t_end = t + handshake + self.content.size_kbits / rate
-        if t_end <= relay.departure_time and t_end <= requester.departure_time:
+        requester_dep = p.dep.item(requester)
+        if t_end <= relay_dep and t_end <= requester_dep:
             return AttemptPlan("success", t_end, rate)
-        if requester.departure_time <= relay.departure_time:
-            return AttemptPlan("requester-lost", requester.departure_time, rate)
-        return AttemptPlan("relay-lost", relay.departure_time, rate)
+        if requester_dep <= relay_dep:
+            return AttemptPlan("requester-lost", requester_dep, rate)
+        return AttemptPlan("relay-lost", relay_dep, rate)
 
     def _start_next_attempt(self, req: _Request, t: float) -> None:
-        requester = req.requester
-        if t >= requester.departure_time:
-            self._end(req, requester.departure_time)
+        p = self.population
+        departure = p.dep.item(req.row)
+        if t >= departure or req.next_index >= len(req.candidates):
+            self._end(req, min(t, departure))   # requester gone, or list exhausted
             return
-        if req.next_index >= len(req.candidates):
-            self._end(req, t)
-            return
-        relay = self.peers[req.candidates[req.next_index]]
+        relay = req.candidates[req.next_index]
         req.next_index += 1
-        plan = self._plan_attempt(relay, requester, t)
+        row = p.row_of.item(relay)
+        plan = self._plan_attempt(row, req.row, t)
         if plan.rate_kbps > 0:
-            self.ledger.commit(relay, plan.rate_kbps)
+            self.ledger.commit(relay, p.uplink.item(row), plan.rate_kbps)
         req.pending = (plan, relay)
         priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
         self._schedule(plan.resolve_time, priority, req)
@@ -537,7 +532,7 @@ class Simulation:
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            self._end(req, t, relay.id)
+            self._end(req, t, relay)
         elif plan.verdict == "requester-lost":
             self._end(req, t)
         else:

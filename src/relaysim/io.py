@@ -2,13 +2,11 @@
 
 Covers: key=value config files, access-trace CSV parsing and synthesis,
 parameter sweeps with a stable CSV schema, per-request outcome dumps
-(written from the engine's Outcomes columns a block of rows at a time),
-metrics JSON, and the relaysim CLI (run / sweep / trace / calibrate /
-solve). All emitted files are deterministic for a given input: fixed row
-order, repr-formatted floats, newline line endings. Trace synthesis and
-replay reuse the population's session and attribute column samplers. A
-run, trace replay or sweep cell whose horizon ends before its first
-request is an error, not an empty result.
+(written from the Outcomes columns a block at a time), metrics JSON, and
+the relaysim CLI (run / sweep / trace / calibrate / solve). All emitted
+files are deterministic: fixed row order, repr-formatted floats, newline
+line endings. A run, trace replay or sweep cell whose horizon ends before
+its first request is an error, not an empty result.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 from relaysim import churn, engine, selection
 from relaysim.churn import SessionModel, calibrate_pareto
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
-from relaysim.model import (STRATEGIES, CapacityError, ConfigError, Peer, SimConfig,
+from relaysim.model import (STRATEGIES, CapacityError, ConfigError, PeerColumns, SimConfig,
                             TraceRecord, _is_int, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
 from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth  # noqa: F401
@@ -241,24 +239,24 @@ def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1, star
                      (rng.random(count) < fail_fraction).tolist()))
 
 
-def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> list[Peer]:
-    """Materialize trace rows as peers; attributes the trace lacks (city,
-    ISP, capacity) are drawn as columns by engine.draw_peer_attributes."""
-    return list(map(Peer, range(len(records)),
-                    *engine.draw_peer_attributes(cfg, rng, len(records)),
-                    [rec.request_ts for rec in records],
-                    [rec.duration for rec in records]))
+def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> PeerColumns:
+    """Trace rows as peer columns, id i for row i; attributes the trace
+    lacks (city, ISP, capacity) are drawn by engine.draw_peer_attributes."""
+    n = len(records)
+    return PeerColumns(tuple(cfg.city_table), np.arange(n),
+                       *engine.draw_peer_attributes(cfg, rng, n),
+                       np.array([rec.request_ts for rec in records], np.float64),
+                       np.array([rec.duration for rec in records], np.float64))
 
 
 def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, Outcomes]:
     """Replay a trace: sessions and the affected set come from the file.
 
     Rows flagged fetch_failure form the affected set of a failure window
-    spanning the whole run, so those users exercise the relay path exactly
-    where the log says the server path failed. A trace without records,
-    or a finite sim_duration that ends before the first request (epoch
-    timestamps under a one-hour horizon, say), would leave nothing to
-    replay and raises ValueError.
+    spanning the whole run, so those users take the relay path exactly
+    where the log says the server path failed. A trace without records, or
+    a finite sim_duration ending before the first request (epoch timestamps
+    under a one-hour horizon, say), raises ValueError.
     """
     validate_config(cfg)
     if not records:
@@ -320,17 +318,13 @@ class SweepResult:
 def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult:
     """Run every sweep cell; a cell that fails is recorded, not fatal.
 
-    Each cell reseeds with its own seed value, and the population and
-    failure draw depend only on the ratio and the seed, so they are drawn
-    once per (ratio, seed) and shared by every size and strategy there;
-    the relay candidate draws depend on the strategy too, not on the size,
-    so they are drawn once per (ratio, seed, strategy) and shared by every
-    size. One group's draws are alive at a time. If a draw fails, every
-    cell of its group is recorded with that error. CapacityError
-    propagates: it means an engine invariant broke, not that a cell is
-    bad, and so is a cell that issues no request (its horizon ends before
-    the first join). Rows and failures come out in the spec's size ->
-    ratio -> strategy -> seed order.
+    The population and failure draw depend only on the ratio and the seed,
+    so they are drawn once per (ratio, seed); the candidate draws once per
+    (ratio, seed, strategy), shared by every size. One group's draws are
+    alive at a time, and a failed draw fails its whole group. CapacityError
+    propagates: it means an engine invariant broke. A cell that issues no
+    request (its horizon ends before the first join) is a failed cell. Rows
+    and failures come out in size -> ratio -> strategy -> seed order.
     """
     if base_cfg is None:
         base_cfg = SimConfig()
@@ -370,17 +364,10 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
                     except Exception as exc:  # record and continue
                         cells[zi, ri, ti, si] = failure(size, ratio, strategy, seed, exc)
                         continue
-                    cells[zi, ri, ti, si] = {
-                        "strategy": strategy,
-                        "size_kb": float(size),
-                        "failure_ratio": float(ratio),
-                        "seed": int(seed),
-                        "success_ratio": report.success_ratio,
-                        "primary_success_ratio": report.primary_success_ratio,
-                        "avg_attempts": report.avg_repeated_requests,
-                        "affected_success_ratio": report.affected_success_ratio,
-                        "region_success_ratio": report.region_success_ratio,
-                    }
+                    cells[zi, ri, ti, si] = dict(zip(SWEEP_COLUMNS, (
+                        strategy, float(size), float(ratio), int(seed), report.success_ratio,
+                        report.primary_success_ratio, report.avg_repeated_requests,
+                        report.affected_success_ratio, report.region_success_ratio)))
     ordered = [cells[key] for key in sorted(cells)]
     return SweepResult([c for c in ordered if "error" not in c],
                        [c for c in ordered if "error" in c])
@@ -388,7 +375,7 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
 
 def _no_requests(cfg: SimConfig, population: engine.Population) -> ValueError:
     """The error for a run whose horizon ends before its first request."""
-    first = population.issued[0].join_time
+    first = population.join.item(0)
     return ValueError(f"sim_duration {cfg.sim_duration!r} s ends before the first "
                       f"request at {first!r} s, so the run issues no request; raise "
                       f"sim_duration or set it to inf")
@@ -563,6 +550,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_trace(args) -> int:
     cfg = build_config(args)
     if args.synthesize is not None:
+        if args.synthesize < 1:
+            raise ValueError(f"--synthesize needs at least 1 session, got {args.synthesize}")
         records = synthesize_trace(args.synthesize, cfg.rng_seed, args.fail_fraction,
                                    model=engine.session_model(cfg))
         write_trace_csv(records, args.file)

@@ -1,16 +1,23 @@
 """Domain types and validated configuration for the delivery simulator.
 
-Everything else in the package builds on the types here: peers with
-bounded sessions, content items, trace rows, and the central SimConfig
-whose defaults describe the reference scenario (5000 peers across five
-cities, Poisson arrivals, heavy-tailed sessions, one failed region).
+Everything else in the package builds on the types here: peers (as
+columns and as row records), content items, trace rows, and the central
+SimConfig whose defaults describe the reference scenario (5000 peers
+across five cities, Poisson arrivals, heavy-tailed sessions, one failed
+region).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
+
+from relaysim.churn import DEFAULT_ARRIVALS_PER_MIN
 
 # Reference city set with (lat, lon) in degrees.
 DEFAULT_CITIES: dict[str, tuple[float, float]] = {
@@ -46,13 +53,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Peer:
-    """A browser peer with one bounded session.
-
-    Times are simulation seconds. Peers are immutable: they hold only what
-    the population draw sampled, so one population can be shared by many
-    runs. What a run changes (relay workload, committed uplink, fetch
-    failure history) lives in that run's RelayLedger inside the
-    Simulation.
+    """One browser peer with one bounded session (seconds), as a row
+    record at the API edge: what a caller hands in (Population.from_peers)
+    or reads back (Population.peers). Runs read only columns.
     """
 
     id: int
@@ -76,55 +79,80 @@ class Peer:
         return t - self.join_time
 
 
+class PeerColumns(NamedTuple):
+    """Peer attributes as columns, one entry per peer in the order drawn
+    or listed: int64 ids, city codes (into cities) and isp; float64 kbps
+    capacities and join times and session durations in seconds."""
+
+    cities: tuple[str, ...]
+    ids: np.ndarray
+    city: np.ndarray
+    isp: np.ndarray
+    uplink: np.ndarray
+    downlink: np.ndarray
+    join: np.ndarray
+    duration: np.ndarray
+
+    @classmethod
+    def from_peers(cls, peers: Iterable[Peer]) -> PeerColumns:
+        """The columns of the given Peer records, in list order."""
+        peers = list(peers)
+        cities = tuple(dict.fromkeys(p.city for p in peers))
+        ints = np.array([(p.id, cities.index(p.city), p.isp) for p in peers], np.int64)
+        floats = np.array([(p.uplink_kbps, p.downlink_kbps, p.join_time, p.session_duration)
+                           for p in peers], np.float64)
+        return cls(cities, *ints.reshape(-1, 3).T, *floats.reshape(-1, 4).T)
+
+    def in_city(self, name: str | None) -> np.ndarray:
+        """Mask of the peers in the named city; None matches none."""
+        return np.array([c == name for c in self.cities], dtype=bool)[self.city]
+
+
 class CapacityError(RuntimeError):
     """Capacity ledger invariant broken; indicates an engine bug."""
 
 
 @dataclass
 class RelayLedger:
-    """Per-run relay state, keyed by peer id and kept sparse.
-
-    Relay capacity only: the issue order fixes the fetch-failure history
-    (engine.draw_candidates). A peer without an entry serves no transfer
-    and has no uplink committed. commit() and release() drop an entry once
-    it returns to zero, so a ledger with nothing in flight holds none.
-    """
+    """Per-run relay capacity, keyed by peer id and kept sparse: a peer
+    without an entry serves no transfer and has no uplink committed, and
+    commit() and release() drop an entry once it returns to zero."""
 
     workload: dict[int, int] = field(default_factory=dict)
     in_use_kbps: dict[int, float] = field(default_factory=dict)
 
-    def uplink_free_kbps(self, peer: Peer) -> float:
-        return max(0.0, peer.uplink_kbps - self.in_use_kbps.get(peer.id, 0.0))
+    def uplink_free_kbps(self, pid: int, uplink_kbps: float) -> float:
+        return max(0.0, uplink_kbps - self.in_use_kbps.get(pid, 0.0))
 
-    def uplink_utilization(self, peer: Peer) -> float:
-        return self.in_use_kbps.get(peer.id, 0.0) / peer.uplink_kbps
+    def uplink_utilization(self, pid: int, uplink_kbps: float) -> float:
+        return self.in_use_kbps.get(pid, 0.0) / uplink_kbps
 
-    def commit(self, relay: Peer, kbps: float) -> None:
-        """Start a transfer on relay at kbps; over-commit means an engine bug."""
+    def commit(self, relay: int, uplink_kbps: float, kbps: float) -> None:
+        """Start a transfer on a relay (id, uplink); over-commit is a bug."""
         if kbps <= 0:
             raise ValueError("committed rate must be positive")
-        in_use = self.in_use_kbps.get(relay.id, 0.0)
-        if in_use + kbps > relay.uplink_kbps + RATE_EPS:
+        in_use = self.in_use_kbps.get(relay, 0.0)
+        if in_use + kbps > uplink_kbps + RATE_EPS:
             raise CapacityError(
-                f"peer {relay.id}: commit of {kbps} kbps exceeds uplink "
-                f"{relay.uplink_kbps} (in use {in_use})")
-        self.in_use_kbps[relay.id] = in_use + kbps
-        self.workload[relay.id] = self.workload.get(relay.id, 0) + 1
+                f"peer {relay}: commit of {kbps} kbps exceeds uplink "
+                f"{uplink_kbps} (in use {in_use})")
+        self.in_use_kbps[relay] = in_use + kbps
+        self.workload[relay] = self.workload.get(relay, 0) + 1
 
-    def release(self, relay: Peer, kbps: float) -> None:
-        """End a transfer committed at kbps on relay."""
-        remaining = self.in_use_kbps.get(relay.id, 0.0) - kbps
+    def release(self, relay: int, kbps: float) -> None:
+        """End a transfer committed at kbps on the relay with that id."""
+        remaining = self.in_use_kbps.get(relay, 0.0) - kbps
         if remaining < -1e-6:
-            raise CapacityError(f"peer {relay.id}: released more than committed")
+            raise CapacityError(f"peer {relay}: released more than committed")
         if abs(remaining) < RATE_EPS:
-            self.in_use_kbps.pop(relay.id, None)
+            self.in_use_kbps.pop(relay, None)
         else:
-            self.in_use_kbps[relay.id] = remaining
-        count = self.workload.get(relay.id, 0) - 1
+            self.in_use_kbps[relay] = remaining
+        count = self.workload.get(relay, 0) - 1
         if count > 0:
-            self.workload[relay.id] = count
+            self.workload[relay] = count
         else:
-            self.workload.pop(relay.id, None)
+            self.workload.pop(relay, None)
 
 
 @dataclass(frozen=True)
@@ -165,7 +193,7 @@ class SimConfig:
     city_table: dict[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_CITIES))
     isp_count: int = 3
-    arrival_rate_lambda: float = 30.0   # arrivals per sim-minute
+    arrival_rate_lambda: float = DEFAULT_ARRIVALS_PER_MIN
     pareto_shape: float | None = None
     pareto_scale_min: float | None = None
     alpha: float = 0.2                  # careful-fraction of the relay list

@@ -2,13 +2,11 @@
 
 Connectivity follows the in-network failure model: a failed region
 partitions its affected peers from the server and from each other, while
-paths between an affected peer and an unaffected peer stay usable. That
-asymmetry is what makes relay delivery through unaffected peers work, and
-why one predicate, FailureScenario.cut_off, decides every path: a
-requester that is not cut off reaches the server, and a relay that is not
-cut off reaches both the server and any requester. A FailureScenario
-always holds its affected peer ids: inject_failure samples them from the
-failed region, and trace replay takes them from the file.
+paths between an affected and an unaffected peer stay usable. So one
+predicate, FailureScenario.cut_off, decides every path: a requester that
+is not cut off reaches the server, and a relay that is not reaches the
+server and any requester. inject_failure samples the affected peer ids
+from the failed region; trace replay takes them from the file.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysim.model import DEFAULT_UPLINK_PROFILE, Peer
+from relaysim.model import DEFAULT_UPLINK_PROFILE, PeerColumns
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -117,36 +115,31 @@ def _capacity_cdf(profile_items: tuple) -> tuple[tuple[float, ...], tuple[float,
 
 def assign_bandwidth(rng: np.random.Generator, n: int,
                      profile: dict[float, float] | None = None,
-                     downlink_factor: float = 4.0) -> tuple[list[float], list[float]]:
+                     downlink_factor: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
     """Draw n (uplink, downlink) kbps pairs from the bucketed capacity profile.
 
-    One rng.random(n) draw located in the profile's CDF: the same draw,
-    from the same stream position, as rng.choice(sorted buckets, p=probs,
-    size=n), without rebuilding the CDF. The two columns are lists of
-    shared bucket floats.
+    One rng.random(n) draw located in the profile's CDF, the same draw as
+    rng.choice(sorted buckets, p=probs, size=n). Returns float64 columns.
     """
     if profile is None:
         profile = DEFAULT_UPLINK_PROFILE
     buckets, cdf = _capacity_cdf(tuple(profile.items()))
-    downs = tuple(b * downlink_factor for b in buckets)
-    idx = np.searchsorted(cdf, rng.random(n), side="right").tolist()
-    return [buckets[i] for i in idx], [downs[i] for i in idx]
+    uplink = np.array(buckets)[np.searchsorted(cdf, rng.random(n), side="right")]
+    return uplink, uplink * downlink_factor
 
 
-def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> list[int]:
-    """n uniform ISP labels in 1..isp_count."""
+def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> np.ndarray:
+    """n uniform ISP labels in 1..isp_count, as an int64 column."""
     if isp_count < 1:
         raise ValueError("isp_count must be at least 1")
-    return rng.integers(1, isp_count + 1, size=n).tolist()
+    return rng.integers(1, isp_count + 1, size=n)
 
 
 @dataclass(frozen=True)
 class FailureScenario:
     """A resolved in-network failure: the affected peer ids are cut off
-    over the half-open window [start_time, end_time).
-
-    region names the failed city for the region metrics; None (trace
-    replay, whose affected set comes from the file) matches no city.
+    over [start_time, end_time). region names the failed city for the
+    region metrics; None (trace replay) matches no city.
     """
 
     affected: frozenset[int]
@@ -163,16 +156,15 @@ class FailureScenario:
         return np.isin(ids, list(self.affected)) & (self.start_time <= t) & (t < self.end_time)
 
 
-def inject_failure(region: str, ratio: float, peers: list[Peer],
+def inject_failure(region: str, ratio: float, columns: PeerColumns,
                    rng: np.random.Generator) -> frozenset[int]:
     """Sample floor(ratio * |region peers|) affected peer ids.
 
     Sampling is uniform without replacement over the region's peers in id
     order. An empty region gives an empty set.
     """
-    region_ids = sorted(p.id for p in peers if p.city == region)
+    region_ids = np.sort(columns.ids[columns.in_city(region)])
     k = math.floor(ratio * len(region_ids))
     if k <= 0:
         return frozenset()
-    picked = rng.choice(np.array(region_ids, dtype=np.int64), size=k, replace=False)
-    return frozenset(int(i) for i in picked)
+    return frozenset(rng.choice(region_ids, size=k, replace=False).tolist())

@@ -1,24 +1,18 @@
 """Relay candidate selection and the global assignment solvers.
 
 Candidate generation is split in two. The draw depends only on who is
-online when a request is issued and who failed a fetch before it, so the
-engine makes it in one pass over the population in issue order before the
-event loop (engine.draw_candidates): the random baseline draws its final
-list with random_relay_list, and the path-aware strategy draws a careful
-partition from peers sharing the requester's city and ISP and a random
-partition from everyone else online, less the requesters the pass walked
-before (draw_path_aware). The rank, generate_relay_list, runs at request
-time: it drops drawn peers with too much relay workload, then sorts each
-partition by estimated time-to-stay so the most durable candidates are
-tried first. The draws read an OnlineSet, which holds only the online ids,
-in ascending order and bucketed by (city, ISP), and draw pool indices
-without building the pools, so the work per list grows with zeta, not
-with the number of peers online. Each draw reads a row u of uniform floats
-in [0, 1), one float per pick (engine.draw_candidates hands every
-requester its row of one block), and samples without replacement in
-sequence (_draw). No draw repeats an id (the random partition skips the
-careful picks), so a RelayCandidateList is a plain id tuple whose first
-careful_count ids form the careful partition.
+online at a request and who failed a fetch before it, so the engine makes
+it in one pass before the event loop (engine.draw_candidates):
+random_relay_list draws the random baseline's list; draw_path_aware draws
+a careful partition from the online peers of the requester's city and ISP
+and a random partition from everyone else online. The rank,
+generate_relay_list, runs at request time: it drops drawn peers with too
+much relay workload, then sorts each partition by estimated time-to-stay.
+Peers enter as ids, bucket codes and population rows, never as objects.
+The draws read an OnlineSet of ascending ids, bucketed by code, and pick
+pool indices without building the pools, so the work per list grows with
+zeta, not with the peers online. Each draw reads a row u of uniform floats
+in [0, 1), one per pick, and samples without replacement (_draw).
 
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
@@ -29,15 +23,19 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, insort
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Container, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import filterfalse
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from relaysim import kernels
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
-from relaysim.model import Peer, RelayLedger
+from relaysim.model import RelayLedger
+
+if TYPE_CHECKING:
+    from relaysim.engine import Population
 
 MAX_EXACT_DIM = 8
 
@@ -72,34 +70,29 @@ def no_relay_list() -> RelayCandidateList:
 
 
 class OnlineSet:
-    """The ids of the online peers, kept in ascending order, plus one
-    id-ordered bucket per (city, ISP).
-
-    Only ids are stored. update() keeps both orders with bisect, so the
-    candidate draws below never sort or scan the set.
-    """
+    """The ids of the online peers in ascending order, plus one id-ordered
+    bucket per bucket code, kept with bisect: the draws never sort or scan."""
 
     def __init__(self):
         self.ids: list[int] = []
-        self._buckets: dict[tuple[str, int], list[int]] = {}
+        self._buckets: dict[Hashable, list[int]] = {}
 
-    def update(self, leaving: Iterable[Peer], arriving: Iterable[Peer]) -> None:
-        """Remove the leaving peers, which must be online, then add the
-        arriving ones, which must not be."""
+    def update(self, leaving: Iterable[tuple[int, Hashable]],
+               arriving: Iterable[tuple[int, Hashable]]) -> None:
+        """Remove the leaving (id, bucket code) peers, which must be
+        online, then add the arriving ones, which must not be."""
         ids, buckets = self.ids, self._buckets
-        for p in leaving:
-            pid = p.id
+        for pid, code in leaving:
             del ids[bisect_left(ids, pid)]
-            bucket = buckets[p.city, p.isp]
+            bucket = buckets[code]
             del bucket[bisect_left(bucket, pid)]
-        for p in arriving:
-            pid = p.id
+        for pid, code in arriving:
             insort(ids, pid)
-            insort(buckets.setdefault((p.city, p.isp), []), pid)
+            insort(buckets.setdefault(code, []), pid)
 
-    def bucket(self, city: str, isp: int) -> list[int]:
-        """Ids of the online peers in that city and ISP, ascending."""
-        return self._buckets.get((city, isp), [])
+    def bucket(self, code: Hashable) -> list[int]:
+        """Ids of the online peers with that bucket code, ascending."""
+        return self._buckets.get(code, [])
 
 
 def _find(ids: list[int], pid: int) -> int:
@@ -113,11 +106,10 @@ def _draw(u: Sequence[float], ids: list[int], skip: list[int], k: int) -> list[i
     the ascending positions in skip, reading one float of u per pick.
 
     Of the m ids in the pool, pick j takes position floor(u[j] * (m - j))
-    among the positions still untaken: as pool.pop(int(u[j] * len(pool)))
-    on the pool built as a list, whose every ordered pick sequence is
-    equally likely for uniform u. The position is mapped past the skipped
-    and already-taken positions instead. k <= 0, or an empty pool, reads
-    nothing of u.
+    among the positions still untaken, mapped past the skipped and taken
+    ones: pool.pop(int(u[j] * len(pool))) on the pool built as a list, whose
+    ordered pick sequences are equally likely for uniform u. k <= 0, or an
+    empty pool, reads nothing of u.
     """
     m = len(ids) - len(skip)
     taken = list(skip)
@@ -139,71 +131,74 @@ def _positions(ids: list[int], pids) -> list[int]:
     return sorted(i for i in found if i >= 0)
 
 
-def random_relay_list(requester: Peer, online: OnlineSet, zeta: int,
+def random_relay_list(requester: int, online: OnlineSet, zeta: int,
                       u: Sequence[float]) -> RelayCandidateList:
-    """Baseline: up to zeta online peers other than the requester, drawn
-    uniformly from the row u, in draw order.
-
-    No filtering and no sorting. Pool index i is the i-th lowest online id
-    other than the requester's, so the draw is reproducible whatever order
-    peers came online in.
+    """Baseline: up to zeta online peers other than the requester (an
+    id), drawn uniformly from the row u, in draw order. Pool index i is the
+    i-th lowest online id other than the requester's, so the draw does not
+    depend on the order peers came online in.
     """
     ids = online.ids
-    picked = _draw(u, ids, _positions(ids, (requester.id,)), zeta)
+    picked = _draw(u, ids, _positions(ids, (requester,)), zeta)
     return RelayCandidateList(tuple(picked), 0)
 
 
-def _workload_ok(peer: Peer, ledger: RelayLedger, gamma: float, mode: str) -> bool:
+def _workload_ok(pid: int, uplink_kbps: float, ledger: RelayLedger, gamma: float,
+                 mode: str) -> bool:
     if mode == "count":
-        return ledger.workload.get(peer.id, 0) <= gamma
-    return ledger.uplink_utilization(peer) <= gamma
+        return ledger.workload.get(pid, 0) <= gamma
+    return ledger.uplink_utilization(pid, uplink_kbps) <= gamma
 
 
-def draw_path_aware(requester: Peer, online: OnlineSet, *, alpha: float, zeta: int,
-                    u: Sequence[float],
+def draw_path_aware(requester: int, bucket: Hashable, online: OnlineSet, *, alpha: float,
+                    zeta: int, u: Sequence[float],
                     failed: Container[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The draw half of a path-aware list: (careful ids, random ids).
+    """The draw half of a path-aware list: (careful ids, random ids), for
+    the requester with that id and bucket code.
 
-    ceil(zeta * alpha) slots go to the careful partition, drawn from the
-    online peers of the requester's city and ISP; the remaining slots are
-    drawn from all other online peers. Both pools exclude the requester
-    and are indexed in ascending id order. The careful draw reads the row
-    u first and the random draw reads u[careful_slots:], so with alpha 0
-    and failed empty the random part is random_relay_list's draw from u. A
-    shortfall in the careful partition is not backfilled. The ids in failed
-    (the fetch-failure history) take their picks, then leave both parts,
-    which stay in draw order; generate_relay_list ranks them.
+    ceil(zeta * alpha) careful slots are drawn from the online peers of
+    the requester's bucket, the rest from all other online peers, both
+    pools without the requester and in ascending id order. The careful draw
+    reads u first, the random draw u[careful_slots:], so with alpha 0 and
+    failed empty the random part is random_relay_list's draw. A careful
+    shortfall is not backfilled. The ids in failed (the fetch-failure
+    history) take their picks, then leave both parts, kept in draw order.
     """
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
-    same = online.bucket(requester.city, requester.isp)
-    careful = _draw(u, same, _positions(same, (requester.id,)), careful_slots)
+    same = online.bucket(bucket)
+    careful = _draw(u, same, _positions(same, (requester,)), careful_slots)
     randoms = _draw(u[careful_slots:], online.ids,
-                    _positions(online.ids, (requester.id, *careful)), zeta - careful_slots)
+                    _positions(online.ids, (requester, *careful)), zeta - careful_slots)
     drop = failed.__contains__
     return tuple(filterfalse(drop, careful)), tuple(filterfalse(drop, randoms))
 
 
 def generate_relay_list(drawn: tuple[tuple[int, ...], tuple[int, ...]],
-                        peers: Mapping[int, Peer], *, gamma: float, t: float,
+                        population: Population, *, gamma: float, t: float,
                         tts: TimeToStayModel, workload_mode: str,
                         ledger: RelayLedger) -> RelayCandidateList:
     """Rank a path-aware draw (see draw_path_aware) at request time t.
 
     Both partitions drop peers with workload above gamma in the run's
     ledger, then sort by descending estimated time-to-stay (ties on
-    ascending id). The careful partition comes first, so its most durable
-    member is the primary relay. peers maps every drawn id to its Peer.
+    ascending id), reading uplink and join from the population's columns.
+    The careful partition comes first, so its most durable member is the
+    primary relay.
     """
-    def keep(p: Peer) -> bool:
-        return _workload_ok(p, ledger, gamma, workload_mode)
+    row_of, uplink, join = population.row_of, population.uplink, population.join
 
-    def durability(p: Peer):
-        remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
-        return (-remain, p.id)
+    def ranked(part: tuple[int, ...]) -> list[int]:
+        keyed = []
+        for pid in part:
+            row = row_of.item(pid)
+            if _workload_ok(pid, uplink.item(row), ledger, gamma, workload_mode):
+                remain = estimate_time_to_stay(tts, (t - join.item(row)) / 60.0)
+                keyed.append((-remain, pid))
+        keyed.sort()
+        return [pid for _, pid in keyed]
 
-    careful, randoms = (sorted(filter(keep, map(peers.__getitem__, part)), key=durability)
-                        for part in drawn)
-    return RelayCandidateList(tuple(p.id for p in careful + randoms), len(careful))
+    careful, randoms = map(ranked, drawn)
+    return RelayCandidateList((*careful, *randoms), len(careful))
 
 
 @dataclass(frozen=True)

@@ -6,22 +6,29 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes
+from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes, Population
 from relaysim.io import _OUTCOME_BLOCK
-from relaysim.netsim import SERVER
+from relaysim.model import Peer
+from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import OnlineSet, _check_instance
+
+
+def key(peer):
+    """A Peer as the OnlineSet takes it: (id, bucket code), with its
+    (city, ISP) pair as the code."""
+    return peer.id, (peer.city, peer.isp)
 
 
 def add(online, peer):
     """Bring peer online in the OnlineSet; no effect when its id already is."""
     if peer.id not in online.ids:
-        online.update((), (peer,))
+        online.update((), (key(peer),))
 
 
 def discard(online, peer):
     """Take peer offline in the OnlineSet; no effect when its id is not online."""
     if peer.id in online.ids:
-        online.update((peer,), ())
+        online.update((key(peer),), ())
 
 
 def online_set(peers):
@@ -30,6 +37,18 @@ def online_set(peers):
     for p in peers:
         add(online, p)
     return online
+
+
+def peer_rows(columns):
+    """The PeerColumns as Peer records, in column order."""
+    return [Peer(pid, columns.cities[city], isp, up, down, join, duration)
+            for pid, city, isp, up, down, join, duration in zip(
+                *(column.tolist() for column in columns[1:]))]
+
+
+def population(peers):
+    """The Population of the given Peer records, with no peer cut off."""
+    return Population.from_peers(peers, FailureScenario(frozenset()))
 
 
 def outcomes_table(rows, size_kb=1.0):

@@ -36,7 +36,7 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import online_set
+from helpers import online_set, peer_rows, population
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -132,14 +132,15 @@ def _no_relay_accounting_oracle(cfg: SimConfig) -> float:
     """Closed-form no-relay success ratio, mirroring the event engine's
     arithmetic: a request issued at join time succeeds iff the server
     round trip plus transfer fits inside the session."""
-    peers = build_population(cfg, _stream(cfg.rng_seed, 0))
+    columns = build_population(cfg, _stream(cfg.rng_seed, 0))
     scenario = FailureScenario(
-        inject_failure(cfg.failure_region, cfg.failure_ratio, peers,
+        inject_failure(cfg.failure_region, cfg.failure_ratio, columns,
                        _stream(cfg.rng_seed, _STREAM_FAILURE)),
         cfg.failure_region, cfg.failure_start, cfg.failure_end)
     handshake = 2.0 * latency_ms(0.0, cfg.latency_base_ms,
                                  cfg.latency_per_km_ms) / 1000.0
     served = 0
+    peers = peer_rows(columns)
     for p in peers:
         if scenario.cut_off(p.id, p.join_time):
             continue
@@ -276,9 +277,10 @@ def test_criterion_7_candidate_list_invariants():
         t = float(rng.uniform(50.0, 120.0))
         online = [p for p in peers if p.online(t)]
         by_id = {p.id: p for p in online}
-        drawn = draw_path_aware(requester, online_set(online), alpha=alpha,
-                                zeta=zeta, u=rng.random(zeta).tolist(), failed=failed)
-        lst = generate_relay_list(drawn, by_id, gamma=gamma, t=t, tts=tts,
+        drawn = draw_path_aware(requester.id, (requester.city, requester.isp),
+                                online_set(online), alpha=alpha, zeta=zeta,
+                                u=rng.random(zeta).tolist(), failed=failed)
+        lst = generate_relay_list(drawn, population(online), gamma=gamma, t=t, tts=tts,
                                   workload_mode="utilization", ledger=ledger)
         assert len(lst) <= zeta
         assert len(set(lst.peer_ids)) == len(lst)
@@ -293,7 +295,7 @@ def test_criterion_7_candidate_list_invariants():
             assert by_id[pid].isp == requester.isp
         for pid in lst.peer_ids:
             assert pid not in failed
-            assert _workload_ok(by_id[pid], ledger, gamma, "utilization")
+            assert _workload_ok(pid, by_id[pid].uplink_kbps, ledger, gamma, "utilization")
         for part in (careful, randoms):
             taus = [estimate_time_to_stay(tts, by_id[pid].elapse(t) / 60.0)
                     for pid in part]

@@ -5,6 +5,7 @@ import dataclasses
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,11 +26,13 @@ from relaysim.engine import (
     _stream,
     _STREAM_POPULATION,
 )
+from relaysim.churn import SessionModel
+from relaysim.io import SweepSpec, build_trace_peers, run_sweep, run_trace, synthesize_trace
 from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
-from relaysim.netsim import SERVER, FailureScenario
-from relaysim.selection import RelayCandidateList, no_relay_list
+from relaysim.netsim import SERVER, CityTable, FailureScenario
+from relaysim.selection import OnlineSet, RelayCandidateList, no_relay_list
 
-from helpers import outcome_tables, outcomes_table
+from helpers import outcome_tables, outcomes_table, peer_rows
 from reference import collect_metrics_rows, reference_run
 
 
@@ -122,7 +125,7 @@ class TestCollectMetrics:
 class TestPopulation:
     def test_shape_and_ranges(self):
         cfg = SimConfig(peer_count=300)
-        peers = build_population(cfg, _stream(1, _STREAM_POPULATION))
+        peers = peer_rows(build_population(cfg, _stream(1, _STREAM_POPULATION)))
         assert len(peers) == 300
         assert [p.id for p in peers] == list(range(300))
         joins = [p.join_time for p in peers]
@@ -140,53 +143,51 @@ class TestPopulation:
         cfg = SimConfig(peer_count=50)
         a = build_population(cfg, _stream(3, _STREAM_POPULATION))
         b = build_population(cfg, _stream(3, _STREAM_POPULATION))
-        assert a == b
+        assert a.cities == b.cities
+        assert all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+        assert peer_rows(a) == peer_rows(b)
 
     def test_fields_are_builtin_values(self):
         # A numpy scalar would leak into the outcome CSV as 'np.float64(...)'.
-        peers = build_population(SimConfig(peer_count=200), _stream(2, _STREAM_POPULATION))
+        peers = draw_population(SimConfig(peer_count=200, rng_seed=2)).peers.values()
         for p in peers:
             assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
                 int, str, int, float, float, float, float]
 
-    def test_capacities_share_the_bucket_floats(self):
-        cfg = SimConfig(peer_count=400)
-        peers = build_population(cfg, _stream(2, _STREAM_POPULATION))
-        assert len({id(p.uplink_kbps) for p in peers}) <= len(cfg.uplink_profile)
-        assert len({id(p.downlink_kbps) for p in peers}) <= len(cfg.uplink_profile)
+    def test_default_session_model(self):
+        assert engine.session_model(SimConfig()) == SessionModel()
 
     def test_empty_population(self):
-        assert build_population(SimConfig(peer_count=0), _stream(1, _STREAM_POPULATION)) == []
+        columns = build_population(SimConfig(peer_count=0), _stream(1, _STREAM_POPULATION))
+        assert [len(column) for column in columns[1:]] == [0] * 7
+        assert peer_rows(columns) == []
 
 
 class TestCapacityLedger:
     def test_commit_release_roundtrip(self):
-        relay = make_peer(1, up=1024.0)
         ledger = RelayLedger()
-        ledger.commit(relay, 500.0)
+        ledger.commit(1, 1024.0, 500.0)
         assert ledger.in_use_kbps[1] == 500.0
         assert ledger.workload[1] == 1
-        ledger.release(relay, 500.0)
+        ledger.release(1, 500.0)
         assert ledger.in_use_kbps.get(1, 0.0) == 0.0
         assert ledger.in_use_kbps == {} and ledger.workload == {}
 
     def test_overcommit_is_a_bug_trap(self):
-        relay = make_peer(1, up=1024.0)
         ledger = RelayLedger()
-        ledger.commit(relay, 600.0)
+        ledger.commit(1, 1024.0, 600.0)
         with pytest.raises(CapacityError):
-            ledger.commit(relay, 600.0)
+            ledger.commit(1, 1024.0, 600.0)
 
     def test_over_release_is_a_bug_trap(self):
-        relay = make_peer(1, up=1024.0)
         ledger = RelayLedger()
-        ledger.commit(relay, 100.0)
+        ledger.commit(1, 1024.0, 100.0)
         with pytest.raises(CapacityError):
-            ledger.release(relay, 200.0)
+            ledger.release(1, 200.0)
 
     def test_nonpositive_commit_rejected(self):
         with pytest.raises(ValueError):
-            RelayLedger().commit(make_peer(1), 0.0)
+            RelayLedger().commit(1, 1024.0, 0.0)
 
 
 class FixedListSimulation(Simulation):
@@ -194,11 +195,11 @@ class FixedListSimulation(Simulation):
     peer gets an empty list."""
 
     def __init__(self, cfg, peers, scenario, lists):
-        super().__init__(cfg, Population(peers, scenario))
+        super().__init__(cfg, Population.from_peers(peers, scenario))
         self.lists = lists
 
-    def _make_candidates(self, peer, t):
-        return self.lists.get(peer.id, RelayCandidateList((), 0))
+    def _make_candidates(self, row, t):
+        return self.lists.get(self.population.ids.item(row), RelayCandidateList((), 0))
 
 
 class TestAttemptDownload:
@@ -301,7 +302,7 @@ class TestAttemptDownload:
         out, sim = self.download(make_peer(0, city="Beijing"),
                                  [make_peer(1, city="Shanghai")], affected={0},
                                  candidates=(1,))
-        table = sim.city_table
+        table = CityTable(sim.cfg.city_table)
         handshake = 2.0 * (5.0 + 0.02 * table.distance_km("Beijing", "Shanghai")) / 1000.0
         assert out.end_time == pytest.approx(handshake + 4.0, abs=1e-9)
 
@@ -373,7 +374,9 @@ class TestSimulation:
     def test_supplied_population_left_unchanged(self):
         cfg = small_cfg(sim_duration=math.inf)
         population = draw_population(cfg)
-        before = copy.deepcopy(population.issued)
+        columns = ("ids", "city", "isp", "uplink", "downlink", "join", "dep", "cut", "bucket",
+                   "row_of")
+        before = copy.deepcopy([getattr(population, name) for name in columns])
         for strategy in ("random", "path-aware"):
             sim = Simulation(replace(cfg, strategy=strategy), population)
             sim.run()
@@ -381,10 +384,11 @@ class TestSimulation:
             assert any(o.entered_relay_phase for o in sim.outcomes)
             # no run or caller can write through the shared columns
             out = sim.outcomes
-            for column in (population.ids, population.join, population.dep, population.cut,
-                           out.requester_id, out.start_time, out.entered_relay_phase):
+            for column in ([getattr(population, name) for name in columns]
+                           + [out.requester_id, out.start_time, out.entered_relay_phase]):
                 assert not column.flags.writeable
-        assert population.issued == before
+        assert all(np.array_equal(getattr(population, name), column)
+                   for name, column in zip(columns, before))
 
     def test_shared_draw_matches_own_draw(self):
         cfg = small_cfg(rng_seed=4)
@@ -453,13 +457,13 @@ class TestSimulation:
         population = draw_population(small_cfg(peer_count=50))
         peers = list(population.peers.values())
         with pytest.raises(ValueError, match="unique"):
-            Population([*peers, peers[7]], population.scenario)
+            Population.from_peers([*peers, peers[7]], population.scenario)
 
     def test_negative_peer_ids_rejected(self):
         # Outcomes.served_by codes the server and unserved as negative ids
         peers = [make_peer(0), make_peer(-1)]
         with pytest.raises(ValueError, match="non-negative"):
-            Population(peers, FailureScenario(frozenset()))
+            Population.from_peers(peers, FailureScenario(frozenset()))
 
     def test_run_returns_report(self):
         rep = run(small_cfg())
@@ -470,9 +474,9 @@ class TestSimulation:
         # Its departure runs before its arrival at the same instant, so
         # admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
-        scenario = FailureScenario(frozenset({1}))
-        pools = record_pools(monkeypatch)
-        sim = Simulation(small_cfg(strategy="random"), Population(peers, scenario))
+        population = Population.from_peers(peers, FailureScenario(frozenset({1})))
+        pools = record_pools(monkeypatch, population)
+        sim = Simulation(small_cfg(strategy="random"), population)
         sim.run()
         # peer 1 drew from an empty pool: peer 0 was never online, and the
         # requester is not its own candidate
@@ -536,20 +540,21 @@ class TestSimulation:
         assert rep.relay_phase_requests > 0
 
 
-def record_pools(monkeypatch):
-    """Record, per relay-phase requester, its request time, the online ids
-    other than its own and its (city, ISP) bucket less itself, as the
-    draw pass hands them to either strategy's draw."""
+def record_pools(monkeypatch, population):
+    """Record, per relay-phase requester of the population, its request
+    time, the online ids other than its own and its (city, ISP) bucket
+    less itself, as the draw pass hands them to either strategy's draw."""
     pools = {}
 
     def recording(real):
-        def draw(requester, online, *args, **kwargs):
-            pools[requester.id] = (
-                requester.join_time,
-                [i for i in online.ids if i != requester.id],
-                [i for i in online.bucket(requester.city, requester.isp)
-                 if i != requester.id])
-            return real(requester, online, *args, **kwargs)
+        def draw(requester, *args, **kwargs):
+            online = next(arg for arg in args if isinstance(arg, OnlineSet))
+            row = population.row_of[requester]
+            pools[requester] = (
+                population.join[row],
+                [i for i in online.ids if i != requester],
+                [i for i in online.bucket(population.bucket[row]) if i != requester])
+            return real(requester, *args, **kwargs)
         return draw
     for name in ("random_relay_list", "draw_path_aware"):
         monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
@@ -586,7 +591,7 @@ class TestNoRelaySkipsOnlineSet:
     def test_no_arrival_or_departure_events(self, monkeypatch):
         cfg = small_cfg(rng_seed=3, strategy="no-relay")
         population = draw_population(cfg)
-        peers, scenario = population.issued, population.scenario
+        peers, scenario = list(population.peers.values()), population.scenario
         streams, real = [], engine._stream
         monkeypatch.setattr(engine, "_stream",
                             lambda *key: streams.append(key) or real(*key))
@@ -620,9 +625,10 @@ class RecordingSimulation(Simulation):
         super().__init__(*args, **kwargs)
         self.lists = {}
 
-    def _make_candidates(self, peer, t):
-        self.lists[peer.id] = super()._make_candidates(peer, t)
-        return self.lists[peer.id]
+    def _make_candidates(self, row, t):
+        pid = self.population.ids.item(row)
+        self.lists[pid] = super()._make_candidates(row, t)
+        return self.lists[pid]
 
 
 @st.composite
@@ -669,7 +675,7 @@ class TestProtocolProperties:
     def test_every_request_ends_once_and_consistently(self, run_args):
         cfg, peers, scenario = run_args
         horizon = cfg.sim_duration
-        sim = RecordingSimulation(cfg, Population(peers, scenario))
+        sim = RecordingSimulation(cfg, Population.from_peers(peers, scenario))
         sim.run()
         assert sorted(o.requester_id for o in sim.outcomes) == sorted(
             p.id for p in peers if p.join_time <= horizon)
@@ -716,13 +722,15 @@ class TestProtocolProperties:
         def checked(sim, relay, requester, t):
             plan = real(sim, relay, requester, t)
             if plan.rate_kbps > 0:
-                commits.append((plan.rate_kbps, sim.ledger.uplink_free_kbps(relay),
-                                requester.downlink_kbps))
+                p = sim.population
+                commits.append((plan.rate_kbps,
+                                sim.ledger.uplink_free_kbps(p.ids[relay], p.uplink[relay]),
+                                p.downlink[requester]))
             return plan
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Simulation, "_plan_attempt", checked)
-            Simulation(cfg, Population(peers, scenario)).run()
+            Simulation(cfg, Population.from_peers(peers, scenario)).run()
         for rate, free_uplink, downlink in commits:
             assert rate <= min(free_uplink, downlink) + RATE_EPS
 
@@ -736,7 +744,7 @@ class TestProtocolProperties:
                                       max_size=len(peers), unique=True))
         peers = [dataclasses.replace(p, join_time=q / 4.0) for p, q in zip(peers, quarters)]
         shuffled = data.draw(st.permutations(peers))
-        runs = [Simulation(cfg, Population(order, scenario))
+        runs = [Simulation(cfg, Population.from_peers(order, scenario))
                 for order in (peers, shuffled)]
         reports = [sim.run() for sim in runs]
         assert reports[0] == reports[1]
@@ -832,7 +840,7 @@ class TestWholeRunReference:
 
     @staticmethod
     def check(cfg, peers, scenario):
-        sim = Simulation(cfg, Population(peers, scenario))
+        sim = Simulation(cfg, Population.from_peers(peers, scenario))
         sim.run()
         got = {o.requester_id: (o.served_by, o.attempts, o.end_time, o.entered_relay_phase)
                for o in sim.outcomes}
@@ -855,7 +863,7 @@ class TestHorizon:
     @pytest.mark.parametrize("horizon", [1.1, math.inf])
     def test_open_request_ends_by_its_departure(self, horizon):
         cfg, peers, scenario = crossed_reject(horizon)
-        sim = Simulation(cfg, Population(peers, scenario))
+        sim = Simulation(cfg, Population.from_peers(peers, scenario))
         sim.run()
         assert [(o.requester_id, o.served_by, o.attempts) for o in sim.outcomes] == [
             (0, None, 1), (1, None, 1)]
@@ -883,15 +891,64 @@ def draw_populations(draw):
     return cfg, draw(st.permutations(peers)), scenario
 
 
+class TestColumnsOnly:
+    """Runs read the population's columns; Peer records exist only at the
+    API edge."""
+
+    def test_runs_build_no_peer(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Peer was built")
+        monkeypatch.setattr(Peer, "__init__", refuse)
+        cfg = small_cfg(sim_duration=math.inf)
+        report = Simulation(cfg).run()
+        assert report.served_by_relay > 0
+        sweep = run_sweep(SweepSpec(content_sizes_kb=(500.0,), failure_ratios=(0.6,),
+                                    strategies=("random", "path-aware"), seeds=(0,)), cfg)
+        assert len(sweep.rows) == 2 and sweep.failures == []
+        report, _ = run_trace(synthesize_trace(100, seed=1, fail_fraction=0.5), cfg)
+        assert report.served_by_relay > 0
+        with pytest.raises(AssertionError, match="a Peer was built"):
+            make_peer(0)
+
+    @pytest.mark.parametrize("source", ["draw", "trace"])
+    def test_rows_round_trip_to_equal_columns(self, source):
+        cfg = SimConfig(peer_count=500, rng_seed=1)
+        if source == "draw":
+            population = draw_population(cfg)
+        else:
+            # a trace listed out of join order: ids are not issue rows
+            records = synthesize_trace(500, seed=2, fail_fraction=0.5)[::-1]
+            population = Population(build_trace_peers(records, cfg, np.random.default_rng(3)),
+                                    FailureScenario(frozenset(range(0, 500, 2))))
+            assert population.ids.tolist() != list(range(500))
+        again = Population.from_peers(population.peers.values(), population.scenario)
+        for name in ("ids", "isp", "uplink", "downlink", "join", "dep", "cut", "row_of"):
+            assert np.array_equal(getattr(again, name), getattr(population, name)), name
+        # city codes index each population's own city names
+        names = [[p.cities[code] for code in p.city.tolist()] for p in (population, again)]
+        assert names[0] == names[1]
+        assert again.region_ids == population.region_ids
+
+    def test_peers_maps_ids_to_rows(self):
+        peers = [make_peer(7, join=2.0, dur=3.0), make_peer(3, city="Wuhan", isp=2, join=1.0)]
+        population = Population.from_peers(peers, FailureScenario(frozenset()))
+        assert list(population.peers) == [3, 7]
+        assert population.peers[7] == peers[0] and population.peers[3] == peers[1]
+        assert 7 in population.peers and len(population.peers) == 2
+        for missing in (0, 5, 8, -1, "7"):
+            assert missing not in population.peers
+
+
 class TestDrawPass:
     @settings(max_examples=300, deadline=None)
     @given(draw_populations(), st.sampled_from(("random", "path-aware")))
     def test_pools_are_the_online_peers_at_the_request(self, case, strategy):
         cfg, peers, scenario = case
         cfg = replace(cfg, strategy=strategy)
+        population = Population.from_peers(peers, scenario)
         with pytest.MonkeyPatch.context() as mp:
-            pools = record_pools(mp)
-            draws = draw_candidates(cfg, Population(peers, scenario))
+            pools = record_pools(mp, population)
+            draws = draw_candidates(cfg, population)
         requesters = {p.id: p for p in peers if p.join_time <= cfg.sim_duration
                       and scenario.cut_off(p.id, p.join_time)}
         assert set(pools) == set(draws.lists) == set(requesters)
@@ -913,10 +970,9 @@ class TestDrawPass:
         peers = [make_peer(0, join=0.0, dur=math.inf), make_peer(1, join=1.0, dur=1.0),
                  make_peer(2, join=2.0, dur=5.0), make_peer(3, join=2.0, dur=0.0),
                  make_peer(4, join=4.0, dur=5.0)]
-        scenario = FailureScenario(frozenset({1, 2, 3, 4}))
-        pools = record_pools(monkeypatch)
-        draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0),
-                        Population(peers, scenario))
+        population = Population.from_peers(peers, FailureScenario(frozenset({1, 2, 3, 4})))
+        pools = record_pools(monkeypatch, population)
+        draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0), population)
         assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}
 
     def test_equal_joins_take_the_fetch_failure_history_in_issue_order(self):
@@ -929,7 +985,8 @@ class TestDrawPass:
         peers = [make_peer(5), make_peer(2), make_peer(9)]
         cfg = small_cfg(peer_count=3, strategy="path-aware", alpha=0.0, zeta=3,
                         sim_duration=math.inf)
-        sim = RecordingSimulation(cfg, Population(peers, FailureScenario(frozenset({5, 2}))))
+        sim = RecordingSimulation(cfg, Population.from_peers(peers,
+                                                             FailureScenario(frozenset({5, 2}))))
         sim.run()
         assert sim.lists[5].peer_ids == (2, 9)
         assert sim.lists[2].peer_ids == (9,)
@@ -954,7 +1011,7 @@ def server_oracle(peer, horizon):
 
 
 def check_server_path(cfg, peers, scenario):
-    sim = Simulation(cfg, Population(peers, scenario))
+    sim = Simulation(cfg, Population.from_peers(peers, scenario))
     sim.run()
     horizon = cfg.sim_duration
     # one outcome per request issued by the horizon, in join order and, at

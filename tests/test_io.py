@@ -37,9 +37,9 @@ from relaysim.io import (
     _PARSERS,
 )
 from relaysim.model import CapacityError, ConfigError, SimConfig, TraceRecord
-from relaysim.netsim import SERVER
+from relaysim.netsim import SERVER, FailureScenario
 
-from helpers import outcome_tables, outcomes_table
+from helpers import outcome_tables, outcomes_table, peer_rows
 from reference import write_outcomes_csv_rows
 
 
@@ -251,7 +251,7 @@ class TestSynthesisAndReplay:
         import numpy as np
         records = (TraceRecord("a", 3.0, 10.0), TraceRecord("b", 4.0, 20.0))
         cfg = SimConfig()
-        peers = build_trace_peers(records, cfg, np.random.default_rng(0))
+        peers = peer_rows(build_trace_peers(records, cfg, np.random.default_rng(0)))
         assert [p.id for p in peers] == [0, 1]
         assert peers[0].join_time == 3.0
         assert peers[0].session_duration == 7.0
@@ -263,7 +263,8 @@ class TestSynthesisAndReplay:
         records = synthesize_trace(60, seed=3, fail_fraction=0.2)
         assert [(type(r.user_id), type(r.request_ts), type(r.leave_ts), type(r.fetch_failure))
                 for r in records] == [(str, float, float, bool)] * 60
-        peers = build_trace_peers(records, SimConfig(), np.random.default_rng(1))
+        columns = build_trace_peers(records, SimConfig(), np.random.default_rng(1))
+        peers = engine.Population(columns, FailureScenario(frozenset())).peers.values()
         for p in peers:
             assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
                 int, str, int, float, float, float, float]
@@ -272,11 +273,10 @@ class TestSynthesisAndReplay:
         import numpy as np
         records = synthesize_trace(30, seed=2)
         cfg = SimConfig(peer_count=30)
-        peers = build_trace_peers(records, cfg, np.random.default_rng(9))
-        cities, isps, ups, downs = engine.draw_peer_attributes(
-            cfg, np.random.default_rng(9), 30)
-        assert [(p.city, p.isp, p.uplink_kbps, p.downlink_kbps) for p in peers] == list(
-            zip(cities, isps, ups, downs))
+        columns = build_trace_peers(records, cfg, np.random.default_rng(9))
+        drawn = engine.draw_peer_attributes(cfg, np.random.default_rng(9), 30)
+        assert columns.cities == tuple(cfg.city_table)
+        assert [c.tolist() for c in columns[2:6]] == [c.tolist() for c in drawn]
 
     def test_synthesize_start_offsets_every_session(self):
         base = synthesize_trace(25, seed=4)
@@ -792,6 +792,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sim_duration" in captured.err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_trace_synthesize_nothing_exit_2(self, count, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main(["trace", "--file", str(trace), "--synthesize", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--synthesize needs at least 1 session, got {count}" in captured.err
+        assert not trace.exists()
 
     def test_trace_header_only_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"

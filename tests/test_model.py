@@ -51,13 +51,14 @@ class TestPeer:
     def test_capacity_ledger_views(self):
         p = make_peer(uplink_kbps=1000.0)
         ledger = RelayLedger()
-        assert ledger.uplink_free_kbps(p) == 1000.0
-        assert ledger.uplink_utilization(p) == 0.0
+        relay = (p.id, p.uplink_kbps)
+        assert ledger.uplink_free_kbps(*relay) == 1000.0
+        assert ledger.uplink_utilization(*relay) == 0.0
         ledger.in_use_kbps[p.id] = 250.0
-        assert ledger.uplink_free_kbps(p) == 750.0
-        assert ledger.uplink_utilization(p) == 0.25
+        assert ledger.uplink_free_kbps(*relay) == 750.0
+        assert ledger.uplink_utilization(*relay) == 0.25
         ledger.in_use_kbps[p.id] = 1200.0  # over-commit is clamped in the view
-        assert ledger.uplink_free_kbps(p) == 0.0
+        assert ledger.uplink_free_kbps(*relay) == 0.0
 
 
 class TestContentAndTrace:

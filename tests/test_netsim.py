@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relaysim.engine import Population, Simulation
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, SimConfig
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, PeerColumns, SimConfig
 from relaysim.netsim import (
     CityTable,
     FailureScenario,
@@ -105,14 +105,15 @@ class TestLatency:
 class TestBandwidth:
     def test_single_bucket_profile(self):
         rng = np.random.default_rng(0)
-        assert assign_bandwidth(rng, 16, {1024.0: 1.0}) == ([1024.0] * 16, [4096.0] * 16)
-        assert assign_bandwidth(rng, 0, {1024.0: 1.0}) == ([], [])
+        assert [c.tolist() for c in assign_bandwidth(rng, 16, {1024.0: 1.0})] == [
+            [1024.0] * 16, [4096.0] * 16]
+        assert [c.tolist() for c in assign_bandwidth(rng, 0, {1024.0: 1.0})] == [[], []]
 
     def test_bucket_frequencies(self):
         rng = np.random.default_rng(1)
         draws, _ = assign_bandwidth(rng, 100_000)
         counts = {b: 0 for b in (512.0, 1024.0, 3072.0, 10240.0)}
-        for d in draws:
+        for d in draws.tolist():
             counts[d] += 1
         expected = {512.0: 0.20, 1024.0: 0.40, 3072.0: 0.25, 10240.0: 0.15}
         for bucket, p in expected.items():
@@ -121,7 +122,7 @@ class TestBandwidth:
     def test_downlink_factor(self):
         rng = np.random.default_rng(2)
         ups, downs = assign_bandwidth(rng, 3, {512.0: 1.0}, downlink_factor=8.0)
-        assert (ups, downs) == ([512.0] * 3, [4096.0] * 3)
+        assert (ups.tolist(), downs.tolist()) == ([512.0] * 3, [4096.0] * 3)
 
     def test_all_positive(self):
         rng = np.random.default_rng(3)
@@ -153,33 +154,33 @@ class TestBandwidth:
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             ups, downs = assign_bandwidth(rng, 2000, profile, 3.0)
             expected = ref.choice(np.array(buckets, dtype=float), p=probs, size=2000)
-            assert ups == expected.tolist()
-            assert downs == [e * 3.0 for e in expected.tolist()]
+            assert ups.tolist() == expected.tolist()
+            assert downs.tolist() == [e * 3.0 for e in expected.tolist()]
             assert rng.random() == ref.random()   # streams stay aligned
 
-    def test_entries_are_shared_builtin_floats(self):
+    def test_columns_are_float64_bucket_values(self):
         ups, downs = assign_bandwidth(np.random.default_rng(5), 500)
-        assert {type(v) for v in ups + downs} == {float}
-        assert len({id(v) for v in ups}) <= len(DEFAULT_UPLINK_PROFILE)
-        assert len({id(v) for v in downs}) <= len(DEFAULT_UPLINK_PROFILE)
+        assert ups.dtype == downs.dtype == np.float64 and ups.shape == downs.shape == (500,)
+        assert set(ups.tolist()) <= set(DEFAULT_UPLINK_PROFILE)
+        assert {type(v) for v in ups.tolist() + downs.tolist()} == {float}
 
 
 class TestIsp:
     def test_single_isp(self):
         rng = np.random.default_rng(0)
-        assert assign_isp(rng, 32, 1) == [1] * 32
+        assert assign_isp(rng, 32, 1).tolist() == [1] * 32
 
     def test_uniform_over_three(self):
         rng = np.random.default_rng(5)
-        draws = np.array(assign_isp(rng, 100_000, 3))
+        draws = assign_isp(rng, 100_000, 3)
         for isp in (1, 2, 3):
             assert abs(np.mean(draws == isp) - 1.0 / 3.0) < 0.01
 
     def test_deterministic(self):
         a = assign_isp(np.random.default_rng(6), 5, 3)
         b = assign_isp(np.random.default_rng(6), 5, 3)
-        assert a == b
-        assert {type(v) for v in a} == {int}
+        assert a.tolist() == b.tolist()
+        assert a.dtype == np.int64 and {type(v) for v in a.tolist()} == {int}
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -190,33 +191,37 @@ class TestFailureInjection:
     def make_region(self, n, city="Beijing"):
         return [make_peer(i, city=city) for i in range(n)]
 
+    @staticmethod
+    def columns(peers):
+        return PeerColumns.from_peers(peers)
+
     def test_floor_sampling(self):
         peers = self.make_region(100)
-        out = inject_failure("Beijing", 0.6, peers, np.random.default_rng(0))
+        out = inject_failure("Beijing", 0.6, self.columns(peers), np.random.default_rng(0))
         assert isinstance(out, frozenset)
         assert len(out) == 60
         region_ids = {p.id for p in peers}
         assert out <= region_ids
 
     def test_ratio_zero(self):
-        out = inject_failure("Beijing", 0.0, self.make_region(100),
+        out = inject_failure("Beijing", 0.0, self.columns(self.make_region(100)),
                              np.random.default_rng(0))
         assert out == frozenset()
 
     def test_ratio_one(self):
         peers = self.make_region(25)
-        out = inject_failure("Beijing", 1.0, peers, np.random.default_rng(0))
+        out = inject_failure("Beijing", 1.0, self.columns(peers), np.random.default_rng(0))
         assert out == {p.id for p in peers}
 
     def test_only_region_peers_sampled(self):
         peers = (self.make_region(50, "Beijing")
                  + [make_peer(100 + i, city="Shanghai") for i in range(50)])
-        out = inject_failure("Beijing", 1.0, peers, np.random.default_rng(0))
+        out = inject_failure("Beijing", 1.0, self.columns(peers), np.random.default_rng(0))
         assert all(i < 100 for i in out)
         assert len(out) == 50
 
     def test_empty_region_ok(self):
-        out = inject_failure("Beijing", 0.6, [], np.random.default_rng(0))
+        out = inject_failure("Beijing", 0.6, self.columns([]), np.random.default_rng(0))
         assert out == frozenset()
 
     def test_window_half_open(self):
@@ -257,9 +262,10 @@ def plan_attempt(relay, requester, in_use=None, affected=()):
     uplink partly in use."""
     scenario = FailureScenario(frozenset(affected))
     sim = Simulation(SimConfig(peer_count=2, content_size_kb=512.0),
-                     Population([relay, requester], scenario))
+                     Population.from_peers([relay, requester], scenario))
     sim.ledger.in_use_kbps.update(in_use or {})
-    return sim._plan_attempt(relay, requester, 0.0)
+    rows = sim.population.row_of
+    return sim._plan_attempt(rows[relay.id], rows[requester.id], 0.0)
 
 
 class TestThroughput:

@@ -26,7 +26,7 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import add, assignment_matrix, discard, online_set, save_instance
+from helpers import add, assignment_matrix, discard, online_set, population, save_instance
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
@@ -40,9 +40,9 @@ def path_aware_list(requester, online, *, alpha, zeta, u, failed, **rank):
     """Draw and rank a path-aware list in one call, as a request issued
     while exactly the peers in online are online, after the requesters in
     failed, would get it."""
-    drawn = draw_path_aware(requester, online_set(online), alpha=alpha, zeta=zeta, u=u,
-                            failed=failed)
-    return generate_relay_list(drawn, {p.id: p for p in online}, **rank)
+    drawn = draw_path_aware(requester.id, (requester.city, requester.isp), online_set(online),
+                            alpha=alpha, zeta=zeta, u=u, failed=failed)
+    return generate_relay_list(drawn, population(online), **rank)
 
 
 def row(seed, n):
@@ -76,7 +76,8 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
     randoms = reference_draw(u[careful_slots:], rest, zeta - careful_slots)
 
     def keep(p):
-        return p.id not in failed and _workload_ok(p, ledger, gamma, workload_mode)
+        return p.id not in failed and _workload_ok(p.id, p.uplink_kbps, ledger, gamma,
+                                                   workload_mode)
 
     def durability(p):
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
@@ -134,14 +135,14 @@ class TestIndexedDraws:
     @given(selection_cases())
     def test_random_list_matches_reference(self, case):
         requester, arrivals, params, u = case
-        got = random_relay_list(requester, online_set(arrivals), params["zeta"], u)
+        got = random_relay_list(requester.id, online_set(arrivals), params["zeta"], u)
         want = reference_random_relay_list(requester, sorted(arrivals, key=lambda p: p.id),
                                            params["zeta"], u)
         assert got.peer_ids == want.peer_ids and got.careful_count == 0
         assert len(set(got.peer_ids)) == len(got)
         # the draw reads one float per pick and nothing past them
         moved = past_the_picks(u, range(len(got)))
-        assert random_relay_list(requester, online_set(arrivals), params["zeta"],
+        assert random_relay_list(requester.id, online_set(arrivals), params["zeta"],
                                  moved) == got
 
     @settings(max_examples=400, deadline=None)
@@ -158,25 +159,27 @@ class TestIndexedDraws:
         # careful_slots, one float each, and nothing else
         # (counted before the history drops any pick)
         zeta, alpha, online = params["zeta"], params["alpha"], online_set(arrivals)
-        careful, randoms = draw_path_aware(requester, online, alpha=alpha, zeta=zeta, u=u,
+        me = (requester.id, (requester.city, requester.isp))
+        careful, randoms = draw_path_aware(*me, online, alpha=alpha, zeta=zeta, u=u,
                                            failed=frozenset())
         slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
         used = {*range(len(careful)), *range(slots, slots + len(randoms))}
         moved = past_the_picks(u, used)
         for failed in (frozenset(), params["failed"]):
-            assert draw_path_aware(requester, online, alpha=alpha, zeta=zeta, u=moved,
+            assert draw_path_aware(*me, online, alpha=alpha, zeta=zeta, u=moved,
                                    failed=failed) == draw_path_aware(
-                requester, online, alpha=alpha, zeta=zeta, u=u, failed=failed)
+                *me, online, alpha=alpha, zeta=zeta, u=u, failed=failed)
 
     @settings(max_examples=100, deadline=None)
     @given(selection_cases())
     def test_path_aware_without_careful_slots_is_the_random_list(self, case):
         requester, arrivals, params, u = case
         online, failed = online_set(arrivals), params["failed"]
-        listed = random_relay_list(requester, online, params["zeta"], u).peer_ids
+        listed = random_relay_list(requester.id, online, params["zeta"], u).peer_ids
         for history, want in ((frozenset(), listed),
                               (failed, tuple(pid for pid in listed if pid not in failed))):
-            assert draw_path_aware(requester, online, alpha=0.0, zeta=params["zeta"], u=u,
+            assert draw_path_aware(requester.id, (requester.city, requester.isp), online,
+                                   alpha=0.0, zeta=params["zeta"], u=u,
                                    failed=history) == ((), want)
 
 
@@ -220,13 +223,13 @@ class TestOnlineSet:
         for p in (make_peer(5), make_peer(2, city="Wuhan"), make_peer(9), make_peer(2)):
             add(online, p)                 # a second add of id 2 changes nothing
         assert online.ids == [2, 5, 9]
-        assert online.bucket("Beijing", 1) == [5, 9]
-        assert online.bucket("Wuhan", 1) == [2]
-        assert online.bucket("Chengdu", 1) == []
+        assert online.bucket(("Beijing", 1)) == [5, 9]
+        assert online.bucket(("Wuhan", 1)) == [2]
+        assert online.bucket(("Chengdu", 1)) == []
         discard(online, make_peer(5))
         discard(online, make_peer(7))     # never online: no effect
         assert online.ids == [2, 9]
-        assert online.bucket("Beijing", 1) == [9]
+        assert online.bucket(("Beijing", 1)) == [9]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=60))
@@ -244,7 +247,7 @@ class TestOnlineSet:
         assert online.ids == sorted(plain)
         for city in ("Wuhan", "Beijing"):
             for isp in (1, 2, 3):
-                assert online.bucket(city, isp) == sorted(
+                assert online.bucket((city, isp)) == sorted(
                     pid for pid in plain if (peers[pid].city, peers[pid].isp) == (city, isp))
 
 
@@ -275,7 +278,7 @@ class TestRandomList:
     def test_excludes_requester_and_caps_length(self):
         me = make_peer(0)
         online = online_set([me] + [make_peer(i) for i in range(1, 5)])
-        lst = random_relay_list(me, online, zeta=10, u=row(0, 10))
+        lst = random_relay_list(me.id, online, zeta=10, u=row(0, 10))
         assert len(lst) == 4
         assert 0 not in lst.peer_ids
         assert lst.careful_count == 0
@@ -283,15 +286,15 @@ class TestRandomList:
     def test_respects_zeta(self):
         me = make_peer(0)
         online = online_set([me] + [make_peer(i) for i in range(1, 40)])
-        lst = random_relay_list(me, online, zeta=10, u=row(1, 10))
+        lst = random_relay_list(me.id, online, zeta=10, u=row(1, 10))
         assert len(lst) == 10
         assert len(set(lst.peer_ids)) == 10
 
     def test_reproducible(self):
         me = make_peer(0)
         online = online_set(make_peer(i) for i in range(20))
-        a = random_relay_list(me, online, 10, row(7, 10))
-        b = random_relay_list(me, online, 10, row(7, 10))
+        a = random_relay_list(me.id, online, 10, row(7, 10))
+        b = random_relay_list(me.id, online, 10, row(7, 10))
         assert a.peer_ids == b.peer_ids
 
     def test_first_position_uniform(self):
@@ -301,7 +304,7 @@ class TestRandomList:
         counts = {i: 0 for i in range(1, 9)}
         trials = 10_000
         for _ in range(trials):
-            lst = random_relay_list(me, online, 3, rng.random(3).tolist())
+            lst = random_relay_list(me.id, online, 3, rng.random(3).tolist())
             counts[lst[0]] += 1
         # binomial 3 sigma around p = 1/8
         p = 1.0 / 8.0
