@@ -29,7 +29,7 @@ from relaysim.engine import (
 from relaysim.churn import SessionModel
 from relaysim.io import SweepSpec, build_trace_peers, run_sweep, run_trace, synthesize_trace
 from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
-from relaysim.netsim import SERVER, CityTable, FailureScenario
+from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
 from relaysim.selection import OnlineSet, RelayCandidateList, no_relay_list
 
 from helpers import outcome_tables, outcomes_table, peer_rows
@@ -305,6 +305,34 @@ class TestAttemptDownload:
         table = CityTable(sim.cfg.city_table)
         handshake = 2.0 * (5.0 + 0.02 * table.distance_km("Beijing", "Shanghai")) / 1000.0
         assert out.end_time == pytest.approx(handshake + 4.0, abs=1e-9)
+
+    def test_handshakes_follow_each_population_city_order(self):
+        # City codes follow first appearance in the peer list, not the
+        # cfg.city_table order. A bystander in Wuhan, listed first or last,
+        # moves the codes of Beijing and Shanghai; both runs must pay the
+        # Beijing-Shanghai handshake.
+        cfg = SimConfig(peer_count=3, content_size_kb=512.0, sim_duration=math.inf)
+        table = CityTable(cfg.city_table)
+        handshake = 2.0 * (5.0 + 0.02 * table.distance_km("Beijing", "Shanghai")) / 1000.0
+        pair = [make_peer(0, city="Beijing"), make_peer(1, city="Shanghai")]
+        bystander = make_peer(2, city="Wuhan", join=1.0)
+        for peers in ([bystander, *pair], [*pair, bystander], [bystander, *pair]):
+            sim = FixedListSimulation(cfg, peers, FailureScenario(frozenset({0})),
+                                      {0: RelayCandidateList((1,), 0)})
+            sim.run()
+            (out,) = [o for o in sim.outcomes if o.requester_id == 0]
+            assert out.served_by == 1
+            assert out.end_time == pytest.approx(handshake + 4.0, abs=1e-9)
+
+    def test_unknown_city_fails_loudly(self):
+        cfg = SimConfig(peer_count=2)
+        known = [make_peer(0), make_peer(1, city="Wuhan")]
+        Simulation(cfg, Population.from_peers(known, FailureScenario(frozenset())))
+        for cities in (("Atlantis", "Beijing"), ("Beijing", "Atlantis")):
+            peers = [make_peer(i, city=city) for i, city in enumerate(cities)]
+            population = Population.from_peers(peers, FailureScenario(frozenset()))
+            with pytest.raises(UnknownCityError, match="Atlantis"):
+                Simulation(cfg, population)
 
     def test_attempts_bounded_by_list(self):
         relays = [make_peer(i) for i in range(1, 6)]
