@@ -95,9 +95,10 @@ class TimeToStayModel:
     valid_elapse_max: float = 60.0
 
 
-def estimate_time_to_stay(model: TimeToStayModel, elapse_min: float) -> float:
-    """Predicted remaining minutes online after elapse_min minutes."""
-    if elapse_min < 0:
-        raise ValueError(f"elapse_min must be non-negative, got {elapse_min}")
-    x = min(elapse_min, model.valid_elapse_max)
+def estimate_time_to_stay(model: TimeToStayModel, elapse_min):
+    """Predicted remaining minutes online after elapse_min minutes, for a float
+    or a float64 column, whose entries take the float's operations in order."""
+    if np.any(np.less(elapse_min, 0)):
+        raise ValueError(f"elapse_min must be non-negative, got {np.min(elapse_min)}")
+    x = np.minimum(elapse_min, model.valid_elapse_max)
     return model.c2 * x * x + model.c1 * x + model.c0

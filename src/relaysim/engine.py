@@ -7,17 +7,15 @@ decides every path: is this peer cut off now (FailureScenario.cut_off)? A
 requester that is not reaches the server; a relay that is not reaches the
 server and any requester.
 
-A run reads a Population, read-only columns in issue order built once
-from the drawn columns; Peer objects exist only at the API edge. Server
-fetches hold no relay capacity, so they are decided at issue time with
-array operations, and the candidate draws depend only on the population,
-so they are made in one walk before the event loop (draw_candidates). The
-loop resolves the attempts due by each relay-phase join before issuing
-that request, so its heap holds attempt resolutions only. Path-aware
-draws are ranked at request time against the run's ledger of relay
-capacity; each attempt is planned in full (AttemptPlan) when it starts.
-Candidate lists hold ids, which Population.row_of maps to rows. Results
-are one Outcomes table of columns in issue order.
+A run reads a Population, read-only columns in issue order; Peer objects
+exist only at the API edge. Server fetches hold no relay capacity, so they
+are decided at issue time on whole columns. The candidate draws and the
+path-aware rank depend only on the population, so draw_candidates makes
+every list, as ids, in one walk before the event loop. The loop resolves
+the attempts due by each relay-phase join before issuing that request, so
+its heap holds attempt resolutions only; a path-aware list then drops the
+relays busy in the run's ledger, and each attempt is planned in full
+(AttemptPlan) when it starts. Results are one Outcomes table of columns.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import heapq
 import numbers
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass
-from types import MappingProxyType
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +34,10 @@ from relaysim.churn import SessionModel, TimeToStayModel
 from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedger, SimConfig,
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
-                             assign_isp, inject_failure, latency_ms)
+                             assign_isp, handshake_table, inject_failure)
 from relaysim.selection import (OnlineSet, RelayCandidateList, draw_path_aware,
-                                generate_relay_list, no_relay_list, random_relay_list)
+                                generate_relay_list, no_relay_list, random_relay_list,
+                                rank_path_aware)
 
 # Heap entries are (time, priority, seq, request), one per relay attempt
 # resolution: ATTEMPT_COMPLETE when its plan delivers, ATTEMPT_ABORT
@@ -129,11 +128,11 @@ class MetricsReport:
         return asdict(self)
 
 
-def collect_metrics(outcomes: Outcomes,
-                    affected_ids: frozenset[int] = frozenset(),
-                    region_ids: frozenset[int] = frozenset()) -> MetricsReport:
-    """Aggregate outcomes; affected/region slices use the given id sets.
-    Counts are built-in ints, and each ratio divides two of them."""
+def collect_metrics(outcomes: Outcomes, affected: np.ndarray | None = None,
+                    in_region: np.ndarray | None = None) -> MetricsReport:
+    """Aggregate outcomes; the affected and region slices take the rows
+    that the given bool masks, one entry per outcome row, mark (None marks
+    none). Counts are built-in ints, and each ratio divides two of them."""
     def count(mask) -> int:
         return int(np.count_nonzero(mask))
 
@@ -148,8 +147,10 @@ def collect_metrics(outcomes: Outcomes,
     served = served_by != UNSERVED
     in_relay_phase = outcomes.entered_relay_phase
     relay_phase = count(in_relay_phase)
-    affected = np.isin(outcomes.requester_id, list(affected_ids))
-    region = np.isin(outcomes.requester_id, list(region_ids))
+    none = np.zeros(total, bool)
+    affected, region = (none if mask is None else mask for mask in (affected, in_region))
+    if len(affected) != total or len(region) != total:
+        raise ValueError(f"a mask needs one entry per outcome row, {total}")
     return MetricsReport(
         total_requests=total,
         served_by_server=by_server,
@@ -206,7 +207,8 @@ class AttemptPlan(NamedTuple):
 @dataclass(slots=True)
 class _Request:
     row: int                 # the requester's, in the Population and Simulation.outcomes
-    candidates: RelayCandidateList = no_relay_list()   # immutable, so shared
+    ordinal: int             # issue order among the relay-phase requests
+    candidates: tuple[int, ...] = ()   # relay ids to try, in order
     next_index: int = 0      # also the number of attempts started
     pending: tuple[AttemptPlan, int] | None = None   # scheduled (plan, relay id)
 
@@ -229,10 +231,11 @@ class Population:
     columns in issue order (join order, list order at equal joins).
 
     The columns are ids, city (codes into cities), isp, uplink, downlink,
-    join, dep (join + duration), cut (cut off at its join, so the request
-    enters the relay phase) and bucket (a code per city and ISP); row_of,
-    sized by the largest id, maps an id to its row, other ids to -1. Ids
-    are unique and non-negative. region_ids: the scenario region's peers.
+    join, dep (join + duration), the masks affected, in_region (of the
+    scenario) and cut (cut off at its join: the request enters the relay
+    phase), and bucket (a code per city and ISP); row_of, sized by the
+    largest id, maps an id to its row, other ids to -1. Ids are unique and
+    non-negative.
     """
 
     def __init__(self, columns: PeerColumns, scenario: FailureScenario):
@@ -243,16 +246,17 @@ class Population:
         self.ids, self.city, self.isp, self.uplink, self.downlink, self.join = (
             column[order] for column in columns[1:7])
         self.dep = self.join + columns.duration[order]
-        self.cut = scenario.cut_off_array(self.ids, self.join)
+        self.affected = np.isin(self.ids, list(scenario.affected))
+        self.cut = self.affected & (scenario.start_time <= self.join) & (
+            self.join < scenario.end_time)
+        self.in_region = columns.in_city(scenario.region)[order]
         self.bucket = (self.isp - self.isp.min(initial=0)) * len(self.cities) + self.city
         self.row_of = np.full(self.ids.max(initial=-1) + 1, -1)
         self.row_of[self.ids] = np.arange(len(self.ids))
         if np.count_nonzero(self.row_of >= 0) != len(self.ids):
             raise ValueError("peer ids must be unique")
-        for column in (self.ids, self.city, self.isp, self.uplink, self.downlink, self.join,
-                       self.dep, self.cut, self.bucket, self.row_of):
+        for column in filter(lambda v: isinstance(v, np.ndarray), vars(self).values()):
             column.flags.writeable = False
-        self.region_ids = frozenset(columns.ids[columns.in_city(scenario.region)].tolist())
 
     @classmethod
     def from_peers(cls, peers: Iterable[Peer], scenario: FailureScenario) -> Population:
@@ -303,48 +307,71 @@ def draw_population(cfg: SimConfig) -> Population:
 
 
 class CandidateDraws(NamedTuple):
-    """The relay candidate draws of one population under one strategy:
-    lists maps each relay-phase requester's id to its draw, the final
-    RelayCandidateList for random, draw_path_aware's unranked (careful ids,
-    random ids) for path-aware, nothing for no-relay; it is read-only, so
-    a sweep group's cells can share it. made_for is the config key
-    (_draws_key) the draws were made under, population their source.
-    """
+    """One population's relay candidate lists under one strategy (random:
+    as drawn; path-aware: ranked), in read-only arrays a sweep group shares:
+    list i, of the i-th relay-phase request issued, is relays[offsets[i]:
+    offsets[i + 1]], careful[i] of them careful. made_for is the config key
+    (_draws_key) they were made under, population their source."""
 
     made_for: tuple
     population: Population
-    lists: Mapping[int, RelayCandidateList | tuple[tuple[int, ...], tuple[int, ...]]]
+    relays: np.ndarray
+    offsets: np.ndarray
+    careful: np.ndarray
+
+    def ranked(self, ordinal: int) -> RelayCandidateList:
+        """The list of the relay-phase request with that ordinal."""
+        lo, hi = self.offsets.item(ordinal), self.offsets.item(ordinal + 1)
+        return RelayCandidateList(tuple(self.relays[lo:hi].tolist()), self.careful.item(ordinal))
 
 
 def _draws_key(cfg: SimConfig) -> tuple:
-    """The config fields a candidate draw depends on, beside the population."""
-    return (cfg.strategy, cfg.zeta, cfg.alpha, cfg.rng_seed, cfg.sim_duration)
+    """The config fields the candidate lists depend on, beside the population."""
+    return (cfg.strategy, cfg.zeta, cfg.alpha, cfg.rng_seed, cfg.sim_duration,
+            tuple(cfg.tts_coeffs), cfg.tts_clamp_min)
+
+
+_RANK_BLOCK = 2048   # requesters per rank_path_aware call: bounds its columns
 
 
 def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
-    """Draw the relay candidates of every relay-phase requester (the cut-off
-    rows issued by cfg.sim_duration) without running the event loop.
-
-    The walk takes one step per requester, in issue order, with an
-    OnlineSet of the peers q with join_q <= t < departure_q at the step's
-    time t; a peer comes online only if it leaves at a later step than it
-    arrives, so a zero-length session never does. The selection stream is
-    drawn once, cfg.zeta floats per requester; the requester with rank r by
-    id reads row r. The requesters visited so far are the fetch-failure
-    history a path-aware draw drops. no-relay draws nothing.
-    """
-    lists: dict = {}
-    strategy = cfg.strategy
-    if strategy == "no-relay":
-        return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
-    k = population.issued_by(cfg.sim_duration)
-    join, dep = population.join[:k], population.dep[:k]
+    """The candidate lists of every relay-phase requester (the cut-off rows
+    issued by cfg.sim_duration), made without running the event loop: the
+    draws of _walk, path-aware ones ranked at their requester's join, a
+    block at a time. no-relay draws nothing."""
+    k = population.issued_by(cfg.sim_duration) if cfg.strategy != "no-relay" else 0
     requesters = np.flatnonzero(population.cut[:k])
-    ids, bucket = population.ids, population.bucket
+    times, walk = population.join[requesters], _walk(cfg, population, k, requesters)
+    tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
+    relays, careful, sizes = [np.zeros(0, np.int64)], [], []
+    for start in range(0, len(requesters), _RANK_BLOCK):
+        block = list(islice(walk, _RANK_BLOCK))
+        careful += [len(part) for part, _ in block]
+        sizes += [len(part) + len(rest) for part, rest in block]
+        relays.append(rank_path_aware(block, times[start:start + len(block)], population, tts)
+                      if cfg.strategy == "path-aware" else
+                      np.fromiter(chain.from_iterable(rest for _, rest in block), np.int64))
+    table = (np.concatenate(relays), np.cumsum([0, *sizes]), np.array(careful, np.int64))
+    for column in table:
+        column.flags.writeable = False
+    return CandidateDraws(_draws_key(cfg), population, *table)
+
+
+def _walk(cfg: SimConfig, population: Population, k: int,
+          requesters: np.ndarray) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each requester row's draw, in order, as draw_path_aware's (careful
+    ids, random ids) or as ((), random ids). The walk takes one step per
+    requester with an OnlineSet of the peers q among the first k rows with
+    join_q <= t < departure_q at the step's time t; a peer comes online
+    only if it leaves at a later step than it arrives, so a zero-length
+    session never does. The selection stream is drawn once, cfg.zeta floats
+    per requester; the requester with rank r by id reads row r. The
+    requesters visited so far are the fetch-failure history a path-aware
+    draw drops."""
+    ids, bucket, times = population.ids, population.bucket, population.join[requesters]
     rank = np.argsort(np.argsort(ids[requesters]))
     rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
-    times = join[requesters]
-    arrive, leave = np.searchsorted(times, join), np.searchsorted(times, dep)
+    arrive, leave = (np.searchsorted(times, c[:k]) for c in (population.join, population.dep))
     online_peers = np.flatnonzero(leave > arrive)
     bounds = np.arange(len(requesters) + 1)
 
@@ -360,13 +387,12 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
                                                by_step(leave), by_step(arrive)):
         online.update(leaving, arriving)
         u = rows[r].tolist()
-        if strategy == "random":
-            lists[pid] = random_relay_list(pid, online, cfg.zeta, u)
+        if cfg.strategy == "random":
+            yield (), random_relay_list(pid, online, cfg.zeta, u).peer_ids
         else:
-            lists[pid] = draw_path_aware(pid, code, online, alpha=cfg.alpha, zeta=cfg.zeta,
-                                         u=u, failed=failed)
+            yield draw_path_aware(pid, code, online, alpha=cfg.alpha, zeta=cfg.zeta, u=u,
+                                  failed=failed)
             failed.add(pid)
-    return CandidateDraws(_draws_key(cfg), population, MappingProxyType(lists))
 
 
 class Simulation:
@@ -376,8 +402,8 @@ class Simulation:
     so two runs with the same config are bit-identical and two strategies
     under the same seed see the identical population and failure draw. To
     run several cells on one population, pass it (draw_population) and its
-    candidate draws (draw_candidates) for cfg's strategy, zeta, alpha, seed
-    and horizon; draws from another population or config key are rejected.
+    candidate lists (draw_candidates) for cfg's _draws_key; lists from
+    another population or config key are rejected.
     """
 
     def __init__(self, cfg: SimConfig, population: Population | None = None,
@@ -395,14 +421,11 @@ class Simulation:
         self.population = population
         self.peers = population.peers
         self.scenario = population.scenario
-        table = CityTable(cfg.city_table)
-        self.tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
         self.content = ContentItem(cfg.content_size_kb)
-        # Two-way handshake seconds by (requester, relay) city code; the
-        # server fetch goes to the in-city edge.
-        self._handshake = [[2.0 * latency_ms(table.distance_km(a, b), cfg.latency_base_ms,
-                                             cfg.latency_per_km_ms) / 1000.0
-                            for b in population.cities] for a in population.cities]
+        # Two-way handshake seconds by (requester, relay) city code.
+        table = CityTable(cfg.city_table)
+        coords = tuple(tuple(table.coords(city)) for city in population.cities)
+        self._handshake = handshake_table(coords, cfg.latency_base_ms, cfg.latency_per_km_ms)
         self.outcomes: Outcomes | None = None   # set by run()
         self.ledger = RelayLedger()
         self._draws = candidates
@@ -433,16 +456,17 @@ class Simulation:
         issued = population.issued_by(horizon)
         self._decide_server_fetches(issued)
         join, dep = population.join, population.dep
-        for row in np.flatnonzero(population.cut[:issued]).tolist():
+        for ordinal, row in enumerate(np.flatnonzero(population.cut[:issued]).tolist()):
             t = join.item(row)
             self._resolve_until(t)
-            self._issue(_Request(row), t)
+            self._issue(_Request(row, ordinal), t)
         self._resolve_until(horizon)
         # Each request still open waits on one event past the horizon; it
         # ends at the horizon, or at its requester's departure if earlier.
         for *_, req in self._heap:
             self._end(req, min(dep.item(req.row), horizon))
-        return collect_metrics(self.outcomes, self.scenario.affected, population.region_ids)
+        return collect_metrics(self.outcomes, population.affected[:issued],
+                               population.in_region[:issued])
 
     def _decide_server_fetches(self, issued: int) -> None:
         """Record the first issued requests in self.outcomes, deciding server
@@ -467,21 +491,19 @@ class Simulation:
 
     def _issue(self, req: _Request, t: float) -> None:
         """Start a cut-off requester's relay phase at its join t."""
-        req.candidates = self._make_candidates(req.row, t)
+        req.candidates = self._make_candidates(req).peer_ids
         self._start_next_attempt(req, t)
 
-    def _make_candidates(self, row: int, t: float) -> RelayCandidateList:
-        """The list of the requester in that row: its draw, ranked now for
-        path-aware."""
+    def _make_candidates(self, req: _Request) -> RelayCandidateList:
+        """The request's ranked list, less its busy relays for path-aware."""
         strategy = self.cfg.strategy
         if strategy == "no-relay":
             return no_relay_list()
-        drawn = self._draws.lists[self.population.ids.item(row)]
+        ranked = self._draws.ranked(req.ordinal)
         if strategy == "random":
-            return drawn
-        return generate_relay_list(drawn, self.population, gamma=self.cfg.gamma, t=t,
-                                   tts=self.tts, workload_mode=self.cfg.workload_mode,
-                                   ledger=self.ledger)
+            return ranked
+        return generate_relay_list(ranked, self.population, gamma=self.cfg.gamma,
+                                   workload_mode=self.cfg.workload_mode, ledger=self.ledger)
 
     def _plan_attempt(self, relay: int, requester: int, t: float) -> AttemptPlan:
         """Decide how one relay attempt plays out, without side effects;

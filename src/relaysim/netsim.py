@@ -97,6 +97,15 @@ def latency_ms(distance_km: float, base_ms: float = 5.0, per_km_ms: float = 0.02
 
 
 @functools.lru_cache(maxsize=16)
+def handshake_table(coords: tuple[tuple[float, float], ...], base_ms: float,
+                    per_km_ms: float) -> tuple[tuple[float, ...], ...]:
+    """Two-way handshake seconds, [a][b] from a requester at coords[a] to a
+    relay at coords[b] (0 km apart when equal); cached, as each run asks."""
+    return tuple(tuple(2.0 * latency_ms(haversine_km(*a, *b), base_ms, per_km_ms) / 1000.0
+                       for b in coords) for a in coords)
+
+
+@functools.lru_cache(maxsize=16)
 def _capacity_cdf(profile_items: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Validate a capacity profile once and return its sorted buckets with
     the CDF that Generator.choice(buckets, p=probs) builds: cumsum, then
@@ -151,9 +160,6 @@ class FailureScenario:
         """True when peer pid is affected and t lies in [start_time, end_time)."""
         return pid in self.affected and self.start_time <= t < self.end_time
 
-    def cut_off_array(self, ids: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """cut_off elementwise: entry i is cut_off(ids[i], t[i])."""
-        return np.isin(ids, list(self.affected)) & (self.start_time <= t) & (t < self.end_time)
 
 
 def inject_failure(region: str, ratio: float, columns: PeerColumns,

@@ -1,14 +1,13 @@
 """Relay candidate selection and the global assignment solvers.
 
-Candidate generation is split in two. The draw depends only on who is
-online at a request and who failed a fetch before it, so the engine makes
-it in one pass before the event loop (engine.draw_candidates):
+The draw and the rank depend only on the population, so the engine makes
+both in one pass before the event loop (engine.draw_candidates):
 random_relay_list draws the random baseline's list; draw_path_aware draws
 a careful partition from the online peers of the requester's city and ISP
-and a random partition from everyone else online. The rank,
-generate_relay_list, runs at request time: it drops drawn peers with too
-much relay workload, then sorts each partition by estimated time-to-stay.
-Peers enter as ids, bucket codes and population rows, never as objects.
+and a random partition from everyone else online; rank_path_aware sorts
+each partition by estimated time-to-stay, for a block of draws at once.
+At request time generate_relay_list drops the peers with too much relay
+workload. Peers enter as ids, bucket codes and population rows.
 The draws read an OnlineSet of ascending ids, bucketed by code, and pick
 pool indices without building the pools, so the work per list grows with
 zeta, not with the peers online. Each draw reads a row u of uniform floats
@@ -25,7 +24,7 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Container, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, compress, filterfalse
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +43,7 @@ class Infeasible(Exception):
     """No assignment satisfies the capacity constraints."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelayCandidateList:
     """Ordered relay candidates; the first careful_count ids form the
     careful partition, the rest the random partition. Entry 0, when
@@ -95,12 +94,6 @@ class OnlineSet:
         return self._buckets.get(code, [])
 
 
-def _find(ids: list[int], pid: int) -> int:
-    """Position of pid in the ascending ids, or -1."""
-    i = bisect_left(ids, pid)
-    return i if i < len(ids) and ids[i] == pid else -1
-
-
 def _draw(u: Sequence[float], ids: list[int], skip: list[int], k: int) -> list[int]:
     """Up to k ids drawn without replacement, in sequence, from ids minus
     the ascending positions in skip, reading one float of u per pick.
@@ -127,8 +120,8 @@ def _draw(u: Sequence[float], ids: list[int], skip: list[int], k: int) -> list[i
 
 def _positions(ids: list[int], pids) -> list[int]:
     """Ascending positions in ids of those pids that ids holds."""
-    found = (_find(ids, pid) for pid in pids)
-    return sorted(i for i in found if i >= 0)
+    found = ((bisect_left(ids, pid), pid) for pid in pids)
+    return sorted(i for i, pid in found if i < len(ids) and ids[i] == pid)
 
 
 def random_relay_list(requester: int, online: OnlineSet, zeta: int,
@@ -173,32 +166,34 @@ def draw_path_aware(requester: int, bucket: Hashable, online: OnlineSet, *, alph
     return tuple(filterfalse(drop, careful)), tuple(filterfalse(drop, randoms))
 
 
-def generate_relay_list(drawn: tuple[tuple[int, ...], tuple[int, ...]],
-                        population: Population, *, gamma: float, t: float,
-                        tts: TimeToStayModel, workload_mode: str,
-                        ledger: RelayLedger) -> RelayCandidateList:
-    """Rank a path-aware draw (see draw_path_aware) at request time t.
+def rank_path_aware(drawn: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], times,
+                    population: Population, tts: TimeToStayModel) -> np.ndarray:
+    """The int64 ids of path-aware draws (draw_path_aware's pairs), draw i
+    made at times[i], ranked and concatenated: careful partition first, so
+    its most durable member is the primary relay, each partition by
+    descending estimated time-to-stay at its time (join times from the
+    population's columns), ties on ascending id."""
+    sizes = np.array([(len(careful), len(randoms)) for careful, randoms in drawn], np.int64)
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(drawn)), np.int64)
+    part = np.repeat(np.arange(sizes.size), sizes.ravel())   # draw i: parts 2i, 2i + 1
+    elapse = (np.asarray(times)[part // 2] - population.join[population.row_of[ids]]) / 60.0
+    return ids[np.lexsort((ids, -estimate_time_to_stay(tts, elapse), part))]
 
-    Both partitions drop peers with workload above gamma in the run's
-    ledger, then sort by descending estimated time-to-stay (ties on
-    ascending id), reading uplink and join from the population's columns.
-    The careful partition comes first, so its most durable member is the
-    primary relay.
-    """
-    row_of, uplink, join = population.row_of, population.uplink, population.join
 
-    def ranked(part: tuple[int, ...]) -> list[int]:
-        keyed = []
-        for pid in part:
-            row = row_of.item(pid)
-            if _workload_ok(pid, uplink.item(row), ledger, gamma, workload_mode):
-                remain = estimate_time_to_stay(tts, (t - join.item(row)) / 60.0)
-                keyed.append((-remain, pid))
-        keyed.sort()
-        return [pid for _, pid in keyed]
-
-    careful, randoms = map(ranked, drawn)
-    return RelayCandidateList((*careful, *randoms), len(careful))
+def generate_relay_list(ranked: RelayCandidateList, population: Population, *, gamma: float,
+                        workload_mode: str, ledger: RelayLedger) -> RelayCandidateList:
+    """A ranked path-aware list at request time: ranked less the peers whose
+    workload in the run's ledger is above gamma. A peer absent from the
+    ledger dict workload_mode reads carries none, and gamma >= 0 keeps it,
+    so a list that dict misses comes back as it is."""
+    busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
+    if busy.keys().isdisjoint(ranked.peer_ids):
+        return ranked
+    row_of, uplink = population.row_of, population.uplink
+    keep = [_workload_ok(pid, uplink.item(row_of.item(pid)), ledger, gamma, workload_mode)
+            for pid in ranked.peer_ids]
+    return RelayCandidateList(tuple(compress(ranked.peer_ids, keep)),
+                              sum(keep[:ranked.careful_count]))
 
 
 @dataclass(frozen=True)

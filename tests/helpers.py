@@ -10,7 +10,7 @@ from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes, Population
 from relaysim.io import _OUTCOME_BLOCK
 from relaysim.model import Peer
 from relaysim.netsim import SERVER, FailureScenario
-from relaysim.selection import OnlineSet, _check_instance
+from relaysim.selection import OnlineSet, RelayCandidateList, _check_instance, rank_path_aware
 
 
 def key(peer):
@@ -49,6 +49,21 @@ def peer_rows(columns):
 def population(peers):
     """The Population of the given Peer records, with no peer cut off."""
     return Population.from_peers(peers, FailureScenario(frozenset()))
+
+
+def ranked_list(drawn, t, population, tts):
+    """The RelayCandidateList rank_path_aware makes of one path-aware draw
+    (careful ids, random ids) for a request at time t."""
+    ids = rank_path_aware([drawn], [t], population, tts).tolist()
+    return RelayCandidateList(tuple(ids), len(drawn[0]))
+
+
+def candidate_lists(draws):
+    """The lists of a CandidateDraws table by requester id, in issue order:
+    the relay-phase ordinals follow the cut-off rows."""
+    p = draws.population
+    rows = np.flatnonzero(p.cut)[:len(draws.offsets) - 1]
+    return {pid: draws.ranked(i) for i, pid in enumerate(p.ids[rows].tolist())}
 
 
 def outcomes_table(rows, size_kb=1.0):

@@ -45,6 +45,19 @@ def departure(peer):
     return peer.join_time + peer.session_duration
 
 
+def durability(tts, q, t):
+    """The request-time sort key of candidate q at time t: the longest
+    estimated time-to-stay first, ties on ascending id."""
+    return (-estimate_time_to_stay(tts, (t - q.join_time) / 60.0), q.id)
+
+
+def not_busy(q, in_use, workload, gamma, workload_mode):
+    """The workload filter: q's relay workload is at most gamma."""
+    if workload_mode == "count":
+        return workload.get(q.id, 0) <= gamma
+    return in_use.get(q.id, 0.0) / q.uplink_kbps <= gamma
+
+
 def pick(u, pool, k):
     """Up to k of pool without replacement: pick j pops position
     int(u[j] * len(pool)) of what is left."""
@@ -110,17 +123,11 @@ def reference_run(cfg, peers, scenario):
         randoms = pick(u[slots:], [q for q in pool if q.id not in taken], cfg.zeta - slots)
 
         def keep(q):
-            if q.id in fetch_failed:
-                return False
-            if cfg.workload_mode == "count":
-                return workload.get(q.id, 0) <= cfg.gamma
-            return in_use.get(q.id, 0.0) / q.uplink_kbps <= cfg.gamma
-
-        def durability(q):
-            return (-estimate_time_to_stay(tts, (t - q.join_time) / 60.0), q.id)
+            return q.id not in fetch_failed and not_busy(q, in_use, workload, cfg.gamma,
+                                                         cfg.workload_mode)
 
         return [q.id for part in (careful, randoms)
-                for q in sorted(filter(keep, part), key=durability)]
+                for q in sorted(filter(keep, part), key=lambda q: durability(tts, q, t))]
 
     def attempt(req, t):
         st = state[req.id]

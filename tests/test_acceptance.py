@@ -36,7 +36,7 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import online_set, peer_rows, population
+from helpers import online_set, peer_rows, population, ranked_list
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -280,7 +280,8 @@ def test_criterion_7_candidate_list_invariants():
         drawn = draw_path_aware(requester.id, (requester.city, requester.isp),
                                 online_set(online), alpha=alpha, zeta=zeta,
                                 u=rng.random(zeta).tolist(), failed=failed)
-        lst = generate_relay_list(drawn, population(online), gamma=gamma, t=t, tts=tts,
+        peers = population(online)
+        lst = generate_relay_list(ranked_list(drawn, t, peers, tts), peers, gamma=gamma,
                                   workload_mode="utilization", ledger=ledger)
         assert len(lst) <= zeta
         assert len(set(lst.peer_ids)) == len(lst)

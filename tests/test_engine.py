@@ -32,7 +32,7 @@ from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
 from relaysim.selection import OnlineSet, RelayCandidateList, no_relay_list
 
-from helpers import outcome_tables, outcomes_table, peer_rows
+from helpers import candidate_lists, outcome_tables, outcomes_table, peer_rows
 from reference import collect_metrics_rows, reference_run
 
 
@@ -90,11 +90,15 @@ class TestCollectMetrics:
     def test_slices(self):
         outs = [RequestOutcome(0, 1.0, 0.0, served_by=SERVER),
                 RequestOutcome(1, 1.0, 0.0)]
-        rep = collect_metrics(outcomes_table(outs), affected_ids=frozenset({1}),
-                              region_ids=frozenset({0, 1}))
+        rep = collect_metrics(outcomes_table(outs), affected=np.array([False, True]),
+                              in_region=np.array([True, True]))
         assert rep.affected_requests == 1
         assert rep.affected_success_ratio == 0.0
         assert rep.region_success_ratio == 0.5
+        # a mask of another length would broadcast or fail deep in numpy
+        for masks in ({"affected": np.array([True])}, {"in_region": np.ones(3, bool)}):
+            with pytest.raises(ValueError, match="one entry per outcome row"):
+                collect_metrics(outcomes_table(outs), **masks)
 
     def test_to_dict_round(self):
         rep = collect_metrics(outcomes_table([RequestOutcome(0, 1.0, 0.0, served_by=SERVER)]))
@@ -110,7 +114,8 @@ class TestCollectMetrics:
         id_sets = st.frozensets(st.one_of(st.sampled_from(ids), st.integers(0, 10**6))
                                 if ids else st.integers(0, 10**6))
         affected, region = data.draw(id_sets), data.draw(id_sets)
-        assert collect_metrics(table, affected, region).to_dict() == collect_metrics_rows(
+        masks = (np.isin(table.requester_id, list(ids)) for ids in (affected, region))
+        assert collect_metrics(table, *masks).to_dict() == collect_metrics_rows(
             list(table), affected, region).to_dict()
 
     def test_primary_success_is_derived(self):
@@ -198,8 +203,8 @@ class FixedListSimulation(Simulation):
         super().__init__(cfg, Population.from_peers(peers, scenario))
         self.lists = lists
 
-    def _make_candidates(self, row, t):
-        return self.lists.get(self.population.ids.item(row), RelayCandidateList((), 0))
+    def _make_candidates(self, req):
+        return self.lists.get(self.population.ids.item(req.row), RelayCandidateList((), 0))
 
 
 class TestAttemptDownload:
@@ -525,13 +530,13 @@ class TestSimulation:
         cfg = SimConfig(peer_count=300, rng_seed=1, strategy="random")
         draws = draw_candidates(cfg, draw_population(cfg))
         other = draw_population(replace(cfg, failure_ratio=0.59))
-        assert set(other.ids[other.cut]) - set(draws.lists)
+        assert set(other.ids[other.cut]) - set(candidate_lists(draws))
         with pytest.raises(ValueError, match="another population"):
             Simulation(cfg, other, draws)
 
     @pytest.mark.parametrize("change", [
         {"strategy": "path-aware"}, {"zeta": 4}, {"alpha": 0.5}, {"rng_seed": 1},
-        {"sim_duration": 600.0},
+        {"sim_duration": 600.0}, {"tts_coeffs": (-0.01, 1.0, 3.0)}, {"tts_clamp_min": 30.0},
     ])
     def test_candidates_must_match_the_config(self, change):
         cfg = small_cfg(strategy="random")
@@ -539,17 +544,19 @@ class TestSimulation:
         draws = draw_candidates(cfg, population)
         with pytest.raises(ValueError, match="made for"):
             Simulation(replace(cfg, **change), population, draws)
-        # the content size and the rank parameters are not part of the draw
-        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5), population,
-                   draws).run()
+        # the content size and the workload filter are not part of the lists
+        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5, workload_mode="count"),
+                   population, draws).run()
 
     def test_shared_candidates_match_own_draws(self):
         cfg = small_cfg(strategy="path-aware", rng_seed=4)
         population = draw_population(cfg)
         draws = draw_candidates(cfg, population)
-        assert draws.lists and all(isinstance(d, tuple) for d in draws.lists.values())
-        with pytest.raises(TypeError):
-            draws.lists[-1] = ((), ())
+        lists = candidate_lists(draws)
+        assert lists and all(isinstance(d, RelayCandidateList) for d in lists.values())
+        for column in (draws.relays, draws.offsets, draws.careful):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = -1
         for size in (500.0, 16000.0):
             cell = replace(cfg, content_size_kb=size)
             shared = Simulation(cell, population, draws)
@@ -611,7 +618,7 @@ class EmptyListSimulation(EventCountingSimulation):
     """A relay-strategy run whose every list is empty: the no-relay
     protocol, after a full candidate draw."""
 
-    def _make_candidates(self, peer, t):
+    def _make_candidates(self, req):
         return no_relay_list()
 
 
@@ -624,14 +631,14 @@ class TestNoRelaySkipsOnlineSet:
         monkeypatch.setattr(engine, "_stream",
                             lambda *key: streams.append(key) or real(*key))
         # no-relay draws nothing and builds no selection stream
-        assert draw_candidates(cfg, population).lists == {}
+        assert candidate_lists(draw_candidates(cfg, population)) == {}
         skipped = EventCountingSimulation(cfg, population)
         tracked = EmptyListSimulation(replace(cfg, strategy="random"), population)
         assert skipped.run() == tracked.run()
         assert skipped.outcomes == tracked.outcomes
-        assert skipped._draws.lists == {}
+        assert candidate_lists(skipped._draws) == {}
         # the relay strategy's one draw pass builds one selection stream
-        assert tracked._draws.lists
+        assert candidate_lists(tracked._draws)
         assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
             (cfg.rng_seed, engine._STREAM_SELECT)]
         # the loop issues the relay-phase requests and schedules their
@@ -653,9 +660,9 @@ class RecordingSimulation(Simulation):
         super().__init__(*args, **kwargs)
         self.lists = {}
 
-    def _make_candidates(self, row, t):
-        pid = self.population.ids.item(row)
-        self.lists[pid] = super()._make_candidates(row, t)
+    def _make_candidates(self, req):
+        pid = self.population.ids.item(req.row)
+        self.lists[pid] = super()._make_candidates(req)
         return self.lists[pid]
 
 
@@ -950,12 +957,12 @@ class TestColumnsOnly:
                                     FailureScenario(frozenset(range(0, 500, 2))))
             assert population.ids.tolist() != list(range(500))
         again = Population.from_peers(population.peers.values(), population.scenario)
-        for name in ("ids", "isp", "uplink", "downlink", "join", "dep", "cut", "row_of"):
+        for name in ("ids", "isp", "uplink", "downlink", "join", "dep", "affected", "cut",
+                     "in_region", "row_of"):
             assert np.array_equal(getattr(again, name), getattr(population, name)), name
         # city codes index each population's own city names
         names = [[p.cities[code] for code in p.city.tolist()] for p in (population, again)]
         assert names[0] == names[1]
-        assert again.region_ids == population.region_ids
 
     def test_peers_maps_ids_to_rows(self):
         peers = [make_peer(7, join=2.0, dur=3.0), make_peer(3, city="Wuhan", isp=2, join=1.0)]
@@ -979,7 +986,8 @@ class TestDrawPass:
             draws = draw_candidates(cfg, population)
         requesters = {p.id: p for p in peers if p.join_time <= cfg.sim_duration
                       and scenario.cut_off(p.id, p.join_time)}
-        assert set(pools) == set(draws.lists) == set(requesters)
+        lists = candidate_lists(draws)
+        assert set(pools) == set(lists) == set(requesters)
         for pid, (t, pool, bucket) in pools.items():
             me = requesters[pid]
             online = [q for q in sorted(peers, key=lambda q: q.id)
@@ -987,8 +995,7 @@ class TestDrawPass:
             assert t == me.join_time
             assert pool == [q.id for q in online]
             assert bucket == [q.id for q in online if (q.city, q.isp) == (me.city, me.isp)]
-            drawn = draws.lists[pid]
-            ids = drawn.peer_ids if strategy == "random" else drawn[0] + drawn[1]
+            ids = lists[pid].peer_ids
             assert set(ids) <= set(pool) and len(ids) == len(set(ids)) <= cfg.zeta
 
     @pytest.mark.parametrize("strategy", ["random", "path-aware"])

@@ -20,13 +20,16 @@ from relaysim.selection import (
     load_instance,
     no_relay_list,
     random_relay_list,
+    rank_path_aware,
     solve_exact,
     solve_greedy,
     _draw,
     _workload_ok,
 )
 
-from helpers import add, assignment_matrix, discard, online_set, population, save_instance
+from helpers import (add, assignment_matrix, discard, online_set, population, ranked_list,
+                     save_instance)
+from reference import durability, not_busy
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
@@ -36,13 +39,14 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
     return Peer(**base)
 
 
-def path_aware_list(requester, online, *, alpha, zeta, u, failed, **rank):
-    """Draw and rank a path-aware list in one call, as a request issued
-    while exactly the peers in online are online, after the requesters in
-    failed, would get it."""
+def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, **workload):
+    """Draw, rank and filter a path-aware list in one call, as a request
+    issued at t while exactly the peers in online are online, after the
+    requesters in failed, would get it."""
     drawn = draw_path_aware(requester.id, (requester.city, requester.isp), online_set(online),
                             alpha=alpha, zeta=zeta, u=u, failed=failed)
-    return generate_relay_list(drawn, population(online), **rank)
+    peers = population(online)
+    return generate_relay_list(ranked_list(drawn, t, peers, tts), peers, **workload)
 
 
 def row(seed, n):
@@ -181,6 +185,77 @@ class TestIndexedDraws:
             assert draw_path_aware(requester.id, (requester.city, requester.isp), online,
                                    alpha=0.0, zeta=params["zeta"], u=u,
                                    failed=history) == ((), want)
+
+
+@st.composite
+def rank_blocks(draw):
+    """Peers, a block of path-aware draws (careful ids, random ids) of the
+    peers joined by each request's time, those times, and a workload
+    filter: a time-to-stay model, gamma, mode and a ledger holding some of
+    the peers. Joins and times put elapsed times at 0, at the 60 min clamp,
+    past it and between, with ties."""
+    ids = draw(st.lists(st.integers(0, 200), unique=True, min_size=1, max_size=30))
+    peers = [make_peer(pid, join=draw(st.sampled_from((0.0, 60.0, 600.0, 3000.0, 3600.0))),
+                       uplink_kbps=draw(st.sampled_from((512.0, 1024.0))))
+             for pid in ids]
+    block, times = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.sampled_from((3600.0, 3600.5, 5400.0, 7200.0, 10800.0)))
+        pool = [p.id for p in peers if p.join_time <= t]
+        picked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=12)) if pool else []
+        split = draw(st.integers(0, len(picked)))
+        block.append((tuple(picked[:split]), tuple(picked[split:])))
+        times.append(t)
+    tts = draw(st.sampled_from((TimeToStayModel(), TimeToStayModel(-0.01, 1.0, 3.0, 30.0))))
+    ledger = RelayLedger(
+        workload={pid: draw(st.integers(1, 4)) for pid in ids if draw(st.booleans())},
+        in_use_kbps={p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
+                     for p in peers if draw(st.booleans())})
+    workload = dict(gamma=draw(st.sampled_from((0.0, 0.5, 0.9, 2.0))),
+                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
+                    ledger=ledger)
+    return peers, block, times, tts, workload
+
+
+class TestRankOnce:
+    """The rank moved out of the request: draws are ranked once per
+    population, and a request only drops the busy relays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_blocks())
+    def test_filtering_the_ranked_list_ranks_the_filtered_draw(self, case):
+        peers, block, times, tts, workload = case
+        ledger, by_id, listed = workload["ledger"], {p.id: p for p in peers}, population(peers)
+        ranked = rank_path_aware(block, times, listed, tts).tolist()
+        at = 0
+        for (careful, randoms), t in zip(block, times):
+            size = len(careful) + len(randoms)
+            lst = RelayCandidateList(tuple(ranked[at:at + size]), len(careful))
+            at += size
+            got = generate_relay_list(lst, listed, **workload)
+            want = [sorted((by_id[pid] for pid in part
+                            if not_busy(by_id[pid], ledger.in_use_kbps, ledger.workload,
+                                        workload["gamma"], workload["workload_mode"])),
+                           key=lambda q: durability(tts, q, t))
+                    for part in (careful, randoms)]
+            assert got.peer_ids == tuple(q.id for part in want for q in part)
+            assert got.careful_count == len(want[0])
+        assert at == len(ranked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6), max_size=20))
+    def test_column_estimator_is_the_scalar_one_bit_for_bit(self, drawn):
+        m = TimeToStayModel()
+        clamp = m.valid_elapse_max
+        elapses = [0.0, clamp, math.nextafter(clamp, math.inf), clamp + 1.0, *drawn]
+        column = estimate_time_to_stay(m, np.array(elapses))
+        assert column.dtype == np.float64 and len(column) == len(elapses)
+        for elapse, got in zip(elapses, column.tolist()):
+            x = min(elapse, clamp)
+            assert got.hex() == float(estimate_time_to_stay(m, elapse)).hex() == (
+                m.c2 * x * x + m.c1 * x + m.c0).hex()
+        with pytest.raises(ValueError):
+            estimate_time_to_stay(m, np.array([1.0, -0.5]))
 
 
 def chi_square_bound(df, z=4.5):
