@@ -11,11 +11,12 @@ A run reads a Population, read-only columns in issue order; Peer objects
 exist only at the API edge. Server fetches hold no relay capacity, so they
 are decided at issue time on whole columns. The candidate draws and the
 path-aware rank depend only on the population, so draw_candidates makes
-every list, as ids, in one walk before the event loop. The loop resolves
-the attempts due by each relay-phase join before issuing that request, so
-its heap holds attempt resolutions only; a path-aware list then drops the
-relays busy in the run's ledger, and each attempt is planned in full
-(AttemptPlan) when it starts. Results are one Outcomes table of columns.
+every list in one walk before the event loop; a request takes its list as
+a tuple of relay ids in try order. The loop resolves the attempts due by
+each relay-phase join before issuing that request, so its heap holds
+attempt resolutions only; a path-aware list then drops the relays busy in
+the run's ledger, and each attempt is planned in full (AttemptPlan)
+when it starts. Results are one Outcomes table of columns.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedge
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
-from relaysim.selection import (OnlineSet, RelayCandidateList, draw_path_aware,
-                                generate_relay_list, no_relay_list, random_relay_list,
-                                rank_path_aware)
+from relaysim.selection import (OnlineSet, draw_path_aware, generate_relay_list,
+                                random_relay_list, rank_path_aware)
 
 # Heap entries are (time, priority, seq, request), one per relay attempt
 # resolution: ATTEMPT_COMPLETE when its plan delivers, ATTEMPT_ABORT
@@ -308,21 +308,21 @@ def draw_population(cfg: SimConfig) -> Population:
 
 class CandidateDraws(NamedTuple):
     """One population's relay candidate lists under one strategy (random:
-    as drawn; path-aware: ranked), in read-only arrays a sweep group shares:
-    list i, of the i-th relay-phase request issued, is relays[offsets[i]:
-    offsets[i + 1]], careful[i] of them careful. made_for is the config key
-    (_draws_key) they were made under, population their source."""
+    as drawn; path-aware: ranked, careful partition first), in read-only
+    arrays a sweep group shares: list i, of the i-th relay-phase request
+    issued, is relays[offsets[i]:offsets[i + 1]]. made_for is the config
+    key (_draws_key) they were made under, population their source."""
 
     made_for: tuple
     population: Population
     relays: np.ndarray
     offsets: np.ndarray
-    careful: np.ndarray
 
-    def ranked(self, ordinal: int) -> RelayCandidateList:
-        """The list of the relay-phase request with that ordinal."""
+    def ranked(self, ordinal: int) -> tuple[int, ...]:
+        """The relay ids of the relay-phase request with that ordinal, in
+        try order."""
         lo, hi = self.offsets.item(ordinal), self.offsets.item(ordinal + 1)
-        return RelayCandidateList(tuple(self.relays[lo:hi].tolist()), self.careful.item(ordinal))
+        return tuple(self.relays[lo:hi].tolist())
 
 
 def _draws_key(cfg: SimConfig) -> tuple:
@@ -343,15 +343,14 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     requesters = np.flatnonzero(population.cut[:k])
     times, walk = population.join[requesters], _walk(cfg, population, k, requesters)
     tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
-    relays, careful, sizes = [np.zeros(0, np.int64)], [], []
+    relays, sizes = [np.zeros(0, np.int64)], []
     for start in range(0, len(requesters), _RANK_BLOCK):
         block = list(islice(walk, _RANK_BLOCK))
-        careful += [len(part) for part, _ in block]
         sizes += [len(part) + len(rest) for part, rest in block]
         relays.append(rank_path_aware(block, times[start:start + len(block)], population, tts)
                       if cfg.strategy == "path-aware" else
                       np.fromiter(chain.from_iterable(rest for _, rest in block), np.int64))
-    table = (np.concatenate(relays), np.cumsum([0, *sizes]), np.array(careful, np.int64))
+    table = (np.concatenate(relays), np.cumsum([0, *sizes]))
     for column in table:
         column.flags.writeable = False
     return CandidateDraws(_draws_key(cfg), population, *table)
@@ -388,7 +387,7 @@ def _walk(cfg: SimConfig, population: Population, k: int,
         online.update(leaving, arriving)
         u = rows[r].tolist()
         if cfg.strategy == "random":
-            yield (), random_relay_list(pid, online, cfg.zeta, u).peer_ids
+            yield (), random_relay_list(pid, online, cfg.zeta, u)
         else:
             yield draw_path_aware(pid, code, online, alpha=cfg.alpha, zeta=cfg.zeta, u=u,
                                   failed=failed)
@@ -420,7 +419,6 @@ class Simulation:
                                  f"not {_draws_key(cfg)}")
         self.population = population
         self.peers = population.peers
-        self.scenario = population.scenario
         self.content = ContentItem(cfg.content_size_kb)
         # Two-way handshake seconds by (requester, relay) city code.
         table = CityTable(cfg.city_table)
@@ -491,14 +489,15 @@ class Simulation:
 
     def _issue(self, req: _Request, t: float) -> None:
         """Start a cut-off requester's relay phase at its join t."""
-        req.candidates = self._make_candidates(req).peer_ids
+        req.candidates = self._make_candidates(req)
         self._start_next_attempt(req, t)
 
-    def _make_candidates(self, req: _Request) -> RelayCandidateList:
-        """The request's ranked list, less its busy relays for path-aware."""
+    def _make_candidates(self, req: _Request) -> tuple[int, ...]:
+        """The request's ranked relay ids, less its busy relays for
+        path-aware; none for no-relay."""
         strategy = self.cfg.strategy
         if strategy == "no-relay":
-            return no_relay_list()
+            return ()
         ranked = self._draws.ranked(req.ordinal)
         if strategy == "random":
             return ranked
@@ -517,7 +516,7 @@ class Simulation:
         p = self.population
         handshake = self._handshake[p.city.item(requester)][p.city.item(relay)]
         relay_id, relay_dep = p.ids.item(relay), p.dep.item(relay)
-        if not p.join.item(relay) <= t < relay_dep or self.scenario.cut_off(relay_id, t):
+        if not p.join.item(relay) <= t < relay_dep or p.scenario.cut_off(relay_id, t):
             return AttemptPlan("reject", t + handshake)
         ledger = self.ledger
         rate = min(ledger.uplink_free_kbps(relay_id, p.uplink.item(relay)),

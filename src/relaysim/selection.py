@@ -1,13 +1,15 @@
 """Relay candidate selection and the global assignment solvers.
 
-The draw and the rank depend only on the population, so the engine makes
-both in one pass before the event loop (engine.draw_candidates):
-random_relay_list draws the random baseline's list; draw_path_aware draws
-a careful partition from the online peers of the requester's city and ISP
-and a random partition from everyone else online; rank_path_aware sorts
-each partition by estimated time-to-stay, for a block of draws at once.
-At request time generate_relay_list drops the peers with too much relay
-workload. Peers enter as ids, bucket codes and population rows.
+A relay candidate list is a tuple of relay ids in try order; entry 0,
+when present, is the primary relay. The draw and the rank depend only on
+the population, so the engine makes both in one pass before the event
+loop (engine.draw_candidates): random_relay_list draws the random
+baseline's list; draw_path_aware draws a careful partition from the
+online peers of the requester's city and ISP and a random partition from
+everyone else online; rank_path_aware sorts each partition by estimated
+time-to-stay, for a block of draws at once, and puts the careful one
+first. At request time generate_relay_list drops the peers with too much
+relay workload. Peers enter as ids, bucket codes and population rows.
 The draws read an OnlineSet of ascending ids, bucketed by code, and pick
 pool indices without building the pools, so the work per list grows with
 zeta, not with the peers online. Each draw reads a row u of uniform floats
@@ -24,7 +26,7 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Container, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,31 +43,6 @@ MAX_EXACT_DIM = 8
 
 class Infeasible(Exception):
     """No assignment satisfies the capacity constraints."""
-
-
-@dataclass(frozen=True, slots=True)
-class RelayCandidateList:
-    """Ordered relay candidates; the first careful_count ids form the
-    careful partition, the rest the random partition. Entry 0, when
-    present, is the primary relay."""
-
-    peer_ids: tuple[int, ...]
-    careful_count: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.careful_count <= len(self.peer_ids):
-            raise ValueError("careful_count out of range")
-
-    def __len__(self):
-        return len(self.peer_ids)
-
-    def __getitem__(self, i):
-        return self.peer_ids[i]
-
-
-def no_relay_list() -> RelayCandidateList:
-    """The degenerate strategy: never try a relay."""
-    return RelayCandidateList((), 0)
 
 
 class OnlineSet:
@@ -125,15 +102,14 @@ def _positions(ids: list[int], pids) -> list[int]:
 
 
 def random_relay_list(requester: int, online: OnlineSet, zeta: int,
-                      u: Sequence[float]) -> RelayCandidateList:
-    """Baseline: up to zeta online peers other than the requester (an
-    id), drawn uniformly from the row u, in draw order. Pool index i is the
-    i-th lowest online id other than the requester's, so the draw does not
-    depend on the order peers came online in.
+                      u: Sequence[float]) -> tuple[int, ...]:
+    """Baseline: the ids of up to zeta online peers other than the
+    requester (an id), drawn uniformly from the row u, in draw order. Pool
+    index i is the i-th lowest online id other than the requester's, so the
+    draw does not depend on the order peers came online in.
     """
     ids = online.ids
-    picked = _draw(u, ids, _positions(ids, (requester,)), zeta)
-    return RelayCandidateList(tuple(picked), 0)
+    return tuple(_draw(u, ids, _positions(ids, (requester,)), zeta))
 
 
 def _workload_ok(pid: int, uplink_kbps: float, ledger: RelayLedger, gamma: float,
@@ -180,20 +156,20 @@ def rank_path_aware(drawn: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], ti
     return ids[np.lexsort((ids, -estimate_time_to_stay(tts, elapse), part))]
 
 
-def generate_relay_list(ranked: RelayCandidateList, population: Population, *, gamma: float,
-                        workload_mode: str, ledger: RelayLedger) -> RelayCandidateList:
-    """A ranked path-aware list at request time: ranked less the peers whose
-    workload in the run's ledger is above gamma. A peer absent from the
-    ledger dict workload_mode reads carries none, and gamma >= 0 keeps it,
-    so a list that dict misses comes back as it is."""
+def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamma: float,
+                        workload_mode: str, ledger: RelayLedger) -> tuple[int, ...]:
+    """A ranked path-aware list of ids at request time: ranked less the
+    peers whose workload in the run's ledger is above gamma, in ranked
+    order. A peer absent from the ledger dict workload_mode reads carries
+    none, and gamma >= 0 keeps it, so a list that dict misses comes back as
+    it is."""
     busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
-    if busy.keys().isdisjoint(ranked.peer_ids):
+    if busy.keys().isdisjoint(ranked):
         return ranked
     row_of, uplink = population.row_of, population.uplink
-    keep = [_workload_ok(pid, uplink.item(row_of.item(pid)), ledger, gamma, workload_mode)
-            for pid in ranked.peer_ids]
-    return RelayCandidateList(tuple(compress(ranked.peer_ids, keep)),
-                              sum(keep[:ranked.careful_count]))
+    return tuple(pid for pid in ranked
+                 if _workload_ok(pid, uplink.item(row_of.item(pid)), ledger, gamma,
+                                 workload_mode))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes, Population
 from relaysim.io import _OUTCOME_BLOCK
 from relaysim.model import Peer
 from relaysim.netsim import SERVER, FailureScenario
-from relaysim.selection import OnlineSet, RelayCandidateList, _check_instance, rank_path_aware
+from relaysim.selection import OnlineSet, _check_instance, rank_path_aware
 
 
 def key(peer):
@@ -52,10 +52,17 @@ def population(peers):
 
 
 def ranked_list(drawn, t, population, tts):
-    """The RelayCandidateList rank_path_aware makes of one path-aware draw
+    """The list of ids rank_path_aware makes of one path-aware draw
     (careful ids, random ids) for a request at time t."""
-    ids = rank_path_aware([drawn], [t], population, tts).tolist()
-    return RelayCandidateList(tuple(ids), len(drawn[0]))
+    return tuple(rank_path_aware([drawn], [t], population, tts).tolist())
+
+
+def careful_head(lst, careful):
+    """The ids of the list lst that are in careful, a draw's careful
+    partition, after checking that they are the list's leading ids."""
+    head = tuple(pid for pid in lst if pid in careful)
+    assert lst[:len(head)] == head, (lst, careful)
+    return head
 
 
 def candidate_lists(draws):

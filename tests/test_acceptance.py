@@ -36,7 +36,7 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import online_set, peer_rows, population, ranked_list
+from helpers import careful_head, online_set, peer_rows, population, ranked_list
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -284,17 +284,17 @@ def test_criterion_7_candidate_list_invariants():
         lst = generate_relay_list(ranked_list(drawn, t, peers, tts), peers, gamma=gamma,
                                   workload_mode="utilization", ledger=ledger)
         assert len(lst) <= zeta
-        assert len(set(lst.peer_ids)) == len(lst)
-        assert requester.id not in lst.peer_ids
+        assert len(set(lst)) == len(lst)
+        assert requester.id not in lst
         careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
-        assert lst.careful_count <= careful_slots
-        careful = lst.peer_ids[:lst.careful_count]
-        randoms = lst.peer_ids[lst.careful_count:]
+        careful = careful_head(lst, drawn[0])
+        assert len(careful) <= careful_slots
+        randoms = lst[len(careful):]
         assert len(randoms) <= zeta - careful_slots
         for pid in careful:
             assert by_id[pid].city == requester.city
             assert by_id[pid].isp == requester.isp
-        for pid in lst.peer_ids:
+        for pid in lst:
             assert pid not in failed
             assert _workload_ok(pid, by_id[pid].uplink_kbps, ledger, gamma, "utilization")
         for part in (careful, randoms):

@@ -14,6 +14,7 @@ from relaysim import engine
 from relaysim.engine import (
     ATTEMPT_ABORT,
     ATTEMPT_COMPLETE,
+    CandidateDraws,
     MetricsReport,
     Population,
     RequestOutcome,
@@ -30,7 +31,7 @@ from relaysim.churn import SessionModel
 from relaysim.io import SweepSpec, build_trace_peers, run_sweep, run_trace, synthesize_trace
 from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
-from relaysim.selection import OnlineSet, RelayCandidateList, no_relay_list
+from relaysim.selection import OnlineSet
 
 from helpers import candidate_lists, outcome_tables, outcomes_table, peer_rows
 from reference import collect_metrics_rows, reference_run
@@ -204,7 +205,7 @@ class FixedListSimulation(Simulation):
         self.lists = lists
 
     def _make_candidates(self, req):
-        return self.lists.get(self.population.ids.item(req.row), RelayCandidateList((), 0))
+        return self.lists.get(self.population.ids.item(req.row), ())
 
 
 class TestAttemptDownload:
@@ -220,7 +221,7 @@ class TestAttemptDownload:
                         sim_duration=math.inf)
         scenario = FailureScenario(frozenset(affected), region="Beijing")
         sim = FixedListSimulation(cfg, [requester, *relays], scenario,
-                                  {requester.id: RelayCandidateList(tuple(candidates), 0)})
+                                  {requester.id: tuple(candidates)})
         if workload is not None:
             sim.ledger.workload.update(workload)
         sim.run()
@@ -323,7 +324,7 @@ class TestAttemptDownload:
         bystander = make_peer(2, city="Wuhan", join=1.0)
         for peers in ([bystander, *pair], [*pair, bystander], [bystander, *pair]):
             sim = FixedListSimulation(cfg, peers, FailureScenario(frozenset({0})),
-                                      {0: RelayCandidateList((1,), 0)})
+                                      {0: (1,)})
             sim.run()
             (out,) = [o for o in sim.outcomes if o.requester_id == 0]
             assert out.served_by == 1
@@ -356,8 +357,7 @@ class TestAttemptDownload:
         cfg = SimConfig(peer_count=4, content_size_kb=512.0, sim_duration=math.inf)
         scenario = FailureScenario(frozenset({0, 2}), region="Beijing")
         sim = FixedListSimulation(cfg, peers, scenario,
-                                  {0: RelayCandidateList((3, 1), 0),
-                                   2: RelayCandidateList((1,), 0)})
+                                  {0: (3, 1), 2: (1,)})
         sim.run()
         first, _, second, _ = sim.outcomes
         assert (second.served_by, second.end_time) == (1, 4.01)
@@ -374,8 +374,7 @@ class TestAttemptDownload:
                         latency_per_km_ms=0.0, sim_duration=math.inf)
         scenario = FailureScenario(frozenset({1, 2}), region="Beijing")
         sim = FixedListSimulation(cfg, peers, scenario,
-                                  {1: RelayCandidateList((3, 0), 0),
-                                   2: RelayCandidateList((0,), 0)})
+                                  {1: (3, 0), 2: (0,)})
         sim.run()
         by_id = {o.requester_id: o for o in sim.outcomes}
         assert (by_id[1].served_by, by_id[1].attempts, by_id[1].end_time) == (0, 2, 4.0)
@@ -465,7 +464,7 @@ class TestSimulation:
         a = Simulation(replace(cfg, strategy="random"))
         b = Simulation(replace(cfg, strategy="path-aware"))
         assert list(a.peers.values()) == list(b.peers.values())
-        assert a.scenario.affected == b.scenario.affected
+        assert a.population.scenario.affected == b.population.scenario.affected
 
     def test_single_shot(self):
         sim = Simulation(small_cfg())
@@ -553,8 +552,11 @@ class TestSimulation:
         population = draw_population(cfg)
         draws = draw_candidates(cfg, population)
         lists = candidate_lists(draws)
-        assert lists and all(isinstance(d, RelayCandidateList) for d in lists.values())
-        for column in (draws.relays, draws.offsets, draws.careful):
+        # built-in ints, so ledger keys and served_by codes are too
+        assert lists and all(type(d) is tuple and all(type(pid) is int for pid in d)
+                             for d in lists.values())
+        assert CandidateDraws._fields == ("made_for", "population", "relays", "offsets")
+        for column in (draws.relays, draws.offsets):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = -1
         for size in (500.0, 16000.0):
@@ -619,7 +621,7 @@ class EmptyListSimulation(EventCountingSimulation):
     protocol, after a full candidate draw."""
 
     def _make_candidates(self, req):
-        return no_relay_list()
+        return ()
 
 
 class TestNoRelaySkipsOnlineSet:
@@ -728,8 +730,7 @@ class TestProtocolProperties:
                 assert o.served_by in (SERVER, None)
             if o.served_by == SERVER:
                 assert o.attempts == 0 and not o.entered_relay_phase
-            tried = sim.lists.get(o.requester_id, RelayCandidateList((), 0)).peer_ids
-            tried = tried[:o.attempts]
+            tried = sim.lists.get(o.requester_id, ())[:o.attempts]
             assert len(tried) == o.attempts <= cfg.zeta
             if relay_served:
                 assert tried[-1] == o.served_by
@@ -741,7 +742,7 @@ class TestProtocolProperties:
         assert set(sim.lists) == set(relay_phase)
         if cfg.strategy == "path-aware":
             for i, owner in enumerate(relay_phase):
-                assert not set(sim.lists[owner].peer_ids) & set(relay_phase[:i + 1])
+                assert not set(sim.lists[owner]) & set(relay_phase[:i + 1])
         if horizon == math.inf:
             # a finite horizon may cut transfers that still hold capacity
             assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
@@ -995,7 +996,7 @@ class TestDrawPass:
             assert t == me.join_time
             assert pool == [q.id for q in online]
             assert bucket == [q.id for q in online if (q.city, q.isp) == (me.city, me.isp)]
-            ids = lists[pid].peer_ids
+            ids = lists[pid]
             assert set(ids) <= set(pool) and len(ids) == len(set(ids)) <= cfg.zeta
 
     @pytest.mark.parametrize("strategy", ["random", "path-aware"])
@@ -1023,8 +1024,8 @@ class TestDrawPass:
         sim = RecordingSimulation(cfg, Population.from_peers(peers,
                                                              FailureScenario(frozenset({5, 2}))))
         sim.run()
-        assert sim.lists[5].peer_ids == (2, 9)
-        assert sim.lists[2].peer_ids == (9,)
+        assert sim.lists[5] == (2, 9)
+        assert sim.lists[2] == (9,)
 
 
 # A 250 ms base latency makes the in-city server handshake 0.5 s, and 512 KB

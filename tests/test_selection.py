@@ -13,12 +13,10 @@ from relaysim.model import Peer, RelayLedger
 from relaysim.selection import (
     Infeasible,
     OnlineSet,
-    RelayCandidateList,
     SelectionMatrix,
     draw_path_aware,
     generate_relay_list,
     load_instance,
-    no_relay_list,
     random_relay_list,
     rank_path_aware,
     solve_exact,
@@ -27,8 +25,8 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import (add, assignment_matrix, discard, online_set, population, ranked_list,
-                     save_instance)
+from helpers import (add, assignment_matrix, careful_head, discard, online_set, population,
+                     ranked_list, save_instance)
 from reference import durability, not_busy
 
 
@@ -42,11 +40,13 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
 def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, **workload):
     """Draw, rank and filter a path-aware list in one call, as a request
     issued at t while exactly the peers in online are online, after the
-    requesters in failed, would get it."""
+    requesters in failed, would get it; returns the list and its careful
+    ids (careful_head)."""
     drawn = draw_path_aware(requester.id, (requester.city, requester.isp), online_set(online),
                             alpha=alpha, zeta=zeta, u=u, failed=failed)
     peers = population(online)
-    return generate_relay_list(ranked_list(drawn, t, peers, tts), peers, **workload)
+    lst = generate_relay_list(ranked_list(drawn, t, peers, tts), peers, **workload)
+    return lst, careful_head(lst, drawn[0])
 
 
 def row(seed, n):
@@ -65,8 +65,7 @@ def reference_draw(u, pool, k):
 
 def reference_random_relay_list(requester, online_peers, zeta, u):
     pool = [p for p in online_peers if p.id != requester.id]
-    picked = reference_draw(u, pool, zeta)
-    return RelayCandidateList(tuple(p.id for p in picked), 0)
+    return tuple(p.id for p in reference_draw(u, pool, zeta))
 
 
 def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta, u, t,
@@ -89,8 +88,7 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
 
     careful = sorted((p for p in careful if keep(p)), key=durability)
     randoms = sorted((p for p in randoms if keep(p)), key=durability)
-    ids = tuple(p.id for p in careful) + tuple(p.id for p in randoms)
-    return RelayCandidateList(ids, len(careful))
+    return tuple(p.id for p in careful), tuple(p.id for p in randoms)
 
 
 @st.composite
@@ -142,8 +140,8 @@ class TestIndexedDraws:
         got = random_relay_list(requester.id, online_set(arrivals), params["zeta"], u)
         want = reference_random_relay_list(requester, sorted(arrivals, key=lambda p: p.id),
                                            params["zeta"], u)
-        assert got.peer_ids == want.peer_ids and got.careful_count == 0
-        assert len(set(got.peer_ids)) == len(got)
+        assert got == want
+        assert len(set(got)) == len(got)
         # the draw reads one float per pick and nothing past them
         moved = past_the_picks(u, range(len(got)))
         assert random_relay_list(requester.id, online_set(arrivals), params["zeta"],
@@ -153,12 +151,12 @@ class TestIndexedDraws:
     @given(selection_cases())
     def test_path_aware_list_matches_reference(self, case):
         requester, arrivals, params, u = case
-        got = path_aware_list(requester, arrivals, u=u, **params)
-        want = reference_generate_relay_list(
+        got, careful = path_aware_list(requester, arrivals, u=u, **params)
+        want_careful, want_randoms = reference_generate_relay_list(
             requester, sorted(arrivals, key=lambda p: p.id), u=u, **params)
-        assert got.peer_ids == want.peer_ids
-        assert len(set(got.peer_ids)) == len(got)
-        assert got.careful_count == want.careful_count
+        assert got == want_careful + want_randoms
+        assert len(set(got)) == len(got)
+        assert careful == want_careful
         # the careful picks read the row from 0 and the random picks from
         # careful_slots, one float each, and nothing else
         # (counted before the history drops any pick)
@@ -179,7 +177,7 @@ class TestIndexedDraws:
     def test_path_aware_without_careful_slots_is_the_random_list(self, case):
         requester, arrivals, params, u = case
         online, failed = online_set(arrivals), params["failed"]
-        listed = random_relay_list(requester.id, online, params["zeta"], u).peer_ids
+        listed = random_relay_list(requester.id, online, params["zeta"], u)
         for history, want in ((frozenset(), listed),
                               (failed, tuple(pid for pid in listed if pid not in failed))):
             assert draw_path_aware(requester.id, (requester.city, requester.isp), online,
@@ -230,7 +228,7 @@ class TestRankOnce:
         at = 0
         for (careful, randoms), t in zip(block, times):
             size = len(careful) + len(randoms)
-            lst = RelayCandidateList(tuple(ranked[at:at + size]), len(careful))
+            lst = tuple(ranked[at:at + size])
             at += size
             got = generate_relay_list(lst, listed, **workload)
             want = [sorted((by_id[pid] for pid in part
@@ -238,9 +236,24 @@ class TestRankOnce:
                                         workload["gamma"], workload["workload_mode"])),
                            key=lambda q: durability(tts, q, t))
                     for part in (careful, randoms)]
-            assert got.peer_ids == tuple(q.id for part in want for q in part)
-            assert got.careful_count == len(want[0])
+            assert got == tuple(q.id for part in want for q in part)
+            assert careful_head(got, careful) == tuple(q.id for q in want[0])
         assert at == len(ranked)
+
+    @pytest.mark.parametrize("mode, other", [("count", "utilization"),
+                                             ("utilization", "count")])
+    def test_a_list_the_read_ledger_dict_misses_comes_back_as_is(self, mode, other):
+        # the dict mode reads holds peer 4 only, the dict other reads every
+        # peer; each entry is above gamma
+        listed, ranked = population([make_peer(pid) for pid in (1, 2, 3, 4)]), (3, 1, 2)
+        full, ledger = {"count": 9, "utilization": 1024.0}, RelayLedger()
+        reads = {"count": ledger.workload, "utilization": ledger.in_use_kbps}
+        reads[mode][4] = full[mode]
+        reads[other].update(dict.fromkeys((1, 2, 3, 4), full[other]))
+        assert generate_relay_list(ranked, listed, gamma=0.5, workload_mode=mode,
+                                   ledger=ledger) is ranked
+        assert generate_relay_list(ranked, listed, gamma=0.5, workload_mode=other,
+                                   ledger=ledger) == ()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1e6), max_size=20))
@@ -326,51 +339,27 @@ class TestOnlineSet:
                     pid for pid in plain if (peers[pid].city, peers[pid].isp) == (city, isp))
 
 
-class TestCandidateList:
-    def test_partitions(self):
-        lst = RelayCandidateList((5, 3, 8, 1), careful_count=2)
-        assert lst.peer_ids[:lst.careful_count] == (5, 3)
-        assert lst.peer_ids[lst.careful_count:] == (8, 1)
-        assert lst[0] == 5
-        assert len(lst) == 4
-        assert list(lst) == [5, 3, 8, 1]
-        assert lst[2] == 8
-
-    def test_empty(self):
-        lst = no_relay_list()
-        assert len(lst) == 0
-        assert lst.peer_ids == ()
-        assert lst.careful_count == 0
-
-    def test_careful_count_bounds(self):
-        with pytest.raises(ValueError):
-            RelayCandidateList((1, 2), careful_count=3)
-        with pytest.raises(ValueError):
-            RelayCandidateList((1, 2), careful_count=-1)
-
-
 class TestRandomList:
     def test_excludes_requester_and_caps_length(self):
         me = make_peer(0)
         online = online_set([me] + [make_peer(i) for i in range(1, 5)])
         lst = random_relay_list(me.id, online, zeta=10, u=row(0, 10))
-        assert len(lst) == 4
-        assert 0 not in lst.peer_ids
-        assert lst.careful_count == 0
+        assert type(lst) is tuple and len(lst) == 4
+        assert 0 not in lst
 
     def test_respects_zeta(self):
         me = make_peer(0)
         online = online_set([me] + [make_peer(i) for i in range(1, 40)])
         lst = random_relay_list(me.id, online, zeta=10, u=row(1, 10))
         assert len(lst) == 10
-        assert len(set(lst.peer_ids)) == 10
+        assert len(set(lst)) == 10
 
     def test_reproducible(self):
         me = make_peer(0)
         online = online_set(make_peer(i) for i in range(20))
         a = random_relay_list(me.id, online, 10, row(7, 10))
         b = random_relay_list(me.id, online, 10, row(7, 10))
-        assert a.peer_ids == b.peer_ids
+        assert a == b
 
     def test_first_position_uniform(self):
         me = make_peer(0)
@@ -399,15 +388,15 @@ class TestPathAwareList:
     def test_partition_size_bounds(self):
         me = make_peer(0)
         online = [me] + [make_peer(i) for i in range(1, 60)]
-        lst = self.gen(me, online)
-        assert lst.careful_count <= 2
-        assert len(lst) - lst.careful_count <= 8
+        lst, careful = self.gen(me, online)
+        assert len(careful) <= 2
+        assert len(lst) - len(careful) <= 8
         assert len(lst) <= 10
 
     def test_empty_online_set(self):
         me = make_peer(0)
-        assert len(self.gen(me, [me])) == 0
-        assert len(self.gen(me, [])) == 0
+        assert self.gen(me, [me]) == ((), ())
+        assert self.gen(me, []) == ((), ())
 
     def test_durability_order_in_careful(self):
         # elapses 50, 10, 30 min at t: longest time-to-stay first
@@ -418,9 +407,8 @@ class TestPathAwareList:
             make_peer(2, join=t - 10 * 60.0),
             make_peer(3, join=t - 30 * 60.0),
         ]
-        lst = self.gen(me, [me] + peers, t=t, alpha=1.0, zeta=3)
-        assert lst.peer_ids == (1, 3, 2)
-        assert lst.careful_count == 3
+        lst, careful = self.gen(me, [me] + peers, t=t, alpha=1.0, zeta=3)
+        assert lst == careful == (1, 3, 2)
         assert lst[0] == 1
 
     def test_careful_members_share_city_and_isp(self):
@@ -431,8 +419,8 @@ class TestPathAwareList:
         online += [make_peer(i, city="Beijing", isp=2) for i in range(15, 22)]
         by_id = {p.id: p for p in online}
         for seed in range(10):
-            lst = self.gen(me, online, seed=seed)
-            for pid in lst.peer_ids[:lst.careful_count]:
+            _, careful = self.gen(me, online, seed=seed)
+            for pid in careful:
                 assert by_id[pid].city == "Wuhan"
                 assert by_id[pid].isp == 2
 
@@ -440,8 +428,8 @@ class TestPathAwareList:
         me = make_peer(0)
         bad = [make_peer(i) for i in range(1, 6)]
         good = [make_peer(i) for i in range(6, 11)]
-        lst = self.gen(me, [me] + bad + good, failed={p.id for p in bad})
-        assert all(pid >= 6 for pid in lst.peer_ids)
+        lst, _ = self.gen(me, [me] + bad + good, failed={p.id for p in bad})
+        assert all(pid >= 6 for pid in lst)
 
     def test_workload_filter_utilization(self):
         me = make_peer(0)
@@ -450,56 +438,57 @@ class TestPathAwareList:
         ledger = RelayLedger(in_use_kbps={1: 0.81 * busy.uplink_kbps,
                                           2: 0.80 * exact.uplink_kbps})
         idle = make_peer(3)
-        lst = self.gen(me, [me, busy, exact, idle], ledger=ledger)
-        assert 1 not in lst.peer_ids      # above gamma
-        assert 2 in lst.peer_ids          # exactly gamma stays
-        assert 3 in lst.peer_ids
+        lst, _ = self.gen(me, [me, busy, exact, idle], ledger=ledger)
+        assert 1 not in lst      # above gamma
+        assert 2 in lst          # exactly gamma stays
+        assert 3 in lst
 
     def test_workload_filter_count_mode(self):
         me = make_peer(0)
         loaded = make_peer(1)
         light = make_peer(2)
         ledger = RelayLedger(workload={1: 3, 2: 2})
-        lst = self.gen(me, [me, loaded, light], gamma=2.0,
-                       workload_mode="count", ledger=ledger)
-        assert 1 not in lst.peer_ids
-        assert 2 in lst.peer_ids
+        lst, _ = self.gen(me, [me, loaded, light], gamma=2.0,
+                          workload_mode="count", ledger=ledger)
+        assert 1 not in lst
+        assert 2 in lst
 
     def test_no_backfill_when_careful_short(self):
         # no same-city-ISP peers online: only the 8 random slots remain
         me = make_peer(0, city="Chengdu", isp=3)
         online = [me] + [make_peer(i, city="Shanghai", isp=1)
                          for i in range(1, 40)]
-        lst = self.gen(me, online)
-        assert lst.careful_count == 0
+        lst, careful = self.gen(me, online)
+        assert careful == ()
         assert len(lst) <= 8
 
     def test_ceil_of_alpha_zeta(self):
         # 10 * 0.3 must give 3 careful slots, not 4 (float round-up trap)
         me = make_peer(0)
         online = [me] + [make_peer(i) for i in range(1, 30)]
-        lst = self.gen(me, online, alpha=0.3)
-        assert lst.careful_count == 3
+        _, careful = self.gen(me, online, alpha=0.3)
+        assert len(careful) == 3
 
     def test_tau_ties_break_by_id(self):
         t = 100.0
         me = make_peer(0, join=t)
         same_elapse = [make_peer(i, join=0.0) for i in (9, 4, 7)]
-        lst = self.gen(me, [me] + same_elapse, t=t, alpha=1.0, zeta=3)
-        assert lst.peer_ids == (4, 7, 9)
+        lst, _ = self.gen(me, [me] + same_elapse, t=t, alpha=1.0, zeta=3)
+        assert lst == (4, 7, 9)
 
     def test_requester_never_listed(self):
         me = make_peer(0)
         online = [me] + [make_peer(i) for i in range(1, 30)]
         for seed in range(20):
-            assert 0 not in self.gen(me, online, seed=seed).peer_ids
+            lst, _ = self.gen(me, online, seed=seed)
+            assert 0 not in lst
 
     def test_deterministic(self):
         me = make_peer(0)
         online = [me] + [make_peer(i) for i in range(1, 30)]
         a = self.gen(me, online, seed=5)
         b = self.gen(me, online, seed=5)
-        assert a.peer_ids == b.peer_ids and a.careful_count == b.careful_count
+        assert a == b
 
 
 class TestSolveExact:
