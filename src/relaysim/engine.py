@@ -11,12 +11,15 @@ A run reads a Population, read-only columns in issue order; Peer objects
 exist only at the API edge. Server fetches hold no relay capacity, so they
 are decided at issue time on whole columns. The candidate draws and the
 path-aware rank depend only on the population, so draw_candidates makes
-every list in one walk before the event loop; a request takes its list as
-a tuple of relay ids in try order. The loop resolves the attempts due by
-each relay-phase join before issuing that request, so its heap holds
-attempt resolutions only; a path-aware list then drops the relays busy in
-the run's ledger, and each attempt is planned in full (AttemptPlan)
-when it starts. Results are one Outcomes table of columns.
+every list before the event loop, a block of requesters at a time: pick
+positions as arrays from the pool sizes, one sweep that only indexes the
+sorted online ids, then the fetch-failure history and the rank as array
+steps. A request takes its list as a tuple of relay ids in try order. The
+loop resolves the attempts due by each relay-phase join before issuing
+that request, so its heap holds attempt resolutions only; a path-aware
+list then drops the relays busy in the run's ledger, and each attempt is
+planned in full (AttemptPlan) when it starts. Results are one Outcomes
+table of columns.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import heapq
 import numbers
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +38,10 @@ from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedge
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
-from relaysim.selection import (OnlineSet, draw_path_aware, generate_relay_list,
-                                random_relay_list, rank_path_aware)
+from relaysim.selection import (OnlineSet, careful_slots, generate_relay_list, pick_ids,
+                                pool_positions, rank_path_aware)
+# random_relay_list is not called here; perfbench's tracer patches this binding.
+from relaysim.selection import random_relay_list  # noqa: F401
 
 # Heap entries are (time, priority, seq, request), one per relay attempt
 # resolution: ATTEMPT_COMPLETE when its plan delivers, ATTEMPT_ABORT
@@ -331,67 +335,103 @@ def _draws_key(cfg: SimConfig) -> tuple:
             tuple(cfg.tts_coeffs), cfg.tts_clamp_min)
 
 
-_RANK_BLOCK = 2048   # requesters per rank_path_aware call: bounds its columns
+_RANK_BLOCK = 2048   # requesters per block of positions, sweep lists and rank
 
 
 def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     """The candidate lists of every relay-phase requester (the cut-off rows
-    issued by cfg.sim_duration), made without running the event loop: the
-    draws of _walk, path-aware ones ranked at their requester's join, a
-    block at a time. no-relay draws nothing."""
+    issued by cfg.sim_duration), made without running the event loop, a
+    block of requesters at a time: _walk's draws, then for path-aware the
+    fetch-failure history and the rank at the requester's join, both on
+    the block's columns. A path-aware draw drops the relays that are
+    requesters issued before it: rows are in issue order, so those are the
+    cut-off rows above its own. no-relay draws nothing."""
     k = population.issued_by(cfg.sim_duration) if cfg.strategy != "no-relay" else 0
     requesters = np.flatnonzero(population.cut[:k])
-    times, walk = population.join[requesters], _walk(cfg, population, k, requesters)
+    path_aware = cfg.strategy == "path-aware"
+    slots = careful_slots(cfg.zeta, cfg.alpha) if path_aware else 0
     tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
-    relays, sizes = [np.zeros(0, np.int64)], []
-    for start in range(0, len(requesters), _RANK_BLOCK):
-        block = list(islice(walk, _RANK_BLOCK))
-        sizes += [len(part) + len(rest) for part, rest in block]
-        relays.append(rank_path_aware(block, times[start:start + len(block)], population, tts)
-                      if cfg.strategy == "path-aware" else
-                      np.fromiter(chain.from_iterable(rest for _, rest in block), np.int64))
-    table = (np.concatenate(relays), np.cumsum([0, *sizes]))
+    relays, sizes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for block, drawn, parts in _walk(cfg, population, k, requesters, slots):
+        if path_aware:
+            rows = population.row_of[drawn]
+            own = np.repeat(block, parts.sum(axis=1))   # each relay's requester row
+            keep = ~(population.cut[rows] & (rows < own))
+            part = np.repeat(np.arange(parts.size), parts.ravel())
+            parts = np.bincount(part[keep], minlength=parts.size).reshape(-1, 2)
+            drawn = rank_path_aware(drawn[keep], parts, population.join[block], population, tts)
+        relays.append(drawn)
+        sizes.append(parts.sum(axis=1))
+    table = (np.concatenate(relays), np.concatenate([[0], np.cumsum(np.concatenate(sizes))]))
     for column in table:
         column.flags.writeable = False
     return CandidateDraws(_draws_key(cfg), population, *table)
 
 
-def _walk(cfg: SimConfig, population: Population, k: int,
-          requesters: np.ndarray) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each requester row's draw, in order, as draw_path_aware's (careful
-    ids, random ids) or as ((), random ids). The walk takes one step per
-    requester with an OnlineSet of the peers q among the first k rows with
-    join_q <= t < departure_q at the step's time t; a peer comes online
-    only if it leaves at a later step than it arrives, so a zero-length
-    session never does. The selection stream is drawn once, cfg.zeta floats
-    per requester; the requester with rank r by id reads row r. The
-    requesters visited so far are the fetch-failure history a path-aware
-    draw drops."""
-    ids, bucket, times = population.ids, population.bucket, population.join[requesters]
-    rank = np.argsort(np.argsort(ids[requesters]))
-    rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((len(requesters), cfg.zeta))
-    arrive, leave = (np.searchsorted(times, c[:k]) for c in (population.join, population.dep))
-    online_peers = np.flatnonzero(leave > arrive)
-    bounds = np.arange(len(requesters) + 1)
+def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray,
+          slots: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The draws of the requester rows, _RANK_BLOCK at a time, in issue
+    order: (the block's rows, the ids drawn, each draw's careful part and
+    then its random part, the part lengths as an n x 2 array). The slots
+    careful picks come from the requester's bucket (zero slots: the random
+    draw).
 
-    def by_step(step: np.ndarray) -> Iterator[Iterator[tuple[int, int]]]:
-        """Each step's slice of the online peers, as (id, bucket code)."""
-        order = online_peers[np.argsort(step[online_peers], kind="stable")]
-        pids, codes = ids[order].tolist(), bucket[order].tolist()
-        at = np.searchsorted(step[order], bounds).tolist()
-        return (zip(pids[lo:hi], codes[lo:hi]) for lo, hi in zip(at, at[1:]))
-    online, failed = OnlineSet(), set()
-    for pid, code, r, leaving, arriving in zip(ids[requesters].tolist(),
-                                               bucket[requesters].tolist(), rank.tolist(),
-                                               by_step(leave), by_step(arrive)):
-        online.update(leaving, arriving)
-        u = rows[r].tolist()
-        if cfg.strategy == "random":
-            yield (), random_relay_list(pid, online, cfg.zeta, u)
-        else:
-            yield draw_path_aware(pid, code, online, alpha=cfg.alpha, zeta=cfg.zeta, u=u,
-                                  failed=failed)
-            failed.add(pid)
+    Step s is requester s's join t_s. Peer q among the first k rows is
+    online at step s when join_q <= t_s < departure_q: it arrives at the
+    first step at or after its join and leaves at the first step at or
+    after its departure, so a zero-length session never comes online. The
+    pool sizes at each step are counts on those step columns, so the pick
+    positions of a block need no ids (pool_positions); one sweep keeps the
+    online ids in an OnlineSet and maps each draw's positions to ids
+    (pick_ids). The selection stream is drawn once, cfg.zeta floats per
+    requester; the requester with rank r by id reads row r."""
+    ids, bucket, n = population.ids, population.bucket, len(requesters)
+    if n == 0:
+        return
+    times = population.join[requesters]
+    rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((n, cfg.zeta))
+    rank = np.argsort(np.argsort(ids[requesters]))
+    arrive, leave = (np.searchsorted(times, c[:k]) for c in (population.join, population.dep))
+    live = np.flatnonzero(leave > arrive)
+    arrive, leave = arrive[live], leave[live]
+    by_step = []   # (live rows by step, where each step's rows start) for leave, arrive
+    for step in (leave, arrive):
+        order = np.argsort(step, kind="stable")
+        by_step.append((live[order], np.searchsorted(step[order], np.arange(n + 1))))
+    # Pool sizes: the peers online at each step and those of the step's
+    # bucket (keys bucket * (n + 1) + step), less the requester, which is
+    # online at its own step when its session is not empty.
+    here = population.dep[requesters] > times
+    pool = by_step[1][1][1:] - by_step[0][1][1:] - here
+    keys = [np.sort(bucket[live] * (n + 1) + step) for step in (arrive, leave)]
+    at = bucket[requesters] * (n + 1) + np.arange(n)
+    same = (np.searchsorted(keys[0], at, side="right")
+            - np.searchsorted(keys[1], at, side="right") - here)
+    del arrive, leave, live, keys, at
+
+    def changes(lo: int, hi: int) -> Iterator[tuple[list, list]]:
+        """Each step's (leaving, arriving) (id, bucket code) pairs, lo to hi."""
+        for order, at in by_step:
+            block = order[at[lo]:at[hi]]
+            pairs = list(zip(ids[block].tolist(), bucket[block].tolist()))
+            bounds = (at[lo:hi + 1] - at[lo]).tolist()
+            yield [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    online = OnlineSet()
+    for lo in range(0, n, _RANK_BLOCK):
+        hi = min(lo + _RANK_BLOCK, n)
+        u, careful = rows[rank[lo:hi]], np.minimum(same[lo:hi], slots)
+        drawn = []
+        for pid, code, leaving, arriving, c, r in zip(
+                ids[requesters[lo:hi]].tolist(), bucket[requesters[lo:hi]].tolist(),
+                *changes(lo, hi), pool_positions(u[:, :slots], same[lo:hi]),
+                pool_positions(u[:, slots:], pool[lo:hi] - careful)):
+            online.update(leaving, arriving)
+            c, r = pick_ids(online, pid, code, c, r)
+            drawn += c
+            drawn += r
+        randoms = np.minimum(pool[lo:hi] - careful, cfg.zeta - slots)
+        yield requesters[lo:hi], np.array(drawn, np.int64), np.column_stack((careful, randoms))
 
 
 class Simulation:

@@ -3,17 +3,20 @@
 A relay candidate list is a tuple of relay ids in try order; entry 0,
 when present, is the primary relay. The draw and the rank depend only on
 the population, so the engine makes both in one pass before the event
-loop (engine.draw_candidates): random_relay_list draws the random
-baseline's list; draw_path_aware draws a careful partition from the
-online peers of the requester's city and ISP and a random partition from
-everyone else online; rank_path_aware sorts each partition by estimated
-time-to-stay, for a block of draws at once, and puts the careful one
-first. At request time generate_relay_list drops the peers with too much
-relay workload. Peers enter as ids, bucket codes and population rows.
-The draws read an OnlineSet of ascending ids, bucketed by code, and pick
-pool indices without building the pools, so the work per list grows with
-zeta, not with the peers online. Each draw reads a row u of uniform floats
-in [0, 1), one per pick, and samples without replacement (_draw).
+loop (engine.draw_candidates). A path-aware list draws ceil(zeta * alpha)
+careful slots from the online peers of the requester's city and ISP and
+the rest from everyone else online; the random baseline's list is the
+alpha-0 draw. Each draw reads a row u of uniform floats in [0, 1), one per
+pick, and samples without replacement. Where a pick lands in its pool
+depends only on the pool's size and u, so pool_positions computes the
+positions of a whole block of draws as arrays; pick_ids then maps one
+draw's positions to ids in an OnlineSet of ascending ids, bucketed by
+code, past the slots its pool skips, so the work per list grows with
+zeta, not with the peers online. random_relay_list and draw_path_aware
+make one requester's draw the same two ways. rank_path_aware sorts each
+partition of a block of draws, given as flat ids, by estimated
+time-to-stay and puts the careful one first. At request time
+generate_relay_list drops the peers with too much relay workload.
 
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Container, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,45 +74,73 @@ class OnlineSet:
         return self._buckets.get(code, [])
 
 
-def _draw(u: Sequence[float], ids: list[int], skip: list[int], k: int) -> list[int]:
-    """Up to k ids drawn without replacement, in sequence, from ids minus
-    the ascending positions in skip, reading one float of u per pick.
+def pool_positions(u: np.ndarray, m) -> list[list[int]]:
+    """Row i's picks from a pool of m[i] positions, drawn without
+    replacement in sequence, as a list of up to k positions per row (u is
+    n x k, one float per pick).
 
-    Of the m ids in the pool, pick j takes position floor(u[j] * (m - j))
-    among the positions still untaken, mapped past the skipped and taken
-    ones: pool.pop(int(u[j] * len(pool))) on the pool built as a list, whose
-    ordered pick sequences are equally likely for uniform u. k <= 0, or an
-    empty pool, reads nothing of u.
+    Pick j takes index x_j = floor(u[i, j] * (m[i] - j)) among the
+    positions still untaken: pool.pop(int(u[j] * len(pool))) on the pool
+    built as a list, whose ordered pick sequences are equally likely for
+    uniform u; the float64 product truncated to int64 is the Python int()
+    of it. An index in what is left after pick l is an index before it
+    moved past x_l, so pick j's position is x_j moved back through the
+    earlier picks, last first: x becomes x + (x >= x_l). Picks past the
+    pool read nothing.
     """
-    m = len(ids) - len(skip)
-    taken = list(skip)
-    picked = []
-    for j in range(min(k, m)):
-        i = int(u[j] * (m - j))
-        for s in taken:
-            if s > i:
-                break
-            i += 1
-        insort(taken, i)
-        picked.append(ids[i])
-    return picked
+    u, m = np.asarray(u, np.float64), np.asarray(m, np.int64)
+    k = u.shape[1]
+    index = (u * (m[:, None] - np.arange(k))).astype(np.int64)
+    out = index.copy()
+    for l in range(k - 2, -1, -1):
+        out[:, l + 1:] += out[:, l + 1:] >= index[:, l:l + 1]
+    rows = out.tolist()
+    for i in np.flatnonzero(m < k).tolist():
+        rows[i] = rows[i][:max(m.item(i), 0)]
+    return rows
 
 
-def _positions(ids: list[int], pids) -> list[int]:
-    """Ascending positions in ids of those pids that ids holds."""
-    found = ((bisect_left(ids, pid), pid) for pid in pids)
-    return sorted(i for i, pid in found if i < len(ids) and ids[i] == pid)
+def _slot(ids: list[int], pid: int) -> int:
+    """pid's position in ids, or len(ids) when ids does not hold it."""
+    i = bisect_left(ids, pid)
+    return i if i < len(ids) and ids[i] == pid else len(ids)
+
+
+def pick_ids(online: OnlineSet, requester: int, bucket: Hashable, careful: list[int],
+             randoms: list[int]) -> tuple[list[int], list[int]]:
+    """The ids of one path-aware draw at its pool positions (pool_positions):
+    (careful ids, random ids). The careful pool is the online peers with
+    the requester's bucket code, the random pool all online peers, both in
+    ascending id order and without the requester; the random pool also
+    leaves out the careful picks. A position moves past the slots its pool
+    skips: past slots t in ascending order, q becomes q + #{l : t_l - l <= q},
+    which counts the skipped slots before the q-th one not skipped."""
+    ids = online.ids
+    r = _slot(ids, requester)
+    if not careful:
+        return [], [ids[q + (q >= r)] for q in randoms]
+    same = online.bucket(bucket)
+    b = _slot(same, requester)
+    careful = [same[q + (q >= b)] for q in careful]
+    slots = sorted([r, *[bisect_left(ids, pid) for pid in careful]])
+    moved = [t - l for l, t in enumerate(slots)]
+    return careful, [ids[q + bisect_right(moved, q)] for q in randoms]
+
+
+def careful_slots(zeta: int, alpha: float) -> int:
+    """The careful slots of a path-aware list: ceil(zeta * alpha), at most zeta."""
+    return min(zeta, math.ceil(zeta * alpha - 1e-12))
 
 
 def random_relay_list(requester: int, online: OnlineSet, zeta: int,
                       u: Sequence[float]) -> tuple[int, ...]:
     """Baseline: the ids of up to zeta online peers other than the
-    requester (an id), drawn uniformly from the row u, in draw order. Pool
-    index i is the i-th lowest online id other than the requester's, so the
-    draw does not depend on the order peers came online in.
+    requester (an id), drawn uniformly from the row u, in draw order: the
+    alpha-0 path-aware draw with no history. Pool index i is the i-th
+    lowest online id other than the requester's, so the draw does not
+    depend on the order peers came online in.
     """
-    ids = online.ids
-    return tuple(_draw(u, ids, _positions(ids, (requester,)), zeta))
+    return draw_path_aware(requester, None, online, alpha=0.0, zeta=zeta, u=u, failed=())[1]
 
 
 def _workload_ok(pid: int, uplink_kbps: float, ledger: RelayLedger, gamma: float,
@@ -125,33 +156,34 @@ def draw_path_aware(requester: int, bucket: Hashable, online: OnlineSet, *, alph
     """The draw half of a path-aware list: (careful ids, random ids), for
     the requester with that id and bucket code.
 
-    ceil(zeta * alpha) careful slots are drawn from the online peers of
-    the requester's bucket, the rest from all other online peers, both
-    pools without the requester and in ascending id order. The careful draw
-    reads u first, the random draw u[careful_slots:], so with alpha 0 and
-    failed empty the random part is random_relay_list's draw. A careful
-    shortfall is not backfilled. The ids in failed (the fetch-failure
-    history) take their picks, then leave both parts, kept in draw order.
+    careful_slots(zeta, alpha) slots are drawn from the online peers of
+    the requester's bucket, the rest from all other online peers (pick_ids'
+    pools). The careful draw reads u first, the random draw
+    u[careful_slots:], so with alpha 0 and failed empty the random part is
+    random_relay_list's draw. A careful shortfall is not backfilled. The
+    ids in failed (the fetch-failure history) take their picks, then leave
+    both parts, kept in draw order.
     """
-    careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
-    same = online.bucket(bucket)
-    careful = _draw(u, same, _positions(same, (requester,)), careful_slots)
-    randoms = _draw(u[careful_slots:], online.ids,
-                    _positions(online.ids, (requester, *careful)), zeta - careful_slots)
+    slots = careful_slots(zeta, alpha)
+    same, ids = online.bucket(bucket), online.ids
+    m = len(same) - (_slot(same, requester) < len(same))
+    careful = pool_positions([u[:slots]], [m])[0]
+    m = len(ids) - (_slot(ids, requester) < len(ids)) - len(careful)
+    drawn = pick_ids(online, requester, bucket, careful,
+                     pool_positions([u[slots:zeta]], [m])[0])
     drop = failed.__contains__
-    return tuple(filterfalse(drop, careful)), tuple(filterfalse(drop, randoms))
+    return tuple(tuple(filterfalse(drop, part)) for part in drawn)
 
 
-def rank_path_aware(drawn: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], times,
-                    population: Population, tts: TimeToStayModel) -> np.ndarray:
-    """The int64 ids of path-aware draws (draw_path_aware's pairs), draw i
-    made at times[i], ranked and concatenated: careful partition first, so
-    its most durable member is the primary relay, each partition by
-    descending estimated time-to-stay at its time (join times from the
-    population's columns), ties on ascending id."""
-    sizes = np.array([(len(careful), len(randoms)) for careful, randoms in drawn], np.int64)
-    ids = np.fromiter(chain.from_iterable(chain.from_iterable(drawn)), np.int64)
-    part = np.repeat(np.arange(sizes.size), sizes.ravel())   # draw i: parts 2i, 2i + 1
+def rank_path_aware(ids: np.ndarray, sizes: np.ndarray, times, population: Population,
+                    tts: TimeToStayModel) -> np.ndarray:
+    """The int64 ids of a block of path-aware draws, draw i made at times[i],
+    ranked: ids holds each draw's careful part, then its random part, and
+    sizes (n x 2) their lengths. Each part is sorted by descending estimated
+    time-to-stay at its time (join times from the population's columns),
+    ties on ascending id, so the careful part's most durable member is the
+    primary relay."""
+    part = np.repeat(np.arange(sizes.size), np.ravel(sizes))   # draw i: parts 2i, 2i + 1
     elapse = (np.asarray(times)[part // 2] - population.join[population.row_of[ids]]) / 60.0
     return ids[np.lexsort((ids, -estimate_time_to_stay(tts, elapse), part))]
 

@@ -51,10 +51,19 @@ def population(peers):
     return Population.from_peers(peers, FailureScenario(frozenset()))
 
 
+def flat_draws(block):
+    """A block of path-aware draws, (careful ids, random ids) pairs, as
+    rank_path_aware takes it: the int64 ids, each draw's careful part then
+    its random part, and the n x 2 part lengths."""
+    ids = np.array([pid for drawn in block for part in drawn for pid in part], np.int64)
+    sizes = np.array([[len(part) for part in drawn] for drawn in block], np.int64)
+    return ids, sizes.reshape(-1, 2)
+
+
 def ranked_list(drawn, t, population, tts):
     """The list of ids rank_path_aware makes of one path-aware draw
     (careful ids, random ids) for a request at time t."""
-    return tuple(rank_path_aware([drawn], [t], population, tts).tolist())
+    return tuple(rank_path_aware(*flat_draws([drawn]), [t], population, tts).tolist())
 
 
 def careful_head(lst, careful):

@@ -11,6 +11,12 @@ formula and the selection stream's seed. reference_run(cfg, peers,
 scenario) returns {requester id: (served_by, attempts, end_time,
 entered_relay_phase)} for every request issued by the horizon.
 
+reference_draws(cfg, peers, scenario) is the draw pass as a walk of one
+step per relay-phase requester: an OnlineSet brought to the peers online
+at the requester's join, the one-requester draws of selection, a set of
+the requesters seen so far as the fetch-failure history, and
+rank_path_aware on the path-aware draws.
+
 It also keeps the row-by-row forms of the metrics and the outcome CSV
 writer, which scan RequestOutcome records: collect_metrics_rows and
 write_outcomes_csv_rows.
@@ -22,10 +28,13 @@ import math
 import numpy as np
 
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
-from relaysim.engine import MetricsReport
+from relaysim.engine import MetricsReport, Population
 from relaysim.io import OUTCOME_COLUMNS, _fmt
 from relaysim.model import RATE_EPS
 from relaysim.netsim import SERVER, CityTable, latency_ms
+from relaysim.selection import OnlineSet, draw_path_aware, random_relay_list, rank_path_aware
+
+from helpers import flat_draws
 
 # Resolutions that deliver run first at one instant, then the other
 # resolutions, then request issues; ties keep the order they were added in.
@@ -193,6 +202,61 @@ def reference_run(cfg, peers, scenario):
         req = by_id[rid]
         result[rid] = (None, state[rid]["attempts"], min(departure(req), horizon), True)
     return result
+
+
+def bucket(peer):
+    """The peer's careful-pool key: its city and ISP."""
+    return peer.city, peer.isp
+
+
+def reference_draws(cfg, peers, scenario):
+    """The candidate lists of the relay-phase requests, as draw_candidates
+    makes them, and the pools they were drawn from: ({requester id: relay
+    ids in try order}, {requester id: (join, online ids less its own, its
+    bucket's online ids less its own)}).
+
+    One step per requester, in issue order: the OnlineSet takes the peers
+    that left since the last step and those that came, and must then hold
+    exactly the peers q with join_q <= join < departure_q. A path-aware
+    draw drops the requesters of the earlier steps; the path-aware draws
+    are ranked at their joins at the end.
+    """
+    horizon = cfg.sim_duration
+    issued = sorted((p for p in peers if p.join_time <= horizon), key=lambda p: p.join_time)
+    cut = [p for p in issued if cut_off(scenario, p.id, p.join_time)]
+    if cfg.strategy == "no-relay":
+        return {}, {}
+    block = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 2))).random(
+        (len(cut), cfg.zeta)).tolist()
+    rows = dict(zip(sorted(p.id for p in cut), block))
+    walk, live, failed, lists, pools, drawn = OnlineSet(), {}, set(), {}, {}, []
+    for p in cut:
+        t = p.join_time
+        now = {q.id: q for q in peers if online(q, t)}
+        walk.update([(q.id, bucket(q)) for pid, q in live.items() if pid not in now],
+                      [(q.id, bucket(q)) for pid, q in now.items() if pid not in live])
+        live = now
+        pool = sorted(pid for pid in now if pid != p.id)
+        same = [pid for pid in pool if bucket(now[pid]) == bucket(p)]
+        assert [pid for pid in walk.ids if pid != p.id] == pool
+        assert [pid for pid in walk.bucket(bucket(p)) if pid != p.id] == same
+        pools[p.id] = (t, pool, same)
+        if cfg.strategy == "random":
+            lists[p.id] = random_relay_list(p.id, walk, cfg.zeta, rows[p.id])
+        else:
+            drawn.append(draw_path_aware(p.id, bucket(p), walk, alpha=cfg.alpha,
+                                         zeta=cfg.zeta, u=rows[p.id], failed=failed))
+            failed.add(p.id)
+    if drawn:
+        tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
+        ids, sizes = flat_draws(drawn)
+        ranked = rank_path_aware(ids, sizes, [p.join_time for p in cut],
+                                 Population.from_peers(peers, scenario), tts).tolist()
+        ends = np.cumsum(sizes.sum(axis=1)).tolist()
+        lists = {p.id: tuple(ranked[lo:hi]) for p, lo, hi in zip(cut, [0, *ends], ends)}
+    for pid, listed in lists.items():
+        assert set(listed) <= set(pools[pid][1]) and len(set(listed)) == len(listed) <= cfg.zeta
+    return lists, pools
 
 
 def collect_metrics_rows(outcomes, affected_ids=frozenset(), region_ids=frozenset()):

@@ -31,10 +31,9 @@ from relaysim.churn import SessionModel
 from relaysim.io import SweepSpec, build_trace_peers, run_sweep, run_trace, synthesize_trace
 from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
-from relaysim.selection import OnlineSet
 
 from helpers import candidate_lists, outcome_tables, outcomes_table, peer_rows
-from reference import collect_metrics_rows, reference_run
+from reference import collect_metrics_rows, reference_draws, reference_run
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=1e9,
@@ -502,17 +501,20 @@ class TestSimulation:
         assert isinstance(rep, MetricsReport)
         assert rep.total_requests > 0
 
-    def test_zero_length_session_never_goes_online(self, monkeypatch):
+    def test_zero_length_session_never_goes_online(self):
         # Its departure runs before its arrival at the same instant, so
         # admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
-        population = Population.from_peers(peers, FailureScenario(frozenset({1})))
-        pools = record_pools(monkeypatch, population)
-        sim = Simulation(small_cfg(strategy="random"), population)
+        scenario = FailureScenario(frozenset({1}))
+        population = Population.from_peers(peers, scenario)
+        cfg = small_cfg(strategy="random")
+        lists, pools = reference_draws(cfg, peers, scenario)
+        sim = Simulation(cfg, population)
         sim.run()
         # peer 1 drew from an empty pool: peer 0 was never online, and the
         # requester is not its own candidate
         assert pools == {1: (5.0, [], [])}
+        assert candidate_lists(sim._draws) == lists == {1: ()}
         by_id = {o.requester_id: o for o in sim.outcomes}
         assert by_id[0].served_by is None and by_id[0].end_time == 0.0
         assert by_id[1].attempts == 0 and by_id[1].served_by is None
@@ -575,27 +577,6 @@ class TestSimulation:
         monkeypatch.setattr(engine, "_stream", no_select)
         rep = run(small_cfg(strategy="no-relay"))
         assert rep.relay_phase_requests > 0
-
-
-def record_pools(monkeypatch, population):
-    """Record, per relay-phase requester of the population, its request
-    time, the online ids other than its own and its (city, ISP) bucket
-    less itself, as the draw pass hands them to either strategy's draw."""
-    pools = {}
-
-    def recording(real):
-        def draw(requester, *args, **kwargs):
-            online = next(arg for arg in args if isinstance(arg, OnlineSet))
-            row = population.row_of[requester]
-            pools[requester] = (
-                population.join[row],
-                [i for i in online.ids if i != requester],
-                [i for i in online.bucket(population.bucket[row]) if i != requester])
-            return real(requester, *args, **kwargs)
-        return draw
-    for name in ("random_relay_list", "draw_path_aware"):
-        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
-    return pools
 
 
 class EventCountingSimulation(Simulation):
@@ -922,7 +903,8 @@ def draw_populations(draw):
     scenario = FailureScenario(frozenset(draw(st.sets(st.integers(0, n - 1)))),
                                region="Beijing", start_time=start, end_time=end)
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
-                    zeta=draw(st.integers(1, 4)), alpha=draw(st.sampled_from((0.0, 0.5, 1.0))),
+                    zeta=draw(st.integers(1, 4)),
+                    alpha=draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))),
                     sim_duration=draw(st.sampled_from((3.0, 5.0, math.inf))))
     return cfg, draw(st.permutations(peers)), scenario
 
@@ -979,37 +961,55 @@ class TestDrawPass:
     @settings(max_examples=300, deadline=None)
     @given(draw_populations(), st.sampled_from(("random", "path-aware")))
     def test_pools_are_the_online_peers_at_the_request(self, case, strategy):
+        # reference_draws checks that its pools are the online peers at each
+        # join, and its bucket pools the same-bucket ones
         cfg, peers, scenario = case
         cfg = replace(cfg, strategy=strategy)
-        population = Population.from_peers(peers, scenario)
-        with pytest.MonkeyPatch.context() as mp:
-            pools = record_pools(mp, population)
-            draws = draw_candidates(cfg, population)
-        requesters = {p.id: p for p in peers if p.join_time <= cfg.sim_duration
+        lists = candidate_lists(draw_candidates(cfg, Population.from_peers(peers, scenario)))
+        want, pools = reference_draws(cfg, peers, scenario)
+        requesters = {p.id for p in peers if p.join_time <= cfg.sim_duration
                       and scenario.cut_off(p.id, p.join_time)}
-        lists = candidate_lists(draws)
-        assert set(pools) == set(lists) == set(requesters)
-        for pid, (t, pool, bucket) in pools.items():
-            me = requesters[pid]
-            online = [q for q in sorted(peers, key=lambda q: q.id)
-                      if q.id != pid and q.join_time <= t < q.departure_time]
-            assert t == me.join_time
-            assert pool == [q.id for q in online]
-            assert bucket == [q.id for q in online if (q.city, q.isp) == (me.city, me.isp)]
-            ids = lists[pid]
-            assert set(ids) <= set(pool) and len(ids) == len(set(ids)) <= cfg.zeta
+        assert set(pools) == set(lists) == requesters
+        assert lists == want
 
     @pytest.mark.parametrize("strategy", ["random", "path-aware"])
-    def test_request_at_a_departure_and_past_the_horizon(self, strategy, monkeypatch):
+    def test_request_at_a_departure_and_past_the_horizon(self, strategy):
         # Peer 1 leaves at t = 2, the instant peer 2 joins; peer 3 joins at
         # the same instant; peer 4 joins past the finite horizon.
         peers = [make_peer(0, join=0.0, dur=math.inf), make_peer(1, join=1.0, dur=1.0),
                  make_peer(2, join=2.0, dur=5.0), make_peer(3, join=2.0, dur=0.0),
                  make_peer(4, join=4.0, dur=5.0)]
-        population = Population.from_peers(peers, FailureScenario(frozenset({1, 2, 3, 4})))
-        pools = record_pools(monkeypatch, population)
-        draw_candidates(small_cfg(strategy=strategy, sim_duration=3.0), population)
+        scenario = FailureScenario(frozenset({1, 2, 3, 4}))
+        cfg = small_cfg(strategy=strategy, sim_duration=3.0)
+        lists, pools = reference_draws(cfg, peers, scenario)
         assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}
+        draws = draw_candidates(cfg, Population.from_peers(peers, scenario))
+        assert candidate_lists(draws) == lists
+
+    @pytest.mark.parametrize("strategy", ["random", "path-aware"])
+    def test_blocks_give_the_same_table(self, strategy, monkeypatch):
+        # A trace listed out of join order, so ids are not issue rows, whose
+        # joins are rounded to 5 s so equal joins straddle block edges of 1
+        # and 3 requesters; every fourth session is empty.
+        records = [replace(rec, request_ts=5.0 * (rec.request_ts // 5.0))
+                   for rec in synthesize_trace(300, seed=4, fail_fraction=0.6)[::-1]]
+        records = [replace(rec, leave_ts=rec.request_ts) if i % 4 == 0 else rec
+                   for i, rec in enumerate(records)]
+        cfg = small_cfg(strategy=strategy, peer_count=300, alpha=0.5, sim_duration=math.inf)
+        columns = build_trace_peers(records, cfg, np.random.default_rng(5))
+        population = Population(columns, FailureScenario(
+            frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)))
+        cut = population.join[population.cut]
+        assert population.ids.tolist() != sorted(population.ids.tolist())
+        assert any(cut[i] == cut[i + 1] for i in range(2, len(cut) - 1, 3))
+        tables = []
+        for block in (1, 3, 2048):
+            monkeypatch.setattr(engine, "_RANK_BLOCK", block)
+            draws = draw_candidates(cfg, population)
+            tables.append((draws.relays.tolist(), draws.offsets.tolist()))
+        assert tables[0] == tables[1] == tables[2]
+        lists, _ = reference_draws(cfg, peer_rows(columns), population.scenario)
+        assert candidate_lists(draws) == lists
 
     def test_equal_joins_take_the_fetch_failure_history_in_issue_order(self):
         # Cut-off peers 5 and 2 join at the same instant and 5 comes first in

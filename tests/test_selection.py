@@ -17,16 +17,17 @@ from relaysim.selection import (
     draw_path_aware,
     generate_relay_list,
     load_instance,
+    pick_ids,
+    pool_positions,
     random_relay_list,
     rank_path_aware,
     solve_exact,
     solve_greedy,
-    _draw,
     _workload_ok,
 )
 
-from helpers import (add, assignment_matrix, careful_head, discard, online_set, population,
-                     ranked_list, save_instance)
+from helpers import (add, assignment_matrix, careful_head, discard, flat_draws, online_set,
+                     population, ranked_list, save_instance)
 from reference import durability, not_busy
 
 
@@ -224,7 +225,7 @@ class TestRankOnce:
     def test_filtering_the_ranked_list_ranks_the_filtered_draw(self, case):
         peers, block, times, tts, workload = case
         ledger, by_id, listed = workload["ledger"], {p.id: p for p in peers}, population(peers)
-        ranked = rank_path_aware(block, times, listed, tts).tolist()
+        ranked = rank_path_aware(*flat_draws(block), times, listed, tts).tolist()
         at = 0
         for (careful, randoms), t in zip(block, times):
             size = len(careful) + len(randoms)
@@ -279,22 +280,40 @@ def chi_square_bound(df, z=4.5):
 
 
 class TestSequentialPick:
+    def test_positions_are_the_list_pops(self):
+        # every pool size 0..12 for every row length 0..10, pool sizes mixed
+        # within one call, and rows at the ends of [0, 1)
+        rng = np.random.default_rng(20261019)
+        top = math.nextafter(1.0, 0.0)
+        for k in range(11):
+            m = np.repeat(np.arange(13), 23)
+            u = rng.random((len(m), k))
+            u[::23], u[1::23] = 0.0, top
+            got = pool_positions(u, m)
+            assert len(got) == len(m)
+            for row, size, positions in zip(u.tolist(), m.tolist(), got):
+                assert positions == reference_draw(row, range(size), k), (size, row)
+                assert all(type(q) is int for q in positions)
+
     def test_every_ordered_pick_sequence_is_equally_likely(self):
-        # Pools of m ids, with one skipped position inside and one at the
-        # end, so the mapping past skipped and taken positions is exercised.
-        # Under uniformity Pearson's statistic has mean cells - 1 and
-        # variance about 2 (cells - 1) whatever the expected count per cell,
-        # so two draws per cell suffice where the cells are many.
+        # Pools of m ids, with the requester's slot inside and a careful
+        # pick's slot at the end skipped, so the mapping past skipped and
+        # taken positions is exercised. Under uniformity Pearson's statistic
+        # has mean cells - 1 and variance about 2 (cells - 1) whatever the
+        # expected count per cell, so two draws per cell suffice where the
+        # cells are many.
         rng = np.random.default_rng(20261018)
         for m in range(1, 9):
-            ids = list(range(m + 2))
-            skip = [1, m + 1]
-            pool = [i for pos, i in enumerate(ids) if pos not in skip]
+            online = OnlineSet()
+            online.update((), [(pid, "tail" if pid == m + 1 else "rest")
+                               for pid in range(m + 2)])
+            pool = [pid for pid in range(m + 2) if pid not in (1, m + 1)]
             for k in range(1, m + 1):
                 cells = math.perm(m, k)
                 trials = 2 * cells + 500
-                counts = Counter(tuple(_draw(u, ids, skip, k))
-                                 for u in rng.random((trials, k)).tolist())
+                positions = pool_positions(rng.random((trials, k)), np.full(trials, m))
+                counts = Counter(tuple(pick_ids(online, 1, "tail", [0], q)[1])
+                                 for q in positions)
                 assert all(len(set(seq)) == k and set(seq) <= set(pool) for seq in counts)
                 expected = trials / cells
                 chi2 = (sum((c - expected) ** 2 for c in counts.values())
