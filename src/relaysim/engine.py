@@ -14,18 +14,17 @@ path-aware rank depend only on the population, so draw_candidates makes
 every list before the event loop, a block of requesters at a time: pick
 positions as arrays from the pool sizes, one sweep that only indexes the
 sorted online ids, then the fetch-failure history and the rank as array
-steps. A request takes its list as a tuple of relay ids in try order. The
-loop resolves the attempts due by each relay-phase join before issuing
-that request, so its heap holds attempt resolutions only; a path-aware
-list then drops the relays busy in the run's ledger, and each attempt is
-planned in full (AttemptPlan) when it starts. Results are one Outcomes
-table of columns.
+steps. From there a relay is its row: a list is a tuple of relay rows in
+try order, and the run's ledger is keyed by row. The loop resolves the
+attempts due by each relay-phase join before issuing that request, so its
+heap holds attempt resolutions only; a path-aware list then drops the
+relays busy in the ledger, and each attempt is planned in full
+(AttemptPlan) when it starts. Results are one Outcomes table of columns.
 """
 
 from __future__ import annotations
 
 import heapq
-import numbers
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -35,7 +34,7 @@ import numpy as np
 from relaysim import churn
 from relaysim.churn import SessionModel, TimeToStayModel
 from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedger, SimConfig,
-                            validate_config)
+                            _is_int, validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
 from relaysim.selection import (OnlineSet, careful_slots, generate_relay_list, pick_ids,
@@ -212,9 +211,9 @@ class AttemptPlan(NamedTuple):
 class _Request:
     row: int                 # the requester's, in the Population and Simulation.outcomes
     ordinal: int             # issue order among the relay-phase requests
-    candidates: tuple[int, ...] = ()   # relay ids to try, in order
+    candidates: tuple[int, ...] = ()   # relay rows to try, in order
     next_index: int = 0      # also the number of attempts started
-    pending: tuple[AttemptPlan, int] | None = None   # scheduled (plan, relay id)
+    pending: tuple[AttemptPlan, int] | None = None   # scheduled (plan, relay row)
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
@@ -237,9 +236,9 @@ class Population:
     The columns are ids, city (codes into cities), isp, uplink, downlink,
     join, dep (join + duration), the masks affected, in_region (of the
     scenario) and cut (cut off at its join: the request enters the relay
-    phase), and bucket (a code per city and ISP); row_of, sized by the
-    largest id, maps an id to its row, other ids to -1. Ids are unique and
-    non-negative.
+    phase), and bucket (a code per city and ISP); by_id holds the rows in
+    ascending id order, so by_id[np.searchsorted(ids, pid, sorter=by_id)]
+    is the row of a present id pid. Ids are unique and non-negative.
     """
 
     def __init__(self, columns: PeerColumns, scenario: FailureScenario):
@@ -255,9 +254,8 @@ class Population:
             self.join < scenario.end_time)
         self.in_region = columns.in_city(scenario.region)[order]
         self.bucket = (self.isp - self.isp.min(initial=0)) * len(self.cities) + self.city
-        self.row_of = np.full(self.ids.max(initial=-1) + 1, -1)
-        self.row_of[self.ids] = np.arange(len(self.ids))
-        if np.count_nonzero(self.row_of >= 0) != len(self.ids):
+        self.by_id = np.argsort(self.ids)
+        if np.any(np.diff(self.ids[self.by_id]) == 0):
             raise ValueError("peer ids must be unique")
         for column in filter(lambda v: isinstance(v, np.ndarray), vars(self).values()):
             column.flags.writeable = False
@@ -289,8 +287,8 @@ class _PeerRows(Mapping):
 
     def __getitem__(self, pid) -> Peer:
         p = self._population
-        if not (isinstance(pid, numbers.Integral) and 0 <= pid < len(p.row_of)
-                and (row := p.row_of.item(pid)) >= 0):
+        i = np.searchsorted(p.ids, pid, sorter=p.by_id) if _is_int(pid) else len(p.ids)
+        if i == len(p.ids) or p.ids.item(row := p.by_id.item(i)) != pid:
             raise KeyError(pid)
         join = p.join.item(row)
         return Peer(p.ids.item(row), p.cities[p.city.item(row)], p.isp.item(row),
@@ -314,8 +312,8 @@ class CandidateDraws(NamedTuple):
     """One population's relay candidate lists under one strategy (random:
     as drawn; path-aware: ranked, careful partition first), in read-only
     arrays a sweep group shares: list i, of the i-th relay-phase request
-    issued, is relays[offsets[i]:offsets[i + 1]]. made_for is the config
-    key (_draws_key) they were made under, population their source."""
+    issued, is relays[offsets[i]:offsets[i + 1]], as rows. made_for is the
+    config key (_draws_key) they were made under, population their source."""
 
     made_for: tuple
     population: Population
@@ -323,7 +321,7 @@ class CandidateDraws(NamedTuple):
     offsets: np.ndarray
 
     def ranked(self, ordinal: int) -> tuple[int, ...]:
-        """The relay ids of the relay-phase request with that ordinal, in
+        """The relay rows of the relay-phase request with that ordinal, in
         try order."""
         lo, hi = self.offsets.item(ordinal), self.offsets.item(ordinal + 1)
         return tuple(self.relays[lo:hi].tolist())
@@ -341,26 +339,29 @@ _RANK_BLOCK = 2048   # requesters per block of positions, sweep lists and rank
 def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     """The candidate lists of every relay-phase requester (the cut-off rows
     issued by cfg.sim_duration), made without running the event loop, a
-    block of requesters at a time: _walk's draws, then for path-aware the
-    fetch-failure history and the rank at the requester's join, both on
-    the block's columns. A path-aware draw drops the relays that are
-    requesters issued before it: rows are in issue order, so those are the
-    cut-off rows above its own. no-relay draws nothing."""
+    block of requesters at a time: _walk's draws, as rows (by_id), then for
+    path-aware the fetch-failure history and the rank at the requester's
+    join, both on the block's columns. A path-aware draw drops the relays
+    that are requesters issued before it: rows are in issue order, so those
+    are the cut-off rows above its own. no-relay draws nothing."""
     k = population.issued_by(cfg.sim_duration) if cfg.strategy != "no-relay" else 0
     requesters = np.flatnonzero(population.cut[:k])
     path_aware = cfg.strategy == "path-aware"
     slots = careful_slots(cfg.zeta, cfg.alpha) if path_aware else 0
     tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
+    ids, by_id = population.ids, population.by_id
     relays, sizes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for block, drawn, parts in _walk(cfg, population, k, requesters, slots):
+        order = np.argsort(drawn)   # searchsorted is several times faster on sorted keys
+        rows = np.empty_like(drawn)
+        rows[order] = by_id[np.searchsorted(ids, drawn[order], sorter=by_id)]
         if path_aware:
-            rows = population.row_of[drawn]
             own = np.repeat(block, parts.sum(axis=1))   # each relay's requester row
             keep = ~(population.cut[rows] & (rows < own))
             part = np.repeat(np.arange(parts.size), parts.ravel())
             parts = np.bincount(part[keep], minlength=parts.size).reshape(-1, 2)
-            drawn = rank_path_aware(drawn[keep], parts, population.join[block], population, tts)
-        relays.append(drawn)
+            rows = rank_path_aware(rows[keep], parts, population.join[block], population, tts)
+        relays.append(rows)
         sizes.append(parts.sum(axis=1))
     table = (np.concatenate(relays), np.concatenate([[0], np.cumsum(np.concatenate(sizes))]))
     for column in table:
@@ -533,7 +534,7 @@ class Simulation:
         self._start_next_attempt(req, t)
 
     def _make_candidates(self, req: _Request) -> tuple[int, ...]:
-        """The request's ranked relay ids, less its busy relays for
+        """The request's ranked relay rows, less its busy relays for
         path-aware; none for no-relay."""
         strategy = self.cfg.strategy
         if strategy == "no-relay":
@@ -555,13 +556,13 @@ class Simulation:
         """
         p = self.population
         handshake = self._handshake[p.city.item(requester)][p.city.item(relay)]
-        relay_id, relay_dep = p.ids.item(relay), p.dep.item(relay)
-        if not p.join.item(relay) <= t < relay_dep or p.scenario.cut_off(relay_id, t):
+        relay_dep = p.dep.item(relay)
+        if not p.join.item(relay) <= t < relay_dep or p.scenario.cut_off(p.ids.item(relay), t):
             return AttemptPlan("reject", t + handshake)
         ledger = self.ledger
-        rate = min(ledger.uplink_free_kbps(relay_id, p.uplink.item(relay)),
+        rate = min(ledger.uplink_free_kbps(relay, p.uplink.item(relay)),
                    p.downlink.item(requester),
-                   p.downlink.item(relay) / (ledger.workload.get(relay_id, 0) + 1))
+                   p.downlink.item(relay) / (ledger.workload.get(relay, 0) + 1))
         if rate <= RATE_EPS:
             return AttemptPlan("reject", t + handshake)
         t_end = t + handshake + self.content.size_kbits / rate
@@ -580,10 +581,9 @@ class Simulation:
             return
         relay = req.candidates[req.next_index]
         req.next_index += 1
-        row = p.row_of.item(relay)
-        plan = self._plan_attempt(row, req.row, t)
+        plan = self._plan_attempt(relay, req.row, t)
         if plan.rate_kbps > 0:
-            self.ledger.commit(relay, p.uplink.item(row), plan.rate_kbps)
+            self.ledger.commit(relay, p.uplink.item(relay), plan.rate_kbps)
         req.pending = (plan, relay)
         priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
         self._schedule(plan.resolve_time, priority, req)
@@ -593,7 +593,7 @@ class Simulation:
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            self._end(req, t, relay)
+            self._end(req, t, self.population.ids.item(relay))
         elif plan.verdict == "requester-lost":
             self._end(req, t)
         else:

@@ -114,36 +114,36 @@ class CapacityError(RuntimeError):
 
 @dataclass
 class RelayLedger:
-    """Per-run relay capacity, keyed by peer id and kept sparse: a peer
-    without an entry serves no transfer and has no uplink committed, and
-    commit() and release() drop an entry once it returns to zero."""
+    """Per-run relay capacity, keyed by relay row in the Population, not
+    peer id, and kept sparse: a relay without an entry serves no transfer,
+    and commit() and release() drop an entry once it returns to zero."""
 
     workload: dict[int, int] = field(default_factory=dict)
     in_use_kbps: dict[int, float] = field(default_factory=dict)
 
-    def uplink_free_kbps(self, pid: int, uplink_kbps: float) -> float:
-        return max(0.0, uplink_kbps - self.in_use_kbps.get(pid, 0.0))
+    def uplink_free_kbps(self, relay: int, uplink_kbps: float) -> float:
+        return max(0.0, uplink_kbps - self.in_use_kbps.get(relay, 0.0))
 
-    def uplink_utilization(self, pid: int, uplink_kbps: float) -> float:
-        return self.in_use_kbps.get(pid, 0.0) / uplink_kbps
+    def uplink_utilization(self, relay: int, uplink_kbps: float) -> float:
+        return self.in_use_kbps.get(relay, 0.0) / uplink_kbps
 
     def commit(self, relay: int, uplink_kbps: float, kbps: float) -> None:
-        """Start a transfer on a relay (id, uplink); over-commit is a bug."""
+        """Start a transfer on a relay (row, uplink); over-commit is a bug."""
         if kbps <= 0:
             raise ValueError("committed rate must be positive")
         in_use = self.in_use_kbps.get(relay, 0.0)
         if in_use + kbps > uplink_kbps + RATE_EPS:
             raise CapacityError(
-                f"peer {relay}: commit of {kbps} kbps exceeds uplink "
+                f"relay row {relay}: commit of {kbps} kbps exceeds uplink "
                 f"{uplink_kbps} (in use {in_use})")
         self.in_use_kbps[relay] = in_use + kbps
         self.workload[relay] = self.workload.get(relay, 0) + 1
 
     def release(self, relay: int, kbps: float) -> None:
-        """End a transfer committed at kbps on the relay with that id."""
+        """End a transfer committed at kbps on the relay with that row."""
         remaining = self.in_use_kbps.get(relay, 0.0) - kbps
         if remaining < -1e-6:
-            raise CapacityError(f"peer {relay}: released more than committed")
+            raise CapacityError(f"relay row {relay}: released more than committed")
         if abs(remaining) < RATE_EPS:
             self.in_use_kbps.pop(relay, None)
         else:

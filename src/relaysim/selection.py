@@ -1,9 +1,9 @@
 """Relay candidate selection and the global assignment solvers.
 
-A relay candidate list is a tuple of relay ids in try order; entry 0,
-when present, is the primary relay. The draw and the rank depend only on
-the population, so the engine makes both in one pass before the event
-loop (engine.draw_candidates). A path-aware list draws ceil(zeta * alpha)
+A relay candidate list is a tuple of relays in try order; entry 0, when
+present, is the primary relay. The draw and the rank depend only on the
+population, so the engine makes both in one pass before the event loop
+(engine.draw_candidates). A path-aware list draws ceil(zeta * alpha)
 careful slots from the online peers of the requester's city and ISP and
 the rest from everyone else online; the random baseline's list is the
 alpha-0 draw. Each draw reads a row u of uniform floats in [0, 1), one per
@@ -13,10 +13,11 @@ positions of a whole block of draws as arrays; pick_ids then maps one
 draw's positions to ids in an OnlineSet of ascending ids, bucketed by
 code, past the slots its pool skips, so the work per list grows with
 zeta, not with the peers online. random_relay_list and draw_path_aware
-make one requester's draw the same two ways. rank_path_aware sorts each
-partition of a block of draws, given as flat ids, by estimated
-time-to-stay and puts the careful one first. At request time
-generate_relay_list drops the peers with too much relay workload.
+make one requester's draw the same two ways. From there a relay is its
+population row: rank_path_aware sorts each partition of a block of
+draws, given as flat rows, by estimated time-to-stay and puts the careful
+one first. At request time generate_relay_list drops the rows with too
+much relay workload.
 
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
@@ -143,11 +144,11 @@ def random_relay_list(requester: int, online: OnlineSet, zeta: int,
     return draw_path_aware(requester, None, online, alpha=0.0, zeta=zeta, u=u, failed=())[1]
 
 
-def _workload_ok(pid: int, uplink_kbps: float, ledger: RelayLedger, gamma: float,
+def _workload_ok(relay: int, uplink_kbps: float, ledger: RelayLedger, gamma: float,
                  mode: str) -> bool:
     if mode == "count":
-        return ledger.workload.get(pid, 0) <= gamma
-    return ledger.uplink_utilization(pid, uplink_kbps) <= gamma
+        return ledger.workload.get(relay, 0) <= gamma
+    return ledger.uplink_utilization(relay, uplink_kbps) <= gamma
 
 
 def draw_path_aware(requester: int, bucket: Hashable, online: OnlineSet, *, alpha: float,
@@ -175,33 +176,32 @@ def draw_path_aware(requester: int, bucket: Hashable, online: OnlineSet, *, alph
     return tuple(tuple(filterfalse(drop, part)) for part in drawn)
 
 
-def rank_path_aware(ids: np.ndarray, sizes: np.ndarray, times, population: Population,
+def rank_path_aware(rows: np.ndarray, sizes: np.ndarray, times, population: Population,
                     tts: TimeToStayModel) -> np.ndarray:
-    """The int64 ids of a block of path-aware draws, draw i made at times[i],
-    ranked: ids holds each draw's careful part, then its random part, and
-    sizes (n x 2) their lengths. Each part is sorted by descending estimated
-    time-to-stay at its time (join times from the population's columns),
-    ties on ascending id, so the careful part's most durable member is the
-    primary relay."""
+    """The int64 population rows of a block of path-aware draws, draw i
+    made at times[i], ranked: rows holds each draw's careful part, then its
+    random part, and sizes (n x 2) their lengths. Each part is sorted by
+    descending estimated time-to-stay at its time (join times from the
+    population's columns), ties on ascending id, so the careful part's most
+    durable member is the primary relay."""
     part = np.repeat(np.arange(sizes.size), np.ravel(sizes))   # draw i: parts 2i, 2i + 1
-    elapse = (np.asarray(times)[part // 2] - population.join[population.row_of[ids]]) / 60.0
-    return ids[np.lexsort((ids, -estimate_time_to_stay(tts, elapse), part))]
+    elapse = (np.asarray(times)[part // 2] - population.join[rows]) / 60.0
+    return rows[np.lexsort((population.ids[rows], -estimate_time_to_stay(tts, elapse), part))]
 
 
 def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamma: float,
                         workload_mode: str, ledger: RelayLedger) -> tuple[int, ...]:
-    """A ranked path-aware list of ids at request time: ranked less the
-    peers whose workload in the run's ledger is above gamma, in ranked
-    order. A peer absent from the ledger dict workload_mode reads carries
-    none, and gamma >= 0 keeps it, so a list that dict misses comes back as
-    it is."""
+    """A ranked path-aware list of population rows at request time: ranked
+    less the relays whose workload in the run's row-keyed ledger is above
+    gamma, in ranked order. A relay absent from the ledger dict
+    workload_mode reads carries none, and gamma >= 0 keeps it, so a list
+    that dict misses comes back as it is."""
     busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
     if busy.keys().isdisjoint(ranked):
         return ranked
-    row_of, uplink = population.row_of, population.uplink
-    return tuple(pid for pid in ranked
-                 if _workload_ok(pid, uplink.item(row_of.item(pid)), ledger, gamma,
-                                 workload_mode))
+    uplink = population.uplink
+    return tuple(row for row in ranked
+                 if _workload_ok(row, uplink.item(row), ledger, gamma, workload_mode))
 
 
 @dataclass(frozen=True)

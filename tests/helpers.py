@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes, Population
 from relaysim.io import _OUTCOME_BLOCK
-from relaysim.model import Peer
+from relaysim.model import Peer, RelayLedger
 from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import OnlineSet, _check_instance, rank_path_aware
 
@@ -51,19 +51,40 @@ def population(peers):
     return Population.from_peers(peers, FailureScenario(frozenset()))
 
 
-def flat_draws(block):
+def row_by_id(population):
+    """Peer id -> row in population, for the tests that name peers by id."""
+    return {pid: row for row, pid in enumerate(population.ids.tolist())}
+
+
+def ids_of(population, rows):
+    """The peer ids at the given rows of population, as a tuple."""
+    return tuple(population.ids[np.asarray(rows, np.int64)].tolist())
+
+
+def ledger_by_row(ledger, population):
+    """A RelayLedger keyed by peer id, keyed instead by row in population,
+    as a run keeps it; the ids population lacks are left out."""
+    rows = row_by_id(population)
+    return RelayLedger(*({rows[pid]: v for pid, v in entries.items() if pid in rows}
+                         for entries in (ledger.workload, ledger.in_use_kbps)))
+
+
+def flat_draws(block, population):
     """A block of path-aware draws, (careful ids, random ids) pairs, as
-    rank_path_aware takes it: the int64 ids, each draw's careful part then
-    its random part, and the n x 2 part lengths."""
-    ids = np.array([pid for drawn in block for part in drawn for pid in part], np.int64)
+    rank_path_aware takes it: the drawn peers' int64 rows in population,
+    each draw's careful part then its random part, and the n x 2 part
+    lengths."""
+    rows = row_by_id(population)
+    flat = np.array([rows[pid] for drawn in block for part in drawn for pid in part], np.int64)
     sizes = np.array([[len(part) for part in drawn] for drawn in block], np.int64)
-    return ids, sizes.reshape(-1, 2)
+    return flat, sizes.reshape(-1, 2)
 
 
 def ranked_list(drawn, t, population, tts):
-    """The list of ids rank_path_aware makes of one path-aware draw
+    """The list of rows rank_path_aware makes of one path-aware draw
     (careful ids, random ids) for a request at time t."""
-    return tuple(rank_path_aware(*flat_draws([drawn]), [t], population, tts).tolist())
+    return tuple(rank_path_aware(*flat_draws([drawn], population), [t], population,
+                                 tts).tolist())
 
 
 def careful_head(lst, careful):
@@ -79,7 +100,7 @@ def candidate_lists(draws):
     the relay-phase ordinals follow the cut-off rows."""
     p = draws.population
     rows = np.flatnonzero(p.cut)[:len(draws.offsets) - 1]
-    return {pid: draws.ranked(i) for i, pid in enumerate(p.ids[rows].tolist())}
+    return {pid: ids_of(p, draws.ranked(i)) for i, pid in enumerate(p.ids[rows].tolist())}
 
 
 def outcomes_table(rows, size_kb=1.0):

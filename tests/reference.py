@@ -249,9 +249,10 @@ def reference_draws(cfg, peers, scenario):
             failed.add(p.id)
     if drawn:
         tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
-        ids, sizes = flat_draws(drawn)
-        ranked = rank_path_aware(ids, sizes, [p.join_time for p in cut],
-                                 Population.from_peers(peers, scenario), tts).tolist()
+        listed = Population.from_peers(peers, scenario)
+        flat, sizes = flat_draws(drawn, listed)
+        ranked = listed.ids[rank_path_aware(flat, sizes, [p.join_time for p in cut],
+                                            listed, tts)].tolist()
         ends = np.cumsum(sizes.sum(axis=1)).tolist()
         lists = {p.id: tuple(ranked[lo:hi]) for p, lo, hi in zip(cut, [0, *ends], ends)}
     for pid, listed in lists.items():

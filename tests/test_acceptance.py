@@ -36,7 +36,8 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import careful_head, online_set, peer_rows, population, ranked_list
+from helpers import (careful_head, ids_of, ledger_by_row, online_set, peer_rows, population,
+                     ranked_list)
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -281,8 +282,9 @@ def test_criterion_7_candidate_list_invariants():
                                 online_set(online), alpha=alpha, zeta=zeta,
                                 u=rng.random(zeta).tolist(), failed=failed)
         peers = population(online)
-        lst = generate_relay_list(ranked_list(drawn, t, peers, tts), peers, gamma=gamma,
-                                  workload_mode="utilization", ledger=ledger)
+        lst = ids_of(peers, generate_relay_list(
+            ranked_list(drawn, t, peers, tts), peers, gamma=gamma, workload_mode="utilization",
+            ledger=ledger_by_row(ledger, peers)))
         assert len(lst) <= zeta
         assert len(set(lst)) == len(lst)
         assert requester.id not in lst

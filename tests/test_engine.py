@@ -32,7 +32,8 @@ from relaysim.io import SweepSpec, build_trace_peers, run_sweep, run_trace, synt
 from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
 
-from helpers import candidate_lists, outcome_tables, outcomes_table, peer_rows
+from helpers import (candidate_lists, ids_of, outcome_tables, outcomes_table, peer_rows,
+                     row_by_id)
 from reference import collect_metrics_rows, reference_draws, reference_run
 
 
@@ -196,15 +197,16 @@ class TestCapacityLedger:
 
 
 class FixedListSimulation(Simulation):
-    """Simulation whose requesters walk given relay lists; every other
-    peer gets an empty list."""
+    """Simulation whose requesters walk given relay lists, of peer ids by
+    requester id; every other peer gets an empty list."""
 
     def __init__(self, cfg, peers, scenario, lists):
         super().__init__(cfg, Population.from_peers(peers, scenario))
         self.lists = lists
 
     def _make_candidates(self, req):
-        return self.lists.get(self.population.ids.item(req.row), ())
+        rows = row_by_id(self.population)
+        return tuple(rows[pid] for pid in self.lists.get(self.population.ids.item(req.row), ()))
 
 
 class TestAttemptDownload:
@@ -222,7 +224,8 @@ class TestAttemptDownload:
         sim = FixedListSimulation(cfg, [requester, *relays], scenario,
                                   {requester.id: tuple(candidates)})
         if workload is not None:
-            sim.ledger.workload.update(workload)
+            rows = row_by_id(sim.population)
+            sim.ledger.workload.update({rows[pid]: n for pid, n in workload.items()})
         sim.run()
         (out,) = [o for o in sim.outcomes if o.requester_id == requester.id]
         return out, sim
@@ -395,9 +398,9 @@ class TestSimulation:
     def test_everything_released_at_end(self):
         sim = Simulation(small_cfg(sim_duration=math.inf))
         sim.run()
-        for p in sim.peers.values():
-            assert sim.ledger.in_use_kbps.get(p.id, 0.0) == 0.0
-            assert sim.ledger.workload.get(p.id, 0) == 0
+        for row in range(len(sim.peers)):
+            assert sim.ledger.in_use_kbps.get(row, 0.0) == 0.0
+            assert sim.ledger.workload.get(row, 0) == 0
         assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
         # the failure did send requests to relays
         assert any(o.entered_relay_phase for o in sim.outcomes)
@@ -406,7 +409,7 @@ class TestSimulation:
         cfg = small_cfg(sim_duration=math.inf)
         population = draw_population(cfg)
         columns = ("ids", "city", "isp", "uplink", "downlink", "join", "dep", "cut", "bucket",
-                   "row_of")
+                   "by_id")
         before = copy.deepcopy([getattr(population, name) for name in columns])
         for strategy in ("random", "path-aware"):
             sim = Simulation(replace(cfg, strategy=strategy), population)
@@ -555,8 +558,9 @@ class TestSimulation:
         draws = draw_candidates(cfg, population)
         lists = candidate_lists(draws)
         # built-in ints, so ledger keys and served_by codes are too
-        assert lists and all(type(d) is tuple and all(type(pid) is int for pid in d)
-                             for d in lists.values())
+        ranked = [draws.ranked(i) for i in range(len(draws.offsets) - 1)]
+        assert ranked and all(type(d) is tuple and all(type(row) is int for row in d)
+                              for d in ranked)
         assert CandidateDraws._fields == ("made_for", "population", "relays", "offsets")
         for column in (draws.relays, draws.offsets):
             with pytest.raises(ValueError, match="read-only"):
@@ -644,9 +648,9 @@ class RecordingSimulation(Simulation):
         self.lists = {}
 
     def _make_candidates(self, req):
-        pid = self.population.ids.item(req.row)
-        self.lists[pid] = super()._make_candidates(req)
-        return self.lists[pid]
+        listed = super()._make_candidates(req)
+        self.lists[self.population.ids.item(req.row)] = ids_of(self.population, listed)
+        return listed
 
 
 @st.composite
@@ -741,7 +745,7 @@ class TestProtocolProperties:
             if plan.rate_kbps > 0:
                 p = sim.population
                 commits.append((plan.rate_kbps,
-                                sim.ledger.uplink_free_kbps(p.ids[relay], p.uplink[relay]),
+                                sim.ledger.uplink_free_kbps(relay, p.uplink[relay]),
                                 p.downlink[requester]))
             return plan
 
@@ -941,7 +945,7 @@ class TestColumnsOnly:
             assert population.ids.tolist() != list(range(500))
         again = Population.from_peers(population.peers.values(), population.scenario)
         for name in ("ids", "isp", "uplink", "downlink", "join", "dep", "affected", "cut",
-                     "in_region", "row_of"):
+                     "in_region", "by_id"):
             assert np.array_equal(getattr(again, name), getattr(population, name)), name
         # city codes index each population's own city names
         names = [[p.cities[code] for code in p.city.tolist()] for p in (population, again)]
@@ -955,6 +959,29 @@ class TestColumnsOnly:
         assert 7 in population.peers and len(population.peers) == 2
         for missing in (0, 5, 8, -1, "7"):
             assert missing not in population.peers
+
+    def test_peers_rejects_bools(self):
+        population = Population.from_peers([make_peer(0), make_peer(1)],
+                                            FailureScenario(frozenset()))
+        for flag in (False, True):
+            assert flag not in population.peers
+            with pytest.raises(KeyError):
+                population.peers[flag]
+        assert population.peers[np.int64(1)].id == 1
+
+    @pytest.mark.parametrize("strategy", ["random", "path-aware"])
+    def test_no_array_is_sized_by_the_largest_id(self, strategy):
+        # requesters 1 and 2 are cut off and served by the peer with id 10**7
+        peers = [make_peer(10**7), make_peer(1, join=1.0), make_peer(2, join=1000.0)]
+        population = Population.from_peers(peers, FailureScenario(frozenset({1, 2})))
+        cfg = small_cfg(peer_count=3, strategy=strategy, sim_duration=math.inf)
+        sim = Simulation(cfg, population)
+        sim.run()
+        assert [(o.requester_id, o.served_by) for o in sim.outcomes if o.entered_relay_phase] == [
+            (1, 10**7), (2, 10**7)]
+        arrays = [v for v in vars(population).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(v.size <= len(peers) for v in arrays)
+        assert population.peers[10**7] == peers[0] and 10**7 - 1 not in population.peers
 
 
 class TestDrawPass:

@@ -18,6 +18,8 @@ from relaysim.netsim import (
     latency_ms,
 )
 
+from helpers import row_by_id
+
 
 def make_peer(pid, city="Beijing", **kw):
     base = dict(id=pid, city=city, isp=1, uplink_kbps=1024.0,
@@ -259,12 +261,12 @@ class TestConnectivity:
 
 def plan_attempt(relay, requester, in_use=None, affected=()):
     """Simulation._plan_attempt at t = 0 on a two-peer run with the relay's
-    uplink partly in use."""
+    uplink partly in use (kbps by peer id)."""
     scenario = FailureScenario(frozenset(affected))
     sim = Simulation(SimConfig(peer_count=2, content_size_kb=512.0),
                      Population.from_peers([relay, requester], scenario))
-    sim.ledger.in_use_kbps.update(in_use or {})
-    rows = sim.population.row_of
+    rows = row_by_id(sim.population)
+    sim.ledger.in_use_kbps.update({rows[pid]: kbps for pid, kbps in (in_use or {}).items()})
     return sim._plan_attempt(rows[relay.id], rows[requester.id], 0.0)
 
 

@@ -26,8 +26,8 @@ from relaysim.selection import (
     _workload_ok,
 )
 
-from helpers import (add, assignment_matrix, careful_head, discard, flat_draws, online_set,
-                     population, ranked_list, save_instance)
+from helpers import (add, assignment_matrix, careful_head, discard, flat_draws, ids_of,
+                     ledger_by_row, online_set, population, ranked_list, save_instance)
 from reference import durability, not_busy
 
 
@@ -38,15 +38,16 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
     return Peer(**base)
 
 
-def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, **workload):
+def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, ledger, **workload):
     """Draw, rank and filter a path-aware list in one call, as a request
     issued at t while exactly the peers in online are online, after the
-    requesters in failed, would get it; returns the list and its careful
-    ids (careful_head)."""
+    requesters in failed, would get it, with the id-keyed ledger; returns
+    the list's ids and its careful ids (careful_head)."""
     drawn = draw_path_aware(requester.id, (requester.city, requester.isp), online_set(online),
                             alpha=alpha, zeta=zeta, u=u, failed=failed)
     peers = population(online)
-    lst = generate_relay_list(ranked_list(drawn, t, peers, tts), peers, **workload)
+    lst = ids_of(peers, generate_relay_list(ranked_list(drawn, t, peers, tts), peers,
+                                            ledger=ledger_by_row(ledger, peers), **workload))
     return lst, careful_head(lst, drawn[0])
 
 
@@ -225,13 +226,14 @@ class TestRankOnce:
     def test_filtering_the_ranked_list_ranks_the_filtered_draw(self, case):
         peers, block, times, tts, workload = case
         ledger, by_id, listed = workload["ledger"], {p.id: p for p in peers}, population(peers)
-        ranked = rank_path_aware(*flat_draws(block), times, listed, tts).tolist()
+        ranked = rank_path_aware(*flat_draws(block, listed), times, listed, tts).tolist()
+        rows = dict(workload, ledger=ledger_by_row(ledger, listed))
         at = 0
         for (careful, randoms), t in zip(block, times):
             size = len(careful) + len(randoms)
             lst = tuple(ranked[at:at + size])
             at += size
-            got = generate_relay_list(lst, listed, **workload)
+            got = ids_of(listed, generate_relay_list(lst, listed, **rows))
             want = [sorted((by_id[pid] for pid in part
                             if not_busy(by_id[pid], ledger.in_use_kbps, ledger.workload,
                                         workload["gamma"], workload["workload_mode"])),
@@ -244,13 +246,13 @@ class TestRankOnce:
     @pytest.mark.parametrize("mode, other", [("count", "utilization"),
                                              ("utilization", "count")])
     def test_a_list_the_read_ledger_dict_misses_comes_back_as_is(self, mode, other):
-        # the dict mode reads holds peer 4 only, the dict other reads every
-        # peer; each entry is above gamma
-        listed, ranked = population([make_peer(pid) for pid in (1, 2, 3, 4)]), (3, 1, 2)
+        # peers 1 to 4 are rows 0 to 3; the dict mode reads holds peer 4
+        # only, the dict other reads every peer; each entry is above gamma
+        listed, ranked = population([make_peer(pid) for pid in (1, 2, 3, 4)]), (2, 0, 1)
         full, ledger = {"count": 9, "utilization": 1024.0}, RelayLedger()
         reads = {"count": ledger.workload, "utilization": ledger.in_use_kbps}
-        reads[mode][4] = full[mode]
-        reads[other].update(dict.fromkeys((1, 2, 3, 4), full[other]))
+        reads[mode][3] = full[mode]
+        reads[other].update(dict.fromkeys(range(4), full[other]))
         assert generate_relay_list(ranked, listed, gamma=0.5, workload_mode=mode,
                                    ledger=ledger) is ranked
         assert generate_relay_list(ranked, listed, gamma=0.5, workload_mode=other,
