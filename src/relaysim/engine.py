@@ -399,16 +399,21 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     for step in (leave, arrive):
         order = np.argsort(step, kind="stable")
         by_step.append((live[order], np.searchsorted(step[order], np.arange(n + 1))))
-    # Pool sizes: the peers online at each step and those of the step's
-    # bucket (keys bucket * (n + 1) + step), less the requester, which is
-    # online at its own step when its session is not empty.
+    # Pool sizes: the peers online at each step and, for careful slots,
+    # those of the step's bucket (keys bucket * (n + 1) + step), less the
+    # requester, which is online at its own step when its session is not
+    # empty. A random draw reads no bucket, so it counts none and its
+    # OnlineSet keeps none.
     here = population.dep[requesters] > times
     pool = by_step[1][1][1:] - by_step[0][1][1:] - here
-    keys = [np.sort(bucket[live] * (n + 1) + step) for step in (arrive, leave)]
-    at = bucket[requesters] * (n + 1) + np.arange(n)
-    same = (np.searchsorted(keys[0], at, side="right")
-            - np.searchsorted(keys[1], at, side="right") - here)
-    del arrive, leave, live, keys, at
+    same = np.zeros(n, np.int64)
+    if slots:
+        keys = [np.sort(bucket[live] * (n + 1) + step) for step in (arrive, leave)]
+        at = bucket[requesters] * (n + 1) + np.arange(n)
+        same = (np.searchsorted(keys[0], at, side="right")
+                - np.searchsorted(keys[1], at, side="right") - here)
+        del keys, at
+    del arrive, leave, live
 
     def changes(lo: int, hi: int) -> Iterator[tuple[list, list]]:
         """Each step's (leaving, arriving) (id, bucket code) pairs, lo to hi."""
@@ -418,7 +423,7 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
             bounds = (at[lo:hi + 1] - at[lo]).tolist()
             yield [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    online = OnlineSet()
+    online = OnlineSet(bucketed=slots > 0)
     for lo in range(0, n, _RANK_BLOCK):
         hi = min(lo + _RANK_BLOCK, n)
         u, careful = rows[rank[lo:hi]], np.minimum(same[lo:hi], slots)

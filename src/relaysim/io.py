@@ -574,6 +574,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_solve(args) -> int:
     b, caps = selection.load_instance(args.matrix)
+    if not len(b):
+        raise ValueError(f"instance file {args.matrix} has a capacity row and no benefit rows")
     method = "greedy" if args.greedy else "exact"
     if method == "exact":
         try:

@@ -2,12 +2,17 @@
 
 `exact_best` finds the optimal complete assignment by depth-first
 branch-and-bound; `greedy_assign` makes the one-pass greedy sweep in
-descending benefit order, sorting one value band at a time. Both expect
-finite, non-negative benefits and capacities (`selection._check_instance`
-guarantees them) and break ties deterministically, as documented below.
+descending benefit order, one value band at a time, and reads in each band
+only the unmatched requesters' rows and the relay columns that can still
+take one of its entries, a chunk of rows at a time, so no mask the size
+of the benefit matrix is built. Both expect finite, non-negative benefits
+and capacities (`selection._check_instance` guarantees them) and break
+ties deterministically, as documented below.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -112,7 +117,8 @@ def decode_assignment(k: int, n: int, m: int) -> tuple[int, ...]:
 
 
 # Size of the strided sample the greedy band edges are read from, and the
-# most entries a band may hold before ties at its lower edge are split off.
+# most entries a chunk of a band's scan holds and a band collects before
+# the tie at its lower edge is split off.
 _SAMPLE = 4096
 _BAND_MAX = 1 << 17
 
@@ -123,14 +129,29 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
     Ties in benefit are broken by flat index (requester-major). Returns
     (assignment, objective) where unmatched requesters hold -1.
 
-    Entries are visited one value band at a time, with band edges read
-    from a strided sample and bands that grow. Before a band is sorted,
-    every entry that can no longer be taken is dropped for good: its
-    requester is matched, or it exceeds its relay's remaining capacity.
-    With non-negative benefits both only become more true as the sweep
-    goes on, so the dropped entries are exactly those the full sweep
-    would skip. The sweep stops once every requester is matched or no
-    band is left.
+    Entries are visited one value band [lo, hi) at a time, with band edges
+    read from a strided sample and bands that grow. A band reads only the
+    submatrix that can still matter: the rows of the unmatched requesters
+    and the columns of the live relays. Relay r's upper edge is min(hi,
+    the next float above remaining[r] + CAP_EPS): an entry is below it
+    exactly when it is below hi and fits r, and r is live when the edge is
+    above lo. The entries left out are those whose requester is matched or
+    that exceed their relay's remaining capacity; with non-negative
+    benefits both only become more true as the sweep goes on, so the full
+    sweep would skip them too. When half the relays or more are live, whole
+    rows are read instead of gathering columns; a dead relay's edge, at or
+    below lo, keeps its entries out all the same.
+
+    The submatrix is scanned in row chunks of at most _BAND_MAX entries,
+    two comparisons per entry (>= lo and < upper edge), and its entries
+    come out in ascending flat order, so the stable sort by value keeps
+    ties in flat order. No n x m mask is built: not the band, below-hi,
+    fits-its-relay and not-equal-to-lo masks, nor the pass that cleared
+    matched rows. Once a band has collected more than _BAND_MAX entries,
+    it keeps only those above lo, and the tie at lo, which sorts last, is
+    visited afterwards in flat order, a chunk at a time, with the rows and
+    relays re-read before each chunk. The sweep stops once every requester
+    is matched or no band is left.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     caps = np.ascontiguousarray(caps, dtype=np.float64)
@@ -148,13 +169,10 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
     owner = [-1] * n
     remaining = caps.tolist()
     left = n
-    band = np.empty(b.shape, dtype=bool)
-    keep = np.empty(b.shape, dtype=bool)
 
-    def visit(idx: np.ndarray) -> None:
+    def visit(qs: np.ndarray, rs: np.ndarray, vals: np.ndarray) -> None:
         nonlocal left
-        qs, rs = np.divmod(idx, m)
-        for q, r, v in zip(qs.tolist(), rs.tolist(), flat[idx].tolist()):
+        for q, r, v in zip(qs.tolist(), rs.tolist(), vals.tolist()):
             if owner[q] < 0 and v <= remaining[r] + CAP_EPS:
                 owner[q] = r
                 remaining[r] -= v
@@ -162,9 +180,40 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
                 if not left:
                     return
 
-    def visit_sorted(mask: np.ndarray) -> None:
-        idx = np.flatnonzero(mask)
-        visit(idx[np.argsort(-flat[idx], kind="stable")])
+    def chunks(lo: float, hi: float) -> Iterator[tuple[np.ndarray, ...]]:
+        """The band's live submatrix, at most _BAND_MAX entries at a time:
+        (unmatched rows, live relay columns, their upper edges, the
+        submatrix), with the rows and relays re-read before each chunk."""
+        rows = np.flatnonzero(np.asarray(owner) < 0)
+        pos = 0
+        while pos < rows.size:
+            upper = np.minimum(hi, np.nextafter(np.asarray(remaining) + CAP_EPS, np.inf))
+            cols = np.flatnonzero(upper > lo)
+            if not cols.size:
+                return
+            if 2 * cols.size >= m:
+                # read whole rows: a gather costs several streamed reads per
+                # entry, and a dead relay's edge keeps its entries out
+                cols = np.arange(m)
+            block = rows[pos:pos + max(1, _BAND_MAX // cols.size)]
+            pos += block.size
+            block = block[[owner[q] < 0 for q in block.tolist()]]
+            if not block.size:
+                continue
+            if cols.size < m:
+                sub = b[np.ix_(block, cols)]
+            elif block[-1] - block[0] < block.size:   # consecutive rows: a view
+                sub = b[block[0]:block[-1] + 1]
+            else:
+                sub = b[block]
+            yield block, cols, upper[cols], sub
+
+    def pick(block: np.ndarray, cols: np.ndarray, sub: np.ndarray,
+             mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the masked entries, in ascending flat order."""
+        at = np.flatnonzero(mask)
+        q, c = np.divmod(at, cols.size)
+        return block[q], cols[c], sub.ravel()[at]
 
     hi = np.inf
     while left:
@@ -174,26 +223,31 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
         top = int(np.searchsorted(sample, fit.max(), side="right"))
         j = min(top - count, int(np.searchsorted(sample, hi)) - 1)
         lo = float(sample[j]) if j >= 0 else -np.inf
-        np.greater_equal(b, lo, out=band)
-        np.less(b, hi, out=keep)
-        band &= keep
-        np.less_equal(b, fit, out=keep)
-        band &= keep
-        band[np.asarray(owner) >= 0] = False
-        if j >= 0 and np.count_nonzero(band) > _BAND_MAX:
-            # a heavy tie at lo: entries above it first, then the tie in
-            # flat order, one block of requesters at a time
-            np.not_equal(b, lo, out=keep)
-            keep &= band
-            visit_sorted(keep)
-            band ^= keep
-            block = max(1, _BAND_MAX // m)
-            for start in range(0, n, block):
+        kept, size, floor = [], 0, lo
+        for block, cols, upper, sub in chunks(lo, hi):
+            mask = sub >= floor
+            mask &= sub < upper
+            size += np.count_nonzero(mask)
+            if j >= 0 and floor == lo and size > _BAND_MAX:
+                # a heavy tie at lo: from here on only entries above it are
+                # kept; the tie waits for its own scan
+                floor = np.nextafter(lo, np.inf)
+                mask &= sub >= floor
+                kept = [tuple(c[v >= floor] for c in (q, r, v)) for q, r, v in kept]
+            kept.append(pick(block, cols, sub, mask))
+        if kept:
+            band = [np.concatenate(c) for c in zip(*kept)]
+            del kept
+            order = np.argsort(-band[2], kind="stable")
+            visit(*(c[order] for c in band))
+            del band, order
+        if floor > lo:
+            for block, cols, upper, sub in chunks(lo, floor):
+                mask = sub >= lo
+                mask &= sub < upper
+                visit(*pick(block, cols, sub, mask))
                 if not left:
                     break
-                visit(np.flatnonzero(band[start:start + block]) + start * m)
-        else:
-            visit_sorted(band)
         if j < 0:
             break
         hi = lo

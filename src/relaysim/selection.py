@@ -51,11 +51,13 @@ class Infeasible(Exception):
 
 class OnlineSet:
     """The ids of the online peers in ascending order, plus one id-ordered
-    bucket per bucket code, kept with bisect: the draws never sort or scan."""
+    bucket per bucket code, kept with bisect: the draws never sort or scan.
+    A set made with bucketed=False keeps no buckets (random draws read
+    none): it ignores the codes, and bucket() is always empty."""
 
-    def __init__(self):
+    def __init__(self, bucketed: bool = True):
         self.ids: list[int] = []
-        self._buckets: dict[Hashable, list[int]] = {}
+        self._buckets: dict[Hashable, list[int]] | None = {} if bucketed else None
 
     def update(self, leaving: Iterable[tuple[int, Hashable]],
                arriving: Iterable[tuple[int, Hashable]]) -> None:
@@ -64,15 +66,17 @@ class OnlineSet:
         ids, buckets = self.ids, self._buckets
         for pid, code in leaving:
             del ids[bisect_left(ids, pid)]
-            bucket = buckets[code]
-            del bucket[bisect_left(bucket, pid)]
+            if buckets is not None:
+                bucket = buckets[code]
+                del bucket[bisect_left(bucket, pid)]
         for pid, code in arriving:
             insort(ids, pid)
-            insort(buckets.setdefault(code, []), pid)
+            if buckets is not None:
+                insort(buckets.setdefault(code, []), pid)
 
     def bucket(self, code: Hashable) -> list[int]:
         """Ids of the online peers with that bucket code, ascending."""
-        return self._buckets.get(code, [])
+        return (self._buckets or {}).get(code, [])
 
 
 def pool_positions(u: np.ndarray, m) -> list[list[int]]:
@@ -242,11 +246,17 @@ def _check_instance(b, caps) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("benefit matrix must be 2-dimensional")
     if caps.ndim != 1 or len(caps) != b.shape[1]:
         raise ValueError("need one capacity per relay column")
-    if b.size and (not np.isfinite(b).all() or (b < 0).any()):
+    if b.size and not _finite_non_negative(b):
         raise ValueError("benefits must be finite and non-negative")
-    if len(caps) and (not np.isfinite(caps).all() or (caps < 0).any()):
+    if len(caps) and not _finite_non_negative(caps):
         raise ValueError("capacities must be finite and non-negative")
     return b, caps
+
+
+def _finite_non_negative(a: np.ndarray) -> bool:
+    """Whether every entry is finite and >= 0 (-0.0 is), read from two
+    reductions without an array of a's size: NaN makes both fail."""
+    return bool(a.min() >= 0.0 and a.max() < np.inf)
 
 
 def solve_exact(b, caps) -> tuple[SelectionMatrix, float]:
@@ -276,9 +286,11 @@ def solve_greedy(b, caps) -> tuple[SelectionMatrix, float]:
 
     Requesters that fit nowhere stay unmatched rather than making the
     instance infeasible. Equal benefits are taken in requester-major order.
-    The sweep sorts one value band at a time and stops once every
-    requester is matched, so it handles sizes far beyond the exact
-    solver's limit.
+    The sweep sorts one value band at a time, reads in each band only the
+    unmatched requesters and the relays that can still take one of its
+    entries, and stops once every requester is matched, so it handles
+    sizes far beyond the exact solver's limit. Neither the instance check
+    nor the sweep builds a mask the size of b (see `kernels.greedy_assign`).
     """
     b, caps = _check_instance(b, caps)
     assign, obj = kernels.greedy_assign(b, caps)

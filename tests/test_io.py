@@ -851,6 +851,17 @@ class TestCli:
         assert main(["solve", "--matrix", str(inst), "--exact"]) == 1
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["--exact", "--greedy"])
+    def test_solve_caps_only_exit_2(self, tmp_path, capsys, method):
+        # the library solves a 0-row instance; the command refuses to
+        # print its empty assignment as a result
+        inst = tmp_path / "m.csv"
+        inst.write_text("3.0,4.0\n")
+        assert main(["solve", "--matrix", str(inst), method]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "no benefit rows" in out.err
+
 
 class TestGoldenOutputs:
     """Pinned digests of small outputs: any change to a random stream, or

@@ -1,6 +1,7 @@
 """Solver kernel tests: tie-breaking, oracles, sequential references."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -257,3 +258,30 @@ class TestGreedy:
         b[rng.random(b.shape) < 0.2] = 0.0
         caps = rng.uniform(cap_lo, cap_hi, size=120)
         assert_greedy_matches_reference(b, caps)
+
+    @pytest.mark.parametrize("band_max", [kernels._BAND_MAX, 1024])
+    @pytest.mark.parametrize("cap_lo, cap_hi", [(20, 121), (5, 31)])
+    def test_matches_reference_on_integer_benefits(self, band_max, cap_lo, cap_hi):
+        # eleven values, so every band edge sits on a tie; at 1024 the
+        # ties at lo are split off and scanned on their own
+        rng = np.random.default_rng(43)
+        b = rng.integers(0, 11, size=(400, 120)).astype(float)
+        caps = rng.integers(cap_lo, cap_hi, size=120).astype(float)
+        with mock.patch.object(kernels, "_BAND_MAX", band_max):
+            assert_greedy_matches_reference(b, caps)
+
+    def test_heavy_tie_scan_stays_below_one_index_array(self):
+        # one tie covers the whole matrix; the sweep holds at most a chunk
+        # of it at a time, far below one int64 per entry
+        b = np.ones((600, 400))
+        caps = np.ones(400)
+        with mock.patch.object(kernels, "_BAND_MAX", 1024):
+            tracemalloc.start()
+            try:
+                assign, obj = greedy_assign(b, caps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert list(assign) == list(range(400)) + [-1] * 200
+        assert obj == 400.0
+        assert peak < b.size * np.dtype(np.int64).itemsize

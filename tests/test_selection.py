@@ -340,6 +340,15 @@ class TestOnlineSet:
         assert online.ids == [2, 9]
         assert online.bucket(("Beijing", 1)) == [9]
 
+    def test_unbucketed_set_keeps_ids_only(self):
+        online = OnlineSet(bucketed=False)
+        for p in (make_peer(5), make_peer(2, city="Wuhan"), make_peer(9)):
+            add(online, p)
+        discard(online, make_peer(5))
+        assert online.ids == [2, 9]
+        assert online.bucket(("Wuhan", 1)) == []
+        assert online.bucket(("Beijing", 1)) == []
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=60))
     def test_matches_a_plain_set(self, ops):
@@ -558,6 +567,31 @@ class TestSolveExact:
             solve_exact([[float("nan")]], [1.0])
         with pytest.raises(ValueError):
             solve_exact([[1.0, 2.0]], [1.0])  # caps length mismatch
+
+
+BAD_VALUES = (float("nan"), float("inf"), -float("inf"), -1.0, -1e-300)
+
+
+class TestInstanceCheck:
+    # both solvers reject a bad value in either input with the same message
+    @pytest.mark.parametrize("solve", [solve_greedy, solve_exact])
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_benefit_rejected(self, solve, bad):
+        b = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="^benefits must be finite and non-negative$"):
+            solve(b, [10.0, 10.0])
+
+    @pytest.mark.parametrize("solve", [solve_greedy, solve_exact])
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_capacity_rejected(self, solve, bad):
+        with pytest.raises(ValueError, match="^capacities must be finite and non-negative$"):
+            solve([[1.0, 2.0]], [bad, 10.0])
+
+    @pytest.mark.parametrize("solve", [solve_greedy, solve_exact])
+    def test_negative_zero_accepted(self, solve):
+        sel, obj = solve([[-0.0]], [-0.0])
+        assert sel.assignment == (0,)
+        assert obj == 0.0
 
 
 class TestSolveGreedy:
