@@ -20,6 +20,9 @@ attempts due by each relay-phase join before issuing that request, so its
 heap holds attempt resolutions only; a path-aware list then drops the
 relays busy in the ledger, and each attempt is planned in full
 (AttemptPlan) when it starts. Results are one Outcomes table of columns.
+The loop reads and writes one scalar at a time through memoryviews of the
+population, draw-table and outcome columns: indexing one gives a built-in
+int or float, at under half the cost of ndarray.item, and copies nothing.
 """
 
 from __future__ import annotations
@@ -323,8 +326,13 @@ class CandidateDraws(NamedTuple):
     def ranked(self, ordinal: int) -> tuple[int, ...]:
         """The relay rows of the relay-phase request with that ordinal, in
         try order."""
-        lo, hi = self.offsets.item(ordinal), self.offsets.item(ordinal + 1)
-        return tuple(self.relays[lo:hi].tolist())
+        return _ranked(self.relays, self.offsets, ordinal)
+
+
+def _ranked(relays, offsets, ordinal: int) -> tuple[int, ...]:
+    """List ordinal of a draw table given as its relays and offsets columns,
+    arrays or memoryviews of them."""
+    return tuple(relays[offsets[ordinal]:offsets[ordinal + 1]].tolist())
 
 
 def _draws_key(cfg: SimConfig) -> tuple:
@@ -449,6 +457,13 @@ class Simulation:
     run several cells on one population, pass it (draw_population) and its
     candidate lists (draw_candidates) for cfg's _draws_key; lists from
     another population or config key are rejected.
+
+    The relay phase reads the population's ids, city, uplink, downlink,
+    join and dep, the draw table's relays and offsets, and writes the
+    outcome columns end_time, served_by and attempts, one scalar at a time
+    through memoryviews of those columns (no per-run copies). The
+    population views exist from construction, so _plan_attempt works on a
+    Simulation that has not run; run() adds the others.
     """
 
     def __init__(self, cfg: SimConfig, population: Population | None = None,
@@ -465,6 +480,9 @@ class Simulation:
                                  f"not {_draws_key(cfg)}")
         self.population = population
         self.peers = population.peers
+        self._ids, self._city, self._uplink, self._downlink, self._join, self._dep = map(
+            memoryview, (population.ids, population.city, population.uplink,
+                         population.downlink, population.join, population.dep))
         self.content = ContentItem(cfg.content_size_kb)
         # Two-way handshake seconds by (requester, relay) city code.
         table = CityTable(cfg.city_table)
@@ -473,6 +491,9 @@ class Simulation:
         self.outcomes: Outcomes | None = None   # set by run()
         self.ledger = RelayLedger()
         self._draws = candidates
+        # Views of the draw table and of the outcome columns run() writes.
+        self._relays = self._offsets = None
+        self._end_time = self._served_by = self._attempts = None
         self._heap: list = []
         self._seq = 0
         self._ran = False
@@ -497,18 +518,22 @@ class Simulation:
         population, horizon = self.population, self.cfg.sim_duration
         if self._draws is None:
             self._draws = draw_candidates(self.cfg, population)
+        self._relays, self._offsets = map(memoryview, (self._draws.relays, self._draws.offsets))
         issued = population.issued_by(horizon)
         self._decide_server_fetches(issued)
-        join, dep = population.join, population.dep
+        out = self.outcomes
+        self._end_time, self._served_by, self._attempts = map(
+            memoryview, (out.end_time, out.served_by, out.attempts))
+        join, dep = self._join, self._dep
         for ordinal, row in enumerate(np.flatnonzero(population.cut[:issued]).tolist()):
-            t = join.item(row)
+            t = join[row]
             self._resolve_until(t)
             self._issue(_Request(row, ordinal), t)
         self._resolve_until(horizon)
         # Each request still open waits on one event past the horizon; it
         # ends at the horizon, or at its requester's departure if earlier.
         for *_, req in self._heap:
-            self._end(req, min(dep.item(req.row), horizon))
+            self._end(req, min(dep[req.row], horizon))
         return collect_metrics(self.outcomes, population.affected[:issued],
                                population.in_region[:issued])
 
@@ -530,8 +555,9 @@ class Simulation:
 
     def _end(self, req: _Request, t: float, served_by: int = UNSERVED) -> None:
         """Write a relay-phase request's terminal state into its row."""
-        out, row = self.outcomes, req.row
-        out.end_time[row], out.served_by[row], out.attempts[row] = t, served_by, req.next_index
+        row = req.row
+        self._end_time[row], self._served_by[row], self._attempts[row] = (
+            t, served_by, req.next_index)
 
     def _issue(self, req: _Request, t: float) -> None:
         """Start a cut-off requester's relay phase at its join t."""
@@ -544,7 +570,7 @@ class Simulation:
         strategy = self.cfg.strategy
         if strategy == "no-relay":
             return ()
-        ranked = self._draws.ranked(req.ordinal)
+        ranked = _ranked(self._relays, self._offsets, req.ordinal)
         if strategy == "random":
             return ranked
         return generate_relay_list(ranked, self.population, gamma=self.cfg.gamma,
@@ -559,19 +585,19 @@ class Simulation:
         read from the run's ledger. Every attempt pays a two-way handshake
         at the city-to-city latency.
         """
-        p = self.population
-        handshake = self._handshake[p.city.item(requester)][p.city.item(relay)]
-        relay_dep = p.dep.item(relay)
-        if not p.join.item(relay) <= t < relay_dep or p.scenario.cut_off(p.ids.item(relay), t):
+        city, dep, downlink = self._city, self._dep, self._downlink
+        handshake = self._handshake[city[requester]][city[relay]]
+        relay_dep = dep[relay]
+        if not self._join[relay] <= t < relay_dep or self.population.scenario.cut_off(
+                self._ids[relay], t):
             return AttemptPlan("reject", t + handshake)
         ledger = self.ledger
-        rate = min(ledger.uplink_free_kbps(relay, p.uplink.item(relay)),
-                   p.downlink.item(requester),
-                   p.downlink.item(relay) / (ledger.workload.get(relay, 0) + 1))
+        rate = min(ledger.uplink_free_kbps(relay, self._uplink[relay]), downlink[requester],
+                   downlink[relay] / (ledger.workload.get(relay, 0) + 1))
         if rate <= RATE_EPS:
             return AttemptPlan("reject", t + handshake)
         t_end = t + handshake + self.content.size_kbits / rate
-        requester_dep = p.dep.item(requester)
+        requester_dep = dep[requester]
         if t_end <= relay_dep and t_end <= requester_dep:
             return AttemptPlan("success", t_end, rate)
         if requester_dep <= relay_dep:
@@ -579,8 +605,7 @@ class Simulation:
         return AttemptPlan("relay-lost", relay_dep, rate)
 
     def _start_next_attempt(self, req: _Request, t: float) -> None:
-        p = self.population
-        departure = p.dep.item(req.row)
+        departure = self._dep[req.row]
         if t >= departure or req.next_index >= len(req.candidates):
             self._end(req, min(t, departure))   # requester gone, or list exhausted
             return
@@ -588,7 +613,7 @@ class Simulation:
         req.next_index += 1
         plan = self._plan_attempt(relay, req.row, t)
         if plan.rate_kbps > 0:
-            self.ledger.commit(relay, p.uplink.item(relay), plan.rate_kbps)
+            self.ledger.commit(relay, self._uplink[relay], plan.rate_kbps)
         req.pending = (plan, relay)
         priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
         self._schedule(plan.resolve_time, priority, req)
@@ -598,7 +623,7 @@ class Simulation:
         if plan.rate_kbps > 0:
             self.ledger.release(relay, plan.rate_kbps)
         if plan.verdict == "success":
-            self._end(req, t, self.population.ids.item(relay))
+            self._end(req, t, self._ids[relay])
         elif plan.verdict == "requester-lost":
             self._end(req, t)
         else:

@@ -203,9 +203,9 @@ def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamm
     busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
     if busy.keys().isdisjoint(ranked):
         return ranked
-    uplink = population.uplink
+    uplink = memoryview(population.uplink)
     return tuple(row for row in ranked
-                 if _workload_ok(row, uplink.item(row), ledger, gamma, workload_mode))
+                 if _workload_ok(row, uplink[row], ledger, gamma, workload_mode))
 
 
 @dataclass(frozen=True)

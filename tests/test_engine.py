@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -982,6 +984,22 @@ class TestColumnsOnly:
         arrays = [v for v in vars(population).values() if isinstance(v, np.ndarray)]
         assert arrays and all(v.size <= len(peers) for v in arrays)
         assert population.peers[10**7] == peers[0] and 10**7 - 1 not in population.peers
+
+    def test_a_run_copies_no_column(self):
+        # The loop reads and writes its columns through memoryviews. A list
+        # copy of one float column costs a pointer and a float object per
+        # peer, and the peak of a run stays below two such lists.
+        n = 20_000
+        cfg = SimConfig(peer_count=n, strategy="path-aware")
+        population = draw_population(cfg)
+        draws = draw_candidates(cfg, population)
+        tracemalloc.start()
+        try:
+            Simulation(cfg, population, draws).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (8 + sys.getsizeof(0.5))
 
 
 class TestDrawPass:
