@@ -1,6 +1,9 @@
 """File formats and the command line interface.
 
-Covers: key=value config files, access-trace CSV parsing and synthesis,
+Covers: key=value config files, access-trace CSV parsing and synthesis
+(a trace is a model.TraceColumns table: parse_trace streams the CSV into
+its columns, and build_trace_peers and run_trace read them; callers that
+hold TraceRecord rows pass TraceColumns.from_records(records)),
 parameter sweeps with a stable CSV schema, per-request outcome dumps
 (written from the Outcomes columns a block at a time), metrics JSON, and
 the relaysim CLI (run / sweep / trace / calibrate / solve). All emitted
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -26,7 +30,7 @@ from relaysim import churn, engine, selection
 from relaysim.churn import SessionModel, calibrate_pareto
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
 from relaysim.model import (STRATEGIES, CapacityError, ConfigError, PeerColumns, SimConfig,
-                            TraceRecord, _is_int, validate_config)
+                            TraceColumns, _is_int, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
 from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth  # noqa: F401
 
@@ -160,71 +164,78 @@ def _parse_timestamp(raw: str) -> float:
 
 @dataclass(frozen=True)
 class TraceParseResult:
-    records: tuple[TraceRecord, ...]
+    records: TraceColumns
     errors: tuple[tuple[int, str], ...]
 
 
 def parse_trace(path) -> TraceParseResult:
     """Parse an access trace CSV with header user_id,request_ts,leave_ts,fetch_failure.
 
-    Malformed rows are collected as (line, message) pairs and skipped; if
-    more than half the data rows are malformed the whole file is rejected
-    with TraceFormatError. A missing or wrong header is always fatal.
+    One pass over the rows, appending each good row to the four column
+    buffers of a TraceColumns. Malformed rows are collected as (line,
+    message) pairs and skipped; if more than half the data rows are
+    malformed the whole file is rejected with TraceFormatError. A missing
+    or wrong header is always fatal.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(c.strip().lower() for c in rows[0]) != TRACE_COLUMNS:
-        raise TraceFormatError(
-            f"{path}: expected header {','.join(TRACE_COLUMNS)}")
-    records = []
+    user_ids, requests, leaves, flags = [], array("d"), array("d"), array("b")
     errors = []
     data_rows = 0
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or not "".join(row).strip():
-            continue
-        data_rows += 1
-        if len(row) != 4:
-            errors.append((lineno, f"expected 4 fields, got {len(row)}"))
-            continue
-        user_id, req_s, leave_s, fail_s = (c.strip() for c in row)
-        if not user_id:
-            errors.append((lineno, "empty user_id"))
-            continue
-        try:
-            req_ts = _parse_timestamp(req_s)
-            leave_ts = _parse_timestamp(leave_s)
-        except ValueError:
-            errors.append((lineno, f"bad timestamp in {row!r}"))
-            continue
-        if leave_ts < req_ts:
-            errors.append((lineno, "leave_ts precedes request_ts"))
-            continue
-        flag = fail_s.lower()
-        if flag in ("0", "false"):
-            fail = False
-        elif flag in ("1", "true"):
-            fail = True
-        else:
-            errors.append((lineno, f"fetch_failure must be 0 or 1, got {fail_s!r}"))
-            continue
-        records.append(TraceRecord(user_id, req_ts, leave_ts, fail))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(c.strip().lower() for c in header) != TRACE_COLUMNS:
+            raise TraceFormatError(
+                f"{path}: expected header {','.join(TRACE_COLUMNS)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or not "".join(row).strip():
+                continue
+            data_rows += 1
+            if len(row) != 4:
+                errors.append((lineno, f"expected 4 fields, got {len(row)}"))
+                continue
+            user_id, req_s, leave_s, fail_s = map(str.strip, row)
+            if not user_id:
+                errors.append((lineno, "empty user_id"))
+                continue
+            try:
+                req_ts = _parse_timestamp(req_s)
+                leave_ts = _parse_timestamp(leave_s)
+            except ValueError:
+                errors.append((lineno, f"bad timestamp in {row!r}"))
+                continue
+            if leave_ts < req_ts:
+                errors.append((lineno, "leave_ts precedes request_ts"))
+                continue
+            flag = fail_s.lower()
+            if flag in ("0", "false"):
+                fail = False
+            elif flag in ("1", "true"):
+                fail = True
+            else:
+                errors.append((lineno, f"fetch_failure must be 0 or 1, got {fail_s!r}"))
+                continue
+            user_ids.append(user_id)
+            requests.append(req_ts)
+            leaves.append(leave_ts)
+            flags.append(fail)
     if data_rows and len(errors) > data_rows / 2:
         raise TraceFormatError(
             f"{path}: {len(errors)} of {data_rows} rows malformed")
-    return TraceParseResult(tuple(records), tuple(errors))
+    return TraceParseResult(TraceColumns(tuple(user_ids), requests, leaves, flags),
+                            tuple(errors))
 
 
-def write_trace_csv(records, path) -> None:
+def write_trace_csv(trace: TraceColumns, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_COLUMNS)
-        for r in records:
-            w.writerow([r.user_id, _fmt(r.request_ts), _fmt(r.leave_ts),
-                        _fmt(r.fetch_failure)])
+        w.writerows(zip(trace.user_id, map(repr, trace.request_ts.tolist()),
+                        map(repr, trace.leave_ts.tolist()),
+                        trace.fetch_failure.view(np.uint8).tolist()))
 
 
 def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1, start: float = 0.0,
-                     model: SessionModel = SessionModel()) -> tuple[TraceRecord, ...]:
+                     model: SessionModel = SessionModel()) -> TraceColumns:
     """Synthetic access trace: the churn model's session columns (the
     standard one by default), then a fetch-failure column."""
     if count < 0:
@@ -234,43 +245,46 @@ def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1, star
     rng = np.random.default_rng(seed)
     joins, durations = churn.sample_sessions(model, rng, count)
     joins += start
-    return tuple(map(TraceRecord, (f"u{i}" for i in range(count)), joins.tolist(),
-                     (joins + durations).tolist(),
-                     (rng.random(count) < fail_fraction).tolist()))
+    return TraceColumns(tuple(f"u{i}" for i in range(count)), joins, joins + durations,
+                        rng.random(count) < fail_fraction)
 
 
-def build_trace_peers(records, cfg: SimConfig, rng: np.random.Generator) -> PeerColumns:
+def build_trace_peers(trace: TraceColumns, cfg: SimConfig,
+                      rng: np.random.Generator) -> PeerColumns:
     """Trace rows as peer columns, id i for row i; attributes the trace
     lacks (city, ISP, capacity) are drawn by engine.draw_peer_attributes."""
-    n = len(records)
+    n = len(trace)
     return PeerColumns(tuple(cfg.city_table), np.arange(n),
                        *engine.draw_peer_attributes(cfg, rng, n),
-                       np.array([rec.request_ts for rec in records], np.float64),
-                       np.array([rec.duration for rec in records], np.float64))
+                       trace.request_ts, trace.leave_ts - trace.request_ts)
 
 
-def run_trace(records, cfg: SimConfig) -> tuple[MetricsReport, Outcomes]:
-    """Replay a trace: sessions and the affected set come from the file.
+def run_trace(trace: TraceColumns, cfg: SimConfig) -> tuple[MetricsReport, Outcomes]:
+    """Replay a trace: sessions and the affected set come from its columns.
 
     Rows flagged fetch_failure form the affected set of a failure window
     spanning the whole run, so those users take the relay path exactly
-    where the log says the server path failed. A trace without records, or
-    a finite sim_duration ending before the first request (epoch timestamps
-    under a one-hour horizon, say), raises ValueError.
+    where the log says the server path failed. A trace without rows, or a
+    finite sim_duration ending before the first request (epoch timestamps
+    under a one-hour horizon, say), raises ValueError. Records are
+    replayed as TraceColumns.from_records(records).
     """
+    if not isinstance(trace, TraceColumns):
+        raise TypeError(f"run_trace takes a TraceColumns, got {type(trace).__name__}; "
+                        f"build one with TraceColumns.from_records(records)")
     validate_config(cfg)
-    if not records:
+    if not len(trace):
         raise ValueError("the trace has no requests to replay")
     if math.isfinite(cfg.sim_duration):
-        first = min(rec.request_ts for rec in records)
+        first = trace.request_ts.min().item()
         if first > cfg.sim_duration:
             raise ValueError(
                 f"sim_duration {cfg.sim_duration!r} s ends before the first trace "
                 f"request at {first!r} s; set sim_duration = inf or rebase the "
                 f"trace timestamps to start near 0")
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
-    affected = frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)
-    sim = Simulation(cfg, engine.Population(build_trace_peers(records, cfg, rng),
+    affected = frozenset(np.flatnonzero(trace.fetch_failure).tolist())
+    sim = Simulation(cfg, engine.Population(build_trace_peers(trace, cfg, rng),
                                             FailureScenario(affected)))
     return sim.run(), sim.outcomes
 

@@ -1,17 +1,18 @@
 """Domain types and validated configuration for the delivery simulator.
 
 Everything else in the package builds on the types here: peers (as
-columns and as row records), content items, trace rows, and the central
-SimConfig whose defaults describe the reference scenario (5000 peers
-across five cities, Poisson arrivals, heavy-tailed sessions, one failed
-region).
+columns and as row records), content items, access traces (TraceColumns,
+a checked table that parse_trace fills and run_trace reads, and its
+TraceRecord rows at the API edge), and the central SimConfig whose
+defaults describe the reference scenario (5000 peers across five cities,
+Poisson arrivals, heavy-tailed sessions, one failed region).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -178,6 +179,60 @@ class TraceRecord:
     @property
     def duration(self) -> float:
         return self.leave_ts - self.request_ts
+
+
+@dataclass(eq=False)
+class TraceColumns:
+    """An access trace as read-only columns, one entry per row in file
+    order: user_id (a tuple of str), float64 request_ts and leave_ts in
+    seconds, and bool fetch_failure. The table holds its own copy of each
+    column, and building one checks every row (finite timestamps,
+    leave_ts >= request_ts), raising ValueError naming the first bad row.
+    Iteration yields the rows as TraceRecord records of built-in values,
+    and two tables are equal when their rows are.
+    """
+
+    user_id: tuple[str, ...]
+    request_ts: np.ndarray
+    leave_ts: np.ndarray
+    fetch_failure: np.ndarray
+
+    def __post_init__(self):
+        self.user_id = tuple(self.user_id)
+        n = len(self.user_id)
+        for name, dtype in (("request_ts", np.float64), ("leave_ts", np.float64),
+                            ("fetch_failure", np.bool_)):
+            column = np.array(getattr(self, name), dtype)
+            if column.shape != (n,):
+                raise ValueError(f"{name} needs one entry per user_id, {n}")
+            column.flags.writeable = False
+            setattr(self, name, column)
+        req, leave = self.request_ts, self.leave_ts
+        bad = ~(np.isfinite(req) & np.isfinite(leave) & (leave >= req))
+        if bad.any():
+            row = int(bad.argmax())
+            times = req.item(row), leave.item(row)
+            what = ("leave_ts precedes request_ts" if all(map(math.isfinite, times))
+                    else "non-finite timestamp")
+            raise ValueError(f"trace row {row} (user_id {self.user_id[row]!r}): {what}, "
+                             f"request_ts {times[0]!r}, leave_ts {times[1]!r}")
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> TraceColumns:
+        """The columns of the given TraceRecord rows, in list order."""
+        records = list(records)
+        return cls(tuple(r.user_id for r in records), [r.request_ts for r in records],
+                   [r.leave_ts for r in records], [r.fetch_failure for r in records])
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(TraceRecord, self.user_id, self.request_ts.tolist(),
+                   self.leave_ts.tolist(), self.fetch_failure.tolist())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, TraceColumns) else NotImplemented
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
 
 import csv
+import io
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from hypothesis import strategies as st
@@ -144,6 +146,51 @@ def outcome_tables(draw):
                     rng.choice(10**6, n, replace=False).astype(np.int64), times(), times(),
                     served_by.astype(np.int64), rng.integers(0, 4, n).astype(np.int64),
                     rng.random(n) < 0.5)
+
+
+@st.composite
+def trace_files(draw):
+    """Bytes of a trace CSV with the right header, mixing good rows (numeric
+    or ISO timestamps in either order, any flag spelling) with blank rows,
+    4-field whitespace-only rows, wrong field counts, empty user ids,
+    non-finite and unparsable timestamps and bad flags. User ids may hold
+    commas and quotes, which the writer quotes; lines end in LF or CRLF."""
+    offsets = st.sampled_from((None, timezone.utc, timezone(timedelta(hours=8))))
+    iso = st.builds(lambda dt, z: dt.isoformat() + (z if dt.tzinfo is None else ""),
+                    st.datetimes(datetime(1900, 1, 1), datetime(2200, 1, 1), timezones=offsets),
+                    st.sampled_from(("", "", "Z")))
+    numbers = st.one_of(st.floats(-1e12, 1e12).map(repr), st.integers(-10**6, 10**10).map(str))
+    odd = st.sampled_from(("nan", "NaN", "inf", "-inf", "1e400", "abc", "", " 12 ",
+                           "2026-01-01T00:00:00Z", "2026-13-01T00:00:00"))
+    good_flags = st.sampled_from(("0", "1", "true", "false", "TRUE", " False "))
+    flags = st.one_of(good_flags, st.sampled_from(("maybe", "2", "")))
+    users = st.text("uv7, \"", max_size=5)
+
+    @st.composite
+    def good(draw):
+        a, b = draw(st.one_of(numbers, iso)), draw(st.one_of(numbers, iso))
+        return [draw(users.filter(str.strip)), a, b, draw(good_flags)]
+
+    def other(draw):
+        kind = draw(st.sampled_from(("blank", "spaces", "count", "empty-user", "any")))
+        if kind == "blank":
+            return []
+        if kind == "spaces":
+            return draw(st.lists(st.sampled_from(("", " ", "\t")), min_size=4, max_size=4))
+        if kind == "count":
+            return draw(st.lists(st.one_of(users, numbers), min_size=1, max_size=6)
+                        .filter(lambda row: len(row) != 4))
+        field = st.one_of(numbers, iso, odd)
+        return [" " if kind == "empty-user" else draw(users), draw(field), draw(field),
+                draw(flags)]
+
+    rows = draw(st.lists(good(), max_size=8)) + [other(draw) for _ in range(
+        draw(st.integers(0, 8)))]
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n"))))
+    w.writerow(["user_id", "request_ts", "leave_ts", "fetch_failure"])
+    w.writerows(draw(st.permutations(rows)))
+    return out.getvalue().encode()
 
 
 def save_instance(path, b, caps):

@@ -19,7 +19,8 @@ rank_path_aware on the path-aware draws.
 
 It also keeps the row-by-row forms of the metrics and the outcome CSV
 writer, which scan RequestOutcome records: collect_metrics_rows and
-write_outcomes_csv_rows.
+write_outcomes_csv_rows; and of the trace parser, parse_trace_rows, which
+holds the file as a list of rows and builds a TraceRecord per good row.
 """
 
 import csv
@@ -29,8 +30,8 @@ import numpy as np
 
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
 from relaysim.engine import MetricsReport, Population
-from relaysim.io import OUTCOME_COLUMNS, _fmt
-from relaysim.model import RATE_EPS
+from relaysim.io import OUTCOME_COLUMNS, TRACE_COLUMNS, TraceFormatError, _fmt, _parse_timestamp
+from relaysim.model import RATE_EPS, TraceRecord
 from relaysim.netsim import SERVER, CityTable, latency_ms
 from relaysim.selection import OnlineSet, draw_path_aware, random_relay_list, rank_path_aware
 
@@ -300,3 +301,50 @@ def write_outcomes_csv_rows(outcomes, path):
             w.writerow([o.requester_id, _fmt(o.size_kb), _fmt(o.start_time),
                         _fmt(o.end_time), _fmt(o.served_by), o.attempts,
                         _fmt(o.primary_success), _fmt(o.entered_relay_phase)])
+
+
+def parse_trace_rows(path):
+    """io.parse_trace row by row: the whole file read as a list of rows,
+    one TraceRecord per good row. Returns (records, errors), or raises
+    TraceFormatError as parse_trace does."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(c.strip().lower() for c in rows[0]) != TRACE_COLUMNS:
+        raise TraceFormatError(
+            f"{path}: expected header {','.join(TRACE_COLUMNS)}")
+    records = []
+    errors = []
+    data_rows = 0
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or not "".join(row).strip():
+            continue
+        data_rows += 1
+        if len(row) != 4:
+            errors.append((lineno, f"expected 4 fields, got {len(row)}"))
+            continue
+        user_id, req_s, leave_s, fail_s = (c.strip() for c in row)
+        if not user_id:
+            errors.append((lineno, "empty user_id"))
+            continue
+        try:
+            req_ts = _parse_timestamp(req_s)
+            leave_ts = _parse_timestamp(leave_s)
+        except ValueError:
+            errors.append((lineno, f"bad timestamp in {row!r}"))
+            continue
+        if leave_ts < req_ts:
+            errors.append((lineno, "leave_ts precedes request_ts"))
+            continue
+        flag = fail_s.lower()
+        if flag in ("0", "false"):
+            fail = False
+        elif flag in ("1", "true"):
+            fail = True
+        else:
+            errors.append((lineno, f"fetch_failure must be 0 or 1, got {fail_s!r}"))
+            continue
+        records.append(TraceRecord(user_id, req_ts, leave_ts, fail))
+    if data_rows and len(errors) > data_rows / 2:
+        raise TraceFormatError(
+            f"{path}: {len(errors)} of {data_rows} rows malformed")
+    return tuple(records), tuple(errors)

@@ -30,8 +30,10 @@ from relaysim.engine import (
     _STREAM_POPULATION,
 )
 from relaysim.churn import SessionModel
-from relaysim.io import SweepSpec, build_trace_peers, run_sweep, run_trace, synthesize_trace
-from relaysim.model import RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig
+from relaysim.io import (SweepSpec, build_trace_peers, parse_trace, run_sweep, run_trace,
+                         synthesize_trace, write_trace_csv)
+from relaysim.model import (RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig, TraceColumns,
+                            TraceRecord)
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
 
 from helpers import (candidate_lists, ids_of, outcome_tables, outcomes_table, peer_rows,
@@ -934,6 +936,20 @@ class TestColumnsOnly:
         with pytest.raises(AssertionError, match="a Peer was built"):
             make_peer(0)
 
+    def test_trace_replay_builds_no_trace_record(self, monkeypatch, tmp_path):
+        # parse_trace fills the columns and run_trace reads them; TraceRecord
+        # rows exist only at the API edge.
+        write_trace_csv(synthesize_trace(200, seed=1, fail_fraction=0.5), tmp_path / "t.csv")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a TraceRecord was built")
+        monkeypatch.setattr(TraceRecord, "__init__", refuse)
+        parsed = parse_trace(tmp_path / "t.csv")
+        report, _ = run_trace(parsed.records, small_cfg(sim_duration=math.inf))
+        assert report.total_requests == 200 and report.served_by_relay > 0
+        with pytest.raises(AssertionError, match="a TraceRecord was built"):
+            list(parsed.records)
+
     @pytest.mark.parametrize("source", ["draw", "trace"])
     def test_rows_round_trip_to_equal_columns(self, source):
         cfg = SimConfig(peer_count=500, rng_seed=1)
@@ -941,8 +957,9 @@ class TestColumnsOnly:
             population = draw_population(cfg)
         else:
             # a trace listed out of join order: ids are not issue rows
-            records = synthesize_trace(500, seed=2, fail_fraction=0.5)[::-1]
-            population = Population(build_trace_peers(records, cfg, np.random.default_rng(3)),
+            trace = TraceColumns.from_records(
+                list(synthesize_trace(500, seed=2, fail_fraction=0.5))[::-1])
+            population = Population(build_trace_peers(trace, cfg, np.random.default_rng(3)),
                                     FailureScenario(frozenset(range(0, 500, 2))))
             assert population.ids.tolist() != list(range(500))
         again = Population.from_peers(population.peers.values(), population.scenario)
@@ -1037,11 +1054,12 @@ class TestDrawPass:
         # joins are rounded to 5 s so equal joins straddle block edges of 1
         # and 3 requesters; every fourth session is empty.
         records = [replace(rec, request_ts=5.0 * (rec.request_ts // 5.0))
-                   for rec in synthesize_trace(300, seed=4, fail_fraction=0.6)[::-1]]
+                   for rec in list(synthesize_trace(300, seed=4, fail_fraction=0.6))[::-1]]
         records = [replace(rec, leave_ts=rec.request_ts) if i % 4 == 0 else rec
                    for i, rec in enumerate(records)]
         cfg = small_cfg(strategy=strategy, peer_count=300, alpha=0.5, sim_duration=math.inf)
-        columns = build_trace_peers(records, cfg, np.random.default_rng(5))
+        columns = build_trace_peers(TraceColumns.from_records(records), cfg,
+                                    np.random.default_rng(5))
         population = Population(columns, FailureScenario(
             frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)))
         cut = population.join[population.cut]

@@ -6,11 +6,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from relaysim import engine
 from relaysim.engine import RequestOutcome, Simulation
@@ -36,11 +38,11 @@ from relaysim.io import (
     write_trace_csv,
     _PARSERS,
 )
-from relaysim.model import CapacityError, ConfigError, SimConfig, TraceRecord
+from relaysim.model import CapacityError, ConfigError, SimConfig, TraceColumns, TraceRecord
 from relaysim.netsim import SERVER, FailureScenario
 
-from helpers import outcome_tables, outcomes_table, peer_rows
-from reference import write_outcomes_csv_rows
+from helpers import outcome_tables, outcomes_table, peer_rows, trace_files
+from reference import parse_trace_rows, write_outcomes_csv_rows
 
 
 def make_args(**kw):
@@ -229,6 +231,56 @@ class TestTraceParsing:
         assert parsed.errors == ()
         assert parsed.records == records
 
+    @settings(max_examples=100, deadline=None)
+    @given(trace_files())
+    @example(b"user_id,request_ts,leave_ts,fetch_failure\r\n"
+             b'"a,b",1,2,0\r\n , , , \r\n\r\nc,5,3,1\r\nd,nan,1,0\r\ne,1,inf,x\r\n')
+    def test_streaming_parse_matches_the_row_parser(self, tmp_path_factory, text):
+        # The records, the errors and the fatal message (the example above
+        # has three malformed rows of four) all equal the row parser's.
+        f = tmp_path_factory.mktemp("trace") / "t.csv"
+        f.write_bytes(text)
+
+        def result(parse):
+            try:
+                return parse(f)
+            except TraceFormatError as exc:
+                return str(exc)
+        parsed, want = result(parse_trace), result(parse_trace_rows)
+        if not isinstance(parsed, str):
+            parsed = (tuple(parsed.records), parsed.errors)
+        assert parsed == want
+
+    def test_parse_holds_no_row_list(self, tmp_path):
+        """Traced peak of parse_trace on a 20,000-row synthesized trace.
+
+        The table itself costs per row a user_id str and its tuple slot,
+        two float64 and a bool: about 76 B here. A parser that holds the
+        file as csv.reader rows adds at least a rows-list slot and the
+        row's list (96 B), and the row's two timestamp strings (134 B) on
+        top. The bound is the table plus the bare rows list, about 172 B,
+        sized from the file's first data row. The row parser, which held
+        the rows and a TraceRecord per row, peaks at about 450 B/row, and
+        the same loop run over list(reader) at about 310 B/row; both fail. This
+        parser peaks at about 110 B/row: the table, its column buffers'
+        growth slack and the copy the table takes of them.
+        """
+        n = 20_000
+        f = tmp_path / "t.csv"
+        write_trace_csv(synthesize_trace(n, seed=1, fail_fraction=0.5), f)
+        with open(f, newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        table = 8 + sys.getsizeof(row[0]) + 8 + 8 + 1
+        held_row = 8 + sys.getsizeof(row)
+        tracemalloc.start()
+        try:
+            parsed = parse_trace(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.records) == n
+        assert peak < n * (table + held_row)
+
 
 class TestSynthesisAndReplay:
     def test_synthesize_counts(self):
@@ -249,9 +301,10 @@ class TestSynthesisAndReplay:
 
     def test_build_trace_peers(self):
         import numpy as np
-        records = (TraceRecord("a", 3.0, 10.0), TraceRecord("b", 4.0, 20.0))
+        trace = TraceColumns.from_records((TraceRecord("a", 3.0, 10.0),
+                                           TraceRecord("b", 4.0, 20.0)))
         cfg = SimConfig()
-        peers = peer_rows(build_trace_peers(records, cfg, np.random.default_rng(0)))
+        peers = peer_rows(build_trace_peers(trace, cfg, np.random.default_rng(0)))
         assert [p.id for p in peers] == [0, 1]
         assert peers[0].join_time == 3.0
         assert peers[0].session_duration == 7.0
@@ -305,9 +358,28 @@ class TestSynthesisAndReplay:
         path, _ = run_trace(records, replace(cfg, strategy="path-aware"))
         assert path.success_ratio > no_relay.success_ratio
 
+    # Hand-built rows that parse_trace would reject: the table refuses them,
+    # so run_trace never replays them.
+    @pytest.mark.parametrize("bad, message", [
+        (TraceRecord("a", 5.0, 3.0), r"trace row 1 \(user_id 'a'\): leave_ts precedes"),
+        (TraceRecord("a", math.nan, 3.0), r"trace row 1 \(user_id 'a'\): non-finite"),
+        (TraceRecord("a", 5.0, math.inf), r"trace row 1 \(user_id 'a'\): non-finite"),
+    ], ids=["backwards", "nan-request", "inf-leave"])
+    def test_trace_columns_refuse_rows_parse_trace_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            TraceColumns.from_records([TraceRecord("b", 0.0, 10.0), bad])
+
+    def test_run_trace_takes_only_trace_columns(self):
+        records = [TraceRecord("b", 0.0, 10.0), TraceRecord("a", 1.0, 5.0)]
+        cfg = SimConfig(peer_count=3, strategy="random")
+        with pytest.raises(TypeError, match="TraceColumns.from_records"):
+            run_trace(records, cfg)
+        report, _ = run_trace(TraceColumns.from_records(records), cfg)
+        assert report.total_requests == 2
+
     def test_run_trace_without_records_raises(self):
         with pytest.raises(ValueError, match="no requests"):
-            run_trace((), SimConfig())
+            run_trace(TraceColumns.from_records(()), SimConfig())
 
     def test_run_trace_horizon_before_first_request(self):
         records = synthesize_trace(20, seed=1, start=1.7e9)   # epoch seconds
@@ -914,9 +986,10 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("strategy", sorted(TRACE_OUTCOMES))
     def test_trace_replay_outcomes_csv_digest(self, strategy, tmp_path):
         import numpy as np
-        records = synthesize_trace(300, seed=5, fail_fraction=0.5)
+        records = list(synthesize_trace(300, seed=5, fail_fraction=0.5))
         shuffled = [records[i] for i in np.random.default_rng(3).permutation(300).tolist()]
-        _, outcomes = run_trace(shuffled, replace(self.CFG, strategy=strategy))
+        _, outcomes = run_trace(TraceColumns.from_records(shuffled),
+                                replace(self.CFG, strategy=strategy))
         assert outcomes.entered_relay_phase.any() and (outcomes.served_by >= 0).any()
         write_outcomes_csv(outcomes, tmp_path / "o.csv")
         digest = hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest()

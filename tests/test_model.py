@@ -14,6 +14,7 @@ from relaysim.model import (
     Peer,
     RelayLedger,
     SimConfig,
+    TraceColumns,
     TraceRecord,
     config_errors,
     validate_config,
@@ -70,6 +71,31 @@ class TestContentAndTrace:
         rec = TraceRecord(user_id="u1", request_ts=100.0, leave_ts=160.0)
         assert rec.duration == 60.0
         assert rec.fetch_failure is False
+
+    def test_trace_columns_round_trip_records(self):
+        records = [TraceRecord("u1", 100.0, 160.0, True), TraceRecord("u0", 5.0, 5.0)]
+        trace = TraceColumns.from_records(records)
+        assert len(trace) == 2 and list(trace) == records
+        assert [[type(v) for v in dataclasses.astuple(r)] for r in trace] == [
+            [str, float, float, bool]] * 2
+        assert trace == TraceColumns.from_records(iter(records))
+        assert trace != TraceColumns.from_records(records[::-1])
+        assert trace.request_ts.dtype == np.float64 and trace.fetch_failure.dtype == bool
+        assert len(TraceColumns.from_records([])) == 0
+
+    def test_trace_columns_are_read_only_copies(self):
+        joins = np.array([1.0, 2.0])
+        trace = TraceColumns(["a", "b"], joins, joins + 1.0, np.array([0, 1]))
+        assert trace.user_id == ("a", "b")
+        assert trace.fetch_failure.tolist() == [False, True]
+        with pytest.raises(ValueError):
+            trace.request_ts[0] = 0.0
+        joins[0] = 9.0          # the caller's array stays writable and apart
+        assert trace.request_ts.tolist() == [1.0, 2.0]
+
+    def test_trace_columns_need_one_entry_per_row(self):
+        with pytest.raises(ValueError, match="leave_ts needs one entry"):
+            TraceColumns(("a", "b"), [1.0, 2.0], [3.0], [False, False])
 
 
 class TestConfigValidation:
