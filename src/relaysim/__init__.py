@@ -16,17 +16,16 @@ from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
 from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceColumns,
                             TraceRecord, validate_config)
 from relaysim.netsim import CityTable, FailureScenario, inject_failure
-from relaysim.selection import (OnlineSet, draw_path_aware, generate_relay_list, solve_exact,
-                                solve_greedy)
+from relaysim.selection import generate_relay_list, solve_exact, solve_greedy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
-    "OnlineSet", "Outcomes", "Peer", "Population", "RequestOutcome",
+    "Outcomes", "Peer", "Population", "RequestOutcome",
     "SessionModel", "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceColumns",
     "TraceRecord",
-    "calibrate_pareto", "collect_metrics", "draw_candidates", "draw_path_aware",
+    "calibrate_pareto", "collect_metrics", "draw_candidates",
     "estimate_time_to_stay", "generate_relay_list", "inject_failure", "parse_trace", "run",
     "run_sweep", "run_trace", "solve_exact", "solve_greedy", "validate_config",
 ]

@@ -13,8 +13,9 @@ are decided at issue time on whole columns. The candidate draws and the
 path-aware rank depend only on the population, so draw_candidates makes
 every list before the event loop, a block of requesters at a time: pick
 positions as arrays from the pool sizes, one sweep that only indexes the
-sorted online ids, then the fetch-failure history and the rank as array
-steps. From there a relay is its row: a list is a tuple of relay rows in
+ascending online id ranks (positions in by_id), one gather from id ranks
+to rows, then the fetch-failure history and the rank as array steps.
+From there a relay is its row: a list is a tuple of relay rows in
 try order, and the run's ledger is keyed by row. The loop resolves the
 attempts due by each relay-phase join before issuing that request, so its
 heap holds attempt resolutions only; a path-aware list then drops the
@@ -28,6 +29,7 @@ int or float, at under half the cost of ndarray.item, and copies nothing.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -40,8 +42,8 @@ from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedge
                             _is_int, validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
-from relaysim.selection import (OnlineSet, careful_slots, generate_relay_list, pick_ids,
-                                pool_positions, rank_path_aware)
+from relaysim.selection import (careful_slots, generate_relay_list, pool_positions,
+                                rank_path_aware)
 # random_relay_list is not called here; perfbench's tracer patches this binding.
 from relaysim.selection import random_relay_list  # noqa: F401
 
@@ -357,12 +359,9 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     path_aware = cfg.strategy == "path-aware"
     slots = careful_slots(cfg.zeta, cfg.alpha) if path_aware else 0
     tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
-    ids, by_id = population.ids, population.by_id
     relays, sizes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for block, drawn, parts in _walk(cfg, population, k, requesters, slots):
-        order = np.argsort(drawn)   # searchsorted is several times faster on sorted keys
-        rows = np.empty_like(drawn)
-        rows[order] = by_id[np.searchsorted(ids, drawn[order], sorter=by_id)]
+        rows = population.by_id[drawn]
         if path_aware:
             own = np.repeat(block, parts.sum(axis=1))   # each relay's requester row
             keep = ~(population.cut[rows] & (rows < own))
@@ -380,26 +379,32 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
 def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray,
           slots: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The draws of the requester rows, _RANK_BLOCK at a time, in issue
-    order: (the block's rows, the ids drawn, each draw's careful part and
-    then its random part, the part lengths as an n x 2 array). The slots
-    careful picks come from the requester's bucket (zero slots: the random
-    draw).
+    order: (the block's rows, the id ranks drawn, each draw's careful part
+    and then its random part, the part lengths as an n x 2 array). A
+    peer's id rank is its position in population.by_id, so id ranks sort
+    as ids do. The slots careful picks come from the requester's bucket
+    (zero slots: the random draw).
 
     Step s is requester s's join t_s. Peer q among the first k rows is
     online at step s when join_q <= t_s < departure_q: it arrives at the
     first step at or after its join and leaves at the first step at or
     after its departure, so a zero-length session never comes online. The
     pool sizes at each step are counts on those step columns, so the pick
-    positions of a block need no ids (pool_positions); one sweep keeps the
-    online ids in an OnlineSet and maps each draw's positions to ids
-    (pick_ids). The selection stream is drawn once, cfg.zeta floats per
-    requester; the requester with rank r by id reads row r."""
-    ids, bucket, n = population.ids, population.bucket, len(requesters)
+    positions of a block need no ids (pool_positions). One sweep keeps the
+    online id ranks in an ascending list, and for careful slots one per
+    bucket, applies each step's leaving and arriving peers, and maps each
+    draw's positions inline: past the requester's slot in the pool it
+    draws from, and the random picks also past the careful picks' slots.
+    The selection stream is drawn once, cfg.zeta floats per requester; the
+    requester with rank r by id reads row r."""
+    n = len(requesters)
     if n == 0:
         return
     times = population.join[requesters]
     rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((n, cfg.zeta))
-    rank = np.argsort(np.argsort(ids[requesters]))
+    id_rank = np.empty(len(population.by_id), np.int64)
+    id_rank[population.by_id] = np.arange(len(id_rank))
+    rank = np.argsort(np.argsort(id_rank[requesters]))
     arrive, leave = (np.searchsorted(times, c[:k]) for c in (population.join, population.dep))
     live = np.flatnonzero(leave > arrive)
     arrive, leave = arrive[live], leave[live]
@@ -408,44 +413,85 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
         order = np.argsort(step, kind="stable")
         by_step.append((live[order], np.searchsorted(step[order], np.arange(n + 1))))
     # Pool sizes: the peers online at each step and, for careful slots,
-    # those of the step's bucket (keys bucket * (n + 1) + step), less the
+    # those of the step's bucket (keys code * (n + 1) + step), less the
     # requester, which is online at its own step when its session is not
-    # empty. A random draw reads no bucket, so it counts none and its
-    # OnlineSet keeps none.
+    # empty. Bucket codes are compacted to 0..b-1 over the first k rows,
+    # so no list is sized by a raw code. A random draw reads no bucket, so
+    # it counts none and the sweep keeps none.
     here = population.dep[requesters] > times
     pool = by_step[1][1][1:] - by_step[0][1][1:] - here
-    same = np.zeros(n, np.int64)
+    same, code, buckets = np.zeros(n, np.int64), None, []
     if slots:
-        keys = [np.sort(bucket[live] * (n + 1) + step) for step in (arrive, leave)]
-        at = bucket[requesters] * (n + 1) + np.arange(n)
+        code = np.unique(population.bucket[:k], return_inverse=True)[1]
+        buckets = [[] for _ in range(code.max(initial=-1) + 1)]
+        keys = [np.sort(code[live] * (n + 1) + step) for step in (arrive, leave)]
+        at = code[requesters] * (n + 1) + np.arange(n)
         same = (np.searchsorted(keys[0], at, side="right")
                 - np.searchsorted(keys[1], at, side="right") - here)
         del keys, at
     del arrive, leave, live
 
-    def changes(lo: int, hi: int) -> Iterator[tuple[list, list]]:
-        """Each step's (leaving, arriving) (id, bucket code) pairs, lo to hi."""
+    def changes(lo: int, hi: int) -> Iterator[list]:
+        """Each step's leaving, then arriving, peers, lo to hi: id ranks,
+        or for careful slots (id rank, bucket code) pairs."""
         for order, at in by_step:
             block = order[at[lo]:at[hi]]
-            pairs = list(zip(ids[block].tolist(), bucket[block].tolist()))
+            peers = id_rank[block].tolist()
+            if slots:
+                peers = list(zip(peers, code[block].tolist()))
             bounds = (at[lo:hi + 1] - at[lo]).tolist()
-            yield [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+            yield [peers[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    online = OnlineSet(bucketed=slots > 0)
+    online: list[int] = []
     for lo in range(0, n, _RANK_BLOCK):
         hi = min(lo + _RANK_BLOCK, n)
         u, careful = rows[rank[lo:hi]], np.minimum(same[lo:hi], slots)
-        drawn = []
-        for pid, code, leaving, arriving, c, r in zip(
-                ids[requesters[lo:hi]].tolist(), bucket[requesters[lo:hi]].tolist(),
-                *changes(lo, hi), pool_positions(u[:, :slots], same[lo:hi]),
-                pool_positions(u[:, slots:], pool[lo:hi] - careful)):
-            online.update(leaving, arriving)
-            c, r = pick_ids(online, pid, code, c, r)
-            drawn += c
-            drawn += r
-        randoms = np.minimum(pool[lo:hi] - careful, cfg.zeta - slots)
-        yield requesters[lo:hi], np.array(drawn, np.int64), np.column_stack((careful, randoms))
+        steps = zip(id_rank[requesters[lo:hi]].tolist(), here[lo:hi].tolist(),
+                    *changes(lo, hi), pool_positions(u[:, slots:], pool[lo:hi] - careful))
+        drawn: list[int] = []
+        if not slots:
+            for me, present, leaving, arriving, randoms in steps:
+                for x in leaving:
+                    del online[bisect_left(online, x)]
+                for x in arriving:
+                    insort(online, x)
+                r = bisect_left(online, me) if present else len(online)
+                for q in randoms:
+                    drawn.append(online[q + (q >= r)])
+        else:
+            for (me, present, leaving, arriving, randoms), mine, picks in zip(
+                    steps, code[requesters[lo:hi]].tolist(),
+                    pool_positions(u[:, :slots], same[lo:hi])):
+                for x, c in leaving:
+                    del online[bisect_left(online, x)]
+                    bucket = buckets[c]
+                    del bucket[bisect_left(bucket, x)]
+                for x, c in arriving:
+                    insort(online, x)
+                    insort(buckets[c], x)
+                r = bisect_left(online, me) if present else len(online)
+                if picks:
+                    bucket = buckets[mine]
+                    b = bisect_left(bucket, me) if present else len(bucket)
+                    taken = [r]
+                    for q in picks:
+                        x = bucket[q + (q >= b)]
+                        drawn.append(x)
+                        taken.append(bisect_left(online, x))
+                    # past slots t in ascending order, q becomes
+                    # q + #{l : t_l - l <= q}: the skipped slots before the
+                    # q-th one not skipped
+                    taken.sort()
+                    for l in range(1, len(taken)):
+                        taken[l] -= l
+                    for q in randoms:
+                        drawn.append(online[q + bisect_right(taken, q)])
+                else:
+                    for q in randoms:
+                        drawn.append(online[q + (q >= r)])
+        del steps   # frees the block's step lists before the caller ranks it
+        yield requesters[lo:hi], np.array(drawn, np.int64), np.column_stack(
+            (careful, np.minimum(pool[lo:hi] - careful, cfg.zeta - slots)))
 
 
 class Simulation:

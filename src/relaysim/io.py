@@ -173,9 +173,9 @@ def parse_trace(path) -> TraceParseResult:
 
     One pass over the rows, appending each good row to the four column
     buffers of a TraceColumns. Malformed rows are collected as (line,
-    message) pairs and skipped; if more than half the data rows are
-    malformed the whole file is rejected with TraceFormatError. A missing
-    or wrong header is always fatal.
+    message) pairs, by the file line the row starts on, and skipped; if
+    more than half the data rows are malformed the whole file is rejected
+    with TraceFormatError. A missing or wrong header is always fatal.
     """
     user_ids, requests, leaves, flags = [], array("d"), array("d"), array("b")
     errors = []
@@ -186,7 +186,10 @@ def parse_trace(path) -> TraceParseResult:
         if header is None or tuple(c.strip().lower() for c in header) != TRACE_COLUMNS:
             raise TraceFormatError(
                 f"{path}: expected header {','.join(TRACE_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            # a quoted field may hold line breaks: a row's line is its first
+            lineno, start = start, reader.line_num + 1
             if not row or not "".join(row).strip():
                 continue
             data_rows += 1

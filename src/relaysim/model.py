@@ -186,8 +186,9 @@ class TraceColumns:
     """An access trace as read-only columns, one entry per row in file
     order: user_id (a tuple of str), float64 request_ts and leave_ts in
     seconds, and bool fetch_failure. The table holds its own copy of each
-    column, and building one checks every row (finite timestamps,
-    leave_ts >= request_ts), raising ValueError naming the first bad row.
+    column, and building one checks every row (a user_id that is not
+    blank, finite timestamps, leave_ts >= request_ts), raising ValueError
+    naming the first bad row.
     Iteration yields the rows as TraceRecord records of built-in values,
     and two tables are equal when their rows are.
     """
@@ -209,10 +210,13 @@ class TraceColumns:
             setattr(self, name, column)
         req, leave = self.request_ts, self.leave_ts
         bad = ~(np.isfinite(req) & np.isfinite(leave) & (leave >= req))
+        if not all(map(str.strip, self.user_id)):
+            bad |= np.array([not uid.strip() for uid in self.user_id])
         if bad.any():
             row = int(bad.argmax())
             times = req.item(row), leave.item(row)
-            what = ("leave_ts precedes request_ts" if all(map(math.isfinite, times))
+            what = ("empty user_id" if not self.user_id[row].strip()
+                    else "leave_ts precedes request_ts" if all(map(math.isfinite, times))
                     else "non-finite timestamp")
             raise ValueError(f"trace row {row} (user_id {self.user_id[row]!r}): {what}, "
                              f"request_ts {times[0]!r}, leave_ts {times[1]!r}")

@@ -9,15 +9,14 @@ the rest from everyone else online; the random baseline's list is the
 alpha-0 draw. Each draw reads a row u of uniform floats in [0, 1), one per
 pick, and samples without replacement. Where a pick lands in its pool
 depends only on the pool's size and u, so pool_positions computes the
-positions of a whole block of draws as arrays; pick_ids then maps one
-draw's positions to ids in an OnlineSet of ascending ids, bucketed by
-code, past the slots its pool skips, so the work per list grows with
-zeta, not with the peers online. random_relay_list and draw_path_aware
-make one requester's draw the same two ways. From there a relay is its
-population row: rank_path_aware sorts each partition of a block of
-draws, given as flat rows, by estimated time-to-stay and puts the careful
-one first. At request time generate_relay_list drops the rows with too
-much relay workload.
+positions of a whole block of draws as arrays; the engine's sweep then
+maps them to peers past the slots each pool skips, so the work per list
+grows with zeta, not with the peers online. random_relay_list makes one
+requester's random draw by list pops; no run calls it. From there a
+relay is its population row: rank_path_aware sorts each partition of a
+block of draws, given as flat rows, by estimated time-to-stay and puts
+the careful one first. At request time generate_relay_list drops the
+rows with too much relay workload.
 
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps.
@@ -27,10 +26,8 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Container, Hashable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,36 +44,6 @@ MAX_EXACT_DIM = 8
 
 class Infeasible(Exception):
     """No assignment satisfies the capacity constraints."""
-
-
-class OnlineSet:
-    """The ids of the online peers in ascending order, plus one id-ordered
-    bucket per bucket code, kept with bisect: the draws never sort or scan.
-    A set made with bucketed=False keeps no buckets (random draws read
-    none): it ignores the codes, and bucket() is always empty."""
-
-    def __init__(self, bucketed: bool = True):
-        self.ids: list[int] = []
-        self._buckets: dict[Hashable, list[int]] | None = {} if bucketed else None
-
-    def update(self, leaving: Iterable[tuple[int, Hashable]],
-               arriving: Iterable[tuple[int, Hashable]]) -> None:
-        """Remove the leaving (id, bucket code) peers, which must be
-        online, then add the arriving ones, which must not be."""
-        ids, buckets = self.ids, self._buckets
-        for pid, code in leaving:
-            del ids[bisect_left(ids, pid)]
-            if buckets is not None:
-                bucket = buckets[code]
-                del bucket[bisect_left(bucket, pid)]
-        for pid, code in arriving:
-            insort(ids, pid)
-            if buckets is not None:
-                insort(buckets.setdefault(code, []), pid)
-
-    def bucket(self, code: Hashable) -> list[int]:
-        """Ids of the online peers with that bucket code, ascending."""
-        return (self._buckets or {}).get(code, [])
 
 
 def pool_positions(u: np.ndarray, m) -> list[list[int]]:
@@ -105,79 +72,21 @@ def pool_positions(u: np.ndarray, m) -> list[list[int]]:
     return rows
 
 
-def _slot(ids: list[int], pid: int) -> int:
-    """pid's position in ids, or len(ids) when ids does not hold it."""
-    i = bisect_left(ids, pid)
-    return i if i < len(ids) and ids[i] == pid else len(ids)
-
-
-def pick_ids(online: OnlineSet, requester: int, bucket: Hashable, careful: list[int],
-             randoms: list[int]) -> tuple[list[int], list[int]]:
-    """The ids of one path-aware draw at its pool positions (pool_positions):
-    (careful ids, random ids). The careful pool is the online peers with
-    the requester's bucket code, the random pool all online peers, both in
-    ascending id order and without the requester; the random pool also
-    leaves out the careful picks. A position moves past the slots its pool
-    skips: past slots t in ascending order, q becomes q + #{l : t_l - l <= q},
-    which counts the skipped slots before the q-th one not skipped."""
-    ids = online.ids
-    r = _slot(ids, requester)
-    if not careful:
-        return [], [ids[q + (q >= r)] for q in randoms]
-    same = online.bucket(bucket)
-    b = _slot(same, requester)
-    careful = [same[q + (q >= b)] for q in careful]
-    slots = sorted([r, *[bisect_left(ids, pid) for pid in careful]])
-    moved = [t - l for l, t in enumerate(slots)]
-    return careful, [ids[q + bisect_right(moved, q)] for q in randoms]
-
-
 def careful_slots(zeta: int, alpha: float) -> int:
     """The careful slots of a path-aware list: ceil(zeta * alpha), at most zeta."""
     return min(zeta, math.ceil(zeta * alpha - 1e-12))
 
 
-def random_relay_list(requester: int, online: OnlineSet, zeta: int,
+def random_relay_list(requester: int, online: Iterable[int], zeta: int,
                       u: Sequence[float]) -> tuple[int, ...]:
     """Baseline: the ids of up to zeta online peers other than the
     requester (an id), drawn uniformly from the row u, in draw order: the
-    alpha-0 path-aware draw with no history. Pool index i is the i-th
-    lowest online id other than the requester's, so the draw does not
-    depend on the order peers came online in.
-    """
-    return draw_path_aware(requester, None, online, alpha=0.0, zeta=zeta, u=u, failed=())[1]
-
-
-def _workload_ok(relay: int, uplink_kbps: float, ledger: RelayLedger, gamma: float,
-                 mode: str) -> bool:
-    if mode == "count":
-        return ledger.workload.get(relay, 0) <= gamma
-    return ledger.uplink_utilization(relay, uplink_kbps) <= gamma
-
-
-def draw_path_aware(requester: int, bucket: Hashable, online: OnlineSet, *, alpha: float,
-                    zeta: int, u: Sequence[float],
-                    failed: Container[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The draw half of a path-aware list: (careful ids, random ids), for
-    the requester with that id and bucket code.
-
-    careful_slots(zeta, alpha) slots are drawn from the online peers of
-    the requester's bucket, the rest from all other online peers (pick_ids'
-    pools). The careful draw reads u first, the random draw
-    u[careful_slots:], so with alpha 0 and failed empty the random part is
-    random_relay_list's draw. A careful shortfall is not backfilled. The
-    ids in failed (the fetch-failure history) take their picks, then leave
-    both parts, kept in draw order.
-    """
-    slots = careful_slots(zeta, alpha)
-    same, ids = online.bucket(bucket), online.ids
-    m = len(same) - (_slot(same, requester) < len(same))
-    careful = pool_positions([u[:slots]], [m])[0]
-    m = len(ids) - (_slot(ids, requester) < len(ids)) - len(careful)
-    drawn = pick_ids(online, requester, bucket, careful,
-                     pool_positions([u[slots:zeta]], [m])[0])
-    drop = failed.__contains__
-    return tuple(tuple(filterfalse(drop, part)) for part in drawn)
+    list pops of pool_positions on the ascending online ids less the
+    requester's, so the draw does not depend on the order peers came
+    online in. It is the random draw engine.draw_candidates makes, one
+    requester at a time; no run calls it."""
+    pool = sorted(pid for pid in online if pid != requester)
+    return tuple(pool.pop(int(x * len(pool))) for x in u[:min(zeta, len(pool))])
 
 
 def rank_path_aware(rows: np.ndarray, sizes: np.ndarray, times, population: Population,
@@ -197,15 +106,18 @@ def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamm
                         workload_mode: str, ledger: RelayLedger) -> tuple[int, ...]:
     """A ranked path-aware list of population rows at request time: ranked
     less the relays whose workload in the run's row-keyed ledger is above
-    gamma, in ranked order. A relay absent from the ledger dict
-    workload_mode reads carries none, and gamma >= 0 keeps it, so a list
-    that dict misses comes back as it is."""
+    gamma, in ranked order. The workload is the relay's attempt count
+    (ledger.workload) in count mode and its committed uplink over its
+    uplink capacity (ledger.in_use_kbps) in utilization mode. A relay
+    absent from the dict workload_mode reads carries none, and gamma >= 0
+    keeps it, so a list that dict misses comes back as it is."""
     busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
     if busy.keys().isdisjoint(ranked):
         return ranked
+    if workload_mode == "count":
+        return tuple([row for row in ranked if busy.get(row, 0) <= gamma])
     uplink = memoryview(population.uplink)
-    return tuple(row for row in ranked
-                 if _workload_ok(row, uplink[row], ledger, gamma, workload_mode))
+    return tuple([row for row in ranked if busy.get(row, 0.0) / uplink[row] <= gamma])
 
 
 @dataclass(frozen=True)

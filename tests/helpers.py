@@ -3,42 +3,76 @@
 import csv
 import io
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+from relaysim import engine
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes, Population
 from relaysim.io import _OUTCOME_BLOCK
-from relaysim.model import Peer, RelayLedger
+from relaysim.model import Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
-from relaysim.selection import OnlineSet, _check_instance, rank_path_aware
+from relaysim.selection import _check_instance, rank_path_aware
 
 
-def key(peer):
-    """A Peer as the OnlineSet takes it: (id, bucket code), with its
-    (city, ISP) pair as the code."""
-    return peer.id, (peer.city, peer.isp)
+class Online(NamedTuple):
+    """Online peers as the test-side draws read them: their ids in
+    ascending order, and for each bucket code, a (city, ISP) pair, the ids
+    of its online peers in ascending order."""
 
-
-def add(online, peer):
-    """Bring peer online in the OnlineSet; no effect when its id already is."""
-    if peer.id not in online.ids:
-        online.update((), (key(peer),))
-
-
-def discard(online, peer):
-    """Take peer offline in the OnlineSet; no effect when its id is not online."""
-    if peer.id in online.ids:
-        online.update((key(peer),), ())
+    ids: list
+    buckets: dict
 
 
 def online_set(peers):
-    """The OnlineSet holding exactly the given peers."""
-    online = OnlineSet()
-    for p in peers:
-        add(online, p)
-    return online
+    """The Online set holding exactly the given peers (one per id)."""
+    ids, buckets = [], {}
+    for pid, code in sorted({p.id: (p.city, p.isp) for p in peers}.items()):
+        ids.append(pid)
+        buckets.setdefault(code, []).append(pid)
+    return Online(ids, buckets)
+
+
+def sweep_draw(requester, online, t, u, *, failed=(), **fields):
+    """One requester's draw as the draw pass makes it (engine._walk, then
+    engine.draw_candidates), with u as its row of the selection stream.
+    The requester is cut off at its join t; the peers of online whose ids
+    are in failed are cut off at their joins, issued before it; every
+    other peer in online must be online at t. fields are SimConfig fields.
+    Returns (the population, the walk's draw as (careful ids, random ids),
+    the requester's list in the draw table, as rows)."""
+    others = [p for p in online if p.id != requester.id]
+    assert all(p.online(t) for p in others), "a peer in online is offline at t"
+    history = [p for p in others if p.id in failed]
+    peers = history + [p for p in others if p.id not in failed] + [
+        replace(requester, join_time=t)]
+    cut = frozenset(p.id for p in history) | {requester.id}
+    listed = Population.from_peers(peers, FailureScenario(cut))
+    cfg = SimConfig(peer_count=len(peers), sim_duration=math.inf, **fields)
+    # the requester reads row r of the stream, r its rank by id among the
+    # cut-off peers; the other rows are never read by its draw
+    stream = np.zeros((len(cut), cfg.zeta))
+    stream[sorted(cut).index(requester.id)] = u
+    fixed = SimpleNamespace(random=lambda shape: stream)
+    walk, blocks = engine._walk, []
+
+    def kept_walk(*args):
+        for block in walk(*args):
+            blocks.append(block)
+            yield block
+    with mock.patch.object(engine, "_stream", lambda seed, label: fixed), \
+            mock.patch.object(engine, "_walk", kept_walk):
+        draws = engine.draw_candidates(cfg, listed)
+    _, drawn, parts = blocks[-1]
+    ids = listed.ids[listed.by_id[drawn[len(drawn) - parts[-1].sum():]]].tolist()
+    careful = parts[-1, 0]
+    return listed, (tuple(ids[:careful]), tuple(ids[careful:])), draws.ranked(
+        len(draws.offsets) - 2)
 
 
 def peer_rows(columns):
@@ -154,7 +188,8 @@ def trace_files(draw):
     or ISO timestamps in either order, any flag spelling) with blank rows,
     4-field whitespace-only rows, wrong field counts, empty user ids,
     non-finite and unparsable timestamps and bad flags. User ids may hold
-    commas and quotes, which the writer quotes; lines end in LF or CRLF."""
+    commas, quotes and line breaks, which the writer quotes; lines end in
+    LF or CRLF."""
     offsets = st.sampled_from((None, timezone.utc, timezone(timedelta(hours=8))))
     iso = st.builds(lambda dt, z: dt.isoformat() + (z if dt.tzinfo is None else ""),
                     st.datetimes(datetime(1900, 1, 1), datetime(2200, 1, 1), timezones=offsets),
@@ -164,7 +199,7 @@ def trace_files(draw):
                            "2026-01-01T00:00:00Z", "2026-13-01T00:00:00"))
     good_flags = st.sampled_from(("0", "1", "true", "false", "TRUE", " False "))
     flags = st.one_of(good_flags, st.sampled_from(("maybe", "2", "")))
-    users = st.text("uv7, \"", max_size=5)
+    users = st.text("uv7, \"\n", max_size=5)
 
     @st.composite
     def good(draw):

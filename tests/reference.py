@@ -11,11 +11,11 @@ formula and the selection stream's seed. reference_run(cfg, peers,
 scenario) returns {requester id: (served_by, attempts, end_time,
 entered_relay_phase)} for every request issued by the horizon.
 
-reference_draws(cfg, peers, scenario) is the draw pass as a walk of one
-step per relay-phase requester: an OnlineSet brought to the peers online
-at the requester's join, the one-requester draws of selection, a set of
-the requesters seen so far as the fetch-failure history, and
-rank_path_aware on the path-aware draws.
+reference_draws(cfg, peers, scenario) is the draw pass as one step per
+relay-phase requester, sharing no draw or rank code with the engine: a
+scan of every peer for the pools at the requester's join, list pops from
+them (draw_path_aware), a set of the requesters seen so far as the
+fetch-failure history, and a sort of each part by durability.
 
 It also keeps the row-by-row forms of the metrics and the outcome CSV
 writer, which scan RequestOutcome records: collect_metrics_rows and
@@ -29,13 +29,12 @@ import math
 import numpy as np
 
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
-from relaysim.engine import MetricsReport, Population
+from relaysim.engine import MetricsReport
 from relaysim.io import OUTCOME_COLUMNS, TRACE_COLUMNS, TraceFormatError, _fmt, _parse_timestamp
 from relaysim.model import RATE_EPS, TraceRecord
 from relaysim.netsim import SERVER, CityTable, latency_ms
-from relaysim.selection import OnlineSet, draw_path_aware, random_relay_list, rank_path_aware
 
-from helpers import flat_draws
+from helpers import online_set
 
 # Resolutions that deliver run first at one instant, then the other
 # resolutions, then request issues; ties keep the order they were added in.
@@ -210,17 +209,36 @@ def bucket(peer):
     return peer.city, peer.isp
 
 
+def draw_path_aware(requester, code, online, *, alpha, zeta, u, failed):
+    """The draw half of a path-aware list by list pops: (careful ids,
+    random ids) for the requester with that id and bucket code, from an
+    Online set (helpers.online_set). The careful slots,
+    ceil(zeta * alpha) and at most zeta, pick from the online peers of the
+    requester's bucket, reading u from 0; the rest pick from the other
+    online peers, reading u from the careful slots on. Neither pool holds
+    the requester, and the random pool leaves out the careful picks. A
+    careful shortfall is not backfilled. The ids in failed (the
+    fetch-failure history) take their picks, then leave both parts, kept
+    in draw order. With alpha 0 and failed empty the random part is
+    selection.random_relay_list's draw."""
+    slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
+    careful = pick(u, [pid for pid in online.buckets.get(code, ()) if pid != requester], slots)
+    randoms = pick(u[slots:], [pid for pid in online.ids
+                               if pid != requester and pid not in careful], zeta - slots)
+    return tuple(tuple(pid for pid in part if pid not in failed) for part in (careful, randoms))
+
+
 def reference_draws(cfg, peers, scenario):
     """The candidate lists of the relay-phase requests, as draw_candidates
     makes them, and the pools they were drawn from: ({requester id: relay
     ids in try order}, {requester id: (join, online ids less its own, its
     bucket's online ids less its own)}).
 
-    One step per requester, in issue order: the OnlineSet takes the peers
-    that left since the last step and those that came, and must then hold
-    exactly the peers q with join_q <= join < departure_q. A path-aware
-    draw drops the requesters of the earlier steps; the path-aware draws
-    are ranked at their joins at the end.
+    One step per requester, in issue order: a scan of every peer for those
+    online at its join, the list-pop draw (draw_path_aware, whose alpha-0
+    draw is the random list), the requesters of the earlier steps as the
+    history of a path-aware draw, and each part of it sorted by
+    durability at the join.
     """
     horizon = cfg.sim_duration
     issued = sorted((p for p in peers if p.join_time <= horizon), key=lambda p: p.join_time)
@@ -230,32 +248,24 @@ def reference_draws(cfg, peers, scenario):
     block = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 2))).random(
         (len(cut), cfg.zeta)).tolist()
     rows = dict(zip(sorted(p.id for p in cut), block))
-    walk, live, failed, lists, pools, drawn = OnlineSet(), {}, set(), {}, {}, []
+    path_aware = cfg.strategy == "path-aware"
+    tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
+    failed, lists, pools = set(), {}, {}
     for p in cut:
         t = p.join_time
-        now = {q.id: q for q in peers if online(q, t)}
-        walk.update([(q.id, bucket(q)) for pid, q in live.items() if pid not in now],
-                      [(q.id, bucket(q)) for pid, q in now.items() if pid not in live])
-        live = now
-        pool = sorted(pid for pid in now if pid != p.id)
-        same = [pid for pid in pool if bucket(now[pid]) == bucket(p)]
-        assert [pid for pid in walk.ids if pid != p.id] == pool
-        assert [pid for pid in walk.bucket(bucket(p)) if pid != p.id] == same
-        pools[p.id] = (t, pool, same)
-        if cfg.strategy == "random":
-            lists[p.id] = random_relay_list(p.id, walk, cfg.zeta, rows[p.id])
-        else:
-            drawn.append(draw_path_aware(p.id, bucket(p), walk, alpha=cfg.alpha,
-                                         zeta=cfg.zeta, u=rows[p.id], failed=failed))
+        now = [q for q in peers if online(q, t)]
+        by_id = {q.id: q for q in now}
+        pool = sorted(pid for pid in by_id if pid != p.id)
+        pools[p.id] = (t, pool, [pid for pid in pool if bucket(by_id[pid]) == bucket(p)])
+        careful, randoms = draw_path_aware(p.id, bucket(p), online_set(now),
+                                           alpha=cfg.alpha if path_aware else 0.0,
+                                           zeta=cfg.zeta, u=rows[p.id], failed=failed)
+        if path_aware:
             failed.add(p.id)
-    if drawn:
-        tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
-        listed = Population.from_peers(peers, scenario)
-        flat, sizes = flat_draws(drawn, listed)
-        ranked = listed.ids[rank_path_aware(flat, sizes, [p.join_time for p in cut],
-                                            listed, tts)].tolist()
-        ends = np.cumsum(sizes.sum(axis=1)).tolist()
-        lists = {p.id: tuple(ranked[lo:hi]) for p, lo, hi in zip(cut, [0, *ends], ends)}
+            careful, randoms = ([q.id for q in sorted(map(by_id.get, part),
+                                                      key=lambda q: durability(tts, q, t))]
+                                for part in (careful, randoms))
+        lists[p.id] = (*careful, *randoms)
     for pid, listed in lists.items():
         assert set(listed) <= set(pools[pid][1]) and len(set(listed)) == len(listed) <= cfg.zeta
     return lists, pools
@@ -305,17 +315,22 @@ def write_outcomes_csv_rows(outcomes, path):
 
 def parse_trace_rows(path):
     """io.parse_trace row by row: the whole file read as a list of rows,
-    one TraceRecord per good row. Returns (records, errors), or raises
-    TraceFormatError as parse_trace does."""
+    each numbered by the line it starts on, one TraceRecord per good row.
+    Returns (records, errors), or raises TraceFormatError as parse_trace
+    does."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows, starts = [], [1]   # a row starts on the line after the last one read
+        for row in reader:
+            rows.append(row)
+            starts.append(reader.line_num + 1)
     if not rows or tuple(c.strip().lower() for c in rows[0]) != TRACE_COLUMNS:
         raise TraceFormatError(
             f"{path}: expected header {','.join(TRACE_COLUMNS)}")
     records = []
     errors = []
     data_rows = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(starts[1:], rows[1:]):
         if not row or not "".join(row).strip():
             continue
         data_rows += 1

@@ -29,15 +29,14 @@ from relaysim.model import Peer, RelayLedger, SimConfig
 from relaysim.netsim import FailureScenario, inject_failure, latency_ms
 from relaysim.selection import (
     Infeasible,
-    draw_path_aware,
     generate_relay_list,
     solve_exact,
     solve_greedy,
-    _workload_ok,
 )
 
 from helpers import (careful_head, ids_of, ledger_by_row, online_set, peer_rows, population,
                      ranked_list)
+from reference import draw_path_aware
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -298,7 +297,7 @@ def test_criterion_7_candidate_list_invariants():
             assert by_id[pid].isp == requester.isp
         for pid in lst:
             assert pid not in failed
-            assert _workload_ok(pid, by_id[pid].uplink_kbps, ledger, gamma, "utilization")
+            assert ledger.uplink_utilization(pid, by_id[pid].uplink_kbps) <= gamma
         for part in (careful, randoms):
             taus = [estimate_time_to_stay(tts, by_id[pid].elapse(t) / 60.0)
                     for pid in part]

@@ -6,6 +6,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -899,16 +900,20 @@ class TestHorizon:
 def draw_populations(draw):
     """A population whose join and departure times collide: same-instant
     joins, zero-length and infinite sessions, departures landing on other
-    peers' joins, and joins past a finite horizon."""
+    peers' joins, and joins past a finite horizon. Ids are sparse, with
+    gaps from 1 up to 10**12, so no id is its id rank, and the peers are
+    listed in a drawn order."""
     n = draw(st.integers(1, 20))
+    ids = np.cumsum(draw(st.lists(st.sampled_from((1, 2, 5, 10**11)), min_size=n,
+                                  max_size=n))).tolist()
     peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
                   isp=draw(st.integers(1, 2)), uplink_kbps=1024.0, downlink_kbps=4096.0,
                   join_time=draw(st.sampled_from((0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0))),
                   session_duration=draw(st.sampled_from((0.0, 1.0, 2.0, 3.0, math.inf))))
-             for i in range(n)]
+             for i in ids]
     start = draw(st.sampled_from((0.0, 1.0, 2.0)))
     end = start + draw(st.sampled_from((2.0, math.inf)))
-    scenario = FailureScenario(frozenset(draw(st.sets(st.integers(0, n - 1)))),
+    scenario = FailureScenario(frozenset(draw(st.sets(st.sampled_from(ids)))),
                                region="Beijing", start_time=start, end_time=end)
     cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(1, 4)),
@@ -990,8 +995,11 @@ class TestColumnsOnly:
 
     @pytest.mark.parametrize("strategy", ["random", "path-aware"])
     def test_no_array_is_sized_by_the_largest_id(self, strategy):
-        # requesters 1 and 2 are cut off and served by the peer with id 10**7
-        peers = [make_peer(10**7), make_peer(1, join=1.0), make_peer(2, join=1000.0)]
+        # requesters 1 and 2 are cut off and served by the peer with id
+        # 10**7; peer 3, which joins after both, has an ISP of 10**12, so a
+        # list sized by its raw bucket code would not fit in memory
+        peers = [make_peer(10**7), make_peer(1, join=1.0), make_peer(2, join=1000.0),
+                 make_peer(3, isp=10**12, join=2000.0)]
         population = Population.from_peers(peers, FailureScenario(frozenset({1, 2})))
         cfg = small_cfg(peer_count=3, strategy=strategy, sim_duration=math.inf)
         sim = Simulation(cfg, population)
@@ -1021,13 +1029,16 @@ class TestColumnsOnly:
 
 class TestDrawPass:
     @settings(max_examples=300, deadline=None)
-    @given(draw_populations(), st.sampled_from(("random", "path-aware")))
-    def test_pools_are_the_online_peers_at_the_request(self, case, strategy):
+    @given(draw_populations(), st.sampled_from(("random", "path-aware")),
+           st.sampled_from((1, 3, 2048)))
+    def test_pools_are_the_online_peers_at_the_request(self, case, strategy, block):
         # reference_draws checks that its pools are the online peers at each
-        # join, and its bucket pools the same-bucket ones
+        # join, and its bucket pools the same-bucket ones; blocks of 1 and 3
+        # requesters carry the sweep's lists across block edges
         cfg, peers, scenario = case
         cfg = replace(cfg, strategy=strategy)
-        lists = candidate_lists(draw_candidates(cfg, Population.from_peers(peers, scenario)))
+        with mock.patch.object(engine, "_RANK_BLOCK", block):
+            lists = candidate_lists(draw_candidates(cfg, Population.from_peers(peers, scenario)))
         want, pools = reference_draws(cfg, peers, scenario)
         requesters = {p.id for p in peers if p.join_time <= cfg.sim_duration
                       and scenario.cut_off(p.id, p.join_time)}

@@ -196,6 +196,16 @@ class TestTraceParsing:
         assert lineno == 3
         assert "precedes" in msg
 
+    def test_rows_are_numbered_by_their_first_line(self, tmp_path):
+        # a quoted user id holding a line break spans lines 2 and 3, so the
+        # next row is on line 4
+        f = self.write(tmp_path, '"a\nb",1,2,0\nc,5,3,0\n')
+        for parse in (parse_trace, parse_trace_rows):
+            parsed = parse(f)
+            records, errors = (parsed.records, parsed.errors) if parse is parse_trace else parsed
+            assert [r.user_id for r in records] == ["a\nb"]
+            assert errors == ((4, "leave_ts precedes request_ts"),)
+
     def test_bad_rows_collected(self, tmp_path):
         f = self.write(tmp_path,
                        "u1,100,160,0\n"
@@ -364,7 +374,9 @@ class TestSynthesisAndReplay:
         (TraceRecord("a", 5.0, 3.0), r"trace row 1 \(user_id 'a'\): leave_ts precedes"),
         (TraceRecord("a", math.nan, 3.0), r"trace row 1 \(user_id 'a'\): non-finite"),
         (TraceRecord("a", 5.0, math.inf), r"trace row 1 \(user_id 'a'\): non-finite"),
-    ], ids=["backwards", "nan-request", "inf-leave"])
+        (TraceRecord("", 0.0, 1.0), r"trace row 1 \(user_id ''\): empty user_id"),
+        (TraceRecord(" ", 0.0, 1.0), r"trace row 1 \(user_id ' '\): empty user_id"),
+    ], ids=["backwards", "nan-request", "inf-leave", "empty-user", "blank-user"])
     def test_trace_columns_refuse_rows_parse_trace_rejects(self, bad, message):
         with pytest.raises(ValueError, match=message):
             TraceColumns.from_records([TraceRecord("b", 0.0, 10.0), bad])

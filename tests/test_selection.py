@@ -9,25 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
-from relaysim.model import Peer, RelayLedger
+from relaysim.engine import Population, _walk
+from relaysim.model import Peer, PeerColumns, RelayLedger, SimConfig
+from relaysim.netsim import FailureScenario
 from relaysim.selection import (
     Infeasible,
-    OnlineSet,
     SelectionMatrix,
-    draw_path_aware,
     generate_relay_list,
     load_instance,
-    pick_ids,
     pool_positions,
     random_relay_list,
     rank_path_aware,
     solve_exact,
     solve_greedy,
-    _workload_ok,
 )
 
-from helpers import (add, assignment_matrix, careful_head, discard, flat_draws, ids_of,
-                     ledger_by_row, online_set, population, ranked_list, save_instance)
+from helpers import (assignment_matrix, careful_head, flat_draws, ids_of, ledger_by_row,
+                     population, save_instance, sweep_draw)
 from reference import durability, not_busy
 
 
@@ -38,16 +36,22 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
     return Peer(**base)
 
 
+def tts_fields(tts):
+    """The SimConfig fields of the time-to-stay model tts."""
+    return dict(tts_coeffs=(tts.c2, tts.c1, tts.c0), tts_clamp_min=tts.valid_elapse_max)
+
+
 def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, ledger, **workload):
-    """Draw, rank and filter a path-aware list in one call, as a request
-    issued at t while exactly the peers in online are online, after the
-    requesters in failed, would get it, with the id-keyed ledger; returns
-    the list's ids and its careful ids (careful_head)."""
-    drawn = draw_path_aware(requester.id, (requester.city, requester.isp), online_set(online),
-                            alpha=alpha, zeta=zeta, u=u, failed=failed)
-    peers = population(online)
-    lst = ids_of(peers, generate_relay_list(ranked_list(drawn, t, peers, tts), peers,
-                                            ledger=ledger_by_row(ledger, peers), **workload))
+    """Draw, rank and filter a path-aware list through the draw pass
+    (helpers.sweep_draw), as a request issued at t while exactly the peers
+    in online are online, after the requesters in failed, would get it,
+    with the id-keyed ledger; returns the list's ids and its careful ids
+    (careful_head)."""
+    peers, drawn, ranked = sweep_draw(requester, online, t, u, failed=failed,
+                                      strategy="path-aware", alpha=alpha, zeta=zeta,
+                                      **tts_fields(tts))
+    lst = ids_of(peers, generate_relay_list(ranked, peers, ledger=ledger_by_row(ledger, peers),
+                                            **workload))
     return lst, careful_head(lst, drawn[0])
 
 
@@ -81,8 +85,8 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
     randoms = reference_draw(u[careful_slots:], rest, zeta - careful_slots)
 
     def keep(p):
-        return p.id not in failed and _workload_ok(p.id, p.uplink_kbps, ledger, gamma,
-                                                   workload_mode)
+        return p.id not in failed and not_busy(p, ledger.in_use_kbps, ledger.workload, gamma,
+                                               workload_mode)
 
     def durability(p):
         remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
@@ -133,21 +137,26 @@ def past_the_picks(u, used):
 
 
 class TestIndexedDraws:
-    """The indexed generators against their list-building references."""
+    """The draw pass's sweep against the list-building references, one
+    requester at a time."""
 
     @settings(max_examples=400, deadline=None)
     @given(selection_cases())
     def test_random_list_matches_reference(self, case):
         requester, arrivals, params, u = case
-        got = random_relay_list(requester.id, online_set(arrivals), params["zeta"], u)
+        t, zeta = params["t"], params["zeta"]
+        peers, drawn, listed = sweep_draw(requester, arrivals, t, u, strategy="random",
+                                          zeta=zeta)
+        got = ids_of(peers, listed)
         want = reference_random_relay_list(requester, sorted(arrivals, key=lambda p: p.id),
-                                           params["zeta"], u)
-        assert got == want
+                                           zeta, u)
+        assert got == want and drawn == ((), want)
         assert len(set(got)) == len(got)
+        assert random_relay_list(requester.id, [p.id for p in arrivals], zeta, u) == want
         # the draw reads one float per pick and nothing past them
         moved = past_the_picks(u, range(len(got)))
-        assert random_relay_list(requester.id, online_set(arrivals), params["zeta"],
-                                 moved) == got
+        assert sweep_draw(requester, arrivals, t, moved, strategy="random",
+                          zeta=zeta)[2] == listed
 
     @settings(max_examples=400, deadline=None)
     @given(selection_cases())
@@ -162,29 +171,34 @@ class TestIndexedDraws:
         # the careful picks read the row from 0 and the random picks from
         # careful_slots, one float each, and nothing else
         # (counted before the history drops any pick)
-        zeta, alpha, online = params["zeta"], params["alpha"], online_set(arrivals)
-        me = (requester.id, (requester.city, requester.isp))
-        careful, randoms = draw_path_aware(*me, online, alpha=alpha, zeta=zeta, u=u,
-                                           failed=frozenset())
+        zeta, alpha, t = params["zeta"], params["alpha"], params["t"]
+        fields = dict(strategy="path-aware", alpha=alpha, zeta=zeta, **tts_fields(params["tts"]))
+        made = [(failed, sweep_draw(requester, arrivals, t, u, failed=failed, **fields)[1:])
+                for failed in (frozenset(), params["failed"])]
+        careful, randoms = made[0][1][0]
         slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
         used = {*range(len(careful)), *range(slots, slots + len(randoms))}
         moved = past_the_picks(u, used)
-        for failed in (frozenset(), params["failed"]):
-            assert draw_path_aware(*me, online, alpha=alpha, zeta=zeta, u=moved,
-                                   failed=failed) == draw_path_aware(
-                *me, online, alpha=alpha, zeta=zeta, u=u, failed=failed)
+        for failed, want in made:
+            assert sweep_draw(requester, arrivals, t, moved, failed=failed, **fields)[1:] == want
 
     @settings(max_examples=100, deadline=None)
     @given(selection_cases())
     def test_path_aware_without_careful_slots_is_the_random_list(self, case):
         requester, arrivals, params, u = case
-        online, failed = online_set(arrivals), params["failed"]
-        listed = random_relay_list(requester.id, online, params["zeta"], u)
-        for history, want in ((frozenset(), listed),
-                              (failed, tuple(pid for pid in listed if pid not in failed))):
-            assert draw_path_aware(requester.id, (requester.city, requester.isp), online,
-                                   alpha=0.0, zeta=params["zeta"], u=u,
-                                   failed=history) == ((), want)
+        t, zeta, failed, tts = params["t"], params["zeta"], params["failed"], params["tts"]
+        listed = random_relay_list(requester.id, [p.id for p in arrivals], zeta, u)
+        by_id = {p.id: p for p in arrivals}
+        for history in (frozenset(), failed):
+            peers, drawn, ranked = sweep_draw(requester, arrivals, t, u, failed=history,
+                                              strategy="path-aware", alpha=0.0, zeta=zeta,
+                                              **tts_fields(tts))
+            assert drawn == ((), listed)
+            # the history takes its picks, then leaves the list, which is
+            # ranked by durability
+            kept = sorted((by_id[pid] for pid in listed if pid not in history),
+                          key=lambda q: durability(tts, q, t))
+            assert ids_of(peers, ranked) == tuple(q.id for q in kept)
 
 
 @st.composite
@@ -298,24 +312,37 @@ class TestSequentialPick:
                 assert all(type(q) is int for q in positions)
 
     def test_every_ordered_pick_sequence_is_equally_likely(self):
-        # Pools of m ids, with the requester's slot inside and a careful
-        # pick's slot at the end skipped, so the mapping past skipped and
-        # taken positions is exercised. Under uniformity Pearson's statistic
-        # has mean cells - 1 and variance about 2 (cells - 1) whatever the
-        # expected count per cell, so two draws per cell suffice where the
-        # cells are many.
-        rng = np.random.default_rng(20261018)
+        # The draw pass's sweep, one population per pool size m and pick
+        # count k: T requesters (ids 1..T) join at 1..T, each cut off and
+        # gone before the next joins; peer 0 and peers T+2..T+m+1 are
+        # online throughout. The requesters and peer T+m+1 share a bucket,
+        # so at each step the requester's slot is inside the online ids
+        # and the one careful pick, always T+m+1, takes the last slot: the
+        # random picks are mapped past both, from a pool of m. Under
+        # uniformity Pearson's statistic has mean cells - 1 and variance
+        # about 2 (cells - 1) whatever the expected count per cell, so two
+        # draws per cell suffice where the cells are many.
         for m in range(1, 9):
-            online = OnlineSet()
-            online.update((), [(pid, "tail" if pid == m + 1 else "rest")
-                               for pid in range(m + 2)])
-            pool = [pid for pid in range(m + 2) if pid not in (1, m + 1)]
             for k in range(1, m + 1):
                 cells = math.perm(m, k)
                 trials = 2 * cells + 500
-                positions = pool_positions(rng.random((trials, k)), np.full(trials, m))
-                counts = Counter(tuple(pick_ids(online, 1, "tail", [0], q)[1])
-                                 for q in positions)
+                pool = [0, *range(trials + 2, trials + m + 1)]
+                ids = np.array([*range(1, trials + 1), *pool, trials + m + 1])
+                n = len(ids)
+                requester = (1 <= ids) & (ids <= trials)
+                columns = PeerColumns(
+                    ("Beijing",), ids, np.zeros(n, np.int64),
+                    np.where(requester | (ids == trials + m + 1), 1, 2),
+                    np.full(n, 1024.0), np.full(n, 4096.0), np.where(requester, ids, 0.0),
+                    np.where(requester, 0.5, math.inf))
+                listed = Population(columns, FailureScenario(frozenset(range(1, trials + 1))))
+                cfg = SimConfig(peer_count=n, strategy="path-aware", zeta=k + 1, alpha=0.01,
+                                sim_duration=math.inf, rng_seed=100 * m + k)
+                drawn = np.concatenate([d for _, d, _ in _walk(cfg, listed, n,
+                                                               np.flatnonzero(listed.cut), 1)])
+                seqs = listed.ids[listed.by_id[drawn]].reshape(trials, k + 1)
+                assert (seqs[:, 0] == trials + m + 1).all()
+                counts = Counter(map(tuple, seqs[:, 1:].tolist()))
                 assert all(len(set(seq)) == k and set(seq) <= set(pool) for seq in counts)
                 expected = trials / cells
                 chi2 = (sum((c - expected) ** 2 for c in counts.values())
@@ -326,74 +353,31 @@ class TestSequentialPick:
                     assert counts == {tuple(pool): trials}
 
 
-class TestOnlineSet:
-    def test_ids_and_buckets_stay_in_id_order(self):
-        online = OnlineSet()
-        for p in (make_peer(5), make_peer(2, city="Wuhan"), make_peer(9), make_peer(2)):
-            add(online, p)                 # a second add of id 2 changes nothing
-        assert online.ids == [2, 5, 9]
-        assert online.bucket(("Beijing", 1)) == [5, 9]
-        assert online.bucket(("Wuhan", 1)) == [2]
-        assert online.bucket(("Chengdu", 1)) == []
-        discard(online, make_peer(5))
-        discard(online, make_peer(7))     # never online: no effect
-        assert online.ids == [2, 9]
-        assert online.bucket(("Beijing", 1)) == [9]
-
-    def test_unbucketed_set_keeps_ids_only(self):
-        online = OnlineSet(bucketed=False)
-        for p in (make_peer(5), make_peer(2, city="Wuhan"), make_peer(9)):
-            add(online, p)
-        discard(online, make_peer(5))
-        assert online.ids == [2, 9]
-        assert online.bucket(("Wuhan", 1)) == []
-        assert online.bucket(("Beijing", 1)) == []
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=60))
-    def test_matches_a_plain_set(self, ops):
-        peers = {i: make_peer(i, city=("Wuhan", "Beijing")[i % 2], isp=1 + i % 3)
-                 for i in range(13)}
-        online, plain = OnlineSet(), set()
-        for arrive, pid in ops:
-            if arrive:
-                add(online, peers[pid])
-                plain.add(pid)
-            else:
-                discard(online, peers[pid])
-                plain.discard(pid)
-        assert online.ids == sorted(plain)
-        for city in ("Wuhan", "Beijing"):
-            for isp in (1, 2, 3):
-                assert online.bucket((city, isp)) == sorted(
-                    pid for pid in plain if (peers[pid].city, peers[pid].isp) == (city, isp))
-
-
 class TestRandomList:
     def test_excludes_requester_and_caps_length(self):
         me = make_peer(0)
-        online = online_set([me] + [make_peer(i) for i in range(1, 5)])
+        online = [me.id, *range(1, 5)]
         lst = random_relay_list(me.id, online, zeta=10, u=row(0, 10))
         assert type(lst) is tuple and len(lst) == 4
         assert 0 not in lst
 
     def test_respects_zeta(self):
         me = make_peer(0)
-        online = online_set([me] + [make_peer(i) for i in range(1, 40)])
+        online = [me.id, *range(1, 40)]
         lst = random_relay_list(me.id, online, zeta=10, u=row(1, 10))
         assert len(lst) == 10
         assert len(set(lst)) == 10
 
     def test_reproducible(self):
         me = make_peer(0)
-        online = online_set(make_peer(i) for i in range(20))
+        online = list(range(20))
         a = random_relay_list(me.id, online, 10, row(7, 10))
         b = random_relay_list(me.id, online, 10, row(7, 10))
         assert a == b
 
     def test_first_position_uniform(self):
         me = make_peer(0)
-        online = online_set([me] + [make_peer(i) for i in range(1, 9)])
+        online = [me.id, *range(1, 9)]
         rng = np.random.default_rng(11)
         counts = {i: 0 for i in range(1, 9)}
         trials = 10_000
