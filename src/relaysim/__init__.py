@@ -13,15 +13,15 @@ from relaysim.churn import (SessionModel, TimeToStayModel, calibrate_pareto,
 from relaysim.engine import (MetricsReport, Outcomes, Population, RequestOutcome,
                              Simulation, collect_metrics, draw_candidates, run)
 from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
-from relaysim.model import (ConfigError, ContentItem, Peer, SimConfig, TraceColumns,
-                            TraceRecord, validate_config)
+from relaysim.model import (ConfigError, Peer, SimConfig, TraceColumns, TraceRecord,
+                            validate_config)
 from relaysim.netsim import CityTable, FailureScenario, inject_failure
 from relaysim.selection import generate_relay_list, solve_exact, solve_greedy
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CityTable", "ConfigError", "ContentItem", "FailureScenario", "MetricsReport",
+    "CityTable", "ConfigError", "FailureScenario", "MetricsReport",
     "Outcomes", "Peer", "Population", "RequestOutcome",
     "SessionModel", "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceColumns",
     "TraceRecord",

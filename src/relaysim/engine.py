@@ -7,30 +7,32 @@ decides every path: is this peer cut off now (FailureScenario.cut_off)? A
 requester that is not reaches the server; a relay that is not reaches the
 server and any requester.
 
-A run reads a Population, read-only columns in issue order; Peer objects
-exist only at the API edge. Server fetches hold no relay capacity, so they
-are decided at issue time on whole columns. The candidate draws and the
-path-aware rank depend only on the population, so draw_candidates makes
-every list before the event loop, a block of requesters at a time: pick
-positions as arrays from the pool sizes, one sweep that only indexes the
-ascending online id ranks (positions in by_id), one gather from id ranks
-to rows, then the fetch-failure history and the rank as array steps.
-From there a relay is its row: a list is a tuple of relay rows in
-try order, and the run's ledger is keyed by row. The loop resolves the
-attempts due by each relay-phase join before issuing that request, so its
-heap holds attempt resolutions only; a path-aware list then drops the
-relays busy in the ledger, and each attempt is planned in full
-(AttemptPlan) when it starts. Results are one Outcomes table of columns.
-The loop reads and writes one scalar at a time through memoryviews of the
-population, draw-table and outcome columns: indexing one gives a built-in
-int or float, at under half the cost of ndarray.item, and copies nothing.
+A run reads a Population, read-only columns in issue order; a Peer record
+is only an input (Population.from_peers). Rules read the columns: a peer
+is online over [join, dep) (_walk, _plan_attempt). Server fetches hold no
+relay capacity, so they are decided at issue time on whole columns. The
+candidate draws and the path-aware rank depend only on the population, so
+draw_candidates makes every list before the event loop, a block of
+requesters at a time: pick positions as arrays from the pool sizes, one
+sweep that only indexes the ascending online id ranks (positions in
+by_id), one gather from id ranks to rows, then the fetch-failure history
+and the rank as array steps. From there a relay is its row: a list is a
+tuple of relay rows in try order, and the run's ledger is keyed by row.
+The loop resolves the attempts due by each relay-phase join before issuing
+that request, so its heap holds attempt resolutions only; a path-aware
+list then drops the relays busy in the ledger, and each attempt is planned
+in full (AttemptPlan) when it starts. Results are one Outcomes table of
+columns. The loop reads and writes one scalar at a time through
+memoryviews of the population, draw-table and outcome columns: indexing
+one gives a built-in int or float, at under half the cost of ndarray.item,
+and copies nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -38,8 +40,8 @@ import numpy as np
 
 from relaysim import churn
 from relaysim.churn import SessionModel, TimeToStayModel
-from relaysim.model import (RATE_EPS, ContentItem, Peer, PeerColumns, RelayLedger, SimConfig,
-                            _is_int, validate_config)
+from relaysim.model import (RATE_EPS, Peer, PeerColumns, RelayLedger, SimConfig,
+                            validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
 from relaysim.selection import (careful_slots, generate_relay_list, pool_positions,
@@ -66,15 +68,6 @@ class RequestOutcome:
     entered_relay_phase: bool = False
     end_time: float | None = None
 
-    @property
-    def served(self) -> bool:
-        return self.served_by is not None
-
-    @property
-    def primary_success(self) -> bool:
-        """Served by the first relay tried."""
-        return isinstance(self.served_by, int) and self.attempts == 1
-
 
 # Codes of Outcomes.served_by besides a relay's id, which is non-negative.
 SERVED_BY_SERVER, UNSERVED = -1, -2
@@ -85,7 +78,8 @@ class Outcomes:
     """The terminal records of one run's requests as columns, one row per
     request in the Population's issue order; requester_id, start_time and
     entered_relay_phase are read-only views of its columns. served_by
-    holds the serving relay's id, SERVED_BY_SERVER or UNSERVED. Iteration
+    holds the serving relay's id, SERVED_BY_SERVER or UNSERVED; a row is a
+    primary success when served_by >= 0 and attempts == 1. Iteration
     yields the rows as RequestOutcome records of built-in values, and two
     tables are equal when their rows are.
     """
@@ -270,34 +264,9 @@ class Population:
         """The population of the given Peer records, in list order."""
         return cls(PeerColumns.from_peers(peers), scenario)
 
-    @property
-    def peers(self) -> Mapping[int, Peer]:
-        """Id -> Peer in issue order, built from the row on each access."""
-        return _PeerRows(self)
-
     def issued_by(self, horizon: float) -> int:
         """Requests issued by the horizon: the leading rows with join <= horizon."""
         return int(np.searchsorted(self.join, horizon, side="right"))
-
-
-class _PeerRows(Mapping):
-    def __init__(self, population: Population):
-        self._population = population
-
-    def __len__(self) -> int:
-        return len(self._population.ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._population.ids.tolist())
-
-    def __getitem__(self, pid) -> Peer:
-        p = self._population
-        i = np.searchsorted(p.ids, pid, sorter=p.by_id) if _is_int(pid) else len(p.ids)
-        if i == len(p.ids) or p.ids.item(row := p.by_id.item(i)) != pid:
-            raise KeyError(pid)
-        join = p.join.item(row)
-        return Peer(p.ids.item(row), p.cities[p.city.item(row)], p.isp.item(row),
-                    p.uplink.item(row), p.downlink.item(row), join, p.dep.item(row) - join)
 
 
 def draw_population(cfg: SimConfig) -> Population:
@@ -324,17 +293,6 @@ class CandidateDraws(NamedTuple):
     population: Population
     relays: np.ndarray
     offsets: np.ndarray
-
-    def ranked(self, ordinal: int) -> tuple[int, ...]:
-        """The relay rows of the relay-phase request with that ordinal, in
-        try order."""
-        return _ranked(self.relays, self.offsets, ordinal)
-
-
-def _ranked(relays, offsets, ordinal: int) -> tuple[int, ...]:
-    """List ordinal of a draw table given as its relays and offsets columns,
-    arrays or memoryviews of them."""
-    return tuple(relays[offsets[ordinal]:offsets[ordinal + 1]].tolist())
 
 
 def _draws_key(cfg: SimConfig) -> tuple:
@@ -525,11 +483,12 @@ class Simulation:
                 raise ValueError(f"candidate draws made for {candidates.made_for}, "
                                  f"not {_draws_key(cfg)}")
         self.population = population
-        self.peers = population.peers
+        # Read only by perfbench's check_outcomes, which asks `relay in peers`.
+        self.peers = population.ids
         self._ids, self._city, self._uplink, self._downlink, self._join, self._dep = map(
             memoryview, (population.ids, population.city, population.uplink,
                          population.downlink, population.join, population.dep))
-        self.content = ContentItem(cfg.content_size_kb)
+        self._size_kbits = cfg.content_size_kb * 8.0
         # Two-way handshake seconds by (requester, relay) city code.
         table = CityTable(cfg.city_table)
         coords = tuple(tuple(table.coords(city)) for city in population.cities)
@@ -593,10 +552,10 @@ class Simulation:
         ids, join, dep, cut, city, downlink = (
             column[:issued] for column in (p.ids, p.join, p.dep, p.cut, p.city, p.downlink))
         in_city = np.array([shakes[c] for c, shakes in enumerate(self._handshake)], np.float64)
-        t_end = join + in_city[city] + self.content.size_kbits / downlink
+        t_end = join + in_city[city] + self._size_kbits / downlink
         served = ~cut & (t_end <= dep) & (t_end <= horizon)
         self.outcomes = Outcomes(
-            self.content.size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
+            self.cfg.content_size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
             np.where(served, SERVED_BY_SERVER, UNSERVED), np.zeros(issued, np.int64), cut)
 
     def _end(self, req: _Request, t: float, served_by: int = UNSERVED) -> None:
@@ -616,7 +575,8 @@ class Simulation:
         strategy = self.cfg.strategy
         if strategy == "no-relay":
             return ()
-        ranked = _ranked(self._relays, self._offsets, req.ordinal)
+        at = self._offsets
+        ranked = tuple(self._relays[at[req.ordinal]:at[req.ordinal + 1]].tolist())
         if strategy == "random":
             return ranked
         return generate_relay_list(ranked, self.population, gamma=self.cfg.gamma,
@@ -642,7 +602,7 @@ class Simulation:
                    downlink[relay] / (ledger.workload.get(relay, 0) + 1))
         if rate <= RATE_EPS:
             return AttemptPlan("reject", t + handshake)
-        t_end = t + handshake + self.content.size_kbits / rate
+        t_end = t + handshake + self._size_kbits / rate
         requester_dep = dep[requester]
         if t_end <= relay_dep and t_end <= requester_dep:
             return AttemptPlan("success", t_end, rate)

@@ -541,6 +541,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Each cell sets these fields from its axes, so the one-value flags would be lost.
+    for flag, axis in (("seed", "seeds"), ("strategy", "strategies"), ("size", "sizes"),
+                       ("failure_ratio", "ratios")):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"sweep takes its {axis} from --{axis}, not "
+                             f"--{flag.replace('_', '-')}")
     cfg = build_config(args)
     kwargs = {"content_sizes_kb": tuple(cfg.content_sizes_kb)}
     for flag, field, parse in (("sizes", "content_sizes_kb", float),

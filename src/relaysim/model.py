@@ -1,7 +1,7 @@
 """Domain types and validated configuration for the delivery simulator.
 
 Everything else in the package builds on the types here: peers (as
-columns and as row records), content items, access traces (TraceColumns,
+columns, and Peer row records as an input), access traces (TraceColumns,
 a checked table that parse_trace fills and run_trace reads, and its
 TraceRecord rows at the API edge), and the central SimConfig whose
 defaults describe the reference scenario (5000 peers across five cities,
@@ -55,8 +55,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Peer:
     """One browser peer with one bounded session (seconds), as a row
-    record at the API edge: what a caller hands in (Population.from_peers)
-    or reads back (Population.peers). Runs read only columns.
+    record a caller hands in (Population.from_peers). Runs and their
+    readers read only the Population's columns.
     """
 
     id: int
@@ -70,14 +70,6 @@ class Peer:
     @property
     def departure_time(self) -> float:
         return self.join_time + self.session_duration
-
-    def online(self, t: float) -> bool:
-        """True while the session covers t (join inclusive, departure exclusive)."""
-        return self.join_time <= t < self.departure_time
-
-    def elapse(self, t: float) -> float:
-        """Seconds spent online at time t (negative before join)."""
-        return t - self.join_time
 
 
 class PeerColumns(NamedTuple):
@@ -125,9 +117,6 @@ class RelayLedger:
     def uplink_free_kbps(self, relay: int, uplink_kbps: float) -> float:
         return max(0.0, uplink_kbps - self.in_use_kbps.get(relay, 0.0))
 
-    def uplink_utilization(self, relay: int, uplink_kbps: float) -> float:
-        return self.in_use_kbps.get(relay, 0.0) / uplink_kbps
-
     def commit(self, relay: int, uplink_kbps: float, kbps: float) -> None:
         """Start a transfer on a relay (row, uplink); over-commit is a bug."""
         if kbps <= 0:
@@ -154,17 +143,6 @@ class RelayLedger:
             self.workload[relay] = count
         else:
             self.workload.pop(relay, None)
-
-
-@dataclass(frozen=True)
-class ContentItem:
-    """A fetchable object; size in KB, 8 bits per byte on the wire."""
-
-    size_kb: float
-
-    @property
-    def size_kbits(self) -> float:
-        return self.size_kb * 8.0
 
 
 @dataclass(frozen=True)

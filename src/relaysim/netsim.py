@@ -40,7 +40,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 
 class CityTable:
-    """Named city coordinates with great-circle distance lookup."""
+    """Named city coordinates (lat, lon) in degrees, checked in range."""
 
     def __init__(self, coords: dict[str, tuple[float, float]]):
         if not coords:
@@ -78,15 +78,6 @@ class CityTable:
             return self._coords[name]
         except KeyError:
             raise UnknownCityError(name) from None
-
-    def distance_km(self, a: str, b: str) -> float:
-        """Great-circle distance between two cities in the table."""
-        if a == b:
-            self.coords(a)
-            return 0.0
-        la1, lo1 = self.coords(a)
-        la2, lo2 = self.coords(b)
-        return haversine_km(la1, lo1, la2, lo2)
 
 
 def latency_ms(distance_km: float, base_ms: float = 5.0, per_km_ms: float = 0.02) -> float:

@@ -47,7 +47,8 @@ def sweep_draw(requester, online, t, u, *, failed=(), **fields):
     Returns (the population, the walk's draw as (careful ids, random ids),
     the requester's list in the draw table, as rows)."""
     others = [p for p in online if p.id != requester.id]
-    assert all(p.online(t) for p in others), "a peer in online is offline at t"
+    assert all(p.join_time <= t < p.departure_time for p in others), \
+        "a peer in online is offline at t"
     history = [p for p in others if p.id in failed]
     peers = history + [p for p in others if p.id not in failed] + [
         replace(requester, join_time=t)]
@@ -71,8 +72,14 @@ def sweep_draw(requester, online, t, u, *, failed=(), **fields):
     _, drawn, parts = blocks[-1]
     ids = listed.ids[listed.by_id[drawn[len(drawn) - parts[-1].sum():]]].tolist()
     careful = parts[-1, 0]
-    return listed, (tuple(ids[:careful]), tuple(ids[careful:])), draws.ranked(
-        len(draws.offsets) - 2)
+    return listed, (tuple(ids[:careful]), tuple(ids[careful:])), draw_list(
+        draws, len(draws.offsets) - 2)
+
+
+def draw_list(draws, ordinal):
+    """List ordinal of a CandidateDraws table, relays[offsets[ordinal]:
+    offsets[ordinal + 1]], as a tuple of rows."""
+    return tuple(draws.relays[draws.offsets[ordinal]:draws.offsets[ordinal + 1]].tolist())
 
 
 def peer_rows(columns):
@@ -87,9 +94,36 @@ def population(peers):
     return Population.from_peers(peers, FailureScenario(frozenset()))
 
 
+def rows_of(population, ids):
+    """The rows of the peers with the given ids in population, an int64
+    array, found through by_id; KeyError when an id is missing."""
+    ids, by_id = np.asarray(ids, np.int64), population.by_id
+    at = np.searchsorted(population.ids, ids, sorter=by_id)
+    rows = by_id[np.minimum(at, len(by_id) - 1)]   # past the end: the largest id's row
+    missing = population.ids[rows] != ids
+    if missing.any():
+        raise KeyError(ids[missing].tolist())
+    return rows
+
+
+def peer_of(population, pid):
+    """The Peer record of the peer with id pid, read from its row (rows_of)."""
+    p, (row,) = population, rows_of(population, [pid]).tolist()
+    join = p.join.item(row)
+    return Peer(int(pid), p.cities[p.city.item(row)], p.isp.item(row),
+                p.uplink.item(row), p.downlink.item(row), join, p.dep.item(row) - join)
+
+
+def peers_of(population):
+    """The Peer records of population in issue order, peer_of each id."""
+    return [peer_of(population, pid) for pid in population.ids.tolist()]
+
+
 def row_by_id(population):
-    """Peer id -> row in population, for the tests that name peers by id."""
-    return {pid: row for row, pid in enumerate(population.ids.tolist())}
+    """Peer id -> row in population (rows_of), for the tests that name
+    peers by id."""
+    ids = population.ids.tolist()
+    return dict(zip(ids, rows_of(population, ids).tolist()))
 
 
 def ids_of(population, rows):
@@ -136,7 +170,7 @@ def candidate_lists(draws):
     the relay-phase ordinals follow the cut-off rows."""
     p = draws.population
     rows = np.flatnonzero(p.cut)[:len(draws.offsets) - 1]
-    return {pid: ids_of(p, draws.ranked(i)) for i, pid in enumerate(p.ids[rows].tolist())}
+    return {pid: ids_of(p, draw_list(draws, i)) for i, pid in enumerate(p.ids[rows].tolist())}
 
 
 def outcomes_table(rows, size_kb=1.0):

@@ -6,7 +6,7 @@ this model scans every peer for the online pool at each request, draws
 candidates by popping from the materialized, id-sorted pool, keeps the
 pending resolutions in a plain list re-sorted before every pop, and keeps
 relay capacity in two dicts. It shares with the engine only the
-geography (city distances and the latency model), the time-to-stay
+geography (haversine distance and the latency model), the time-to-stay
 formula and the selection stream's seed. reference_run(cfg, peers,
 scenario) returns {requester id: (served_by, attempts, end_time,
 entered_relay_phase)} for every request issued by the horizon.
@@ -21,6 +21,8 @@ It also keeps the row-by-row forms of the metrics and the outcome CSV
 writer, which scan RequestOutcome records: collect_metrics_rows and
 write_outcomes_csv_rows; and of the trace parser, parse_trace_rows, which
 holds the file as a list of rows and builds a TraceRecord per good row.
+The rules these read per record (online, served, primary_success) are
+stated here, not read from the code they check.
 """
 
 import csv
@@ -32,7 +34,7 @@ from relaysim.churn import TimeToStayModel, estimate_time_to_stay
 from relaysim.engine import MetricsReport
 from relaysim.io import OUTCOME_COLUMNS, TRACE_COLUMNS, TraceFormatError, _fmt, _parse_timestamp
 from relaysim.model import RATE_EPS, TraceRecord
-from relaysim.netsim import SERVER, CityTable, latency_ms
+from relaysim.netsim import SERVER, CityTable, haversine_km, latency_ms
 
 from helpers import online_set
 
@@ -52,6 +54,16 @@ def online(peer, t):
 
 def departure(peer):
     return peer.join_time + peer.session_duration
+
+
+def served(o):
+    """A request is served when the server or a relay delivered it."""
+    return o.served_by is not None
+
+
+def primary_success(o):
+    """A request is a primary success when the first relay it tried served it."""
+    return isinstance(o.served_by, int) and o.attempts == 1
 
 
 def durability(tts, q, t):
@@ -82,7 +94,7 @@ def reference_run(cfg, peers, scenario):
     by_id = {p.id: p for p in peers}
 
     def handshake(a, b):
-        dist = cities.distance_km(a.city, b.city)
+        dist = haversine_km(*cities.coords(a.city), *cities.coords(b.city))
         return 2.0 * latency_ms(dist, cfg.latency_base_ms, cfg.latency_per_km_ms) / 1000.0
 
     # Every request issued by the horizon, in join order, list order at
@@ -278,7 +290,7 @@ def collect_metrics_rows(outcomes, affected_ids=frozenset(), region_ids=frozense
     relay_served = [o for o in outcomes if isinstance(o.served_by, int)]
     unserved = total - served_server - len(relay_served)
     relay_phase = [o for o in outcomes if o.entered_relay_phase]
-    primaries = sum(1 for o in relay_phase if o.primary_success)
+    primaries = sum(1 for o in relay_phase if primary_success(o))
 
     def ratio(part, whole):
         return part / whole if whole else None
@@ -296,9 +308,9 @@ def collect_metrics_rows(outcomes, affected_ids=frozenset(), region_ids=frozense
         avg_repeated_requests=(sum(o.attempts for o in relay_served) / len(relay_served)
                                if relay_served else None),
         affected_requests=len(affected),
-        affected_success_ratio=ratio(sum(1 for o in affected if o.served), len(affected)),
+        affected_success_ratio=ratio(sum(1 for o in affected if served(o)), len(affected)),
         region_requests=len(region),
-        region_success_ratio=ratio(sum(1 for o in region if o.served), len(region)),
+        region_success_ratio=ratio(sum(1 for o in region if served(o)), len(region)),
     )
 
 
@@ -310,7 +322,7 @@ def write_outcomes_csv_rows(outcomes, path):
         for o in sorted(outcomes, key=lambda o: o.requester_id):
             w.writerow([o.requester_id, _fmt(o.size_kb), _fmt(o.start_time),
                         _fmt(o.end_time), _fmt(o.served_by), o.attempts,
-                        _fmt(o.primary_success), _fmt(o.entered_relay_phase)])
+                        _fmt(primary_success(o)), _fmt(o.entered_relay_phase)])
 
 
 def parse_trace_rows(path):

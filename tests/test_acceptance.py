@@ -275,7 +275,7 @@ def test_criterion_7_candidate_list_invariants():
         gamma = float(rng.uniform(0.2, 1.0))
         zeta = int(rng.integers(1, 12))
         t = float(rng.uniform(50.0, 120.0))
-        online = [p for p in peers if p.online(t)]
+        online = [p for p in peers if p.join_time <= t < p.departure_time]
         by_id = {p.id: p for p in online}
         drawn = draw_path_aware(requester.id, (requester.city, requester.isp),
                                 online_set(online), alpha=alpha, zeta=zeta,
@@ -297,9 +297,9 @@ def test_criterion_7_candidate_list_invariants():
             assert by_id[pid].isp == requester.isp
         for pid in lst:
             assert pid not in failed
-            assert ledger.uplink_utilization(pid, by_id[pid].uplink_kbps) <= gamma
+            assert ledger.in_use_kbps.get(pid, 0.0) / by_id[pid].uplink_kbps <= gamma
         for part in (careful, randoms):
-            taus = [estimate_time_to_stay(tts, by_id[pid].elapse(t) / 60.0)
+            taus = [estimate_time_to_stay(tts, (t - by_id[pid].join_time) / 60.0)
                     for pid in part]
             assert all(a >= b - 1e-12 for a, b in zip(taus, taus[1:]))
             for (a_tau, a_pid), (b_tau, b_pid) in zip(
@@ -312,7 +312,7 @@ def test_criterion_7_candidate_list_invariants():
 
 def test_criterion_8_sweep_determinism(tmp_path):
     args = [sys.executable, "-m", "relaysim", "sweep",
-            "--peers", "200", "--seed", "11",
+            "--peers", "200",
             "--set", "sim_duration=1800",
             "--sizes", "1000,8000", "--ratios", "0.6", "--seeds", "11"]
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"

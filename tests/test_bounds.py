@@ -19,10 +19,13 @@ These tests pin those facts on the desk grid, so both criteria's FAILs
 stand explained.
 """
 
+import numpy as np
 import pytest
 
 from relaysim.engine import Simulation
 from relaysim.model import SimConfig
+
+from helpers import rows_of
 
 DESK_SEEDS = tuple(range(10))
 SIZE_KB = 16000.0
@@ -30,14 +33,14 @@ SIZE_KB = 16000.0
 
 @pytest.fixture(scope="module")
 def desk_16mb():
-    """Metrics, outcomes and peers of every desk seed at 16 MB, per strategy."""
+    """Metrics, outcomes and population of every desk seed at 16 MB, per strategy."""
     runs = {}
     for strategy in ("random", "path-aware"):
         for seed in DESK_SEEDS:
             sim = Simulation(SimConfig(peer_count=500, failure_ratio=0.6, sim_duration=3600.0,
                                        content_size_kb=SIZE_KB, strategy=strategy,
                                        rng_seed=seed))
-            runs.setdefault(strategy, []).append((sim.run(), sim.outcomes, sim.peers))
+            runs.setdefault(strategy, []).append((sim.run(), sim.outcomes, sim.population))
     return runs
 
 
@@ -46,14 +49,13 @@ def mean_attempts(runs):
     return sum(report.avg_repeated_requests for report, _, _ in runs) / len(runs)
 
 
-def ceiling(report, outcomes, peers):
+def ceiling(report, outcomes, population):
     """The success ratio if every relay-phase request whose session can
     hold the transfer at its requester's downlink were served."""
     size_kbits = SIZE_KB * 8.0
-    holdable = sum(1 for o in outcomes if o.entered_relay_phase
-                   and peers[o.requester_id].session_duration
-                   >= size_kbits / peers[o.requester_id].downlink_kbps)
-    return (report.served_by_server + holdable) / report.total_requests
+    p, rows = population, rows_of(population, outcomes.requester_id[outcomes.entered_relay_phase])
+    holdable = np.count_nonzero(p.dep[rows] - p.join[rows] >= size_kbits / p.downlink[rows])
+    return (report.served_by_server + int(holdable)) / report.total_requests
 
 
 class TestCriterion1Bound:

@@ -1,6 +1,7 @@
 """Event engine tests: protocol arithmetic, ledger, determinism, metrics."""
 
 import copy
+import csv
 import dataclasses
 import math
 import sys
@@ -32,14 +33,14 @@ from relaysim.engine import (
 )
 from relaysim.churn import SessionModel
 from relaysim.io import (SweepSpec, build_trace_peers, parse_trace, run_sweep, run_trace,
-                         synthesize_trace, write_trace_csv)
+                         synthesize_trace, write_outcomes_csv, write_trace_csv)
 from relaysim.model import (RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig, TraceColumns,
                             TraceRecord)
-from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
+from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError, haversine_km
 
-from helpers import (candidate_lists, ids_of, outcome_tables, outcomes_table, peer_rows,
-                     row_by_id)
-from reference import collect_metrics_rows, reference_draws, reference_run
+from helpers import (candidate_lists, ids_of, outcome_tables, outcomes_table, peer_of,
+                     peer_rows, peers_of, row_by_id, rows_of)
+from reference import collect_metrics_rows, primary_success, reference_draws, reference_run
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=1e9,
@@ -124,13 +125,19 @@ class TestCollectMetrics:
         assert collect_metrics(table, *masks).to_dict() == collect_metrics_rows(
             list(table), affected, region).to_dict()
 
-    def test_primary_success_is_derived(self):
-        assert RequestOutcome(0, 1.0, 0.0, served_by=7, attempts=1).primary_success
-        assert not RequestOutcome(0, 1.0, 0.0, served_by=7, attempts=2).primary_success
-        assert not RequestOutcome(0, 1.0, 0.0, served_by=SERVER).primary_success
-        assert not RequestOutcome(0, 1.0, 0.0, attempts=1).primary_success
-        with pytest.raises(AttributeError):
-            RequestOutcome(0, 1.0, 0.0).primary_success = True
+    def test_primary_success_is_derived(self, tmp_path):
+        # served by the first relay tried: the metrics and the outcome CSV
+        # read it off served_by and attempts; no record stores it
+        outs = [RequestOutcome(0, 1.0, 0.0, served_by=7, attempts=1, entered_relay_phase=True),
+                RequestOutcome(1, 1.0, 0.0, served_by=7, attempts=2, entered_relay_phase=True),
+                RequestOutcome(2, 1.0, 0.0, served_by=SERVER),
+                RequestOutcome(3, 1.0, 0.0, attempts=1, entered_relay_phase=True)]
+        assert [primary_success(o) for o in outs] == [True, False, False, False]
+        table = outcomes_table(outs)
+        assert collect_metrics(table).primary_success_ratio == 1 / 3
+        write_outcomes_csv(table, tmp_path / "o.csv")
+        with open(tmp_path / "o.csv", newline="") as fh:
+            assert [row["primary_success"] for row in csv.DictReader(fh)] == ["1", "0", "0", "0"]
 
 
 class TestPopulation:
@@ -160,8 +167,7 @@ class TestPopulation:
 
     def test_fields_are_builtin_values(self):
         # A numpy scalar would leak into the outcome CSV as 'np.float64(...)'.
-        peers = draw_population(SimConfig(peer_count=200, rng_seed=2)).peers.values()
-        for p in peers:
+        for p in peers_of(draw_population(SimConfig(peer_count=200, rng_seed=2))):
             assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
                 int, str, int, float, float, float, float]
 
@@ -254,7 +260,7 @@ class TestAttemptDownload:
                                  candidates=(1,))
         assert out.served_by == 1
         assert out.attempts == 1
-        assert out.primary_success
+        assert primary_success(out)
         assert out.entered_relay_phase
         assert [o.requester_id for o in sim.outcomes if o.entered_relay_phase] == [0]
         assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
@@ -266,7 +272,7 @@ class TestAttemptDownload:
                                affected={0, 1}, candidates=(1, 2))
         assert out.attempts == 2
         assert out.served_by == 2
-        assert not out.primary_success
+        assert not primary_success(out)
 
     def test_exhausted_list_unserved(self):
         out, _ = self.download(make_peer(0), [make_peer(1)], affected={0, 1},
@@ -296,6 +302,17 @@ class TestAttemptDownload:
         assert out.served_by is None
         assert out.end_time == pytest.approx(0.01)
 
+    def test_online_window_half_open(self):
+        # a relay is online over [join, join + duration), here [10, 70):
+        # join inclusive, departure exclusive, and offline attempts rejected
+        cfg = SimConfig(peer_count=2, content_size_kb=512.0, sim_duration=math.inf)
+        sim = Simulation(cfg, Population.from_peers(
+            [make_peer(5), make_peer(2, join=10.0, dur=60.0)], FailureScenario(frozenset())))
+        requester, relay = rows_of(sim.population, [5, 2]).tolist()
+        for t in (0.0, 9.9, 9.999, 10.0, 40.0, 69.9, 69.999, 70.0, 200.0):
+            outside = t < 10.0 or t >= 70.0
+            assert (sim._plan_attempt(relay, requester, t).verdict == "reject") == outside
+
     def test_requester_gone_after_rejected_handshake(self):
         out, _ = self.download(make_peer(0, dur=0.005),
                                [make_peer(1, join=500.0), make_peer(2, join=500.0)],
@@ -316,7 +333,8 @@ class TestAttemptDownload:
                                  [make_peer(1, city="Shanghai")], affected={0},
                                  candidates=(1,))
         table = CityTable(sim.cfg.city_table)
-        handshake = 2.0 * (5.0 + 0.02 * table.distance_km("Beijing", "Shanghai")) / 1000.0
+        km = haversine_km(*table.coords("Beijing"), *table.coords("Shanghai"))
+        handshake = 2.0 * (5.0 + 0.02 * km) / 1000.0
         assert out.end_time == pytest.approx(handshake + 4.0, abs=1e-9)
 
     def test_handshakes_follow_each_population_city_order(self):
@@ -326,7 +344,8 @@ class TestAttemptDownload:
         # Beijing-Shanghai handshake.
         cfg = SimConfig(peer_count=3, content_size_kb=512.0, sim_duration=math.inf)
         table = CityTable(cfg.city_table)
-        handshake = 2.0 * (5.0 + 0.02 * table.distance_km("Beijing", "Shanghai")) / 1000.0
+        km = haversine_km(*table.coords("Beijing"), *table.coords("Shanghai"))
+        handshake = 2.0 * (5.0 + 0.02 * km) / 1000.0
         pair = [make_peer(0, city="Beijing"), make_peer(1, city="Shanghai")]
         bystander = make_peer(2, city="Wuhan", join=1.0)
         for peers in ([bystander, *pair], [*pair, bystander], [bystander, *pair]):
@@ -403,7 +422,7 @@ class TestSimulation:
     def test_everything_released_at_end(self):
         sim = Simulation(small_cfg(sim_duration=math.inf))
         sim.run()
-        for row in range(len(sim.peers)):
+        for row in range(len(sim.population.ids)):
             assert sim.ledger.in_use_kbps.get(row, 0.0) == 0.0
             assert sim.ledger.workload.get(row, 0) == 0
         assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
@@ -451,7 +470,7 @@ class TestSimulation:
         for o in sim.outcomes:
             assert o.end_time is not None
             assert o.served_by in (SERVER, None) or isinstance(o.served_by, int)
-            if o.primary_success:
+            if primary_success(o):
                 assert o.attempts == 1
             if o.served_by == SERVER:
                 assert o.attempts == 0
@@ -470,7 +489,7 @@ class TestSimulation:
         cfg = small_cfg(rng_seed=9)
         a = Simulation(replace(cfg, strategy="random"))
         b = Simulation(replace(cfg, strategy="path-aware"))
-        assert list(a.peers.values()) == list(b.peers.values())
+        assert peers_of(a.population) == peers_of(b.population)
         assert a.population.scenario.affected == b.population.scenario.affected
 
     def test_single_shot(self):
@@ -494,7 +513,7 @@ class TestSimulation:
 
     def test_duplicate_peer_ids_rejected(self):
         population = draw_population(small_cfg(peer_count=50))
-        peers = list(population.peers.values())
+        peers = peers_of(population)
         with pytest.raises(ValueError, match="unique"):
             Population.from_peers([*peers, peers[7]], population.scenario)
 
@@ -561,11 +580,16 @@ class TestSimulation:
         cfg = small_cfg(strategy="path-aware", rng_seed=4)
         population = draw_population(cfg)
         draws = draw_candidates(cfg, population)
-        lists = candidate_lists(draws)
         # built-in ints, so ledger keys and served_by codes are too
-        ranked = [draws.ranked(i) for i in range(len(draws.offsets) - 1)]
-        assert ranked and all(type(d) is tuple and all(type(row) is int for row in d)
-                              for d in ranked)
+        made = []
+
+        class Kept(Simulation):
+            def _make_candidates(self, req):
+                made.append(super()._make_candidates(req))
+                return made[-1]
+        Kept(cfg, population, draws).run()
+        assert any(made) and all(type(d) is tuple and all(type(row) is int for row in d)
+                                 for d in made)
         assert CandidateDraws._fields == ("made_for", "population", "relays", "offsets")
         for column in (draws.relays, draws.offsets):
             with pytest.raises(ValueError, match="read-only"):
@@ -618,7 +642,7 @@ class TestNoRelaySkipsOnlineSet:
     def test_no_arrival_or_departure_events(self, monkeypatch):
         cfg = small_cfg(rng_seed=3, strategy="no-relay")
         population = draw_population(cfg)
-        peers, scenario = list(population.peers.values()), population.scenario
+        peers, scenario = peers_of(population), population.scenario
         streams, real = [], engine._stream
         monkeypatch.setattr(engine, "_stream",
                             lambda *key: streams.append(key) or real(*key))
@@ -707,15 +731,16 @@ class TestProtocolProperties:
         assert sorted(o.requester_id for o in sim.outcomes) == sorted(
             p.id for p in peers if p.join_time <= horizon)
         for o in sim.outcomes:
-            requester = sim.peers[o.requester_id]
+            requester = peer_of(sim.population, o.requester_id)
             assert o.start_time <= o.end_time <= min(requester.departure_time, horizon)
-            if o.served:
+            if o.served_by is not None:
                 # no transfer outruns the requester's downlink
                 fetch = cfg.content_size_kb * 8.0 / requester.downlink_kbps
                 assert o.end_time - o.start_time >= fetch
             relay_served = isinstance(o.served_by, int)
             if relay_served:
-                assert o.served_by != o.requester_id and o.served_by in sim.peers
+                assert o.served_by != o.requester_id
+                assert o.served_by in sim.population.ids.tolist()
             else:
                 assert o.served_by in (SERVER, None)
             if o.served_by == SERVER:
@@ -724,7 +749,7 @@ class TestProtocolProperties:
             assert len(tried) == o.attempts <= cfg.zeta
             if relay_served:
                 assert tried[-1] == o.served_by
-            assert o.primary_success == (relay_served and tried == (o.served_by,))
+            assert primary_success(o) == (relay_served and tried == (o.served_by,))
         # every relay-phase request made a list, and no path-aware list
         # holds a relay-phase requester issued no later than its owner: the
         # fetch-failure history at that request
@@ -967,7 +992,7 @@ class TestColumnsOnly:
             population = Population(build_trace_peers(trace, cfg, np.random.default_rng(3)),
                                     FailureScenario(frozenset(range(0, 500, 2))))
             assert population.ids.tolist() != list(range(500))
-        again = Population.from_peers(population.peers.values(), population.scenario)
+        again = Population.from_peers(peers_of(population), population.scenario)
         for name in ("ids", "isp", "uplink", "downlink", "join", "dep", "affected", "cut",
                      "in_region", "by_id"):
             assert np.array_equal(getattr(again, name), getattr(population, name)), name
@@ -975,23 +1000,16 @@ class TestColumnsOnly:
         names = [[p.cities[code] for code in p.city.tolist()] for p in (population, again)]
         assert names[0] == names[1]
 
-    def test_peers_maps_ids_to_rows(self):
-        peers = [make_peer(7, join=2.0, dur=3.0), make_peer(3, city="Wuhan", isp=2, join=1.0)]
+    def test_by_id_maps_ids_to_rows(self):
+        peers = [make_peer(7, join=2.0, dur=3.0), make_peer(3, city="Wuhan", isp=2, join=1.0),
+                 make_peer(5, join=0.5)]
         population = Population.from_peers(peers, FailureScenario(frozenset()))
-        assert list(population.peers) == [3, 7]
-        assert population.peers[7] == peers[0] and population.peers[3] == peers[1]
-        assert 7 in population.peers and len(population.peers) == 2
-        for missing in (0, 5, 8, -1, "7"):
-            assert missing not in population.peers
-
-    def test_peers_rejects_bools(self):
-        population = Population.from_peers([make_peer(0), make_peer(1)],
-                                            FailureScenario(frozenset()))
-        for flag in (False, True):
-            assert flag not in population.peers
+        assert population.ids.tolist() == [5, 3, 7] and population.by_id.tolist() == [1, 0, 2]
+        assert [peer_of(population, pid) for pid in (7, 3, 5)] == peers
+        assert peer_of(population, np.int64(7)) == peers[0]
+        for missing in (0, 4, 6, 8, -1):
             with pytest.raises(KeyError):
-                population.peers[flag]
-        assert population.peers[np.int64(1)].id == 1
+                peer_of(population, missing)
 
     @pytest.mark.parametrize("strategy", ["random", "path-aware"])
     def test_no_array_is_sized_by_the_largest_id(self, strategy):
@@ -1008,7 +1026,9 @@ class TestColumnsOnly:
             (1, 10**7), (2, 10**7)]
         arrays = [v for v in vars(population).values() if isinstance(v, np.ndarray)]
         assert arrays and all(v.size <= len(peers) for v in arrays)
-        assert population.peers[10**7] == peers[0] and 10**7 - 1 not in population.peers
+        assert peer_of(population, 10**7) == peers[0]
+        with pytest.raises(KeyError):
+            peer_of(population, 10**7 - 1)
 
     def test_a_run_copies_no_column(self):
         # The loop reads and writes its columns through memoryviews. A list

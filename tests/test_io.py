@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from relaysim import engine
+from relaysim import io as rio
 from relaysim.engine import RequestOutcome, Simulation
 from relaysim.io import (
     OUTCOME_COLUMNS,
@@ -41,7 +42,7 @@ from relaysim.io import (
 from relaysim.model import CapacityError, ConfigError, SimConfig, TraceColumns, TraceRecord
 from relaysim.netsim import SERVER, FailureScenario
 
-from helpers import outcome_tables, outcomes_table, peer_rows, trace_files
+from helpers import outcome_tables, outcomes_table, peer_rows, peers_of, trace_files
 from reference import parse_trace_rows, write_outcomes_csv_rows
 
 
@@ -327,8 +328,7 @@ class TestSynthesisAndReplay:
         assert [(type(r.user_id), type(r.request_ts), type(r.leave_ts), type(r.fetch_failure))
                 for r in records] == [(str, float, float, bool)] * 60
         columns = build_trace_peers(records, SimConfig(), np.random.default_rng(1))
-        peers = engine.Population(columns, FailureScenario(frozenset())).peers.values()
-        for p in peers:
+        for p in peers_of(engine.Population(columns, FailureScenario(frozenset()))):
             assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
                 int, str, int, float, float, float, float]
 
@@ -667,6 +667,10 @@ class TestCli:
     def run_flags(self):
         return ["--peers", "40", "--seed", "0", "--set", "sim_duration=600"]
 
+    def sweep_flags(self):
+        """run_flags less --seed, which sweep refuses (its cells read --seeds)."""
+        return ["--peers", "40", "--set", "sim_duration=600"]
+
     def test_usage_error_exit_2(self, capsys):
         assert main([]) == 2
         assert main(["run", "--bogus-flag"]) == 2
@@ -687,8 +691,7 @@ class TestCli:
         prefix = tmp_path / "demo"
         assert main(["run", "--peers", "200", "--set", "sim_duration=0.5",
                      "--out", str(prefix)]) == 2
-        first = min(p.join_time for p in engine.draw_population(
-            SimConfig(peer_count=200)).peers.values())
+        first = engine.draw_population(SimConfig(peer_count=200)).join.min().item()
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"sim_duration 0.5 s ends before the first request at {first!r} s"
@@ -720,7 +723,7 @@ class TestCli:
 
     def test_sweep_nan_size_exit_2(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        assert main(["sweep", *self.run_flags(), "--sizes", "nan,1000",
+        assert main(["sweep", *self.sweep_flags(), "--sizes", "nan,1000",
                      "--out", str(out)]) == 2
         assert "content sizes must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
@@ -737,11 +740,27 @@ class TestCli:
         out, summary = tmp_path / "s.csv", tmp_path / "s.json"
         flags = {"--sizes": "500", "--ratios": "0.5"}
         flags[axis[0]] = axis[1]
-        assert main(["sweep", *self.run_flags(), *[v for kv in flags.items() for v in kv],
+        assert main(["sweep", *self.sweep_flags(), *[v for kv in flags.items() for v in kv],
                      "--out", str(out), "--summary", str(summary)]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("flag, value, axis", [
+        ("--seed", "7", "--seeds"), ("--strategy", "random", "--strategies"),
+        ("--size", "500", "--sizes"), ("--failure-ratio", "0.6", "--ratios")])
+    def test_sweep_one_value_flag_exit_2(self, tmp_path, capsys, monkeypatch, flag, value,
+                                         axis):
+        # a cell sets this field from its axis, so the flag would be lost
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(rio, "run_sweep", refuse)
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", *self.sweep_flags(), flag, value, "--sizes", "500",
+                     "--ratios", "0.6", "--out", str(out), "--summary", str(summary)]) == 2
+        captured = capsys.readouterr()
+        assert f"from {axis}, not {flag}" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_nan_latency_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -784,7 +803,7 @@ class TestCli:
     def test_sweep_grid_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        flags = ["sweep", *self.run_flags(),
+        flags = ["sweep", *self.sweep_flags(),
                  "--sizes", "500,16000", "--ratios", "0.6",
                  "--strategies", "path-aware,random,no-relay", "--seeds", "0"]
         assert main([*flags, "--out", str(out1)]) == 0
@@ -797,7 +816,7 @@ class TestCli:
     def test_sweep_summary_file(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         summary = tmp_path / "s.json"
-        assert main(["sweep", *self.run_flags(), "--sizes", "500",
+        assert main(["sweep", *self.sweep_flags(), "--sizes", "500",
                      "--ratios", "0.6", "--seeds", "0,1",
                      "--out", str(out), "--summary", str(summary)]) == 0
         payload = json.loads(summary.read_text())

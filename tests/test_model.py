@@ -2,15 +2,16 @@
 
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from relaysim.engine import Simulation
 from relaysim.model import (
     DEFAULT_CITIES,
     STRATEGIES,
     ConfigError,
-    ContentItem,
     Peer,
     RelayLedger,
     SimConfig,
@@ -20,6 +21,8 @@ from relaysim.model import (
     validate_config,
 )
 
+from helpers import population, rows_of
+
 
 def make_peer(**kw):
     base = dict(id=1, city="Beijing", isp=1, uplink_kbps=1024.0,
@@ -28,45 +31,47 @@ def make_peer(**kw):
     return Peer(**base)
 
 
+def online(peer, t):
+    """Whether a run holds peer online at t: a relay attempt on it at t is
+    not rejected (Simulation._plan_attempt reads the join and dep columns).
+    The requester is another peer online throughout."""
+    requester = replace(peer, id=peer.id + 1, join_time=0.0, session_duration=1e9)
+    sim = Simulation(SimConfig(peer_count=2, sim_duration=math.inf),
+                     population([requester, peer]))
+    relay, row = rows_of(sim.population, [peer.id, requester.id]).tolist()
+    return sim._plan_attempt(relay, row, t).verdict != "reject"
+
+
 class TestPeer:
     def test_online_window_half_open(self):
         p = make_peer()
-        assert not p.online(9.999)
-        assert p.online(10.0)          # join inclusive
-        assert p.online(69.999)
-        assert not p.online(70.0)      # departure exclusive
+        assert not online(p, 9.999)
+        assert online(p, 10.0)          # join inclusive
+        assert online(p, 69.999)
+        assert not online(p, 70.0)      # departure exclusive
 
     def test_online_xor_offline(self):
         # online(t) XOR (t < join or t >= join + duration) for a grid of t
         p = make_peer()
         for t in [0.0, 9.9, 10.0, 40.0, 69.9, 70.0, 200.0]:
             outside = t < p.join_time or t >= p.join_time + p.session_duration
-            assert p.online(t) != outside
+            assert online(p, t) != outside
 
-    def test_departure_time_and_elapse(self):
-        p = make_peer()
-        assert p.departure_time == 70.0
-        assert p.elapse(25.0) == 15.0
-        assert p.elapse(10.0) == 0.0
+    def test_departure_time(self):
+        assert make_peer().departure_time == 70.0
 
     def test_capacity_ledger_views(self):
         p = make_peer(uplink_kbps=1000.0)
         ledger = RelayLedger()
         relay = (p.id, p.uplink_kbps)
         assert ledger.uplink_free_kbps(*relay) == 1000.0
-        assert ledger.uplink_utilization(*relay) == 0.0
         ledger.in_use_kbps[p.id] = 250.0
         assert ledger.uplink_free_kbps(*relay) == 750.0
-        assert ledger.uplink_utilization(*relay) == 0.25
         ledger.in_use_kbps[p.id] = 1200.0  # over-commit is clamped in the view
         assert ledger.uplink_free_kbps(*relay) == 0.0
 
 
 class TestContentAndTrace:
-    def test_size_kbits(self):
-        assert ContentItem(size_kb=500.0).size_kbits == 4000.0
-        assert ContentItem(size_kb=1.0).size_kbits == 8.0
-
     def test_trace_duration(self):
         rec = TraceRecord(user_id="u1", request_ts=100.0, leave_ts=160.0)
         assert rec.duration == 60.0

@@ -88,12 +88,11 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
         return p.id not in failed and not_busy(p, ledger.in_use_kbps, ledger.workload, gamma,
                                                workload_mode)
 
-    def durability(p):
-        remain = estimate_time_to_stay(tts, p.elapse(t) / 60.0)
-        return (-remain, p.id)
+    def rank(p):
+        return durability(tts, p, t)
 
-    careful = sorted((p for p in careful if keep(p)), key=durability)
-    randoms = sorted((p for p in randoms if keep(p)), key=durability)
+    careful = sorted((p for p in careful if keep(p)), key=rank)
+    randoms = sorted((p for p in randoms if keep(p)), key=rank)
     return tuple(p.id for p in careful), tuple(p.id for p in randoms)
 
 
