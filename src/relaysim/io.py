@@ -541,12 +541,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # Each cell sets these fields from its axes, so the one-value flags would be lost.
+    # Each cell sets these fields from its axes, so the one-value flags and
+    # RELAYSIM_SEED would be lost.
     for flag, axis in (("seed", "seeds"), ("strategy", "strategies"), ("size", "sizes"),
                        ("failure_ratio", "ratios")):
         if getattr(args, flag) is not None:
             raise ValueError(f"sweep takes its {axis} from --{axis}, not "
                              f"--{flag.replace('_', '-')}")
+    if os.environ.get("RELAYSIM_SEED"):
+        raise ValueError("sweep takes its seeds from --seeds, not RELAYSIM_SEED")
     cfg = build_config(args)
     kwargs = {"content_sizes_kb": tuple(cfg.content_sizes_kb)}
     for flag, field, parse in (("sizes", "content_sizes_kb", float),

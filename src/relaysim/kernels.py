@@ -5,9 +5,11 @@ branch-and-bound; `greedy_assign` makes the one-pass greedy sweep in
 descending benefit order, one value band at a time, and reads in each band
 only the unmatched requesters' rows and the relay columns that can still
 take one of its entries, a chunk of rows at a time, so no mask the size
-of the benefit matrix is built. Both expect finite, non-negative benefits
-and capacities (`selection._check_instance` guarantees them) and break
-ties deterministically, as documented below.
+of the benefit matrix is built. Before its sequential visit it drops, in
+numpy, the entries that can no longer be taken, and it visits a heavy tie
+a row at a time, since a row takes at most one entry. Both expect finite,
+non-negative benefits and capacities (`selection._check_instance`
+guarantees them) and break ties deterministically, as documented below.
 """
 
 from __future__ import annotations
@@ -116,11 +118,13 @@ def decode_assignment(k: int, n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Size of the strided sample the greedy band edges are read from, and the
+# Size of the strided sample the greedy band edges are read from, the
 # most entries a chunk of a band's scan holds and a band collects before
-# the tie at its lower edge is split off.
+# the tie at its lower edge is split off, and the length of the slices a
+# sorted band is visited in.
 _SAMPLE = 4096
 _BAND_MAX = 1 << 17
+_SLICE = 512
 
 
 def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
@@ -138,27 +142,41 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
     above lo. The entries left out are those whose requester is matched or
     that exceed their relay's remaining capacity; with non-negative
     benefits both only become more true as the sweep goes on, so the full
-    sweep would skip them too. When half the relays or more are live, whole
-    rows are read instead of gathering columns; a dead relay's edge, at or
-    below lo, keeps its entries out all the same.
+    sweep would skip them too.
 
     The submatrix is scanned in row chunks of at most _BAND_MAX entries,
-    two comparisons per entry (>= lo and < upper edge), and its entries
-    come out in ascending flat order, so the stable sort by value keeps
-    ties in flat order. No n x m mask is built: not the band, below-hi,
-    fits-its-relay and not-equal-to-lo masks, nor the pass that cleared
-    matched rows. Once a band has collected more than _BAND_MAX entries,
-    it keeps only those above lo, and the tie at lo, which sorts last, is
-    visited afterwards in flat order, a chunk at a time, with the rows and
-    relays re-read before each chunk. The sweep stops once every requester
-    is matched or no band is left.
+    with one comparison per entry against the upper edge and one against
+    lo (none in the last band, where lo = -inf); no n x m mask is built.
+    When half the relays or more are live, whole rows are read: a dead
+    relay's edge, at or below lo, keeps its entries out all the same. When
+    half the rows of a chunk's row range or more are unmatched, the range
+    is read in place (a view of whole rows, or a take of the live columns)
+    and its matched rows are masked out; otherwise the unmatched rows are
+    gathered. Entries come out in ascending flat order, and a band is
+    sorted by value, stably when it holds equal values, so ties keep flat
+    order.
+
+    The sorted band is visited _SLICE entries at a time: each slice first
+    drops, in numpy, the entries that the same rule leaves out at its
+    start, so only the survivors reach the sequential loop, which checks
+    them again because an earlier survivor can rule a later one out.
+
+    A heavy tie at lo is split off: when the sample holds more than
+    _BAND_MAX entries' worth of lo, or once the band has collected more
+    than _BAND_MAX entries, the band keeps only the entries above lo, and
+    the tie, which sorts last, is visited afterwards in flat order, a chunk
+    at a time, with the rows and relays re-read before each chunk. The
+    flat order visits a row's tied entries together and a row takes at
+    most one, so the tie is visited a row at a time: each row takes its
+    first relay that still fits and skips the rest. The sweep stops once
+    every requester is matched or no band is left.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     caps = np.ascontiguousarray(caps, dtype=np.float64)
     n, m = b.shape
-    assign = np.full(n, -1, dtype=np.int64)
+    owner = np.full(n, -1, dtype=np.int64)
     if n == 0 or m == 0:
-        return assign, 0.0
+        return owner, 0.0
     flat = b.ravel()
     stride = max(1, flat.size // _SAMPLE)
     sample = np.sort(flat[::stride])
@@ -166,47 +184,90 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
     # first, then doubling up to _BAND_MAX entries
     count_max = max(1, _BAND_MAX // stride)
     count = min(max(1, n // stride), count_max)
-    owner = [-1] * n
-    remaining = caps.tolist()
+    # The sweep state, as arrays for the numpy scans and mirrored in lists
+    # for the sequential loops, which read single entries.
+    remaining = caps.copy()
+    own, rem = owner.tolist(), caps.tolist()
     left = n
 
-    def visit(qs: np.ndarray, rs: np.ndarray, vals: np.ndarray) -> None:
+    def take(q: int, r: int, v: float) -> None:
         nonlocal left
-        for q, r, v in zip(qs.tolist(), rs.tolist(), vals.tolist()):
-            if owner[q] < 0 and v <= remaining[r] + CAP_EPS:
-                owner[q] = r
-                remaining[r] -= v
-                left -= 1
-                if not left:
-                    return
+        owner[q] = own[q] = r
+        rem[r] -= v
+        remaining[r] = rem[r]
+        left -= 1
+
+    def visit(qs: np.ndarray, rs: np.ndarray, vals: np.ndarray) -> None:
+        for pos in range(0, qs.size, _SLICE):
+            q_s, r_s, v_s = qs[pos:pos + _SLICE], rs[pos:pos + _SLICE], vals[pos:pos + _SLICE]
+            keep = owner[q_s] < 0
+            keep &= v_s <= remaining[r_s] + CAP_EPS
+            for q, r, v in zip(q_s[keep].tolist(), r_s[keep].tolist(), v_s[keep].tolist()):
+                if own[q] < 0 and v <= rem[r] + CAP_EPS:
+                    take(q, r, v)
+                    if not left:
+                        return
+
+    def visit_tie(qs: np.ndarray, rs: np.ndarray, v: float) -> None:
+        """Visit a tie at v in flat order, a row at a time: each row takes
+        its first relay that still fits."""
+        starts = np.flatnonzero(np.diff(qs, prepend=-1))
+        edges = [*starts.tolist(), qs.size]
+        rs = rs.tolist()
+        for s, e, q in zip(edges, edges[1:], qs[starts].tolist()):
+            for r in rs[s:e]:
+                if v <= rem[r] + CAP_EPS:
+                    take(q, r, v)
+                    if not left:
+                        return
+                    break
 
     def chunks(lo: float, hi: float) -> Iterator[tuple[np.ndarray, ...]]:
         """The band's live submatrix, at most _BAND_MAX entries at a time:
-        (unmatched rows, live relay columns, their upper edges, the
-        submatrix), with the rows and relays re-read before each chunk."""
-        rows = np.flatnonzero(np.asarray(owner) < 0)
+        (its rows, live relay columns, their upper edges, the submatrix, the
+        positions of its matched rows), with the rows and relays re-read
+        before each chunk."""
+        rows = np.flatnonzero(owner < 0)
         pos = 0
         while pos < rows.size:
-            upper = np.minimum(hi, np.nextafter(np.asarray(remaining) + CAP_EPS, np.inf))
+            upper = np.minimum(hi, np.nextafter(remaining + CAP_EPS, np.inf))
             cols = np.flatnonzero(upper > lo)
             if not cols.size:
                 return
-            if 2 * cols.size >= m:
+            whole = 2 * cols.size >= m
+            if whole:
                 # read whole rows: a gather costs several streamed reads per
                 # entry, and a dead relay's edge keeps its entries out
                 cols = np.arange(m)
-            block = rows[pos:pos + max(1, _BAND_MAX // cols.size)]
-            pos += block.size
-            block = block[[owner[q] < 0 for q in block.tolist()]]
-            if not block.size:
-                continue
-            if cols.size < m:
-                sub = b[np.ix_(block, cols)]
-            elif block[-1] - block[0] < block.size:   # consecutive rows: a view
-                sub = b[block[0]:block[-1] + 1]
+            step = max(1, _BAND_MAX // cols.size)
+            start = int(rows[pos])
+            end = min(start + step, n)
+            stop = int(np.searchsorted(rows, end))
+            if 2 * (stop - pos) >= end - start:
+                # mostly unmatched rows: read the row range and leave its
+                # matched rows out of the mask
+                pos = stop
+                block = np.arange(start, end)
+                sub = b[start:end] if whole else b[start:end].take(cols, axis=1)
+                dead = np.flatnonzero(owner[start:end] >= 0)
             else:
-                sub = b[block]
-            yield block, cols, upper[cols], sub
+                block = rows[pos:pos + step]
+                pos += block.size
+                block = block[owner[block] < 0]
+                if not block.size:
+                    continue
+                sub = b[block] if whole else b[np.ix_(block, cols)]
+                dead = block[:0]
+            yield block, cols, upper[cols], sub, dead
+
+    def scan(sub: np.ndarray, lower: float, upper: np.ndarray,
+             dead: np.ndarray) -> np.ndarray:
+        """Mask of the chunk's entries in [lower, upper edge) of unmatched rows."""
+        mask = sub < upper
+        if lower > -np.inf:   # every benefit is above -inf
+            mask &= sub >= lower
+        mask[dead] = False
+        return mask
 
     def pick(block: np.ndarray, cols: np.ndarray, sub: np.ndarray,
              mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,16 +278,19 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
 
     hi = np.inf
     while left:
-        fit = np.asarray(remaining) + CAP_EPS
+        fit = remaining + CAP_EPS
         # The band takes `count` sample entries below `hi` and below the
         # largest remaining capacity; entries above the latter fit nowhere.
         top = int(np.searchsorted(sample, fit.max(), side="right"))
         j = min(top - count, int(np.searchsorted(sample, hi)) - 1)
         lo = float(sample[j]) if j >= 0 else -np.inf
         kept, size, floor = [], 0, lo
-        for block, cols, upper, sub in chunks(lo, hi):
-            mask = sub >= floor
-            mask &= sub < upper
+        if j >= 0 and stride * (int(np.searchsorted(sample, lo, side="right"))
+                                - int(np.searchsorted(sample, lo))) > _BAND_MAX:
+            # the sample already shows a heavy tie at lo: split it off now
+            floor = np.nextafter(lo, np.inf)
+        for block, cols, upper, sub, dead in chunks(lo, hi):
+            mask = scan(sub, floor, upper, dead)
             size += np.count_nonzero(mask)
             if j >= 0 and floor == lo and size > _BAND_MAX:
                 # a heavy tie at lo: from here on only entries above it are
@@ -238,23 +302,26 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
         if kept:
             band = [np.concatenate(c) for c in zip(*kept)]
             del kept
-            order = np.argsort(-band[2], kind="stable")
-            visit(*(c[order] for c in band))
-            del band, order
+            order = np.argsort(-band[2])
+            vals = band[2][order]
+            if (vals[1:] == vals[:-1]).any():
+                # only a stable sort keeps ties in flat order
+                order = np.argsort(-band[2], kind="stable")
+                vals = band[2][order]
+            visit(band[0][order], band[1][order], vals)
+            del band, order, vals
         if floor > lo:
-            for block, cols, upper, sub in chunks(lo, floor):
-                mask = sub >= lo
-                mask &= sub < upper
-                visit(*pick(block, cols, sub, mask))
+            for block, cols, upper, sub, dead in chunks(lo, floor):
+                qs, rs, _ = pick(block, cols, sub, scan(sub, lo, upper, dead))
+                visit_tie(qs, rs, lo)
                 if not left:
                     break
         if j < 0:
             break
         hi = lo
         count = min(2 * count, count_max)
-    assign[:] = owner
-    matched = np.flatnonzero(assign >= 0)
+    matched = np.flatnonzero(owner >= 0)
     obj = 0.0
-    for v in b[matched, assign[matched]].tolist():   # ascending requester order
+    for v in b[matched, owner[matched]].tolist():   # ascending requester order
         obj += v
-    return assign, obj
+    return owner, obj

@@ -200,13 +200,15 @@ def solve_greedy(b, caps) -> tuple[SelectionMatrix, float]:
     instance infeasible. Equal benefits are taken in requester-major order.
     The sweep sorts one value band at a time, reads in each band only the
     unmatched requesters and the relays that can still take one of its
-    entries, and stops once every requester is matched, so it handles
-    sizes far beyond the exact solver's limit. Neither the instance check
-    nor the sweep builds a mask the size of b (see `kernels.greedy_assign`).
+    entries, drops in numpy the entries that can no longer be taken before
+    its sequential visit, visits a heavy tie a row at a time, and stops
+    once every requester is matched, so it handles sizes far beyond the
+    exact solver's limit. Neither the instance check nor the sweep builds a
+    mask the size of b (see `kernels.greedy_assign`).
     """
     b, caps = _check_instance(b, caps)
     assign, obj = kernels.greedy_assign(b, caps)
-    return SelectionMatrix(tuple(int(r) for r in assign), tuple(caps)), obj
+    return SelectionMatrix(tuple(assign.tolist()), tuple(caps)), obj
 
 
 def load_instance(path) -> tuple[np.ndarray, np.ndarray]:

@@ -762,6 +762,19 @@ class TestCli:
         assert f"from {axis}, not {flag}" in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_seed_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the cells take their seeds from --seeds, so the variable would be lost
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(rio, "run_sweep", refuse)
+        monkeypatch.setenv("RELAYSIM_SEED", "7")
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", *self.sweep_flags(), "--sizes", "500", "--ratios", "0.6",
+                     "--out", str(out), "--summary", str(summary)]) == 2
+        captured = capsys.readouterr()
+        assert "from --seeds, not RELAYSIM_SEED" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_trace_nan_latency_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         write_trace_csv(synthesize_trace(20, seed=1), trace)

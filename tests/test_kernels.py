@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from relaysim import kernels
 from relaysim.kernels import CAP_EPS, decode_assignment, exact_best, greedy_assign
+from relaysim.selection import solve_greedy
 
 
 def brute_force(b, caps):
@@ -228,6 +229,19 @@ class TestGreedy:
         assert list(assign) == [0, 1]
         assert obj == 6.0
 
+    @pytest.mark.parametrize("band_max", [kernels._BAND_MAX, 1])
+    def test_entry_at_cap_plus_eps_fits(self, band_max):
+        # the fit rule is v <= remaining + CAP_EPS, equality included, in
+        # the sorted visit and (at 1, where the tie at v is split off) in
+        # the row-at-a-time tie visit alike
+        v = 1.0 + CAP_EPS
+        b = np.array([[v, 0.5], [0.25, v]])
+        caps = np.array([1.0, 1.0])
+        with mock.patch.object(kernels, "_BAND_MAX", band_max):
+            assign, obj = greedy_assign(b, caps)
+        assert list(assign) == [0, 1] and obj == 2 * v
+        assert_greedy_matches_reference(b, caps)
+
     def test_unmatched_marked(self):
         assign, obj = greedy_assign(np.array([[5.0]]), np.array([1.0]))
         assert list(assign) == [-1]
@@ -245,10 +259,12 @@ class TestGreedy:
     @settings(max_examples=200, deadline=None)
     @given(instances(max_n=40, max_m=8, values=tie_values, cap_scale=1.0))
     def test_matches_reference_with_small_bands(self, inst):
-        # a tiny sample and band limit force many bands, a sampling
-        # stride above 1 and the split-off path for heavy ties
+        # a tiny sample, band limit and slice force many bands, a sampling
+        # stride above 1, the split-off path for heavy ties and sorted bands
+        # visited in several slices
         with mock.patch.object(kernels, "_SAMPLE", 16), \
-                mock.patch.object(kernels, "_BAND_MAX", 4):
+                mock.patch.object(kernels, "_BAND_MAX", 4), \
+                mock.patch.object(kernels, "_SLICE", 3):
             assert_greedy_matches_reference(*inst)
 
     @pytest.mark.parametrize("cap_lo, cap_hi", [(20.0, 120.0), (1.0, 5.0), (0.0, 0.5)])
@@ -260,13 +276,18 @@ class TestGreedy:
         assert_greedy_matches_reference(b, caps)
 
     @pytest.mark.parametrize("band_max", [kernels._BAND_MAX, 1024])
-    @pytest.mark.parametrize("cap_lo, cap_hi", [(20, 121), (5, 31)])
-    def test_matches_reference_on_integer_benefits(self, band_max, cap_lo, cap_hi):
+    @pytest.mark.parametrize("seed, n, m, cap_lo, cap_hi", [
+        pytest.param(43, 400, 120, 20, 121, id="20-121"),
+        pytest.param(43, 400, 120, 5, 31, id="5-31"),
+        # the 3000 x 800 integer-tie instance at a tenth of each side: at
+        # 1024 the first band is a heavy tie at 10 that matches everyone
+        pytest.param(5, 300, 80, 20, 121, id="tie-300x80")])
+    def test_matches_reference_on_integer_benefits(self, band_max, seed, n, m, cap_lo, cap_hi):
         # eleven values, so every band edge sits on a tie; at 1024 the
         # ties at lo are split off and scanned on their own
-        rng = np.random.default_rng(43)
-        b = rng.integers(0, 11, size=(400, 120)).astype(float)
-        caps = rng.integers(cap_lo, cap_hi, size=120).astype(float)
+        rng = np.random.default_rng(seed)
+        b = rng.integers(0, 11, size=(n, m)).astype(float)
+        caps = rng.integers(cap_lo, cap_hi, size=m).astype(float)
         with mock.patch.object(kernels, "_BAND_MAX", band_max):
             assert_greedy_matches_reference(b, caps)
 
@@ -285,3 +306,37 @@ class TestGreedy:
         assert list(assign) == list(range(400)) + [-1] * 200
         assert obj == 400.0
         assert peak < b.size * np.dtype(np.int64).itemsize
+
+
+class TestCallerInputs:
+    """The solvers read the caller's b and caps and never write them.
+
+    C-contiguous float64 inputs pass through `np.ascontiguousarray` as
+    the caller's own arrays, so a solver that kept its sweep state in them
+    would change them in place.
+    """
+
+    def instances(self, n, m):
+        rng = np.random.default_rng(47)
+        uniform = (rng.uniform(0.0, 10.0, size=(n, m)), rng.uniform(1.0, 5.0, size=m))
+        ties = (rng.integers(0, 11, size=(n, m)).astype(float),
+                rng.integers(20, 121, size=m).astype(float))
+        return [uniform, ties]
+
+    @pytest.mark.parametrize("solve", [greedy_assign, solve_greedy], ids=lambda f: f.__name__)
+    def test_greedy_leaves_inputs_unchanged(self, solve):
+        # at 1024 the integer instance's first band is a heavy tie at 10
+        with mock.patch.object(kernels, "_BAND_MAX", 1024):
+            for b, caps in self.instances(300, 80):
+                self.check_unchanged(solve, b, caps)
+
+    def test_exact_leaves_inputs_unchanged(self):
+        for b, caps in self.instances(6, 5):
+            self.check_unchanged(exact_best, b, caps * 4.0)
+
+    @staticmethod
+    def check_unchanged(solve, b, caps):
+        assert b.flags.c_contiguous and b.dtype == np.float64 and caps.dtype == np.float64
+        before = b.tobytes(), caps.tobytes()
+        solve(b, caps)
+        assert (b.tobytes(), caps.tobytes()) == before
