@@ -302,14 +302,13 @@ def greedy_assign(b: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, float]:
         if kept:
             band = [np.concatenate(c) for c in zip(*kept)]
             del kept
+            # the default sort is the faster one; only a stable sort keeps
+            # ties in flat order, so a band with equal values is sorted again
             order = np.argsort(-band[2])
-            vals = band[2][order]
-            if (vals[1:] == vals[:-1]).any():
-                # only a stable sort keeps ties in flat order
+            if (np.diff(band[2][order]) == 0).any():
                 order = np.argsort(-band[2], kind="stable")
-                vals = band[2][order]
-            visit(band[0][order], band[1][order], vals)
-            del band, order, vals
+            visit(*(c[order] for c in band))
+            del band, order
         if floor > lo:
             for block, cols, upper, sub, dead in chunks(lo, floor):
                 qs, rs, _ = pick(block, cols, sub, scan(sub, lo, upper, dead))

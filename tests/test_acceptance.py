@@ -310,7 +310,8 @@ def test_criterion_7_candidate_list_invariants():
     assert verdict(7, "candidate list invariants", checked == 10 ** 4)
 
 
-def test_criterion_8_sweep_determinism(tmp_path):
+def test_criterion_8_sweep_determinism(tmp_path, monkeypatch):
+    monkeypatch.delenv("RELAYSIM_SEED", raising=False)   # sweep refuses it
     args = [sys.executable, "-m", "relaysim", "sweep",
             "--peers", "200",
             "--set", "sim_duration=1800",

@@ -664,6 +664,11 @@ class TestDumps:
 
 
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def no_seed_env(self, monkeypatch):
+        """An exported RELAYSIM_SEED moves the default seed and stops sweep."""
+        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
+
     def run_flags(self):
         return ["--peers", "40", "--seed", "0", "--set", "sim_duration=600"]
 
@@ -803,7 +808,6 @@ class TestCli:
     ])
     def test_negative_seed_exit_2(self, command, env, message, tmp_path, capsys,
                                   monkeypatch):
-        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
         if env is not None:
             monkeypatch.setenv("RELAYSIM_SEED", env)
         out = {"run": ["--out", str(tmp_path / "r")], "sweep": ["--out", str(tmp_path / "s.csv")],
@@ -852,7 +856,6 @@ class TestCli:
             assert main(["trace", "--file", str(trace), "--synthesize", "30", *flags]) == 0
             return trace.read_bytes()
 
-        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
         default = synthesize()
         by_flag = synthesize("--seed", "5")
         by_set = synthesize("--set", "rng_seed=5")
@@ -865,14 +868,13 @@ class TestCli:
         write_trace_csv(synthesize_trace(30, seed=SimConfig().rng_seed), tmp_path / "ref.csv")
         assert default == (tmp_path / "ref.csv").read_bytes()
 
-    def test_trace_synthesize_follows_the_session_model(self, tmp_path, capsys, monkeypatch):
+    def test_trace_synthesize_follows_the_session_model(self, tmp_path, capsys):
         def sessions(*flags):
             trace = tmp_path / "t.csv"
             assert main(["trace", "--file", str(trace), "--synthesize", "5", *flags]) == 0
             records = parse_trace(trace).records
             return [r.request_ts for r in records], [r.duration for r in records]
 
-        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
         joins, durations = sessions()
         # a thirtieth of the default rate: the same gaps, each 30 times as long
         slow_joins, slow_durations = sessions("--set", "arrival_rate_lambda=1")
@@ -895,7 +897,6 @@ class TestCli:
         cfg_file.write_text("rng_seed = 7\n")
         flags = {"config": ["--config", str(cfg_file)], "set": ["--set", "rng_seed=7"],
                  "seed": ["--seed", "7"]}[source]
-        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
         seven, five = synthesize("--seed", "7"), synthesize("--seed", "5")
         monkeypatch.setenv("RELAYSIM_SEED", "5")
         assert synthesize(*flags) == seven != five
