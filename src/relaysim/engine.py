@@ -219,9 +219,7 @@ class _Request:
 # shared by every strategy at a given seed (common random numbers); the
 # selection stream is one block per population, a row per relay-phase
 # requester by rank of id, so draws stay aligned across strategies and sizes.
-_STREAM_POPULATION = 0
-_STREAM_FAILURE = 1
-_STREAM_SELECT = 2
+_STREAM_POPULATION, _STREAM_FAILURE, _STREAM_SELECT = range(3)
 
 
 def _stream(seed: int, label: int) -> np.random.Generator:
@@ -237,12 +235,18 @@ class Population:
     scenario) and cut (cut off at its join: the request enters the relay
     phase), and bucket (a code per city and ISP); by_id holds the rows in
     ascending id order, so by_id[np.searchsorted(ids, pid, sorter=by_id)]
-    is the row of a present id pid. Ids are unique and non-negative.
+    is the row of a present id pid. Ids are unique, and a peer that no run
+    can simulate (__init__'s rules) raises a ValueError naming its id.
     """
 
     def __init__(self, columns: PeerColumns, scenario: FailureScenario):
-        if len(columns.ids) and columns.ids.min() < 0:
-            raise ValueError("peer ids must be non-negative")
+        c = columns   # a duration of inf never ends
+        for rule, ok in (("a non-negative id", c.ids >= 0), ("a finite join", np.isfinite(c.join)),
+                         ("a non-negative duration", c.duration >= 0),
+                         ("a finite non-negative uplink", (c.uplink >= 0) & (c.uplink < np.inf)),
+                         ("a finite positive downlink", (c.downlink > 0) & (c.downlink < np.inf))):
+            if not ok.all():
+                raise ValueError(f"peer {c.ids[np.argmin(ok)]} needs {rule}")
         self.scenario, self.cities = scenario, columns.cities
         order = np.argsort(columns.join, kind="stable")
         self.ids, self.city, self.isp, self.uplink, self.downlink, self.join = (
@@ -349,9 +353,9 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     after its departure, so a zero-length session never comes online. The
     pool sizes at each step are counts on those step columns, so the pick
     positions of a block need no ids (pool_positions). One sweep keeps the
-    online id ranks in an ascending list, and for careful slots one per
-    bucket, applies each step's leaving and arriving peers, and maps each
-    draw's positions inline: past the requester's slot in the pool it
+    online id ranks in an ascending list, and one per bucket some requester
+    draws from, applies each step's leaving and arriving id ranks, and maps
+    each draw's positions inline: past the requester's slot in the pool it
     draws from, and the random picks also past the careful picks' slots.
     The selection stream is drawn once, cfg.zeta floats per requester; the
     requester with rank r by id reads row r."""
@@ -366,37 +370,36 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     arrive, leave = (np.searchsorted(times, c[:k]) for c in (population.join, population.dep))
     live = np.flatnonzero(leave > arrive)
     arrive, leave = arrive[live], leave[live]
-    by_step = []   # (live rows by step, where each step's rows start) for leave, arrive
-    for step in (leave, arrive):
-        order = np.argsort(step, kind="stable")
-        by_step.append((live[order], np.searchsorted(step[order], np.arange(n + 1))))
+    # (live id ranks by step, where each step's ids start) for leave, arrive
+    by_step = [(id_rank[live[order]], np.searchsorted(step[order], np.arange(n + 1)))
+               for step, order in ((s, np.argsort(s, kind="stable")) for s in (leave, arrive))]
     # Pool sizes: the peers online at each step and, for careful slots,
     # those of the step's bucket (keys code * (n + 1) + step), less the
     # requester, which is online at its own step when its session is not
-    # empty. Bucket codes are compacted to 0..b-1 over the first k rows,
-    # so no list is sized by a raw code. A random draw reads no bucket, so
-    # it counts none and the sweep keeps none.
+    # empty. Bucket codes are compacted to 0..b-1 over the first k rows.
+    # bucket_of maps an id rank to its bucket's list, kept only for the
+    # buckets drawn from (else None), so a random draw keeps no bucket.
     here = population.dep[requesters] > times
     pool = by_step[1][1][1:] - by_step[0][1][1:] - here
-    same, code, buckets = np.zeros(n, np.int64), None, []
+    same = np.zeros(n, np.int64)
     if slots:
         code = np.unique(population.bucket[:k], return_inverse=True)[1]
-        buckets = [[] for _ in range(code.max(initial=-1) + 1)]
         keys = [np.sort(code[live] * (n + 1) + step) for step in (arrive, leave)]
         at = code[requesters] * (n + 1) + np.arange(n)
         same = (np.searchsorted(keys[0], at, side="right")
                 - np.searchsorted(keys[1], at, side="right") - here)
         del keys, at
+        buckets, bucket_of = {c: [] for c in code[requesters].tolist()}, [None] * len(id_rank)
+        mine = np.flatnonzero(np.isin(code, list(buckets)))
+        for x, c in zip(id_rank[mine].tolist(), code[mine].tolist()):
+            bucket_of[x] = buckets[c]
+        del code, mine
     del arrive, leave, live
 
     def changes(lo: int, hi: int) -> Iterator[list]:
-        """Each step's leaving, then arriving, peers, lo to hi: id ranks,
-        or for careful slots (id rank, bucket code) pairs."""
+        """Each step's leaving, then arriving, peers, lo to hi, as id ranks."""
         for order, at in by_step:
-            block = order[at[lo]:at[hi]]
-            peers = id_rank[block].tolist()
-            if slots:
-                peers = list(zip(peers, code[block].tolist()))
+            peers = order[at[lo]:at[hi]].tolist()
             bounds = (at[lo:hi + 1] - at[lo]).tolist()
             yield [peers[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -417,28 +420,26 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
                 for q in randoms:
                     drawn.append(online[q + (q >= r)])
         else:
-            for (me, present, leaving, arriving, randoms), mine, picks in zip(
-                    steps, code[requesters[lo:hi]].tolist(),
-                    pool_positions(u[:, :slots], same[lo:hi])):
-                for x, c in leaving:
+            for (me, present, leaving, arriving, randoms), picks in zip(
+                    steps, pool_positions(u[:, :slots], same[lo:hi])):
+                for x in leaving:
                     del online[bisect_left(online, x)]
-                    bucket = buckets[c]
-                    del bucket[bisect_left(bucket, x)]
-                for x, c in arriving:
+                    if (bucket := bucket_of[x]) is not None:
+                        del bucket[bisect_left(bucket, x)]
+                for x in arriving:
                     insort(online, x)
-                    insort(buckets[c], x)
+                    if (bucket := bucket_of[x]) is not None:
+                        insort(bucket, x)
                 r = bisect_left(online, me) if present else len(online)
                 if picks:
-                    bucket = buckets[mine]
+                    bucket = bucket_of[me]
                     b = bisect_left(bucket, me) if present else len(bucket)
                     taken = [r]
                     for q in picks:
                         x = bucket[q + (q >= b)]
                         drawn.append(x)
                         taken.append(bisect_left(online, x))
-                    # past slots t in ascending order, q becomes
-                    # q + #{l : t_l - l <= q}: the skipped slots before the
-                    # q-th one not skipped
+                    # q -> q + #{l : t_l - l <= q}, t the skipped slots ascending
                     taken.sort()
                     for l in range(1, len(taken)):
                         taken[l] -= l
@@ -501,7 +502,6 @@ class Simulation:
         self._end_time = self._served_by = self._attempts = None
         self._heap: list = []
         self._seq = 0
-        self._ran = False
 
     def _schedule(self, time: float, priority: int, req: _Request) -> None:
         self._seq += 1
@@ -517,9 +517,8 @@ class Simulation:
     def run(self) -> MetricsReport:
         """Decide the server fetches, run the relay phase up to the horizon,
         aggregate metrics."""
-        if self._ran:
+        if self.outcomes is not None:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
-        self._ran = True
         population, horizon = self.population, self.cfg.sim_duration
         if self._draws is None:
             self._draws = draw_candidates(self.cfg, population)

@@ -523,6 +523,29 @@ class TestSimulation:
         with pytest.raises(ValueError, match="non-negative"):
             Population.from_peers(peers, FailureScenario(frozenset()))
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("join", math.nan, "a finite join"), ("join", math.inf, "a finite join"),
+        ("join", -math.inf, "a finite join"),
+        ("dur", math.nan, "a non-negative duration"), ("dur", -5.0, "a non-negative duration"),
+        ("up", math.nan, "a finite non-negative uplink"),
+        ("up", math.inf, "a finite non-negative uplink"),
+        ("up", -1.0, "a finite non-negative uplink"),
+        ("down", 0.0, "a finite positive downlink"), ("down", -1.0, "a finite positive downlink"),
+        ("down", math.nan, "a finite positive downlink"),
+        ("down", math.inf, "a finite positive downlink")])
+    def test_peers_no_run_can_simulate_are_rejected(self, field, value, rule):
+        # Unchecked, a duration of -5 ends a request before it starts, a NaN
+        # join drops the peer's request and a zero downlink divides by zero.
+        # The first peer listed that breaks the rule is named, here 7.
+        peers = [make_peer(0), make_peer(7, **{field: value}), make_peer(3, **{field: value})]
+        with pytest.raises(ValueError, match=f"^peer 7 needs {rule}$"):
+            Population.from_peers(peers, FailureScenario(frozenset()))
+
+    def test_endless_sessions_and_idle_uplinks_are_accepted(self):
+        peers = [make_peer(0, dur=math.inf, up=0.0), make_peer(1, dur=0.0)]
+        population = Population.from_peers(peers, FailureScenario(frozenset()))
+        assert population.dep.tolist() == [math.inf, 0.0]
+
     def test_run_returns_report(self):
         rep = run(small_cfg())
         assert isinstance(rep, MetricsReport)
@@ -1046,11 +1069,57 @@ class TestColumnsOnly:
             tracemalloc.stop()
         assert peak < 2 * n * (8 + sys.getsizeof(0.5))
 
+    def test_the_draw_pass_holds_no_event_record(self):
+        # At 20,000 peers one block of 2,048 requesters spans most of the
+        # run, so the pass holds at once, per issued peer: four int64-sized
+        # columns (id ranks, the leave and arrive streams and the bucket map,
+        # 32 B) and the block's step lists, where each arrival and each
+        # departure is an int (28 B) in the stream list and in its step's
+        # list (2 x 8 B), 88 B for two events; per requester: zeta selection
+        # floats (8 B each), zeta pick positions as ints in a list (36 B
+        # each) and the relays drawn, in a list and then an array (16 B
+        # each), 600 B at zeta 10. A record per event (a tuple per id rank)
+        # does not fit.
+        n = 20_000
+        cfg = SimConfig(peer_count=n, strategy="path-aware")
+        population = draw_population(cfg)
+        requesters = np.count_nonzero(population.cut[:population.issued_by(cfg.sim_duration)])
+        tracemalloc.start()
+        try:
+            draw_candidates(cfg, population)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.zeta == 10
+        assert peak < (32 + 88) * n + 600 * requesters
+
+
+def unread_buckets():
+    """Every requester draws from Beijing ISP 1, while peers of the three
+    other buckets arrive and leave at the requesters' steps (joins 1, 2, 3
+    and 5), some at the same instant as a same-bucket peer."""
+    peers = [make_peer(10**11 + 9, join=1.0), make_peer(40, join=2.0, dur=1.0),
+             make_peer(12, join=3.0), make_peer(7, join=5.0),
+             make_peer(2, join=0.0, dur=9.0), make_peer(31, join=2.0, dur=3.0),
+             make_peer(5, city="Shanghai", join=0.0, dur=2.0),
+             make_peer(3, city="Shanghai", isp=2, join=1.0, dur=2.0),
+             make_peer(8, isp=2, join=2.0, dur=3.0),
+             make_peer(11, city="Shanghai", join=3.0),
+             make_peer(6, city="Shanghai", isp=2, join=1.0, dur=0.0),
+             make_peer(10**11, isp=2, join=0.0, dur=5.0)]
+    scenario = FailureScenario(frozenset({10**11 + 9, 40, 12, 7}), region="Beijing")
+    cfg = SimConfig(peer_count=len(peers), rng_seed=3, zeta=4, alpha=0.5,
+                    sim_duration=math.inf)
+    return cfg, peers, scenario
+
 
 class TestDrawPass:
     @settings(max_examples=300, deadline=None)
     @given(draw_populations(), st.sampled_from(("random", "path-aware")),
            st.sampled_from((1, 3, 2048)))
+    @example(unread_buckets(), "path-aware", 1)
+    @example(unread_buckets(), "path-aware", 3)
+    @example(unread_buckets(), "path-aware", 2048)
     def test_pools_are_the_online_peers_at_the_request(self, case, strategy, block):
         # reference_draws checks that its pools are the online peers at each
         # join, and its bucket pools the same-bucket ones; blocks of 1 and 3
