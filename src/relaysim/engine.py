@@ -235,12 +235,11 @@ class Population:
     scenario) and cut (cut off at its join: the request enters the relay
     phase), and bucket (a code per city and ISP); by_id holds the rows in
     ascending id order, so by_id[np.searchsorted(ids, pid, sorter=by_id)]
-    is the row of a present id pid. Ids are unique, and a peer that no run
-    can simulate (__init__'s rules) raises a ValueError naming its id.
+    is the row of a present id pid; every peer passes the checks of __init__.
     """
 
     def __init__(self, columns: PeerColumns, scenario: FailureScenario):
-        c = columns   # a duration of inf never ends
+        c = columns   # a peer whose duration is inf never leaves
         for rule, ok in (("a non-negative id", c.ids >= 0), ("a finite join", np.isfinite(c.join)),
                          ("a non-negative duration", c.duration >= 0),
                          ("a finite non-negative uplink", (c.uplink >= 0) & (c.uplink < np.inf)),
@@ -374,11 +373,11 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     by_step = [(id_rank[live[order]], np.searchsorted(step[order], np.arange(n + 1)))
                for step, order in ((s, np.argsort(s, kind="stable")) for s in (leave, arrive))]
     # Pool sizes: the peers online at each step and, for careful slots,
-    # those of the step's bucket (keys code * (n + 1) + step), less the
-    # requester, which is online at its own step when its session is not
-    # empty. Bucket codes are compacted to 0..b-1 over the first k rows.
-    # bucket_of maps an id rank to its bucket's list, kept only for the
-    # buckets drawn from (else None), so a random draw keeps no bucket.
+    # those of the step's bucket (keys code * (n + 1) + step, codes
+    # compacted to 0..b-1 over the first k rows whatever the ISP numbers),
+    # less the requester, which is online at its own step when its session
+    # is not empty. bucket_of maps an id rank to its bucket's list, kept only
+    # for the buckets drawn from (else None); a random draw keeps no bucket.
     here = population.dep[requesters] > times
     pool = by_step[1][1][1:] - by_step[0][1][1:] - here
     same = np.zeros(n, np.int64)
@@ -439,7 +438,9 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
                         x = bucket[q + (q >= b)]
                         drawn.append(x)
                         taken.append(bisect_left(online, x))
-                    # q -> q + #{l : t_l - l <= q}, t the skipped slots ascending
+                    # past slots t in ascending order, q becomes
+                    # q + #{l : t_l - l <= q}: the skipped slots before the
+                    # q-th one not skipped
                     taken.sort()
                     for l in range(1, len(taken)):
                         taken[l] -= l
