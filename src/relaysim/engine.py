@@ -9,7 +9,7 @@ server and any requester.
 
 A run reads a Population, read-only columns in issue order; a Peer record
 is only an input (Population.from_peers). Rules read the columns: a peer
-is online over [join, dep) (_walk, _plan_attempt). Server fetches hold no
+is online over [join, dep) (_walk, Simulation.run). Server fetches hold no
 relay capacity, so they are decided at issue time on whole columns. The
 candidate draws and the path-aware rank depend only on the population, so
 draw_candidates makes every list before the event loop, a block of
@@ -18,10 +18,11 @@ sweep that only indexes the ascending online id ranks (positions in
 by_id), one gather from id ranks to rows, then the fetch-failure history
 and the rank as array steps. From there a relay is its row: a list is a
 tuple of relay rows in try order, and the run's ledger is keyed by row.
-The loop resolves the attempts due by each relay-phase join before issuing
-that request, so its heap holds attempt resolutions only; a path-aware
-list then drops the relays busy in the ledger, and each attempt is planned
-in full (AttemptPlan) when it starts. Results are one Outcomes table of
+The relay phase is one loop in Simulation.run. It resolves the attempts
+due by each relay-phase join before issuing that request, so its heap
+holds attempt resolutions only; a path-aware list then drops the relays
+busy in the ledger, and the loop decides each attempt's verdict, rate and
+resolution time in full when it starts. Results are one Outcomes table of
 columns. The loop reads and writes one scalar at a time through
 memoryviews of the population, draw-table and outcome columns: indexing
 one gives a built-in int or float, at under half the cost of ndarray.item,
@@ -49,11 +50,17 @@ from relaysim.selection import (careful_slots, generate_relay_list, pool_positio
 # random_relay_list is not called here; perfbench's tracer patches this binding.
 from relaysim.selection import random_relay_list  # noqa: F401
 
-# Heap entries are (time, priority, seq, request), one per relay attempt
-# resolution: ATTEMPT_COMPLETE when its plan delivers, ATTEMPT_ABORT
-# otherwise, so deliveries run first at equal times; seq keeps insertion
-# order. Every resolution due at t runs before a request issued at t.
+# Heap entries are (time, priority, seq, row, list, next index, relay, rate,
+# verdict), one per relay attempt resolution: ATTEMPT_COMPLETE when the
+# attempt delivers, ATTEMPT_ABORT otherwise, so deliveries run first at equal
+# times; seq keeps insertion order. Every resolution due at t runs before a
+# request issued at t. The next index is also the number of attempts
+# started; rate is the relay capacity held until the resolution, 0 when none.
 ATTEMPT_COMPLETE, ATTEMPT_ABORT = range(2)
+# Verdicts: a delivery (also when it lands exactly on a departure), the
+# departure that kills the transfer, or a rejected attempt (its resolution
+# ends the wasted handshake).
+_SUCCESS, _REQUESTER_LOST, _RELAY_LOST, _REJECT = range(4)
 
 
 @dataclass(slots=True)
@@ -192,27 +199,6 @@ def build_population(cfg: SimConfig, rng: np.random.Generator) -> PeerColumns:
     joins, durations = churn.sample_sessions(session_model(cfg), rng, n)
     return PeerColumns(tuple(cfg.city_table), np.arange(n),
                        *draw_peer_attributes(cfg, rng, n), joins, durations)
-
-
-class AttemptPlan(NamedTuple):
-    """Resolution of one relay attempt. verdict: 'reject' (resolve_time
-    ends the wasted handshake), 'success' (delivery, also when it lands
-    exactly on a departure), 'relay-lost' or 'requester-lost' (the departure
-    that kills the transfer). rate_kbps is the relay capacity held until it
-    resolves; 0 when it holds none."""
-
-    verdict: str
-    resolve_time: float
-    rate_kbps: float = 0.0
-
-
-@dataclass(slots=True)
-class _Request:
-    row: int                 # the requester's, in the Population and Simulation.outcomes
-    ordinal: int             # issue order among the relay-phase requests
-    candidates: tuple[int, ...] = ()   # relay rows to try, in order
-    next_index: int = 0      # also the number of attempts started
-    pending: tuple[AttemptPlan, int] | None = None   # scheduled (plan, relay row)
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
@@ -463,13 +449,6 @@ class Simulation:
     run several cells on one population, pass it (draw_population) and its
     candidate lists (draw_candidates) for cfg's _draws_key; lists from
     another population or config key are rejected.
-
-    The relay phase reads the population's ids, city, uplink, downlink,
-    join and dep, the draw table's relays and offsets, and writes the
-    outcome columns end_time, served_by and attempts, one scalar at a time
-    through memoryviews of those columns (no per-run copies). The
-    population views exist from construction, so _plan_attempt works on a
-    Simulation that has not run; run() adds the others.
     """
 
     def __init__(self, cfg: SimConfig, population: Population | None = None,
@@ -487,9 +466,6 @@ class Simulation:
         self.population = population
         # Read only by perfbench's check_outcomes, which asks `relay in peers`.
         self.peers = population.ids
-        self._ids, self._city, self._uplink, self._downlink, self._join, self._dep = map(
-            memoryview, (population.ids, population.city, population.uplink,
-                         population.downlink, population.join, population.dep))
         self._size_kbits = cfg.content_size_kb * 8.0
         # Two-way handshake seconds by (requester, relay) city code.
         table = CityTable(cfg.city_table)
@@ -498,49 +474,104 @@ class Simulation:
         self.outcomes: Outcomes | None = None   # set by run()
         self.ledger = RelayLedger()
         self._draws = candidates
-        # Views of the draw table and of the outcome columns run() writes.
-        self._relays = self._offsets = None
-        self._end_time = self._served_by = self._attempts = None
-        self._heap: list = []
-        self._seq = 0
-
-    def _schedule(self, time: float, priority: int, req: _Request) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, req))
-
-    def _resolve_until(self, t: float) -> None:
-        """Resolve every attempt due by t, in heap order."""
-        heap = self._heap
-        while heap and heap[0][0] <= t:
-            time, _, _, req = heapq.heappop(heap)
-            self._on_resolve(req, time)
 
     def run(self) -> MetricsReport:
         """Decide the server fetches, run the relay phase up to the horizon,
-        aggregate metrics."""
+        aggregate metrics.
+
+        The relay phase is one loop. It issues the cut-off rows in order,
+        each at its join after every resolution due by then, and starts an
+        attempt on a request's next relay when the request is issued and
+        when an attempt ends without a delivery. An attempt on a relay that
+        is offline or cut off is rejected; otherwise its rate is fixed at
+        start: the smaller of the relay's free uplink, the requester's
+        downlink, and the relay's fair downlink share across its current
+        workload plus this transfer, both read from the run's ledger. Every
+        attempt pays a two-way handshake at the city-to-city latency. It
+        reads and writes one scalar at a time through memoryviews of the
+        population, draw-table and outcome columns.
+        """
         if self.outcomes is not None:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
-        population, horizon = self.population, self.cfg.sim_duration
+        cfg, population, ledger = self.cfg, self.population, self.ledger
+        horizon, strategy = cfg.sim_duration, cfg.strategy
         if self._draws is None:
-            self._draws = draw_candidates(self.cfg, population)
-        self._relays, self._offsets = map(memoryview, (self._draws.relays, self._draws.offsets))
+            self._draws = draw_candidates(cfg, population)
         issued = population.issued_by(horizon)
         self._decide_server_fetches(issued)
         out = self.outcomes
-        self._end_time, self._served_by, self._attempts = map(
-            memoryview, (out.end_time, out.served_by, out.attempts))
-        join, dep = self._join, self._dep
-        for ordinal, row in enumerate(np.flatnonzero(population.cut[:issued]).tolist()):
-            t = join[row]
-            self._resolve_until(t)
-            self._issue(_Request(row, ordinal), t)
-        self._resolve_until(horizon)
-        # Each request still open waits on one event past the horizon; it
-        # ends at the horizon, or at its requester's departure if earlier.
-        for *_, req in self._heap:
-            self._end(req, min(dep[req.row], horizon))
-        return collect_metrics(self.outcomes, population.affected[:issued],
-                               population.in_region[:issued])
+        end_time, served_by, attempts = map(memoryview, (out.end_time, out.served_by,
+                                                         out.attempts))
+        ids, city, uplink, downlink, join, dep = map(memoryview, (
+            population.ids, population.city, population.uplink, population.downlink,
+            population.join, population.dep))
+        relays, offsets = map(memoryview, (self._draws.relays, self._draws.offsets))
+        handshake, size_kbits = self._handshake, self._size_kbits
+        cut_off = population.scenario.cut_off
+        free_kbps, commit, release, workload = (
+            ledger.uplink_free_kbps, ledger.commit, ledger.release, ledger.workload)
+        push, pop = heapq.heappush, heapq.heappop
+        heap: list = []
+        seq = k = 0
+        rows = np.flatnonzero(population.cut[:issued])
+        times = [*population.join[rows].tolist(), horizon]   # each issue, then the stop
+        rows = rows.tolist()
+        while True:
+            if heap and heap[0][0] <= times[k]:
+                t, _, _, row, relay_list, i, relay, rate, verdict = pop(heap)
+                if rate:
+                    release(relay, rate)
+                # a relay-phase row's served_by stays UNSERVED unless delivered
+                if verdict == _SUCCESS:
+                    end_time[row], served_by[row], attempts[row] = t, ids[relay], i
+                    continue
+                if verdict == _REQUESTER_LOST:
+                    end_time[row], attempts[row] = t, i
+                    continue
+            elif k < len(rows):
+                row, t, i = rows[k], times[k], 0
+                relay_list = () if strategy == "no-relay" else tuple(
+                    relays[offsets[k]:offsets[k + 1]].tolist())
+                if strategy == "path-aware":
+                    relay_list = generate_relay_list(relay_list, population, gamma=cfg.gamma,
+                                                     workload_mode=cfg.workload_mode,
+                                                     ledger=ledger)
+                k += 1
+            else:
+                break
+            # Start the request's attempt i at t: at its issue, or when
+            # attempt i - 1 was rejected or lost its relay.
+            departure = dep[row]
+            if t >= departure or i >= len(relay_list):
+                # the requester left between attempts, or the list is exhausted
+                end_time[row], attempts[row] = min(t, departure), i
+                continue
+            relay = relay_list[i]
+            i += 1
+            seq += 1
+            resolve, rate, verdict = t + handshake[city[row]][city[relay]], 0.0, _REJECT
+            relay_dep = dep[relay]
+            if join[relay] <= t < relay_dep and not cut_off(ids[relay], t):
+                rate = min(free_kbps(relay, uplink[relay]), downlink[row],
+                           downlink[relay] / (workload.get(relay, 0) + 1))
+                if rate <= RATE_EPS:
+                    rate = 0.0
+                else:
+                    commit(relay, uplink[relay], rate)
+                    t_end = resolve + size_kbits / rate
+                    if t_end <= relay_dep and t_end <= departure:
+                        resolve, verdict = t_end, _SUCCESS
+                    elif departure <= relay_dep:
+                        resolve, verdict = departure, _REQUESTER_LOST
+                    else:
+                        resolve, verdict = relay_dep, _RELAY_LOST
+            push(heap, (resolve, ATTEMPT_COMPLETE if verdict == _SUCCESS else ATTEMPT_ABORT,
+                        seq, row, relay_list, i, relay, rate, verdict))
+        # Each request still open waits on one resolution past the horizon;
+        # it ends at the horizon, or at its requester's departure if earlier.
+        for _, _, _, row, _, i, *_ in heap:
+            end_time[row], attempts[row] = min(dep[row], horizon), i
+        return collect_metrics(out, population.affected[:issued], population.in_region[:issued])
 
     def _decide_server_fetches(self, issued: int) -> None:
         """Record the first issued requests in self.outcomes, deciding server
@@ -557,83 +588,6 @@ class Simulation:
         self.outcomes = Outcomes(
             self.cfg.content_size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
             np.where(served, SERVED_BY_SERVER, UNSERVED), np.zeros(issued, np.int64), cut)
-
-    def _end(self, req: _Request, t: float, served_by: int = UNSERVED) -> None:
-        """Write a relay-phase request's terminal state into its row."""
-        row = req.row
-        self._end_time[row], self._served_by[row], self._attempts[row] = (
-            t, served_by, req.next_index)
-
-    def _issue(self, req: _Request, t: float) -> None:
-        """Start a cut-off requester's relay phase at its join t."""
-        req.candidates = self._make_candidates(req)
-        self._start_next_attempt(req, t)
-
-    def _make_candidates(self, req: _Request) -> tuple[int, ...]:
-        """The request's ranked relay rows, less its busy relays for
-        path-aware; none for no-relay."""
-        strategy = self.cfg.strategy
-        if strategy == "no-relay":
-            return ()
-        at = self._offsets
-        ranked = tuple(self._relays[at[req.ordinal]:at[req.ordinal + 1]].tolist())
-        if strategy == "random":
-            return ranked
-        return generate_relay_list(ranked, self.population, gamma=self.cfg.gamma,
-                                   workload_mode=self.cfg.workload_mode, ledger=self.ledger)
-
-    def _plan_attempt(self, relay: int, requester: int, t: float) -> AttemptPlan:
-        """Decide how one relay attempt plays out, without side effects;
-        relay and requester are rows. A relay that is offline or cut off is
-        rejected. Otherwise the rate is fixed at start: the smaller of the
-        relay's free uplink, the requester's downlink, and the relay's fair
-        downlink share across its current workload plus this transfer, both
-        read from the run's ledger. Every attempt pays a two-way handshake
-        at the city-to-city latency.
-        """
-        city, dep, downlink = self._city, self._dep, self._downlink
-        handshake = self._handshake[city[requester]][city[relay]]
-        relay_dep = dep[relay]
-        if not self._join[relay] <= t < relay_dep or self.population.scenario.cut_off(
-                self._ids[relay], t):
-            return AttemptPlan("reject", t + handshake)
-        ledger = self.ledger
-        rate = min(ledger.uplink_free_kbps(relay, self._uplink[relay]), downlink[requester],
-                   downlink[relay] / (ledger.workload.get(relay, 0) + 1))
-        if rate <= RATE_EPS:
-            return AttemptPlan("reject", t + handshake)
-        t_end = t + handshake + self._size_kbits / rate
-        requester_dep = dep[requester]
-        if t_end <= relay_dep and t_end <= requester_dep:
-            return AttemptPlan("success", t_end, rate)
-        if requester_dep <= relay_dep:
-            return AttemptPlan("requester-lost", requester_dep, rate)
-        return AttemptPlan("relay-lost", relay_dep, rate)
-
-    def _start_next_attempt(self, req: _Request, t: float) -> None:
-        departure = self._dep[req.row]
-        if t >= departure or req.next_index >= len(req.candidates):
-            self._end(req, min(t, departure))   # requester gone, or list exhausted
-            return
-        relay = req.candidates[req.next_index]
-        req.next_index += 1
-        plan = self._plan_attempt(relay, req.row, t)
-        if plan.rate_kbps > 0:
-            self.ledger.commit(relay, self._uplink[relay], plan.rate_kbps)
-        req.pending = (plan, relay)
-        priority = ATTEMPT_COMPLETE if plan.verdict == "success" else ATTEMPT_ABORT
-        self._schedule(plan.resolve_time, priority, req)
-
-    def _on_resolve(self, req: _Request, t: float) -> None:
-        plan, relay = req.pending
-        if plan.rate_kbps > 0:
-            self.ledger.release(relay, plan.rate_kbps)
-        if plan.verdict == "success":
-            self._end(req, t, self._ids[relay])
-        elif plan.verdict == "requester-lost":
-            self._end(req, t)
-        else:
-            self._start_next_attempt(req, t)
 
 
 def run(cfg: SimConfig) -> MetricsReport:

@@ -138,8 +138,9 @@ def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FailureScenario:
     """A resolved in-network failure: the affected peer ids are cut off
-    over [start_time, end_time). region names the failed city for the
-    region metrics; None (trace replay) matches no city.
+    over [start_time, end_time), which must not be empty (ValueError; NaN
+    never is). region names the failed city for the region metrics; None
+    (trace replay) matches no city.
     """
 
     affected: frozenset[int]
@@ -147,10 +148,14 @@ class FailureScenario:
     start_time: float = 0.0
     end_time: float = math.inf
 
+    def __post_init__(self):
+        if not self.start_time < self.end_time:
+            raise ValueError(f"failure window [{self.start_time}, {self.end_time}) needs "
+                             "start_time < end_time")
+
     def cut_off(self, pid: int, t: float) -> bool:
         """True when peer pid is affected and t lies in [start_time, end_time)."""
         return pid in self.affected and self.start_time <= t < self.end_time
-
 
 
 def inject_failure(region: str, ratio: float, columns: PeerColumns,

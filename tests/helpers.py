@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from relaysim import engine
-from relaysim.engine import SERVED_BY_SERVER, UNSERVED, Outcomes, Population
+from relaysim.engine import (SERVED_BY_SERVER, UNSERVED, CandidateDraws, Outcomes, Population,
+                             Simulation)
 from relaysim.io import _OUTCOME_BLOCK
 from relaysim.model import Peer, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
@@ -80,6 +81,70 @@ def draw_list(draws, ordinal):
     """List ordinal of a CandidateDraws table, relays[offsets[ordinal]:
     offsets[ordinal + 1]], as a tuple of rows."""
     return tuple(draws.relays[draws.offsets[ordinal]:draws.offsets[ordinal + 1]].tolist())
+
+
+def fixed_draws(cfg, population, lists):
+    """A CandidateDraws table for cfg and population that holds the given
+    lists, relay ids by requester id, one per relay-phase request issued
+    by cfg.sim_duration (empty for a requester lists lacks). A run under
+    the random strategy walks each list as given."""
+    p = population
+    requesters = p.ids[np.flatnonzero(p.cut[:p.issued_by(cfg.sim_duration)])].tolist()
+    assert set(lists) <= set(requesters), "a list for a peer that is no relay-phase requester"
+    made = [rows_of(p, lists.get(pid, ())) for pid in requesters]
+    relays = np.concatenate([np.zeros(0, np.int64), *made])
+    return CandidateDraws(engine._draws_key(cfg), p, relays, np.cumsum([0, *map(len, made)]))
+
+
+def fixed_list_simulation(cfg, peers, scenario, lists):
+    """A Simulation of cfg under the random strategy on the given Peer
+    records, whose relay-phase requesters walk the given lists (fixed_draws)."""
+    cfg = replace(cfg, strategy="random")
+    population = Population.from_peers(peers, scenario)
+    return Simulation(cfg, population, fixed_draws(cfg, population, lists))
+
+
+def one_attempt(relay, requester, t=0.0, affected=(), in_use=None, **fields):
+    """The requester's outcome after one relay attempt on relay at t: a
+    two-peer run with no handshake latency in which requester, moved to
+    join at t and cut off, walks the list (relay,). A rejected attempt ends
+    the request at t; a transfer ends it later, at t + size_kbits / rate
+    when it delivers. affected holds more peer ids to cut off, in_use the
+    relay uplink kbps already in use by peer id; fields are SimConfig fields."""
+    requester = replace(requester, join_time=t)
+    cfg = SimConfig(peer_count=2, latency_base_ms=0.0, latency_per_km_ms=0.0,
+                    sim_duration=math.inf, **fields)
+    sim = fixed_list_simulation(cfg, [relay, requester],
+                                FailureScenario(frozenset({requester.id, *affected})),
+                                {requester.id: (relay.id,)})
+    rows = row_by_id(sim.population)
+    sim.ledger.in_use_kbps.update({rows[pid]: kbps for pid, kbps in (in_use or {}).items()})
+    sim.run()
+    (out,) = [o for o in sim.outcomes if o.requester_id == requester.id]
+    assert out.attempts == 1
+    return out
+
+
+def run_recording_lists(sim):
+    """Run sim and return the relay list each relay-phase request walked,
+    as peer ids by requester id: under path-aware, what
+    engine.generate_relay_list made, whose calls come in issue order; under
+    random, the draw table's list; under no-relay, none. Only path-aware
+    calls generate_relay_list."""
+    made, real = [], engine.generate_relay_list
+
+    def kept(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    with mock.patch.object(engine, "generate_relay_list", kept):
+        sim.run()
+    p, rows = sim.population, np.flatnonzero(sim.outcomes.entered_relay_phase)
+    if sim.cfg.strategy != "path-aware":
+        assert made == []
+        made = [draw_list(sim._draws, i) if sim.cfg.strategy == "random" else ()
+                for i in range(len(rows))]
+    assert len(made) == len(rows)
+    return {pid: ids_of(p, listed) for pid, listed in zip(p.ids[rows].tolist(), made)}
 
 
 def peer_rows(columns):

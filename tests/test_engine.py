@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import heapq
 import math
 import sys
 import tracemalloc
@@ -38,8 +39,9 @@ from relaysim.model import (RATE_EPS, CapacityError, Peer, RelayLedger, SimConfi
                             TraceRecord)
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError, haversine_km
 
-from helpers import (candidate_lists, ids_of, outcome_tables, outcomes_table, peer_of,
-                     peer_rows, peers_of, row_by_id, rows_of)
+from helpers import (candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
+                     outcome_tables, outcomes_table, peer_of, peer_rows, peers_of, row_by_id,
+                     run_recording_lists)
 from reference import collect_metrics_rows, primary_success, reference_draws, reference_run
 
 
@@ -207,19 +209,6 @@ class TestCapacityLedger:
             RelayLedger().commit(1, 1024.0, 0.0)
 
 
-class FixedListSimulation(Simulation):
-    """Simulation whose requesters walk given relay lists, of peer ids by
-    requester id; every other peer gets an empty list."""
-
-    def __init__(self, cfg, peers, scenario, lists):
-        super().__init__(cfg, Population.from_peers(peers, scenario))
-        self.lists = lists
-
-    def _make_candidates(self, req):
-        rows = row_by_id(self.population)
-        return tuple(rows[pid] for pid in self.lists.get(self.population.ids.item(req.row), ()))
-
-
 class TestAttemptDownload:
     """One request through the server-then-relay protocol.
 
@@ -232,8 +221,8 @@ class TestAttemptDownload:
         cfg = SimConfig(peer_count=1 + len(relays), content_size_kb=512.0,
                         sim_duration=math.inf)
         scenario = FailureScenario(frozenset(affected), region="Beijing")
-        sim = FixedListSimulation(cfg, [requester, *relays], scenario,
-                                  {requester.id: tuple(candidates)})
+        sim = fixed_list_simulation(cfg, [requester, *relays], scenario,
+                                    {requester.id: tuple(candidates)} if candidates else {})
         if workload is not None:
             rows = row_by_id(sim.population)
             sim.ledger.workload.update({rows[pid]: n for pid, n in workload.items()})
@@ -305,13 +294,12 @@ class TestAttemptDownload:
     def test_online_window_half_open(self):
         # a relay is online over [join, join + duration), here [10, 70):
         # join inclusive, departure exclusive, and offline attempts rejected
-        cfg = SimConfig(peer_count=2, content_size_kb=512.0, sim_duration=math.inf)
-        sim = Simulation(cfg, Population.from_peers(
-            [make_peer(5), make_peer(2, join=10.0, dur=60.0)], FailureScenario(frozenset())))
-        requester, relay = rows_of(sim.population, [5, 2]).tolist()
+        # (a rejected attempt without handshake latency ends its request at t)
+        relay = make_peer(2, join=10.0, dur=60.0)
         for t in (0.0, 9.9, 9.999, 10.0, 40.0, 69.9, 69.999, 70.0, 200.0):
             outside = t < 10.0 or t >= 70.0
-            assert (sim._plan_attempt(relay, requester, t).verdict == "reject") == outside
+            out = one_attempt(relay, make_peer(5), t, content_size_kb=512.0)
+            assert (out.end_time == t and out.served_by is None) == outside
 
     def test_requester_gone_after_rejected_handshake(self):
         out, _ = self.download(make_peer(0, dur=0.005),
@@ -349,8 +337,8 @@ class TestAttemptDownload:
         pair = [make_peer(0, city="Beijing"), make_peer(1, city="Shanghai")]
         bystander = make_peer(2, city="Wuhan", join=1.0)
         for peers in ([bystander, *pair], [*pair, bystander], [bystander, *pair]):
-            sim = FixedListSimulation(cfg, peers, FailureScenario(frozenset({0})),
-                                      {0: (1,)})
+            sim = fixed_list_simulation(cfg, peers, FailureScenario(frozenset({0})),
+                                        {0: (1,)})
             sim.run()
             (out,) = [o for o in sim.outcomes if o.requester_id == 0]
             assert out.served_by == 1
@@ -382,8 +370,7 @@ class TestAttemptDownload:
                  make_peer(3, up=512.0, dur=4.01)]
         cfg = SimConfig(peer_count=4, content_size_kb=512.0, sim_duration=math.inf)
         scenario = FailureScenario(frozenset({0, 2}), region="Beijing")
-        sim = FixedListSimulation(cfg, peers, scenario,
-                                  {0: (3, 1), 2: (1,)})
+        sim = fixed_list_simulation(cfg, peers, scenario, {0: (3, 1), 2: (1,)})
         sim.run()
         first, _, second, _ = sim.outcomes
         assert (second.served_by, second.end_time) == (1, 4.01)
@@ -399,8 +386,7 @@ class TestAttemptDownload:
         cfg = SimConfig(peer_count=4, content_size_kb=512.0, latency_base_ms=0.0,
                         latency_per_km_ms=0.0, sim_duration=math.inf)
         scenario = FailureScenario(frozenset({1, 2}), region="Beijing")
-        sim = FixedListSimulation(cfg, peers, scenario,
-                                  {1: (3, 0), 2: (0,)})
+        sim = fixed_list_simulation(cfg, peers, scenario, {1: (3, 0), 2: (0,)})
         sim.run()
         by_id = {o.requester_id: o for o in sim.outcomes}
         assert (by_id[1].served_by, by_id[1].attempts, by_id[1].end_time) == (0, 2, 4.0)
@@ -604,15 +590,15 @@ class TestSimulation:
         population = draw_population(cfg)
         draws = draw_candidates(cfg, population)
         # built-in ints, so ledger keys and served_by codes are too
-        made = []
+        made, real = [], engine.generate_relay_list
 
-        class Kept(Simulation):
-            def _make_candidates(self, req):
-                made.append(super()._make_candidates(req))
-                return made[-1]
-        Kept(cfg, population, draws).run()
-        assert any(made) and all(type(d) is tuple and all(type(row) is int for row in d)
-                                 for d in made)
+        def kept(ranked, *args, **kwargs):
+            made.extend((ranked, real(ranked, *args, **kwargs)))
+            return made[-1]
+        with mock.patch.object(engine, "generate_relay_list", kept):
+            Simulation(cfg, population, draws).run()
+        assert any(made[1::2]) and all(type(d) is tuple and all(type(row) is int for row in d)
+                                       for d in made)
         assert CandidateDraws._fields == ("made_for", "population", "relays", "offsets")
         for column in (draws.relays, draws.offsets):
             with pytest.raises(ValueError, match="read-only"):
@@ -635,30 +621,17 @@ class TestSimulation:
         assert rep.relay_phase_requests > 0
 
 
-class EventCountingSimulation(Simulation):
-    """Simulation that counts the attempt resolutions it schedules, by
-    priority, and the relay-phase requests it issues."""
+def scheduled_by_priority(sim):
+    """Run sim, counting the attempt resolutions it schedules (its
+    heapq.heappush calls) by priority; returns (report, counts)."""
+    counts, real = [0] * (ATTEMPT_ABORT + 1), heapq.heappush
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.scheduled = [0] * (ATTEMPT_ABORT + 1)
-        self.issued = 0
-
-    def _schedule(self, time, priority, req):
-        self.scheduled[priority] += 1
-        super()._schedule(time, priority, req)
-
-    def _issue(self, req, t):
-        self.issued += 1
-        super()._issue(req, t)
-
-
-class EmptyListSimulation(EventCountingSimulation):
-    """A relay-strategy run whose every list is empty: the no-relay
-    protocol, after a full candidate draw."""
-
-    def _make_candidates(self, req):
-        return ()
+    def counted(heap, entry):
+        counts[entry[1]] += 1
+        real(heap, entry)
+    with mock.patch.object(heapq, "heappush", counted):
+        report = sim.run()
+    return report, counts
 
 
 class TestNoRelaySkipsOnlineSet:
@@ -671,38 +644,32 @@ class TestNoRelaySkipsOnlineSet:
                             lambda *key: streams.append(key) or real(*key))
         # no-relay draws nothing and builds no selection stream
         assert candidate_lists(draw_candidates(cfg, population)) == {}
-        skipped = EventCountingSimulation(cfg, population)
-        tracked = EmptyListSimulation(replace(cfg, strategy="random"), population)
-        assert skipped.run() == tracked.run()
-        assert skipped.outcomes == tracked.outcomes
-        assert candidate_lists(skipped._draws) == {}
         # the relay strategy's one draw pass builds one selection stream
-        assert candidate_lists(tracked._draws)
+        relay_cfg = replace(cfg, strategy="random")
+        assert candidate_lists(draw_candidates(relay_cfg, population))
         assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
             (cfg.rng_seed, engine._STREAM_SELECT)]
+        # a relay-strategy run whose every list is empty: the no-relay protocol
+        skipped = Simulation(cfg, population)
+        tracked = Simulation(relay_cfg, population, fixed_draws(relay_cfg, population, {}))
+        (skipped_report, skipped_scheduled), (tracked_report, tracked_scheduled) = (
+            scheduled_by_priority(sim) for sim in (skipped, tracked))
+        assert skipped_report == tracked_report
+        assert skipped.outcomes == tracked.outcomes
+        assert candidate_lists(skipped._draws) == {}
         # the loop issues the relay-phase requests and schedules their
         # resolutions only: one issue per peer cut off at a join by the
-        # horizon, and no resolution for a server fetch (no-relay has no
-        # relay attempt)
+        # horizon, each ending its request at its join with no attempt (no
+        # drawn session is empty, so no other row ends there), and no
+        # resolution for a server fetch (no-relay has no relay attempt)
         cut = [p for p in peers
                if p.join_time <= cfg.sim_duration and scenario.cut_off(p.id, p.join_time)]
-        assert (skipped.scheduled, skipped.issued) == ([0, 0], len(cut))
+        issued = [o for o in skipped.outcomes
+                  if o.end_time == o.start_time and o.attempts == 0 and o.entered_relay_phase]
+        assert (skipped_scheduled, len(issued)) == ([0, 0], len(cut))
         assert len(cut) < len(peers)
-        assert (tracked.scheduled, tracked.issued) == (skipped.scheduled, skipped.issued)
+        assert tracked_scheduled == skipped_scheduled
         assert any(o.entered_relay_phase for o in skipped.outcomes)
-
-
-class RecordingSimulation(Simulation):
-    """Simulation that keeps every candidate list it generates."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.lists = {}
-
-    def _make_candidates(self, req):
-        listed = super()._make_candidates(req)
-        self.lists[self.population.ids.item(req.row)] = ids_of(self.population, listed)
-        return listed
 
 
 @st.composite
@@ -733,6 +700,14 @@ def small_runs(draw):
     return cfg, draw(st.permutations(peers)), scenario
 
 
+def downlink_bound_run():
+    """A requester whose 512 kbps downlink is below both its one relay's
+    uplink and the relay's downlink share."""
+    cfg = SimConfig(peer_count=2, strategy="random", sim_duration=math.inf)
+    peers = [make_peer(0, down=512.0), make_peer(1, up=4096.0, down=16384.0)]
+    return cfg, peers, FailureScenario(frozenset({0}))
+
+
 def crossed_reject(horizon):
     """Two cut-off peers, each the other's only candidate, and a 1.2 s
     handshake: requester 0's reject resolves past its departure at 1.0
@@ -749,8 +724,8 @@ class TestProtocolProperties:
     def test_every_request_ends_once_and_consistently(self, run_args):
         cfg, peers, scenario = run_args
         horizon = cfg.sim_duration
-        sim = RecordingSimulation(cfg, Population.from_peers(peers, scenario))
-        sim.run()
+        sim = Simulation(cfg, Population.from_peers(peers, scenario))
+        lists = run_recording_lists(sim)
         assert sorted(o.requester_id for o in sim.outcomes) == sorted(
             p.id for p in peers if p.join_time <= horizon)
         for o in sim.outcomes:
@@ -768,7 +743,7 @@ class TestProtocolProperties:
                 assert o.served_by in (SERVER, None)
             if o.served_by == SERVER:
                 assert o.attempts == 0 and not o.entered_relay_phase
-            tried = sim.lists.get(o.requester_id, ())[:o.attempts]
+            tried = lists.get(o.requester_id, ())[:o.attempts]
             assert len(tried) == o.attempts <= cfg.zeta
             if relay_served:
                 assert tried[-1] == o.served_by
@@ -777,36 +752,51 @@ class TestProtocolProperties:
         # holds a relay-phase requester issued no later than its owner: the
         # fetch-failure history at that request
         relay_phase = [o.requester_id for o in sim.outcomes if o.entered_relay_phase]
-        assert set(sim.lists) == set(relay_phase)
+        assert set(lists) == set(relay_phase)
         if cfg.strategy == "path-aware":
             for i, owner in enumerate(relay_phase):
-                assert not set(sim.lists[owner]) & set(relay_phase[:i + 1])
+                assert not set(lists[owner]) & set(relay_phase[:i + 1])
         if horizon == math.inf:
             # a finite horizon may cut transfers that still hold capacity
             assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
 
-    @settings(max_examples=200, deadline=None)
-    @given(small_runs())
-    def test_committed_rate_fits_free_uplink_and_downlink(self, run_args):
-        # _start_next_attempt commits a plan's rate the moment it is planned,
-        # so the ledger read here is the ledger at commit time.
-        cfg, peers, scenario = run_args
-        real, commits = Simulation._plan_attempt, []
+    def test_committed_rate_fits_free_uplink_and_downlink(self):
+        # Each RelayLedger.commit is checked against the ledger it commits
+        # to. The resolution the run schedules next holds the requester's
+        # row, the relay and the rate it holds, so it names the downlink.
+        # The example is one where the requester's downlink binds, which
+        # small_runs' capacities never make so.
+        commit_counts = []
 
-        def checked(sim, relay, requester, t):
-            plan = real(sim, relay, requester, t)
-            if plan.rate_kbps > 0:
-                p = sim.population
-                commits.append((plan.rate_kbps,
-                                sim.ledger.uplink_free_kbps(relay, p.uplink[relay]),
-                                p.downlink[requester]))
-            return plan
+        @settings(max_examples=200, deadline=None)
+        @given(small_runs())
+        @example(downlink_bound_run())
+        def check(run_args):
+            cfg, peers, scenario = run_args
+            commits, held = [], []
+            real_commit, real_push = RelayLedger.commit, heapq.heappush
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Simulation, "_plan_attempt", checked)
-            Simulation(cfg, Population.from_peers(peers, scenario)).run()
-        for rate, free_uplink, downlink in commits:
-            assert rate <= min(free_uplink, downlink) + RATE_EPS
+            def commit(ledger, relay, uplink_kbps, kbps):
+                commits.append((relay, kbps, ledger.uplink_free_kbps(relay, uplink_kbps)))
+                real_commit(ledger, relay, uplink_kbps, kbps)
+
+            def push(heap, entry):
+                _, _, _, row, _, _, relay, rate, _ = entry
+                if rate:
+                    held.append((relay, rate, row))
+                real_push(heap, entry)
+            sim = Simulation(cfg, Population.from_peers(peers, scenario))
+            with mock.patch.object(RelayLedger, "commit", commit), \
+                    mock.patch.object(heapq, "heappush", push):
+                sim.run()
+            assert [c[:2] for c in commits] == [h[:2] for h in held]
+            downlink = sim.population.downlink
+            for (_, rate, free_uplink), (_, _, row) in zip(commits, held):
+                assert rate <= min(free_uplink, downlink[row]) + RATE_EPS
+            commit_counts.append(len(commits))
+
+        check()
+        assert any(commit_counts), "no example committed a transfer"
 
     @settings(max_examples=200, deadline=None)
     @given(small_runs(), st.data())
@@ -1184,11 +1174,10 @@ class TestDrawPass:
         peers = [make_peer(5), make_peer(2), make_peer(9)]
         cfg = small_cfg(peer_count=3, strategy="path-aware", alpha=0.0, zeta=3,
                         sim_duration=math.inf)
-        sim = RecordingSimulation(cfg, Population.from_peers(peers,
-                                                             FailureScenario(frozenset({5, 2}))))
-        sim.run()
-        assert sim.lists[5] == (2, 9)
-        assert sim.lists[2] == (9,)
+        lists = run_recording_lists(Simulation(cfg, Population.from_peers(
+            peers, FailureScenario(frozenset({5, 2})))))
+        assert lists[5] == (2, 9)
+        assert lists[2] == (9,)
 
 
 # A 250 ms base latency makes the in-city server handshake 0.5 s, and 512 KB

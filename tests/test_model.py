@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaysim.engine import Simulation
 from relaysim.model import (
     DEFAULT_CITIES,
     STRATEGIES,
@@ -21,7 +20,7 @@ from relaysim.model import (
     validate_config,
 )
 
-from helpers import population, rows_of
+from helpers import one_attempt
 
 
 def make_peer(**kw):
@@ -33,13 +32,11 @@ def make_peer(**kw):
 
 def online(peer, t):
     """Whether a run holds peer online at t: a relay attempt on it at t is
-    not rejected (Simulation._plan_attempt reads the join and dep columns).
-    The requester is another peer online throughout."""
-    requester = replace(peer, id=peer.id + 1, join_time=0.0, session_duration=1e9)
-    sim = Simulation(SimConfig(peer_count=2, sim_duration=math.inf),
-                     population([requester, peer]))
-    relay, row = rows_of(sim.population, [peer.id, requester.id]).tolist()
-    return sim._plan_attempt(relay, row, t).verdict != "reject"
+    not rejected, so it does not end the request at t (one_attempt; the run
+    reads the join and dep columns). The requester is another peer online
+    from t on."""
+    requester = replace(peer, id=peer.id + 1, session_duration=1e9)
+    return one_attempt(peer, requester, t).end_time != t
 
 
 class TestPeer:

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysim.engine import Population, Simulation
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, PeerColumns, SimConfig
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, PeerColumns
 from relaysim.netsim import (
     CityTable,
     FailureScenario,
@@ -18,7 +17,7 @@ from relaysim.netsim import (
     latency_ms,
 )
 
-from helpers import row_by_id
+from helpers import one_attempt
 
 
 def make_peer(pid, city="Beijing", **kw):
@@ -262,50 +261,64 @@ class TestConnectivity:
         # A scenario without affected peers names a region but cuts no peer off.
         assert not FailureScenario(frozenset(), region="Beijing").cut_off(1, 0.0)
 
+    @pytest.mark.parametrize("start, end", [
+        (math.nan, math.inf), (5.0, 1.0), (0.0, math.nan), (3.0, 3.0)])
+    def test_window_no_run_can_use_is_rejected(self, start, end):
+        # Unchecked, a NaN or empty window cuts no affected peer off, and a
+        # run reports its affected requests as served without a word.
+        with pytest.raises(ValueError, match="needs start_time < end_time"):
+            self.scenario({1, 2}, start=start, end=end)
 
-def plan_attempt(relay, requester, in_use=None, affected=()):
-    """Simulation._plan_attempt at t = 0 on a two-peer run with the relay's
-    uplink partly in use (kbps by peer id)."""
-    scenario = FailureScenario(frozenset(affected))
-    sim = Simulation(SimConfig(peer_count=2, content_size_kb=512.0),
-                     Population.from_peers([relay, requester], scenario))
-    rows = row_by_id(sim.population)
-    sim.ledger.in_use_kbps.update({rows[pid]: kbps for pid, kbps in (in_use or {}).items()})
-    return sim._plan_attempt(rows[relay.id], rows[requester.id], 0.0)
+
+SIZE_KBITS = 512.0 * 8.0
+
+
+def attempt(relay, requester, in_use=None, affected=()):
+    """The requester's outcome after one attempt on relay at t = 0 for 512
+    KB (one_attempt): it ends at 0 when the attempt is rejected and at
+    SIZE_KBITS / rate when the relay delivers at rate."""
+    return one_attempt(relay, requester, in_use=in_use, affected=affected,
+                       content_size_kb=512.0)
 
 
 class TestThroughput:
     def test_min_of_legs(self):
         relay = make_peer(1, uplink_kbps=1024.0)
         req = make_peer(2, downlink_kbps=4096.0)
-        assert plan_attempt(relay, req).rate_kbps == 1024.0
+        assert attempt(relay, req).end_time == SIZE_KBITS / 1024.0
 
     def test_requester_downlink_binds(self):
         relay = make_peer(1, uplink_kbps=10240.0)
         req = make_peer(2, downlink_kbps=2048.0)
-        assert plan_attempt(relay, req).rate_kbps == 2048.0
+        assert attempt(relay, req).end_time == SIZE_KBITS / 2048.0
 
     def test_saturated_relay(self):
         relay = make_peer(1, uplink_kbps=1024.0)
-        plan = plan_attempt(relay, make_peer(2), in_use={1: 1024.0})
-        assert plan.verdict == "reject" and plan.rate_kbps == 0.0
+        out = attempt(relay, make_peer(2), in_use={1: 1024.0})
+        assert out.end_time == 0.0 and out.served_by is None
 
     def test_partial_commitment(self):
         relay = make_peer(1, uplink_kbps=1024.0)
         req = make_peer(2, downlink_kbps=4096.0)
-        assert plan_attempt(relay, req, in_use={1: 600.0}).rate_kbps == pytest.approx(424.0)
+        assert attempt(relay, req, in_use={1: 600.0}).end_time == pytest.approx(
+            SIZE_KBITS / 424.0)
 
     def test_disconnected_pair(self):
         # An affected relay is rejected for an affected requester.
-        plan = plan_attempt(make_peer(1), make_peer(2), affected={1, 2})
-        assert plan.verdict == "reject" and plan.rate_kbps == 0.0
+        out = attempt(make_peer(1), make_peer(2), affected={1, 2})
+        assert out.end_time == 0.0 and out.served_by is None
 
     def test_bounds(self):
+        # A delivery at a rate of at most x kbps takes at least SIZE_KBITS / x.
         rng = np.random.default_rng(7)
         for _ in range(200):
             relay = make_peer(1, uplink_kbps=float(rng.integers(1, 10000)))
             in_use = float(rng.uniform(0, relay.uplink_kbps))
             req = make_peer(2, downlink_kbps=float(rng.integers(1, 10000)))
-            tp = plan_attempt(relay, req, in_use={1: in_use}).rate_kbps
-            assert 0.0 <= tp <= relay.uplink_kbps - in_use + 1e-9
-            assert tp <= req.downlink_kbps
+            out = attempt(relay, req, in_use={1: in_use})
+            if out.end_time > 0.0:
+                assert out.served_by == 1
+                assert out.end_time >= SIZE_KBITS / (relay.uplink_kbps - in_use + 1e-9)
+                assert out.end_time >= SIZE_KBITS / req.downlink_kbps
+            else:
+                assert out.served_by is None
