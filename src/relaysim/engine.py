@@ -192,13 +192,22 @@ def session_model(cfg: SimConfig) -> SessionModel:
                         **{k: v for k, v in pareto.items() if v is not None})
 
 
+def peer_columns(cfg: SimConfig, rng: np.random.Generator, join: np.ndarray,
+                 duration: np.ndarray) -> PeerColumns:
+    """Read-only columns of len(join) peers, ids 0..n-1: the given join
+    times and session durations, then draw_peer_attributes' columns. join
+    and duration are made read-only too, so pass arrays no one writes."""
+    columns = PeerColumns(tuple(cfg.city_table), np.arange(len(join)),
+                          *draw_peer_attributes(cfg, rng, len(join)), join, duration)
+    for column in columns[1:]:
+        column.flags.writeable = False
+    return columns
+
+
 def build_population(cfg: SimConfig, rng: np.random.Generator) -> PeerColumns:
-    """Sample the peer population as columns, ids 0..n-1: Poisson arrivals
-    and Pareto sessions, then the attribute columns of draw_peer_attributes."""
-    n = cfg.peer_count
-    joins, durations = churn.sample_sessions(session_model(cfg), rng, n)
-    return PeerColumns(tuple(cfg.city_table), np.arange(n),
-                       *draw_peer_attributes(cfg, rng, n), joins, durations)
+    """Sample the peer population as read-only columns, ids 0..n-1:
+    Poisson arrivals and Pareto sessions, then the peer attributes."""
+    return peer_columns(cfg, rng, *churn.sample_sessions(session_model(cfg), rng, cfg.peer_count))
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
@@ -212,6 +221,14 @@ def _stream(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, label)))
 
 
+def _read_only(column: np.ndarray) -> bool:
+    """Whether no one can write column's memory through numpy: it and
+    every array it views are read-only, and the last owns its memory."""
+    while isinstance(column, np.ndarray) and not column.flags.writeable:
+        column = column.base
+    return column is None
+
+
 class Population:
     """The peers of one run and their failure scenario, as read-only
     columns in issue order (join order, list order at equal joins).
@@ -219,9 +236,13 @@ class Population:
     The columns are ids, city (codes into cities), isp, uplink, downlink,
     join, dep (join + duration), the masks affected, in_region (of the
     scenario) and cut (cut off at its join: the request enters the relay
-    phase), and bucket (a code per city and ISP); by_id holds the rows in
-    ascending id order, so by_id[np.searchsorted(ids, pid, sorter=by_id)]
-    is the row of a present id pid; every peer passes the checks of __init__.
+    phase); by_id holds the rows in ascending id order, so
+    by_id[np.searchsorted(ids, pid, sorter=by_id)] is the row of a present
+    id pid; every peer passes the checks of __init__. A Population shares
+    no memory its caller can write: it keeps an input column itself only
+    when the columns are already in issue order and that column is
+    read-only, down to the memory it views (as build_population's are),
+    and otherwise holds a copy.
     """
 
     def __init__(self, columns: PeerColumns, scenario: FailureScenario):
@@ -233,17 +254,18 @@ class Population:
             if not ok.all():
                 raise ValueError(f"peer {c.ids[np.argmin(ok)]} needs {rule}")
         self.scenario, self.cities = scenario, columns.cities
-        order = np.argsort(columns.join, kind="stable")
+        order = None if np.all(c.join[1:] >= c.join[:-1]) else np.argsort(c.join, kind="stable")
         self.ids, self.city, self.isp, self.uplink, self.downlink, self.join = (
-            column[order] for column in columns[1:7])
-        self.dep = self.join + columns.duration[order]
+            column[order] if order is not None else column if _read_only(column)
+            else column.copy() for column in c[1:7])
+        self.dep = self.join + (c.duration if order is None else c.duration[order])
         self.affected = np.isin(self.ids, list(scenario.affected))
         self.cut = self.affected & (scenario.start_time <= self.join) & (
             self.join < scenario.end_time)
-        self.in_region = columns.in_city(scenario.region)[order]
-        self.bucket = (self.isp - self.isp.min(initial=0)) * len(self.cities) + self.city
+        self.in_region = c._replace(city=self.city).in_city(scenario.region)
         self.by_id = np.argsort(self.ids)
-        if np.any(np.diff(self.ids[self.by_id]) == 0):
+        ranked = self.ids[self.by_id]
+        if np.any(ranked[1:] == ranked[:-1]):
             raise ValueError("peer ids must be unique")
         for column in filter(lambda v: isinstance(v, np.ndarray), vars(self).values()):
             column.flags.writeable = False
@@ -290,7 +312,11 @@ def _draws_key(cfg: SimConfig) -> tuple:
             tuple(cfg.tts_coeffs), cfg.tts_clamp_min)
 
 
-_RANK_BLOCK = 2048   # requesters per block of positions, sweep lists and rank
+# The draw sweep runs in blocks of consecutive requesters. A block holds
+# its steps' arrivals and departures and its picks as Python ints, so it
+# is bounded by count: its steps plus their arrivals and departures stay
+# within _RANK_BLOCK, or it is one step.
+_RANK_BLOCK = 2048
 
 
 def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
@@ -300,144 +326,185 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     path-aware the fetch-failure history and the rank at the requester's
     join, both on the block's columns. A path-aware draw drops the relays
     that are requesters issued before it: rows are in issue order, so those
-    are the cut-off rows above its own. no-relay draws nothing."""
+    are the cut-off rows above its own. The table is filled in place, sized
+    by the draws' lengths; the tail that drop leaves is cut off in place.
+    no-relay draws nothing."""
     k = population.issued_by(cfg.sim_duration) if cfg.strategy != "no-relay" else 0
     requesters = np.flatnonzero(population.cut[:k])
     path_aware = cfg.strategy == "path-aware"
     slots = careful_slots(cfg.zeta, cfg.alpha) if path_aware else 0
     tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
-    relays, sizes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for block, drawn, parts in _walk(cfg, population, k, requesters, slots):
-        rows = population.by_id[drawn]
+    parts, blocks = _walk(cfg, population, k, requesters, slots)
+    sizes, end = parts.sum(axis=1), 0
+    relays = np.empty(int(sizes.sum()), np.int64)
+    for lo, hi, drawn in blocks:
+        rows, block, parts_of = population.by_id[drawn], requesters[lo:hi], parts[lo:hi]
         if path_aware:
-            own = np.repeat(block, parts.sum(axis=1))   # each relay's requester row
+            own = np.repeat(block, sizes[lo:hi])   # each relay's requester row
             keep = ~(population.cut[rows] & (rows < own))
-            part = np.repeat(np.arange(parts.size), parts.ravel())
-            parts = np.bincount(part[keep], minlength=parts.size).reshape(-1, 2)
-            rows = rank_path_aware(rows[keep], parts, population.join[block], population, tts)
-        relays.append(rows)
-        sizes.append(parts.sum(axis=1))
-    table = (np.concatenate(relays), np.concatenate([[0], np.cumsum(np.concatenate(sizes))]))
+            part = np.repeat(np.arange(parts_of.size), parts_of.ravel())
+            parts_of = np.bincount(part[keep], minlength=parts_of.size).reshape(-1, 2)
+            rows = rank_path_aware(rows[keep], parts_of, population.join[block], population, tts)
+            sizes[lo:hi] = parts_of.sum(axis=1)
+        relays[end:end + len(rows)] = rows
+        end += len(rows)
+    relays.resize(end, refcheck=False)   # no view of relays exists
+    table = (relays, np.concatenate([[0], np.cumsum(sizes)]))
     for column in table:
         column.flags.writeable = False
     return CandidateDraws(_draws_key(cfg), population, *table)
 
 
 def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray,
-          slots: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The draws of the requester rows, _RANK_BLOCK at a time, in issue
-    order: (the block's rows, the id ranks drawn, each draw's careful part
-    and then its random part, the part lengths as an n x 2 array). A
-    peer's id rank is its position in population.by_id, so id ranks sort
-    as ids do. The slots careful picks come from the requester's bucket
-    (zero slots: the random draw).
+          slots: int) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
+    """The draws of the requester rows: each draw's careful part and then
+    its random part, as the part lengths (an n x 2 array), and the blocks
+    of draws in issue order, (lo, hi, the id ranks requesters[lo:hi]
+    drew). A peer's id rank is its position in population.by_id, so id
+    ranks sort as ids do. The slots careful picks come from the
+    requester's bucket (zero slots: the random draw).
 
     Step s is requester s's join t_s. Peer q among the first k rows is
     online at step s when join_q <= t_s < departure_q: it arrives at the
     first step at or after its join and leaves at the first step at or
     after its departure, so a zero-length session never comes online. The
-    pool sizes at each step are counts on those step columns, so the pick
+    pool sizes at each step are counts on those step columns (the same
+    bucket's over the members of the buckets drawn from), so the pick
     positions of a block need no ids (pool_positions). One sweep keeps the
     online id ranks in an ascending list, and one per bucket some requester
     draws from, applies each step's leaving and arriving id ranks, and maps
     each draw's positions inline: past the requester's slot in the pool it
-    draws from, and the random picks also past the careful picks' slots.
-    The selection stream is drawn once, cfg.zeta floats per requester; the
-    requester with rank r by id reads row r."""
-    n = len(requesters)
+    draws from, and the random picks also past the careful picks' slots. A
+    block is a run of consecutive steps whose count plus their arrivals
+    and departures is at most _RANK_BLOCK, or a single step. The selection
+    stream holds cfg.zeta floats per requester; the requester with rank r
+    by id reads row r. The rows are drawn in order as the blocks first read
+    them, and only rows a later block reads are kept."""
+    n, zeta = len(requesters), cfg.zeta
     if n == 0:
-        return
+        return np.zeros((0, 2), np.int64), iter(())
     times = population.join[requesters]
-    rows = _stream(cfg.rng_seed, _STREAM_SELECT).random((n, cfg.zeta))
-    id_rank = np.empty(len(population.by_id), np.int64)
-    id_rank[population.by_id] = np.arange(len(id_rank))
-    rank = np.argsort(np.argsort(id_rank[requesters]))
-    arrive, leave = (np.searchsorted(times, c[:k]) for c in (population.join, population.dep))
-    live = np.flatnonzero(leave > arrive)
-    arrive, leave = arrive[live], leave[live]
-    # (live id ranks by step, where each step's ids start) for leave, arrive
-    by_step = [(id_rank[live[order]], np.searchsorted(step[order], np.arange(n + 1)))
-               for step, order in ((s, np.argsort(s, kind="stable")) for s in (leave, arrive))]
+    id_rank = np.empty(len(population.by_id), np.int32)
+    id_rank[population.by_id] = np.arange(len(id_rank), dtype=np.int32)
+    requester_rank = id_rank[requesters]
+    rank = np.argsort(np.argsort(requester_rank))
+    later = np.minimum.accumulate(rank[::-1])[::-1]   # the smallest rank read from i on
+    # Careful slots draw from the requester's bucket, a code per city and
+    # ISP. Only the b buckets requesters draw from are kept, numbered
+    # 0..b-1 whatever the ISP numbers: group numbers their members (rows),
+    # and bucket_of maps a member's id rank to its bucket's list (others:
+    # None); a random draw keeps no bucket.
+    if slots:
+        code = np.subtract(population.isp[:k], population.isp.min(initial=0), dtype=np.int64)
+        code *= len(population.cities)
+        code += population.city[:k]
+        drawn_from = np.array(sorted(set(code[requesters].tolist())))
+        members = np.flatnonzero(np.isin(code, drawn_from))
+        group = np.searchsorted(drawn_from, code[members])
+        asked = np.searchsorted(drawn_from, code[requesters]) * (n + 1) + np.arange(n)
+        del code
+        buckets = np.fromiter(([] for _ in drawn_from), object, len(drawn_from))
+        bucket_of = np.full(len(id_rank), None)
+        bucket_of[id_rank[members]] = buckets[group]   # no int object per member
+        bucket_of = bucket_of.tolist()
+    arrive, leave = (np.searchsorted(times, c[:k]).astype(np.int32)
+                     for c in (population.join, population.dep))
+    live = leave > arrive
+    ranks = id_rank[:k][live]
+
+    def starts(step: np.ndarray) -> np.ndarray:
+        """Where each step's entries start in a stream sorted by step."""
+        return np.concatenate(([0], np.bincount(step, minlength=n + 1).cumsum()))
+    # (live id ranks by step, where each step's ids start) for leave, arrive;
+    # rows are in issue order, so the arrive steps already ascend
+    by_step = [(ranks[np.argsort(leave[live], kind="stable")], starts(leave[live])),
+               (ranks, starts(arrive[live]))]
     # Pool sizes: the peers online at each step and, for careful slots,
-    # those of the step's bucket (keys code * (n + 1) + step, codes
-    # compacted to 0..b-1 over the first k rows whatever the ISP numbers),
+    # those of the step's bucket (counted on keys group * (n + 1) + step),
     # less the requester, which is online at its own step when its session
-    # is not empty. bucket_of maps an id rank to its bucket's list, kept only
-    # for the buckets drawn from (else None); a random draw keeps no bucket.
+    # is not empty.
     here = population.dep[requesters] > times
-    pool = by_step[1][1][1:] - by_step[0][1][1:] - here
+    pool = (by_step[1][1] - by_step[0][1])[1:n + 1] - here
     same = np.zeros(n, np.int64)
     if slots:
-        code = np.unique(population.bucket[:k], return_inverse=True)[1]
-        keys = [np.sort(code[live] * (n + 1) + step) for step in (arrive, leave)]
-        at = code[requesters] * (n + 1) + np.arange(n)
-        same = (np.searchsorted(keys[0], at, side="right")
-                - np.searchsorted(keys[1], at, side="right") - here)
-        del keys, at
-        buckets, bucket_of = {c: [] for c in code[requesters].tolist()}, [None] * len(id_rank)
-        mine = np.flatnonzero(np.isin(code, list(buckets)))
-        for x, c in zip(id_rank[mine].tolist(), code[mine].tolist()):
-            bucket_of[x] = buckets[c]
-        del code, mine
-    del arrive, leave, live
+        alive = live[members]
+        keys = (np.sort(group[alive] * (n + 1) + step[members[alive]])
+                for step in (arrive, leave))
+        same = np.subtract(*(np.searchsorted(key, asked, side="right") for key in keys)) - here
+    careful = np.minimum(same, slots)
+    pool -= careful   # the random picks' pool
+    parts = np.column_stack((careful, np.minimum(pool, zeta - slots)))
+    # the steps below each step plus their arrivals and departures
+    events = (by_step[0][1] + by_step[1][1])[:n + 1] + np.arange(n + 1)
 
     def changes(lo: int, hi: int) -> Iterator[list]:
         """Each step's leaving, then arriving, peers, lo to hi, as id ranks."""
         for order, at in by_step:
             peers = order[at[lo]:at[hi]].tolist()
-            bounds = (at[lo:hi + 1] - at[lo]).tolist()
-            yield [peers[a:b] for a, b in zip(bounds, bounds[1:])]
+            edges = (at[lo:hi + 1] - at[lo]).tolist()
+            yield [peers[a:b] for a, b in zip(edges, edges[1:])]
 
-    online: list[int] = []
-    for lo in range(0, n, _RANK_BLOCK):
-        hi = min(lo + _RANK_BLOCK, n)
-        u, careful = rows[rank[lo:hi]], np.minimum(same[lo:hi], slots)
-        steps = zip(id_rank[requesters[lo:hi]].tolist(), here[lo:hi].tolist(),
-                    *changes(lo, hi), pool_positions(u[:, slots:], pool[lo:hi] - careful))
-        drawn: list[int] = []
-        if not slots:
-            for me, present, leaving, arriving, randoms in steps:
-                for x in leaving:
-                    del online[bisect_left(online, x)]
-                for x in arriving:
-                    insort(online, x)
-                r = bisect_left(online, me) if present else len(online)
-                for q in randoms:
-                    drawn.append(online[q + (q >= r)])
-        else:
-            for (me, present, leaving, arriving, randoms), picks in zip(
-                    steps, pool_positions(u[:, :slots], same[lo:hi])):
-                for x in leaving:
-                    del online[bisect_left(online, x)]
-                    if (bucket := bucket_of[x]) is not None:
-                        del bucket[bisect_left(bucket, x)]
-                for x in arriving:
-                    insort(online, x)
-                    if (bucket := bucket_of[x]) is not None:
-                        insort(bucket, x)
-                r = bisect_left(online, me) if present else len(online)
-                if picks:
-                    bucket = bucket_of[me]
-                    b = bisect_left(bucket, me) if present else len(bucket)
-                    taken = [r]
-                    for q in picks:
-                        x = bucket[q + (q >= b)]
-                        drawn.append(x)
-                        taken.append(bisect_left(online, x))
-                    # past slots t in ascending order, q becomes
-                    # q + #{l : t_l - l <= q}: the skipped slots before the
-                    # q-th one not skipped
-                    taken.sort()
-                    for l in range(1, len(taken)):
-                        taken[l] -= l
-                    for q in randoms:
-                        drawn.append(online[q + bisect_right(taken, q)])
-                else:
+    def blocks() -> Iterator[tuple[int, int, np.ndarray]]:
+        stream, held, base = _stream(cfg.rng_seed, _STREAM_SELECT), np.zeros((0, zeta)), 0
+        online: list[int] = []
+        lo = 0
+        while lo < n:
+            hi = max(lo + 1, int(np.searchsorted(events, events[lo] + _RANK_BLOCK, "right")) - 1)
+            # held: the selection rows of rank base on, through the block's
+            # largest; no later block reads a rank below later[lo]
+            top = max(int(rank[lo:hi].max()) + 1, base + len(held))
+            held = np.concatenate((held[later[lo] - base:],
+                                   stream.random((top - base - len(held), zeta))))
+            base = later[lo]
+            u = held[rank[lo:hi] - base]
+            steps = zip(requester_rank[lo:hi].tolist(), here[lo:hi].tolist(), *changes(lo, hi),
+                        pool_positions(u[:, slots:], pool[lo:hi]))
+            drawn: list[int] = []
+            if not slots:
+                for me, present, leaving, arriving, randoms in steps:
+                    for x in leaving:
+                        del online[bisect_left(online, x)]
+                    for x in arriving:
+                        insort(online, x)
+                    r = bisect_left(online, me) if present else len(online)
                     for q in randoms:
                         drawn.append(online[q + (q >= r)])
-        del steps   # frees the block's step lists before the caller ranks it
-        yield requesters[lo:hi], np.array(drawn, np.int64), np.column_stack(
-            (careful, np.minimum(pool[lo:hi] - careful, cfg.zeta - slots)))
+            else:
+                for (me, present, leaving, arriving, randoms), picks in zip(
+                        steps, pool_positions(u[:, :slots], same[lo:hi])):
+                    for x in leaving:
+                        del online[bisect_left(online, x)]
+                        if (bucket := bucket_of[x]) is not None:
+                            del bucket[bisect_left(bucket, x)]
+                    for x in arriving:
+                        insort(online, x)
+                        if (bucket := bucket_of[x]) is not None:
+                            insort(bucket, x)
+                    r = bisect_left(online, me) if present else len(online)
+                    if picks:
+                        bucket = bucket_of[me]
+                        b = bisect_left(bucket, me) if present else len(bucket)
+                        taken = [r]
+                        for q in picks:
+                            x = bucket[q + (q >= b)]
+                            drawn.append(x)
+                            taken.append(bisect_left(online, x))
+                        # past slots t in ascending order, q becomes
+                        # q + #{l : t_l - l <= q}: the skipped slots before the
+                        # q-th one not skipped
+                        taken.sort()
+                        for l in range(1, len(taken)):
+                            taken[l] -= l
+                        for q in randoms:
+                            drawn.append(online[q + bisect_right(taken, q)])
+                    else:
+                        for q in randoms:
+                            drawn.append(online[q + (q >= r)])
+            del steps   # frees the block's step lists before the caller ranks it
+            drawn = np.array(drawn, np.int64)
+            yield lo, hi, drawn
+            lo = hi
+    return parts, blocks()
 
 
 class Simulation:
@@ -583,11 +650,15 @@ class Simulation:
         ids, join, dep, cut, city, downlink = (
             column[:issued] for column in (p.ids, p.join, p.dep, p.cut, p.city, p.downlink))
         in_city = np.array([shakes[c] for c, shakes in enumerate(self._handshake)], np.float64)
-        t_end = join + in_city[city] + self._size_kbits / downlink
+        t_end = in_city[city] + join   # the sum join + in_city[city], exactly
+        t_end += self._size_kbits / downlink
         served = ~cut & (t_end <= dep) & (t_end <= horizon)
-        self.outcomes = Outcomes(
-            self.cfg.content_size_kb, ids, join, np.where(served, t_end, np.minimum(dep, horizon)),
-            np.where(served, SERVED_BY_SERVER, UNSERVED), np.zeros(issued, np.int64), cut)
+        end_time = np.minimum(dep, horizon)
+        np.copyto(end_time, t_end, where=served)
+        del t_end
+        self.outcomes = Outcomes(self.cfg.content_size_kb, ids, join, end_time,
+                                 np.where(served, SERVED_BY_SERVER, UNSERVED),
+                                 np.zeros(issued, np.int64), cut)
 
 
 def run(cfg: SimConfig) -> MetricsReport:

@@ -44,7 +44,7 @@ OUTCOME_COLUMNS = ("requester_id", "size_kb", "start_time", "end_time", "served_
                    "attempts", "primary_success", "entered_relay_phase")
 
 # Rows formatted at a time by write_outcomes_csv: bounds the strings held.
-_OUTCOME_BLOCK = 4096
+_OUTCOME_BLOCK = 1024
 
 
 class TraceFormatError(ValueError):
@@ -254,12 +254,9 @@ def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1, star
 
 def build_trace_peers(trace: TraceColumns, cfg: SimConfig,
                       rng: np.random.Generator) -> PeerColumns:
-    """Trace rows as peer columns, id i for row i; attributes the trace
-    lacks (city, ISP, capacity) are drawn by engine.draw_peer_attributes."""
-    n = len(trace)
-    return PeerColumns(tuple(cfg.city_table), np.arange(n),
-                       *engine.draw_peer_attributes(cfg, rng, n),
-                       trace.request_ts, trace.leave_ts - trace.request_ts)
+    """Trace rows as read-only peer columns, id i for row i; attributes the
+    trace lacks (city, ISP, capacity) are drawn by engine.peer_columns."""
+    return engine.peer_columns(cfg, rng, trace.request_ts, trace.leave_ts - trace.request_ts)
 
 
 def run_trace(trace: TraceColumns, cfg: SimConfig) -> tuple[MetricsReport, Outcomes]:

@@ -64,13 +64,17 @@ def sweep_draw(requester, online, t, u, *, failed=(), **fields):
     walk, blocks = engine._walk, []
 
     def kept_walk(*args):
-        for block in walk(*args):
-            blocks.append(block)
-            yield block
+        parts, drawn = walk(*args)
+
+        def kept():
+            for block in drawn:
+                blocks.append((parts, block[2]))
+                yield block
+        return parts, kept()
     with mock.patch.object(engine, "_stream", lambda seed, label: fixed), \
             mock.patch.object(engine, "_walk", kept_walk):
         draws = engine.draw_candidates(cfg, listed)
-    _, drawn, parts = blocks[-1]
+    parts, drawn = blocks[-1]
     ids = listed.ids[listed.by_id[drawn[len(drawn) - parts[-1].sum():]]].tolist()
     careful = parts[-1, 0]
     return listed, (tuple(ids[:careful]), tuple(ids[careful:])), draw_list(

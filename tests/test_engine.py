@@ -35,8 +35,8 @@ from relaysim.engine import (
 from relaysim.churn import SessionModel
 from relaysim.io import (SweepSpec, build_trace_peers, parse_trace, run_sweep, run_trace,
                          synthesize_trace, write_outcomes_csv, write_trace_csv)
-from relaysim.model import (RATE_EPS, CapacityError, Peer, RelayLedger, SimConfig, TraceColumns,
-                            TraceRecord)
+from relaysim.model import (RATE_EPS, CapacityError, Peer, PeerColumns, RelayLedger, SimConfig,
+                            TraceColumns, TraceRecord)
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError, haversine_km
 
 from helpers import (candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
@@ -418,8 +418,7 @@ class TestSimulation:
     def test_supplied_population_left_unchanged(self):
         cfg = small_cfg(sim_duration=math.inf)
         population = draw_population(cfg)
-        columns = ("ids", "city", "isp", "uplink", "downlink", "join", "dep", "cut", "bucket",
-                   "by_id")
+        columns = ("ids", "city", "isp", "uplink", "downlink", "join", "dep", "cut", "by_id")
         before = copy.deepcopy([getattr(population, name) for name in columns])
         for strategy in ("random", "path-aware"):
             sim = Simulation(replace(cfg, strategy=strategy), population)
@@ -675,12 +674,14 @@ class TestNoRelaySkipsOnlineSet:
 @st.composite
 def small_runs(draw):
     """A hand-built population with ties in time, in a drawn list order, a
-    failure draw, a strategy and a horizon."""
+    failure draw, a strategy and a horizon. A 512 kbps downlink is below a
+    1024 kbps relay uplink and its downlink share, so a requester's
+    downlink can bind a relay rate."""
     n = draw(st.integers(1, 16))
     peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
                   isp=draw(st.integers(1, 2)),
                   uplink_kbps=draw(st.sampled_from((256.0, 1024.0))),
-                  downlink_kbps=draw(st.sampled_from((1024.0, 4096.0))),
+                  downlink_kbps=draw(st.sampled_from((512.0, 1024.0, 4096.0))),
                   join_time=draw(st.sampled_from((0.0, 0.0, 1.0, 2.0, 5.0))),
                   session_duration=draw(st.sampled_from((1.0, 3.0, 4.01, 60.0, 1e9, 1e9))))
              for i in range(n)]
@@ -721,6 +722,7 @@ class TestProtocolProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_runs())
     @example(crossed_reject(1.1))
+    @example(downlink_bound_run())
     def test_every_request_ends_once_and_consistently(self, run_args):
         cfg, peers, scenario = run_args
         horizon = cfg.sim_duration
@@ -764,8 +766,8 @@ class TestProtocolProperties:
         # Each RelayLedger.commit is checked against the ledger it commits
         # to. The resolution the run schedules next holds the requester's
         # row, the relay and the rate it holds, so it names the downlink.
-        # The example is one where the requester's downlink binds, which
-        # small_runs' capacities never make so.
+        # The example is one where the requester's downlink binds, as
+        # small_runs' 512 kbps downlinks can.
         commit_counts = []
 
         @settings(max_examples=200, deadline=None)
@@ -1060,16 +1062,18 @@ class TestColumnsOnly:
         assert peak < 2 * n * (8 + sys.getsizeof(0.5))
 
     def test_the_draw_pass_holds_no_event_record(self):
-        # At 20,000 peers one block of 2,048 requesters spans most of the
-        # run, so the pass holds at once, per issued peer: four int64-sized
-        # columns (id ranks, the leave and arrive streams and the bucket map,
-        # 32 B) and the block's step lists, where each arrival and each
-        # departure is an int (28 B) in the stream list and in its step's
-        # list (2 x 8 B), 88 B for two events; per requester: zeta selection
-        # floats (8 B each), zeta pick positions as ints in a list (36 B
-        # each) and the relays drawn, in a list and then an array (16 B
-        # each), 600 B at zeta 10. A record per event (a tuple per id rank)
-        # does not fit.
+        # At 20,000 path-aware peers the draw pass holds at once, per
+        # issued peer: the id ranks and the arrive and leave steps as int32
+        # (12 B), the live mask (1 B), the live id ranks, one stream's
+        # sorted steps and its id ranks as int32 (12 B) with that stream's
+        # int64 sort order (8 B), and bucket_of, a list slot per peer
+        # (8 B): 41 B. Per requester: its step columns (rank, later, pool,
+        # same, the two streams' starts and the part lengths, 64 B), the
+        # relay table sized by the draws' lengths (zeta = 10 rows of 8 B)
+        # and the table sizes and offsets, 200 B in all. A block holds at
+        # most _RANK_BLOCK steps and events as ints (28 B) in two lists
+        # (16 B). A record per event, or a column of int64 temporaries per
+        # issued peer, does not fit.
         n = 20_000
         cfg = SimConfig(peer_count=n, strategy="path-aware")
         population = draw_population(cfg)
@@ -1081,7 +1085,62 @@ class TestColumnsOnly:
         finally:
             tracemalloc.stop()
         assert cfg.zeta == 10
-        assert peak < (32 + 88) * n + 600 * requesters
+        assert peak < 41 * n + 200 * requesters + 44 * engine._RANK_BLOCK
+
+    def test_a_whole_run_holds_each_column_once(self):
+        # From its config to its metrics, a 20,000-peer path-aware run holds
+        # per peer the Population's eight 8 B columns (ids, city, isp,
+        # uplink, downlink, join, dep and by_id) and three masks, 67 B, and
+        # on top the largest of: the build's duration column (8 B), the draw
+        # pass's 41 B (above), and the run's three outcome columns with one
+        # float temporary (32 B); 108 B in all. Per requester it holds the
+        # scenario's affected id, an int in a frozenset (120 B), and the
+        # draw pass's 200 B. A Population that copies the columns it is
+        # built from, or a draw pass that sizes int64 temporaries by the
+        # issued peers, does not fit.
+        n = 20_000
+        cfg = SimConfig(peer_count=n, strategy="path-aware")
+        tracemalloc.start()
+        try:
+            population = draw_population(cfg)
+            Simulation(cfg, population, draw_candidates(cfg, population)).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        requesters = np.count_nonzero(population.cut[:population.issued_by(cfg.sim_duration)])
+        assert peak < 108 * n + 320 * requesters + 44 * engine._RANK_BLOCK
+
+    def test_a_population_shares_only_read_only_columns(self):
+        # build_population's columns are read-only and in issue order, so
+        # the Population holds them, not copies
+        columns = build_population(SimConfig(peer_count=50), _stream(1, _STREAM_POPULATION))
+        population = Population(columns, FailureScenario(frozenset({3})))
+        for name in ("ids", "city", "isp", "uplink", "downlink", "join"):
+            assert getattr(population, name) is getattr(columns, name), name
+        with pytest.raises(ValueError):
+            columns.join[0] = 1.0
+
+    @pytest.mark.parametrize("listed", ["in join order", "reversed"])
+    def test_a_population_keeps_no_view_of_writable_columns(self, listed):
+        # the caller's columns are writable, or a read-only view of a
+        # writable array (join); writes after the build do not reach the
+        # Population, in issue order as listed or not
+        n = 6
+        order = slice(None) if listed == "in join order" else slice(None, None, -1)
+        join = np.arange(n, dtype=np.float64)[order].copy()
+        view = join.view()
+        view.flags.writeable = False
+        writable = (np.arange(n)[order].copy(), np.array([0, 1] * 3), np.ones(n, np.int64),
+                    np.full(n, 1024.0), np.full(n, 4096.0), join, np.full(n, 10.0))
+        columns = PeerColumns(("Beijing", "Wuhan"), *writable[:5], view, writable[6])
+        population = Population(columns, FailureScenario(frozenset({1, 4}), region="Beijing"))
+        names = ("ids", "city", "isp", "uplink", "downlink", "join", "dep", "cut", "in_region")
+        before = {name: getattr(population, name).copy() for name in names}
+        for column in writable:
+            column += 1
+        for name in names:
+            assert np.array_equal(getattr(population, name), before[name]), name
+            assert not any(np.shares_memory(getattr(population, name), c) for c in writable)
 
 
 def unread_buckets():

@@ -102,11 +102,15 @@ def selection_cases(draw):
     not be online, list parameters, a fetch-failure history, a ledger with
     busy relays, and the requester's row of zeta floats in [0, 1)."""
     ids = draw(st.lists(st.integers(0, 200), unique=True, max_size=40))
-    peers = [make_peer(pid, city=draw(st.sampled_from(("Wuhan", "Beijing"))),
-                       isp=draw(st.integers(1, 2)),
-                       join=draw(st.sampled_from((0.0, 60.0, 600.0, 3000.0))),
-                       uplink_kbps=draw(st.sampled_from((512.0, 1024.0))))
-             for pid in ids]
+
+    def column(values):
+        """One of values per id, all read from one draw of len(ids) bytes."""
+        return [values[b % len(values)]
+                for b in draw(st.binary(min_size=len(ids), max_size=len(ids)))]
+    peers = [make_peer(pid, city=city, isp=isp, join=join, uplink_kbps=uplink)
+             for pid, city, isp, join, uplink in zip(
+                 ids, column(("Wuhan", "Beijing")), column((1, 2)),
+                 column((0.0, 60.0, 600.0, 3000.0)), column((512.0, 1024.0)))]
     # the requester is online, or absent: a zero-length session, or a
     # city (Chengdu) whose careful bucket is empty
     if peers and draw(st.booleans()):
@@ -117,9 +121,10 @@ def selection_cases(draw):
                               isp=draw(st.integers(1, 2)), dur=0.0)
     failed = draw(st.sets(st.sampled_from(ids))) if ids else set()
     ledger = RelayLedger(
-        workload={pid: draw(st.integers(1, 4)) for pid in ids if draw(st.booleans())},
-        in_use_kbps={p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
-                     for p in peers if draw(st.booleans())})
+        workload={pid: count for pid, count, busy in zip(
+            ids, column((1, 2, 3, 4)), column((False, True))) if busy},
+        in_use_kbps={p.id: share * p.uplink_kbps for p, share, busy in zip(
+            peers, column((0.5, 0.9, 1.0)), column((False, True))) if busy})
     params = dict(alpha=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
                   gamma=draw(st.sampled_from((0.5, 0.95, 2.0))),
                   zeta=draw(st.integers(1, 50)), t=3600.0, tts=TimeToStayModel(),
@@ -337,8 +342,8 @@ class TestSequentialPick:
                 listed = Population(columns, FailureScenario(frozenset(range(1, trials + 1))))
                 cfg = SimConfig(peer_count=n, strategy="path-aware", zeta=k + 1, alpha=0.01,
                                 sim_duration=math.inf, rng_seed=100 * m + k)
-                drawn = np.concatenate([d for _, d, _ in _walk(cfg, listed, n,
-                                                               np.flatnonzero(listed.cut), 1)])
+                drawn = np.concatenate([d for _, _, d in _walk(cfg, listed, n,
+                                                               np.flatnonzero(listed.cut), 1)[1]])
                 seqs = listed.ids[listed.by_id[drawn]].reshape(trials, k + 1)
                 assert (seqs[:, 0] == trials + m + 1).all()
                 counts = Counter(map(tuple, seqs[:, 1:].tolist()))
