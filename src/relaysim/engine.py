@@ -410,27 +410,27 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     arrive, leave = (np.searchsorted(times, c[:k]).astype(np.int32)
                      for c in (population.join, population.dep))
     live = leave > arrive
-    ranks = id_rank[:k][live]
-
-    def starts(step: np.ndarray) -> np.ndarray:
-        """Where each step's entries start in a stream sorted by step."""
-        return np.concatenate(([0], np.bincount(step, minlength=n + 1).cumsum()))
-    # (live id ranks by step, where each step's ids start) for leave, arrive;
-    # rows are in issue order, so the arrive steps already ascend
-    by_step = [(ranks[np.argsort(leave[live], kind="stable")], starts(leave[live])),
-               (ranks, starts(arrive[live]))]
     # Pool sizes: the peers online at each step and, for careful slots,
     # those of the step's bucket (counted on keys group * (n + 1) + step),
     # less the requester, which is online at its own step when its session
     # is not empty.
     here = population.dep[requesters] > times
-    pool = (by_step[1][1] - by_step[0][1])[1:n + 1] - here
     same = np.zeros(n, np.int64)
     if slots:
         alive = live[members]
         keys = (np.sort(group[alive] * (n + 1) + step[members[alive]])
                 for step in (arrive, leave))
         same = np.subtract(*(np.searchsorted(key, asked, side="right") for key in keys)) - here
+    ranks, arrive, leave = id_rank[:k][live], arrive[live], leave[live]
+    del id_rank, live   # the live peers' columns are all the sweep needs
+
+    def starts(step: np.ndarray) -> np.ndarray:
+        """Where each step's entries start in a stream sorted by step."""
+        return np.concatenate(([0], np.bincount(step, minlength=n + 1).cumsum()))
+    # (live id ranks by step, where each step's ids start) for leave, arrive;
+    # rows are in issue order, so the arrive steps already ascend
+    by_step = [(ranks[np.argsort(leave, kind="stable")], starts(leave)), (ranks, starts(arrive))]
+    pool = (by_step[1][1] - by_step[0][1])[1:n + 1] - here
     careful = np.minimum(same, slots)
     pool -= careful   # the random picks' pool
     parts = np.column_stack((careful, np.minimum(pool, zeta - slots)))

@@ -1063,17 +1063,17 @@ class TestColumnsOnly:
 
     def test_the_draw_pass_holds_no_event_record(self):
         # At 20,000 path-aware peers the draw pass holds at once, per
-        # issued peer: the id ranks and the arrive and leave steps as int32
-        # (12 B), the live mask (1 B), the live id ranks, one stream's
-        # sorted steps and its id ranks as int32 (12 B) with that stream's
-        # int64 sort order (8 B), and bucket_of, a list slot per peer
-        # (8 B): 41 B. Per requester: its step columns (rank, later, pool,
-        # same, the two streams' starts and the part lengths, 64 B), the
-        # relay table sized by the draws' lengths (zeta = 10 rows of 8 B)
-        # and the table sizes and offsets, 200 B in all. A block holds at
-        # most _RANK_BLOCK steps and events as ints (28 B) in two lists
-        # (16 B). A record per event, or a column of int64 temporaries per
-        # issued peer, does not fit.
+        # issued peer: bucket_of, a list slot per peer (8 B), and the live
+        # peers' id ranks and arrive and leave steps as int32 (12 B), with
+        # either the columns they are compacted from (id ranks, steps and
+        # the live mask, 13 B) or one stream's int64 sort order and sorted
+        # id ranks (12 B): 33 B. Per requester: its step columns (rank,
+        # later, pool, same, the two streams' starts and the part lengths,
+        # 64 B), the relay table sized by the draws' lengths (zeta = 10
+        # rows of 8 B) and the table sizes and offsets, 200 B in all. A
+        # block holds at most _RANK_BLOCK steps and events as ints (28 B)
+        # in two lists (16 B). A record per event, or an int64 column per
+        # issued peer beside the step columns, does not fit.
         n = 20_000
         cfg = SimConfig(peer_count=n, strategy="path-aware")
         population = draw_population(cfg)
@@ -1085,15 +1085,15 @@ class TestColumnsOnly:
         finally:
             tracemalloc.stop()
         assert cfg.zeta == 10
-        assert peak < 41 * n + 200 * requesters + 44 * engine._RANK_BLOCK
+        assert peak < 33 * n + 200 * requesters + 44 * engine._RANK_BLOCK
 
     def test_a_whole_run_holds_each_column_once(self):
         # From its config to its metrics, a 20,000-peer path-aware run holds
         # per peer the Population's eight 8 B columns (ids, city, isp,
         # uplink, downlink, join, dep and by_id) and three masks, 67 B, and
         # on top the largest of: the build's duration column (8 B), the draw
-        # pass's 41 B (above), and the run's three outcome columns with one
-        # float temporary (32 B); 108 B in all. Per requester it holds the
+        # pass's 33 B (above), and the run's three outcome columns with one
+        # float temporary (32 B); 100 B in all. Per requester it holds the
         # scenario's affected id, an int in a frozenset (120 B), and the
         # draw pass's 200 B. A Population that copies the columns it is
         # built from, or a draw pass that sizes int64 temporaries by the
@@ -1108,7 +1108,7 @@ class TestColumnsOnly:
         finally:
             tracemalloc.stop()
         requesters = np.count_nonzero(population.cut[:population.issued_by(cfg.sim_duration)])
-        assert peak < 108 * n + 320 * requesters + 44 * engine._RANK_BLOCK
+        assert peak < 100 * n + 320 * requesters + 44 * engine._RANK_BLOCK
 
     def test_a_population_shares_only_read_only_columns(self):
         # build_population's columns are read-only and in issue order, so
