@@ -2,6 +2,6 @@
 
 import sys
 
-from relaysim.io import main
+from relaysim.cli import main
 
 sys.exit(main())

@@ -1,12 +1,13 @@
-"""File formats and the command line interface.
+"""File formats, trace replay and parameter sweeps.
 
 Covers: key=value config files, access-trace CSV parsing and synthesis
-(a trace is a model.TraceColumns table: parse_trace streams the CSV into
-its columns, and build_trace_peers and run_trace read them; callers that
-hold TraceRecord rows pass TraceColumns.from_records(records)),
+(a trace is a model.TraceColumns table: parse_trace reads the CSV a block
+of rows at a time into its columns, and build_trace_peers and run_trace
+read them; callers that hold TraceRecord rows pass
+TraceColumns.from_records(records)),
 parameter sweeps with a stable CSV schema, per-request outcome dumps
-(written from the Outcomes columns a block at a time), metrics JSON, and
-the relaysim CLI (run / sweep / trace / calibrate / solve). All emitted
+(written from the Outcomes columns a block at a time) and metrics JSON.
+The command line that reads and writes them is relaysim.cli. All emitted
 files are deterministic: fixed row order, repr-formatted floats, newline
 line endings. A run, trace replay or sweep cell whose horizon ends before
 its first request is an error, not an empty result.
@@ -14,23 +15,22 @@ its first request is an error, not an empty result.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
-import os
-import sys
 from array import array
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import accumulate, compress, islice, repeat
 
 import numpy as np
 
-from relaysim import churn, engine, selection
-from relaysim.churn import SessionModel, calibrate_pareto
+from relaysim import churn, engine
+from relaysim.churn import SessionModel
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
-from relaysim.model import (STRATEGIES, CapacityError, ConfigError, PeerColumns, SimConfig,
-                            TraceColumns, _is_int, validate_config)
+from relaysim.model import (STRATEGIES, TRACE_BACKWARDS, TRACE_EMPTY_USER, TRACE_NON_FINITE,
+                            CapacityError, ConfigError, PeerColumns, SimConfig, TraceColumns,
+                            _is_int, trace_row_faults, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
 from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth  # noqa: F401
 
@@ -168,14 +168,30 @@ class TraceParseResult:
     errors: tuple[tuple[int, str], ...]
 
 
+# Rows read and converted at a time by parse_trace: bounds the rows held.
+_TRACE_BLOCK = 1024
+
+# fetch_failure spellings, lower-cased, and their flag; any other is a fault.
+_FLAGS = {"0": 0, "false": 0, "1": 1, "true": 1}
+
+# parse_trace's row codes beyond model.trace_row_faults': a row that is
+# blank (skipped, not counted), of another width, or with a bad flag.
+_BLANK, _BAD_WIDTH, _BAD_FLAG = -1, 4, 5
+
+
 def parse_trace(path) -> TraceParseResult:
     """Parse an access trace CSV with header user_id,request_ts,leave_ts,fetch_failure.
 
-    One pass over the rows, appending each good row to the four column
-    buffers of a TraceColumns. Malformed rows are collected as (line,
-    message) pairs, by the file line the row starts on, and skipped; if
-    more than half the data rows are malformed the whole file is rejected
-    with TraceFormatError. A missing or wrong header is always fatal.
+    Reads _TRACE_BLOCK rows at a time and converts each block's columns in
+    bulk. Each row gets its first fault: a width other than 4 fields, then
+    model.trace_row_faults' rules (a field that is not a timestamp counts
+    as non-finite), then a fetch_failure other than 0, 1, true or false.
+    The good rows' columns are appended to four buffers, which the
+    TraceColumns copies once at the end; no list of the file's rows is
+    held. Malformed rows are collected as (line, message) pairs, by the
+    file line the row starts on, and skipped; if more than half the data
+    rows are malformed the whole file is rejected with TraceFormatError.
+    A missing or wrong header is always fatal.
     """
     user_ids, requests, leaves, flags = [], array("d"), array("d"), array("b")
     errors = []
@@ -187,45 +203,90 @@ def parse_trace(path) -> TraceParseResult:
             raise TraceFormatError(
                 f"{path}: expected header {','.join(TRACE_COLUMNS)}")
         start = reader.line_num + 1
-        for row in reader:
+        while rows := list(islice(reader, _TRACE_BLOCK)):
+            end = reader.line_num + 1
             # a quoted field may hold line breaks: a row's line is its first
-            lineno, start = start, reader.line_num + 1
-            if not row or not "".join(row).strip():
-                continue
-            data_rows += 1
-            if len(row) != 4:
-                errors.append((lineno, f"expected 4 fields, got {len(row)}"))
-                continue
-            user_id, req_s, leave_s, fail_s = map(str.strip, row)
-            if not user_id:
-                errors.append((lineno, "empty user_id"))
-                continue
-            try:
-                req_ts = _parse_timestamp(req_s)
-                leave_ts = _parse_timestamp(leave_s)
-            except ValueError:
-                errors.append((lineno, f"bad timestamp in {row!r}"))
-                continue
-            if leave_ts < req_ts:
-                errors.append((lineno, "leave_ts precedes request_ts"))
-                continue
-            flag = fail_s.lower()
-            if flag in ("0", "false"):
-                fail = False
-            elif flag in ("1", "true"):
-                fail = True
-            else:
-                errors.append((lineno, f"fetch_failure must be 0 or 1, got {fail_s!r}"))
-                continue
-            user_ids.append(user_id)
-            requests.append(req_ts)
-            leaves.append(leave_ts)
-            flags.append(fail)
+            lines = range(start, end) if end - start == len(rows) else _row_lines(rows, start)
+            start = end
+            fault, (user, req, leave, flag) = _trace_block(rows)
+            data_rows += len(rows) - np.count_nonzero(fault == _BLANK)
+            errors += [(lines[i], _fault_message(fault.item(i), rows[i]))
+                       for i in np.flatnonzero(fault > 0).tolist()]
+            user_ids += user
+            requests.frombytes(req.tobytes())
+            leaves.frombytes(leave.tobytes())
+            flags.frombytes(flag.tobytes())
     if data_rows and len(errors) > data_rows / 2:
         raise TraceFormatError(
             f"{path}: {len(errors)} of {data_rows} rows malformed")
     return TraceParseResult(TraceColumns(tuple(user_ids), requests, leaves, flags),
                             tuple(errors))
+
+
+def _row_lines(rows: list[list[str]], start: int) -> list[int]:
+    """The line each row starts on, the first row's being start. A row
+    spans one line more than the line breaks its quoted fields hold, each
+    a CRLF, CR or LF as the file's lines split."""
+    spans = [1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+             for text in map(",".join, rows[:-1])]
+    return list(accumulate(spans, initial=start))
+
+
+def _trace_block(rows: list[list[str]]):
+    """A block's row fault codes (0 for a good row), and the stripped
+    user_id, float64 timestamp and int8 flag columns of its good rows."""
+    four = np.fromiter(map(len, rows), np.intp, len(rows)) == 4
+    quads = rows if four.all() else list(compress(rows, four))
+    user, req_s, leave_s, fail_s = zip(*quads) if quads else ((),) * 4
+    user = list(map(str.strip, user))
+    req, leave = _timestamps(req_s), _timestamps(leave_s)
+    flag = np.fromiter(map(_FLAGS.get, fail_s, repeat(-1)), np.int8, len(quads))
+    for i in np.flatnonzero(flag < 0).tolist():
+        flag[i] = _FLAGS.get(fail_s[i].strip().lower(), -1)
+    fault = trace_row_faults(user, req, leave)
+    fault[(fault == 0) & (flag < 0)] = _BAD_FLAG
+    good = fault == 0
+    kept = list(compress(user, good)), req[good], leave[good], flag[good]
+    if len(quads) < len(rows):
+        every = np.full(len(rows), _BAD_WIDTH, np.int8)
+        every[four] = fault
+        fault = every
+    # a row whose fields are all blank is skipped, not counted
+    for i in np.flatnonzero((fault == TRACE_EMPTY_USER) | (fault == _BAD_WIDTH)).tolist():
+        if not "".join(rows[i]).strip():
+            fault[i] = _BLANK
+    return fault, kept
+
+
+def _timestamps(texts: list[str]) -> np.ndarray:
+    """A column of unstripped timestamp fields as float64, NaN where
+    _parse_timestamp refuses the stripped field. float() reads a field as
+    it reads the field stripped, or refuses it (it keeps four control
+    characters that str.strip() drops), so _parse_timestamp runs, field by
+    field, only on a column where float() refuses a field."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return np.fromiter(map(_timestamp_or_nan, texts), np.float64, len(texts))
+
+
+def _timestamp_or_nan(text: str) -> float:
+    try:
+        return _parse_timestamp(text.strip())
+    except ValueError:
+        return math.nan
+
+
+def _fault_message(code: int, row: list[str]) -> str:
+    if code == _BAD_WIDTH:
+        return f"expected 4 fields, got {len(row)}"
+    if code == TRACE_EMPTY_USER:
+        return "empty user_id"
+    if code == TRACE_NON_FINITE:
+        return f"bad timestamp in {row!r}"
+    if code == TRACE_BACKWARDS:
+        return "leave_ts precedes request_ts"
+    return f"fetch_failure must be 0 or 1, got {row[3].strip()!r}"
 
 
 def write_trace_csv(trace: TraceColumns, path) -> None:
@@ -463,224 +524,3 @@ def write_metrics_json(report: MetricsReport, path) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# CLI
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="key = value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a single config field (repeatable)")
-    p.add_argument("--seed", type=int,
-                   help="RNG seed (overrides --config and --set; RELAYSIM_SEED "
-                        "applies only when none of them sets the seed)")
-    p.add_argument("--peers", type=int, help="population size")
-    p.add_argument("--strategy", choices=STRATEGIES, help="relay selection strategy")
-    p.add_argument("--size", type=float, metavar="KB", help="content size in KB")
-    p.add_argument("--failure-ratio", type=float, help="share of region peers to fail")
-    p.add_argument("--failure-region", help="city whose peers fail")
-
-
-def build_config(args) -> SimConfig:
-    raw = {}
-    if args.config:
-        raw.update(load_config_file(args.config))
-    for pair in args.set:
-        if "=" not in pair:
-            raise ConfigError([f"--set expects KEY=VALUE, got {pair!r}"])
-        key, val = pair.split("=", 1)
-        raw[key.strip()] = val.strip()
-    cfg = apply_overrides(SimConfig(), raw)
-    seed = args.seed
-    # The environment is the last resort: --seed, --config and --set all beat it.
-    if seed is None and "rng_seed" not in raw and os.environ.get("RELAYSIM_SEED"):
-        try:
-            seed = int(os.environ["RELAYSIM_SEED"])
-        except ValueError:
-            raise ConfigError(["RELAYSIM_SEED must be an integer"])
-    direct = {
-        "rng_seed": seed,
-        "peer_count": args.peers,
-        "strategy": args.strategy,
-        "content_size_kb": args.size,
-        "failure_ratio": args.failure_ratio,
-        "failure_region": args.failure_region,
-    }
-    cfg = replace(cfg, **{k: v for k, v in direct.items() if v is not None})
-    return validate_config(cfg)
-
-
-def _parse_quantile(raw: str) -> tuple[float, float]:
-    t, p = raw.split(":")
-    return float(t), float(p)
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _report(args, report: MetricsReport, outcomes) -> int:
-    """Print the metrics; with --out PREFIX also write both files."""
-    if args.out:
-        write_outcomes_csv(outcomes, f"{args.out}_outcomes.csv")
-        write_metrics_json(report, f"{args.out}_metrics.json")
-    _print_json(report.to_dict())
-    return 0
-
-
-def _cmd_run(args) -> int:
-    sim = Simulation(build_config(args))
-    report = sim.run()
-    if not report.total_requests:
-        raise _no_requests(sim.cfg, sim.population)
-    return _report(args, report, sim.outcomes)
-
-
-def _cmd_sweep(args) -> int:
-    # Each cell sets these fields from its axes, so the one-value flags and
-    # RELAYSIM_SEED would be lost.
-    for flag, axis in (("seed", "seeds"), ("strategy", "strategies"), ("size", "sizes"),
-                       ("failure_ratio", "ratios")):
-        if getattr(args, flag) is not None:
-            raise ValueError(f"sweep takes its {axis} from --{axis}, not "
-                             f"--{flag.replace('_', '-')}")
-    if os.environ.get("RELAYSIM_SEED"):
-        raise ValueError("sweep takes its seeds from --seeds, not RELAYSIM_SEED")
-    cfg = build_config(args)
-    kwargs = {"content_sizes_kb": tuple(cfg.content_sizes_kb)}
-    for flag, field, parse in (("sizes", "content_sizes_kb", float),
-                               ("ratios", "failure_ratios", float),
-                               ("strategies", "strategies", str), ("seeds", "seeds", int)):
-        raw = getattr(args, flag)
-        if raw is not None:
-            values = [v.strip() for v in raw.split(",")]
-            if not all(values):
-                raise ValueError(f"--{flag} {raw!r} has an empty value")
-            kwargs[field] = tuple(map(parse, values))
-    result = run_sweep(SweepSpec(**kwargs), cfg)
-    write_sweep_csv(result, args.out)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            json.dump(summarize_sweep(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    for failure in result.failures:
-        print(f"warning: cell failed: {failure}", file=sys.stderr)
-    print(f"wrote {len(result.rows)} rows to {args.out}")
-    return 1 if result.failures else 0
-
-
-def _cmd_trace(args) -> int:
-    cfg = build_config(args)
-    if args.synthesize is not None:
-        if args.synthesize < 1:
-            raise ValueError(f"--synthesize needs at least 1 session, got {args.synthesize}")
-        records = synthesize_trace(args.synthesize, cfg.rng_seed, args.fail_fraction,
-                                   model=engine.session_model(cfg))
-        write_trace_csv(records, args.file)
-        print(f"wrote {len(records)} sessions to {args.file}")
-        return 0
-    parsed = parse_trace(args.file)
-    for lineno, msg in parsed.errors:
-        print(f"warning: {args.file}:{lineno}: {msg}", file=sys.stderr)
-    return _report(args, *run_trace(parsed.records, cfg))
-
-
-def _cmd_calibrate(args) -> int:
-    q1 = _parse_quantile(args.q1)
-    q2 = _parse_quantile(args.q2)
-    x_m, shape = calibrate_pareto(q1, q2)
-    _print_json({"scale_x_m_minutes": x_m, "shape_a": shape,
-                 "scale_seconds": 60.0 * x_m})
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    b, caps = selection.load_instance(args.matrix)
-    if not len(b):
-        raise ValueError(f"instance file {args.matrix} has a capacity row and no benefit rows")
-    method = "greedy" if args.greedy else "exact"
-    if method == "exact":
-        try:
-            sel, obj = selection.solve_exact(b, caps)
-        except selection.Infeasible as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sel, obj = selection.solve_greedy(b, caps)
-    _print_json({"method": method, "objective": obj,
-                 "assignment": list(sel.assignment), "unmatched": list(sel.unmatched)})
-    return 0
-
-
-def cli(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="relaysim",
-        description="Simulate joint CDN and browser-peer relay content delivery.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one simulation and print metrics")
-    _add_config_args(p_run)
-    p_run.add_argument("--out", metavar="PREFIX",
-                       help="also write PREFIX_outcomes.csv and PREFIX_metrics.json")
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep grid")
-    _add_config_args(p_sweep)
-    p_sweep.add_argument("--sizes", help="comma list of content sizes in KB")
-    p_sweep.add_argument("--ratios", help="comma list of failure ratios")
-    p_sweep.add_argument("--strategies", help="comma list of strategies")
-    p_sweep.add_argument("--seeds", help="comma list of seeds")
-    p_sweep.add_argument("--out", default="sweep_results.csv", metavar="CSV",
-                         help="result table path (default %(default)s)")
-    p_sweep.add_argument("--summary", metavar="JSON", help="per-cell summary path")
-
-    p_trace = sub.add_parser("trace", help="replay an access trace, or synthesize one")
-    _add_config_args(p_trace)
-    p_trace.add_argument("--file", required=True, metavar="CSV", help="trace file")
-    p_trace.add_argument("--synthesize", type=int, metavar="N",
-                         help="write N synthetic sessions to --file and exit")
-    p_trace.add_argument("--fail-fraction", type=float, default=0.1,
-                         help="fetch-failure share when synthesizing (default %(default)s)")
-    p_trace.add_argument("--out", metavar="PREFIX",
-                         help="also write PREFIX_outcomes.csv and PREFIX_metrics.json")
-
-    p_cal = sub.add_parser("calibrate", help="fit Pareto session parameters")
-    p_cal.add_argument("--q1", default="1:0.6", metavar="T:P",
-                       help="first quantile, minutes:level (default %(default)s)")
-    p_cal.add_argument("--q2", default="10:0.9", metavar="T:P",
-                       help="second quantile, minutes:level (default %(default)s)")
-
-    p_solve = sub.add_parser("solve", help="solve an assignment instance from CSV")
-    p_solve.add_argument("--matrix", required=True, metavar="CSV",
-                         help="caps row followed by benefit rows")
-    group = p_solve.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="exact branch-and-bound (default)")
-    group.add_argument("--greedy", action="store_true", help="greedy assignment")
-
-    args = parser.parse_args(argv)
-    handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "trace": _cmd_trace,
-                "calibrate": _cmd_calibrate, "solve": _cmd_solve}
-    try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (TraceFormatError, churn.CalibrationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def main(argv=None) -> int:
-    try:
-        return cli(argv)
-    except SystemExit as exc:  # argparse exits with 2 on usage errors
-        code = exc.code
-        return code if isinstance(code, int) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -159,6 +159,25 @@ class TraceRecord:
         return self.leave_ts - self.request_ts
 
 
+TRACE_EMPTY_USER, TRACE_NON_FINITE, TRACE_BACKWARDS = 1, 2, 3
+_TRACE_FAULTS = {TRACE_EMPTY_USER: "empty user_id", TRACE_NON_FINITE: "non-finite timestamp",
+                 TRACE_BACKWARDS: "leave_ts precedes request_ts"}
+
+
+def trace_row_faults(user_id: Sequence[str], request_ts: np.ndarray,
+                     leave_ts: np.ndarray) -> np.ndarray:
+    """Each trace row's first broken rule as an int8 code, 0 for none:
+    TRACE_EMPTY_USER (a blank user_id), then TRACE_NON_FINITE (a timestamp
+    that is not finite), then TRACE_BACKWARDS (leave_ts before request_ts).
+    TraceColumns raises on the first faulty row; io.parse_trace reports and
+    skips each."""
+    faults = (leave_ts < request_ts).astype(np.int8) * TRACE_BACKWARDS
+    faults[~(np.isfinite(request_ts) & np.isfinite(leave_ts))] = TRACE_NON_FINITE
+    if not all(map(str.strip, user_id)):
+        faults[np.array([not uid.strip() for uid in user_id])] = TRACE_EMPTY_USER
+    return faults
+
+
 @dataclass(eq=False)
 class TraceColumns:
     """An access trace as read-only columns, one entry per row in file
@@ -186,18 +205,12 @@ class TraceColumns:
                 raise ValueError(f"{name} needs one entry per user_id, {n}")
             column.flags.writeable = False
             setattr(self, name, column)
-        req, leave = self.request_ts, self.leave_ts
-        bad = ~(np.isfinite(req) & np.isfinite(leave) & (leave >= req))
-        if not all(map(str.strip, self.user_id)):
-            bad |= np.array([not uid.strip() for uid in self.user_id])
-        if bad.any():
-            row = int(bad.argmax())
-            times = req.item(row), leave.item(row)
-            what = ("empty user_id" if not self.user_id[row].strip()
-                    else "leave_ts precedes request_ts" if all(map(math.isfinite, times))
-                    else "non-finite timestamp")
-            raise ValueError(f"trace row {row} (user_id {self.user_id[row]!r}): {what}, "
-                             f"request_ts {times[0]!r}, leave_ts {times[1]!r}")
+        faults = trace_row_faults(self.user_id, self.request_ts, self.leave_ts)
+        if faults.any():
+            row = int(faults.nonzero()[0][0])
+            raise ValueError(f"trace row {row} (user_id {self.user_id[row]!r}): "
+                             f"{_TRACE_FAULTS[faults.item(row)]}, request_ts "
+                             f"{self.request_ts.item(row)!r}, leave_ts {self.leave_ts.item(row)!r}")
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> TraceColumns:

@@ -19,7 +19,8 @@ the careful one first. At request time generate_relay_list drops the
 rows with too much relay workload.
 
 The solvers tackle the batch variant: pick one relay per requester to
-maximize total delivered benefit under per-relay uplink caps.
+maximize total delivered benefit under per-relay uplink caps. They import
+`kernels` when called, so a run that solves nothing does not load it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from relaysim import kernels
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
 from relaysim.model import RelayLedger
 
@@ -147,6 +147,7 @@ class SelectionMatrix:
         return float(total)
 
     def is_feasible(self, b: np.ndarray) -> bool:
+        from relaysim import kernels
         caps = np.asarray(self.relay_caps, dtype=float)
         return bool((self.loads(b) <= caps + kernels.CAP_EPS).all())
 
@@ -178,6 +179,7 @@ def solve_exact(b, caps) -> tuple[SelectionMatrix, float]:
     assignment fits the caps. Among equal optima the smallest assignment
     code wins (see `kernels`). Instance sides are limited to MAX_EXACT_DIM.
     """
+    from relaysim import kernels
     b, caps = _check_instance(b, caps)
     n, m = b.shape
     if n > MAX_EXACT_DIM or m > MAX_EXACT_DIM:
@@ -206,6 +208,7 @@ def solve_greedy(b, caps) -> tuple[SelectionMatrix, float]:
     exact solver's limit. Neither the instance check nor the sweep builds a
     mask the size of b (see `kernels.greedy_assign`).
     """
+    from relaysim import kernels
     b, caps = _check_instance(b, caps)
     assign, obj = kernels.greedy_assign(b, caps)
     return SelectionMatrix(tuple(assign.tolist()), tuple(caps)), obj

@@ -676,7 +676,14 @@ def small_runs(draw):
     """A hand-built population with ties in time, in a drawn list order, a
     failure draw, a strategy and a horizon. A 512 kbps downlink is below a
     1024 kbps relay uplink and its downlink share, so a requester's
-    downlink can bind a relay rate."""
+    downlink can bind a relay rate.
+
+    Two more peers share a city and ISP no other peer has: a cut-off
+    requester with a 512 kbps downlink joining inside the failure window,
+    and an endless relay online from time 0, its careful slot under
+    path-aware. Under a relay strategy, a long horizon and a short
+    handshake they make a relay-served request, and the config draws
+    favour those values, so most examples hold a relay transfer."""
     n = draw(st.integers(1, 16))
     peers = [Peer(id=i, city=draw(st.sampled_from(("Beijing", "Shanghai"))),
                   isp=draw(st.integers(1, 2)),
@@ -685,19 +692,24 @@ def small_runs(draw):
                   join_time=draw(st.sampled_from((0.0, 0.0, 1.0, 2.0, 5.0))),
                   session_duration=draw(st.sampled_from((1.0, 3.0, 4.01, 60.0, 1e9, 1e9))))
              for i in range(n)]
-    start = draw(st.sampled_from((0.0, 1.0, 3.0)))
-    end = start + draw(st.sampled_from((1.0, 8.0, math.inf)))
-    scenario = FailureScenario(frozenset(draw(st.sets(st.integers(0, n - 1)))),
-                               region="Beijing", start_time=start, end_time=end)
-    cfg = SimConfig(peer_count=n, rng_seed=draw(st.integers(0, 2**16)),
+    start = draw(st.sampled_from((0.0, 0.0, 1.0, 3.0)))
+    end = start + draw(st.sampled_from((math.inf, 8.0, math.inf, 1.0)))
+    peers += [Peer(id=n, city="Guangzhou", isp=3, uplink_kbps=1024.0, downlink_kbps=512.0,
+                   join_time=start + 0.5, session_duration=1e9),
+              Peer(id=n + 1, city="Guangzhou", isp=3, uplink_kbps=1024.0, downlink_kbps=4096.0,
+                   join_time=0.0, session_duration=1e9)]
+    affected = frozenset(draw(st.sets(st.integers(0, n - 1)))) | {n}
+    scenario = FailureScenario(affected, region="Beijing", start_time=start, end_time=end)
+    cfg = SimConfig(peer_count=n + 2, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(1, 4)),
-                    content_size_kb=draw(st.sampled_from((100.0, 512.0, 2000.0))),
+                    content_size_kb=draw(st.sampled_from((100.0, 100.0, 512.0, 2000.0))),
                     workload_mode=draw(st.sampled_from(("utilization", "count"))),
-                    strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
+                    strategy=draw(st.sampled_from(("path-aware", "random") * 3 + ("no-relay",))),
                     # a 20 s handshake lets a reject outlast its requester's
                     # departure and a finite horizon after it
-                    latency_base_ms=draw(st.sampled_from((5.0, 10000.0))),
-                    sim_duration=draw(st.sampled_from((1.5, 3.0, 6.0, math.inf))))
+                    latency_base_ms=draw(st.sampled_from((5.0, 5.0, 10000.0))),
+                    sim_duration=draw(st.sampled_from((math.inf, 30.0, math.inf, 6.0, math.inf,
+                                                       3.0, math.inf, 1.5))))
     return cfg, draw(st.permutations(peers)), scenario
 
 

@@ -10,12 +10,14 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 
 from relaysim import engine
 from relaysim import io as rio
+from relaysim.cli import build_config, main
 from relaysim.engine import RequestOutcome, Simulation
 from relaysim.io import (
     OUTCOME_COLUMNS,
@@ -25,10 +27,8 @@ from relaysim.io import (
     SweepSpec,
     TraceFormatError,
     apply_overrides,
-    build_config,
     build_trace_peers,
     load_config_file,
-    main,
     parse_trace,
     run_sweep,
     run_trace,
@@ -242,13 +242,10 @@ class TestTraceParsing:
         assert parsed.errors == ()
         assert parsed.records == records
 
-    @settings(max_examples=100, deadline=None)
-    @given(trace_files())
-    @example(b"user_id,request_ts,leave_ts,fetch_failure\r\n"
-             b'"a,b",1,2,0\r\n , , , \r\n\r\nc,5,3,1\r\nd,nan,1,0\r\ne,1,inf,x\r\n')
-    def test_streaming_parse_matches_the_row_parser(self, tmp_path_factory, text):
-        # The records, the errors and the fatal message (the example above
-        # has three malformed rows of four) all equal the row parser's.
+    @staticmethod
+    def assert_parsers_agree(tmp_path_factory, text):
+        # The records, the errors and the fatal message all equal the row
+        # parser's.
         f = tmp_path_factory.mktemp("trace") / "t.csv"
         f.write_bytes(text)
 
@@ -261,6 +258,34 @@ class TestTraceParsing:
         if not isinstance(parsed, str):
             parsed = (tuple(parsed.records), parsed.errors)
         assert parsed == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(trace_files())
+    @example(b"user_id,request_ts,leave_ts,fetch_failure\r\n"
+             b'"a,b",1,2,0\r\n , , , \r\n\r\nc,5,3,1\r\nd,nan,1,0\r\ne,1,inf,x\r\n')
+    def test_streaming_parse_matches_the_row_parser(self, tmp_path_factory, text):
+        # the example has three malformed rows of four: the file is rejected
+        self.assert_parsers_agree(tmp_path_factory, text)
+
+    # Rows 3 and 5 span two lines each (an LF and a CRLF in a quoted user
+    # id). At a block of 3, row 3 ends the first block and the malformed
+    # row 4 starts the second, whose line numbers must count row 3's break;
+    # the malformed row 6 ends it and must count row 5's.
+    BLOCK_EDGE = (b"user_id,request_ts,leave_ts,fetch_failure\n"
+                  b"a,1,2,0\nb,1,2,maybe\n\"c\nd\",3,4,1\n"
+                  b"e,9,8,0\n\"f\r\ng\",x,1,0\nh,1,2\n"
+                  b"\ni,5,6,true\nj,7,8,0\n")
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(text=trace_files())
+    @example(text=BLOCK_EDGE)
+    def test_streaming_parse_matches_the_row_parser_across_blocks(self, tmp_path_factory,
+                                                                  block, text):
+        # trace_files draws at most 16 rows, so only a small block makes
+        # its files cross block edges
+        with mock.patch.object(rio, "_TRACE_BLOCK", block):
+            self.assert_parsers_agree(tmp_path_factory, text)
 
     def test_parse_holds_no_row_list(self, tmp_path):
         """Traced peak of parse_trace on a 20,000-row synthesized trace.

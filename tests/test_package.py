@@ -1,6 +1,9 @@
 """Package surface tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relaysim
@@ -33,3 +36,17 @@ def test_every_module_uses_what_it_imports():
                 (alias.asname or alias.name).split(".")[0] for alias in node.names)
                 if name not in used]
     assert unused == []
+
+
+def test_a_replay_loads_neither_the_cli_nor_the_kernels():
+    # Only the command line imports relaysim.cli (and argparse), and the
+    # solvers import kernels when called, so a process that only runs or
+    # replays does not pay for compiling or loading them.
+    src = str(Path(relaysim.__file__).parents[1])
+    code = ("import sys, relaysim.engine, relaysim.io; "
+            "print(sorted({'argparse', 'relaysim.cli', 'relaysim.kernels'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
