@@ -13,8 +13,7 @@ from relaysim.churn import (SessionModel, TimeToStayModel, calibrate_pareto,
 from relaysim.engine import (MetricsReport, Outcomes, Population, RequestOutcome,
                              Simulation, collect_metrics, draw_candidates, run)
 from relaysim.io import SweepSpec, parse_trace, run_sweep, run_trace
-from relaysim.model import (ConfigError, Peer, SimConfig, TraceColumns, TraceRecord,
-                            validate_config)
+from relaysim.model import ConfigError, SimConfig, TraceColumns, validate_config
 from relaysim.netsim import CityTable, FailureScenario, inject_failure
 from relaysim.selection import generate_relay_list, solve_exact, solve_greedy
 
@@ -22,9 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CityTable", "ConfigError", "FailureScenario", "MetricsReport",
-    "Outcomes", "Peer", "Population", "RequestOutcome",
+    "Outcomes", "Population", "RequestOutcome",
     "SessionModel", "SimConfig", "Simulation", "SweepSpec", "TimeToStayModel", "TraceColumns",
-    "TraceRecord",
     "calibrate_pareto", "collect_metrics", "draw_candidates",
     "estimate_time_to_stay", "generate_relay_list", "inject_failure", "parse_trace", "run",
     "run_sweep", "run_trace", "solve_exact", "solve_greedy", "validate_config",

@@ -1,4 +1,4 @@
-"""Peer churn: Poisson arrivals, Pareto session durations, time-to-stay.
+"""Churn: Poisson arrivals, Pareto session durations, time-to-stay.
 
 Session durations are heavy tailed. The Pareto parameters default to a
 two-quantile calibration: 60% of sessions shorter than 1 minute and 90%

@@ -7,33 +7,32 @@ decides every path: is this peer cut off now (FailureScenario.cut_off)? A
 requester that is not reaches the server; a relay that is not reaches the
 server and any requester.
 
-A run reads a Population, read-only columns in issue order; a Peer record
-is only an input (Population.from_peers). Rules read the columns: a peer
-is online over [join, dep) (_walk, Simulation.run). Server fetches hold no
-relay capacity, so they are decided at issue time on whole columns. The
-candidate draws and the path-aware rank depend only on the population, so
-draw_candidates makes every list before the event loop, a block of
-requesters at a time: pick positions as arrays from the pool sizes, one
-sweep that only indexes the ascending online id ranks (positions in
-by_id), one gather from id ranks to rows, then the fetch-failure history
-and the rank as array steps. From there a relay is its row: a list is a
-tuple of relay rows in try order, and the run's ledger is keyed by row.
-The relay phase is one loop in Simulation.run. It resolves the attempts
-due by each relay-phase join before issuing that request, so its heap
-holds attempt resolutions only; a path-aware list then drops the relays
-busy in the ledger, and the loop decides each attempt's verdict, rate and
-resolution time in full when it starts. Results are one Outcomes table of
-columns. The loop reads and writes one scalar at a time through
-memoryviews of the population, draw-table and outcome columns: indexing
-one gives a built-in int or float, at under half the cost of ndarray.item,
-and copies nothing.
+A run reads a Population, read-only columns in issue order built from
+PeerColumns. Rules read the columns: a peer is online over [join, dep)
+(_walk, Simulation.run). Server fetches hold no relay capacity, so they
+are decided at issue time on whole columns. The candidate draws and the
+path-aware rank depend only on the population, so draw_candidates makes
+every list before the event loop, a block of requesters at a time: pick
+positions as arrays from the pool sizes, one sweep that only indexes the
+ascending online id ranks (positions in by_id), one gather from id ranks
+to rows, then the fetch-failure history and the rank as array steps. From
+there a relay is its row: a list is a tuple of relay rows in try order,
+and the run's ledger is keyed by row. The relay phase is one loop in
+Simulation.run. It resolves the attempts due by each relay-phase join
+before issuing that request, so its heap holds attempt resolutions only;
+a path-aware list then drops the relays busy in the ledger, and the loop
+decides each attempt's verdict, rate and resolution time in full when it
+starts. Results are one Outcomes table of columns. The loop reads and
+writes one scalar at a time through memoryviews of the population,
+draw-table and outcome columns: indexing one gives a built-in int or
+float, at under half the cost of ndarray.item, and copies nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from relaysim import churn
 from relaysim.churn import SessionModel, TimeToStayModel
-from relaysim.model import (RATE_EPS, Peer, PeerColumns, RelayLedger, SimConfig,
+from relaysim.model import (RATE_EPS, PeerColumns, RelayLedger, SimConfig,
                             validate_config)
 from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
@@ -65,7 +64,8 @@ _SUCCESS, _REQUESTER_LOST, _RELAY_LOST, _REJECT = range(4)
 
 @dataclass(slots=True)
 class RequestOutcome:
-    """Terminal record of one request."""
+    """Terminal record of one request. Runs keep Outcomes columns; this row
+    form stays because the benchmark's check_outcomes reads rows by attribute."""
 
     requester_id: int
     size_kb: float
@@ -87,8 +87,7 @@ class Outcomes:
     entered_relay_phase are read-only views of its columns. served_by
     holds the serving relay's id, SERVED_BY_SERVER or UNSERVED; a row is a
     primary success when served_by >= 0 and attempts == 1. Iteration
-    yields the rows as RequestOutcome records of built-in values, and two
-    tables are equal when their rows are.
+    yields the rows as RequestOutcome records of built-in values.
     """
 
     size_kb: float
@@ -103,6 +102,7 @@ class Outcomes:
         return len(self.requester_id)
 
     def __iter__(self) -> Iterator[RequestOutcome]:
+        # kept for the benchmark's check_outcomes, which reads rows by attribute
         labels = {SERVED_BY_SERVER: SERVER, UNSERVED: None}
         size_kb = self.size_kb
         for pid, start, end, code, attempts, relay_phase in zip(
@@ -111,9 +111,6 @@ class Outcomes:
                 self.entered_relay_phase.tolist()):
             yield RequestOutcome(pid, size_kb, start, labels.get(code, code), attempts,
                                  relay_phase, end)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Outcomes) else NotImplemented
 
 
 @dataclass
@@ -238,11 +235,12 @@ class Population:
     scenario) and cut (cut off at its join: the request enters the relay
     phase); by_id holds the rows in ascending id order, so
     by_id[np.searchsorted(ids, pid, sorter=by_id)] is the row of a present
-    id pid; every peer passes the checks of __init__. A Population shares
-    no memory its caller can write: it keeps an input column itself only
-    when the columns are already in issue order and that column is
-    read-only, down to the memory it views (as build_population's are),
-    and otherwise holds a copy.
+    id pid; every peer passes the checks of __init__, and every affected id
+    of the scenario names one of them. A Population shares no memory its
+    caller can write: it keeps an input column itself only when the columns
+    are already in issue order and that column is read-only, down to the
+    memory it views (as build_population's are), and otherwise holds a
+    copy.
     """
 
     def __init__(self, columns: PeerColumns, scenario: FailureScenario):
@@ -260,6 +258,9 @@ class Population:
             else column.copy() for column in c[1:7])
         self.dep = self.join + (c.duration if order is None else c.duration[order])
         self.affected = np.isin(self.ids, list(scenario.affected))
+        if np.count_nonzero(self.affected) != len(scenario.affected):
+            missing = min(scenario.affected.difference(self.ids.tolist()))
+            raise ValueError(f"affected peer {missing} is not in the population")
         self.cut = self.affected & (scenario.start_time <= self.join) & (
             self.join < scenario.end_time)
         self.in_region = c._replace(city=self.city).in_city(scenario.region)
@@ -269,11 +270,6 @@ class Population:
             raise ValueError("peer ids must be unique")
         for column in filter(lambda v: isinstance(v, np.ndarray), vars(self).values()):
             column.flags.writeable = False
-
-    @classmethod
-    def from_peers(cls, peers: Iterable[Peer], scenario: FailureScenario) -> Population:
-        """The population of the given Peer records, in list order."""
-        return cls(PeerColumns.from_peers(peers), scenario)
 
     def issued_by(self, horizon: float) -> int:
         """Requests issued by the horizon: the leading rows with join <= horizon."""
@@ -364,7 +360,7 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     ranks sort as ids do. The slots careful picks come from the
     requester's bucket (zero slots: the random draw).
 
-    Step s is requester s's join t_s. Peer q among the first k rows is
+    Step s is requester s's join t_s. The peer q among the first k rows is
     online at step s when join_q <= t_s < departure_q: it arrives at the
     first step at or after its join and leaves at the first step at or
     after its departure, so a zero-length session never comes online. The

@@ -1,16 +1,14 @@
 """File formats, trace replay and parameter sweeps.
 
-Covers: key=value config files, access-trace CSV parsing and synthesis
-(a trace is a model.TraceColumns table: parse_trace reads the CSV a block
-of rows at a time into its columns, and build_trace_peers and run_trace
-read them; callers that hold TraceRecord rows pass
-TraceColumns.from_records(records)),
-parameter sweeps with a stable CSV schema, per-request outcome dumps
-(written from the Outcomes columns a block at a time) and metrics JSON.
-The command line that reads and writes them is relaysim.cli. All emitted
-files are deterministic: fixed row order, repr-formatted floats, newline
-line endings. A run, trace replay or sweep cell whose horizon ends before
-its first request is an error, not an empty result.
+Covers: key=value config files, access-trace CSV parsing and synthesis (a
+trace is a model.TraceColumns table: parse_trace reads the CSV a block of
+rows at a time into its columns, and build_trace_peers and run_trace read
+them), parameter sweeps with a stable CSV schema, per-request outcome
+dumps (written from the Outcomes columns a block at a time) and metrics
+JSON. The command line that reads and writes them is relaysim.cli. All
+emitted files are deterministic: fixed row order, repr-formatted floats,
+newline line endings. A run, trace replay or sweep cell whose horizon
+ends before its first request is an error, not an empty result.
 """
 
 from __future__ import annotations
@@ -327,12 +325,13 @@ def run_trace(trace: TraceColumns, cfg: SimConfig) -> tuple[MetricsReport, Outco
     spanning the whole run, so those users take the relay path exactly
     where the log says the server path failed. A trace without rows, or a
     finite sim_duration ending before the first request (epoch timestamps
-    under a one-hour horizon, say), raises ValueError. Records are
-    replayed as TraceColumns.from_records(records).
+    under a one-hour horizon, say), raises ValueError. Any other trace
+    type raises TypeError.
     """
     if not isinstance(trace, TraceColumns):
         raise TypeError(f"run_trace takes a TraceColumns, got {type(trace).__name__}; "
-                        f"build one with TraceColumns.from_records(records)")
+                        f"build one with TraceColumns(user_id, request_ts, leave_ts, "
+                        f"fetch_failure)")
     validate_config(cfg)
     if not len(trace):
         raise ValueError("the trace has no requests to replay")

@@ -1,9 +1,8 @@
 """Domain types and validated configuration for the delivery simulator.
 
-Everything else in the package builds on the types here: peers (as
-columns, and Peer row records as an input), access traces (TraceColumns,
-a checked table that parse_trace fills and run_trace reads, and its
-TraceRecord rows at the API edge), and the central SimConfig whose
+Everything else in the package builds on the types here: peers as
+columns (PeerColumns), access traces (TraceColumns, a checked table that
+parse_trace fills and run_trace reads), and the central SimConfig whose
 defaults describe the reference scenario (5000 peers across five cities,
 Poisson arrivals, heavy-tailed sessions, one failed region).
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,30 +51,10 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-@dataclass(frozen=True, slots=True)
-class Peer:
-    """One browser peer with one bounded session (seconds), as a row
-    record a caller hands in (Population.from_peers). Runs and their
-    readers read only the Population's columns.
-    """
-
-    id: int
-    city: str
-    isp: int
-    uplink_kbps: float
-    downlink_kbps: float
-    join_time: float
-    session_duration: float
-
-    @property
-    def departure_time(self) -> float:
-        return self.join_time + self.session_duration
-
-
 class PeerColumns(NamedTuple):
-    """Peer attributes as columns, one entry per peer in the order drawn
-    or listed: int64 ids, city codes (into cities) and isp; float64 kbps
-    capacities and join times and session durations in seconds."""
+    """The peers' attributes as columns, one entry per peer in the order
+    drawn or listed: int64 ids, city codes (into cities) and isp; float64
+    kbps capacities and join times and session durations in seconds."""
 
     cities: tuple[str, ...]
     ids: np.ndarray
@@ -85,16 +64,6 @@ class PeerColumns(NamedTuple):
     downlink: np.ndarray
     join: np.ndarray
     duration: np.ndarray
-
-    @classmethod
-    def from_peers(cls, peers: Iterable[Peer]) -> PeerColumns:
-        """The columns of the given Peer records, in list order."""
-        peers = list(peers)
-        cities = tuple(dict.fromkeys(p.city for p in peers))
-        ints = np.array([(p.id, cities.index(p.city), p.isp) for p in peers], np.int64)
-        floats = np.array([(p.uplink_kbps, p.downlink_kbps, p.join_time, p.session_duration)
-                           for p in peers], np.float64)
-        return cls(cities, *ints.reshape(-1, 3).T, *floats.reshape(-1, 4).T)
 
     def in_city(self, name: str | None) -> np.ndarray:
         """Mask of the peers in the named city; None matches none."""
@@ -145,20 +114,6 @@ class RelayLedger:
             self.workload.pop(relay, None)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One access-log row: a user session with an optional fetch failure mark."""
-
-    user_id: str
-    request_ts: float
-    leave_ts: float
-    fetch_failure: bool = False
-
-    @property
-    def duration(self) -> float:
-        return self.leave_ts - self.request_ts
-
-
 TRACE_EMPTY_USER, TRACE_NON_FINITE, TRACE_BACKWARDS = 1, 2, 3
 _TRACE_FAULTS = {TRACE_EMPTY_USER: "empty user_id", TRACE_NON_FINITE: "non-finite timestamp",
                  TRACE_BACKWARDS: "leave_ts precedes request_ts"}
@@ -186,8 +141,6 @@ class TraceColumns:
     column, and building one checks every row (a user_id that is not
     blank, finite timestamps, leave_ts >= request_ts), raising ValueError
     naming the first bad row.
-    Iteration yields the rows as TraceRecord records of built-in values,
-    and two tables are equal when their rows are.
     """
 
     user_id: tuple[str, ...]
@@ -212,22 +165,8 @@ class TraceColumns:
                              f"{_TRACE_FAULTS[faults.item(row)]}, request_ts "
                              f"{self.request_ts.item(row)!r}, leave_ts {self.leave_ts.item(row)!r}")
 
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> TraceColumns:
-        """The columns of the given TraceRecord rows, in list order."""
-        records = list(records)
-        return cls(tuple(r.user_id for r in records), [r.request_ts for r in records],
-                   [r.leave_ts for r in records], [r.fetch_failure for r in records])
-
     def __len__(self) -> int:
         return len(self.user_id)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return map(TraceRecord, self.user_id, self.request_ts.tolist(),
-                   self.leave_ts.tolist(), self.fetch_failure.tolist())
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, TraceColumns) else NotImplemented
 
 
 @dataclass
@@ -316,6 +255,8 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("failure_start: must be non-negative and finite")
     if not cfg.failure_start < cfg.failure_end:
         errs.append("failure_start: must precede failure_end")
+    if cfg.failure_start > cfg.sim_duration:   # a request issued at the horizon can be cut off
+        errs.append("failure_start: must not come after sim_duration")
     if not 0 < cfg.content_size_kb < math.inf:
         errs.append("content_size_kb: must be positive and finite")
     if not cfg.content_sizes_kb or any(not 0 < s < math.inf for s in cfg.content_sizes_kb):

@@ -3,7 +3,7 @@
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -16,9 +16,72 @@ from relaysim import engine
 from relaysim.engine import (SERVED_BY_SERVER, UNSERVED, CandidateDraws, Outcomes, Population,
                              Simulation)
 from relaysim.io import _OUTCOME_BLOCK
-from relaysim.model import Peer, RelayLedger, SimConfig
+from relaysim.model import PeerColumns, RelayLedger, SimConfig, TraceColumns
 from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import _check_instance, rank_path_aware
+
+
+@dataclass(frozen=True, slots=True)
+class Peer:
+    """One browser peer with one bounded session (seconds): a PeerColumns
+    row as a record, for tests that name peers one at a time."""
+
+    id: int
+    city: str
+    isp: int
+    uplink_kbps: float
+    downlink_kbps: float
+    join_time: float
+    session_duration: float
+
+    @property
+    def departure_time(self) -> float:
+        return self.join_time + self.session_duration
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One access-log row, a TraceColumns row as a record: a user session
+    with an optional fetch failure mark."""
+
+    user_id: str
+    request_ts: float
+    leave_ts: float
+    fetch_failure: bool = False
+
+    @property
+    def duration(self) -> float:
+        return self.leave_ts - self.request_ts
+
+
+def peer_columns(peers):
+    """The PeerColumns of the given Peer records, in list order."""
+    peers = list(peers)
+    cities = tuple(dict.fromkeys(p.city for p in peers))
+    ints = np.array([(p.id, cities.index(p.city), p.isp) for p in peers], np.int64)
+    floats = np.array([(p.uplink_kbps, p.downlink_kbps, p.join_time, p.session_duration)
+                       for p in peers], np.float64)
+    return PeerColumns(cities, *ints.reshape(-1, 3).T, *floats.reshape(-1, 4).T)
+
+
+def population(peers, scenario=FailureScenario(frozenset())):
+    """The Population of the given Peer records, in list order; by default
+    no peer is cut off."""
+    return Population(peer_columns(peers), scenario)
+
+
+def trace_columns(records):
+    """The TraceColumns of the given TraceRecord rows, in list order."""
+    records = list(records)
+    return TraceColumns(tuple(r.user_id for r in records), [r.request_ts for r in records],
+                        [r.leave_ts for r in records], [r.fetch_failure for r in records])
+
+
+def trace_rows(trace):
+    """The rows of a TraceColumns table as TraceRecord records of built-in
+    values, in row order."""
+    return list(map(TraceRecord, trace.user_id, trace.request_ts.tolist(),
+                    trace.leave_ts.tolist(), trace.fetch_failure.tolist()))
 
 
 class Online(NamedTuple):
@@ -54,7 +117,7 @@ def sweep_draw(requester, online, t, u, *, failed=(), **fields):
     peers = history + [p for p in others if p.id not in failed] + [
         replace(requester, join_time=t)]
     cut = frozenset(p.id for p in history) | {requester.id}
-    listed = Population.from_peers(peers, FailureScenario(cut))
+    listed = population(peers, FailureScenario(cut))
     cfg = SimConfig(peer_count=len(peers), sim_duration=math.inf, **fields)
     # the requester reads row r of the stream, r its rank by id among the
     # cut-off peers; the other rows are never read by its draw
@@ -104,8 +167,8 @@ def fixed_list_simulation(cfg, peers, scenario, lists):
     """A Simulation of cfg under the random strategy on the given Peer
     records, whose relay-phase requesters walk the given lists (fixed_draws)."""
     cfg = replace(cfg, strategy="random")
-    population = Population.from_peers(peers, scenario)
-    return Simulation(cfg, population, fixed_draws(cfg, population, lists))
+    listed = population(peers, scenario)
+    return Simulation(cfg, listed, fixed_draws(cfg, listed, lists))
 
 
 def one_attempt(relay, requester, t=0.0, affected=(), in_use=None, **fields):
@@ -156,11 +219,6 @@ def peer_rows(columns):
     return [Peer(pid, columns.cities[city], isp, up, down, join, duration)
             for pid, city, isp, up, down, join, duration in zip(
                 *(column.tolist() for column in columns[1:]))]
-
-
-def population(peers):
-    """The Population of the given Peer records, with no peer cut off."""
-    return Population.from_peers(peers, FailureScenario(frozenset()))
 
 
 def rows_of(population, ids):

@@ -33,10 +33,10 @@ import numpy as np
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
 from relaysim.engine import MetricsReport
 from relaysim.io import OUTCOME_COLUMNS, TRACE_COLUMNS, TraceFormatError, _fmt, _parse_timestamp
-from relaysim.model import RATE_EPS, TraceRecord
+from relaysim.model import RATE_EPS
 from relaysim.netsim import SERVER, CityTable, haversine_km, latency_ms
 
-from helpers import online_set
+from helpers import TraceRecord, online_set
 
 # Resolutions that deliver run first at one instant, then the other
 # resolutions, then request issues; ties keep the order they were added in.

@@ -25,7 +25,7 @@ from relaysim.churn import (
 )
 from relaysim.engine import build_population, run, _stream, _STREAM_FAILURE
 from relaysim.io import SweepSpec, run_sweep
-from relaysim.model import Peer, RelayLedger, SimConfig
+from relaysim.model import RelayLedger, SimConfig
 from relaysim.netsim import FailureScenario, inject_failure, latency_ms
 from relaysim.selection import (
     Infeasible,
@@ -34,8 +34,8 @@ from relaysim.selection import (
     solve_greedy,
 )
 
-from helpers import (careful_head, ids_of, ledger_by_row, online_set, peer_rows, population,
-                     ranked_list)
+from helpers import (Peer, careful_head, ids_of, ledger_by_row, online_set, peer_rows,
+                     population, ranked_list)
 from reference import draw_path_aware
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)

@@ -33,15 +33,13 @@ from relaysim.engine import (
     _STREAM_POPULATION,
 )
 from relaysim.churn import SessionModel
-from relaysim.io import (SweepSpec, build_trace_peers, parse_trace, run_sweep, run_trace,
-                         synthesize_trace, write_outcomes_csv, write_trace_csv)
-from relaysim.model import (RATE_EPS, CapacityError, Peer, PeerColumns, RelayLedger, SimConfig,
-                            TraceColumns, TraceRecord)
+from relaysim.io import build_trace_peers, synthesize_trace, write_outcomes_csv
+from relaysim.model import RATE_EPS, CapacityError, PeerColumns, RelayLedger, SimConfig
 from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError, haversine_km
 
-from helpers import (candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
-                     outcome_tables, outcomes_table, peer_of, peer_rows, peers_of, row_by_id,
-                     run_recording_lists)
+from helpers import (Peer, candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
+                     outcome_tables, outcomes_table, peer_columns, peer_of, peer_rows, peers_of,
+                     row_by_id, run_recording_lists, trace_columns, trace_rows)
 from reference import collect_metrics_rows, primary_success, reference_draws, reference_run
 
 
@@ -347,10 +345,10 @@ class TestAttemptDownload:
     def test_unknown_city_fails_loudly(self):
         cfg = SimConfig(peer_count=2)
         known = [make_peer(0), make_peer(1, city="Wuhan")]
-        Simulation(cfg, Population.from_peers(known, FailureScenario(frozenset())))
+        Simulation(cfg, Population(peer_columns(known), FailureScenario(frozenset())))
         for cities in (("Atlantis", "Beijing"), ("Beijing", "Atlantis")):
             peers = [make_peer(i, city=city) for i, city in enumerate(cities)]
-            population = Population.from_peers(peers, FailureScenario(frozenset()))
+            population = Population(peer_columns(peers), FailureScenario(frozenset()))
             with pytest.raises(UnknownCityError, match="Atlantis"):
                 Simulation(cfg, population)
 
@@ -441,7 +439,7 @@ class TestSimulation:
             shared = Simulation(cell, population)
             own = Simulation(cell)
             assert shared.run() == own.run()
-            assert shared.outcomes == own.outcomes
+            assert list(shared.outcomes) == list(own.outcomes)
 
     def test_peers_are_immutable(self):
         peer = make_peer(1)
@@ -500,13 +498,13 @@ class TestSimulation:
         population = draw_population(small_cfg(peer_count=50))
         peers = peers_of(population)
         with pytest.raises(ValueError, match="unique"):
-            Population.from_peers([*peers, peers[7]], population.scenario)
+            Population(peer_columns([*peers, peers[7]]), population.scenario)
 
     def test_negative_peer_ids_rejected(self):
         # Outcomes.served_by codes the server and unserved as negative ids
         peers = [make_peer(0), make_peer(-1)]
         with pytest.raises(ValueError, match="non-negative"):
-            Population.from_peers(peers, FailureScenario(frozenset()))
+            Population(peer_columns(peers), FailureScenario(frozenset()))
 
     @pytest.mark.parametrize("field, value, rule", [
         ("join", math.nan, "a finite join"), ("join", math.inf, "a finite join"),
@@ -524,11 +522,22 @@ class TestSimulation:
         # The first peer listed that breaks the rule is named, here 7.
         peers = [make_peer(0), make_peer(7, **{field: value}), make_peer(3, **{field: value})]
         with pytest.raises(ValueError, match=f"^peer 7 needs {rule}$"):
-            Population.from_peers(peers, FailureScenario(frozenset()))
+            Population(peer_columns(peers), FailureScenario(frozenset()))
+
+    def test_affected_ids_the_population_lacks_are_rejected(self):
+        # Unchecked, they cut no one off and the run reports 0 affected
+        # requests; the smallest missing id is named.
+        columns = peer_columns([make_peer(0), make_peer(5), make_peer(2)])
+        for affected in ({10**9}, {0, 7, 10**9, 3}):
+            with pytest.raises(ValueError, match=rf"^affected peer {min(affected - {0})} is "
+                                                 r"not in the population$"):
+                Population(columns, FailureScenario(frozenset(affected)))
+        assert Population(columns, FailureScenario(frozenset({0, 2}))).affected.tolist() == [
+            True, False, True]
 
     def test_endless_sessions_and_idle_uplinks_are_accepted(self):
         peers = [make_peer(0, dur=math.inf, up=0.0), make_peer(1, dur=0.0)]
-        population = Population.from_peers(peers, FailureScenario(frozenset()))
+        population = Population(peer_columns(peers), FailureScenario(frozenset()))
         assert population.dep.tolist() == [math.inf, 0.0]
 
     def test_run_returns_report(self):
@@ -541,7 +550,7 @@ class TestSimulation:
         # admitting it would keep it online for good.
         peers = [make_peer(0, join=0.0, dur=0.0), make_peer(1, join=5.0, dur=100.0)]
         scenario = FailureScenario(frozenset({1}))
-        population = Population.from_peers(peers, scenario)
+        population = Population(peer_columns(peers), scenario)
         cfg = small_cfg(strategy="random")
         lists, pools = reference_draws(cfg, peers, scenario)
         sim = Simulation(cfg, population)
@@ -607,7 +616,7 @@ class TestSimulation:
             shared = Simulation(cell, population, draws)
             own = Simulation(cell, population)
             assert shared.run() == own.run()
-            assert shared.outcomes == own.outcomes
+            assert list(shared.outcomes) == list(own.outcomes)
 
     def test_no_relay_draws_no_selection_stream(self, monkeypatch):
         real = engine._stream
@@ -654,7 +663,7 @@ class TestNoRelaySkipsOnlineSet:
         (skipped_report, skipped_scheduled), (tracked_report, tracked_scheduled) = (
             scheduled_by_priority(sim) for sim in (skipped, tracked))
         assert skipped_report == tracked_report
-        assert skipped.outcomes == tracked.outcomes
+        assert list(skipped.outcomes) == list(tracked.outcomes)
         assert candidate_lists(skipped._draws) == {}
         # the loop issues the relay-phase requests and schedules their
         # resolutions only: one issue per peer cut off at a join by the
@@ -738,7 +747,7 @@ class TestProtocolProperties:
     def test_every_request_ends_once_and_consistently(self, run_args):
         cfg, peers, scenario = run_args
         horizon = cfg.sim_duration
-        sim = Simulation(cfg, Population.from_peers(peers, scenario))
+        sim = Simulation(cfg, Population(peer_columns(peers), scenario))
         lists = run_recording_lists(sim)
         assert sorted(o.requester_id for o in sim.outcomes) == sorted(
             p.id for p in peers if p.join_time <= horizon)
@@ -799,7 +808,7 @@ class TestProtocolProperties:
                 if rate:
                     held.append((relay, rate, row))
                 real_push(heap, entry)
-            sim = Simulation(cfg, Population.from_peers(peers, scenario))
+            sim = Simulation(cfg, Population(peer_columns(peers), scenario))
             with mock.patch.object(RelayLedger, "commit", commit), \
                     mock.patch.object(heapq, "heappush", push):
                 sim.run()
@@ -822,7 +831,7 @@ class TestProtocolProperties:
                                       max_size=len(peers), unique=True))
         peers = [dataclasses.replace(p, join_time=q / 4.0) for p, q in zip(peers, quarters)]
         shuffled = data.draw(st.permutations(peers))
-        runs = [Simulation(cfg, Population.from_peers(order, scenario))
+        runs = [Simulation(cfg, Population(peer_columns(order), scenario))
                 for order in (peers, shuffled)]
         reports = [sim.run() for sim in runs]
         assert reports[0] == reports[1]
@@ -918,7 +927,7 @@ class TestWholeRunReference:
 
     @staticmethod
     def check(cfg, peers, scenario):
-        sim = Simulation(cfg, Population.from_peers(peers, scenario))
+        sim = Simulation(cfg, Population(peer_columns(peers), scenario))
         sim.run()
         got = {o.requester_id: (o.served_by, o.attempts, o.end_time, o.entered_relay_phase)
                for o in sim.outcomes}
@@ -941,7 +950,7 @@ class TestHorizon:
     @pytest.mark.parametrize("horizon", [1.1, math.inf])
     def test_open_request_ends_by_its_departure(self, horizon):
         cfg, peers, scenario = crossed_reject(horizon)
-        sim = Simulation(cfg, Population.from_peers(peers, scenario))
+        sim = Simulation(cfg, Population(peer_columns(peers), scenario))
         sim.run()
         assert [(o.requester_id, o.served_by, o.attempts) for o in sim.outcomes] == [
             (0, None, 1), (1, None, 1)]
@@ -975,37 +984,7 @@ def draw_populations(draw):
 
 
 class TestColumnsOnly:
-    """Runs read the population's columns; Peer records exist only at the
-    API edge."""
-
-    def test_runs_build_no_peer(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a Peer was built")
-        monkeypatch.setattr(Peer, "__init__", refuse)
-        cfg = small_cfg(sim_duration=math.inf)
-        report = Simulation(cfg).run()
-        assert report.served_by_relay > 0
-        sweep = run_sweep(SweepSpec(content_sizes_kb=(500.0,), failure_ratios=(0.6,),
-                                    strategies=("random", "path-aware"), seeds=(0,)), cfg)
-        assert len(sweep.rows) == 2 and sweep.failures == []
-        report, _ = run_trace(synthesize_trace(100, seed=1, fail_fraction=0.5), cfg)
-        assert report.served_by_relay > 0
-        with pytest.raises(AssertionError, match="a Peer was built"):
-            make_peer(0)
-
-    def test_trace_replay_builds_no_trace_record(self, monkeypatch, tmp_path):
-        # parse_trace fills the columns and run_trace reads them; TraceRecord
-        # rows exist only at the API edge.
-        write_trace_csv(synthesize_trace(200, seed=1, fail_fraction=0.5), tmp_path / "t.csv")
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a TraceRecord was built")
-        monkeypatch.setattr(TraceRecord, "__init__", refuse)
-        parsed = parse_trace(tmp_path / "t.csv")
-        report, _ = run_trace(parsed.records, small_cfg(sim_duration=math.inf))
-        assert report.total_requests == 200 and report.served_by_relay > 0
-        with pytest.raises(AssertionError, match="a TraceRecord was built"):
-            list(parsed.records)
+    """Runs read the population's columns."""
 
     @pytest.mark.parametrize("source", ["draw", "trace"])
     def test_rows_round_trip_to_equal_columns(self, source):
@@ -1014,12 +993,12 @@ class TestColumnsOnly:
             population = draw_population(cfg)
         else:
             # a trace listed out of join order: ids are not issue rows
-            trace = TraceColumns.from_records(
-                list(synthesize_trace(500, seed=2, fail_fraction=0.5))[::-1])
+            rows = trace_rows(synthesize_trace(500, seed=2, fail_fraction=0.5))
+            trace = trace_columns(rows[::-1])
             population = Population(build_trace_peers(trace, cfg, np.random.default_rng(3)),
                                     FailureScenario(frozenset(range(0, 500, 2))))
             assert population.ids.tolist() != list(range(500))
-        again = Population.from_peers(peers_of(population), population.scenario)
+        again = Population(peer_columns(peers_of(population)), population.scenario)
         for name in ("ids", "isp", "uplink", "downlink", "join", "dep", "affected", "cut",
                      "in_region", "by_id"):
             assert np.array_equal(getattr(again, name), getattr(population, name)), name
@@ -1030,7 +1009,7 @@ class TestColumnsOnly:
     def test_by_id_maps_ids_to_rows(self):
         peers = [make_peer(7, join=2.0, dur=3.0), make_peer(3, city="Wuhan", isp=2, join=1.0),
                  make_peer(5, join=0.5)]
-        population = Population.from_peers(peers, FailureScenario(frozenset()))
+        population = Population(peer_columns(peers), FailureScenario(frozenset()))
         assert population.ids.tolist() == [5, 3, 7] and population.by_id.tolist() == [1, 0, 2]
         assert [peer_of(population, pid) for pid in (7, 3, 5)] == peers
         assert peer_of(population, np.int64(7)) == peers[0]
@@ -1045,7 +1024,7 @@ class TestColumnsOnly:
         # list sized by its raw bucket code would not fit in memory
         peers = [make_peer(10**7), make_peer(1, join=1.0), make_peer(2, join=1000.0),
                  make_peer(3, isp=10**12, join=2000.0)]
-        population = Population.from_peers(peers, FailureScenario(frozenset({1, 2})))
+        population = Population(peer_columns(peers), FailureScenario(frozenset({1, 2})))
         cfg = small_cfg(peer_count=3, strategy=strategy, sim_duration=math.inf)
         sim = Simulation(cfg, population)
         sim.run()
@@ -1188,7 +1167,8 @@ class TestDrawPass:
         cfg, peers, scenario = case
         cfg = replace(cfg, strategy=strategy)
         with mock.patch.object(engine, "_RANK_BLOCK", block):
-            lists = candidate_lists(draw_candidates(cfg, Population.from_peers(peers, scenario)))
+            lists = candidate_lists(draw_candidates(cfg, Population(peer_columns(peers),
+                                                                    scenario)))
         want, pools = reference_draws(cfg, peers, scenario)
         requesters = {p.id for p in peers if p.join_time <= cfg.sim_duration
                       and scenario.cut_off(p.id, p.join_time)}
@@ -1206,7 +1186,7 @@ class TestDrawPass:
         cfg = small_cfg(strategy=strategy, sim_duration=3.0)
         lists, pools = reference_draws(cfg, peers, scenario)
         assert pools == {1: (1.0, [0], [0]), 2: (2.0, [0], [0]), 3: (2.0, [0, 2], [0, 2])}
-        draws = draw_candidates(cfg, Population.from_peers(peers, scenario))
+        draws = draw_candidates(cfg, Population(peer_columns(peers), scenario))
         assert candidate_lists(draws) == lists
 
     @pytest.mark.parametrize("strategy", ["random", "path-aware"])
@@ -1215,11 +1195,11 @@ class TestDrawPass:
         # joins are rounded to 5 s so equal joins straddle block edges of 1
         # and 3 requesters; every fourth session is empty.
         records = [replace(rec, request_ts=5.0 * (rec.request_ts // 5.0))
-                   for rec in list(synthesize_trace(300, seed=4, fail_fraction=0.6))[::-1]]
+                   for rec in trace_rows(synthesize_trace(300, seed=4, fail_fraction=0.6))[::-1]]
         records = [replace(rec, leave_ts=rec.request_ts) if i % 4 == 0 else rec
                    for i, rec in enumerate(records)]
         cfg = small_cfg(strategy=strategy, peer_count=300, alpha=0.5, sim_duration=math.inf)
-        columns = build_trace_peers(TraceColumns.from_records(records), cfg,
+        columns = build_trace_peers(trace_columns(records), cfg,
                                     np.random.default_rng(5))
         population = Population(columns, FailureScenario(
             frozenset(i for i, rec in enumerate(records) if rec.fetch_failure)))
@@ -1245,8 +1225,8 @@ class TestDrawPass:
         peers = [make_peer(5), make_peer(2), make_peer(9)]
         cfg = small_cfg(peer_count=3, strategy="path-aware", alpha=0.0, zeta=3,
                         sim_duration=math.inf)
-        lists = run_recording_lists(Simulation(cfg, Population.from_peers(
-            peers, FailureScenario(frozenset({5, 2})))))
+        lists = run_recording_lists(Simulation(cfg, Population(peer_columns(
+            peers), FailureScenario(frozenset({5, 2})))))
         assert lists[5] == (2, 9)
         assert lists[2] == (9,)
 
@@ -1270,7 +1250,7 @@ def server_oracle(peer, horizon):
 
 
 def check_server_path(cfg, peers, scenario):
-    sim = Simulation(cfg, Population.from_peers(peers, scenario))
+    sim = Simulation(cfg, Population(peer_columns(peers), scenario))
     sim.run()
     horizon = cfg.sim_duration
     # one outcome per request issued by the horizon, in join order and, at

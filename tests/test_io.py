@@ -39,10 +39,11 @@ from relaysim.io import (
     write_trace_csv,
     _PARSERS,
 )
-from relaysim.model import CapacityError, ConfigError, SimConfig, TraceColumns, TraceRecord
+from relaysim.model import CapacityError, ConfigError, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
 
-from helpers import outcome_tables, outcomes_table, peer_rows, peers_of, trace_files
+from helpers import (TraceRecord, outcome_tables, outcomes_table, peer_rows, peers_of,
+                     trace_columns, trace_files, trace_rows)
 from reference import parse_trace_rows, write_outcomes_csv_rows
 
 
@@ -167,7 +168,7 @@ class TestTraceParsing:
         f = self.write(tmp_path, "u1,100,160,0\n")
         parsed = parse_trace(f)
         assert parsed.errors == ()
-        (rec,) = parsed.records
+        (rec,) = trace_rows(parsed.records)
         assert rec.user_id == "u1"
         assert rec.duration == 60.0
         assert rec.fetch_failure is False
@@ -175,12 +176,12 @@ class TestTraceParsing:
     def test_failure_flag(self, tmp_path):
         f = self.write(tmp_path, "u1,100,160,1\nu2,5,10,true\n")
         parsed = parse_trace(f)
-        assert [r.fetch_failure for r in parsed.records] == [True, True]
+        assert [r.fetch_failure for r in trace_rows(parsed.records)] == [True, True]
 
     def test_iso_timestamps(self, tmp_path):
         f = self.write(tmp_path,
                        "u1,2026-01-01T00:00:00Z,2026-01-01T00:01:00Z,0\n")
-        (rec,) = parse_trace(f).records
+        (rec,) = trace_rows(parse_trace(f).records)
         assert rec.duration == 60.0
 
     def test_missing_header_fatal(self, tmp_path):
@@ -203,7 +204,8 @@ class TestTraceParsing:
         f = self.write(tmp_path, '"a\nb",1,2,0\nc,5,3,0\n')
         for parse in (parse_trace, parse_trace_rows):
             parsed = parse(f)
-            records, errors = (parsed.records, parsed.errors) if parse is parse_trace else parsed
+            records, errors = ((trace_rows(parsed.records), parsed.errors)
+                               if parse is parse_trace else parsed)
             assert [r.user_id for r in records] == ["a\nb"]
             assert errors == ((4, "leave_ts precedes request_ts"),)
 
@@ -224,7 +226,7 @@ class TestTraceParsing:
     def test_non_finite_timestamps_rejected(self, tmp_path, req, leave):
         f = self.write(tmp_path, f"u1,0,100,0\nu2,{req},{leave},1\nu3,5,50,1\n")
         parsed = parse_trace(f)
-        assert [r.user_id for r in parsed.records] == ["u1", "u3"]
+        assert [r.user_id for r in trace_rows(parsed.records)] == ["u1", "u3"]
         ((lineno, msg),) = parsed.errors
         assert lineno == 3
         assert "bad timestamp" in msg
@@ -240,7 +242,7 @@ class TestTraceParsing:
         write_trace_csv(records, f)
         parsed = parse_trace(f)
         assert parsed.errors == ()
-        assert parsed.records == records
+        assert trace_rows(parsed.records) == trace_rows(records)
 
     @staticmethod
     def assert_parsers_agree(tmp_path_factory, text):
@@ -256,7 +258,7 @@ class TestTraceParsing:
                 return str(exc)
         parsed, want = result(parse_trace), result(parse_trace_rows)
         if not isinstance(parsed, str):
-            parsed = (tuple(parsed.records), parsed.errors)
+            parsed = (tuple(trace_rows(parsed.records)), parsed.errors)
         assert parsed == want
 
     @settings(max_examples=100, deadline=None)
@@ -322,12 +324,12 @@ class TestSynthesisAndReplay:
     def test_synthesize_counts(self):
         records = synthesize_trace(100, seed=1, fail_fraction=0.3)
         assert len(records) == 100
-        assert all(r.leave_ts > r.request_ts for r in records)
-        flagged = sum(r.fetch_failure for r in records)
+        assert all(r.leave_ts > r.request_ts for r in trace_rows(records))
+        flagged = sum(r.fetch_failure for r in trace_rows(records))
         assert 10 <= flagged <= 55
 
     def test_synthesize_deterministic(self):
-        assert synthesize_trace(20, seed=2) == synthesize_trace(20, seed=2)
+        assert trace_rows(synthesize_trace(20, seed=2)) == trace_rows(synthesize_trace(20, seed=2))
 
     def test_synthesize_validation(self):
         with pytest.raises(ValueError):
@@ -337,8 +339,7 @@ class TestSynthesisAndReplay:
 
     def test_build_trace_peers(self):
         import numpy as np
-        trace = TraceColumns.from_records((TraceRecord("a", 3.0, 10.0),
-                                           TraceRecord("b", 4.0, 20.0)))
+        trace = trace_columns((TraceRecord("a", 3.0, 10.0), TraceRecord("b", 4.0, 20.0)))
         cfg = SimConfig()
         peers = peer_rows(build_trace_peers(trace, cfg, np.random.default_rng(0)))
         assert [p.id for p in peers] == [0, 1]
@@ -351,7 +352,7 @@ class TestSynthesisAndReplay:
         import numpy as np
         records = synthesize_trace(60, seed=3, fail_fraction=0.2)
         assert [(type(r.user_id), type(r.request_ts), type(r.leave_ts), type(r.fetch_failure))
-                for r in records] == [(str, float, float, bool)] * 60
+                for r in trace_rows(records)] == [(str, float, float, bool)] * 60
         columns = build_trace_peers(records, SimConfig(), np.random.default_rng(1))
         for p in peers_of(engine.Population(columns, FailureScenario(frozenset()))):
             assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
@@ -369,7 +370,7 @@ class TestSynthesisAndReplay:
     def test_synthesize_start_offsets_every_session(self):
         base = synthesize_trace(25, seed=4)
         shifted = synthesize_trace(25, seed=4, start=1000.0)
-        for a, b in zip(base, shifted):
+        for a, b in zip(trace_rows(base), trace_rows(shifted)):
             assert b.request_ts == a.request_ts + 1000.0
             assert b.fetch_failure == a.fetch_failure
 
@@ -377,7 +378,7 @@ class TestSynthesisAndReplay:
         records = synthesize_trace(80, seed=6, fail_fraction=0.25)
         cfg = SimConfig(peer_count=80, rng_seed=0, strategy="no-relay")
         report, outcomes = run_trace(records, cfg)
-        flagged = {i for i, r in enumerate(records) if r.fetch_failure}
+        flagged = {i for i, r in enumerate(trace_rows(records)) if r.fetch_failure}
         assert report.total_requests == 80
         for o in outcomes:
             if o.requester_id in flagged:
@@ -404,19 +405,20 @@ class TestSynthesisAndReplay:
     ], ids=["backwards", "nan-request", "inf-leave", "empty-user", "blank-user"])
     def test_trace_columns_refuse_rows_parse_trace_rejects(self, bad, message):
         with pytest.raises(ValueError, match=message):
-            TraceColumns.from_records([TraceRecord("b", 0.0, 10.0), bad])
+            trace_columns([TraceRecord("b", 0.0, 10.0), bad])
 
     def test_run_trace_takes_only_trace_columns(self):
         records = [TraceRecord("b", 0.0, 10.0), TraceRecord("a", 1.0, 5.0)]
         cfg = SimConfig(peer_count=3, strategy="random")
-        with pytest.raises(TypeError, match="TraceColumns.from_records"):
+        with pytest.raises(TypeError, match=r"TraceColumns\(user_id, request_ts, leave_ts, "
+                                            r"fetch_failure\)"):
             run_trace(records, cfg)
-        report, _ = run_trace(TraceColumns.from_records(records), cfg)
+        report, _ = run_trace(trace_columns(records), cfg)
         assert report.total_requests == 2
 
     def test_run_trace_without_records_raises(self):
         with pytest.raises(ValueError, match="no requests"):
-            run_trace(TraceColumns.from_records(()), SimConfig())
+            run_trace(trace_columns(()), SimConfig())
 
     def test_run_trace_horizon_before_first_request(self):
         records = synthesize_trace(20, seed=1, start=1.7e9)   # epoch seconds
@@ -536,7 +538,7 @@ class TestSweep:
         for cfg, report, outcomes in cells:
             fresh = Simulation(cfg)
             assert fresh.run() == report
-            assert fresh.outcomes == outcomes
+            assert list(fresh.outcomes) == list(outcomes)
             if cfg.strategy in relay_phase:
                 relay_phase[cfg.strategy] += report.relay_phase_requests
         assert all(relay_phase.values())
@@ -742,6 +744,13 @@ class TestCli:
         assert main(["run", "--set", "alpha=1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_failure_window_after_the_horizon_exit_2(self, capsys):
+        assert main(["run", "--set", "sim_duration=100", "--set", "failure_start=200",
+                     "--set", "failure_end=300", "--set", "peer_count=200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: failure_start: must not come after sim_duration" in captured.err
+
     def test_unknown_config_key_exit_2(self, capsys):
         assert main(["run", "--set", "warpdrive=1"]) == 2
 
@@ -897,7 +906,7 @@ class TestCli:
         def sessions(*flags):
             trace = tmp_path / "t.csv"
             assert main(["trace", "--file", str(trace), "--synthesize", "5", *flags]) == 0
-            records = parse_trace(trace).records
+            records = trace_rows(parse_trace(trace).records)
             return [r.request_ts for r in records], [r.duration for r in records]
 
         joins, durations = sessions()
@@ -1056,9 +1065,9 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("strategy", sorted(TRACE_OUTCOMES))
     def test_trace_replay_outcomes_csv_digest(self, strategy, tmp_path):
         import numpy as np
-        records = list(synthesize_trace(300, seed=5, fail_fraction=0.5))
+        records = trace_rows(synthesize_trace(300, seed=5, fail_fraction=0.5))
         shuffled = [records[i] for i in np.random.default_rng(3).permutation(300).tolist()]
-        _, outcomes = run_trace(TraceColumns.from_records(shuffled),
+        _, outcomes = run_trace(trace_columns(shuffled),
                                 replace(self.CFG, strategy=strategy))
         assert outcomes.entered_relay_phase.any() and (outcomes.served_by >= 0).any()
         write_outcomes_csv(outcomes, tmp_path / "o.csv")

@@ -11,16 +11,14 @@ from relaysim.model import (
     DEFAULT_CITIES,
     STRATEGIES,
     ConfigError,
-    Peer,
     RelayLedger,
     SimConfig,
     TraceColumns,
-    TraceRecord,
     config_errors,
     validate_config,
 )
 
-from helpers import one_attempt
+from helpers import Peer, TraceRecord, one_attempt, trace_columns, trace_rows
 
 
 def make_peer(**kw):
@@ -76,14 +74,14 @@ class TestContentAndTrace:
 
     def test_trace_columns_round_trip_records(self):
         records = [TraceRecord("u1", 100.0, 160.0, True), TraceRecord("u0", 5.0, 5.0)]
-        trace = TraceColumns.from_records(records)
-        assert len(trace) == 2 and list(trace) == records
-        assert [[type(v) for v in dataclasses.astuple(r)] for r in trace] == [
+        trace = trace_columns(records)
+        assert len(trace) == 2 and trace_rows(trace) == records
+        assert [[type(v) for v in dataclasses.astuple(r)] for r in trace_rows(trace)] == [
             [str, float, float, bool]] * 2
-        assert trace == TraceColumns.from_records(iter(records))
-        assert trace != TraceColumns.from_records(records[::-1])
+        assert trace_rows(trace_columns(iter(records))) == records
+        assert trace_rows(trace_columns(records[::-1])) != records
         assert trace.request_ts.dtype == np.float64 and trace.fetch_failure.dtype == bool
-        assert len(TraceColumns.from_records([])) == 0
+        assert len(trace_columns([])) == 0
 
     def test_trace_columns_are_read_only_copies(self):
         joins = np.array([1.0, 2.0])
@@ -214,6 +212,13 @@ class TestConfigValidation:
     def test_failure_window_ordering(self):
         errs = config_errors(SimConfig(failure_start=10.0, failure_end=10.0))
         assert errs and "failure_start" in errs[0]
+
+    def test_failure_window_must_open_by_the_horizon(self):
+        errs = config_errors(SimConfig(sim_duration=100.0, failure_start=200.0,
+                                       failure_end=300.0))
+        assert errs == ["failure_start: must not come after sim_duration"]
+        # a request issued exactly at the horizon can still be cut off
+        assert config_errors(SimConfig(sim_duration=100.0, failure_start=100.0)) == []
 
     def test_infinite_defaults(self):
         cfg = SimConfig()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, Peer, PeerColumns
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE
 from relaysim.netsim import (
     CityTable,
     FailureScenario,
@@ -17,7 +17,7 @@ from relaysim.netsim import (
     latency_ms,
 )
 
-from helpers import one_attempt
+from helpers import Peer, one_attempt, peer_columns
 
 
 def make_peer(pid, city="Beijing", **kw):
@@ -198,7 +198,7 @@ class TestFailureInjection:
 
     @staticmethod
     def columns(peers):
-        return PeerColumns.from_peers(peers)
+        return peer_columns(peers)
 
     def test_floor_sampling(self):
         peers = self.make_region(100)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from relaysim.churn import TimeToStayModel, estimate_time_to_stay
 from relaysim.engine import Population, _walk
-from relaysim.model import Peer, PeerColumns, RelayLedger, SimConfig
+from relaysim.model import PeerColumns, RelayLedger, SimConfig
 from relaysim.netsim import FailureScenario
 from relaysim.selection import (
     Infeasible,
@@ -24,7 +24,7 @@ from relaysim.selection import (
     solve_greedy,
 )
 
-from helpers import (assignment_matrix, careful_head, flat_draws, ids_of, ledger_by_row,
+from helpers import (Peer, assignment_matrix, careful_head, flat_draws, ids_of, ledger_by_row,
                      population, save_instance, sweep_draw)
 from reference import durability, not_busy
 
