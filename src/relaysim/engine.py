@@ -2,10 +2,10 @@
 
 Each peer issues one content request when it arrives. Requests first try
 the server; a peer cut off by a regional failure falls back to its relay
-candidate list and works through it one attempt at a time. One question
-decides every path: is this peer cut off now (FailureScenario.cut_off)? A
-requester that is not reaches the server; a relay that is not reaches the
-server and any requester.
+candidate list and works through it one attempt at a time. One rule
+decides every path: is the peer's row affected and the time in the
+failure window? A requester that is not cut off reaches the server; a
+relay that is not reaches the server and any requester.
 
 A run reads a Population, read-only columns in issue order built from
 PeerColumns. Rules read the columns: a peer is online over [join, dep)
@@ -257,17 +257,19 @@ class Population:
             column[order] if order is not None else column if _read_only(column)
             else column.copy() for column in c[1:7])
         self.dep = self.join + (c.duration if order is None else c.duration[order])
-        self.affected = np.isin(self.ids, list(scenario.affected))
-        if np.count_nonzero(self.affected) != len(scenario.affected):
-            missing = min(scenario.affected.difference(self.ids.tolist()))
-            raise ValueError(f"affected peer {missing} is not in the population")
-        self.cut = self.affected & (scenario.start_time <= self.join) & (
-            self.join < scenario.end_time)
-        self.in_region = c._replace(city=self.city).in_city(scenario.region)
         self.by_id = np.argsort(self.ids)
         ranked = self.ids[self.by_id]
         if np.any(ranked[1:] == ranked[:-1]):
             raise ValueError("peer ids must be unique")
+        at = np.searchsorted(ranked, affected := scenario.affected)   # both ascend
+        found = (at < len(ranked)) & (np.append(ranked, 0)[at] == affected)
+        if not found.all():
+            raise ValueError(f"affected peer {affected[~found][0]} is not in the population")
+        self.affected = np.zeros(len(ranked), bool)
+        self.affected[self.by_id[at]] = True
+        self.cut = self.affected & (scenario.start_time <= self.join) & (
+            self.join < scenario.end_time)
+        self.in_region = c._replace(city=self.city).in_city(scenario.region)
         for column in filter(lambda v: isinstance(v, np.ndarray), vars(self).values()):
             column.flags.writeable = False
 
@@ -503,6 +505,27 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     return parts, blocks()
 
 
+def _check_draws(draws: CandidateDraws, cfg: SimConfig) -> None:
+    """Raise ValueError naming the first rule a draw table breaks: offsets
+    start at 0, never decrease, end at len(relays) and hold one entry per
+    relay-phase request issued by the horizon plus one (any count under
+    no-relay, which reads no list); every relay is a population row."""
+    p, relays, offsets = draws.population, draws.relays, draws.offsets
+    n = len(p.ids)
+    lists = len(offsets) - 1 if cfg.strategy == "no-relay" else np.count_nonzero(
+        p.cut[:p.issued_by(cfg.sim_duration)])
+    for rule, broken in (
+            ("offsets that start at 0", offsets[:1].tolist() != [0]),
+            ("offsets that never decrease", np.any(offsets[1:] < offsets[:-1])),
+            (f"offsets that end at len(relays), {len(relays)}",
+             offsets[-1:].tolist() != [len(relays)]),
+            (f"{lists + 1} offsets, one per relay-phase request plus one",
+             len(offsets) != lists + 1),
+            (f"relay rows in [0, {n})", len(relays) and not 0 <= relays.min() <= relays.max() < n)):
+        if broken:
+            raise ValueError(f"candidate draws need {rule}")
+
+
 class Simulation:
     """One seeded simulation run of cfg.strategy; single-shot.
 
@@ -511,7 +534,8 @@ class Simulation:
     under the same seed see the identical population and failure draw. To
     run several cells on one population, pass it (draw_population) and its
     candidate lists (draw_candidates) for cfg's _draws_key; lists from
-    another population or config key are rejected.
+    another population or config key, or a table that breaks the rules of
+    _check_draws, are rejected.
     """
 
     def __init__(self, cfg: SimConfig, population: Population | None = None,
@@ -526,6 +550,7 @@ class Simulation:
             if candidates.made_for != _draws_key(cfg):
                 raise ValueError(f"candidate draws made for {candidates.made_for}, "
                                  f"not {_draws_key(cfg)}")
+            _check_draws(candidates, cfg)
         self.population = population
         # Read only by perfbench's check_outcomes, which asks `relay in peers`.
         self.peers = population.ids
@@ -565,12 +590,12 @@ class Simulation:
         out = self.outcomes
         end_time, served_by, attempts = map(memoryview, (out.end_time, out.served_by,
                                                          out.attempts))
-        ids, city, uplink, downlink, join, dep = map(memoryview, (
+        ids, city, uplink, downlink, join, dep, affected = map(memoryview, (
             population.ids, population.city, population.uplink, population.downlink,
-            population.join, population.dep))
+            population.join, population.dep, population.affected))
         relays, offsets = map(memoryview, (self._draws.relays, self._draws.offsets))
         handshake, size_kbits = self._handshake, self._size_kbits
-        cut_off = population.scenario.cut_off
+        start, end = population.scenario.start_time, population.scenario.end_time
         free_kbps, commit, release, workload = (
             ledger.uplink_free_kbps, ledger.commit, ledger.release, ledger.workload)
         push, pop = heapq.heappush, heapq.heappop
@@ -614,7 +639,7 @@ class Simulation:
             seq += 1
             resolve, rate, verdict = t + handshake[city[row]][city[relay]], 0.0, _REJECT
             relay_dep = dep[relay]
-            if join[relay] <= t < relay_dep and not cut_off(ids[relay], t):
+            if join[relay] <= t < relay_dep and not (affected[relay] and start <= t < end):
                 rate = min(free_kbps(relay, uplink[relay]), downlink[row],
                            downlink[relay] / (workload.get(relay, 0) + 1))
                 if rate <= RATE_EPS:

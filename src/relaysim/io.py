@@ -343,9 +343,8 @@ def run_trace(trace: TraceColumns, cfg: SimConfig) -> tuple[MetricsReport, Outco
                 f"request at {first!r} s; set sim_duration = inf or rebase the "
                 f"trace timestamps to start near 0")
     rng = engine._stream(cfg.rng_seed, engine._STREAM_POPULATION)
-    affected = frozenset(np.flatnonzero(trace.fetch_failure).tolist())
-    sim = Simulation(cfg, engine.Population(build_trace_peers(trace, cfg, rng),
-                                            FailureScenario(affected)))
+    scenario = FailureScenario(np.flatnonzero(trace.fetch_failure))
+    sim = Simulation(cfg, engine.Population(build_trace_peers(trace, cfg, rng), scenario))
     return sim.run(), sim.outcomes
 
 

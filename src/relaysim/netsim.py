@@ -3,10 +3,10 @@
 Connectivity follows the in-network failure model: a failed region
 partitions its affected peers from the server and from each other, while
 paths between an affected and an unaffected peer stay usable. So one
-predicate, FailureScenario.cut_off, decides every path: a requester that
-is not cut off reaches the server, and a relay that is not reaches the
-server and any requester. inject_failure samples the affected peer ids
-from the failed region; trace replay takes them from the file.
+rule decides every path: an affected peer is cut off over the failure
+window. A requester that is not reaches the server, and a relay that is
+not reaches the server and any requester. inject_failure samples the
+affected peer ids from the failed region; trace replay reads them.
 """
 
 from __future__ import annotations
@@ -135,15 +135,15 @@ def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> np.ndarray:
     return rng.integers(1, isp_count + 1, size=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FailureScenario:
-    """A resolved in-network failure: the affected peer ids are cut off
-    over [start_time, end_time), which must not be empty (ValueError; NaN
-    never is). region names the failed city for the region metrics; None
-    (trace replay) matches no city.
-    """
+    """A resolved in-network failure: the affected peer ids, kept as a
+    sorted read-only int64 array (ValueError if they are not integers), are
+    cut off over [start_time, end_time), which must not be empty (ValueError;
+    NaN never is). region names the failed city for the region metrics;
+    None (trace replay) matches no city."""
 
-    affected: frozenset[int]
+    affected: np.ndarray
     region: str | None = None
     start_time: float = 0.0
     end_time: float = math.inf
@@ -152,21 +152,20 @@ class FailureScenario:
         if not self.start_time < self.end_time:
             raise ValueError(f"failure window [{self.start_time}, {self.end_time}) needs "
                              "start_time < end_time")
-
-    def cut_off(self, pid: int, t: float) -> bool:
-        """True when peer pid is affected and t lies in [start_time, end_time)."""
-        return pid in self.affected and self.start_time <= t < self.end_time
+        ids = self.affected if isinstance(self.affected, np.ndarray) else np.array([*self.affected])
+        if ids.dtype.kind not in "iu" and len(ids):   # no ids read as float64
+            raise ValueError(f"affected ids must be integers, not {ids.dtype}")
+        ids = np.sort(ids).astype(np.int64, copy=False)
+        ids.flags.writeable = False
+        object.__setattr__(self, "affected", ids)
 
 
 def inject_failure(region: str, ratio: float, columns: PeerColumns,
-                   rng: np.random.Generator) -> frozenset[int]:
-    """Sample floor(ratio * |region peers|) affected peer ids.
+                   rng: np.random.Generator) -> np.ndarray:
+    """Sample floor(ratio * |region peers|) affected peer ids, a sorted array.
 
     Sampling is uniform without replacement over the region's peers in id
-    order. An empty region gives an empty set.
+    order. An empty region gives an empty array.
     """
     region_ids = np.sort(columns.ids[columns.in_city(region)])
-    k = math.floor(ratio * len(region_ids))
-    if k <= 0:
-        return frozenset()
-    return frozenset(rng.choice(region_ids, size=k, replace=False).tolist())
+    return np.sort(rng.choice(region_ids, size=math.floor(ratio * len(region_ids)), replace=False))

@@ -44,8 +44,10 @@ SUCCESS, OTHER_RESOLUTION, REQUEST = range(3)
 
 
 def cut_off(scenario, pid, t):
-    """An affected peer is cut off over the half-open failure window."""
-    return pid in scenario.affected and scenario.start_time <= t < scenario.end_time
+    """An affected peer is cut off over the half-open failure window. The
+    rule is keyed by id, over a set of the scenario's ids, not by the row
+    mask a run reads."""
+    return pid in set(scenario.affected.tolist()) and scenario.start_time <= t < scenario.end_time
 
 
 def online(peer, t):

@@ -36,7 +36,7 @@ from relaysim.selection import (
 
 from helpers import (Peer, careful_head, ids_of, ledger_by_row, online_set, peer_rows,
                      population, ranked_list)
-from reference import draw_path_aware
+from reference import cut_off, draw_path_aware
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 DESK_SEEDS = tuple(range(10))
@@ -142,7 +142,7 @@ def _no_relay_accounting_oracle(cfg: SimConfig) -> float:
     served = 0
     peers = peer_rows(columns)
     for p in peers:
-        if scenario.cut_off(p.id, p.join_time):
+        if cut_off(scenario, p.id, p.join_time):
             continue
         end = p.join_time + handshake + cfg.content_size_kb * 8.0 / p.downlink_kbps
         if end <= p.departure_time:

@@ -40,7 +40,8 @@ from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError
 from helpers import (Peer, candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
                      outcome_tables, outcomes_table, peer_columns, peer_of, peer_rows, peers_of,
                      row_by_id, run_recording_lists, trace_columns, trace_rows)
-from reference import collect_metrics_rows, primary_success, reference_draws, reference_run
+from reference import (collect_metrics_rows, cut_off, primary_success, reference_draws,
+                       reference_run)
 
 
 def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=1e9,
@@ -442,10 +443,16 @@ class TestSimulation:
             assert list(shared.outcomes) == list(own.outcomes)
 
     def test_peers_are_immutable(self):
-        peer = make_peer(1)
-        with pytest.raises(AttributeError):
-            peer.uplink_kbps = 1.0
-        assert not hasattr(peer, "workload")
+        # every column of a Population, its masks and its scenario's ids
+        # refuse writes; relay workload lives in the run's ledger
+        population = Population(peer_columns([make_peer(0), make_peer(3, join=2.0)]),
+                                FailureScenario({3}, region="Beijing"))
+        columns = [v for v in vars(population).values() if isinstance(v, np.ndarray)]
+        assert len(columns) == 11
+        for column in [*columns, population.scenario.affected]:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+        assert not hasattr(population, "workload")
 
     def test_outcomes_have_terminal_state(self):
         sim = Simulation(small_cfg())
@@ -473,7 +480,7 @@ class TestSimulation:
         a = Simulation(replace(cfg, strategy="random"))
         b = Simulation(replace(cfg, strategy="path-aware"))
         assert peers_of(a.population) == peers_of(b.population)
-        assert a.population.scenario.affected == b.population.scenario.affected
+        assert np.array_equal(a.population.scenario.affected, b.population.scenario.affected)
 
     def test_single_shot(self):
         sim = Simulation(small_cfg())
@@ -593,6 +600,38 @@ class TestSimulation:
         Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5, workload_mode="count"),
                    population, draws).run()
 
+    @pytest.mark.parametrize("strategy", ["random", "path-aware"])
+    @pytest.mark.parametrize("broken, rule", [
+        (lambda r, o: (r, o + 1), "offsets that start at 0"),
+        (lambda r, o: (r, np.r_[o[:3], o[2] - 1, o[3:]]), "offsets that never decrease"),
+        (lambda r, o: (r, o[:-3]), r"offsets that end at len\(relays\), \d+"),
+        (lambda r, o: (r, np.delete(o, 2)), r"\d+ offsets, one per relay-phase request plus one"),
+        (lambda r, o: (np.r_[-1, r[1:]], o), r"relay rows in \[0, 300\)"),
+        (lambda r, o: (np.r_[r[:-1], 300], o), r"relay rows in \[0, 300\)"),
+        (lambda r, o: (r, np.zeros(0, np.int64)), "offsets that start at 0")])
+    def test_hand_built_candidates_are_checked(self, broken, rule, strategy):
+        # Unchecked, a relay row of -1 or offsets + 1 run to the end and
+        # report relay-served requests, and a row of n or short offsets
+        # fail with a bare IndexError from a memoryview.
+        cfg = SimConfig(peer_count=300, rng_seed=1, strategy=strategy)
+        population = draw_population(cfg)
+        draws = draw_candidates(cfg, population)
+        relays, offsets = broken(draws.relays, draws.offsets)
+        with pytest.raises(ValueError, match=f"^candidate draws need {rule}$"):
+            Simulation(cfg, population, draws._replace(relays=relays, offsets=offsets))
+
+    def test_no_relay_candidates_need_no_list_per_request(self):
+        # no-relay draws the empty table and reads no list; the other
+        # rules still hold
+        cfg = SimConfig(peer_count=300, rng_seed=1, strategy="no-relay")
+        population = draw_population(cfg)
+        draws = draw_candidates(cfg, population)
+        assert draws.offsets.tolist() == [0] and np.count_nonzero(population.cut) > 0
+        Simulation(cfg, population, draws).run()
+        with pytest.raises(ValueError, match="^candidate draws need relay rows in"):
+            Simulation(cfg, population, draws._replace(relays=np.array([300]),
+                                                       offsets=np.array([0, 1])))
+
     def test_shared_candidates_match_own_draws(self):
         cfg = small_cfg(strategy="path-aware", rng_seed=4)
         population = draw_population(cfg)
@@ -671,7 +710,7 @@ class TestNoRelaySkipsOnlineSet:
         # drawn session is empty, so no other row ends there), and no
         # resolution for a server fetch (no-relay has no relay attempt)
         cut = [p for p in peers
-               if p.join_time <= cfg.sim_duration and scenario.cut_off(p.id, p.join_time)]
+               if p.join_time <= cfg.sim_duration and cut_off(scenario, p.id, p.join_time)]
         issued = [o for o in skipped.outcomes
                   if o.end_time == o.start_time and o.attempts == 0 and o.entered_relay_phase]
         assert (skipped_scheduled, len(issued)) == ([0, 0], len(cut))
@@ -1084,22 +1123,29 @@ class TestColumnsOnly:
         # uplink, downlink, join, dep and by_id) and three masks, 67 B, and
         # on top the largest of: the build's duration column (8 B), the draw
         # pass's 33 B (above), and the run's three outcome columns with one
-        # float temporary (32 B); 100 B in all. Per requester it holds the
-        # scenario's affected id, an int in a frozenset (120 B), and the
-        # draw pass's 200 B. A Population that copies the columns it is
-        # built from, or a draw pass that sizes int64 temporaries by the
-        # issued peers, does not fit.
+        # float temporary (32 B); 100 B in all. Per affected peer it holds
+        # the scenario's id as int64 (8 B), and per requester the draw
+        # pass's 200 B. Once drawn, the population holds its 67 B per peer
+        # and the 8 B ids, plus a few kB of objects (16 kB allowed). A
+        # Population that copies the columns it is built from, a scenario
+        # that keeps its ids as Python ints in a set (over 70 B each), or
+        # a draw pass that sizes int64 temporaries by the issued peers,
+        # does not fit.
         n = 20_000
         cfg = SimConfig(peer_count=n, strategy="path-aware")
+        draw_population(replace(cfg, peer_count=50))   # numpy.random loads outside the trace
         tracemalloc.start()
         try:
             population = draw_population(cfg)
+            held = tracemalloc.get_traced_memory()[0]
             Simulation(cfg, population, draw_candidates(cfg, population)).run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         requesters = np.count_nonzero(population.cut[:population.issued_by(cfg.sim_duration)])
-        assert peak < 100 * n + 320 * requesters + 44 * engine._RANK_BLOCK
+        affected = len(population.scenario.affected)
+        assert held < 67 * n + 8 * affected + 16_000
+        assert peak < 100 * n + 8 * affected + 200 * requesters + 44 * engine._RANK_BLOCK
 
     def test_a_population_shares_only_read_only_columns(self):
         # build_population's columns are read-only and in issue order, so
@@ -1171,7 +1217,7 @@ class TestDrawPass:
                                                                     scenario)))
         want, pools = reference_draws(cfg, peers, scenario)
         requesters = {p.id for p in peers if p.join_time <= cfg.sim_duration
-                      and scenario.cut_off(p.id, p.join_time)}
+                      and cut_off(scenario, p.id, p.join_time)}
         assert set(pools) == set(lists) == requesters
         assert lists == want
 
@@ -1260,7 +1306,7 @@ def check_server_path(cfg, peers, scenario):
     assert [o.requester_id for o in sim.outcomes] == [p.id for p in issued]
     for peer, o in zip(issued, sim.outcomes):
         assert o.start_time == peer.join_time
-        if scenario.cut_off(peer.id, peer.join_time):
+        if cut_off(scenario, peer.id, peer.join_time):
             assert o.entered_relay_phase and o.served_by != SERVER
         else:
             assert not o.entered_relay_phase and o.attempts == 0

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relaysim.io import build_trace_peers
 from relaysim.model import (
     DEFAULT_CITIES,
     STRATEGIES,
@@ -18,7 +19,7 @@ from relaysim.model import (
     validate_config,
 )
 
-from helpers import Peer, TraceRecord, one_attempt, trace_columns, trace_rows
+from helpers import Peer, TraceRecord, one_attempt, population, trace_columns, trace_rows
 
 
 def make_peer(**kw):
@@ -53,7 +54,12 @@ class TestPeer:
             assert online(p, t) != outside
 
     def test_departure_time(self):
-        assert make_peer().departure_time == 70.0
+        # a Population's dep is join + duration, row by row in issue order
+        peers = [make_peer(), make_peer(id=2, join_time=5.0, session_duration=1.5),
+                 make_peer(id=3, join_time=7.0, session_duration=math.inf)]
+        p = population(peers)
+        assert p.ids.tolist() == [2, 3, 1]
+        assert p.dep.tolist() == [6.5, math.inf, 70.0]
 
     def test_capacity_ledger_views(self):
         p = make_peer(uplink_kbps=1000.0)
@@ -68,9 +74,13 @@ class TestPeer:
 
 class TestContentAndTrace:
     def test_trace_duration(self):
-        rec = TraceRecord(user_id="u1", request_ts=100.0, leave_ts=160.0)
-        assert rec.duration == 60.0
-        assert rec.fetch_failure is False
+        # a replayed session joins at request_ts and lasts leave_ts -
+        # request_ts, zero when the two are equal
+        trace = trace_columns([TraceRecord("u1", 100.0, 160.0), TraceRecord("u0", 5.0, 5.0),
+                               TraceRecord("u1", 0.25, 1e9, True)])
+        peers = build_trace_peers(trace, SimConfig(), np.random.default_rng(0))
+        assert peers.join.tolist() == [100.0, 5.0, 0.25]
+        assert peers.duration.tolist() == [60.0, 0.0, 1e9 - 0.25]
 
     def test_trace_columns_round_trip_records(self):
         records = [TraceRecord("u1", 100.0, 160.0, True), TraceRecord("u0", 5.0, 5.0)]

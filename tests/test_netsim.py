@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, SimConfig
 from relaysim.netsim import (
     CityTable,
     FailureScenario,
+    SERVER,
     UnknownCityError,
     assign_bandwidth,
     assign_isp,
@@ -17,7 +18,7 @@ from relaysim.netsim import (
     latency_ms,
 )
 
-from helpers import Peer, one_attempt, peer_columns
+from helpers import Peer, fixed_list_simulation, one_attempt, peer_columns, population
 
 
 def make_peer(pid, city="Beijing", **kw):
@@ -203,20 +204,19 @@ class TestFailureInjection:
     def test_floor_sampling(self):
         peers = self.make_region(100)
         out = inject_failure("Beijing", 0.6, self.columns(peers), np.random.default_rng(0))
-        assert isinstance(out, frozenset)
-        assert len(out) == 60
-        region_ids = {p.id for p in peers}
-        assert out <= region_ids
+        assert out.dtype == np.int64 and len(out) == 60
+        assert np.all(out[1:] > out[:-1])   # sorted, no id twice
+        assert set(out.tolist()) <= {p.id for p in peers}
 
     def test_ratio_zero(self):
         out = inject_failure("Beijing", 0.0, self.columns(self.make_region(100)),
                              np.random.default_rng(0))
-        assert out == frozenset()
+        assert out.tolist() == []
 
     def test_ratio_one(self):
         peers = self.make_region(25)
         out = inject_failure("Beijing", 1.0, self.columns(peers), np.random.default_rng(0))
-        assert out == {p.id for p in peers}
+        assert out.tolist() == [p.id for p in peers]
 
     def test_only_region_peers_sampled(self):
         peers = (self.make_region(50, "Beijing")
@@ -227,39 +227,88 @@ class TestFailureInjection:
 
     def test_empty_region_ok(self):
         out = inject_failure("Beijing", 0.6, self.columns([]), np.random.default_rng(0))
-        assert out == frozenset()
+        assert out.tolist() == []
 
     def test_window_half_open(self):
-        scen = FailureScenario(frozenset({1}), region="Beijing", start_time=10.0,
-                               end_time=20.0)
-        assert not scen.cut_off(1, 9.999)
-        assert scen.cut_off(1, 10.0)       # start edge inclusive
-        assert scen.cut_off(1, 19.999)
-        assert not scen.cut_off(1, 20.0)   # end edge exclusive
+        # A peer affected over [10, 20) is cut off at a join from 10 up to,
+        # not including, 20: the start edge is inclusive, the end exclusive.
+        joins = {1: 9.999, 2: 10.0, 3: 19.999, 4: 20.0}
+        p = population([make_peer(pid, join_time=t) for pid, t in joins.items()],
+                       FailureScenario(frozenset(joins), start_time=10.0, end_time=20.0))
+        assert dict(zip(p.ids.tolist(), p.cut.tolist())) == {1: False, 2: True, 3: True,
+                                                             4: False}
+
+
+def relay_attempt_at(t, affected):
+    """The outcome of an attempt at t >= 10 on relay 1, affected when
+    affected is, under a failure window [10, 20). The requester, peer
+    2, joins at 10 cut off and first tries a peer that is not yet online,
+    whose rejection ends after a handshake of t - 10 s (a base latency of
+    (t - 10) / 2 s, all peers in one city), when the attempt on relay 1
+    starts."""
+    offline = make_peer(3, join_time=1e6)
+    cfg = SimConfig(peer_count=3, latency_base_ms=500.0 * (t - 10.0), latency_per_km_ms=0.0,
+                    sim_duration=math.inf, content_size_kb=1.0)
+    sim = fixed_list_simulation(cfg, [make_peer(1), make_peer(2, join_time=10.0), offline],
+                                FailureScenario({2, 1} if affected else {2}, start_time=10.0,
+                                                end_time=20.0), {2: (3, 1)})
+    sim.run()
+    (out,) = [o for o in sim.outcomes if o.requester_id == 2]
+    assert out.attempts == 2
+    return out
 
 
 class TestConnectivity:
+    """The failure rule as a run applies it: a requester cut off at its
+    join enters the relay phase (TestFailureInjection.test_window_half_open),
+    and an attempt on a relay cut off when it starts is rejected. A relay
+    attempt starts no earlier than its requester's join, which lies in the
+    window, so the window's start edge is reached only through joins."""
+
     def scenario(self, affected, start=0.0, end=math.inf):
         return FailureScenario(frozenset(affected), region="Beijing", start_time=start,
                                end_time=end)
 
     def test_truth_table_during_window(self):
-        scen = self.scenario({1, 2})
-        t = 5.0
-        assert scen.cut_off(1, t) is True
-        assert scen.cut_off(2, t) is True
-        assert scen.cut_off(3, t) is False
-        assert scen.cut_off(4, t) is False
+        # Inside [10, 20) only an affected relay is rejected, at the start
+        # edge as before the end; a rejection delivers nothing.
+        for t in (10.0, 15.0, 19.999):
+            assert relay_attempt_at(t, affected=True).served_by is None
+            assert relay_attempt_at(t, affected=False).served_by == 1
+        one = make_peer(1)
+        assert one_attempt(one, make_peer(2), t=5.0, affected={1}).served_by is None
+        assert one_attempt(one, make_peer(2), t=5.0).served_by == 1
 
     def test_outside_window(self):
-        scen = self.scenario({1, 2}, start=10.0, end=20.0)
-        for t in (9.9, 20.0, 100.0):
-            assert not scen.cut_off(1, t)
-            assert not scen.cut_off(2, t)
+        # From the end edge on, the affected relay serves again.
+        for t in (20.0, 100.0):
+            assert relay_attempt_at(t, affected=True).served_by == 1
 
     def test_no_scenario(self):
-        # A scenario without affected peers names a region but cuts no peer off.
-        assert not FailureScenario(frozenset(), region="Beijing").cut_off(1, 0.0)
+        # A scenario without affected peers names a region but cuts no peer
+        # off: every request of a run on it is a server fetch.
+        peers = [make_peer(i, join_time=float(i)) for i in range(4)]
+        p = population(peers, FailureScenario(frozenset(), region="Beijing"))
+        assert p.affected.tolist() == p.cut.tolist() == [False] * 4
+        sim = fixed_list_simulation(SimConfig(peer_count=4, sim_duration=math.inf), peers,
+                                    FailureScenario((), region="Beijing"), {})
+        assert sim.run().relay_phase_requests == 0
+        assert [o.served_by for o in sim.outcomes] == [SERVER] * 4
+
+    def test_affected_ids_become_a_sorted_read_only_id_array(self):
+        for ids in ({5, 2}, [5, 2], np.array([5, 2], np.int32), range(2, 6, 3)):
+            affected = FailureScenario(ids).affected
+            assert affected.dtype == np.int64 and affected.tolist() == [2, 5]
+            assert not affected.flags.writeable
+
+    @pytest.mark.parametrize("ids, dtype", [([1, 2.5], "float64"), ([3, "4"], "<U21"),
+                                            (np.array([2.0]), "float64"), ({None}, "object"),
+                                            ([True], "bool"), ([2**70], "object")])
+    def test_an_affected_id_that_is_not_an_integer_is_rejected(self, ids, dtype):
+        # Unchecked, 2.5 would be truncated to peer 2, and "4" would name
+        # peer 4.
+        with pytest.raises(ValueError, match=f"^affected ids must be integers, not {dtype}$"):
+            FailureScenario(ids)
 
     @pytest.mark.parametrize("start, end", [
         (math.nan, math.inf), (5.0, 1.0), (0.0, math.nan), (3.0, 3.0)])
