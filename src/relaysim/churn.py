@@ -4,15 +4,20 @@ Session durations are heavy tailed. The Pareto parameters default to a
 two-quantile calibration: 60% of sessions shorter than 1 minute and 90%
 shorter than 10 minutes, which has the closed-form solution implemented
 by calibrate_pareto. The time-to-stay estimator is the fitted quadratic
-that predicts remaining minutes online from minutes already spent.
+that predicts remaining minutes online from minutes already spent. The
+samplers and the estimator read their parameters from a SimConfig, which
+config_errors checks once where it enters a run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from relaysim.model import SimConfig
 
 
 class CalibrationError(ValueError):
@@ -44,61 +49,36 @@ def calibrate_pareto(q1: tuple[float, float] = (1.0, 0.60),
 
 # Parameters from the standard session quantiles, computed once.
 DEFAULT_PARETO_SCALE_MIN, DEFAULT_PARETO_SHAPE = calibrate_pareto()
-DEFAULT_ARRIVALS_PER_MIN = 30.0   # the reference arrival rate
 
 
-@dataclass(frozen=True)
-class SessionModel:
-    """Arrival rate (per minute) plus Pareto session parameters (minutes)."""
+def sample_interarrival(cfg: SimConfig, rng: np.random.Generator, size=None):
+    """Exponential gaps between consecutive arrivals at
+    cfg.arrival_rate_lambda per minute, in seconds."""
+    return rng.exponential(60.0 / cfg.arrival_rate_lambda, size=size)
 
-    lambda_per_min: float = DEFAULT_ARRIVALS_PER_MIN
-    pareto_shape: float = DEFAULT_PARETO_SHAPE
-    pareto_scale_min: float = DEFAULT_PARETO_SCALE_MIN
+def sample_session_duration(cfg: SimConfig, rng: np.random.Generator, size=None):
+    """Pareto-distributed session lengths, in seconds; a None Pareto field
+    of cfg means the calibrated default."""
+    shape = DEFAULT_PARETO_SHAPE if cfg.pareto_shape is None else cfg.pareto_shape
+    scale = DEFAULT_PARETO_SCALE_MIN if cfg.pareto_scale_min is None else cfg.pareto_scale_min
+    return 60.0 * scale * (1.0 + rng.pareto(shape, size=size))
 
-    def __post_init__(self):
-        if self.lambda_per_min <= 0:
-            raise ValueError("lambda_per_min must be positive")
-        if self.pareto_shape <= 0:
-            raise ValueError("pareto_shape must be positive")
-        if self.pareto_scale_min <= 0:
-            raise ValueError("pareto_scale_min must be positive")
-
-
-def sample_interarrival(model: SessionModel, rng: np.random.Generator, size=None):
-    """Exponential gaps between consecutive arrivals, in seconds."""
-    return rng.exponential(60.0 / model.lambda_per_min, size=size)
-
-def sample_session_duration(model: SessionModel, rng: np.random.Generator, size=None):
-    """Pareto-distributed session lengths, in seconds."""
-    return 60.0 * model.pareto_scale_min * (1.0 + rng.pareto(model.pareto_shape, size=size))
-
-def sample_sessions(model: SessionModel, rng: np.random.Generator,
+def sample_sessions(cfg: SimConfig, rng: np.random.Generator,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """Join times (Poisson arrivals from 0) and durations of n sessions,
     in seconds: the n gaps are drawn first, then the n durations."""
-    joins = sample_interarrival(model, rng, size=n).cumsum()
-    return joins, sample_session_duration(model, rng, size=n)
+    joins = sample_interarrival(cfg, rng, size=n).cumsum()
+    return joins, sample_session_duration(cfg, rng, size=n)
 
 
-@dataclass(frozen=True)
-class TimeToStayModel:
-    """Quadratic estimator of remaining minutes from elapsed minutes.
-
-    The fit is only trusted up to valid_elapse_max minutes; larger inputs
-    are clamped there, which keeps the estimate short of the quadratic's
-    downturn.
-    """
-
-    c2: float = -0.0076
-    c1: float = 0.97
-    c0: float = 3.5
-    valid_elapse_max: float = 60.0
-
-
-def estimate_time_to_stay(model: TimeToStayModel, elapse_min):
+def estimate_time_to_stay(cfg: SimConfig, elapse_min):
     """Predicted remaining minutes online after elapse_min minutes, for a float
-    or a float64 column, whose entries take the float's operations in order."""
+    or a float64 column, whose entries take the float's operations in order:
+    the quadratic cfg.tts_coeffs (c2, c1, c0), whose fit is only trusted up
+    to cfg.tts_clamp_min minutes, so larger inputs are clamped there, short
+    of the quadratic's downturn."""
     if np.any(np.less(elapse_min, 0)):
         raise ValueError(f"elapse_min must be non-negative, got {np.min(elapse_min)}")
-    x = np.minimum(elapse_min, model.valid_elapse_max)
-    return model.c2 * x * x + model.c1 * x + model.c0
+    c2, c1, c0 = cfg.tts_coeffs
+    x = np.minimum(elapse_min, cfg.tts_clamp_min)
+    return c2 * x * x + c1 * x + c0

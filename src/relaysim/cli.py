@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 import relaysim.io as rio
-from relaysim import churn, engine, selection
+from relaysim import churn, selection
 from relaysim.churn import calibrate_pareto
 from relaysim.engine import MetricsReport, Simulation
 from relaysim.model import STRATEGIES, ConfigError, SimConfig, validate_config
@@ -103,7 +103,7 @@ def _cmd_sweep(args) -> int:
     if os.environ.get("RELAYSIM_SEED"):
         raise ValueError("sweep takes its seeds from --seeds, not RELAYSIM_SEED")
     cfg = build_config(args)
-    kwargs = {"content_sizes_kb": tuple(cfg.content_sizes_kb)}
+    kwargs = {}
     for flag, field, parse in (("sizes", "content_sizes_kb", float),
                                ("ratios", "failure_ratios", float),
                                ("strategies", "strategies", str), ("seeds", "seeds", int)):
@@ -130,8 +130,7 @@ def _cmd_trace(args) -> int:
     if args.synthesize is not None:
         if args.synthesize < 1:
             raise ValueError(f"--synthesize needs at least 1 session, got {args.synthesize}")
-        records = rio.synthesize_trace(args.synthesize, cfg.rng_seed, args.fail_fraction,
-                                   model=engine.session_model(cfg))
+        records = rio.synthesize_trace(args.synthesize, cfg.rng_seed, args.fail_fraction, cfg=cfg)
         rio.write_trace_csv(records, args.file)
         print(f"wrote {len(records)} sessions to {args.file}")
         return 0

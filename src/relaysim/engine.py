@@ -39,10 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from relaysim import churn
-from relaysim.churn import SessionModel, TimeToStayModel
 from relaysim.model import (RATE_EPS, PeerColumns, RelayLedger, SimConfig,
                             validate_config)
-from relaysim.netsim import (SERVER, CityTable, FailureScenario, assign_bandwidth,
+from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth,
                              assign_isp, handshake_table, inject_failure)
 from relaysim.selection import (careful_slots, generate_relay_list, pool_positions,
                                 rank_path_aware)
@@ -182,13 +181,6 @@ def draw_peer_attributes(cfg: SimConfig, rng: np.random.Generator,
             *assign_bandwidth(rng, n, cfg.uplink_profile, cfg.downlink_factor))
 
 
-def session_model(cfg: SimConfig) -> SessionModel:
-    """cfg's session model; a None Pareto field keeps the calibrated default."""
-    pareto = {"pareto_shape": cfg.pareto_shape, "pareto_scale_min": cfg.pareto_scale_min}
-    return SessionModel(cfg.arrival_rate_lambda,
-                        **{k: v for k, v in pareto.items() if v is not None})
-
-
 def peer_columns(cfg: SimConfig, rng: np.random.Generator, join: np.ndarray,
                  duration: np.ndarray) -> PeerColumns:
     """Read-only columns of len(join) peers, ids 0..n-1: the given join
@@ -204,7 +196,7 @@ def peer_columns(cfg: SimConfig, rng: np.random.Generator, join: np.ndarray,
 def build_population(cfg: SimConfig, rng: np.random.Generator) -> PeerColumns:
     """Sample the peer population as read-only columns, ids 0..n-1:
     Poisson arrivals and Pareto sessions, then the peer attributes."""
-    return peer_columns(cfg, rng, *churn.sample_sessions(session_model(cfg), rng, cfg.peer_count))
+    return peer_columns(cfg, rng, *churn.sample_sessions(cfg, rng, cfg.peer_count))
 
 
 # Sub-stream labels under the master seed. Population and failure draws are
@@ -331,7 +323,6 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     requesters = np.flatnonzero(population.cut[:k])
     path_aware = cfg.strategy == "path-aware"
     slots = careful_slots(cfg.zeta, cfg.alpha) if path_aware else 0
-    tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
     parts, blocks = _walk(cfg, population, k, requesters, slots)
     sizes, end = parts.sum(axis=1), 0
     relays = np.empty(int(sizes.sum()), np.int64)
@@ -342,7 +333,7 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
             keep = ~(population.cut[rows] & (rows < own))
             part = np.repeat(np.arange(parts_of.size), parts_of.ravel())
             parts_of = np.bincount(part[keep], minlength=parts_of.size).reshape(-1, 2)
-            rows = rank_path_aware(rows[keep], parts_of, population.join[block], population, tts)
+            rows = rank_path_aware(rows[keep], parts_of, population.join[block], population, cfg)
             sizes[lo:hi] = parts_of.sum(axis=1)
         relays[end:end + len(rows)] = rows
         end += len(rows)
@@ -391,7 +382,7 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
     # ISP. Only the b buckets requesters draw from are kept, numbered
     # 0..b-1 whatever the ISP numbers: group numbers their members (rows),
     # and bucket_of maps a member's id rank to its bucket's list (others:
-    # None); a random draw keeps no bucket.
+    # None); a random draw keeps no bucket, so every entry is None.
     if slots:
         code = np.subtract(population.isp[:k], population.isp.min(initial=0), dtype=np.int64)
         code *= len(population.cities)
@@ -405,6 +396,8 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
         bucket_of = np.full(len(id_rank), None)
         bucket_of[id_rank[members]] = buckets[group]   # no int object per member
         bucket_of = bucket_of.tolist()
+    else:
+        bucket_of = [None] * len(id_rank)
     arrive, leave = (np.searchsorted(times, c[:k]).astype(np.int32)
                      for c in (population.join, population.dep))
     live = leave > arrive
@@ -458,46 +451,36 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
             steps = zip(requester_rank[lo:hi].tolist(), here[lo:hi].tolist(), *changes(lo, hi),
                         pool_positions(u[:, slots:], pool[lo:hi]))
             drawn: list[int] = []
-            if not slots:
-                for me, present, leaving, arriving, randoms in steps:
-                    for x in leaving:
-                        del online[bisect_left(online, x)]
-                    for x in arriving:
-                        insort(online, x)
-                    r = bisect_left(online, me) if present else len(online)
+            for (me, present, leaving, arriving, randoms), picks in zip(
+                    steps, pool_positions(u[:, :slots], same[lo:hi])):
+                for x in leaving:
+                    del online[bisect_left(online, x)]
+                    if (bucket := bucket_of[x]) is not None:
+                        del bucket[bisect_left(bucket, x)]
+                for x in arriving:
+                    insort(online, x)
+                    if (bucket := bucket_of[x]) is not None:
+                        insort(bucket, x)
+                r = bisect_left(online, me) if present else len(online)
+                if picks:
+                    bucket = bucket_of[me]
+                    b = bisect_left(bucket, me) if present else len(bucket)
+                    taken = [r]
+                    for q in picks:
+                        x = bucket[q + (q >= b)]
+                        drawn.append(x)
+                        taken.append(bisect_left(online, x))
+                    # past slots t in ascending order, q becomes
+                    # q + #{l : t_l - l <= q}: the skipped slots before the
+                    # q-th one not skipped
+                    taken.sort()
+                    for l in range(1, len(taken)):
+                        taken[l] -= l
+                    for q in randoms:
+                        drawn.append(online[q + bisect_right(taken, q)])
+                else:
                     for q in randoms:
                         drawn.append(online[q + (q >= r)])
-            else:
-                for (me, present, leaving, arriving, randoms), picks in zip(
-                        steps, pool_positions(u[:, :slots], same[lo:hi])):
-                    for x in leaving:
-                        del online[bisect_left(online, x)]
-                        if (bucket := bucket_of[x]) is not None:
-                            del bucket[bisect_left(bucket, x)]
-                    for x in arriving:
-                        insort(online, x)
-                        if (bucket := bucket_of[x]) is not None:
-                            insort(bucket, x)
-                    r = bisect_left(online, me) if present else len(online)
-                    if picks:
-                        bucket = bucket_of[me]
-                        b = bisect_left(bucket, me) if present else len(bucket)
-                        taken = [r]
-                        for q in picks:
-                            x = bucket[q + (q >= b)]
-                            drawn.append(x)
-                            taken.append(bisect_left(online, x))
-                        # past slots t in ascending order, q becomes
-                        # q + #{l : t_l - l <= q}: the skipped slots before the
-                        # q-th one not skipped
-                        taken.sort()
-                        for l in range(1, len(taken)):
-                            taken[l] -= l
-                        for q in randoms:
-                            drawn.append(online[q + bisect_right(taken, q)])
-                    else:
-                        for q in randoms:
-                            drawn.append(online[q + (q >= r)])
             del steps   # frees the block's step lists before the caller ranks it
             drawn = np.array(drawn, np.int64)
             yield lo, hi, drawn
@@ -556,8 +539,10 @@ class Simulation:
         self.peers = population.ids
         self._size_kbits = cfg.content_size_kb * 8.0
         # Two-way handshake seconds by (requester, relay) city code.
-        table = CityTable(cfg.city_table)
-        coords = tuple(tuple(table.coords(city)) for city in population.cities)
+        for city in population.cities:
+            if city not in cfg.city_table:
+                raise ValueError(f"population city {city!r} is missing from cfg.city_table")
+        coords = tuple(tuple(cfg.city_table[city]) for city in population.cities)
         self._handshake = handshake_table(coords, cfg.latency_base_ms, cfg.latency_per_km_ms)
         self.outcomes: Outcomes | None = None   # set by run()
         self.ledger = RelayLedger()

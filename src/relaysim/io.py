@@ -24,13 +24,13 @@ from itertools import accumulate, compress, islice, repeat
 import numpy as np
 
 from relaysim import churn, engine
-from relaysim.churn import SessionModel
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
 from relaysim.model import (STRATEGIES, TRACE_BACKWARDS, TRACE_EMPTY_USER, TRACE_NON_FINITE,
                             CapacityError, ConfigError, PeerColumns, SimConfig, TraceColumns,
                             _is_int, trace_row_faults, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
-from relaysim.netsim import SERVER, CityTable, FailureScenario, assign_bandwidth  # noqa: F401
+from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth,  # noqa: F401
+                             read_city_file)
 
 SWEEP_COLUMNS = ("strategy", "size_kb", "failure_ratio", "seed", "success_ratio",
                  "primary_success_ratio", "avg_attempts", "affected_success_ratio",
@@ -103,7 +103,6 @@ _PARSERS = {
     "float": float,
     "str": str,
     "float | None": _parse_optional_float,
-    "tuple[float, ...]": _parse_float_tuple,
     "tuple[float, float, float]": _parse_float_tuple,
     "dict[float, float]": _parse_profile,
 }
@@ -120,7 +119,7 @@ def apply_overrides(cfg: SimConfig, raw: dict[str, str]) -> SimConfig:
     errors = []
     for key, val in raw.items():
         if key == "city_file":
-            updates["city_table"] = CityTable.from_csv(val).as_dict()
+            updates["city_table"] = read_city_file(val)
             continue
         if key not in annotations:
             errors.append(f"unknown config key {key!r}")
@@ -297,15 +296,17 @@ def write_trace_csv(trace: TraceColumns, path) -> None:
 
 
 def synthesize_trace(count: int, seed: int = 0, fail_fraction: float = 0.1, start: float = 0.0,
-                     model: SessionModel = SessionModel()) -> TraceColumns:
-    """Synthetic access trace: the churn model's session columns (the
-    standard one by default), then a fetch-failure column."""
+                     cfg: SimConfig | None = None) -> TraceColumns:
+    """Synthetic access trace: the session columns of cfg's churn model
+    (the default SimConfig's when None; ConfigError if cfg is invalid),
+    then a fetch-failure column."""
+    cfg = validate_config(SimConfig() if cfg is None else cfg)
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 0.0 <= fail_fraction <= 1.0:
         raise ValueError("fail_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    joins, durations = churn.sample_sessions(model, rng, count)
+    joins, durations = churn.sample_sessions(cfg, rng, count)
     joins += start
     return TraceColumns(tuple(f"u{i}" for i in range(count)), joins, joins + durations,
                         rng.random(count) < fail_fraction)
@@ -356,7 +357,7 @@ class SweepSpec:
     """Cartesian sweep grid; cells run in the fixed nesting order
     size -> ratio -> strategy -> seed."""
 
-    content_sizes_kb: tuple[float, ...] = SimConfig.content_sizes_kb
+    content_sizes_kb: tuple[float, ...] = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
     failure_ratios: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     strategies: tuple[str, ...] = ("no-relay", "random", "path-aware")
     seeds: tuple[int, ...] = (0,)

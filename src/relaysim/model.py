@@ -17,8 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from relaysim.churn import DEFAULT_ARRIVALS_PER_MIN
-
 # Reference city set with (lat, lon) in degrees.
 DEFAULT_CITIES: dict[str, tuple[float, float]] = {
     "Beijing": (39.90, 116.40),
@@ -182,7 +180,7 @@ class SimConfig:
     city_table: dict[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_CITIES))
     isp_count: int = 3
-    arrival_rate_lambda: float = DEFAULT_ARRIVALS_PER_MIN
+    arrival_rate_lambda: float = 30.0   # the reference arrival rate
     pareto_shape: float | None = None
     pareto_scale_min: float | None = None
     alpha: float = 0.2                  # careful-fraction of the relay list
@@ -194,8 +192,6 @@ class SimConfig:
     failure_start: float = 0.0
     failure_end: float = math.inf
     content_size_kb: float = 1600.0     # average web page weight
-    content_sizes_kb: tuple[float, ...] = (500.0, 1000.0, 2000.0, 4000.0,
-                                           8000.0, 16000.0)
     uplink_profile: dict[float, float] = field(
         default_factory=lambda: dict(DEFAULT_UPLINK_PROFILE))
     downlink_factor: float = 4.0
@@ -259,8 +255,6 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("failure_start: must not come after sim_duration")
     if not 0 < cfg.content_size_kb < math.inf:
         errs.append("content_size_kb: must be positive and finite")
-    if not cfg.content_sizes_kb or any(not 0 < s < math.inf for s in cfg.content_sizes_kb):
-        errs.append("content_sizes_kb: must be a non-empty list of positive finite sizes")
     if not cfg.uplink_profile:
         errs.append("uplink_profile: must not be empty")
     else:

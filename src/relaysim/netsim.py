@@ -26,10 +26,6 @@ EARTH_RADIUS_KM = 6371.0
 SERVER = "server"
 
 
-class UnknownCityError(KeyError):
-    pass
-
-
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance between two (lat, lon) points in km."""
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
@@ -39,45 +35,26 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
-class CityTable:
-    """Named city coordinates (lat, lon) in degrees, checked in range."""
-
-    def __init__(self, coords: dict[str, tuple[float, float]]):
-        if not coords:
-            raise ValueError("city table must contain at least one city")
-        for name, (lat, lon) in coords.items():
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                raise ValueError(f"city {name!r}: coordinates out of range")
-        self._coords = dict(coords)
-
-    @classmethod
-    def from_csv(cls, path) -> "CityTable":
-        """Load name,lat,lon rows; a header row is detected and skipped."""
-        coords = {}
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not "".join(row).strip():
+def read_city_file(path) -> dict[str, tuple[float, float]]:
+    """A city table from name,lat,lon rows; a header row is detected and
+    skipped. Rows of another width or with coordinates that are not numbers
+    raise ValueError; config_errors checks the table itself."""
+    coords = {}
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) != 3:
+                raise ValueError(f"city file {path}: expected 3 columns, got {row!r}")
+            name, lat_s, lon_s = (c.strip() for c in row)
+            try:
+                lat, lon = float(lat_s), float(lon_s)
+            except ValueError:
+                if not coords and name.lower() in ("name", "city"):
                     continue
-                if len(row) != 3:
-                    raise ValueError(f"city file {path}: expected 3 columns, got {row!r}")
-                name, lat_s, lon_s = (c.strip() for c in row)
-                try:
-                    lat, lon = float(lat_s), float(lon_s)
-                except ValueError:
-                    if not coords and name.lower() in ("name", "city"):
-                        continue
-                    raise ValueError(f"city file {path}: bad coordinates in {row!r}")
-                coords[name] = (lat, lon)
-        return cls(coords)
-
-    def as_dict(self) -> dict[str, tuple[float, float]]:
-        return dict(self._coords)
-
-    def coords(self, name: str) -> tuple[float, float]:
-        try:
-            return self._coords[name]
-        except KeyError:
-            raise UnknownCityError(name) from None
+                raise ValueError(f"city file {path}: bad coordinates in {row!r}")
+            coords[name] = (lat, lon)
+    return coords
 
 
 def latency_ms(distance_km: float, base_ms: float = 5.0, per_km_ms: float = 0.02) -> float:

@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from relaysim.churn import TimeToStayModel, estimate_time_to_stay
-from relaysim.model import RelayLedger
+from relaysim.churn import estimate_time_to_stay
+from relaysim.model import RelayLedger, SimConfig
 
 if TYPE_CHECKING:
     from relaysim.engine import Population
@@ -90,16 +90,16 @@ def random_relay_list(requester: int, online: Iterable[int], zeta: int,
 
 
 def rank_path_aware(rows: np.ndarray, sizes: np.ndarray, times, population: Population,
-                    tts: TimeToStayModel) -> np.ndarray:
+                    cfg: SimConfig) -> np.ndarray:
     """The int64 population rows of a block of path-aware draws, draw i
     made at times[i], ranked: rows holds each draw's careful part, then its
     random part, and sizes (n x 2) their lengths. Each part is sorted by
-    descending estimated time-to-stay at its time (join times from the
-    population's columns), ties on ascending id, so the careful part's most
-    durable member is the primary relay."""
+    descending estimated time-to-stay under cfg at its time (join times
+    from the population's columns), ties on ascending id, so the careful
+    part's most durable member is the primary relay."""
     part = np.repeat(np.arange(sizes.size), np.ravel(sizes))   # draw i: parts 2i, 2i + 1
     elapse = (np.asarray(times)[part // 2] - population.join[rows]) / 60.0
-    return rows[np.lexsort((population.ids[rows], -estimate_time_to_stay(tts, elapse), part))]
+    return rows[np.lexsort((population.ids[rows], -estimate_time_to_stay(cfg, elapse), part))]
 
 
 def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamma: float,

@@ -277,11 +277,12 @@ def flat_draws(block, population):
     return flat, sizes.reshape(-1, 2)
 
 
-def ranked_list(drawn, t, population, tts):
+def ranked_list(drawn, t, population, cfg):
     """The list of rows rank_path_aware makes of one path-aware draw
-    (careful ids, random ids) for a request at time t."""
+    (careful ids, random ids) for a request at time t under cfg's
+    time-to-stay model."""
     return tuple(rank_path_aware(*flat_draws([drawn], population), [t], population,
-                                 tts).tolist())
+                                 cfg).tolist())
 
 
 def careful_head(lst, careful):

@@ -30,11 +30,11 @@ import math
 
 import numpy as np
 
-from relaysim.churn import TimeToStayModel, estimate_time_to_stay
+from relaysim.churn import estimate_time_to_stay
 from relaysim.engine import MetricsReport
 from relaysim.io import OUTCOME_COLUMNS, TRACE_COLUMNS, TraceFormatError, _fmt, _parse_timestamp
 from relaysim.model import RATE_EPS
-from relaysim.netsim import SERVER, CityTable, haversine_km, latency_ms
+from relaysim.netsim import SERVER, haversine_km, latency_ms
 
 from helpers import TraceRecord, online_set
 
@@ -68,10 +68,10 @@ def primary_success(o):
     return isinstance(o.served_by, int) and o.attempts == 1
 
 
-def durability(tts, q, t):
+def durability(cfg, q, t):
     """The request-time sort key of candidate q at time t: the longest
-    estimated time-to-stay first, ties on ascending id."""
-    return (-estimate_time_to_stay(tts, (t - q.join_time) / 60.0), q.id)
+    estimated time-to-stay under cfg first, ties on ascending id."""
+    return (-estimate_time_to_stay(cfg, (t - q.join_time) / 60.0), q.id)
 
 
 def not_busy(q, in_use, workload, gamma, workload_mode):
@@ -91,12 +91,11 @@ def pick(u, pool, k):
 def reference_run(cfg, peers, scenario):
     horizon = cfg.sim_duration
     size_kbits = cfg.content_size_kb * 8.0
-    cities = CityTable(cfg.city_table)
-    tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
+    cities = cfg.city_table
     by_id = {p.id: p for p in peers}
 
     def handshake(a, b):
-        dist = haversine_km(*cities.coords(a.city), *cities.coords(b.city))
+        dist = haversine_km(*cities[a.city], *cities[b.city])
         return 2.0 * latency_ms(dist, cfg.latency_base_ms, cfg.latency_per_km_ms) / 1000.0
 
     # Every request issued by the horizon, in join order, list order at
@@ -150,7 +149,7 @@ def reference_run(cfg, peers, scenario):
                                                          cfg.workload_mode)
 
         return [q.id for part in (careful, randoms)
-                for q in sorted(filter(keep, part), key=lambda q: durability(tts, q, t))]
+                for q in sorted(filter(keep, part), key=lambda q: durability(cfg, q, t))]
 
     def attempt(req, t):
         st = state[req.id]
@@ -263,7 +262,6 @@ def reference_draws(cfg, peers, scenario):
         (len(cut), cfg.zeta)).tolist()
     rows = dict(zip(sorted(p.id for p in cut), block))
     path_aware = cfg.strategy == "path-aware"
-    tts = TimeToStayModel(*cfg.tts_coeffs, cfg.tts_clamp_min)
     failed, lists, pools = set(), {}, {}
     for p in cut:
         t = p.join_time
@@ -277,7 +275,7 @@ def reference_draws(cfg, peers, scenario):
         if path_aware:
             failed.add(p.id)
             careful, randoms = ([q.id for q in sorted(map(by_id.get, part),
-                                                      key=lambda q: durability(tts, q, t))]
+                                                      key=lambda q: durability(cfg, q, t))]
                                 for part in (careful, randoms))
         lists[p.id] = (*careful, *randoms)
     for pid, listed in lists.items():

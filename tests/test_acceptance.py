@@ -16,13 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaysim.churn import (
-    SessionModel,
-    TimeToStayModel,
-    estimate_time_to_stay,
-    sample_interarrival,
-    sample_session_duration,
-)
+from relaysim.churn import estimate_time_to_stay, sample_interarrival, sample_session_duration
 from relaysim.engine import build_population, run, _stream, _STREAM_FAILURE
 from relaysim.io import SweepSpec, run_sweep
 from relaysim.model import RelayLedger, SimConfig
@@ -166,26 +160,26 @@ def test_criterion_3_retry_advantage(desk_sweep):
 
 
 def test_criterion_4_time_to_stay_estimator():
-    model = TimeToStayModel()
+    cfg = SimConfig()
     pts = {0.0: 3.5, 30.0: 25.76, 60.0: 34.34}
-    exact = all(abs(estimate_time_to_stay(model, x) - y) <= 1e-9
+    exact = all(abs(estimate_time_to_stay(cfg, x) - y) <= 1e-9
                 for x, y in pts.items())
-    grid = [estimate_time_to_stay(model, i / 10.0) for i in range(601)]
+    grid = [estimate_time_to_stay(cfg, i / 10.0) for i in range(601)]
     monotone = all(b >= a for a, b in zip(grid, grid[1:]))
     ok = exact and monotone
     assert verdict(4, "time-to-stay estimator", ok), (
-        f"values {[estimate_time_to_stay(model, x) for x in pts]}, "
+        f"values {[estimate_time_to_stay(cfg, x) for x in pts]}, "
         f"monotone={monotone}")
 
 
 def test_criterion_5_churn_calibration():
-    model = SessionModel()
+    cfg = SimConfig()
     rng = np.random.default_rng(77)
-    durs = np.array([sample_session_duration(model, rng)
+    durs = np.array([sample_session_duration(cfg, rng)
                      for _ in range(10 ** 5)])
     cdf_1 = float(np.mean(durs <= 60.0))
     cdf_10 = float(np.mean(durs <= 600.0))
-    gaps = np.array([sample_interarrival(model, rng) for _ in range(10 ** 5)])
+    gaps = np.array([sample_interarrival(cfg, rng) for _ in range(10 ** 5)])
     mean_gap = float(gaps.mean())
     ok = (abs(cdf_1 - 0.60) <= 0.03 and abs(cdf_10 - 0.90) <= 0.02
           and abs(mean_gap - 2.0) <= 0.05)
@@ -266,7 +260,7 @@ def _random_table(rng: np.random.Generator):
 
 def test_criterion_7_candidate_list_invariants():
     rng = np.random.default_rng(31337)
-    tts = TimeToStayModel()
+    cfg = SimConfig()
     checked = 0
     for _ in range(10 ** 4):
         peers, ledger, failed = _random_table(rng)
@@ -282,7 +276,7 @@ def test_criterion_7_candidate_list_invariants():
                                 u=rng.random(zeta).tolist(), failed=failed)
         peers = population(online)
         lst = ids_of(peers, generate_relay_list(
-            ranked_list(drawn, t, peers, tts), peers, gamma=gamma, workload_mode="utilization",
+            ranked_list(drawn, t, peers, cfg), peers, gamma=gamma, workload_mode="utilization",
             ledger=ledger_by_row(ledger, peers)))
         assert len(lst) <= zeta
         assert len(set(lst)) == len(lst)
@@ -299,7 +293,7 @@ def test_criterion_7_candidate_list_invariants():
             assert pid not in failed
             assert ledger.in_use_kbps.get(pid, 0.0) / by_id[pid].uplink_kbps <= gamma
         for part in (careful, randoms):
-            taus = [estimate_time_to_stay(tts, (t - by_id[pid].join_time) / 60.0)
+            taus = [estimate_time_to_stay(cfg, (t - by_id[pid].join_time) / 60.0)
                     for pid in part]
             assert all(a >= b - 1e-12 for a, b in zip(taus, taus[1:]))
             for (a_tau, a_pid), (b_tau, b_pid) in zip(

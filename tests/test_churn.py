@@ -9,13 +9,13 @@ from relaysim.churn import (
     DEFAULT_PARETO_SCALE_MIN,
     DEFAULT_PARETO_SHAPE,
     CalibrationError,
-    SessionModel,
-    TimeToStayModel,
     calibrate_pareto,
     estimate_time_to_stay,
     sample_interarrival,
     sample_session_duration,
 )
+from relaysim.io import synthesize_trace
+from relaysim.model import ConfigError, SimConfig
 
 # Closed-form solution of the default two-quantile fit, computed by hand:
 #   a   = ln(0.4 / 0.1) / ln(10)  = log10(4)
@@ -61,92 +61,101 @@ class TestCalibration:
 
 class TestSessionModel:
     def test_defaults(self):
-        m = SessionModel()
-        assert m.lambda_per_min == 30.0
-        assert m.pareto_shape == DEFAULT_PARETO_SHAPE
-        assert m.pareto_scale_min == DEFAULT_PARETO_SCALE_MIN
+        # a None Pareto field means the calibrated default
+        cfg = SimConfig()
+        assert (cfg.arrival_rate_lambda, cfg.pareto_shape, cfg.pareto_scale_min) == (
+            30.0, None, None)
+        calibrated = SimConfig(pareto_shape=DEFAULT_PARETO_SHAPE,
+                               pareto_scale_min=DEFAULT_PARETO_SCALE_MIN)
+        for shape, scale in ((None, None), (None, DEFAULT_PARETO_SCALE_MIN),
+                             (DEFAULT_PARETO_SHAPE, None)):
+            cfg = SimConfig(pareto_shape=shape, pareto_scale_min=scale)
+            assert np.array_equal(sample_session_duration(cfg, np.random.default_rng(4), 50),
+                                  sample_session_duration(calibrated, np.random.default_rng(4), 50))
 
-    @pytest.mark.parametrize("kw", [
-        {"lambda_per_min": 0.0},
-        {"pareto_shape": -1.0},
-        {"pareto_scale_min": 0.0},
-    ])
-    def test_invalid_parameters(self, kw):
-        with pytest.raises(ValueError):
-            SessionModel(**kw)
+    @pytest.mark.parametrize("kw, message", [
+        ({"arrival_rate_lambda": 0.0}, "arrival_rate_lambda: must be positive and finite"),
+        ({"pareto_shape": -1.0}, "pareto_shape: must be positive and finite when set"),
+        ({"pareto_scale_min": 0.0}, "pareto_scale_min: must be positive and finite when set"),
+    ], ids=["kw0", "kw1", "kw2"])
+    def test_invalid_parameters(self, kw, message):
+        # the session fields are checked where a config enters, once
+        with pytest.raises(ConfigError) as ei:
+            synthesize_trace(10, cfg=SimConfig(**kw))
+        assert ei.value.errors == [message]
 
 
 class TestSamplers:
     def test_interarrival_mean(self):
         rng = np.random.default_rng(7)
-        draws = sample_interarrival(SessionModel(), rng, size=100_000)
+        draws = sample_interarrival(SimConfig(), rng, size=100_000)
         assert abs(draws.mean() - 2.0) < 0.05
 
     def test_interarrival_rate_reciprocity(self):
         rng = np.random.default_rng(7)
-        draws = sample_interarrival(SessionModel(lambda_per_min=1e6), rng,
+        draws = sample_interarrival(SimConfig(arrival_rate_lambda=1e6), rng,
                                     size=10_000)
         assert draws.mean() < 0.001
 
     def test_interarrival_deterministic(self):
-        a = sample_interarrival(SessionModel(), np.random.default_rng(3), size=3)
-        b = sample_interarrival(SessionModel(), np.random.default_rng(3), size=3)
+        a = sample_interarrival(SimConfig(), np.random.default_rng(3), size=3)
+        b = sample_interarrival(SimConfig(), np.random.default_rng(3), size=3)
         assert np.array_equal(a, b)
 
     def test_session_duration_quantiles(self):
         rng = np.random.default_rng(11)
-        secs = sample_session_duration(SessionModel(), rng, size=100_000)
+        secs = sample_session_duration(SimConfig(), rng, size=100_000)
         mins = secs / 60.0
         assert abs(np.mean(mins < 1.0) - 0.60) < 0.03
         assert abs(np.mean(mins < 10.0) - 0.90) < 0.02
 
     def test_session_duration_support(self):
         rng = np.random.default_rng(5)
-        secs = sample_session_duration(SessionModel(), rng, size=50_000)
+        secs = sample_session_duration(SimConfig(), rng, size=50_000)
         assert np.all(secs >= 60.0 * DEFAULT_PARETO_SCALE_MIN)
 
     def test_session_duration_deterministic(self):
-        a = sample_session_duration(SessionModel(), np.random.default_rng(9), size=5)
-        b = sample_session_duration(SessionModel(), np.random.default_rng(9), size=5)
+        a = sample_session_duration(SimConfig(), np.random.default_rng(9), size=5)
+        b = sample_session_duration(SimConfig(), np.random.default_rng(9), size=5)
         assert np.array_equal(a, b)
 
 
 class TestTimeToStay:
     def test_polynomial_values(self):
-        m = TimeToStayModel()
-        assert estimate_time_to_stay(m, 0.0) == pytest.approx(3.5, abs=1e-9)
-        assert estimate_time_to_stay(m, 30.0) == pytest.approx(25.76, abs=1e-9)
-        assert estimate_time_to_stay(m, 60.0) == pytest.approx(34.34, abs=1e-9)
+        cfg = SimConfig()
+        assert estimate_time_to_stay(cfg, 0.0) == pytest.approx(3.5, abs=1e-9)
+        assert estimate_time_to_stay(cfg, 30.0) == pytest.approx(25.76, abs=1e-9)
+        assert estimate_time_to_stay(cfg, 60.0) == pytest.approx(34.34, abs=1e-9)
 
     def test_clamp_beyond_valid_range(self):
-        m = TimeToStayModel()
-        at_max = estimate_time_to_stay(m, 60.0)
-        assert estimate_time_to_stay(m, 90.0) == at_max
-        assert estimate_time_to_stay(m, 1e6) == at_max
+        cfg = SimConfig()
+        at_max = estimate_time_to_stay(cfg, 60.0)
+        assert estimate_time_to_stay(cfg, 90.0) == at_max
+        assert estimate_time_to_stay(cfg, 1e6) == at_max
 
     def test_negative_elapse_rejected(self):
         with pytest.raises(ValueError):
-            estimate_time_to_stay(TimeToStayModel(), -0.1)
+            estimate_time_to_stay(SimConfig(), -0.1)
 
     def test_monotone_on_grid(self):
-        m = TimeToStayModel()
+        cfg = SimConfig()
         grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
-        vals = [estimate_time_to_stay(m, x) for x in grid]
+        vals = [estimate_time_to_stay(cfg, x) for x in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(math.isfinite(v) and v >= 0 for v in vals)
 
     def test_ranking_invariance(self):
         # longer elapse never ranks lower inside the trusted window
-        m = TimeToStayModel()
+        cfg = SimConfig()
         rng = np.random.default_rng(2)
         pairs = rng.uniform(0.0, 60.0, size=(200, 2))
         for e1, e2 in pairs:
             lo, hi = sorted((e1, e2))
-            assert estimate_time_to_stay(m, hi) >= estimate_time_to_stay(m, lo)
+            assert estimate_time_to_stay(cfg, hi) >= estimate_time_to_stay(cfg, lo)
 
     def test_vertex_outside_window(self):
         # parabola apex sits past 60 min, so the window is monotone
-        m = TimeToStayModel()
-        vertex = -m.c1 / (2.0 * m.c2)
+        c2, c1, _ = SimConfig().tts_coeffs
+        vertex = -c1 / (2.0 * c2)
         assert vertex > 60.0
         assert vertex == pytest.approx(63.815789, abs=1e-6)

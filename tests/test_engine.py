@@ -32,10 +32,10 @@ from relaysim.engine import (
     _stream,
     _STREAM_POPULATION,
 )
-from relaysim.churn import SessionModel
+from relaysim.churn import DEFAULT_PARETO_SCALE_MIN, DEFAULT_PARETO_SHAPE
 from relaysim.io import build_trace_peers, synthesize_trace, write_outcomes_csv
 from relaysim.model import RATE_EPS, CapacityError, PeerColumns, RelayLedger, SimConfig
-from relaysim.netsim import SERVER, CityTable, FailureScenario, UnknownCityError, haversine_km
+from relaysim.netsim import SERVER, FailureScenario, haversine_km
 
 from helpers import (Peer, candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
                      outcome_tables, outcomes_table, peer_columns, peer_of, peer_rows, peers_of,
@@ -173,7 +173,12 @@ class TestPopulation:
                 int, str, int, float, float, float, float]
 
     def test_default_session_model(self):
-        assert engine.session_model(SimConfig()) == SessionModel()
+        # None Pareto fields draw the calibrated sessions
+        sessions = [build_population(cfg, _stream(1, _STREAM_POPULATION))[-2:]
+                    for cfg in (SimConfig(peer_count=200),
+                                SimConfig(peer_count=200, pareto_shape=DEFAULT_PARETO_SHAPE,
+                                          pareto_scale_min=DEFAULT_PARETO_SCALE_MIN))]
+        assert [c.tolist() for c in sessions[0]] == [c.tolist() for c in sessions[1]]
 
     def test_empty_population(self):
         columns = build_population(SimConfig(peer_count=0), _stream(1, _STREAM_POPULATION))
@@ -319,8 +324,8 @@ class TestAttemptDownload:
         out, sim = self.download(make_peer(0, city="Beijing"),
                                  [make_peer(1, city="Shanghai")], affected={0},
                                  candidates=(1,))
-        table = CityTable(sim.cfg.city_table)
-        km = haversine_km(*table.coords("Beijing"), *table.coords("Shanghai"))
+        table = sim.cfg.city_table
+        km = haversine_km(*table["Beijing"], *table["Shanghai"])
         handshake = 2.0 * (5.0 + 0.02 * km) / 1000.0
         assert out.end_time == pytest.approx(handshake + 4.0, abs=1e-9)
 
@@ -330,8 +335,8 @@ class TestAttemptDownload:
         # moves the codes of Beijing and Shanghai; both runs must pay the
         # Beijing-Shanghai handshake.
         cfg = SimConfig(peer_count=3, content_size_kb=512.0, sim_duration=math.inf)
-        table = CityTable(cfg.city_table)
-        km = haversine_km(*table.coords("Beijing"), *table.coords("Shanghai"))
+        table = cfg.city_table
+        km = haversine_km(*table["Beijing"], *table["Shanghai"])
         handshake = 2.0 * (5.0 + 0.02 * km) / 1000.0
         pair = [make_peer(0, city="Beijing"), make_peer(1, city="Shanghai")]
         bystander = make_peer(2, city="Wuhan", join=1.0)
@@ -350,7 +355,8 @@ class TestAttemptDownload:
         for cities in (("Atlantis", "Beijing"), ("Beijing", "Atlantis")):
             peers = [make_peer(i, city=city) for i, city in enumerate(cities)]
             population = Population(peer_columns(peers), FailureScenario(frozenset()))
-            with pytest.raises(UnknownCityError, match="Atlantis"):
+            with pytest.raises(ValueError, match="population city 'Atlantis' is missing "
+                                                 "from cfg.city_table"):
                 Simulation(cfg, population)
 
     def test_attempts_bounded_by_list(self):

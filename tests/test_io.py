@@ -42,7 +42,7 @@ from relaysim.io import (
 from relaysim.model import CapacityError, ConfigError, SimConfig
 from relaysim.netsim import SERVER, FailureScenario
 
-from helpers import (TraceRecord, outcome_tables, outcomes_table, peer_rows, peers_of,
+from helpers import (TraceRecord, outcome_tables, outcomes_table, peer_rows,
                      trace_columns, trace_files, trace_rows)
 from reference import parse_trace_rows, write_outcomes_csv_rows
 
@@ -79,7 +79,6 @@ class TestConfigFile:
             "strategy": "random",
             "pareto_shape": "none",
             "tts_coeffs": "-0.01,1.0,2.0",
-            "content_sizes_kb": "500,1000",
             "uplink_profile": "512:0.5,1024:0.5",
             "failure_end": "inf",
         })
@@ -88,7 +87,6 @@ class TestConfigFile:
         assert cfg.strategy == "random"
         assert cfg.pareto_shape is None
         assert cfg.tts_coeffs == (-0.01, 1.0, 2.0)
-        assert cfg.content_sizes_kb == (500.0, 1000.0)
         assert cfg.uplink_profile == {512.0: 0.5, 1024.0: 0.5}
         assert cfg.failure_end == math.inf
 
@@ -354,10 +352,16 @@ class TestSynthesisAndReplay:
         assert {type(u) for u in records.user_id} == {str}
         assert (records.request_ts.dtype, records.leave_ts.dtype, records.fetch_failure.dtype) == (
             np.float64, np.float64, bool)
+        # ints and floats of these dtypes come out of tolist() as built-in
+        # values, so no numpy scalar leaks into the outcome CSV
         columns = build_trace_peers(records, SimConfig(), np.random.default_rng(1))
-        for p in peers_of(engine.Population(columns, FailureScenario(frozenset()))):
-            assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [
-                int, str, int, float, float, float, float]
+        assert {type(c) for c in columns.cities} == {str}
+        assert [c.dtype for c in columns[1:]] == [np.int64] * 3 + [np.float64] * 4
+        population = engine.Population(columns, FailureScenario(()))
+        kept = ("ids", "city", "isp", "uplink", "downlink", "join", "dep", "by_id", "affected",
+                "in_region", "cut")
+        assert [getattr(population, name).dtype for name in kept] == (
+            [np.int64] * 3 + [np.float64] * 4 + [np.int64] + [np.bool_] * 3)
 
     def test_trace_peers_draw_the_population_attribute_columns(self):
         import numpy as np
@@ -754,6 +758,20 @@ class TestCli:
 
     def test_unknown_config_key_exit_2(self, capsys):
         assert main(["run", "--set", "warpdrive=1"]) == 2
+
+    def test_sweep_sizes_are_no_config_key_exit_2(self, tmp_path, capsys):
+        # the sweep's size axis is set by --sizes alone
+        assert main(["sweep", "--set", "content_sizes_kb=500,1000",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'content_sizes_kb'\n"
+
+    def test_city_file_out_of_range_exit_2(self, tmp_path, capsys):
+        cities = tmp_path / "cities.csv"
+        cities.write_text("name,lat,lon\nBeijing,91.0,116.4\nWuhan,30.59,114.31\n")
+        assert main(["run", "--set", f"city_file={cities}", "--peers", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: city_table[Beijing]: coordinates out of range\n"
 
     def test_run_nan_size_exit_2(self, capsys):
         assert main(["run", *self.run_flags(), "--size", "nan"]) == 2

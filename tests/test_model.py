@@ -147,7 +147,7 @@ class TestConfigValidation:
         ("workload_mode", "volume", "workload_mode"),
         ("failure_region", "Atlantis", "failure_region"),
         ("content_size_kb", 0.0, "content_size_kb"),
-        ("content_sizes_kb", (500.0, -1.0), "content_sizes_kb"),
+        ("tts_coeffs", (0.97, 3.5), "tts_coeffs: expected exactly three coefficients"),
         ("downlink_factor", 0.0, "downlink_factor"),
         ("sim_duration", 0.0, "sim_duration"),
         ("pareto_shape", -2.0, "pareto_shape"),
@@ -167,8 +167,9 @@ class TestConfigValidation:
         ("failure_end", math.nan, "failure_end"),
         ("content_size_kb", math.nan, "content_size_kb"),
         ("content_size_kb", math.inf, "content_size_kb"),
-        ("content_sizes_kb", (math.nan, 1000.0), "content_sizes_kb"),
-        ("content_sizes_kb", (500.0, math.inf), "content_sizes_kb"),
+        ("city_table", {"Beijing": (math.nan, 116.4)},
+         "city_table[Beijing]: coordinates out of range"),
+        ("city_table", {"Beijing": (39.9, 116.4, 0.0)}, "city_table[Beijing]: expected (lat, lon)"),
         ("downlink_factor", math.nan, "downlink_factor"),
         ("downlink_factor", math.inf, "downlink_factor"),
         ("latency_base_ms", math.nan, "latency_base_ms"),
@@ -243,7 +244,7 @@ class TestConfigValidation:
         for expected in ("peer_count", "city_table", "isp_count",
                          "arrival_rate_lambda", "pareto_shape",
                          "pareto_scale_min", "alpha", "gamma", "zeta",
-                         "failure_ratio", "failure_region", "content_sizes_kb",
+                         "failure_ratio", "failure_region", "content_size_kb",
                          "rng_seed", "strategy", "sim_duration"):
             assert expected in names
 

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, SimConfig
+from relaysim.engine import Simulation
+from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, SimConfig, config_errors
 from relaysim.netsim import (
-    CityTable,
     FailureScenario,
     SERVER,
-    UnknownCityError,
     assign_bandwidth,
     assign_isp,
     haversine_km,
     inject_failure,
     latency_ms,
+    read_city_file,
 )
 
 from helpers import Peer, fixed_list_simulation, one_attempt, peer_columns, population
@@ -30,33 +30,34 @@ def make_peer(pid, city="Beijing", **kw):
 
 def km(table, a, b):
     """Great-circle distance between two cities of the table."""
-    return haversine_km(*table.coords(a), *table.coords(b))
+    return haversine_km(*table[a], *table[b])
 
 
 class TestGeography:
     def test_zero_distance_same_city(self):
-        table = CityTable(DEFAULT_CITIES)
-        assert km(table, "Beijing", "Beijing") == 0.0
+        assert km(DEFAULT_CITIES, "Beijing", "Beijing") == 0.0
 
     def test_beijing_shanghai(self):
         # independent haversine calculation puts this at 1067.08 km
-        table = CityTable(DEFAULT_CITIES)
-        d = km(table, "Beijing", "Shanghai")
+        d = km(DEFAULT_CITIES, "Beijing", "Shanghai")
         assert d == pytest.approx(1067.08, abs=0.5)
         assert abs(d - 1068.0) <= 5.0
 
     def test_symmetry_all_pairs(self):
-        table = CityTable(DEFAULT_CITIES)
-        for a in table.as_dict():
-            for b in table.as_dict():
-                assert km(table, a, b) == pytest.approx(km(table, b, a), abs=1e-9)
+        for a in DEFAULT_CITIES:
+            for b in DEFAULT_CITIES:
+                assert km(DEFAULT_CITIES, a, b) == pytest.approx(km(DEFAULT_CITIES, b, a),
+                                                                 abs=1e-9)
 
-    def test_unknown_city(self):
-        table = CityTable(DEFAULT_CITIES)
-        with pytest.raises(UnknownCityError):
-            km(table, "Beijing", "Atlantis")
-        with pytest.raises(UnknownCityError):
-            km(table, "Atlantis", "Atlantis")
+    def test_unknown_city(self, tmp_path):
+        # a city table read from a file must name every population city
+        f = tmp_path / "cities.csv"
+        f.write_text("Beijing,39.9,116.4\n")
+        cfg = SimConfig(city_table=read_city_file(f), peer_count=2)
+        listed = population([make_peer(0), make_peer(1, city="Shanghai")])
+        with pytest.raises(ValueError, match="population city 'Shanghai' is missing from "
+                                             "cfg.city_table"):
+            Simulation(cfg, listed)
 
     def test_haversine_antipodal_bound(self):
         # no two points exceed half the great circle
@@ -64,28 +65,30 @@ class TestGeography:
             math.pi * 6371.0, rel=1e-9)
 
     def test_table_validation(self):
-        with pytest.raises(ValueError):
-            CityTable({})
-        with pytest.raises(ValueError):
-            CityTable({"X": (91.0, 0.0)})
+        assert config_errors(SimConfig(city_table={})) == [
+            "city_table: must contain at least one city",
+            "failure_region: unknown city 'Beijing'"]
+        table = {"Beijing": (39.9, 116.4), "X": (91.0, 0.0)}
+        assert config_errors(SimConfig(city_table=table)) == [
+            "city_table[X]: coordinates out of range"]
 
-    def test_from_csv_with_header(self, tmp_path):
+    def test_read_city_file_with_header(self, tmp_path):
         f = tmp_path / "cities.csv"
         f.write_text("name,lat,lon\nA,10.0,20.0\nB,-5.5,30.25\n")
-        table = CityTable.from_csv(f)
-        assert tuple(table.as_dict()) == ("A", "B")
-        assert table.coords("B") == (-5.5, 30.25)
+        assert read_city_file(f) == {"A": (10.0, 20.0), "B": (-5.5, 30.25)}
 
-    def test_from_csv_without_header(self, tmp_path):
+    def test_read_city_file_without_header(self, tmp_path):
         f = tmp_path / "cities.csv"
-        f.write_text("A,10.0,20.0\nB,-5.5,30.25\n")
-        assert len(CityTable.from_csv(f).as_dict()) == 2
+        f.write_text("A,10.0,20.0\n\nB,-5.5,30.25\n")
+        assert read_city_file(f) == {"A": (10.0, 20.0), "B": (-5.5, 30.25)}
 
-    def test_from_csv_bad_rows(self, tmp_path):
+    def test_read_city_file_bad_rows(self, tmp_path):
         f = tmp_path / "cities.csv"
-        f.write_text("A,10.0\n")
-        with pytest.raises(ValueError):
-            CityTable.from_csv(f)
+        for text, message in (("A,10.0\n", "expected 3 columns"),
+                              ("A,10.0,20.0\nname,lat,lon\n", "bad coordinates")):
+            f.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                read_city_file(f)
 
 
 class TestLatency:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim.churn import TimeToStayModel, estimate_time_to_stay
+from relaysim.churn import estimate_time_to_stay
 from relaysim.engine import Population, _walk
 from relaysim.model import PeerColumns, RelayLedger, SimConfig
 from relaysim.netsim import FailureScenario
@@ -37,8 +37,8 @@ def make_peer(pid, city="Beijing", isp=1, join=0.0, dur=36000.0, **kw):
 
 
 def tts_fields(tts):
-    """The SimConfig fields of the time-to-stay model tts."""
-    return dict(tts_coeffs=(tts.c2, tts.c1, tts.c0), tts_clamp_min=tts.valid_elapse_max)
+    """The time-to-stay fields of the SimConfig tts."""
+    return dict(tts_coeffs=tts.tts_coeffs, tts_clamp_min=tts.tts_clamp_min)
 
 
 def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, ledger, **workload):
@@ -127,7 +127,7 @@ def selection_cases(draw):
             peers, column((0.5, 0.9, 1.0)), column((False, True))) if busy})
     params = dict(alpha=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
                   gamma=draw(st.sampled_from((0.5, 0.95, 2.0))),
-                  zeta=draw(st.integers(1, 50)), t=3600.0, tts=TimeToStayModel(),
+                  zeta=draw(st.integers(1, 50)), t=3600.0, tts=SimConfig(),
                   workload_mode=draw(st.sampled_from(("utilization", "count"))),
                   ledger=ledger, failed=failed)
     u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=params["zeta"],
@@ -208,9 +208,9 @@ class TestIndexedDraws:
 @st.composite
 def rank_blocks(draw):
     """Peers, a block of path-aware draws (careful ids, random ids) of the
-    peers joined by each request's time, those times, and a workload
-    filter: a time-to-stay model, gamma, mode and a ledger holding some of
-    the peers. Joins and times put elapsed times at 0, at the 60 min clamp,
+    peers joined by each request's time, those times, a SimConfig holding
+    a time-to-stay model, and a workload filter: gamma, mode and a ledger
+    holding some of the peers. Joins and times put elapsed times at 0, at the 60 min clamp,
     past it and between, with ties."""
     ids = draw(st.lists(st.integers(0, 200), unique=True, min_size=1, max_size=30))
     peers = [make_peer(pid, join=draw(st.sampled_from((0.0, 60.0, 600.0, 3000.0, 3600.0))),
@@ -224,7 +224,8 @@ def rank_blocks(draw):
         split = draw(st.integers(0, len(picked)))
         block.append((tuple(picked[:split]), tuple(picked[split:])))
         times.append(t)
-    tts = draw(st.sampled_from((TimeToStayModel(), TimeToStayModel(-0.01, 1.0, 3.0, 30.0))))
+    tts = draw(st.sampled_from((SimConfig(), SimConfig(tts_coeffs=(-0.01, 1.0, 3.0),
+                                                    tts_clamp_min=30.0))))
     ledger = RelayLedger(
         workload={pid: draw(st.integers(1, 4)) for pid in ids if draw(st.booleans())},
         in_use_kbps={p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
@@ -279,17 +280,17 @@ class TestRankOnce:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1e6), max_size=20))
     def test_column_estimator_is_the_scalar_one_bit_for_bit(self, drawn):
-        m = TimeToStayModel()
-        clamp = m.valid_elapse_max
+        cfg = SimConfig()
+        clamp, (c2, c1, c0) = cfg.tts_clamp_min, cfg.tts_coeffs
         elapses = [0.0, clamp, math.nextafter(clamp, math.inf), clamp + 1.0, *drawn]
-        column = estimate_time_to_stay(m, np.array(elapses))
+        column = estimate_time_to_stay(cfg, np.array(elapses))
         assert column.dtype == np.float64 and len(column) == len(elapses)
         for elapse, got in zip(elapses, column.tolist()):
             x = min(elapse, clamp)
-            assert got.hex() == float(estimate_time_to_stay(m, elapse)).hex() == (
-                m.c2 * x * x + m.c1 * x + m.c0).hex()
+            assert got.hex() == float(estimate_time_to_stay(cfg, elapse)).hex() == (
+                c2 * x * x + c1 * x + c0).hex()
         with pytest.raises(ValueError):
-            estimate_time_to_stay(m, np.array([1.0, -0.5]))
+            estimate_time_to_stay(cfg, np.array([1.0, -0.5]))
 
 
 def chi_square_bound(df, z=4.5):
@@ -398,7 +399,7 @@ class TestRandomList:
 class TestPathAwareList:
     def gen(self, requester, online, t=0.0, **kw):
         seed = kw.pop("seed", 0)
-        args = dict(alpha=0.2, gamma=0.8, zeta=10, t=t, tts=TimeToStayModel(),
+        args = dict(alpha=0.2, gamma=0.8, zeta=10, t=t, tts=SimConfig(),
                     workload_mode="utilization", ledger=RelayLedger(), failed=frozenset())
         args.update(kw)
         return path_aware_list(requester, online, u=row(seed, args["zeta"]), **args)
