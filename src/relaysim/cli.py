@@ -93,13 +93,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # Each cell sets these fields from its axes, so the one-value flags and
-    # RELAYSIM_SEED would be lost.
-    for flag, axis in (("seed", "seeds"), ("strategy", "strategies"), ("size", "sizes"),
-                       ("failure_ratio", "ratios")):
+    # Each cell sets these fields from its axes, so the one-value flags, a
+    # --set of the field and RELAYSIM_SEED would be lost.
+    set_keys = {pair.split("=", 1)[0].strip() for pair in args.set}
+    for flag, field, axis in (("seed", "rng_seed", "seeds"),
+                              ("strategy", "strategy", "strategies"),
+                              ("size", "content_size_kb", "sizes"),
+                              ("failure_ratio", "failure_ratio", "ratios")):
         if getattr(args, flag) is not None:
             raise ValueError(f"sweep takes its {axis} from --{axis}, not "
                              f"--{flag.replace('_', '-')}")
+        if field in set_keys:
+            raise ValueError(f"sweep takes its {axis} from --{axis}, not --set {field}")
     if os.environ.get("RELAYSIM_SEED"):
         raise ValueError("sweep takes its seeds from --seeds, not RELAYSIM_SEED")
     cfg = build_config(args)

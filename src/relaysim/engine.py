@@ -8,7 +8,9 @@ failure window? A requester that is not cut off reaches the server; a
 relay that is not reaches the server and any requester.
 
 A run reads a Population, read-only columns in issue order built from
-PeerColumns. Rules read the columns: a peer is online over [join, dep)
+PeerColumns. draw_population checks its config, as Simulation does, and
+peer_columns draws the peer attributes from the models the config holds.
+Rules read the columns: a peer is online over [join, dep)
 (_walk, Simulation.run). Server fetches hold no relay capacity, so they
 are decided at issue time on whole columns. The candidate draws and the
 path-aware rank depend only on the population, so draw_candidates makes
@@ -41,8 +43,8 @@ import numpy as np
 from relaysim import churn
 from relaysim.model import (RATE_EPS, PeerColumns, RelayLedger, SimConfig,
                             validate_config)
-from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth,
-                             assign_isp, handshake_table, inject_failure)
+from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth, handshake_table,
+                             inject_failure)
 from relaysim.selection import (careful_slots, generate_relay_list, pool_positions,
                                 rank_path_aware)
 # random_relay_list is not called here; perfbench's tracer patches this binding.
@@ -173,21 +175,18 @@ def collect_metrics(outcomes: Outcomes, affected: np.ndarray | None = None,
     )
 
 
-def draw_peer_attributes(cfg: SimConfig, rng: np.random.Generator,
-                         n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """City code (into cfg.city_table), ISP, uplink and downlink columns for
-    n peers, drawn in that order: uniform city and ISP, bucketed capacity."""
-    return (rng.integers(len(cfg.city_table), size=n), assign_isp(rng, n, cfg.isp_count),
-            *assign_bandwidth(rng, n, cfg.uplink_profile, cfg.downlink_factor))
-
-
 def peer_columns(cfg: SimConfig, rng: np.random.Generator, join: np.ndarray,
                  duration: np.ndarray) -> PeerColumns:
     """Read-only columns of len(join) peers, ids 0..n-1: the given join
-    times and session durations, then draw_peer_attributes' columns. join
+    times and session durations, and attributes drawn in this order: a
+    uniform city code (into cfg.city_table), a uniform ISP in
+    1..cfg.isp_count, then the bucketed capacity (assign_bandwidth). join
     and duration are made read-only too, so pass arrays no one writes."""
-    columns = PeerColumns(tuple(cfg.city_table), np.arange(len(join)),
-                          *draw_peer_attributes(cfg, rng, len(join)), join, duration)
+    n = len(join)
+    columns = PeerColumns(tuple(cfg.city_table), np.arange(n),
+                          rng.integers(len(cfg.city_table), size=n),
+                          rng.integers(1, cfg.isp_count + 1, size=n),
+                          *assign_bandwidth(cfg, rng, n), join, duration)
     for column in columns[1:]:
         column.flags.writeable = False
     return columns
@@ -271,11 +270,12 @@ class Population:
 
 
 def draw_population(cfg: SimConfig) -> Population:
-    """The population and failure scenario a valid cfg describes.
+    """The population and failure scenario of cfg (ConfigError if invalid).
 
     Only the population and failure fields and rng_seed enter the draw, so
     configs that differ in content size or strategy alone share it.
     """
+    validate_config(cfg)
     columns = build_population(cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
     affected = inject_failure(cfg.failure_region, cfg.failure_ratio, columns,
                               _stream(cfg.rng_seed, _STREAM_FAILURE))

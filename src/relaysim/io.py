@@ -25,9 +25,9 @@ import numpy as np
 
 from relaysim import churn, engine
 from relaysim.engine import SERVED_BY_SERVER, UNSERVED, MetricsReport, Outcomes, Simulation
-from relaysim.model import (STRATEGIES, TRACE_BACKWARDS, TRACE_EMPTY_USER, TRACE_NON_FINITE,
-                            CapacityError, ConfigError, PeerColumns, SimConfig, TraceColumns,
-                            _is_int, trace_row_faults, validate_config)
+from relaysim.model import (TRACE_BACKWARDS, TRACE_EMPTY_USER, TRACE_NON_FINITE, CapacityError,
+                            ConfigError, PeerColumns, SimConfig, TraceColumns, config_errors,
+                            trace_row_faults, validate_config)
 # assign_bandwidth is not called here; perfbench's tracer patches this binding.
 from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth,  # noqa: F401
                              read_city_file)
@@ -363,19 +363,19 @@ class SweepSpec:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        axes = {"content sizes": self.content_sizes_kb, "failure ratios": self.failure_ratios,
-                "strategies": self.strategies, "seeds": self.seeds}
-        for name, axis in axes.items():
+        """Each axis is non-empty and distinct (ValueError), and each value
+        passes config_errors in the field it sets (ConfigError)."""
+        axes = {"content sizes": ("content_size_kb", self.content_sizes_kb),
+                "failure ratios": ("failure_ratio", self.failure_ratios),
+                "strategies": ("strategy", self.strategies), "seeds": ("rng_seed", self.seeds)}
+        base, errs = SimConfig(), []
+        for name, (field, axis) in axes.items():
             if not axis or len(set(axis)) != len(axis):
                 raise ValueError(f"sweep {name} must be non-empty and distinct, got {axis}")
-        if any(not 0 < s < math.inf for s in self.content_sizes_kb):
-            raise ValueError("content sizes must be positive and finite")
-        if any(not 0.0 <= r <= 1.0 for r in self.failure_ratios):
-            raise ValueError("failure ratios must lie in [0, 1]")
-        if any(s not in STRATEGIES for s in self.strategies):
-            raise ValueError(f"strategies must be among {STRATEGIES}")
-        if any(not _is_int(s) or s < 0 for s in self.seeds):
-            raise ValueError("sweep seeds must be non-negative integers")
+            errs += (err for value in axis
+                     for err in config_errors(replace(base, **{field: value})))
+        if errs:
+            raise ConfigError(list(dict.fromkeys(errs)))
 
     @property
     def cell_count(self) -> int:
@@ -414,7 +414,6 @@ def run_sweep(spec: SweepSpec, base_cfg: SimConfig | None = None) -> SweepResult
             group_cfg = replace(base_cfg, content_size_kb=sizes[0], failure_ratio=ratio,
                                 strategy=strategies[0], rng_seed=seed)
             try:
-                validate_config(group_cfg)
                 population = engine.draw_population(group_cfg)
                 draws = {strategy: engine.draw_candidates(
                              replace(group_cfg, strategy=strategy), population)

@@ -1,5 +1,8 @@
 """Network substrate: geography, latency, access capacity, failures.
 
+The latency and capacity models read their parameters from a SimConfig,
+checked by config_errors where a run's config enters, not again here.
+
 Connectivity follows the in-network failure model: a failed region
 partitions its affected peers from the server and from each other, while
 paths between an affected and an unaffected peer stay usable. So one
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysim.model import DEFAULT_UPLINK_PROFILE, PeerColumns
+from relaysim.model import PeerColumns, SimConfig
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -37,8 +40,8 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 def read_city_file(path) -> dict[str, tuple[float, float]]:
     """A city table from name,lat,lon rows; a header row is detected and
-    skipped. Rows of another width or with coordinates that are not numbers
-    raise ValueError; config_errors checks the table itself."""
+    skipped. Rows of another width, coordinates that are not numbers and a
+    city named twice raise ValueError; config_errors checks the table itself."""
     coords = {}
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -53,63 +56,35 @@ def read_city_file(path) -> dict[str, tuple[float, float]]:
                 if not coords and name.lower() in ("name", "city"):
                     continue
                 raise ValueError(f"city file {path}: bad coordinates in {row!r}")
+            if name in coords:
+                raise ValueError(f"city file {path}: city {name!r} is listed twice")
             coords[name] = (lat, lon)
     return coords
-
-
-def latency_ms(distance_km: float, base_ms: float = 5.0, per_km_ms: float = 0.02) -> float:
-    """One-way latency as an affine function of distance."""
-    if distance_km < 0:
-        raise ValueError(f"distance_km must be non-negative, got {distance_km}")
-    return base_ms + per_km_ms * distance_km
 
 
 @functools.lru_cache(maxsize=16)
 def handshake_table(coords: tuple[tuple[float, float], ...], base_ms: float,
                     per_km_ms: float) -> tuple[tuple[float, ...], ...]:
     """Two-way handshake seconds, [a][b] from a requester at coords[a] to a
-    relay at coords[b] (0 km apart when equal); cached, as each run asks."""
-    return tuple(tuple(2.0 * latency_ms(haversine_km(*a, *b), base_ms, per_km_ms) / 1000.0
+    relay at coords[b] (0 km apart when equal): twice the one-way latency,
+    2 * (base_ms + per_km_ms * km) / 1000. Cached, as each run asks."""
+    return tuple(tuple(2.0 * (base_ms + per_km_ms * haversine_km(*a, *b)) / 1000.0
                        for b in coords) for a in coords)
 
 
-@functools.lru_cache(maxsize=16)
-def _capacity_cdf(profile_items: tuple) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Validate a capacity profile once and return its sorted buckets with
-    the CDF that Generator.choice(buckets, p=probs) builds: cumsum, then
-    divided by its last entry."""
-    profile = dict(profile_items)
-    buckets = sorted(profile)
-    probs = np.array([profile[b] for b in buckets], dtype=float)
-    if buckets[0] <= 0:
-        raise ValueError("capacity buckets must be positive")
-    if not abs(probs.sum() - 1.0) <= 1e-9 or (probs < 0).any():
-        raise ValueError("profile probabilities must be non-negative and sum to 1")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return tuple(float(b) for b in buckets), tuple(cdf.tolist())
-
-
-def assign_bandwidth(rng: np.random.Generator, n: int,
-                     profile: dict[float, float] | None = None,
-                     downlink_factor: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n (uplink, downlink) kbps pairs from the bucketed capacity profile.
+def assign_bandwidth(cfg: SimConfig, rng: np.random.Generator,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n (uplink, downlink) kbps pairs from cfg.uplink_profile, the
+    downlink cfg.downlink_factor times the uplink; config_errors checks both.
 
     One rng.random(n) draw located in the profile's CDF, the same draw as
     rng.choice(sorted buckets, p=probs, size=n). Returns float64 columns.
     """
-    if profile is None:
-        profile = DEFAULT_UPLINK_PROFILE
-    buckets, cdf = _capacity_cdf(tuple(profile.items()))
-    uplink = np.array(buckets)[np.searchsorted(cdf, rng.random(n), side="right")]
-    return uplink, uplink * downlink_factor
-
-
-def assign_isp(rng: np.random.Generator, n: int, isp_count: int) -> np.ndarray:
-    """n uniform ISP labels in 1..isp_count, as an int64 column."""
-    if isp_count < 1:
-        raise ValueError("isp_count must be at least 1")
-    return rng.integers(1, isp_count + 1, size=n)
+    buckets = sorted(cfg.uplink_profile)
+    cdf = np.array([cfg.uplink_profile[b] for b in buckets], np.float64).cumsum()
+    cdf /= cdf[-1]
+    uplink = np.array(buckets, np.float64)[np.searchsorted(cdf, rng.random(n), side="right")]
+    return uplink, uplink * cfg.downlink_factor
 
 
 @dataclass(frozen=True, eq=False)

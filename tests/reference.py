@@ -34,7 +34,7 @@ from relaysim.churn import estimate_time_to_stay
 from relaysim.engine import MetricsReport
 from relaysim.io import OUTCOME_COLUMNS, TRACE_COLUMNS, TraceFormatError, _fmt, _parse_timestamp
 from relaysim.model import RATE_EPS
-from relaysim.netsim import SERVER, haversine_km, latency_ms
+from relaysim.netsim import SERVER, haversine_km
 
 from helpers import TraceRecord, online_set
 
@@ -96,7 +96,8 @@ def reference_run(cfg, peers, scenario):
 
     def handshake(a, b):
         dist = haversine_km(*cities[a.city], *cities[b.city])
-        return 2.0 * latency_ms(dist, cfg.latency_base_ms, cfg.latency_per_km_ms) / 1000.0
+        # twice the one-way latency, base + per km * distance, in seconds
+        return 2.0 * (cfg.latency_base_ms + cfg.latency_per_km_ms * dist) / 1000.0
 
     # Every request issued by the horizon, in join order, list order at
     # equal joins.

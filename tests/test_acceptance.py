@@ -20,7 +20,7 @@ from relaysim.churn import estimate_time_to_stay, sample_interarrival, sample_se
 from relaysim.engine import build_population, run, _stream, _STREAM_FAILURE
 from relaysim.io import SweepSpec, run_sweep
 from relaysim.model import RelayLedger, SimConfig
-from relaysim.netsim import FailureScenario, inject_failure, latency_ms
+from relaysim.netsim import FailureScenario, inject_failure
 from relaysim.selection import (
     Infeasible,
     generate_relay_list,
@@ -131,8 +131,7 @@ def _no_relay_accounting_oracle(cfg: SimConfig) -> float:
         inject_failure(cfg.failure_region, cfg.failure_ratio, columns,
                        _stream(cfg.rng_seed, _STREAM_FAILURE)),
         cfg.failure_region, cfg.failure_start, cfg.failure_end)
-    handshake = 2.0 * latency_ms(0.0, cfg.latency_base_ms,
-                                 cfg.latency_per_km_ms) / 1000.0
+    handshake = 2.0 * cfg.latency_base_ms / 1000.0   # the server is 0 km away
     served = 0
     peers = peer_rows(columns)
     for p in peers:

@@ -34,7 +34,8 @@ from relaysim.engine import (
 )
 from relaysim.churn import DEFAULT_PARETO_SCALE_MIN, DEFAULT_PARETO_SHAPE
 from relaysim.io import build_trace_peers, synthesize_trace, write_outcomes_csv
-from relaysim.model import RATE_EPS, CapacityError, PeerColumns, RelayLedger, SimConfig
+from relaysim.model import (RATE_EPS, CapacityError, ConfigError, PeerColumns, RelayLedger,
+                            SimConfig)
 from relaysim.netsim import SERVER, FailureScenario, haversine_km
 
 from helpers import (Peer, candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
@@ -184,6 +185,16 @@ class TestPopulation:
         columns = build_population(SimConfig(peer_count=0), _stream(1, _STREAM_POPULATION))
         assert [len(column) for column in columns[1:]] == [0] * 7
         assert peer_rows(columns) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("arrival_rate_lambda", 0.0, "must be positive and finite"),
+        ("uplink_profile", {512.0: 2.0}, "probabilities must sum to 1"),
+        ("isp_count", 0, "must be at least 1")])
+    def test_draw_population_checks_its_config(self, field, value, message):
+        # Unchecked, a zero arrival rate divides by zero and a profile that
+        # sums to 2 draws capacities without a word.
+        with pytest.raises(ConfigError, match=f"^{field}: {message}$"):
+            draw_population(SimConfig(peer_count=20, **{field: value}))
 
 
 class TestCapacityLedger:

@@ -368,9 +368,10 @@ class TestSynthesisAndReplay:
         records = synthesize_trace(30, seed=2)
         cfg = SimConfig(peer_count=30)
         columns = build_trace_peers(records, cfg, np.random.default_rng(9))
-        drawn = engine.draw_peer_attributes(cfg, np.random.default_rng(9), 30)
+        # the attribute draws do not read the session columns
+        drawn = engine.peer_columns(cfg, np.random.default_rng(9), np.zeros(30), np.ones(30))
         assert columns.cities == tuple(cfg.city_table)
-        assert [c.tolist() for c in columns[2:6]] == [c.tolist() for c in drawn]
+        assert [c.tolist() for c in columns[2:6]] == [c.tolist() for c in drawn[2:6]]
 
     def test_synthesize_start_offsets_every_session(self):
         base = synthesize_trace(25, seed=4)
@@ -448,12 +449,13 @@ class TestSweep:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(content_sizes_kb=())
-        with pytest.raises(ValueError):
+        # each axis value is checked by config_errors in the field it sets
+        with pytest.raises(ConfigError, match="^failure_ratio: must lie in"):
             SweepSpec(failure_ratios=(1.2,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^strategy: must be one of"):
             SweepSpec(strategies=("telepathy",))
         for size in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ConfigError, match="^content_size_kb: must be positive and fin"):
                 SweepSpec(content_sizes_kb=(size, 1000.0))
         # a repeated value would run its cells twice and weight them twice
         # in the summary's means
@@ -464,9 +466,15 @@ class TestSweep:
                 SweepSpec(**{axis: values})
         with pytest.raises(ValueError, match="non-empty"):
             SweepSpec(seeds=())
-        for seed in (-1, 1.5, True):
-            with pytest.raises(ValueError, match="seeds must be non-negative integers"):
+        for seed, message in ((-1, "must be non-negative"), (1.5, "must be an integer"),
+                              (True, "must be an integer")):
+            with pytest.raises(ConfigError, match=f"^rng_seed: {message}$"):
                 SweepSpec(seeds=(0, seed))
+        # one line per broken rule, each axis in turn
+        with pytest.raises(ConfigError) as err:
+            SweepSpec(seeds=(-1, -2), failure_ratios=(2.0,))
+        assert err.value.errors == ["failure_ratio: must lie in [0, 1]",
+                                    "rng_seed: must be non-negative"]
 
     def test_cross_product_row_count(self):
         spec = SweepSpec(failure_ratios=(0.6,), seeds=(0,))
@@ -773,6 +781,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "config error: city_table[Beijing]: coordinates out of range\n"
 
+    def test_city_file_naming_a_city_twice_exit_2(self, tmp_path, capsys):
+        cities = tmp_path / "cities.csv"
+        cities.write_text("Beijing,39.9,116.4\nWuhan,30.59,114.31\nBeijing,-33.87,151.21\n")
+        assert main(["run", "--set", f"city_file={cities}", "--peers", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: city file {cities}: city 'Beijing' is listed twice\n"
+
+    def test_run_bad_uplink_profile_exit_2(self, capsys):
+        assert main(["run", "--set", "uplink_profile=512:0.5,1024:0.6", "--peers", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: uplink_profile: probabilities must sum to 1\n"
+
     def test_run_nan_size_exit_2(self, capsys):
         assert main(["run", *self.run_flags(), "--size", "nan"]) == 2
         captured = capsys.readouterr()
@@ -783,7 +805,8 @@ class TestCli:
         out = tmp_path / "s.csv"
         assert main(["sweep", *self.sweep_flags(), "--sizes", "nan,1000",
                      "--out", str(out)]) == 2
-        assert "content sizes must be positive and finite" in capsys.readouterr().err
+        assert ("config error: content_size_kb: must be positive and finite"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("axis, message", [
@@ -833,6 +856,35 @@ class TestCli:
         assert "from --seeds, not RELAYSIM_SEED" in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("pair, axis", [
+        ("rng_seed=5", "seeds"), ("strategy=random", "strategies"),
+        ("content_size_kb=999", "sizes"), (" failure_ratio =0.3", "ratios")])
+    def test_sweep_set_of_an_axis_field_exit_2(self, tmp_path, capsys, monkeypatch, pair, axis):
+        # a cell sets this field from its axis, so the --set would be lost
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(rio, "run_sweep", refuse)
+        out, summary = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", *self.sweep_flags(), "--set", pair, "--sizes", "500",
+                     "--ratios", "0.6", "--out", str(out), "--summary", str(summary)]) == 2
+        captured = capsys.readouterr()
+        field = pair.split("=")[0].strip()
+        assert captured.err == f"error: sweep takes its {axis} from --{axis}, not --set {field}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_sweep_overrides_the_axis_fields_of_a_config_file(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("rng_seed = 5\nstrategy = random\ncontent_size_kb = 999\n"
+                          "failure_ratio = 0.3\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *self.sweep_flags(), "--config", str(config), "--sizes", "500",
+                     "--ratios", "0.6", "--strategies", "no-relay", "--seeds", "1",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert [row[c] for c in ("strategy", "size_kb", "failure_ratio", "seed")] == [
+            "no-relay", "500.0", "0.6", "1"]
+
     def test_trace_nan_latency_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         write_trace_csv(synthesize_trace(20, seed=1), trace)
@@ -857,7 +909,7 @@ class TestCli:
         (["trace", "--synthesize", "10", "--seed", "-1"], None,
          "config error: rng_seed: must be non-negative"),
         (["sweep", "--seeds", "-1", "--peers", "50", "--sizes", "500", "--ratios", "0.6"],
-         None, "error: sweep seeds must be non-negative"),
+         None, "config error: rng_seed: must be non-negative"),
     ])
     def test_negative_seed_exit_2(self, command, env, message, tmp_path, capsys,
                                   monkeypatch):

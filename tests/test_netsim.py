@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from relaysim import engine
 from relaysim.engine import Simulation
-from relaysim.model import DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, SimConfig, config_errors
+from relaysim.model import (DEFAULT_CITIES, DEFAULT_UPLINK_PROFILE, ConfigError, SimConfig,
+                            config_errors)
 from relaysim.netsim import (
     FailureScenario,
     SERVER,
     assign_bandwidth,
-    assign_isp,
+    handshake_table,
     haversine_km,
     inject_failure,
-    latency_ms,
     read_city_file,
 )
 
@@ -90,37 +91,56 @@ class TestGeography:
             with pytest.raises(ValueError, match=message):
                 read_city_file(f)
 
+    def test_read_city_file_city_named_twice(self, tmp_path):
+        # Unchecked, the last row wins: Beijing would sit at Sydney.
+        f = tmp_path / "cities.csv"
+        f.write_text("Beijing,39.9,116.4\nWuhan,30.59,114.31\nBeijing,-33.87,151.21\n")
+        with pytest.raises(ValueError, match=f"^city file {f}: city 'Beijing' is listed twice$"):
+            read_city_file(f)
+
 
 class TestLatency:
+    """The latency model through handshake_table: coordinates on the
+    equator, so a degree of longitude apart is a known distance."""
+
+    @staticmethod
+    def table(lons, base_ms=5.0, per_km_ms=0.02):
+        return handshake_table(tuple((0.0, lon) for lon in lons), base_ms, per_km_ms)
+
     def test_intercept(self):
-        assert latency_ms(0.0) == 5.0
+        assert [self.table((0.0, 10.0))[i][i] for i in (0, 1)] == [0.01, 0.01]
 
     def test_slope(self):
-        assert latency_ms(1000.0) == pytest.approx(25.0, abs=1e-12)
+        # 0.02 ms a km each way: 0.04 ms a km more per handshake
+        (same, far), _ = self.table((0.0, 9.0))
+        assert (far - same) / haversine_km(0.0, 0.0, 0.0, 9.0) == pytest.approx(4e-5, rel=1e-9)
 
     def test_monotone(self):
-        grid = np.linspace(0.0, 5000.0, 64)
-        vals = [latency_ms(d) for d in grid]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            latency_ms(-1.0)
+        row = self.table(np.linspace(0.0, 45.0, 64).tolist())[0]
+        assert all(b > a for a, b in zip(row, row[1:]))
 
     def test_custom_coefficients(self):
-        assert latency_ms(100.0, base_ms=1.0, per_km_ms=0.1) == pytest.approx(11.0)
+        lons = (0.0, 1.0, 30.0)
+        table = self.table(lons, base_ms=1.0, per_km_ms=0.1)
+        # twice the one-way latency, base + per km * distance, in seconds
+        assert table == tuple(tuple(2.0 * (1.0 + 0.1 * haversine_km(0.0, a, 0.0, b)) / 1000.0
+                                    for b in lons) for a in lons)
+
+
+def draw(n, seed, **fields):
+    """assign_bandwidth's columns for n peers under SimConfig(**fields)."""
+    return assign_bandwidth(SimConfig(**fields), np.random.default_rng(seed), n)
 
 
 class TestBandwidth:
     def test_single_bucket_profile(self):
-        rng = np.random.default_rng(0)
-        assert [c.tolist() for c in assign_bandwidth(rng, 16, {1024.0: 1.0})] == [
+        cfg, rng = SimConfig(uplink_profile={1024.0: 1.0}), np.random.default_rng(0)
+        assert [c.tolist() for c in assign_bandwidth(cfg, rng, 16)] == [
             [1024.0] * 16, [4096.0] * 16]
-        assert [c.tolist() for c in assign_bandwidth(rng, 0, {1024.0: 1.0})] == [[], []]
+        assert [c.tolist() for c in assign_bandwidth(cfg, rng, 0)] == [[], []]
 
     def test_bucket_frequencies(self):
-        rng = np.random.default_rng(1)
-        draws, _ = assign_bandwidth(rng, 100_000)
+        draws, _ = draw(100_000, 1)
         counts = {b: 0 for b in (512.0, 1024.0, 3072.0, 10240.0)}
         for d in draws.tolist():
             counts[d] += 1
@@ -129,24 +149,23 @@ class TestBandwidth:
             assert abs(counts[bucket] / len(draws) - p) < 0.01
 
     def test_downlink_factor(self):
-        rng = np.random.default_rng(2)
-        ups, downs = assign_bandwidth(rng, 3, {512.0: 1.0}, downlink_factor=8.0)
+        ups, downs = draw(3, 2, uplink_profile={512.0: 1.0}, downlink_factor=8.0)
         assert (ups.tolist(), downs.tolist()) == ([512.0] * 3, [4096.0] * 3)
 
     def test_all_positive(self):
-        rng = np.random.default_rng(3)
-        ups, downs = assign_bandwidth(rng, 1000)
+        ups, downs = draw(1000, 3)
         assert len(ups) == len(downs) == 1000
         assert all(up > 0 and down > 0 for up, down in zip(ups, downs))
 
     def test_bad_profiles_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            assign_bandwidth(rng, 1, {512.0: 0.5, 1024.0: 0.6})
-        with pytest.raises(ValueError):
-            assign_bandwidth(rng, 1, {-512.0: 1.0})
-        with pytest.raises(ValueError):
-            assign_bandwidth(rng, 1, {512.0: float("nan"), 1024.0: 1.0})
+        # A population is drawn only from a config that passes config_errors.
+        for profile, message in (
+                ({512.0: 0.5, 1024.0: 0.6}, "probabilities must sum to 1"),
+                ({-512.0: 1.0}, "capacity buckets must be positive and finite"),
+                ({512.0: float("nan"), 1024.0: 1.0},
+                 "probabilities must be finite and non-negative")):
+            with pytest.raises(ConfigError, match=f"^uplink_profile: {message}$"):
+                engine.draw_population(SimConfig(peer_count=10, uplink_profile=profile))
 
     @pytest.mark.parametrize("profile", [
         None,
@@ -154,46 +173,53 @@ class TestBandwidth:
         {2048.0: 1.0},
         {300.0: 0.0, 100.0: 0.5, 200.0: 0.5},                        # empty bucket
         {1.0: 0.1, 2.0: 0.2, 3.0: 0.3, 4.0: 0.4, 5.0: 0.0},
+        {512: 1.0},                        # int buckets: the columns of {512.0: 1.0}
     ])
     def test_same_draws_as_generator_choice(self, profile):
         ref_profile = dict(DEFAULT_UPLINK_PROFILE) if profile is None else profile
         buckets = sorted(ref_profile)
         probs = np.array([ref_profile[b] for b in buckets], dtype=float)
+        cfg = SimConfig(downlink_factor=3.0,
+                        **({} if profile is None else {"uplink_profile": profile}))
         for seed in (0, 1, 7, 12345):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            ups, downs = assign_bandwidth(rng, 2000, profile, 3.0)
+            ups, downs = assign_bandwidth(cfg, rng, 2000)
             expected = ref.choice(np.array(buckets, dtype=float), p=probs, size=2000)
+            assert ups.dtype == downs.dtype == np.float64
             assert ups.tolist() == expected.tolist()
             assert downs.tolist() == [e * 3.0 for e in expected.tolist()]
             assert rng.random() == ref.random()   # streams stay aligned
 
     def test_columns_are_float64_bucket_values(self):
-        ups, downs = assign_bandwidth(np.random.default_rng(5), 500)
+        ups, downs = draw(500, 5)
         assert ups.dtype == downs.dtype == np.float64 and ups.shape == downs.shape == (500,)
         assert set(ups.tolist()) <= set(DEFAULT_UPLINK_PROFILE)
         assert {type(v) for v in ups.tolist() + downs.tolist()} == {float}
 
 
+def isp_column(n, seed, isp_count):
+    """The isp column of peer_columns for n peers."""
+    cfg = SimConfig(isp_count=isp_count)
+    return engine.peer_columns(cfg, np.random.default_rng(seed), np.zeros(n), np.ones(n)).isp
+
+
 class TestIsp:
     def test_single_isp(self):
-        rng = np.random.default_rng(0)
-        assert assign_isp(rng, 32, 1).tolist() == [1] * 32
+        assert isp_column(32, 0, 1).tolist() == [1] * 32
 
     def test_uniform_over_three(self):
-        rng = np.random.default_rng(5)
-        draws = assign_isp(rng, 100_000, 3)
+        draws = isp_column(100_000, 5, 3)
         for isp in (1, 2, 3):
             assert abs(np.mean(draws == isp) - 1.0 / 3.0) < 0.01
 
     def test_deterministic(self):
-        a = assign_isp(np.random.default_rng(6), 5, 3)
-        b = assign_isp(np.random.default_rng(6), 5, 3)
+        a, b = isp_column(5, 6, 3), isp_column(5, 6, 3)
         assert a.tolist() == b.tolist()
         assert a.dtype == np.int64 and {type(v) for v in a.tolist()} == {int}
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            assign_isp(np.random.default_rng(0), 1, 0)
+        with pytest.raises(ConfigError, match="^isp_count: must be at least 1$"):
+            engine.draw_population(SimConfig(peer_count=10, isp_count=0))
 
 
 class TestFailureInjection:
