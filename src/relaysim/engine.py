@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from relaysim import churn
-from relaysim.model import (RATE_EPS, PeerColumns, RelayLedger, SimConfig,
+from relaysim.model import (RATE_EPS, CapacityError, PeerColumns, RelayLedger, SimConfig,
                             validate_config)
 from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth, handshake_table,
                              inject_failure)
@@ -557,12 +557,15 @@ class Simulation:
         attempt on a request's next relay when the request is issued and
         when an attempt ends without a delivery. An attempt on a relay that
         is offline or cut off is rejected; otherwise its rate is fixed at
-        start: the smaller of the relay's free uplink, the requester's
+        start: the smallest of the relay's free uplink, the requester's
         downlink, and the relay's fair downlink share across its current
-        workload plus this transfer, both read from the run's ledger. Every
-        attempt pays a two-way handshake at the city-to-city latency. It
-        reads and writes one scalar at a time through memoryviews of the
-        population, draw-table and outcome columns.
+        workload plus this transfer. The loop keeps the run's ledger itself:
+        a rate at or below RATE_EPS rejects, a larger one is committed and
+        the attempt's resolution releases it, and CapacityError flags an
+        over-commit or an over-release. Every attempt pays a two-way
+        handshake at the city-to-city latency. It reads and writes one
+        scalar at a time through memoryviews of the population, draw-table
+        and outcome columns.
         """
         if self.outcomes is not None:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
@@ -581,8 +584,7 @@ class Simulation:
         relays, offsets = map(memoryview, (self._draws.relays, self._draws.offsets))
         handshake, size_kbits = self._handshake, self._size_kbits
         start, end = population.scenario.start_time, population.scenario.end_time
-        free_kbps, commit, release, workload = (
-            ledger.uplink_free_kbps, ledger.commit, ledger.release, ledger.workload)
+        in_use, workload = ledger.in_use_kbps, ledger.workload
         push, pop = heapq.heappush, heapq.heappop
         heap: list = []
         seq = k = 0
@@ -593,7 +595,19 @@ class Simulation:
             if heap and heap[0][0] <= times[k]:
                 t, _, _, row, relay_list, i, relay, rate, verdict = pop(heap)
                 if rate:
-                    release(relay, rate)
+                    # release the transfer's rate; an entry back at zero is dropped
+                    left = in_use.get(relay, 0.0) - rate
+                    if left < -1e-6:
+                        raise CapacityError(f"relay row {relay}: released more than committed")
+                    if -RATE_EPS < left < RATE_EPS:
+                        del in_use[relay]
+                    else:
+                        in_use[relay] = left
+                    n = workload[relay]
+                    if n > 1:
+                        workload[relay] = n - 1
+                    else:
+                        del workload[relay]
                 # a relay-phase row's served_by stays UNSERVED unless delivered
                 if verdict == _SUCCESS:
                     end_time[row], served_by[row], attempts[row] = t, ids[relay], i
@@ -617,7 +631,7 @@ class Simulation:
             departure = dep[row]
             if t >= departure or i >= len(relay_list):
                 # the requester left between attempts, or the list is exhausted
-                end_time[row], attempts[row] = min(t, departure), i
+                end_time[row], attempts[row] = departure if t >= departure else t, i
                 continue
             relay = relay_list[i]
             i += 1
@@ -625,12 +639,24 @@ class Simulation:
             resolve, rate, verdict = t + handshake[city[row]][city[relay]], 0.0, _REJECT
             relay_dep = dep[relay]
             if join[relay] <= t < relay_dep and not (affected[relay] and start <= t < end):
-                rate = min(free_kbps(relay, uplink[relay]), downlink[row],
-                           downlink[relay] / (workload.get(relay, 0) + 1))
+                # the smallest of the three bounds; a free uplink at or
+                # below zero leaves a rate at or below RATE_EPS, a reject
+                up, n = uplink[relay], workload.get(relay, 0)
+                rate, down = up - in_use.get(relay, 0.0), downlink[row]
+                share = downlink[relay] / (n + 1)
+                if down < rate:
+                    rate = down
+                if share < rate:
+                    rate = share
                 if rate <= RATE_EPS:
                     rate = 0.0
                 else:
-                    commit(relay, uplink[relay], rate)
+                    # commit, checked against the ledger as it stands
+                    used = in_use.get(relay, 0.0)
+                    if used + rate > up + RATE_EPS:
+                        raise CapacityError(f"relay row {relay}: commit of {rate} kbps exceeds "
+                                            f"uplink {up} (in use {used})")
+                    in_use[relay], workload[relay] = used + rate, n + 1
                     t_end = resolve + size_kbits / rate
                     if t_end <= relay_dep and t_end <= departure:
                         resolve, verdict = t_end, _SUCCESS

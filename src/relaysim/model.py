@@ -75,41 +75,14 @@ class CapacityError(RuntimeError):
 @dataclass
 class RelayLedger:
     """Per-run relay capacity, keyed by relay row in the Population, not
-    peer id, and kept sparse: a relay without an entry serves no transfer,
-    and commit() and release() drop an entry once it returns to zero."""
+    peer id, and kept sparse: a relay without an entry serves no transfer.
+    Simulation.run's relay loop is its one writer: a commit adds the
+    transfer's rate to in_use_kbps and one to workload, the attempt's
+    resolution subtracts them, and an entry that returns to zero is
+    dropped."""
 
     workload: dict[int, int] = field(default_factory=dict)
     in_use_kbps: dict[int, float] = field(default_factory=dict)
-
-    def uplink_free_kbps(self, relay: int, uplink_kbps: float) -> float:
-        return max(0.0, uplink_kbps - self.in_use_kbps.get(relay, 0.0))
-
-    def commit(self, relay: int, uplink_kbps: float, kbps: float) -> None:
-        """Start a transfer on a relay (row, uplink); over-commit is a bug."""
-        if kbps <= 0:
-            raise ValueError("committed rate must be positive")
-        in_use = self.in_use_kbps.get(relay, 0.0)
-        if in_use + kbps > uplink_kbps + RATE_EPS:
-            raise CapacityError(
-                f"relay row {relay}: commit of {kbps} kbps exceeds uplink "
-                f"{uplink_kbps} (in use {in_use})")
-        self.in_use_kbps[relay] = in_use + kbps
-        self.workload[relay] = self.workload.get(relay, 0) + 1
-
-    def release(self, relay: int, kbps: float) -> None:
-        """End a transfer committed at kbps on the relay with that row."""
-        remaining = self.in_use_kbps.get(relay, 0.0) - kbps
-        if remaining < -1e-6:
-            raise CapacityError(f"relay row {relay}: released more than committed")
-        if abs(remaining) < RATE_EPS:
-            self.in_use_kbps.pop(relay, None)
-        else:
-            self.in_use_kbps[relay] = remaining
-        count = self.workload.get(relay, 0) - 1
-        if count > 0:
-            self.workload[relay] = count
-        else:
-            self.workload.pop(relay, None)
 
 
 TRACE_EMPTY_USER, TRACE_NON_FINITE, TRACE_BACKWARDS = 1, 2, 3

@@ -110,14 +110,15 @@ def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamm
     (ledger.workload) in count mode and its committed uplink over its
     uplink capacity (ledger.in_use_kbps) in utilization mode. A relay
     absent from the dict workload_mode reads carries none, and gamma >= 0
-    keeps it, so a list that dict misses comes back as it is."""
+    keeps it without reading its uplink, which may be zero, so a list that
+    dict misses comes back as it is."""
     busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
     if busy.keys().isdisjoint(ranked):
         return ranked
     if workload_mode == "count":
         return tuple([row for row in ranked if busy.get(row, 0) <= gamma])
     uplink = memoryview(population.uplink)
-    return tuple([row for row in ranked if busy.get(row, 0.0) / uplink[row] <= gamma])
+    return tuple([row for row in ranked if row not in busy or busy[row] / uplink[row] <= gamma])
 
 
 @dataclass(frozen=True)

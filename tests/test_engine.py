@@ -34,8 +34,7 @@ from relaysim.engine import (
 )
 from relaysim.churn import DEFAULT_PARETO_SCALE_MIN, DEFAULT_PARETO_SHAPE
 from relaysim.io import build_trace_peers, synthesize_trace, write_outcomes_csv
-from relaysim.model import (RATE_EPS, CapacityError, ConfigError, PeerColumns, RelayLedger,
-                            SimConfig)
+from relaysim.model import RATE_EPS, CapacityError, ConfigError, PeerColumns, SimConfig
 from relaysim.netsim import SERVER, FailureScenario, haversine_km
 
 from helpers import (Peer, candidate_lists, fixed_draws, fixed_list_simulation, one_attempt,
@@ -197,31 +196,69 @@ class TestPopulation:
             draw_population(SimConfig(peer_count=20, **{field: value}))
 
 
+def ledger_fault_run(in_use):
+    """A Simulation in which cut-off requester 0 (4096 kbps downlink) walks
+    the list (1,), relay 1 with a 1024 kbps uplink and a 4096 kbps
+    downlink, with no handshake latency and an endless horizon; its
+    ledger's in_use_kbps is the given dict, keyed by row."""
+    cfg = SimConfig(peer_count=2, content_size_kb=512.0, latency_base_ms=0.0,
+                    latency_per_km_ms=0.0, sim_duration=math.inf)
+    sim = fixed_list_simulation(cfg, [make_peer(0), make_peer(1)], FailureScenario(frozenset({0})),
+                                {0: (1,)})
+    sim.ledger.in_use_kbps = in_use
+    return sim, row_by_id(sim.population)[1]
+
+
 class TestCapacityLedger:
-    def test_commit_release_roundtrip(self):
-        ledger = RelayLedger()
-        ledger.commit(1, 1024.0, 500.0)
-        assert ledger.in_use_kbps[1] == 500.0
-        assert ledger.workload[1] == 1
-        ledger.release(1, 500.0)
-        assert ledger.in_use_kbps.get(1, 0.0) == 0.0
-        assert ledger.in_use_kbps == {} and ledger.workload == {}
+    """The relay loop keeps the run's ledger itself; its two bug traps are
+    reached by injecting faults into the ledger's in_use_kbps dict."""
 
     def test_overcommit_is_a_bug_trap(self):
-        ledger = RelayLedger()
-        ledger.commit(1, 1024.0, 600.0)
-        with pytest.raises(CapacityError):
-            ledger.commit(1, 1024.0, 600.0)
+        # The rate rule's read misses the relay's 500 kbps in use, so it
+        # asks for the whole 1024 kbps uplink; the commit reads the ledger
+        # as it stands and traps the over-commit.
+        class FirstReadMisses(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                self.reads += 1
+                return default if self.reads == 1 else super().get(key, default)
+        sim, relay = ledger_fault_run(FirstReadMisses())
+        sim.ledger.in_use_kbps[relay] = 500.0
+        with pytest.raises(CapacityError, match="exceeds uplink"):
+            sim.run()
 
     def test_over_release_is_a_bug_trap(self):
-        ledger = RelayLedger()
-        ledger.commit(1, 1024.0, 100.0)
-        with pytest.raises(CapacityError):
-            ledger.release(1, 200.0)
+        # A ledger whose reads report half of what it holds: the 1024 kbps
+        # committed reads back as 512 at the release, which then frees more
+        # than was committed.
+        class HalfReads(dict):
+            def get(self, key, default):
+                return super().get(key, default) / 2
+        sim, _ = ledger_fault_run(HalfReads())
+        with pytest.raises(CapacityError, match="released more than committed"):
+            sim.run()
 
     def test_nonpositive_commit_rejected(self):
-        with pytest.raises(ValueError):
-            RelayLedger().commit(1, 1024.0, 0.0)
+        # A rate at or below RATE_EPS is a reject, never a commit: the
+        # attempt ends at t, where a commit would transfer until the
+        # requester's departure
+        for uplink in (0.0, RATE_EPS / 2, RATE_EPS):
+            out = one_attempt(make_peer(1, up=uplink), make_peer(2), content_size_kb=512.0)
+            assert (out.end_time, out.served_by) == (0.0, None), uplink
+        out = one_attempt(make_peer(1, up=4 * RATE_EPS), make_peer(2), content_size_kb=512.0)
+        assert out.end_time == 1e9 and out.served_by is None
+
+    def test_a_relay_at_or_over_its_uplink_rejects(self):
+        # the free uplink is the uplink less the ledger's in-use kbps; a
+        # relay whose in-use meets or exceeds its uplink has none
+        relay, requester = make_peer(1, up=1000.0), make_peer(2)
+        size_kbits = 512.0 * 8.0
+        for in_use, end in ((None, size_kbits / 1000.0), ({1: 250.0}, size_kbits / 750.0),
+                            ({1: 1000.0}, 0.0), ({1: 1200.0}, 0.0)):
+            out = one_attempt(relay, requester, in_use=in_use, content_size_kb=512.0)
+            assert out.end_time == end, in_use
+            assert out.served_by == (1 if end else None), in_use
 
 
 class TestAttemptDownload:
@@ -430,6 +467,25 @@ class TestSimulation:
         assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
         # the failure did send requests to relays
         assert any(o.entered_relay_phase for o in sim.outcomes)
+
+    def test_a_zero_uplink_relay_is_listed_but_never_serves(self):
+        # A Population takes a zero uplink. The utilization filter keeps a
+        # relay the ledger has no entry for without dividing by its uplink,
+        # and an attempt on it has no free uplink, so it is rejected.
+        cfg = SimConfig(peer_count=3000, rng_seed=3, strategy="path-aware",
+                        content_size_kb=16000.0)
+        drawn = draw_population(cfg)
+        uplink = drawn.uplink.copy()
+        uplink[::7] = 0.0
+        columns = PeerColumns(drawn.cities, drawn.ids, drawn.city, drawn.isp, uplink,
+                              drawn.downlink, drawn.join, drawn.dep - drawn.join)
+        sim = Simulation(cfg, Population(columns, drawn.scenario))
+        lists = run_recording_lists(sim)
+        zero = set(sim.population.ids[sim.population.uplink == 0.0].tolist())
+        assert cfg.workload_mode == "utilization"
+        assert any(zero.intersection(listed) for listed in lists.values())
+        served = sim.outcomes.served_by[sim.outcomes.served_by >= 0]
+        assert len(served) and not zero.intersection(served.tolist())
 
     def test_supplied_population_left_unchanged(self):
         cfg = small_cfg(sim_duration=math.inf)
@@ -840,10 +896,12 @@ class TestProtocolProperties:
             assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
 
     def test_committed_rate_fits_free_uplink_and_downlink(self):
-        # Each RelayLedger.commit is checked against the ledger it commits
-        # to. The resolution the run schedules next holds the requester's
-        # row, the relay and the rate it holds, so it names the downlink.
-        # The example is one where the requester's downlink binds, as
+        # Each commit to the run's ledger, seen as a rise in a relay's
+        # attempt count, is checked against the heap: the resolution the
+        # run schedules next holds the requester's row, the relay and the
+        # rate it holds, and the relay's free uplink is its uplink less the
+        # rates its in-flight entries hold, derived from the pushes and pops
+        # alone. The example is one where the requester's downlink binds, as
         # small_runs' 512 kbps downlinks can.
         commit_counts = []
 
@@ -852,25 +910,39 @@ class TestProtocolProperties:
         @example(downlink_bound_run())
         def check(run_args):
             cfg, peers, scenario = run_args
-            commits, held = [], []
-            real_commit, real_push = RelayLedger.commit, heapq.heappush
+            commits, held, in_flight = [], [], {}
+            real_push, real_pop = heapq.heappush, heapq.heappop
 
-            def commit(ledger, relay, uplink_kbps, kbps):
-                commits.append((relay, kbps, ledger.uplink_free_kbps(relay, uplink_kbps)))
-                real_commit(ledger, relay, uplink_kbps, kbps)
+            class Workload(dict):
+                def __setitem__(self, relay, count):
+                    if count > self.get(relay, 0):
+                        commits.append((relay, count))
+                    super().__setitem__(relay, count)
 
             def push(heap, entry):
                 _, _, _, row, _, _, relay, rate, _ = entry
                 if rate:
-                    held.append((relay, rate, row))
+                    rates = in_flight.setdefault(relay, [])
+                    free_uplink = uplink[relay] - sum(rates)
+                    rates.append(rate)
+                    held.append((relay, len(rates), rate, free_uplink, row))
                 real_push(heap, entry)
+
+            def pop(heap):
+                entry = real_pop(heap)
+                relay, rate = entry[6:8]
+                if rate:
+                    in_flight[relay].remove(rate)
+                return entry
             sim = Simulation(cfg, Population(peer_columns(peers), scenario))
-            with mock.patch.object(RelayLedger, "commit", commit), \
-                    mock.patch.object(heapq, "heappush", push):
+            sim.ledger.workload = Workload()
+            uplink = sim.population.uplink
+            with mock.patch.object(heapq, "heappush", push), \
+                    mock.patch.object(heapq, "heappop", pop):
                 sim.run()
             assert [c[:2] for c in commits] == [h[:2] for h in held]
             downlink = sim.population.downlink
-            for (_, rate, free_uplink), (_, _, row) in zip(commits, held):
+            for _, _, rate, free_uplink, row in held:
                 assert rate <= min(free_uplink, downlink[row]) + RATE_EPS
             commit_counts.append(len(commits))
 
@@ -1107,6 +1179,34 @@ class TestColumnsOnly:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * (8 + sys.getsizeof(0.5))
+
+    def test_a_relay_heavy_run_holds_no_list_of_the_draw_table(self):
+        # A 20,000-session trace with half its rows cut off, its population
+        # and draws made before the trace. Per issued row the run holds
+        # the three int64/float64 outcome columns (24 B) and, at its end,
+        # collect_metrics' bool masks (8 B allowed): 32 B. Per relay-phase
+        # request it holds its row in an int64 array and as an int in a
+        # list (8 + 8 + 28 B) and its join as a float in a list (8 + 24 B):
+        # 76 B, 96 B allowed. The heap holds an entry and a list tuple per
+        # open request, a few dozen here, in 64 kB. A per-run Python list
+        # of the draw table (a pointer and an int, 36 B per entry, about
+        # 180 B per request at five entries each) does not fit.
+        cfg = SimConfig(strategy="path-aware", content_size_kb=16000.0)
+        trace = synthesize_trace(20_000, seed=1, fail_fraction=0.5)
+        columns = build_trace_peers(trace, cfg, _stream(cfg.rng_seed, _STREAM_POPULATION))
+        population = Population(columns, FailureScenario(np.flatnonzero(trace.fetch_failure)))
+        sim = Simulation(cfg, population, draw_candidates(cfg, population))
+        issued = population.issued_by(cfg.sim_duration)
+        requesters = np.count_nonzero(population.cut[:issued])
+        tracemalloc.start()
+        try:
+            sim.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert requesters > 0.4 * issued
+        assert len(sim._draws.relays) > 5 * requesters
+        assert peak < 32 * issued + 96 * requesters + 65_536
 
     def test_the_draw_pass_holds_no_event_record(self):
         # At 20,000 path-aware peers the draw pass holds at once, per

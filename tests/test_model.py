@@ -12,7 +12,6 @@ from relaysim.model import (
     DEFAULT_CITIES,
     STRATEGIES,
     ConfigError,
-    RelayLedger,
     SimConfig,
     TraceColumns,
     config_errors,
@@ -60,16 +59,6 @@ class TestPeer:
         p = population(peers)
         assert p.ids.tolist() == [2, 3, 1]
         assert p.dep.tolist() == [6.5, math.inf, 70.0]
-
-    def test_capacity_ledger_views(self):
-        p = make_peer(uplink_kbps=1000.0)
-        ledger = RelayLedger()
-        relay = (p.id, p.uplink_kbps)
-        assert ledger.uplink_free_kbps(*relay) == 1000.0
-        ledger.in_use_kbps[p.id] = 250.0
-        assert ledger.uplink_free_kbps(*relay) == 750.0
-        ledger.in_use_kbps[p.id] = 1200.0  # over-commit is clamped in the view
-        assert ledger.uplink_free_kbps(*relay) == 0.0
 
 
 class TestContentAndTrace:
