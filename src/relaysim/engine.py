@@ -19,10 +19,10 @@ positions as arrays from the pool sizes, one sweep that only indexes the
 ascending online id ranks (positions in by_id), one gather from id ranks
 to rows, then the fetch-failure history and the rank as array steps. From
 there a relay is its row: a list is a tuple of relay rows in try order,
-and the run's ledger is keyed by row. The relay phase is one loop in
-Simulation.run. It resolves the attempts due by each relay-phase join
+and the run's relay capacity is keyed by row. The relay phase is one loop
+in Simulation.run. It resolves the attempts due by each relay-phase join
 before issuing that request, so its heap holds attempt resolutions only;
-a path-aware list then drops the relays busy in the ledger, and the loop
+a path-aware list then drops the relays busy in in_use_kbps, and the loop
 decides each attempt's verdict, rate and resolution time in full when it
 starts. Results are one Outcomes table of columns. The loop reads and
 writes one scalar at a time through memoryviews of the population,
@@ -41,8 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from relaysim import churn
-from relaysim.model import (RATE_EPS, CapacityError, PeerColumns, RelayLedger, SimConfig,
-                            validate_config)
+from relaysim.model import RATE_EPS, CapacityError, PeerColumns, SimConfig, validate_config
 from relaysim.netsim import (SERVER, FailureScenario, assign_bandwidth, handshake_table,
                              inject_failure)
 from relaysim.selection import (careful_slots, generate_relay_list, pool_positions,
@@ -284,11 +283,12 @@ def draw_population(cfg: SimConfig) -> Population:
 
 
 class CandidateDraws(NamedTuple):
-    """One population's relay candidate lists under one strategy (random:
-    as drawn; path-aware: ranked, careful partition first), in read-only
-    arrays a sweep group shares: list i, of the i-th relay-phase request
-    issued, is relays[offsets[i]:offsets[i + 1]], as rows. made_for is the
-    config key (_draws_key) they were made under, population their source."""
+    """One population's relay candidate lists under one strategy (no-relay:
+    empty; random: as drawn; path-aware: ranked, careful partition first),
+    in read-only arrays a sweep group shares: list i, of the i-th
+    relay-phase request issued, is relays[offsets[i]:offsets[i + 1]], as
+    rows. made_for is the config key (_draws_key) they were made under,
+    population their source."""
 
     made_for: tuple
     population: Population
@@ -318,12 +318,14 @@ def draw_candidates(cfg: SimConfig, population: Population) -> CandidateDraws:
     that are requesters issued before it: rows are in issue order, so those
     are the cut-off rows above its own. The table is filled in place, sized
     by the draws' lengths; the tail that drop leaves is cut off in place.
-    no-relay draws nothing."""
-    k = population.issued_by(cfg.sim_duration) if cfg.strategy != "no-relay" else 0
+    no-relay draws nothing: each request gets an empty list, and no
+    selection stream is built."""
+    k = population.issued_by(cfg.sim_duration)
     requesters = np.flatnonzero(population.cut[:k])
     path_aware = cfg.strategy == "path-aware"
     slots = careful_slots(cfg.zeta, cfg.alpha) if path_aware else 0
-    parts, blocks = _walk(cfg, population, k, requesters, slots)
+    parts, blocks = (_walk(cfg, population, k, requesters, slots) if cfg.strategy != "no-relay"
+                     else (np.zeros((len(requesters), 2), np.int64), ()))
     sizes, end = parts.sum(axis=1), 0
     relays = np.empty(int(sizes.sum()), np.int64)
     for lo, hi, drawn in blocks:
@@ -491,12 +493,11 @@ def _walk(cfg: SimConfig, population: Population, k: int, requesters: np.ndarray
 def _check_draws(draws: CandidateDraws, cfg: SimConfig) -> None:
     """Raise ValueError naming the first rule a draw table breaks: offsets
     start at 0, never decrease, end at len(relays) and hold one entry per
-    relay-phase request issued by the horizon plus one (any count under
-    no-relay, which reads no list); every relay is a population row."""
+    relay-phase request issued by the horizon plus one, under every
+    strategy; every relay is a population row."""
     p, relays, offsets = draws.population, draws.relays, draws.offsets
     n = len(p.ids)
-    lists = len(offsets) - 1 if cfg.strategy == "no-relay" else np.count_nonzero(
-        p.cut[:p.issued_by(cfg.sim_duration)])
+    lists = np.count_nonzero(p.cut[:p.issued_by(cfg.sim_duration)])
     for rule, broken in (
             ("offsets that start at 0", offsets[:1].tolist() != [0]),
             ("offsets that never decrease", np.any(offsets[1:] < offsets[:-1])),
@@ -545,7 +546,10 @@ class Simulation:
         coords = tuple(tuple(cfg.city_table[city]) for city in population.cities)
         self._handshake = handshake_table(coords, cfg.latency_base_ms, cfg.latency_per_km_ms)
         self.outcomes: Outcomes | None = None   # set by run()
-        self.ledger = RelayLedger()
+        # The run's relay capacity, keyed by relay row and kept sparse: a
+        # relay without an entry serves no transfer. run is the one writer.
+        self.in_use_kbps: dict[int, float] = {}   # committed uplink
+        self.workload: dict[int, int] = {}        # transfers in progress
         self._draws = candidates
 
     def run(self) -> MetricsReport:
@@ -559,18 +563,21 @@ class Simulation:
         is offline or cut off is rejected; otherwise its rate is fixed at
         start: the smallest of the relay's free uplink, the requester's
         downlink, and the relay's fair downlink share across its current
-        workload plus this transfer. The loop keeps the run's ledger itself:
-        a rate at or below RATE_EPS rejects, a larger one is committed and
-        the attempt's resolution releases it, and CapacityError flags an
-        over-commit or an over-release. Every attempt pays a two-way
+        workload plus this transfer. The loop keeps the run's relay capacity
+        in self.in_use_kbps and self.workload: a rate at or below RATE_EPS
+        rejects, a larger one is committed to both (the rate, one transfer),
+        the attempt's resolution releases it and drops an entry back at
+        zero, and CapacityError flags an over-commit or an over-release. A
+        path-aware list is filtered by in_use_kbps when its request is
+        issued; a no-relay list is empty. Every attempt pays a two-way
         handshake at the city-to-city latency. It reads and writes one
         scalar at a time through memoryviews of the population, draw-table
         and outcome columns.
         """
         if self.outcomes is not None:
             raise RuntimeError("Simulation.run is single-shot; build a new instance")
-        cfg, population, ledger = self.cfg, self.population, self.ledger
-        horizon, strategy = cfg.sim_duration, cfg.strategy
+        cfg, population = self.cfg, self.population
+        horizon, path_aware = cfg.sim_duration, cfg.strategy == "path-aware"
         if self._draws is None:
             self._draws = draw_candidates(cfg, population)
         issued = population.issued_by(horizon)
@@ -584,7 +591,7 @@ class Simulation:
         relays, offsets = map(memoryview, (self._draws.relays, self._draws.offsets))
         handshake, size_kbits = self._handshake, self._size_kbits
         start, end = population.scenario.start_time, population.scenario.end_time
-        in_use, workload = ledger.in_use_kbps, ledger.workload
+        in_use, workload = self.in_use_kbps, self.workload
         push, pop = heapq.heappush, heapq.heappop
         heap: list = []
         seq = k = 0
@@ -617,12 +624,10 @@ class Simulation:
                     continue
             elif k < len(rows):
                 row, t, i = rows[k], times[k], 0
-                relay_list = () if strategy == "no-relay" else tuple(
-                    relays[offsets[k]:offsets[k + 1]].tolist())
-                if strategy == "path-aware":
+                relay_list = tuple(relays[offsets[k]:offsets[k + 1]].tolist())
+                if path_aware:
                     relay_list = generate_relay_list(relay_list, population, gamma=cfg.gamma,
-                                                     workload_mode=cfg.workload_mode,
-                                                     ledger=ledger)
+                                                     in_use_kbps=in_use)
                 k += 1
             else:
                 break
@@ -651,7 +656,7 @@ class Simulation:
                 if rate <= RATE_EPS:
                     rate = 0.0
                 else:
-                    # commit, checked against the ledger as it stands
+                    # commit, checked against in_use as it stands
                     used = in_use.get(relay, 0.0)
                     if used + rate > up + RATE_EPS:
                         raise CapacityError(f"relay row {relay}: commit of {rate} kbps exceeds "

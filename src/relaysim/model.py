@@ -35,7 +35,6 @@ DEFAULT_UPLINK_PROFILE: dict[float, float] = {
 }
 
 STRATEGIES = ("no-relay", "random", "path-aware")
-WORKLOAD_MODES = ("utilization", "count")
 
 # Rates within this many kbps of each other are equal in the capacity ledger.
 RATE_EPS = 1e-9
@@ -70,19 +69,6 @@ class PeerColumns(NamedTuple):
 
 class CapacityError(RuntimeError):
     """Capacity ledger invariant broken; indicates an engine bug."""
-
-
-@dataclass
-class RelayLedger:
-    """Per-run relay capacity, keyed by relay row in the Population, not
-    peer id, and kept sparse: a relay without an entry serves no transfer.
-    Simulation.run's relay loop is its one writer: a commit adds the
-    transfer's rate to in_use_kbps and one to workload, the attempt's
-    resolution subtracts them, and an entry that returns to zero is
-    dropped."""
-
-    workload: dict[int, int] = field(default_factory=dict)
-    in_use_kbps: dict[int, float] = field(default_factory=dict)
 
 
 TRACE_EMPTY_USER, TRACE_NON_FINITE, TRACE_BACKWARDS = 1, 2, 3
@@ -159,7 +145,6 @@ class SimConfig:
     alpha: float = 0.2                  # careful-fraction of the relay list
     gamma: float = 0.8                  # workload filter threshold
     zeta: int = 10                      # relay list length
-    workload_mode: str = "utilization"
     failure_ratio: float = 0.6
     failure_region: str = "Beijing"
     failure_start: float = 0.0
@@ -214,8 +199,6 @@ def config_errors(cfg: SimConfig) -> list[str]:
         errs.append("gamma: must lie in [0, 1]")
     if _is_int(cfg.zeta) and cfg.zeta < 1:
         errs.append("zeta: must be at least 1")
-    if cfg.workload_mode not in WORKLOAD_MODES:
-        errs.append(f"workload_mode: must be one of {WORKLOAD_MODES}")
     if not 0.0 <= cfg.failure_ratio <= 1.0:
         errs.append("failure_ratio: must lie in [0, 1]")
     if cfg.failure_region not in cfg.city_table:

@@ -16,7 +16,7 @@ requester's random draw by list pops; no run calls it. From there a
 relay is its population row: rank_path_aware sorts each partition of a
 block of draws, given as flat rows, by estimated time-to-stay and puts
 the careful one first. At request time generate_relay_list drops the
-rows with too much relay workload.
+rows whose committed share of their uplink is above gamma.
 
 The solvers tackle the batch variant: pick one relay per requester to
 maximize total delivered benefit under per-relay uplink caps. They import
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from relaysim.churn import estimate_time_to_stay
-from relaysim.model import RelayLedger, SimConfig
+from relaysim.model import SimConfig
 
 if TYPE_CHECKING:
     from relaysim.engine import Population
@@ -103,22 +103,18 @@ def rank_path_aware(rows: np.ndarray, sizes: np.ndarray, times, population: Popu
 
 
 def generate_relay_list(ranked: tuple[int, ...], population: Population, *, gamma: float,
-                        workload_mode: str, ledger: RelayLedger) -> tuple[int, ...]:
+                        in_use_kbps: dict[int, float]) -> tuple[int, ...]:
     """A ranked path-aware list of population rows at request time: ranked
-    less the relays whose workload in the run's row-keyed ledger is above
-    gamma, in ranked order. The workload is the relay's attempt count
-    (ledger.workload) in count mode and its committed uplink over its
-    uplink capacity (ledger.in_use_kbps) in utilization mode. A relay
-    absent from the dict workload_mode reads carries none, and gamma >= 0
-    keeps it without reading its uplink, which may be zero, so a list that
-    dict misses comes back as it is."""
-    busy = ledger.workload if workload_mode == "count" else ledger.in_use_kbps
-    if busy.keys().isdisjoint(ranked):
+    less the relays whose workload, the uplink they have committed in the
+    run's row-keyed in_use_kbps over their uplink capacity, is above
+    gamma, in ranked order. A relay absent from in_use_kbps carries none,
+    and gamma >= 0 keeps it without reading its uplink, which may be zero,
+    so a list the dict misses comes back as it is."""
+    if in_use_kbps.keys().isdisjoint(ranked):
         return ranked
-    if workload_mode == "count":
-        return tuple([row for row in ranked if busy.get(row, 0) <= gamma])
     uplink = memoryview(population.uplink)
-    return tuple([row for row in ranked if row not in busy or busy[row] / uplink[row] <= gamma])
+    return tuple([row for row in ranked
+                  if row not in in_use_kbps or in_use_kbps[row] / uplink[row] <= gamma])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from relaysim import engine
 from relaysim.engine import (SERVED_BY_SERVER, UNSERVED, CandidateDraws, Outcomes, Population,
                              Simulation)
 from relaysim.io import _OUTCOME_BLOCK
-from relaysim.model import PeerColumns, RelayLedger, SimConfig, TraceColumns
+from relaysim.model import PeerColumns, SimConfig, TraceColumns
 from relaysim.netsim import SERVER, FailureScenario
 from relaysim.selection import _check_instance, rank_path_aware
 
@@ -185,7 +185,7 @@ def one_attempt(relay, requester, t=0.0, affected=(), in_use=None, **fields):
                                 FailureScenario(frozenset({requester.id, *affected})),
                                 {requester.id: (relay.id,)})
     rows = row_by_id(sim.population)
-    sim.ledger.in_use_kbps.update({rows[pid]: kbps for pid, kbps in (in_use or {}).items()})
+    sim.in_use_kbps.update({rows[pid]: kbps for pid, kbps in (in_use or {}).items()})
     sim.run()
     (out,) = [o for o in sim.outcomes if o.requester_id == requester.id]
     assert out.attempts == 1
@@ -195,9 +195,9 @@ def one_attempt(relay, requester, t=0.0, affected=(), in_use=None, **fields):
 def run_recording_lists(sim):
     """Run sim and return the relay list each relay-phase request walked,
     as peer ids by requester id: under path-aware, what
-    engine.generate_relay_list made, whose calls come in issue order; under
-    random, the draw table's list; under no-relay, none. Only path-aware
-    calls generate_relay_list."""
+    engine.generate_relay_list made, whose calls come in issue order;
+    otherwise, the draw table's list. Only path-aware calls
+    generate_relay_list."""
     made, real = [], engine.generate_relay_list
 
     def kept(*args, **kwargs):
@@ -208,8 +208,7 @@ def run_recording_lists(sim):
     p, rows = sim.population, np.flatnonzero(sim.outcomes.entered_relay_phase)
     if sim.cfg.strategy != "path-aware":
         assert made == []
-        made = [draw_list(sim._draws, i) if sim.cfg.strategy == "random" else ()
-                for i in range(len(rows))]
+        made = [draw_list(sim._draws, i) for i in range(len(rows))]
     assert len(made) == len(rows)
     return {pid: ids_of(p, listed) for pid, listed in zip(p.ids[rows].tolist(), made)}
 
@@ -258,12 +257,11 @@ def ids_of(population, rows):
     return tuple(population.ids[np.asarray(rows, np.int64)].tolist())
 
 
-def ledger_by_row(ledger, population):
-    """A RelayLedger keyed by peer id, keyed instead by row in population,
-    as a run keeps it; the ids population lacks are left out."""
+def by_row(entries, population):
+    """A dict keyed by peer id, keyed instead by row in population, as a
+    run keeps its in_use_kbps; the ids population lacks are left out."""
     rows = row_by_id(population)
-    return RelayLedger(*({rows[pid]: v for pid, v in entries.items() if pid in rows}
-                         for entries in (ledger.workload, ledger.in_use_kbps)))
+    return {rows[pid]: v for pid, v in entries.items() if pid in rows}
 
 
 def flat_draws(block, population):

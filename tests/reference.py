@@ -1,11 +1,11 @@
 """A deliberately slow model of one simulation run, written from the
 protocol's rules rather than from the engine's machinery.
 
-Where the engine keeps an indexed online set, a heap and a ledger object,
-this model scans every peer for the online pool at each request, draws
-candidates by popping from the materialized, id-sorted pool, keeps the
-pending resolutions in a plain list re-sorted before every pop, and keeps
-relay capacity in two dicts. It shares with the engine only the
+Where the engine keeps an indexed online set, a heap and relay capacity
+keyed by row, this model scans every peer for the online pool at each
+request, draws candidates by popping from the materialized, id-sorted
+pool, keeps the pending resolutions in a plain list re-sorted before
+every pop, and keeps relay capacity in two dicts keyed by id. It shares with the engine only the
 geography (haversine distance and the latency model), the time-to-stay
 formula and the selection stream's seed. reference_run(cfg, peers,
 scenario) returns {requester id: (served_by, attempts, end_time,
@@ -74,10 +74,9 @@ def durability(cfg, q, t):
     return (-estimate_time_to_stay(cfg, (t - q.join_time) / 60.0), q.id)
 
 
-def not_busy(q, in_use, workload, gamma, workload_mode):
-    """The workload filter: q's relay workload is at most gamma."""
-    if workload_mode == "count":
-        return workload.get(q.id, 0) <= gamma
+def not_busy(q, in_use, gamma):
+    """The workload filter: q's committed share of its uplink, from in_use
+    (kbps by id), is at most gamma."""
     return in_use.get(q.id, 0.0) / q.uplink_kbps <= gamma
 
 
@@ -146,8 +145,7 @@ def reference_run(cfg, peers, scenario):
         randoms = pick(u[slots:], [q for q in pool if q.id not in taken], cfg.zeta - slots)
 
         def keep(q):
-            return q.id not in fetch_failed and not_busy(q, in_use, workload, cfg.gamma,
-                                                         cfg.workload_mode)
+            return q.id not in fetch_failed and not_busy(q, in_use, cfg.gamma)
 
         return [q.id for part in (careful, randoms)
                 for q in sorted(filter(keep, part), key=lambda q: durability(cfg, q, t))]

@@ -19,7 +19,7 @@ import pytest
 from relaysim.churn import estimate_time_to_stay, sample_interarrival, sample_session_duration
 from relaysim.engine import build_population, run, _stream, _STREAM_FAILURE
 from relaysim.io import SweepSpec, run_sweep
-from relaysim.model import RelayLedger, SimConfig
+from relaysim.model import SimConfig
 from relaysim.netsim import FailureScenario, inject_failure
 from relaysim.selection import (
     Infeasible,
@@ -28,8 +28,8 @@ from relaysim.selection import (
     solve_greedy,
 )
 
-from helpers import (Peer, careful_head, ids_of, ledger_by_row, online_set, peer_rows,
-                     population, ranked_list)
+from helpers import (Peer, by_row, careful_head, ids_of, online_set, peer_rows, population,
+                     ranked_list)
 from reference import cut_off, draw_path_aware
 
 DESK_SIZES = (500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
@@ -243,18 +243,18 @@ def _random_table(rng: np.random.Generator):
     n = int(rng.integers(2, 28))
     cities = ("A", "B", "C")
     peers = []
-    ledger, failed = RelayLedger(), set()
+    in_use, failed = {}, set()
     for pid in range(n):
         up = float(rng.choice((256.0, 512.0, 1024.0, 3072.0)))
         p = Peer(pid, cities[int(rng.integers(0, 3))], int(rng.integers(1, 4)),
                  up, up * 4.0, float(rng.uniform(0.0, 50.0)),
                  float(rng.uniform(5.0, 4000.0)))
-        ledger.workload[pid] = int(rng.integers(0, 5))
-        ledger.in_use_kbps[pid] = float(rng.uniform(0.0, up * 1.2))
+        rng.integers(0, 5)   # read by no check; it keeps the stream's later tables
+        in_use[pid] = float(rng.uniform(0.0, up * 1.2))
         if rng.random() < 0.25:
             failed.add(pid)
         peers.append(p)
-    return peers, ledger, failed
+    return peers, in_use, failed
 
 
 def test_criterion_7_candidate_list_invariants():
@@ -262,7 +262,7 @@ def test_criterion_7_candidate_list_invariants():
     cfg = SimConfig()
     checked = 0
     for _ in range(10 ** 4):
-        peers, ledger, failed = _random_table(rng)
+        peers, in_use, failed = _random_table(rng)
         requester = peers[int(rng.integers(0, len(peers)))]
         alpha = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.2, 1.0))
@@ -275,8 +275,8 @@ def test_criterion_7_candidate_list_invariants():
                                 u=rng.random(zeta).tolist(), failed=failed)
         peers = population(online)
         lst = ids_of(peers, generate_relay_list(
-            ranked_list(drawn, t, peers, cfg), peers, gamma=gamma, workload_mode="utilization",
-            ledger=ledger_by_row(ledger, peers)))
+            ranked_list(drawn, t, peers, cfg), peers, gamma=gamma,
+            in_use_kbps=by_row(in_use, peers)))
         assert len(lst) <= zeta
         assert len(set(lst)) == len(lst)
         assert requester.id not in lst
@@ -290,7 +290,7 @@ def test_criterion_7_candidate_list_invariants():
             assert by_id[pid].isp == requester.isp
         for pid in lst:
             assert pid not in failed
-            assert ledger.in_use_kbps.get(pid, 0.0) / by_id[pid].uplink_kbps <= gamma
+            assert in_use.get(pid, 0.0) / by_id[pid].uplink_kbps <= gamma
         for part in (careful, randoms):
             taus = [estimate_time_to_stay(cfg, (t - by_id[pid].join_time) / 60.0)
                     for pid in part]

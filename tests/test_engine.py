@@ -200,18 +200,19 @@ def ledger_fault_run(in_use):
     """A Simulation in which cut-off requester 0 (4096 kbps downlink) walks
     the list (1,), relay 1 with a 1024 kbps uplink and a 4096 kbps
     downlink, with no handshake latency and an endless horizon; its
-    ledger's in_use_kbps is the given dict, keyed by row."""
+    in_use_kbps is the given dict, keyed by row."""
     cfg = SimConfig(peer_count=2, content_size_kb=512.0, latency_base_ms=0.0,
                     latency_per_km_ms=0.0, sim_duration=math.inf)
     sim = fixed_list_simulation(cfg, [make_peer(0), make_peer(1)], FailureScenario(frozenset({0})),
                                 {0: (1,)})
-    sim.ledger.in_use_kbps = in_use
+    sim.in_use_kbps = in_use
     return sim, row_by_id(sim.population)[1]
 
 
 class TestCapacityLedger:
-    """The relay loop keeps the run's ledger itself; its two bug traps are
-    reached by injecting faults into the ledger's in_use_kbps dict."""
+    """The relay loop keeps the run's ledger in Simulation.in_use_kbps and
+    Simulation.workload; its two bug traps are reached by injecting faults
+    into in_use_kbps."""
 
     def test_overcommit_is_a_bug_trap(self):
         # The rate rule's read misses the relay's 500 kbps in use, so it
@@ -224,7 +225,7 @@ class TestCapacityLedger:
                 self.reads += 1
                 return default if self.reads == 1 else super().get(key, default)
         sim, relay = ledger_fault_run(FirstReadMisses())
-        sim.ledger.in_use_kbps[relay] = 500.0
+        sim.in_use_kbps[relay] = 500.0
         with pytest.raises(CapacityError, match="exceeds uplink"):
             sim.run()
 
@@ -277,7 +278,7 @@ class TestAttemptDownload:
                                     {requester.id: tuple(candidates)} if candidates else {})
         if workload is not None:
             rows = row_by_id(sim.population)
-            sim.ledger.workload.update({rows[pid]: n for pid, n in workload.items()})
+            sim.workload.update({rows[pid]: n for pid, n in workload.items()})
         sim.run()
         (out,) = [o for o in sim.outcomes if o.requester_id == requester.id]
         return out, sim
@@ -304,7 +305,7 @@ class TestAttemptDownload:
         assert primary_success(out)
         assert out.entered_relay_phase
         assert [o.requester_id for o in sim.outcomes if o.entered_relay_phase] == [0]
-        assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+        assert sim.in_use_kbps == {} and sim.workload == {}
         # handshake + 4096 kbit / min(1024 uplink, 4096 down, 4096 share)
         assert out.end_time == pytest.approx(0.01 + 4.0)
 
@@ -462,9 +463,9 @@ class TestSimulation:
         sim = Simulation(small_cfg(sim_duration=math.inf))
         sim.run()
         for row in range(len(sim.population.ids)):
-            assert sim.ledger.in_use_kbps.get(row, 0.0) == 0.0
-            assert sim.ledger.workload.get(row, 0) == 0
-        assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+            assert sim.in_use_kbps.get(row, 0.0) == 0.0
+            assert sim.workload.get(row, 0) == 0
+        assert sim.in_use_kbps == {} and sim.workload == {}
         # the failure did send requests to relays
         assert any(o.entered_relay_phase for o in sim.outcomes)
 
@@ -482,7 +483,6 @@ class TestSimulation:
         sim = Simulation(cfg, Population(columns, drawn.scenario))
         lists = run_recording_lists(sim)
         zero = set(sim.population.ids[sim.population.uplink == 0.0].tolist())
-        assert cfg.workload_mode == "utilization"
         assert any(zero.intersection(listed) for listed in lists.values())
         served = sim.outcomes.served_by[sim.outcomes.served_by >= 0]
         assert len(served) and not zero.intersection(served.tolist())
@@ -495,7 +495,7 @@ class TestSimulation:
         for strategy in ("random", "path-aware"):
             sim = Simulation(replace(cfg, strategy=strategy), population)
             sim.run()
-            assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+            assert sim.in_use_kbps == {} and sim.workload == {}
             assert any(o.entered_relay_phase for o in sim.outcomes)
             # no run or caller can write through the shared columns
             out = sim.outcomes
@@ -517,7 +517,7 @@ class TestSimulation:
 
     def test_peers_are_immutable(self):
         # every column of a Population, its masks and its scenario's ids
-        # refuse writes; relay workload lives in the run's ledger
+        # refuse writes; relay workload lives in the Simulation
         population = Population(peer_columns([make_peer(0), make_peer(3, join=2.0)]),
                                 FailureScenario({3}, region="Beijing"))
         columns = [v for v in vars(population).values() if isinstance(v, np.ndarray)]
@@ -670,18 +670,22 @@ class TestSimulation:
         with pytest.raises(ValueError, match="made for"):
             Simulation(replace(cfg, **change), population, draws)
         # the content size and the workload filter are not part of the lists
-        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5, workload_mode="count"),
-                   population, draws).run()
+        Simulation(replace(cfg, content_size_kb=16000.0, gamma=0.5), population, draws).run()
 
-    @pytest.mark.parametrize("strategy", ["random", "path-aware"])
-    @pytest.mark.parametrize("broken, rule", [
-        (lambda r, o: (r, o + 1), "offsets that start at 0"),
-        (lambda r, o: (r, np.r_[o[:3], o[2] - 1, o[3:]]), "offsets that never decrease"),
-        (lambda r, o: (r, o[:-3]), r"offsets that end at len\(relays\), \d+"),
-        (lambda r, o: (r, np.delete(o, 2)), r"\d+ offsets, one per relay-phase request plus one"),
-        (lambda r, o: (np.r_[-1, r[1:]], o), r"relay rows in \[0, 300\)"),
-        (lambda r, o: (np.r_[r[:-1], 300], o), r"relay rows in \[0, 300\)"),
-        (lambda r, o: (r, np.zeros(0, np.int64)), "offsets that start at 0")])
+    # The offsets rules hold under every strategy; a no-relay table holds
+    # no relay row to break.
+    @pytest.mark.parametrize("broken, rule, strategy", [
+        (broken, rule, strategy) for broken, rule in (
+            (lambda r, o: (r, o + 1), "offsets that start at 0"),
+            (lambda r, o: (r, np.r_[o[:3], o[2] - 1, o[3:]]), "offsets that never decrease"),
+            (lambda r, o: (r, np.r_[o[:-1], o[-1] + 1]), r"offsets that end at len\(relays\), \d+"),
+            (lambda r, o: (r, np.delete(o, 2)),
+             r"\d+ offsets, one per relay-phase request plus one"),
+            (lambda r, o: (np.r_[-1, r[1:]], o), r"relay rows in \[0, 300\)"),
+            (lambda r, o: (np.r_[r[:-1], 300], o), r"relay rows in \[0, 300\)"),
+            (lambda r, o: (r, np.zeros(0, np.int64)), "offsets that start at 0"))
+        for strategy in ("no-relay", "random", "path-aware")
+        if strategy != "no-relay" or "offsets" in rule])
     def test_hand_built_candidates_are_checked(self, broken, rule, strategy):
         # Unchecked, a relay row of -1 or offsets + 1 run to the end and
         # report relay-served requests, and a row of n or short offsets
@@ -694,16 +698,19 @@ class TestSimulation:
             Simulation(cfg, population, draws._replace(relays=relays, offsets=offsets))
 
     def test_no_relay_candidates_need_no_list_per_request(self):
-        # no-relay draws the empty table and reads no list; the other
-        # rules still hold
+        # no-relay tries no relay: its table holds one empty list per
+        # relay-phase request, and the offsets rules hold as for the other
+        # strategies, so a one-entry table is rejected
         cfg = SimConfig(peer_count=300, rng_seed=1, strategy="no-relay")
         population = draw_population(cfg)
         draws = draw_candidates(cfg, population)
-        assert draws.offsets.tolist() == [0] and np.count_nonzero(population.cut) > 0
+        lists = np.count_nonzero(population.cut)
+        assert lists > 0 and draws.relays.tolist() == []
+        assert draws.offsets.tolist() == [0] * (lists + 1)
         Simulation(cfg, population, draws).run()
-        with pytest.raises(ValueError, match="^candidate draws need relay rows in"):
-            Simulation(cfg, population, draws._replace(relays=np.array([300]),
-                                                       offsets=np.array([0, 1])))
+        with pytest.raises(ValueError, match=f"^candidate draws need {lists + 1} offsets, one "
+                                             "per relay-phase request plus one$"):
+            Simulation(cfg, population, draws._replace(offsets=np.array([0])))
 
     def test_shared_candidates_match_own_draws(self):
         cfg = small_cfg(strategy="path-aware", rng_seed=4)
@@ -762,21 +769,26 @@ class TestNoRelaySkipsOnlineSet:
         streams, real = [], engine._stream
         monkeypatch.setattr(engine, "_stream",
                             lambda *key: streams.append(key) or real(*key))
-        # no-relay draws nothing and builds no selection stream
-        assert candidate_lists(draw_candidates(cfg, population)) == {}
+        # no-relay draws an empty list per relay-phase request and builds
+        # no selection stream
+        lists = candidate_lists(draw_candidates(cfg, population))
+        assert lists and set(lists.values()) == {()}
+        assert streams == []
         # the relay strategy's one draw pass builds one selection stream
         relay_cfg = replace(cfg, strategy="random")
-        assert candidate_lists(draw_candidates(relay_cfg, population))
+        assert any(candidate_lists(draw_candidates(relay_cfg, population)).values())
         assert [key for key in streams if key[1] == engine._STREAM_SELECT] == [
             (cfg.rng_seed, engine._STREAM_SELECT)]
-        # a relay-strategy run whose every list is empty: the no-relay protocol
+        # a relay-strategy run whose every list is empty: the no-relay run
         skipped = Simulation(cfg, population)
         tracked = Simulation(relay_cfg, population, fixed_draws(relay_cfg, population, {}))
         (skipped_report, skipped_scheduled), (tracked_report, tracked_scheduled) = (
             scheduled_by_priority(sim) for sim in (skipped, tracked))
         assert skipped_report == tracked_report
         assert list(skipped.outcomes) == list(tracked.outcomes)
-        assert candidate_lists(skipped._draws) == {}
+        assert candidate_lists(skipped._draws) == lists
+        # nor did the no-relay run: the one selection stream is the random pass's
+        assert [key[1] for key in streams] == [engine._STREAM_SELECT]
         # the loop issues the relay-phase requests and schedules their
         # resolutions only: one issue per peer cut off at a join by the
         # horizon, each ending its request at its join with no attempt (no
@@ -824,7 +836,6 @@ def small_runs(draw):
     cfg = SimConfig(peer_count=n + 2, rng_seed=draw(st.integers(0, 2**16)),
                     zeta=draw(st.integers(1, 4)),
                     content_size_kb=draw(st.sampled_from((100.0, 100.0, 512.0, 2000.0))),
-                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
                     strategy=draw(st.sampled_from(("path-aware", "random") * 3 + ("no-relay",))),
                     # a 20 s handshake lets a reject outlast its requester's
                     # departure and a finite horizon after it
@@ -893,7 +904,7 @@ class TestProtocolProperties:
                 assert not set(lists[owner]) & set(relay_phase[:i + 1])
         if horizon == math.inf:
             # a finite horizon may cut transfers that still hold capacity
-            assert sim.ledger.in_use_kbps == {} and sim.ledger.workload == {}
+            assert sim.in_use_kbps == {} and sim.workload == {}
 
     def test_committed_rate_fits_free_uplink_and_downlink(self):
         # Each commit to the run's ledger, seen as a rise in a relay's
@@ -935,7 +946,7 @@ class TestProtocolProperties:
                     in_flight[relay].remove(rate)
                 return entry
             sim = Simulation(cfg, Population(peer_columns(peers), scenario))
-            sim.ledger.workload = Workload()
+            sim.workload = Workload()
             uplink = sim.population.uplink
             with mock.patch.object(heapq, "heappush", push), \
                     mock.patch.object(heapq, "heappop", pop):
@@ -1003,7 +1014,6 @@ def reference_runs(draw):
                     gamma=draw(st.sampled_from((0.5, 1.0))),
                     content_size_kb=draw(st.sampled_from((100.0, 100.0, 100.0, 512.0,
                                                           2000.0))),
-                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
                     strategy=draw(st.sampled_from(("no-relay", "random", "path-aware"))),
                     latency_base_ms=base_ms, latency_per_km_ms=per_km_ms,
                     sim_duration=draw(st.sampled_from((2.0, 4.5, 30.0, math.inf, math.inf,
@@ -1041,7 +1051,6 @@ def crowded_relay_runs(draw):
                     alpha=draw(st.sampled_from((0.0, 0.5, 1.0))),
                     gamma=draw(st.sampled_from((0.5, 1.0))),
                     content_size_kb=draw(st.sampled_from((50.0, 100.0, 200.0))),
-                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
                     strategy=draw(st.sampled_from(("random", "path-aware", "path-aware"))),
                     latency_base_ms=base_ms, latency_per_km_ms=per_km_ms,
                     sim_duration=draw(st.sampled_from((7.0, math.inf, math.inf))))

@@ -767,11 +767,19 @@ class TestCli:
     def test_unknown_config_key_exit_2(self, capsys):
         assert main(["run", "--set", "warpdrive=1"]) == 2
 
-    def test_sweep_sizes_are_no_config_key_exit_2(self, tmp_path, capsys):
-        # the sweep's size axis is set by --sizes alone
-        assert main(["sweep", "--set", "content_sizes_kb=500,1000",
-                     "--out", str(tmp_path / "s.csv")]) == 2
-        assert capsys.readouterr().err == "config error: unknown config key 'content_sizes_kb'\n"
+    # Neither the sweep's size axis (set by --sizes alone) nor workload_mode
+    # is a config key: a config file or --set naming one fails.
+    @pytest.mark.parametrize("setting, key", [
+        (["--set", "content_sizes_kb=500,1000"], "content_sizes_kb"),
+        (["--set", "workload_mode=count"], "workload_mode"),
+        (["--config", "old.cfg"], "workload_mode")], ids=["sizes", "set-mode", "file-mode"])
+    def test_unknown_config_key_names_it_exit_2(self, setting, key, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("old.cfg").write_text("gamma = 0.8\nworkload_mode = count\n")
+        assert main(["sweep", *setting, "--out", "s.csv"]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n"
+        assert not Path("s.csv").exists()
 
     def test_city_file_out_of_range_exit_2(self, tmp_path, capsys):
         cities = tmp_path / "cities.csv"
@@ -1102,10 +1110,10 @@ class TestGoldenOutputs:
     }
     TRACE = "5c3b3f9af142f377b33e49865e623a136f0e73a46da548952842110fc1866b6f"
 
-    # A failure window that opens and closes inside the run, with the
-    # count workload filter.
+    # A failure window that opens and closes inside the run; the workload
+    # filter drops relays from 5 of its 34 path-aware lists.
     WINDOW_CFG = replace(CFG, peer_count=600, failure_start=200.0, failure_end=900.0,
-                         workload_mode="count", strategy="path-aware")
+                         strategy="path-aware")
     WINDOW_OUTCOMES = "fa053c124d5849ad105dda90d6bc6d98bfc698fc11a92ad3889a7366ce86e9c6"
 
     def outcomes_digest(self, cfg, tmp_path):
@@ -1119,7 +1127,7 @@ class TestGoldenOutputs:
         digest = self.outcomes_digest(replace(self.CFG, strategy=strategy), tmp_path)
         assert digest == self.OUTCOMES[strategy]
 
-    def test_finite_window_count_mode_digest(self, tmp_path):
+    def test_finite_window_digest(self, tmp_path):
         assert self.outcomes_digest(self.WINDOW_CFG, tmp_path) == self.WINDOW_OUTCOMES
 
     def test_synthesized_trace_digest(self, tmp_path):

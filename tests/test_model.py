@@ -133,7 +133,7 @@ class TestConfigValidation:
         ("failure_ratio", 1.01, "failure_ratio"),
         ("isp_count", 0, "isp_count"),
         ("arrival_rate_lambda", 0.0, "arrival_rate_lambda"),
-        ("workload_mode", "volume", "workload_mode"),
+        ("zeta", 0, "zeta: must be at least 1"),
         ("failure_region", "Atlantis", "failure_region"),
         ("content_size_kb", 0.0, "content_size_kb"),
         ("tts_coeffs", (0.97, 3.5), "tts_coeffs: expected exactly three coefficients"),

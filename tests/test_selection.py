@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from relaysim.churn import estimate_time_to_stay
 from relaysim.engine import Population, _walk
-from relaysim.model import PeerColumns, RelayLedger, SimConfig
+from relaysim.model import PeerColumns, SimConfig
 from relaysim.netsim import FailureScenario
 from relaysim.selection import (
     Infeasible,
@@ -24,7 +24,7 @@ from relaysim.selection import (
     solve_greedy,
 )
 
-from helpers import (Peer, assignment_matrix, careful_head, flat_draws, ids_of, ledger_by_row,
+from helpers import (Peer, assignment_matrix, by_row, careful_head, flat_draws, ids_of,
                      population, save_instance, sweep_draw)
 from reference import durability, not_busy
 
@@ -41,17 +41,17 @@ def tts_fields(tts):
     return dict(tts_coeffs=tts.tts_coeffs, tts_clamp_min=tts.tts_clamp_min)
 
 
-def path_aware_list(requester, online, *, alpha, zeta, u, failed, t, tts, ledger, **workload):
+def path_aware_list(requester, online, *, alpha, gamma, zeta, u, failed, t, tts, in_use):
     """Draw, rank and filter a path-aware list through the draw pass
     (helpers.sweep_draw), as a request issued at t while exactly the peers
     in online are online, after the requesters in failed, would get it,
-    with the id-keyed ledger; returns the list's ids and its careful ids
-    (careful_head)."""
+    with in_use the relay uplink kbps in use by peer id; returns the list's
+    ids and its careful ids (careful_head)."""
     peers, drawn, ranked = sweep_draw(requester, online, t, u, failed=failed,
                                       strategy="path-aware", alpha=alpha, zeta=zeta,
                                       **tts_fields(tts))
-    lst = ids_of(peers, generate_relay_list(ranked, peers, ledger=ledger_by_row(ledger, peers),
-                                            **workload))
+    lst = ids_of(peers, generate_relay_list(ranked, peers, gamma=gamma,
+                                            in_use_kbps=by_row(in_use, peers)))
     return lst, careful_head(lst, drawn[0])
 
 
@@ -75,7 +75,7 @@ def reference_random_relay_list(requester, online_peers, zeta, u):
 
 
 def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta, u, t,
-                                  tts, workload_mode, ledger, failed):
+                                  tts, in_use, failed):
     pool = [p for p in online_peers if p.id != requester.id]
     careful_slots = min(zeta, math.ceil(zeta * alpha - 1e-12))
     same = [p for p in pool if p.city == requester.city and p.isp == requester.isp]
@@ -85,8 +85,7 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
     randoms = reference_draw(u[careful_slots:], rest, zeta - careful_slots)
 
     def keep(p):
-        return p.id not in failed and not_busy(p, ledger.in_use_kbps, ledger.workload, gamma,
-                                               workload_mode)
+        return p.id not in failed and not_busy(p, in_use, gamma)
 
     def rank(p):
         return durability(tts, p, t)
@@ -99,8 +98,8 @@ def reference_generate_relay_list(requester, online_peers, *, alpha, gamma, zeta
 @st.composite
 def selection_cases(draw):
     """An online population in arrival order, a requester that may or may
-    not be online, list parameters, a fetch-failure history, a ledger with
-    busy relays, and the requester's row of zeta floats in [0, 1)."""
+    not be online, list parameters, a fetch-failure history, the uplink in
+    use at busy relays, and the requester's row of zeta floats in [0, 1)."""
     ids = draw(st.lists(st.integers(0, 200), unique=True, max_size=40))
 
     def column(values):
@@ -120,16 +119,12 @@ def selection_cases(draw):
                               city=draw(st.sampled_from(("Wuhan", "Chengdu"))),
                               isp=draw(st.integers(1, 2)), dur=0.0)
     failed = draw(st.sets(st.sampled_from(ids))) if ids else set()
-    ledger = RelayLedger(
-        workload={pid: count for pid, count, busy in zip(
-            ids, column((1, 2, 3, 4)), column((False, True))) if busy},
-        in_use_kbps={p.id: share * p.uplink_kbps for p, share, busy in zip(
-            peers, column((0.5, 0.9, 1.0)), column((False, True))) if busy})
+    in_use = {p.id: share * p.uplink_kbps for p, share, busy in zip(
+        peers, column((0.5, 0.9, 1.0)), column((False, True))) if busy}
     params = dict(alpha=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
                   gamma=draw(st.sampled_from((0.5, 0.95, 2.0))),
                   zeta=draw(st.integers(1, 50)), t=3600.0, tts=SimConfig(),
-                  workload_mode=draw(st.sampled_from(("utilization", "count"))),
-                  ledger=ledger, failed=failed)
+                  in_use=in_use, failed=failed)
     u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=params["zeta"],
                       max_size=params["zeta"]))
     return requester, draw(st.permutations(peers)), params, u
@@ -209,9 +204,9 @@ class TestIndexedDraws:
 def rank_blocks(draw):
     """Peers, a block of path-aware draws (careful ids, random ids) of the
     peers joined by each request's time, those times, a SimConfig holding
-    a time-to-stay model, and a workload filter: gamma, mode and a ledger
-    holding some of the peers. Joins and times put elapsed times at 0, at the 60 min clamp,
-    past it and between, with ties."""
+    a time-to-stay model, and a workload filter: gamma and the uplink kbps
+    in use at some of the peers, by id. Joins and times put elapsed times
+    at 0, at the 60 min clamp, past it and between, with ties."""
     ids = draw(st.lists(st.integers(0, 200), unique=True, min_size=1, max_size=30))
     peers = [make_peer(pid, join=draw(st.sampled_from((0.0, 60.0, 600.0, 3000.0, 3600.0))),
                        uplink_kbps=draw(st.sampled_from((512.0, 1024.0))))
@@ -226,14 +221,10 @@ def rank_blocks(draw):
         times.append(t)
     tts = draw(st.sampled_from((SimConfig(), SimConfig(tts_coeffs=(-0.01, 1.0, 3.0),
                                                     tts_clamp_min=30.0))))
-    ledger = RelayLedger(
-        workload={pid: draw(st.integers(1, 4)) for pid in ids if draw(st.booleans())},
-        in_use_kbps={p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
-                     for p in peers if draw(st.booleans())})
-    workload = dict(gamma=draw(st.sampled_from((0.0, 0.5, 0.9, 2.0))),
-                    workload_mode=draw(st.sampled_from(("utilization", "count"))),
-                    ledger=ledger)
-    return peers, block, times, tts, workload
+    in_use = {p.id: draw(st.sampled_from((0.5, 0.9, 1.0))) * p.uplink_kbps
+              for p in peers if draw(st.booleans())}
+    gamma = draw(st.sampled_from((0.0, 0.5, 0.9, 2.0)))
+    return peers, block, times, tts, gamma, in_use
 
 
 class TestRankOnce:
@@ -243,39 +234,29 @@ class TestRankOnce:
     @settings(max_examples=300, deadline=None)
     @given(rank_blocks())
     def test_filtering_the_ranked_list_ranks_the_filtered_draw(self, case):
-        peers, block, times, tts, workload = case
-        ledger, by_id, listed = workload["ledger"], {p.id: p for p in peers}, population(peers)
+        peers, block, times, tts, gamma, in_use = case
+        by_id, listed = {p.id: p for p in peers}, population(peers)
         ranked = rank_path_aware(*flat_draws(block, listed), times, listed, tts).tolist()
-        rows = dict(workload, ledger=ledger_by_row(ledger, listed))
+        rows = by_row(in_use, listed)
         at = 0
         for (careful, randoms), t in zip(block, times):
             size = len(careful) + len(randoms)
             lst = tuple(ranked[at:at + size])
             at += size
-            got = ids_of(listed, generate_relay_list(lst, listed, **rows))
-            want = [sorted((by_id[pid] for pid in part
-                            if not_busy(by_id[pid], ledger.in_use_kbps, ledger.workload,
-                                        workload["gamma"], workload["workload_mode"])),
+            got = ids_of(listed, generate_relay_list(lst, listed, gamma=gamma, in_use_kbps=rows))
+            want = [sorted((by_id[pid] for pid in part if not_busy(by_id[pid], in_use, gamma)),
                            key=lambda q: durability(tts, q, t))
                     for part in (careful, randoms)]
             assert got == tuple(q.id for part in want for q in part)
             assert careful_head(got, careful) == tuple(q.id for q in want[0])
         assert at == len(ranked)
 
-    @pytest.mark.parametrize("mode, other", [("count", "utilization"),
-                                             ("utilization", "count")])
-    def test_a_list_the_read_ledger_dict_misses_comes_back_as_is(self, mode, other):
-        # peers 1 to 4 are rows 0 to 3; the dict mode reads holds peer 4
-        # only, the dict other reads every peer; each entry is above gamma
+    def test_a_list_the_in_use_dict_misses_comes_back_as_is(self):
+        # peers 1 to 4 are rows 0 to 3; each entry is above gamma
         listed, ranked = population([make_peer(pid) for pid in (1, 2, 3, 4)]), (2, 0, 1)
-        full, ledger = {"count": 9, "utilization": 1024.0}, RelayLedger()
-        reads = {"count": ledger.workload, "utilization": ledger.in_use_kbps}
-        reads[mode][3] = full[mode]
-        reads[other].update(dict.fromkeys(range(4), full[other]))
-        assert generate_relay_list(ranked, listed, gamma=0.5, workload_mode=mode,
-                                   ledger=ledger) is ranked
-        assert generate_relay_list(ranked, listed, gamma=0.5, workload_mode=other,
-                                   ledger=ledger) == ()
+        assert generate_relay_list(ranked, listed, gamma=0.5, in_use_kbps={3: 1024.0}) is ranked
+        assert generate_relay_list(ranked, listed, gamma=0.5,
+                                   in_use_kbps=dict.fromkeys(range(4), 1024.0)) == ()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1e6), max_size=20))
@@ -399,8 +380,8 @@ class TestRandomList:
 class TestPathAwareList:
     def gen(self, requester, online, t=0.0, **kw):
         seed = kw.pop("seed", 0)
-        args = dict(alpha=0.2, gamma=0.8, zeta=10, t=t, tts=SimConfig(),
-                    workload_mode="utilization", ledger=RelayLedger(), failed=frozenset())
+        args = dict(alpha=0.2, gamma=0.8, zeta=10, t=t, tts=SimConfig(), in_use={},
+                    failed=frozenset())
         args.update(kw)
         return path_aware_list(requester, online, u=row(seed, args["zeta"]), **args)
 
@@ -454,23 +435,12 @@ class TestPathAwareList:
         me = make_peer(0)
         busy = make_peer(1)
         exact = make_peer(2)
-        ledger = RelayLedger(in_use_kbps={1: 0.81 * busy.uplink_kbps,
-                                          2: 0.80 * exact.uplink_kbps})
+        in_use = {1: 0.81 * busy.uplink_kbps, 2: 0.80 * exact.uplink_kbps}
         idle = make_peer(3)
-        lst, _ = self.gen(me, [me, busy, exact, idle], ledger=ledger)
+        lst, _ = self.gen(me, [me, busy, exact, idle], in_use=in_use)
         assert 1 not in lst      # above gamma
         assert 2 in lst          # exactly gamma stays
         assert 3 in lst
-
-    def test_workload_filter_count_mode(self):
-        me = make_peer(0)
-        loaded = make_peer(1)
-        light = make_peer(2)
-        ledger = RelayLedger(workload={1: 3, 2: 2})
-        lst, _ = self.gen(me, [me, loaded, light], gamma=2.0,
-                          workload_mode="count", ledger=ledger)
-        assert 1 not in lst
-        assert 2 in lst
 
     def test_no_backfill_when_careful_short(self):
         # no same-city-ISP peers online: only the 8 random slots remain
